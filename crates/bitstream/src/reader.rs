@@ -111,6 +111,69 @@ impl<'a> BitReader<'a> {
         Ok(out)
     }
 
+    /// Appends whole bytes above the register's valid bits until fewer
+    /// than eight free bits remain (or the stream ends), keeping the bits
+    /// above `acc_len` zero like every other path here. Callers hold
+    /// `acc_len < 56`, so the shifts stay in range.
+    #[inline]
+    fn top_up(&mut self) {
+        let rest = &self.bytes[self.next..];
+        let room = (64 - self.acc_len) / 8;
+        if let Some(word) = rest.first_chunk::<8>() {
+            self.acc |= (u64::from_le_bytes(*word) & low_mask(room * 8)) << self.acc_len;
+            self.acc_len += room * 8;
+            self.next += room as usize;
+        } else {
+            for &b in rest.iter().take(room as usize) {
+                self.acc |= (b as u64) << self.acc_len;
+                self.acc_len += 8;
+                self.next += 1;
+            }
+        }
+    }
+
+    /// Returns the next `n` bits (`n <= 56`, the most a byte-granular
+    /// top-up of a 64-bit register can guarantee) without consuming them,
+    /// first stream bit in bit 0. Bits past the end of the stream read as
+    /// 0; whether they were really there is [`BitReader::skip_bits`]'s
+    /// call. Together the pair lets a table-driven decoder look a whole
+    /// code up in one step and then pay only for the bits it used.
+    #[inline]
+    pub fn peek_bits(&mut self, n: u32) -> u64 {
+        let n = n.min(56);
+        if self.acc_len < n {
+            self.top_up();
+        }
+        self.acc & low_mask(n)
+    }
+
+    /// Consumes `n` bits, or fails with [`Error::UnexpectedEof`] and
+    /// consumes nothing when fewer remain.
+    #[inline]
+    pub fn skip_bits(&mut self, n: u32) -> Result<()> {
+        if n <= self.acc_len {
+            self.acc = shr(self.acc, n);
+            self.acc_len -= n;
+            return Ok(());
+        }
+        if n as usize > self.remaining_bits() {
+            return Err(Error::UnexpectedEof);
+        }
+        // Drop the register, whole bytes, then the odd bits of the next
+        // refill (which the length check guarantees are there).
+        let rest = n - self.acc_len;
+        self.acc = 0;
+        self.acc_len = 0;
+        self.next += (rest / 8) as usize;
+        let odd = rest % 8;
+        if odd > 0 {
+            self.refill();
+            self.acc >>= odd;
+            self.acc_len -= odd;
+        }
+        Ok(())
+    }
+
     /// Consumes and counts a run of consecutive 0 bits, stopping before
     /// the first 1 bit, after `max` zeros, or at end of stream —
     /// whichever comes first. The read-side mirror of

@@ -154,6 +154,45 @@ proptest! {
     }
 
     #[test]
+    fn peek_and_skip_match_bit_at_a_time(bytes in prop::collection::vec(any::<u8>(), 0..40),
+                                         ops in prop::collection::vec((0u32..4, 0u32..=70), 0..48)) {
+        // The table decoders' pair: `peek_bits` must show exactly the bits
+        // a bit-at-a-time reader is about to deliver (zeros past the end),
+        // without moving; `skip_bits` must move exactly as far as reading
+        // would, or fail and stay put. Interleaved with the register's
+        // other users (`get_bit`, `get_bits`, `count_zero_run`) so every
+        // mix of topped-up and plainly refilled register states occurs.
+        let mut r = BitReader::new(&bytes);
+        let mut reference = BitReader::new(&bytes);
+        for (kind, n) in ops {
+            match kind {
+                0 => {
+                    let mut probe = reference.clone();
+                    let mut want = 0u64;
+                    for i in 0..n.min(56) {
+                        want |= (probe.get_bit().unwrap_or(false) as u64) << i;
+                    }
+                    prop_assert_eq!(r.peek_bits(n), want, "peek {}", n);
+                }
+                1 => {
+                    let fits = reference.remaining_bits() >= n as usize;
+                    prop_assert_eq!(r.skip_bits(n).is_ok(), fits, "skip {}", n);
+                    if fits {
+                        for _ in 0..n {
+                            reference.get_bit().unwrap();
+                        }
+                    }
+                }
+                2 => prop_assert_eq!(r.get_bits(n.min(64)).ok(), reference.get_bits(n.min(64)).ok()),
+                _ => prop_assert_eq!(r.count_zero_run(n as usize), reference.count_zero_run(n as usize)),
+            }
+            prop_assert_eq!(r.position_bits(), reference.position_bits());
+            prop_assert_eq!(r.remaining_bits(), reference.remaining_bits());
+            prop_assert_eq!(r.clone().get_bit().ok(), reference.clone().get_bit().ok());
+        }
+    }
+
+    #[test]
     fn refill_get_bits_matches_bit_at_a_time(bytes in prop::collection::vec(any::<u8>(), 0..64),
                                              widths in prop::collection::vec(width_strategy(), 0..32)) {
         // Word reads through the refill register must return exactly the

@@ -279,6 +279,12 @@ pub fn run_fault_campaign(cases: usize) -> Vec<CheckFailure> {
     push(stage_panics_cancel_cleanly(&raw, dims, &reference));
     push(budget_stress_bounded_and_identical(&mut rng, cases));
     push(resilient_stream_salvages_corruption(&field));
+    // Corruption inside the lossless wrapper, as region reads meet it:
+    // contained per SLZ1 block and per chunk, never a whole-read failure
+    // unless the head is hit.
+    let (stream, chunk_dims, dims) = crate::oracle::wrapper_damage_stream();
+    let bboxes = crate::oracle::region_bboxes(dims, chunk_dims, cases.clamp(4, 16), rng.next_u64());
+    push(crate::oracle::region_survives_wrapper_damage(&stream, chunk_dims, &bboxes));
 
     failures
 }

@@ -43,7 +43,11 @@
 //!    over randomized bboxes (full-volume, single-voxel,
 //!    chunk-straddling, prime-offset) must be bit-identical to slicing
 //!    the full decode, at every thread count, on both indexed (v3) and
-//!    legacy containers. `sperr-conformance regions [N]`.
+//!    legacy containers; and, on a stream whose lossless wrapper spans
+//!    several SLZ1 blocks, damage inside the wrapper must stay contained
+//!    ([`oracle::region_survives_wrapper_damage`]: invisible when the
+//!    block holds nothing the read needs, reported per chunk when it
+//!    does, fatal only in the head). `sperr-conformance regions [N]`.
 //! 6. **Progressive-refinement campaign** ([`refine`]): size-bounded
 //!    streams decoded at budgets `b1 < b2 < full`; the achieved max
 //!    error must be monotone non-increasing, the unbounded budget must

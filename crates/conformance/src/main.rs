@@ -153,7 +153,8 @@ fn run_oracles() -> Vec<CheckFailure> {
 /// (PWE at the corpus-standard tolerance, indexed v3 container), then
 /// `decode_region` over `n` randomized bboxes at 1/2/4/8 threads must
 /// match the full decode bit-for-bit — and again through the legacy
-/// chunk-table scan after a `downgrade_to_v2`.
+/// chunk-table scan after a `downgrade_to_v2`. Then the wrapper-damage
+/// oracle on one multi-block stream.
 fn run_regions(n: usize) -> Vec<CheckFailure> {
     let chunk_dims = [16usize, 16, 16];
     let sperr =
@@ -192,6 +193,13 @@ fn run_regions(n: usize) -> Vec<CheckFailure> {
                 detail: format!("{}: downgrade_to_v2 failed: {e}", input.id),
             }),
         }
+    }
+    // Damage inside the lossless wrapper, on a stream of several SLZ1
+    // blocks: contained per block and per chunk (see the oracle).
+    let (stream, chunk_dims, dims) = oracle::wrapper_damage_stream();
+    let bboxes = oracle::region_bboxes(dims, chunk_dims, n.min(12), 0xb10c);
+    if let Err(f) = oracle::region_survives_wrapper_damage(&stream, chunk_dims, &bboxes) {
+        failures.push(f);
     }
     failures
 }

@@ -556,6 +556,234 @@ pub fn region_vs_full(
 }
 
 // ---------------------------------------------------------------------
+// Oracle 8b: region reads through a damaged lossless wrapper.
+// ---------------------------------------------------------------------
+
+/// One SLZ1 block of a lossless-packed stream: the container bytes it
+/// holds (`raw`) and where its own bytes — stored data or coded payload —
+/// sit in the SPERR stream (`src`, outer flag byte included).
+struct WrapperBlock {
+    raw: std::ops::Range<usize>,
+    src: std::ops::Range<usize>,
+    coded: bool,
+}
+
+/// Walks the SLZ1 block headers of a lossless-packed SPERR stream (flag
+/// byte, `"SLZ1"`, `u64` raw length, then per block: flags, `u32` raw
+/// length, and for coded blocks a `u32` payload length). An independent
+/// reading of the format documented in `sperr-lossless`, so the oracle
+/// does not lean on the directory code it is checking.
+fn wrapper_blocks(stream: &[u8]) -> Option<Vec<WrapperBlock>> {
+    let u32_at = |at: usize| -> Option<usize> {
+        Some(u32::from_le_bytes(stream.get(at..at + 4)?.try_into().ok()?) as usize)
+    };
+    if stream.first() != Some(&1) || stream.get(1..5)? != b"SLZ1" {
+        return None;
+    }
+    let (mut at, mut raw_at, mut blocks) = (13usize, 0usize, Vec::new());
+    loop {
+        let flags = *stream.get(at)?;
+        let raw_len = u32_at(at + 1)?;
+        let coded = flags & 1 != 0;
+        let (src_start, src_len) =
+            if coded { (at + 9, u32_at(at + 5)?) } else { (at + 5, raw_len) };
+        blocks.push(WrapperBlock {
+            raw: raw_at..raw_at + raw_len,
+            src: src_start..src_start + src_len,
+            coded,
+        });
+        raw_at += raw_len;
+        at = src_start + src_len;
+        if flags & 2 != 0 {
+            return Some(blocks);
+        }
+    }
+}
+
+/// A default-configuration (lossless on, v3) stream for
+/// [`region_survives_wrapper_damage`]: 64 chunks whose container spans
+/// four SLZ1 blocks, three coded and one stored, so both kinds of block
+/// get damaged. Returns the stream, its chunk dims and its volume dims.
+pub fn wrapper_damage_stream() -> (Vec<u8>, [usize; 3], [usize; 3]) {
+    let dims = [64, 64, 64];
+    let chunk_dims = [16, 16, 16];
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate(dims, 5);
+    let sperr = Sperr::new(SperrConfig { chunk_dims, num_threads: 1, ..SperrConfig::default() });
+    let stream = sperr
+        .compress(&field, Bound::Pwe(field.tolerance_for_idx(14)))
+        .expect("a valid field and tolerance compress");
+    (stream, chunk_dims, dims)
+}
+
+/// What a region read owes a caller whose stream is damaged *inside the
+/// lossless wrapper* (the default configuration), for each bbox:
+///
+/// 1. damage confined to an SLZ1 block that holds neither the container
+///    head nor a touched chunk's payload is invisible — healthy report,
+///    bytes identical to the clean read — although a full decode of the
+///    same stream fails;
+/// 2. damage in a block under a touched chunk's payload is contained per
+///    chunk: the call succeeds, only chunks whose payload overlaps that
+///    block may be reported failed (and at least one is), their voxels
+///    read 0, every other voxel is identical to the clean read;
+/// 3. damage in the head's block fails the call.
+///
+/// Stored blocks are damaged at a byte of the payload in question; coded
+/// blocks in their Huffman tables, which every decode of the block reads.
+/// Needs a stream spanning at least three SLZ1 blocks.
+pub fn region_survives_wrapper_damage(
+    stream: &[u8],
+    chunk_dims: [usize; 3],
+    bboxes: &[([usize; 3], [usize; 3])],
+) -> CheckResult {
+    const CHECK: &str = "region-wrapper-damage";
+    let sperr = Sperr::new(SperrConfig { chunk_dims, num_threads: 2, ..SperrConfig::default() });
+    let info = sperr
+        .inspect(stream)
+        .map_err(|e| CheckFailure { check: CHECK, detail: format!("inspect failed: {e}") })?;
+    let Some(blocks) = wrapper_blocks(stream).filter(|b| b.len() >= 3) else {
+        return fail(CHECK, "stream is not lossless-packed over at least three blocks".into());
+    };
+    let grid = sperr_core::chunk_grid(info.dims, chunk_dims);
+    // Container byte range of every chunk payload, and of the head.
+    let mut payloads = Vec::with_capacity(info.n_chunks);
+    let mut at = info.payload_offset;
+    for &size in &info.chunk_payload_sizes {
+        payloads.push(at..at + size);
+        at += size;
+    }
+    let overlaps =
+        |a: &std::ops::Range<usize>, b: &std::ops::Range<usize>| a.start < b.end && b.start < a.end;
+    let head = 0..info.payload_offset;
+    // Overwrites a few bytes of block `b`: at container offset `at` when
+    // the block is stored, in the code tables when it is coded.
+    let damage = |b: &WrapperBlock, at: usize| {
+        let mut bad = stream.to_vec();
+        let start = if b.coded { b.src.start } else { b.src.start + (at - b.raw.start) };
+        for byte in &mut bad[start..(start + 24).min(b.src.end)] {
+            *byte = !*byte;
+        }
+        bad
+    };
+
+    for &(lo, hi) in bboxes {
+        let (clean, report) = sperr.decode_region(stream, lo, hi).map_err(|e| CheckFailure {
+            check: CHECK,
+            detail: format!("clean decode_region {lo:?}..{hi:?} failed: {e}"),
+        })?;
+        let touched = &report.chunk_ids;
+        let needed: Vec<bool> = blocks
+            .iter()
+            .map(|b| {
+                overlaps(&b.raw, &head) || touched.iter().any(|&c| overlaps(&b.raw, &payloads[c]))
+            })
+            .collect();
+
+        // 1. A block the read does not need.
+        if let Some(b) = blocks.iter().zip(&needed).find(|(_, &n)| !n).map(|(b, _)| b) {
+            let bad = damage(b, b.raw.start + b.raw.len() / 2);
+            if sperr.decompress(&bad).is_ok() {
+                return fail(
+                    CHECK,
+                    format!("bbox {lo:?}..{hi:?}: damage went unnoticed by a full decode"),
+                );
+            }
+            match sperr.decode_region(&bad, lo, hi) {
+                Ok((region, rep)) if rep.all_ok() => {
+                    if let Some((i, r, f)) = first_bit_mismatch(&region.data, &clean.data) {
+                        return fail(
+                            CHECK,
+                            format!("bbox {lo:?}..{hi:?}: unneeded-block damage changed region[{i}]: {r:e} != {f:e}"),
+                        );
+                    }
+                }
+                Ok((_, rep)) => {
+                    return fail(
+                        CHECK,
+                        format!(
+                            "bbox {lo:?}..{hi:?}: damage in an unneeded block reported as {:?}",
+                            rep.statuses
+                        ),
+                    )
+                }
+                Err(e) => {
+                    return fail(
+                        CHECK,
+                        format!(
+                            "bbox {lo:?}..{hi:?}: damage in an unneeded block failed the read: {e}"
+                        ),
+                    )
+                }
+            }
+        }
+
+        // 2. A block under a touched payload (and not under the head).
+        let victim = touched.iter().find_map(|&c| {
+            let b = blocks
+                .iter()
+                .find(|b| overlaps(&b.raw, &payloads[c]) && !overlaps(&b.raw, &head))?;
+            Some((b, payloads[c].start.max(b.raw.start)))
+        });
+        if let Some((b, at)) = victim {
+            let bad = damage(b, at);
+            let (region, rep) = sperr.decode_region(&bad, lo, hi).map_err(|e| CheckFailure {
+                check: CHECK,
+                detail: format!(
+                    "bbox {lo:?}..{hi:?}: damage under a touched chunk failed the whole read: {e}"
+                ),
+            })?;
+            let failed: Vec<usize> = rep
+                .chunk_ids
+                .iter()
+                .zip(&rep.statuses)
+                .filter(|(_, s)| !matches!(s, sperr_core::ChunkStatus::Ok))
+                .map(|(&c, _)| c)
+                .collect();
+            if failed.is_empty() || failed.iter().any(|&c| !overlaps(&b.raw, &payloads[c])) {
+                return fail(
+                    CHECK,
+                    format!(
+                        "bbox {lo:?}..{hi:?}: block {:?} damaged, chunks reported failed: {failed:?} of {touched:?}",
+                        b.raw
+                    ),
+                );
+            }
+            let dims = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
+            for (i, (&got, &want)) in region.data.iter().zip(&clean.data).enumerate() {
+                let p = [
+                    lo[0] + i % dims[0],
+                    lo[1] + i / dims[0] % dims[1],
+                    lo[2] + i / (dims[0] * dims[1]),
+                ];
+                let chunk = grid.iter().position(|s| {
+                    (0..3).all(|d| (s.offset[d]..s.offset[d] + s.dims[d]).contains(&p[d]))
+                });
+                let want = if chunk.is_some_and(|c| failed.contains(&c)) { 0.0 } else { want };
+                if got.to_bits() != want.to_bits() {
+                    return fail(
+                        CHECK,
+                        format!(
+                            "bbox {lo:?}..{hi:?}: voxel {p:?} reads {got:e}, expected {want:e}"
+                        ),
+                    );
+                }
+            }
+        }
+
+        // 3. The head's block.
+        if let Some(b) = blocks.iter().find(|b| overlaps(&b.raw, &head)) {
+            if sperr.decode_region(&damage(b, 4), lo, hi).is_ok() {
+                return fail(
+                    CHECK,
+                    format!("bbox {lo:?}..{hi:?}: head damage did not fail the read"),
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+// ---------------------------------------------------------------------
 // Oracle 9: the f32-native path vs the widened-f64 path.
 // ---------------------------------------------------------------------
 
@@ -772,6 +1000,23 @@ mod tests {
         region_vs_full(&stream, chunk_dims, &bboxes, &[1, 2], true).unwrap();
         let v2 = sperr.downgrade_to_v2(&stream).unwrap();
         region_vs_full(&v2, chunk_dims, &bboxes, &[1, 2], false).unwrap();
+    }
+
+    #[test]
+    fn region_wrapper_damage_oracle_smoke() {
+        let (stream, chunk_dims, dims) = wrapper_damage_stream();
+        // One chunk, a straddle of eight, a slab, the last chunks.
+        let bboxes = [
+            ([2, 3, 4], [9, 9, 9]),
+            ([30, 30, 30], [35, 34, 33]),
+            ([0, 20, 40], [64, 28, 48]),
+            ([50, 50, 50], [64, 64, 64]),
+        ];
+        region_survives_wrapper_damage(&stream, chunk_dims, &bboxes).unwrap();
+        // And bit-identity with the full decode on the same multi-block
+        // stream, through the sparse inflate.
+        region_vs_full(&stream, chunk_dims, &region_bboxes(dims, chunk_dims, 10, 3), &[1, 2], true)
+            .unwrap();
     }
 
     #[test]

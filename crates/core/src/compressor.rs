@@ -7,6 +7,7 @@ use crate::container::{
     VERSION_V2,
 };
 use crate::crc32::crc32;
+use crate::outer::{unwrap_outer, wrap_outer, Framed};
 use crate::pipeline::{
     compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, decompress_chunk,
     decompress_chunk_multires, decompress_chunk_region_with, decompress_chunk_with, ChunkEncoding,
@@ -18,11 +19,6 @@ use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, 
 use sperr_simd::Float;
 use sperr_telemetry::timed;
 use sperr_wavelet::{Kernel, PANEL_W};
-
-/// Outer stream framing: one flag byte telling whether the container is
-/// wrapped by the lossless codec.
-pub(crate) const OUTER_RAW: u8 = 0;
-pub(crate) const OUTER_LOSSLESS: u8 = 1;
 
 /// Amortized per-chunk container overhead charged against the bit budget
 /// in size-bounded mode (chunk-table entry + share of the header).
@@ -239,7 +235,9 @@ impl Sperr {
 
         let n_chunks = chunks_spec.len();
         let threads = self.effective_threads(&chunks_spec);
-        let encoded: Vec<ChunkEncoding> = WorkerPool::scoped(threads, |pool| {
+        // One pool for the whole call: the chunk encodes, then the blocks
+        // of the lossless pass over the assembled container.
+        WorkerPool::scoped(threads, |pool| {
             let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
             let inputs = PerWorker::new(pool.threads(), Vec::new);
             let encode_one = |i: usize, w: usize| {
@@ -275,76 +273,62 @@ impl Sperr {
                 // SAFETY: all jobs have completed; no concurrent users.
                 unsafe { arenas.get(w) }.record_footprint();
             }
-            encoded
-        });
 
-        let mut stats = CompressionStats {
-            num_points: field.len(),
-            num_chunks: n_chunks,
-            ..CompressionStats::default()
-        };
-        for enc in &encoded {
-            sperr_telemetry::record_bytes(
-                metric_labels::SIZE_CHUNK_SPECK,
-                enc.speck_stream.len() as u64,
-            );
-            stats.speck_bits += enc.speck_bits;
-            stats.outlier_bits += enc.outlier_bits;
-            stats.num_outliers += enc.num_outliers as usize;
-            stats.stage_times.accumulate(&enc.times);
-            stats.coeff_sq_error += enc.coeff_sq_error;
-        }
+            let mut stats = CompressionStats {
+                num_points: field.len(),
+                num_chunks: n_chunks,
+                ..CompressionStats::default()
+            };
+            for enc in &encoded {
+                sperr_telemetry::record_bytes(
+                    metric_labels::SIZE_CHUNK_SPECK,
+                    enc.speck_stream.len() as u64,
+                );
+                stats.speck_bits += enc.speck_bits;
+                stats.outlier_bits += enc.outlier_bits;
+                stats.num_outliers += enc.num_outliers as usize;
+                stats.stage_times.accumulate(&enc.times);
+                stats.coeff_sq_error += enc.coeff_sq_error;
+            }
 
-        let header = Header {
-            mode,
-            kernel,
-            precision: if native_f32 { Precision::Single } else { field.precision },
-            native_f32,
-            dims: field.dims,
-            chunk_dims: cfg.chunk_dims,
-            bound_value,
-            n_chunks,
-        };
-        let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
-            write_container(&header, &encoded, cfg.container_version)
-        });
-        stats.container_bytes = container.len();
-        stats.stage_times.container = container_time;
+            let header = Header {
+                mode,
+                kernel,
+                precision: if native_f32 { Precision::Single } else { field.precision },
+                native_f32,
+                dims: field.dims,
+                chunk_dims: cfg.chunk_dims,
+                bound_value,
+                n_chunks,
+            };
+            let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
+                write_container(&header, &encoded, cfg.container_version)
+            });
+            stats.container_bytes = container.len();
+            stats.stage_times.container = container_time;
 
-        let mut out = Vec::with_capacity(container.len() + 1);
-        if cfg.lossless {
-            let (packed, lossless_time) =
-                timed(stage_labels::LOSSLESS_COMPRESS, || sperr_lossless::compress(&container));
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&packed);
-            stats.stage_times.lossless = lossless_time;
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&container);
-        }
-        stats.output_bytes = out.len();
-        sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
-        Ok((out, stats))
-    }
-
-    /// Strips the outer framing, undoing the lossless pass when present.
-    /// Returns the raw container and whether the lossless pass was on.
-    pub(crate) fn unwrap_outer(stream: &[u8]) -> Result<(Vec<u8>, bool), CompressError> {
-        let (&flag, rest) = stream
-            .split_first()
-            .ok_or_else(|| CompressError::Corrupt("empty stream".into()))?;
-        match flag {
-            OUTER_RAW => Ok((rest.to_vec(), false)),
-            OUTER_LOSSLESS => Ok((sperr_lossless::decompress(rest)?, true)),
-            f => Err(CompressError::Corrupt(format!("unknown outer flag {f}"))),
-        }
+            let out = if cfg.lossless {
+                let (out, lossless_time) =
+                    timed(stage_labels::LOSSLESS_COMPRESS, || wrap_outer(&container, true, pool));
+                stats.stage_times.lossless = lossless_time;
+                out
+            } else {
+                wrap_outer(&container, false, pool)
+            };
+            stats.output_bytes = out.len();
+            sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
+            Ok((out, stats))
+        })
     }
 
     /// Inspects a SPERR stream without decoding it: dimensions, mode,
-    /// chunking and per-chunk stream sizes.
+    /// chunking and per-chunk stream sizes. Reads the container's head
+    /// only — on a lossless-packed stream that inflates the head's bytes
+    /// and no payload.
     pub fn inspect(&self, stream: &[u8]) -> Result<StreamInfo, CompressError> {
-        let (container, lossless) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
+        let framed = Framed::open(stream)?;
+        let lossless = framed.lossless();
+        let parsed = framed.read_head()?;
         Ok(StreamInfo {
             dims: parsed.header.dims,
             chunk_dims: parsed.header.chunk_dims,
@@ -373,7 +357,7 @@ impl Sperr {
     /// v1 streams carry no checksums — the report says so via
     /// [`VerifyReport::checksummed`] and trivially lists no corruption.
     pub fn verify(&self, stream: &[u8]) -> Result<VerifyReport, CompressError> {
-        let (container, _) = Self::unwrap_outer(stream)?;
+        let (container, _) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         let mut corrupt_chunks = Vec::new();
         if let Some(crcs) = &parsed.chunk_crcs {
@@ -405,7 +389,7 @@ impl Sperr {
         &self,
         stream: &[u8],
     ) -> Result<(Field, ResilientReport), CompressError> {
-        let (container, _) = Self::unwrap_outer(stream)?;
+        let (container, _) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         let chunks_spec = chunk_grid(parsed.header.dims, parsed.header.chunk_dims);
         if chunks_spec.len() != parsed.entries.len() {
@@ -482,7 +466,7 @@ impl Sperr {
         if level == 0 {
             return self.decompress(stream);
         }
-        let (container, _) = Self::unwrap_outer(stream)?;
+        let (container, _) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         verify_chunk_crcs(&container, &parsed)?;
         let Header { dims, chunk_dims, kernel, precision, .. } = parsed.header;
@@ -554,12 +538,27 @@ impl Sperr {
     /// their payloads via the container-v3 chunk index (v1/v2 streams
     /// fall back to a chunk-table scan — see [`RegionReport::used_index`]),
     /// decodes only those chunks in parallel on the worker pool, and
-    /// assembles the sub-volume. Damage is contained per chunk, like
-    /// [`Sperr::decompress_resilient`]: a chunk failing its CRC or decode
-    /// leaves its intersection zero-filled and is reported in the
-    /// [`RegionReport`] instead of failing the call. Only the checksums
-    /// of *touched* chunks are inspected — corruption elsewhere in the
-    /// stream neither slows the query down nor fails it.
+    /// assembles the sub-volume.
+    ///
+    /// **Cost model.** The read touches the container's head (headers,
+    /// chunk table, index, checksums) and the touched chunks' payloads,
+    /// nothing else. With the lossless pass on (the default) that means
+    /// inflating the SLZ1 blocks — 128 KiB of container each,
+    /// independently decodable — that hold those bytes: the head's block,
+    /// plus the blocks under the touched payloads, each once. Cost follows
+    /// chunks touched, not stream length.
+    ///
+    /// **Damage.** Contained per chunk, like
+    /// [`Sperr::decompress_resilient`]: a touched chunk that fails its
+    /// CRC or its decode, *or whose payload lies in an SLZ1 block that
+    /// fails to inflate*, leaves its intersection zero-filled and is
+    /// reported in the [`RegionReport`] instead of failing the call (the
+    /// other chunks sharing a broken block fail with it; chunks in healthy
+    /// blocks decode). Only the touched chunks' checksums and the blocks
+    /// they need are inspected — corruption elsewhere in the stream, even
+    /// inside the lossless wrapper, neither slows the query down nor fails
+    /// it. Damage to the head (or to the block framing of the wrapper,
+    /// without which no block can be located) fails the call.
     ///
     /// Within the region the output is bit-identical to the same slice of
     /// a full [`Sperr::decompress`] (chunks decode independently, and
@@ -572,8 +571,8 @@ impl Sperr {
     ) -> Result<(Field, RegionReport), CompressError> {
         let _run = sperr_telemetry::span!("sperr.decode_region", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_REGION);
-        let (container, _) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
+        let framed = Framed::open(stream)?;
+        let parsed = framed.read_head()?;
         let header = parsed.header;
         let entries = parsed.entries;
         for d in 0..3 {
@@ -635,23 +634,33 @@ impl Sperr {
         let n_targets = targets.len();
         sperr_telemetry::counter!("region.chunks_touched", n_targets);
         sperr_telemetry::counter!("region.used_index", used_index as u64);
+        let payload_of = |chunk: usize| {
+            let e = &entries[chunk];
+            offsets[chunk]..offsets[chunk] + e.speck_len + e.outlier_len
+        };
+        let wanted: Vec<_> = targets.iter().map(|t| payload_of(t.chunk)).collect();
+        let fetched = framed.fetch(&wanted)?;
         let threads = self.effective_threads(&target_specs);
-        let container_ref = &container;
         let entries_ref = &entries;
-        let offsets_ref = &offsets;
         let specs_ref = &chunks_spec;
         let targets_ref = &targets;
         let crcs_ref = &parsed.chunk_crcs;
         let kernel = header.kernel;
         let native_f32 = header.native_f32;
         let decoded: Vec<(Vec<f64>, ChunkStatus)> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
+            // Per-worker scratch at both widths; an arena costs nothing
+            // until the width it serves is actually decoded.
+            let arenas = PerWorker::new(pool.threads(), ScratchArena::<f64>::new);
+            let arenas32 = PerWorker::new(pool.threads(), ScratchArena::<f32>::new);
             let decode_one = |j: usize, w: usize| {
                 let t = &targets_ref[j];
                 let spec = &specs_ref[t.chunk];
                 let e = &entries_ref[t.chunk];
-                let start = offsets_ref[t.chunk];
-                let payload = &container_ref[start..start + e.speck_len + e.outlier_len];
+                let payload = match fetched.get(payload_of(t.chunk)) {
+                    Ok(payload) => payload,
+                    // The payload's SLZ1 block did not inflate.
+                    Err(err) => return (vec![0.0; spec.len()], ChunkStatus::DecodeFailed(err)),
+                };
                 if let Some(crcs) = crcs_ref {
                     if crc32(payload) != crcs[t.chunk] {
                         return (vec![0.0; spec.len()], ChunkStatus::ChecksumMismatch);
@@ -670,14 +679,13 @@ impl Sperr {
                     t.isect_hi[1] - spec.offset[1],
                     t.isect_hi[2] - spec.offset[2],
                 ];
-                // f32-native payloads decode at native width (with a local
-                // arena — region queries are chunk-sparse, so scratch reuse
-                // matters less than on the full-decode path) and widen
+                // f32-native payloads decode at native width and widen
                 // exactly, keeping the bit-identity contract with the
                 // full-decompress slice.
                 let decoded = if native_f32 {
-                    let mut arena32 = ScratchArena::<f32>::new();
-                    let r = decompress_chunk_region_with(
+                    // SAFETY: concurrent jobs see distinct worker slots.
+                    let arena32 = unsafe { arenas32.get(w) };
+                    decompress_chunk_region_with(
                         speck,
                         outlier,
                         spec.dims,
@@ -689,10 +697,9 @@ impl Sperr {
                         keep_lo,
                         keep_hi,
                         pool,
-                        &mut arena32,
-                    );
-                    arena32.record_footprint();
-                    r.map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
+                        arena32,
+                    )
+                    .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
                 } else {
                     // SAFETY: concurrent jobs see distinct worker slots.
                     let arena = unsafe { arenas.get(w) };
@@ -723,7 +730,13 @@ impl Sperr {
             };
             for w in 0..pool.threads() {
                 // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
+                unsafe {
+                    if native_f32 {
+                        arenas32.get(w).record_footprint();
+                    } else {
+                        arenas.get(w).record_footprint();
+                    }
+                }
             }
             decoded
         });
@@ -770,7 +783,7 @@ impl Sperr {
     ) -> Result<Field, CompressError> {
         let _run = sperr_telemetry::span!("sperr.decode_at_budgets", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_PREVIEW);
-        let (container, _) = Self::unwrap_outer(stream)?;
+        let (container, _) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         verify_chunk_crcs(&container, &parsed)?;
         let header = parsed.header;
@@ -891,7 +904,7 @@ impl Sperr {
         if !(bpp > 0.0) || !bpp.is_finite() {
             return Err(CompressError::Invalid(format!("invalid bitrate {bpp}")));
         }
-        let (container, lossless) = Self::unwrap_outer(stream)?;
+        let (container, lossless) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         verify_chunk_crcs(&container, &parsed)?;
         let header = parsed.header;
@@ -936,15 +949,7 @@ impl Sperr {
         // v2: the writer no longer emits v1 except via `downgrade_to_v1`).
         let new_container =
             write_container(&new_header, &new_chunks, parsed.version.max(VERSION_V2));
-        let mut out = Vec::with_capacity(new_container.len() + 1);
-        if lossless {
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&sperr_lossless::compress(&new_container));
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&new_container);
-        }
-        Ok(out)
+        Ok(wrap_outer(&new_container, lossless, &WorkerPool::inline()))
     }
 
     /// Re-frames a stream as a legacy **container v1** (checksum-free)
@@ -955,7 +960,7 @@ impl Sperr {
     /// around. The result must always decode to exactly the same field as
     /// the input stream.
     pub fn downgrade_to_v1(&self, stream: &[u8]) -> Result<Vec<u8>, CompressError> {
-        let (container, lossless) = Self::unwrap_outer(stream)?;
+        let (container, lossless) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         verify_chunk_crcs(&container, &parsed)?;
         let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
@@ -979,15 +984,7 @@ impl Sperr {
             })
             .collect();
         let v1 = crate::container::write_container_v1(&parsed.header, &chunks);
-        let mut out = Vec::with_capacity(v1.len() + 1);
-        if lossless {
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&sperr_lossless::compress(&v1));
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&v1);
-        }
-        Ok(out)
+        Ok(wrap_outer(&v1, lossless, &WorkerPool::inline()))
     }
 
     /// Re-frames a stream as a **container v2** (checksummed, index-free)
@@ -998,7 +995,7 @@ impl Sperr {
     /// conformance suite to prove the v3 fixtures are v2 goldens plus an
     /// index and nothing else.
     pub fn downgrade_to_v2(&self, stream: &[u8]) -> Result<Vec<u8>, CompressError> {
-        let (container, lossless) = Self::unwrap_outer(stream)?;
+        let (container, lossless) = unwrap_outer(stream)?;
         let parsed = read_container(&container)?;
         verify_chunk_crcs(&container, &parsed)?;
         let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
@@ -1022,15 +1019,7 @@ impl Sperr {
             })
             .collect();
         let v2 = write_container(&parsed.header, &chunks, VERSION_V2);
-        let mut out = Vec::with_capacity(v2.len() + 1);
-        if lossless {
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&sperr_lossless::compress(&v2));
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&v2);
-        }
-        Ok(out)
+        Ok(wrap_outer(&v2, lossless, &WorkerPool::inline()))
     }
 
     /// Decompresses and returns the field together with per-stage timing
@@ -1044,7 +1033,7 @@ impl Sperr {
         // the container parses — so time manually and record on success.
         let op_t0 = sperr_telemetry::is_recording().then(std::time::Instant::now);
         let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || Self::unwrap_outer(stream));
+            timed(stage_labels::LOSSLESS_DECOMPRESS, || unwrap_outer(stream));
         let (container, was_lossless) = unwrapped?;
         // Strict mode: any checksummed chunk failing its CRC fails the
         // whole decode (use `decompress_resilient` to salvage the rest).
@@ -1108,7 +1097,7 @@ impl Sperr {
         let _run = sperr_telemetry::span!("sperr.decompress_f32", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_F32);
         let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || Self::unwrap_outer(stream));
+            timed(stage_labels::LOSSLESS_DECOMPRESS, || unwrap_outer(stream));
         let (container, was_lossless) = unwrapped?;
         let (parsed, container_time) = timed(stage_labels::CONTAINER_READ, || {
             let parsed = read_container(&container)?;
@@ -1443,7 +1432,7 @@ mod tests {
             })
             .collect();
         let v1 = crate::container::write_container_v1(&parsed.header, &chunks);
-        let mut legacy = vec![OUTER_RAW];
+        let mut legacy = vec![crate::outer::OUTER_RAW];
         legacy.extend_from_slice(&v1);
         assert_eq!(
             sperr.decompress(&legacy).unwrap().data,

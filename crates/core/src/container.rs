@@ -271,16 +271,13 @@ pub(crate) fn write_container_v1(header: &Header, chunks: &[ChunkEncoding]) -> V
     write_container_versioned(header, chunks, VERSION_V1)
 }
 
-/// Parses a container (v1, v2 or v3), returning metadata, the chunk
-/// table, the payload offset, the v2+ checksums and the v3 index when
-/// present. For v2+ streams the header CRC is verified here; per-chunk
-/// payload CRCs are left to the caller, which may want per-chunk
-/// granularity (resilient decode) rather than all-or-nothing failure.
-/// The v3 index is cross-checked against the chunk table (offsets must
-/// be the cumulative payload lengths, coordinates must walk the grid),
-/// so a parsed index can be trusted for seeking.
-pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
-    let mut r = ByteReader::new(bytes);
+/// Bytes of the fixed and extended headers, through the chunk count:
+/// what a reader needs before it can say how long the head is.
+pub(crate) const FIXED_HEADER_BYTES: usize = 44;
+
+/// Parses and validates the fixed and extended headers (the first
+/// [`FIXED_HEADER_BYTES`]) into the format version and the metadata.
+fn read_fixed_header(r: &mut ByteReader<'_>) -> Result<(u8, Header), CompressError> {
     if r.get_bytes(4)? != MAGIC {
         return Err(CompressError::Corrupt("bad magic".into()));
     }
@@ -334,6 +331,48 @@ pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
             "chunk count {n_chunks} does not match grid {grid_size}"
         )));
     }
+    let header =
+        Header { mode, kernel, precision, native_f32, dims, chunk_dims, bound_value, n_chunks };
+    Ok((version, header))
+}
+
+/// Length of a container's head — everything before the first payload
+/// byte: headers, chunk table, v3 index, v2+ checksums — read off its
+/// first [`FIXED_HEADER_BYTES`]. The chunk count it multiplies has been
+/// validated against the grid and [`MAX_CHUNKS`], so the result is sane
+/// even though nothing past the prefix has been seen yet.
+pub(crate) fn head_len(prefix: &[u8]) -> Result<usize, CompressError> {
+    let (version, header) = read_fixed_header(&mut ByteReader::new(prefix))?;
+    let per_chunk = CHUNK_ENTRY_BYTES
+        + if version >= 3 { INDEX_ENTRY_BYTES } else { 0 }
+        + if version >= VERSION_V2 { 4 } else { 0 };
+    Ok(FIXED_HEADER_BYTES + header.n_chunks * per_chunk + if version >= VERSION_V2 { 4 } else { 0 })
+}
+
+/// Parses a whole container; see [`read_container_head`].
+pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
+    read_container_head(bytes, bytes.len())
+}
+
+/// Parses a container (v1, v2 or v3) from its head — `head` must reach at
+/// least to the first payload byte ([`head_len`]) and may run on past it;
+/// `container_len` is the length of the whole container, payloads
+/// included, which a reader that fetched only the head still knows.
+/// Returns metadata, the chunk table, the payload offset, the v2+
+/// checksums and the v3 index when present. For v2+ streams the header
+/// CRC is verified here; per-chunk payload CRCs are left to the caller,
+/// which may want per-chunk granularity (resilient decode) rather than
+/// all-or-nothing failure. The v3 index is cross-checked against the
+/// chunk table (offsets must be the cumulative payload lengths,
+/// coordinates must walk the grid), so a parsed index can be trusted for
+/// seeking.
+pub(crate) fn read_container_head(
+    head: &[u8],
+    container_len: usize,
+) -> Result<Parsed, CompressError> {
+    let mut r = ByteReader::new(head);
+    let (version, header) = read_fixed_header(&mut r)?;
+    let Header { dims, chunk_dims, n_chunks, .. } = header;
     // The chunk table must physically fit in the remaining stream before
     // any reservation sized by it.
     if n_chunks.saturating_mul(CHUNK_ENTRY_BYTES) > r.remaining() {
@@ -400,7 +439,7 @@ pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
             crcs.push(r.get_u32()?);
         }
         // Header CRC covers every byte before the CRC field itself.
-        let covered = &bytes[..r.position()];
+        let covered = &head[..r.position()];
         let stored = r.get_u32()?;
         if crc32(covered) != stored {
             return Err(CompressError::Corrupt("header checksum mismatch".into()));
@@ -413,21 +452,12 @@ pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
     let payload_total = entries
         .iter()
         .fold(0u64, |acc, e| acc.saturating_add(e.speck_len as u64 + e.outlier_len as u64));
-    if (bytes.len() as u64) < payload_start as u64 + payload_total {
+    if (container_len as u64) < payload_start as u64 + payload_total {
         return Err(CompressError::Truncated("payload section shorter than declared".into()));
     }
     Ok(Parsed {
         version,
-        header: Header {
-            mode,
-            kernel,
-            precision,
-            native_f32,
-            dims,
-            chunk_dims,
-            bound_value,
-            n_chunks,
-        },
+        header,
         entries,
         payload_start,
         chunk_crcs,

@@ -59,6 +59,7 @@ mod chunk;
 mod compressor;
 mod container;
 mod crc32;
+mod outer;
 #[doc(hidden)]
 pub mod faultpoint;
 mod pipeline;

@@ -1,12 +1,24 @@
-//! The SLZ1 container decoder, kept in its own module so the whole decode
-//! path can be audited for panic-freedom (see the repo's
-//! `tests/panic_audit.rs`): nothing in this file may `unwrap`, `expect`,
-//! `panic!` or `assert` — all failures on untrusted input surface as
-//! [`DecodeError`].
+//! The SLZ1 stream decoder: block directory, whole-stream and sparse
+//! inflate. Kept in its own module (with `inflate.rs` and
+//! `huffman/decode.rs`) so the whole decode path can be audited for
+//! panic-freedom (see the repo's `tests/panic_audit.rs`): nothing in this
+//! file may `unwrap`, `expect`, `panic!` or `assert` — all failures on
+//! untrusted input surface as [`DecodeError`].
+//!
+//! SLZ1 blocks are self-contained — the LZ77 window never reaches before
+//! a block's first byte and every coded block carries its own Huffman
+//! tables — so the 5- or 9-byte block headers alone say where each
+//! block's bytes sit in the stream and in the raw data. Walking them
+//! yields a [`BlockDirectory`]; every decode is "directory, then inflate
+//! some blocks": [`decompress`] inflates all of them, a region read
+//! ([`BlockDirectory::inflate_ranges`]) only those under the bytes it
+//! needs.
 
-use crate::{lz77, BLOCK_SIZE, MAGIC};
+use crate::inflate::inflate_block;
+use crate::{BLOCK_SIZE, FLAG_CODED, FLAG_LAST, MAGIC};
 use sperr_bitstream::ByteReader;
 use std::fmt;
+use std::ops::Range;
 
 /// Upper bound on the output bytes a stream may declare per input byte.
 /// The LZ77 back end tops out near 207x (a 259-byte match costs at least
@@ -70,43 +82,207 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
 /// treated as untrusted and never allocated blindly.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
     let _span = sperr_telemetry::span!("lossless.decompress", data.len());
-    let mut r = ByteReader::new(data);
-    if r.get_bytes(4)? != MAGIC {
-        return Err(DecodeError::Corrupt("bad SLZ1 magic"));
-    }
-    let raw_len_u64 = r.get_u64()?;
-    if raw_len_u64 > (data.len().saturating_mul(MAX_EXPANSION).saturating_add(BLOCK_SIZE)) as u64
-    {
-        return Err(DecodeError::LimitExceeded("declared raw length implausibly large"));
-    }
-    let raw_len = raw_len_u64 as usize;
-    let mut out = Vec::with_capacity(raw_len.min(MAX_PREALLOC));
-    loop {
-        let flags = r.get_u8()?;
-        let block_len = r.get_u32()? as usize;
-        if block_len > BLOCK_SIZE {
-            return Err(DecodeError::Corrupt("block exceeds maximum block size"));
-        }
-        if out.len() + block_len > raw_len {
-            return Err(DecodeError::Corrupt("blocks overrun declared raw length"));
-        }
-        if flags & 0b01 != 0 {
-            let payload_len = r.get_u32()? as usize;
-            let payload = r.get_bytes(payload_len)?;
-            let block = lz77::decompress_block(payload, block_len)?;
-            out.extend_from_slice(&block);
-        } else {
-            out.extend_from_slice(r.get_bytes(block_len)?);
-        }
-        if flags & 0b10 != 0 {
-            break;
-        }
-        if r.is_empty() {
-            return Err(DecodeError::Truncated("missing last-block flag"));
-        }
-    }
-    if out.len() != raw_len {
-        return Err(DecodeError::Corrupt("raw length mismatch"));
-    }
+    let dir = BlockDirectory::parse(data)?;
+    let mut out = Vec::with_capacity(dir.raw_len.min(MAX_PREALLOC));
+    dir.inflate_run(0..dir.blocks.len(), dir.raw_len, &mut out).map_err(|(_, e)| e)?;
     Ok(out)
+}
+
+/// Where one block lives: `raw` in the decompressed data, `src` in the
+/// stream (the coded payload, or the stored bytes themselves).
+#[derive(Debug, Clone)]
+struct Block {
+    raw: Range<usize>,
+    src: Range<usize>,
+    coded: bool,
+}
+
+/// The block layout of one SLZ1 stream, read off its block headers
+/// without inflating anything. Parsing validates the framing in full —
+/// magic, plausible raw length, every block within [`BLOCK_SIZE`] and
+/// backed by stream bytes, a last-block flag, `Σ block_len == raw_len` —
+/// so a directory in hand means only block *payloads* can still be bad.
+/// Its size is bounded by the stream's: one entry per 5+ header bytes.
+#[derive(Debug, Clone)]
+pub struct BlockDirectory<'a> {
+    stream: &'a [u8],
+    raw_len: usize,
+    blocks: Vec<Block>,
+}
+
+impl<'a> BlockDirectory<'a> {
+    /// Walks the block headers of `stream`.
+    pub fn parse(stream: &'a [u8]) -> Result<Self, DecodeError> {
+        let mut r = ByteReader::new(stream);
+        if r.get_bytes(4)? != MAGIC {
+            return Err(DecodeError::Corrupt("bad SLZ1 magic"));
+        }
+        let raw_len_u64 = r.get_u64()?;
+        if raw_len_u64
+            > (stream.len().saturating_mul(MAX_EXPANSION).saturating_add(BLOCK_SIZE)) as u64
+        {
+            return Err(DecodeError::LimitExceeded("declared raw length implausibly large"));
+        }
+        let raw_len = raw_len_u64 as usize;
+        let mut blocks = Vec::new();
+        let mut raw_start = 0usize;
+        loop {
+            let flags = r.get_u8()?;
+            let block_len = r.get_u32()? as usize;
+            if block_len > BLOCK_SIZE {
+                return Err(DecodeError::Corrupt("block exceeds maximum block size"));
+            }
+            if raw_start + block_len > raw_len {
+                return Err(DecodeError::Corrupt("blocks overrun declared raw length"));
+            }
+            let coded = flags & FLAG_CODED != 0;
+            let src_len = if coded { r.get_u32()? as usize } else { block_len };
+            let src_start = r.position();
+            r.get_bytes(src_len)?;
+            blocks.push(Block {
+                raw: raw_start..raw_start + block_len,
+                src: src_start..src_start + src_len,
+                coded,
+            });
+            raw_start += block_len;
+            if flags & FLAG_LAST != 0 {
+                break;
+            }
+            if r.is_empty() {
+                return Err(DecodeError::Truncated("missing last-block flag"));
+            }
+        }
+        if raw_start != raw_len {
+            return Err(DecodeError::Corrupt("raw length mismatch"));
+        }
+        Ok(BlockDirectory { stream, raw_len, blocks })
+    }
+
+    /// Length of the decompressed data.
+    pub fn raw_len(&self) -> usize {
+        self.raw_len
+    }
+
+    /// Appends blocks `run` to `out`, the last of them only up to raw
+    /// offset `end` (see [`inflate_block`] for what a partial block
+    /// skips). On failure returns the index of the block that failed,
+    /// with `out` holding the blocks before it.
+    fn inflate_run(
+        &self,
+        run: Range<usize>,
+        end: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<(), (usize, DecodeError)> {
+        for i in run {
+            let Some((block, src)) =
+                self.blocks.get(i).and_then(|b| Some((b, self.stream.get(b.src.clone())?)))
+            else {
+                return Err((i, DecodeError::Corrupt("block directory out of range")));
+            };
+            let want = end.saturating_sub(block.raw.start).min(block.raw.len());
+            if block.coded {
+                inflate_block(src, block.raw.len(), want, out).map_err(|e| (i, e.into()))?;
+            } else {
+                out.extend_from_slice(src.get(..want).unwrap_or(src));
+            }
+        }
+        Ok(())
+    }
+
+    /// Index of the block holding raw offset `at` (`at < raw_len`).
+    fn block_at(&self, at: usize) -> usize {
+        self.blocks.partition_point(|b| b.raw.end <= at)
+    }
+
+    /// Inflates the blocks that hold any byte of `ranges` (raw offsets,
+    /// in any order, overlapping or not), each block once, adjacent
+    /// blocks into one contiguous buffer, and the last block of such a
+    /// run only as far as the ranges reach. Blocks the ranges do not
+    /// touch are neither read nor checked, so their damage cannot fail
+    /// or slow the read; a needed block that fails to inflate is
+    /// recorded and fails exactly the [`SparseBytes::get`] calls that
+    /// overlap it. Errors here only for a range outside the data.
+    pub fn inflate_ranges(&self, ranges: &[Range<usize>]) -> Result<SparseBytes, DecodeError> {
+        let _span = sperr_telemetry::span!("lossless.inflate_ranges", ranges.len());
+        // (first block, last block, raw end) per non-empty range.
+        let mut spans = Vec::with_capacity(ranges.len());
+        for r in ranges {
+            if r.start > r.end || r.end > self.raw_len {
+                return Err(DecodeError::Corrupt("range beyond the decompressed data"));
+            }
+            if !r.is_empty() {
+                spans.push((self.block_at(r.start), self.block_at(r.end - 1), r.end));
+            }
+        }
+        spans.sort_unstable();
+        let mut sparse = SparseBytes { runs: Vec::new(), failed: Vec::new() };
+        let mut spans = spans.into_iter().peekable();
+        while let Some((first, mut last, mut end)) = spans.next() {
+            // Grow the run over every span starting in or right after it.
+            while let Some((_, l, e)) = spans.next_if(|s| s.0 <= last + 1) {
+                last = last.max(l);
+                end = end.max(e);
+            }
+            self.inflate_sparse_run(first..last + 1, end, &mut sparse);
+        }
+        Ok(sparse)
+    }
+
+    /// Inflates blocks `run` (up to raw offset `end`) into `sparse`. A
+    /// block that fails ends the buffer before it and is recorded; the
+    /// blocks after it — independent of it — start a new buffer.
+    fn inflate_sparse_run(&self, mut run: Range<usize>, end: usize, sparse: &mut SparseBytes) {
+        while let Some(start) = self.blocks.get(run.start).map(|b| b.raw.start) {
+            if run.is_empty() {
+                break;
+            }
+            let mut bytes = Vec::with_capacity(end.saturating_sub(start).min(MAX_PREALLOC));
+            let failed = self.inflate_run(run.clone(), end, &mut bytes).err();
+            if !bytes.is_empty() {
+                sparse.runs.push((start, bytes));
+            }
+            let Some((i, e)) = failed else { break };
+            if let Some(b) = self.blocks.get(i) {
+                sparse.failed.push((b.raw.clone(), e));
+            }
+            run.start = i + 1;
+        }
+    }
+
+    /// Bytes `range` of the decompressed data, inflating only the blocks
+    /// that hold them.
+    pub fn inflate_range(&self, range: Range<usize>) -> Result<Vec<u8>, DecodeError> {
+        self.inflate_ranges(std::slice::from_ref(&range))?.get(range).map(<[u8]>::to_vec)
+    }
+}
+
+/// What [`BlockDirectory::inflate_ranges`] inflated: contiguous buffers
+/// at their raw offsets, and the raw extents of needed blocks that failed.
+#[derive(Debug, Clone)]
+pub struct SparseBytes {
+    /// (raw offset of the first byte, bytes), ascending and disjoint.
+    runs: Vec<(usize, Vec<u8>)>,
+    failed: Vec<(Range<usize>, DecodeError)>,
+}
+
+impl SparseBytes {
+    /// Bytes `range` of the decompressed data. Fails with the block's own
+    /// error when `range` overlaps a block that did not inflate, and as
+    /// `Corrupt` when it was not among the ranges asked for.
+    pub fn get(&self, range: Range<usize>) -> Result<&[u8], DecodeError> {
+        if range.is_empty() {
+            return Ok(&[]);
+        }
+        if let Some((_, e)) =
+            self.failed.iter().find(|(bad, _)| bad.start < range.end && range.start < bad.end)
+        {
+            return Err(e.clone());
+        }
+        let after = self.runs.partition_point(|(start, _)| *start <= range.start);
+        after
+            .checked_sub(1)
+            .and_then(|i| self.runs.get(i))
+            .and_then(|(start, bytes)| bytes.get(range.start - start..range.end - start))
+            .ok_or(DecodeError::Corrupt("range was not inflated"))
+    }
 }

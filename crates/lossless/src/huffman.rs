@@ -11,7 +11,11 @@
 //! rebuild heuristic; codes are canonical so only the length table needs
 //! to be transmitted.
 
-use sperr_bitstream::{BitReader, BitWriter, Error};
+use sperr_bitstream::BitWriter;
+
+mod decode;
+
+pub use decode::decode_symbols;
 
 /// Maximum code length used throughout.
 pub const MAX_CODE_LEN: u8 = 15;
@@ -122,93 +126,44 @@ fn huffman_lengths(freqs: &[u64]) -> Vec<u8> {
     lengths
 }
 
-/// Canonical code assignment: symbols sorted by (length, index) receive
-/// consecutive code values per length. Returns per-symbol codes (MSB-first
-/// bit patterns).
-pub fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let max = lengths.iter().copied().max().unwrap_or(0);
-    let mut count = vec![0u64; max as usize + 1];
-    for &l in lengths {
-        if l > 0 {
-            count[l as usize] += 1;
-        }
-    }
-    // Wrapping u64 arithmetic: adversarial length tables (decoder side)
-    // need not satisfy Kraft, and the canonical recurrence can overflow on
-    // them. A wrapped code yields a garbage-but-harmless table whose
-    // lookups simply fail to match.
-    let mut next = vec![0u64; max as usize + 2];
-    let mut code = 0u64;
-    for l in 1..=max as usize {
-        code = code.wrapping_add(count[l - 1]).wrapping_shl(1);
-        next[l] = code;
-    }
-    lengths
-        .iter()
-        .map(|&l| {
-            if l == 0 {
-                0
-            } else {
-                let c = next[l as usize];
-                next[l as usize] = c.wrapping_add(1);
-                c as u32
-            }
-        })
-        .collect()
-}
+/// Widest code a [`CanonicalCode`] handles: what fits the `u32` codes the
+/// encoder stores, and more than either serialized length field in this
+/// workspace (4 bits in SLZ1 blocks, [`LENGTH_FIELD_BITS`] here) can
+/// express.
+pub(crate) const MAX_SUPPORTED_LEN: usize = 32;
 
 /// A canonical Huffman encoder/decoder pair built from code lengths.
+///
+/// Canonical assignment: symbols sorted by (length, index) receive
+/// consecutive code values per length, so the length table alone
+/// determines the code. Codes go onto the wire most-significant bit
+/// first, but the bitstream packs LSB-first — so both directions work on
+/// the *bit-reversed* code: the encoder stores it reversed and emits it
+/// with one `put_bits`, the decoder indexes its lookup table with the
+/// next stream bits exactly as `peek_bits` returns them (see
+/// `huffman/decode.rs`, which also owns construction because the lengths
+/// may come from an untrusted stream).
 #[derive(Debug, Clone)]
 pub struct CanonicalCode {
     lengths: Vec<u8>,
+    /// Per-symbol code, bit-reversed within its length.
     codes: Vec<u32>,
-    /// Decoding tables: for each length, the first canonical code, the
-    /// index (into `sorted_symbols`) of its first symbol, and the number
-    /// of codes of that length.
-    first_code: Vec<u64>,
-    first_index: Vec<u32>,
-    count: Vec<u32>,
+    /// Decode table over the next `primary_bits` stream bits: entry =
+    /// `symbol << LEN_FIELD | length` of the shortest code that prefixes
+    /// the index, 0 where no code of at most `primary_bits` bits does.
+    primary: Vec<u32>,
+    primary_bits: u32,
+    /// Canonical walk tables for codes longer than `primary_bits`: per
+    /// length, the first code value, how many codes, and where its
+    /// symbols start in `sorted_symbols`.
+    first_code: [u64; MAX_SUPPORTED_LEN + 1],
+    count: [u32; MAX_SUPPORTED_LEN + 1],
+    first_index: [u32; MAX_SUPPORTED_LEN + 1],
     sorted_symbols: Vec<u32>,
-    max_len: u8,
+    max_len: u32,
 }
 
 impl CanonicalCode {
-    /// Builds the code from per-symbol lengths.
-    pub fn from_lengths(lengths: &[u8]) -> Self {
-        let codes = canonical_codes(lengths);
-        let max_len = lengths.iter().copied().max().unwrap_or(0);
-        let mut count = vec![0u32; max_len as usize + 1];
-        for &l in lengths {
-            if l > 0 {
-                count[l as usize] += 1;
-            }
-        }
-        // u64 wrapping arithmetic for the same reason as in
-        // [`canonical_codes`]: decoder-side length tables are untrusted.
-        let mut first_code = vec![0u64; max_len as usize + 2];
-        let mut first_index = vec![0u32; max_len as usize + 2];
-        let mut code = 0u64;
-        let mut index = 0u32;
-        for l in 1..=max_len as usize {
-            code = code.wrapping_add(count[l - 1] as u64).wrapping_shl(1);
-            first_code[l] = code;
-            first_index[l] = index;
-            index = index.wrapping_add(count[l]);
-        }
-        // Symbols sorted by (length, symbol).
-        let mut sorted: Vec<u32> = (0..lengths.len() as u32).filter(|&s| lengths[s as usize] > 0).collect();
-        sorted.sort_by_key(|&s| (lengths[s as usize], s));
-        CanonicalCode {
-            lengths: lengths.to_vec(),
-            codes,
-            first_code,
-            first_index,
-            count,
-            sorted_symbols: sorted,
-            max_len,
-        }
-    }
-
     /// Builds an optimal (depth-limited) code for the given frequencies.
     pub fn from_freqs(freqs: &[u64]) -> Self {
         Self::from_lengths(&code_lengths(freqs, MAX_CODE_LEN))
@@ -219,35 +174,20 @@ impl CanonicalCode {
         &self.lengths
     }
 
-    /// Writes the code for `symbol` (MSB-first) to the bit sink.
+    /// The stream bits of `symbol`'s code (first bit in bit 0) and their
+    /// count, for callers that append extra bits and emit both at once.
     #[inline]
-    pub fn encode_symbol(&self, symbol: u32, out: &mut BitWriter) {
+    pub(crate) fn code(&self, symbol: u32) -> (u64, u32) {
         let len = self.lengths[symbol as usize];
         debug_assert!(len > 0, "encoding symbol {symbol} with zero frequency");
-        let code = self.codes[symbol as usize];
-        for i in (0..len).rev() {
-            out.put_bit((code >> i) & 1 == 1);
-        }
+        (u64::from(self.codes[symbol as usize]), u32::from(len))
     }
 
-    /// Reads one symbol from the bit source.
+    /// Writes the code for `symbol` to the bit sink.
     #[inline]
-    pub fn decode_symbol(&self, input: &mut BitReader<'_>) -> Result<u32, Error> {
-        let mut code = 0u64;
-        // Cap at 63 so the shift below cannot overflow even if an
-        // adversarial length table declared absurd depths.
-        for len in 1..=(self.max_len as usize).min(63) {
-            code = (code << 1) | input.get_bit()? as u64;
-            let fc = self.first_code[len];
-            if code >= fc && code.wrapping_sub(fc) < self.count[len] as u64 {
-                let idx = self.first_index[len] as u64 + (code - fc);
-                return match self.sorted_symbols.get(idx as usize) {
-                    Some(&s) => Ok(s),
-                    None => Err(Error::Corrupt("invalid Huffman code")),
-                };
-            }
-        }
-        Err(Error::Corrupt("invalid Huffman code"))
+    pub fn encode_symbol(&self, symbol: u32, out: &mut BitWriter) {
+        let (code, len) = self.code(symbol);
+        out.put_bits(code, len);
     }
 }
 
@@ -276,40 +216,10 @@ pub fn encode_symbols(symbols: &[u32], alphabet: usize) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Inverse of [`encode_symbols`].
-pub fn decode_symbols(bytes: &[u8]) -> Result<Vec<u32>, Error> {
-    let mut r = BitReader::new(bytes);
-    let alphabet = r.get_bits(32)? as usize;
-    let count = r.get_bits(64)?;
-    if alphabet > (1 << 24) {
-        return Err(Error::Corrupt("implausible Huffman alphabet"));
-    }
-    // Each length costs LENGTH_FIELD_BITS bits; a header declaring more
-    // lengths than the stream can hold is rejected before any allocation.
-    if (alphabet as u64).saturating_mul(LENGTH_FIELD_BITS as u64) > r.remaining_bits() as u64 {
-        return Err(Error::UnexpectedEof);
-    }
-    let mut lengths = Vec::with_capacity(alphabet);
-    for _ in 0..alphabet {
-        lengths.push(r.get_bits(LENGTH_FIELD_BITS)? as u8);
-    }
-    let code = CanonicalCode::from_lengths(&lengths);
-    // Every coded symbol costs at least one bit, so the remaining stream
-    // bounds the symbol count; this keeps the reservation honest.
-    if count > r.remaining_bits() as u64 {
-        return Err(Error::UnexpectedEof);
-    }
-    let count = count as usize;
-    let mut out = Vec::with_capacity(count);
-    for _ in 0..count {
-        out.push(code.decode_symbol(&mut r)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::canonical_codes;
 
     #[test]
     fn kraft_sum_is_valid() {

@@ -22,6 +22,15 @@
 //!        compressed: u32 payload_len, payload (bit-packed code tables + symbols)
 //! ```
 //!
+//! Every block but the last holds exactly 128 KiB of raw data, and every
+//! block is self-contained: its LZ77 window starts at its first byte and
+//! a coded block carries its own Huffman tables. That independence is
+//! what the implementation is built on — the block headers alone form a
+//! [`BlockDirectory`], so a reader can inflate just the blocks under the
+//! bytes it needs ([`BlockDirectory::inflate_ranges`]), and a writer can
+//! encode blocks on as many threads as it likes ([`compress_with`]) and
+//! get the same bytes. See DESIGN.md §3.
+//!
 //! # Example
 //!
 //! ```
@@ -34,50 +43,90 @@
 pub mod huffman;
 
 mod decode;
+mod inflate;
 mod lz77;
+#[cfg(test)]
+mod oracle;
+#[cfg(test)]
+mod proptests;
 
-pub use decode::{decompress, DecodeError};
+pub use decode::{decompress, BlockDirectory, DecodeError, SparseBytes};
 
-use sperr_bitstream::ByteWriter;
+use std::sync::{Mutex, PoisonError};
 
 const MAGIC: &[u8; 4] = b"SLZ1";
 const BLOCK_SIZE: usize = 128 * 1024;
+const FLAG_CODED: u8 = 0b01;
+const FLAG_LAST: u8 = 0b10;
 
 /// Compresses `data`; never fails. Incompressible blocks are stored
 /// verbatim, so expansion is bounded by a few bytes per 128 KiB block.
 pub fn compress(data: &[u8]) -> Vec<u8> {
+    let mut packed = Vec::new();
+    compress_with(data, 1, |n_jobs, job| (0..n_jobs).for_each(|i| job(i, 0)), &mut packed);
+    packed
+}
+
+/// [`compress`] with the per-block encode handed to an executor, and the
+/// stream appended to `out` (after whatever framing the caller already
+/// put there) — the same bytes, whatever the executor does with them:
+/// blocks are encoded independently of each other and laid down in order.
+///
+/// `run(n_jobs, job)` must call `job(i, worker)` exactly once for every
+/// `i in 0..n_jobs` before it returns, with `worker < width`, and must
+/// give jobs that execute concurrently distinct `worker` values (each
+/// worker slot owns one set of parse tables). This is
+/// the contract of `sperr-wavelet`'s `LineExecutor` and `sperr-core`'s
+/// `WorkerPool::run`, spelled as a closure so this crate depends on
+/// neither.
+pub fn compress_with(
+    data: &[u8],
+    width: usize,
+    run: impl FnOnce(usize, &(dyn Fn(usize, usize) + Sync)),
+    out: &mut Vec<u8>,
+) {
     let _span = sperr_telemetry::span!("lossless.compress", data.len());
     sperr_telemetry::counter!("lossless.bytes_in", data.len());
-    let mut out = ByteWriter::new();
-    out.put_bytes(MAGIC);
-    out.put_u64(data.len() as u64);
-    if data.is_empty() {
-        // Single empty stored block marked last.
-        out.put_u8(0b10);
-        out.put_u32(0);
-        return out.into_bytes();
+    // Empty input is one empty (stored, last) block.
+    let n_blocks = data.len().div_ceil(BLOCK_SIZE).max(1);
+    // One encoder per worker that can be busy at once.
+    let encoders: Vec<Mutex<lz77::BlockEncoder>> =
+        (0..width.clamp(1, n_blocks)).map(|_| Mutex::new(lz77::BlockEncoder::new())).collect();
+    // Every block is encoded into its own fixed-size slot of the output
+    // buffer, then the slots are closed up in place: no per-block
+    // buffers, no second copy of the stream.
+    let stream_start = out.len();
+    out.reserve_exact(12 + n_blocks * lz77::MAX_FRAMED_BLOCK);
+    out.extend_from_slice(MAGIC);
+    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    let body_start = out.len();
+    out.resize(body_start + n_blocks * lz77::MAX_FRAMED_BLOCK, 0);
+    let body = &mut out[body_start..];
+    let slots: Vec<Mutex<(&mut [u8], usize)>> =
+        body.chunks_mut(lz77::MAX_FRAMED_BLOCK).map(|slot| Mutex::new((slot, 0))).collect();
+    run(n_blocks, &|i, worker| {
+        let block = &data[i * BLOCK_SIZE..data.len().min((i + 1) * BLOCK_SIZE)];
+        // Uncontended by the executor contract (unless workers outnumber
+        // blocks and two of them share a slot — then they take turns); an
+        // encoder left behind by a panicked job is safe to reuse because
+        // every block resets it.
+        let mut encoder =
+            encoders[worker % encoders.len()].lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        slot.1 = encoder.encode(block, i + 1 == n_blocks, slot.0);
+    });
+    let lens: Vec<usize> = slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).1)
+        .collect();
+    let mut end = body_start;
+    for (i, len) in lens.into_iter().enumerate() {
+        let start = body_start + i * lz77::MAX_FRAMED_BLOCK;
+        out.copy_within(start..start + len, end);
+        end += len;
     }
-    let mut offset = 0;
-    while offset < data.len() {
-        let end = (offset + BLOCK_SIZE).min(data.len());
-        let block = &data[offset..end];
-        let last = end == data.len();
-        let payload = lz77::compress_block(block);
-        if payload.len() + 4 < block.len() {
-            out.put_u8(0b01 | if last { 0b10 } else { 0 });
-            out.put_u32(block.len() as u32);
-            out.put_u32(payload.len() as u32);
-            out.put_bytes(&payload);
-        } else {
-            out.put_u8(if last { 0b10 } else { 0 });
-            out.put_u32(block.len() as u32);
-            out.put_bytes(block);
-        }
-        offset = end;
-    }
-    let packed = out.into_bytes();
-    sperr_telemetry::counter!("lossless.bytes_out", packed.len());
-    packed
+    out.truncate(end);
+    sperr_telemetry::counter!("lossless.bytes_out", end - stream_start);
 }
 
 #[cfg(test)]

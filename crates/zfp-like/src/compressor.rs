@@ -348,6 +348,18 @@ impl LossyCompressor for ZfpLike {
             slab_data.push(r.get_bytes(len)?);
         }
         let slab_bounds = split_ranges(grid[2], n_slabs);
+        // `decode_block` reads at least one bit per block, so a slab's
+        // byte length bounds the blocks it can hold. Checked before any
+        // slab or output buffer is sized by the (untrusted) dims: memory
+        // stays proportional to the stream, not to a header field.
+        for (&(z0, z1), bytes) in slab_bounds.iter().zip(&slab_data) {
+            let blocks = (z1 - z0) as u64 * grid[0] as u64 * grid[1] as u64;
+            if blocks > 8 * bytes.len() as u64 {
+                return Err(CompressError::Corrupt(
+                    "declared dims need more blocks than the slab payload can hold".into(),
+                ));
+            }
+        }
         let perm = sequency_permutation();
 
         let results: Vec<Result<(usize, usize, Vec<f64>), CompressError>> =
@@ -420,6 +432,31 @@ mod tests {
         assert_eq!(split_ranges(10, 3), vec![(0, 4), (4, 7), (7, 10)]);
         assert_eq!(split_ranges(2, 5), vec![(0, 1), (1, 2)]);
         assert_eq!(split_ranges(1, 1), vec![(0, 1)]);
+    }
+
+    #[test]
+    fn inflated_dims_are_rejected_before_any_allocation() {
+        // One flipped header bit used to reach `vec![0.0; dims.product()]`
+        // and ask for gigabytes (the tier-1 SIGABRT). Declare the largest
+        // volume the absolute cap lets through — 34 GB of output — over a
+        // payload of a few hundred bytes: the block-count guard must refuse
+        // it, and do so without sizing anything by the dims.
+        let field = Field::from_fn([8, 8, 8], |x, y, z| (x + 2 * y + 3 * z) as f64);
+        let mut stream = ZfpLike::default().compress(&field, Bound::Pwe(1e-3)).unwrap();
+        // Header: magic(4) mode(1) precision(1) param(8), then dims 3×u32.
+        for (i, d) in [1024u32, 1024, 4095].into_iter().enumerate() {
+            stream[14 + 4 * i..18 + 4 * i].copy_from_slice(&d.to_le_bytes());
+        }
+        let err = ZfpLike::default().decompress(&stream).unwrap_err();
+        assert!(matches!(err, CompressError::Corrupt(_)), "{err:?}");
+        // Every single-bit flip of the dims decodes or errors — never
+        // aborts (this test binary would die with it).
+        let clean = ZfpLike::default().compress(&field, Bound::Pwe(1e-3)).unwrap();
+        for bit in 14 * 8..26 * 8 {
+            let mut bad = clean.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            let _ = ZfpLike::default().decompress(&bad);
+        }
     }
 
     #[test]

@@ -157,6 +157,22 @@ target/release/hotpath --perf-gate target/bench_smoke.json \
     BENCH_pr2.json BENCH_pr4.json BENCH_pr5.json BENCH_pr7.json BENCH_pr8.json \
     BENCH_pr9.json
 
+echo "==> benchmark of record: its own tests + a smoke run"
+# `benchmark/` is a package of its own (own workspace and lock file), so
+# nothing above builds or tests it. Its tests hold a smoke run against
+# BENCHMARK.json; the smoke run itself goes through run.sh exactly as the
+# driver invokes it — all four workloads, both passes, every gate (replay
+# `stream[1..] == sperr_lossless::compress(container)`, thread and
+# repetition identity, region reads vs full-decode slices). The exit code
+# must be 0 and the last line must report no failed operation.
+(cd benchmark && cargo test --quiet)
+benchmark/run.sh --smoke > target/benchmark_smoke.out
+tail -n 1 target/benchmark_smoke.out | grep -q '"failed":0' || {
+    echo "ERROR: benchmark smoke run reported failures:" >&2
+    tail -n 1 target/benchmark_smoke.out >&2
+    exit 1
+}
+
 echo "==> telemetry matrix: rebuild with the feature compiled in"
 # Everything above ran with telemetry compiled OUT (the default, and the
 # configuration whose perf numbers we track). Now flip the feature on and
@@ -170,6 +186,10 @@ echo "==> telemetry on: goldens stay byte-identical"
 target/release/sperr-conformance check
 
 echo "==> telemetry on: identity, overhead and trace-coverage tests"
+# Also pins the meaning of the lossless labels PR 10's dashboards read:
+# `lossless.compress` / `lossless.decompress` spans and the
+# `lossless.bytes_in/out` counters fire once per call, not once per SLZ1
+# block, now that blocks are encoded on the pool and inflated sparsely.
 cargo test --quiet --features telemetry --test telemetry
 
 echo "==> telemetry on: streaming worker timelines overlap"

@@ -16,7 +16,11 @@ const AUDITED_FILES: &[&str] = &[
     "crates/bitstream/src/byteio.rs",
     "crates/speck/src/decoder.rs",
     "crates/outlier/src/decoder.rs",
+    // The whole decode side of the lossless crate: stream framing and
+    // block directory, block inflate, Huffman table build + decode.
     "crates/lossless/src/decode.rs",
+    "crates/lossless/src/inflate.rs",
+    "crates/lossless/src/huffman/decode.rs",
 ];
 
 /// Tokens that can panic at runtime. `assert!(` also catches

@@ -193,6 +193,49 @@ fn metrics_snapshot_covers_ops_stages_and_memory() {
 }
 
 #[test]
+fn lossless_spans_and_counters_fire_once_per_call_not_per_block() {
+    // The lossless pass encodes block by block on the pool and region
+    // reads inflate block by block, but the dashboards built on these
+    // labels count *calls*: one `lossless.compress` span and one
+    // `bytes_in`/`bytes_out` pair per compress, one `lossless.decompress`
+    // span per full inflate — however many SLZ1 blocks the container
+    // spans (four here) and however many workers encode them.
+    let _guard = session_lock();
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate([64, 64, 64], 5);
+    let sperr = Sperr::new(SperrConfig {
+        chunk_dims: [16, 16, 16],
+        num_threads: 2,
+        ..SperrConfig::default()
+    });
+    sperr_telemetry::start();
+    let stream = sperr.compress(&field, Bound::Pwe(field.tolerance_for_idx(14))).unwrap();
+    sperr.decompress(&stream).unwrap();
+    let report = sperr_telemetry::stop();
+    let info = sperr.inspect(&stream).unwrap();
+    let container_bytes = info.payload_offset + info.chunk_payload_sizes.iter().sum::<usize>();
+    assert!(container_bytes > 3 * 128 * 1024, "want a multi-block container");
+
+    let spans = |label: &str| -> usize {
+        report.tracks.iter().flat_map(|t| &t.spans).filter(|s| s.label == label).count()
+    };
+    assert_eq!(spans("lossless.compress"), 1);
+    assert_eq!(spans("lossless.decompress"), 1);
+    let counter = |label: &str| -> Vec<u64> {
+        let events = report.tracks.iter().flat_map(|t| &t.counters);
+        events.filter(|c| c.label == label).map(|c| c.value).collect()
+    };
+    assert_eq!(counter("lossless.bytes_in"), [container_bytes as u64]);
+    assert_eq!(counter("lossless.bytes_out"), [stream.len() as u64 - 1]);
+
+    // A region read inflates sparsely: its own span, no full inflate.
+    sperr_telemetry::start();
+    sperr.decode_region(&stream, [3, 3, 3], [9, 9, 9]).unwrap();
+    let report = sperr_telemetry::stop();
+    assert!(report.has_span("lossless.inflate_ranges"));
+    assert!(!report.has_span("lossless.decompress"));
+}
+
+#[test]
 fn trace_covers_all_stages_and_worker_tracks() {
     let _guard = session_lock();
     let dims = [32usize, 32, 32];
