@@ -103,7 +103,7 @@ fn report(what: &str, failures: &[CheckFailure]) -> i32 {
 
 /// The full differential-oracle sweep over the corpus: blocked lifting,
 /// encoder-vs-reference, SPECK-stage fast path vs bit-at-a-time
-/// reference, thread identity (1/2/4/8), resilient decode, re-encode
+/// reference, SPECK decoder Morton vs generic front end, thread identity (1/2/4/8), resilient decode, re-encode
 /// stability, and the f32-native path vs its widened-f64 twin.
 fn run_oracles() -> Vec<CheckFailure> {
     let mut failures = Vec::new();
@@ -118,6 +118,7 @@ fn run_oracles() -> Vec<CheckFailure> {
         run(&mut failures, oracle::blocked_lifting_matches_reference(&field.data, field.dims, Kernel::Cdf97));
         run(&mut failures, oracle::encoder_matches_reference(&field.data, field.dims, t, 1.5, Kernel::Cdf97));
         run(&mut failures, oracle::speck_matches_reference(&field.data, field.dims, 1.5 * t));
+        run(&mut failures, oracle::speck_decode_morton_vs_generic(&field.data, 1.5 * t));
         let field32 = input.generate_f32();
         run(
             &mut failures,

@@ -9,7 +9,7 @@
 
 use crate::corpus::{check_budget, f32_budget, ErrorBudget};
 use sperr_compress_api::{Bound, Field, FieldOf, LossyCompressor};
-use sperr_core::{compress_chunk_pwe, Sperr, SperrConfig, StageTimes};
+use sperr_core::{compress_chunk_pwe, Float, Sperr, SperrConfig, StageTimes};
 use sperr_outlier::Outlier;
 use sperr_speck::Termination;
 use sperr_wavelet::{levels_for_dims, reference, Kernel, LineExecutor, Serial, TransformScratch};
@@ -416,6 +416,60 @@ pub fn speck_matches_reference(coeffs: &[f64], dims: [usize; 3], q: f64) -> Chec
         return mismatch("budget", "bits_used", fast_b.bits_used, slow_b.bits_used);
     }
     Ok(())
+}
+
+/// The decoder's two sorting-pass front ends must agree: on every
+/// power-of-two cube `sperr_speck::decode` walks Morton cells while
+/// `sperr_speck::reference::decode` walks cuboid sets, and the two must
+/// return the same `Ok`/`Err` and bit-identical samples — for the full
+/// stream, a bit-budget stream and byte prefixes of both (truncation
+/// inside sorting and refinement passes alike), at both sample widths.
+/// The cubes (1-D, 2-D and 3-D, the largest the samples fill) are cut
+/// from the head of `samples`, so every corpus input exercises it
+/// whatever its own shape.
+pub fn speck_decode_morton_vs_generic(samples: &[f64], q: f64) -> CheckResult {
+    fn sweep<T: Float, const D: usize>(samples: &[T], q: f64) -> CheckResult {
+        let mut side = 1usize;
+        while (side * 2).pow(D as u32) <= samples.len() {
+            side *= 2;
+        }
+        if side < 2 {
+            return Ok(());
+        }
+        let dims = [side; D];
+        let coeffs = &samples[..side.pow(D as u32)];
+        let full = sperr_speck::encode(coeffs, dims, q, Termination::Quality);
+        let budget = Termination::BitBudget(full.bits_used * 2 / 3);
+        let cut = sperr_speck::encode(coeffs, dims, q, budget);
+        for enc in [&full, &cut] {
+            let total = enc.stream.len();
+            for len in (0..total).step_by((total / 16).max(1)).chain([total]) {
+                let prefix = &enc.stream[..len];
+                let morton = sperr_speck::decode::<T, D>(prefix, dims, q, enc.num_planes);
+                let generic =
+                    sperr_speck::reference::decode::<T, D>(prefix, dims, q, enc.num_planes);
+                let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+                if morton.as_deref().map(bits) != generic.as_deref().map(bits) {
+                    return fail(
+                        "speck-decode-morton-vs-generic",
+                        format!(
+                            "{} dims {dims:?} q {q:e}: front ends diverge on the {len}-byte \
+                             prefix of a {total}-byte stream",
+                            T::NAME
+                        ),
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+    let narrow: Vec<f32> = samples.iter().map(|&v| v as f32).collect();
+    sweep::<f64, 1>(samples, q)?;
+    sweep::<f64, 2>(samples, q)?;
+    sweep::<f64, 3>(samples, q)?;
+    sweep::<f32, 1>(&narrow, q)?;
+    sweep::<f32, 2>(&narrow, q)?;
+    sweep::<f32, 3>(&narrow, q)
 }
 
 // ---------------------------------------------------------------------
@@ -979,6 +1033,12 @@ mod tests {
         let f = small_field();
         let t = f.range() * 1e-3;
         speck_matches_reference(&f.data, f.dims, 1.5 * t).unwrap();
+    }
+
+    #[test]
+    fn speck_decoder_oracle_accepts_both_front_ends() {
+        let f = small_field();
+        speck_decode_morton_vs_generic(&f.data, 1.5e-3 * f.range()).unwrap();
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::outer::{unwrap_outer, wrap_outer, Framed};
 use crate::pipeline::{
     compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, decompress_chunk,
     decompress_chunk_multires, decompress_chunk_region_with, decompress_chunk_with, ChunkEncoding,
-    ScratchArena,
+    DecodeArenas, ScratchArena,
 };
 use crate::pool::{PerWorker, WorkerPool};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
@@ -648,10 +648,7 @@ impl Sperr {
         let kernel = header.kernel;
         let native_f32 = header.native_f32;
         let decoded: Vec<(Vec<f64>, ChunkStatus)> = WorkerPool::scoped(threads, |pool| {
-            // Per-worker scratch at both widths; an arena costs nothing
-            // until the width it serves is actually decoded.
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::<f64>::new);
-            let arenas32 = PerWorker::new(pool.threads(), ScratchArena::<f32>::new);
+            let arenas = PerWorker::new(pool.threads(), DecodeArenas::default);
             let decode_one = |j: usize, w: usize| {
                 let t = &targets_ref[j];
                 let spec = &specs_ref[t.chunk];
@@ -684,7 +681,7 @@ impl Sperr {
                 // full-decompress slice.
                 let decoded = if native_f32 {
                     // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena32 = unsafe { arenas32.get(w) };
+                    let arena32 = &mut unsafe { arenas.get(w) }.narrow;
                     decompress_chunk_region_with(
                         speck,
                         outlier,
@@ -702,7 +699,7 @@ impl Sperr {
                     .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
                 } else {
                     // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena = unsafe { arenas.get(w) };
+                    let arena = &mut unsafe { arenas.get(w) }.wide;
                     decompress_chunk_region_with(
                         speck,
                         outlier,
@@ -730,13 +727,7 @@ impl Sperr {
             };
             for w in 0..pool.threads() {
                 // SAFETY: all jobs have completed; no concurrent users.
-                unsafe {
-                    if native_f32 {
-                        arenas32.get(w).record_footprint();
-                    } else {
-                        arenas.get(w).record_footprint();
-                    }
-                }
+                unsafe { arenas.get(w) }.record_footprint(native_f32);
             }
             decoded
         });
@@ -813,7 +804,7 @@ impl Sperr {
         let native_f32 = header.native_f32;
         type Decoded = Result<(Vec<f64>, StageTimes), CompressError>;
         let decoded: Vec<Decoded> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
+            let arenas = PerWorker::new(pool.threads(), DecodeArenas::default);
             let decode_one = |i: usize, w: usize| {
                 let e = &entries_ref[i];
                 let start = offsets_ref[i];
@@ -825,8 +816,9 @@ impl Sperr {
                     // f32-native payloads preview at native width and widen
                     // exactly, so decode_at_bpp stays bit-identical to
                     // transcode-then-decompress for tag-2 streams too.
-                    let mut arena32 = ScratchArena::<f32>::new();
-                    let r = decompress_chunk_with(
+                    // SAFETY: concurrent jobs see distinct worker slots.
+                    let arena32 = &mut unsafe { arenas.get(w) }.narrow;
+                    decompress_chunk_with(
                         speck,
                         &[],
                         specs_ref[i].dims,
@@ -836,13 +828,12 @@ impl Sperr {
                         0.0,
                         kernel,
                         pool,
-                        &mut arena32,
-                    );
-                    arena32.record_footprint();
-                    r.map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
+                        arena32,
+                    )
+                    .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
                 } else {
                     // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena = unsafe { arenas.get(w) };
+                    let arena = &mut unsafe { arenas.get(w) }.wide;
                     decompress_chunk_with(
                         speck,
                         &[],
@@ -864,7 +855,7 @@ impl Sperr {
             };
             for w in 0..pool.threads() {
                 // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
+                unsafe { arenas.get(w) }.record_footprint(native_f32);
             }
             decoded
         });

@@ -81,6 +81,26 @@ impl<T: Float> ScratchArena<T> {
     }
 }
 
+/// One worker's decode scratch at both sample widths, for the drivers
+/// that learn a stream's width from its header (a stream decodes at one
+/// width only, and an arena costs nothing until it is used).
+#[derive(Default)]
+pub(crate) struct DecodeArenas {
+    pub(crate) wide: ScratchArena<f64>,
+    pub(crate) narrow: ScratchArena<f32>,
+}
+
+impl DecodeArenas {
+    /// Records the footprint of the arena the stream's width used.
+    pub(crate) fn record_footprint(&self, native_f32: bool) {
+        if native_f32 {
+            self.narrow.record_footprint();
+        } else {
+            self.wide.record_footprint();
+        }
+    }
+}
+
 /// Fills `coeffs` with a copy of `data` (the transform is in-place and
 /// must not clobber the caller's input), reusing capacity. Part of the
 /// wavelet stage's timed region, hence free-standing rather than a method

@@ -66,7 +66,7 @@ use crate::faultpoint;
 use crate::outer::{unwrap_outer, wrap_outer};
 use crate::pipeline::{
     compress_chunk_bpp_with, compress_chunk_pwe_with, decompress_chunk_with, ChunkEncoding,
-    ScratchArena,
+    DecodeArenas, ScratchArena,
 };
 use crate::pool::{lock_ignore_poison, panic_payload_message, PerWorker, WorkerPool};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
@@ -1012,7 +1012,7 @@ impl Sperr {
         // strict-mode failure.
         let decode_chunk = |i: usize,
                             pool: &WorkerPool,
-                            arena: &mut ScratchArena|
+                            arenas: &mut DecodeArenas|
          -> Result<(Vec<f64>, ChunkStatus, StageTimes), SperrError> {
             let e: &ChunkEntry = &parsed.entries[i];
             let start = offsets[i];
@@ -1035,7 +1035,6 @@ impl Sperr {
                     // f32-native payload: decode at native width, widen
                     // (exact) for the f64 emit path. Row emission narrows
                     // back losslessly when the output precision is Single.
-                    let mut arena32 = ScratchArena::<f32>::new();
                     decompress_chunk_with(
                         speck,
                         outlier,
@@ -1046,7 +1045,7 @@ impl Sperr {
                         tolerance,
                         kernel,
                         pool,
-                        &mut arena32,
+                        &mut arenas.narrow,
                     )
                     .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
                 } else {
@@ -1060,7 +1059,7 @@ impl Sperr {
                         tolerance,
                         kernel,
                         pool,
-                        arena,
+                        &mut arenas.wide,
                     )
                 }
             }));
@@ -1106,13 +1105,13 @@ impl Sperr {
             // pool so a lone chunk still fans its wavelet/SPECK passes
             // out across workers (decode_chunk nests `pool.run`).
             peak_in_flight = WorkerPool::scoped(threads, |pool| {
-                let mut arena = ScratchArena::new();
+                let mut arenas = DecodeArenas::default();
                 let mut peak = 0usize;
                 for l in 0..geo.nz {
                     let base = l * geo.layer_len();
                     let mut layer: Vec<Vec<f64>> = Vec::with_capacity(geo.layer_len());
                     for p in 0..geo.layer_len() {
-                        let (data, status, times) = decode_chunk(base + p, pool, &mut arena)?;
+                        let (data, status, times) = decode_chunk(base + p, pool, &mut arenas)?;
                         stats.stage_times.accumulate(&times);
                         statuses.push(status);
                         layer.push(data);
@@ -1124,7 +1123,7 @@ impl Sperr {
                     );
                     emit_layer(&mut wr, &geo, &grid, base, &layer, &mut row)?;
                 }
-                arena.record_footprint();
+                arenas.record_footprint(native_f32);
                 Ok::<usize, SperrError>(peak)
             })?;
         } else {
@@ -1138,7 +1137,7 @@ impl Sperr {
             let grid_ref = &grid;
             let decode_ref = &decode_chunk;
             let run = WorkerPool::scoped(threads, |pool| {
-                let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
+                let arenas = PerWorker::new(pool.threads(), DecodeArenas::default);
                 let worker = |i: usize, w: usize| {
                     // Ordered token grant (see module docs).
                     {
@@ -1168,8 +1167,8 @@ impl Sperr {
                         shared_ref.worker_cv.notify_all();
                     }
                     // SAFETY: one thread per worker slot (pool contract).
-                    let arena = unsafe { arenas.get(w) };
-                    match decode_ref(i, pool, arena) {
+                    let arenas = unsafe { arenas.get(w) };
+                    match decode_ref(i, pool, arenas) {
                         Ok((data, status, times)) => {
                             let mut st = lock_ignore_poison(&shared_ref.state);
                             st.ready.insert(i, ReadyChunk::Decoded { data, status, times });
@@ -1247,7 +1246,7 @@ impl Sperr {
                 let run = pool.run_with_producer(n_chunks, emitter, &worker);
                 for w in 0..pool.threads() {
                     // SAFETY: all jobs have completed; no concurrent users.
-                    unsafe { arenas.get(w) }.record_footprint();
+                    unsafe { arenas.get(w) }.record_footprint(native_f32);
                 }
                 run
             });

@@ -1,7 +1,7 @@
 //! Bitplane gather/scatter kernels for SPECK's word-packed refinement:
 //! collect bit `n` of up to 64 magnitudes into one packed word (encoder)
-//! and apply a packed word of refinement bits back onto magnitude /
-//! uncertainty arrays (decoder).
+//! and turn a stack of per-plane refinement words back into magnitudes
+//! with a bit-matrix transpose (decoder).
 
 /// Packs bit `n` of each magnitude into one word, lane `j` = bit `n` of
 /// `ks[j]`. `ks.len()` must be at most 64. Scalar twin:
@@ -85,34 +85,81 @@ pub fn scalar_plane_word_u32(ks: &[u32], n: u32) -> u64 {
     word
 }
 
-/// Decoder-side scatter: for each of the first `count` lanes, OR bit `j`
-/// of `word` (shifted to plane `n`) into `vals[j]` and stamp `unc[j] = n`.
-/// `count <= 64`, `vals.len() == unc.len() >= count`. Scalar twin:
-/// [`scalar_apply_plane_bits`].
-pub fn apply_plane_bits(vals: &mut [u64], unc: &mut [u8], word: u64, count: usize, n: u32) {
-    assert!(count <= vals.len() && count <= unc.len() && count <= 64);
+/// One stage of the recursive block-swap transpose: for every row pair
+/// `(k, k + j)` exchanges the bit block at columns `[j, 2j)` of row `k`
+/// with the block at columns `[0, j)` of row `k + j` (`mask` selects the
+/// low `j` columns of every `2j`-column group).
+#[cfg(not(feature = "force-scalar"))]
+#[inline(always)]
+fn swap_stage<const N: usize>(m: &mut [u64; N], j: usize, mask: u64) {
+    let mut k = 0;
+    while k < N {
+        let t = ((m[k] >> j) ^ m[k + j]) & mask;
+        m[k] ^= t << j;
+        m[k + j] ^= t;
+        k = (k + j + 1) & !j;
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place: afterwards bit `r` of `m[c]`
+/// is what bit `c` of `m[r]` was. The SPECK decoder feeds it one 64-bit
+/// refinement window per bitplane (row = plane, column = LSP entry) and
+/// reads back one magnitude per entry. Six block-swap stages of 32 row
+/// pairs each (Hacker's Delight §7-3, LSB-first). Scalar twin:
+/// [`scalar_transpose_64x64`].
+pub fn transpose_64x64(m: &mut [u64; 64]) {
     #[cfg(feature = "force-scalar")]
-    return scalar_apply_plane_bits(vals, unc, word, count, n);
+    return scalar_transpose_64x64(m);
     #[cfg(not(feature = "force-scalar"))]
     {
-        let nv = n as u8;
-        // Equal-length subslices so the bounds checks hoist; both loops
-        // are independent elementwise updates (vectorizable).
-        for (j, v) in vals[..count].iter_mut().enumerate() {
-            *v |= ((word >> j) & 1) << n;
-        }
-        for u in unc[..count].iter_mut() {
-            *u = nv;
+        swap_stage(m, 32, 0x0000_0000_ffff_ffff);
+        swap_stage(m, 16, 0x0000_ffff_0000_ffff);
+        swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
+        swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
+        swap_stage(m, 2, 0x3333_3333_3333_3333);
+        swap_stage(m, 1, 0x5555_5555_5555_5555);
+    }
+}
+
+/// Scalar reference for [`transpose_64x64`]: one bit at a time.
+pub fn scalar_transpose_64x64(m: &mut [u64; 64]) {
+    let src = *m;
+    for (c, out) in m.iter_mut().enumerate() {
+        *out = 0;
+        for (r, &row) in src.iter().enumerate() {
+            *out |= ((row >> c) & 1) << r;
         }
     }
 }
 
-/// Scalar reference for [`apply_plane_bits`].
-pub fn scalar_apply_plane_bits(vals: &mut [u64], unc: &mut [u8], word: u64, count: usize, n: u32) {
-    assert!(count <= vals.len() && count <= unc.len() && count <= 64);
-    for j in 0..count {
-        vals[j] |= ((word >> j) & 1) << n;
-        unc[j] = n as u8;
+/// Transposes a 32-row × 64-column bit matrix in place, as two 32×32
+/// transposes run side by side in the halves of each word: afterwards
+/// the low half of `m[c]` holds column `c` and the high half column
+/// `c + 32` (bit `r` of a half = what bit `c` / `c + 32` of `m[r]` was).
+/// Five stages of 16 row pairs — 2.4× less work than [`transpose_64x64`]
+/// for the common `num_planes <= 32` decode. Scalar twin:
+/// [`scalar_transpose_32x64`].
+pub fn transpose_32x64(m: &mut [u64; 32]) {
+    #[cfg(feature = "force-scalar")]
+    return scalar_transpose_32x64(m);
+    #[cfg(not(feature = "force-scalar"))]
+    {
+        swap_stage(m, 16, 0x0000_ffff_0000_ffff);
+        swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
+        swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
+        swap_stage(m, 2, 0x3333_3333_3333_3333);
+        swap_stage(m, 1, 0x5555_5555_5555_5555);
+    }
+}
+
+/// Scalar reference for [`transpose_32x64`]: one bit at a time.
+pub fn scalar_transpose_32x64(m: &mut [u64; 32]) {
+    let src = *m;
+    for (c, out) in m.iter_mut().enumerate() {
+        *out = 0;
+        for (r, &row) in src.iter().enumerate() {
+            *out |= ((row >> c) & 1) << r | ((row >> (c + 32)) & 1) << (r + 32);
+        }
     }
 }
 
@@ -132,16 +179,64 @@ mod tests {
         }
     }
 
+    fn mixed_rows<const N: usize>(seed: u64) -> [u64; N] {
+        let mut x = seed | 1;
+        std::array::from_fn(|_| {
+            // xorshift64*
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        })
+    }
+
     #[test]
-    fn apply_matches_scalar() {
-        let word = 0xdead_beef_1234_5678u64;
-        let mut v1 = vec![1u64; 64];
-        let mut u1 = vec![0u8; 64];
-        let mut v2 = v1.clone();
-        let mut u2 = u1.clone();
-        apply_plane_bits(&mut v1, &mut u1, word, 50, 9);
-        scalar_apply_plane_bits(&mut v2, &mut u2, word, 50, 9);
-        assert_eq!(v1, v2);
-        assert_eq!(u1, u2);
+    fn transpose_64x64_matches_scalar_and_bit_loop() {
+        for seed in [1u64, 0xdead_beef, u64::MAX, 42] {
+            let src: [u64; 64] = mixed_rows(seed);
+            let (mut fast, mut slow) = (src, src);
+            transpose_64x64(&mut fast);
+            scalar_transpose_64x64(&mut slow);
+            assert_eq!(fast, slow, "seed {seed}");
+            for r in 0..64 {
+                for c in 0..64 {
+                    assert_eq!((fast[c] >> r) & 1, (src[r] >> c) & 1, "seed {seed} r={r} c={c}");
+                }
+            }
+            // An involution: transposing twice restores the input.
+            transpose_64x64(&mut fast);
+            assert_eq!(fast, src);
+        }
+    }
+
+    #[test]
+    fn transpose_32x64_matches_scalar_and_bit_loop() {
+        for seed in [3u64, 0x1234_5678_9abc_def0, u64::MAX, 77] {
+            let src: [u64; 32] = mixed_rows(seed);
+            let (mut fast, mut slow) = (src, src);
+            transpose_32x64(&mut fast);
+            scalar_transpose_32x64(&mut slow);
+            assert_eq!(fast, slow, "seed {seed}");
+            for r in 0..32 {
+                for c in 0..64 {
+                    let got = (fast[c % 32] >> (r + 32 * (c / 32))) & 1;
+                    assert_eq!(got, (src[r] >> c) & 1, "seed {seed} r={r} c={c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_single_bits_land_where_expected() {
+        let mut m = [0u64; 64];
+        m[5] = 1 << 40; // plane 5, entry 40
+        transpose_64x64(&mut m);
+        assert_eq!(m[40], 1 << 5);
+        assert_eq!(m.iter().filter(|&&w| w != 0).count(), 1);
+        let mut n = [0u64; 32];
+        n[31] = 1 << 63 | 1; // plane 31, entries 63 and 0
+        transpose_32x64(&mut n);
+        assert_eq!(n[0], 1 << 31);
+        assert_eq!(n[31], 1 << 63);
     }
 }

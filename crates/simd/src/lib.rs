@@ -33,7 +33,7 @@ mod float;
 mod lift;
 mod quant;
 
-pub use bitplane::{apply_plane_bits, plane_word_u32, plane_word_u64};
+pub use bitplane::{plane_word_u32, plane_word_u64, transpose_32x64, transpose_64x64};
 pub use bytes::{max_assign, max_elem, pairwise_max_into, run_le};
 pub use float::Float;
 pub use lift::{lift_pairs, merge_even_odd, scale_in_place, split_even_odd};
@@ -44,7 +44,8 @@ pub use quant::{quantize_magnitude, quantize_meta_into, reconstruct_mid_riser_in
 /// its twin across shapes, tails, and alignments.
 pub mod scalar {
     pub use crate::bitplane::{
-        scalar_apply_plane_bits, scalar_plane_word_u32, scalar_plane_word_u64,
+        scalar_plane_word_u32, scalar_plane_word_u64, scalar_transpose_32x64,
+        scalar_transpose_64x64,
     };
     pub use crate::bytes::{
         scalar_max_assign, scalar_max_elem, scalar_pairwise_max_into, scalar_run_le,

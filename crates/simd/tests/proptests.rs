@@ -106,17 +106,19 @@ proptest! {
     }
 
     #[test]
-    fn apply_plane_bits_matches_scalar(
-        (word, count, n) in (any::<u64>(), 0usize..=64, 0u32..56)
-    ) {
-        let mut v1: Vec<u64> = (0..64).map(|i| (i as u64) << 3).collect();
-        let mut u1 = vec![0xffu8; 64];
-        let mut v2 = v1.clone();
-        let mut u2 = u1.clone();
-        simd::apply_plane_bits(&mut v1, &mut u1, word, count, n);
-        scalar::scalar_apply_plane_bits(&mut v2, &mut u2, word, count, n);
-        prop_assert_eq!(&v1, &v2);
-        prop_assert_eq!(&u1, &u2);
+    fn transposes_match_scalar(rows in prop::collection::vec(any::<u64>(), 64)) {
+        let mut a = [0u64; 64];
+        a.copy_from_slice(&rows);
+        let mut b = a;
+        simd::transpose_64x64(&mut a);
+        scalar::scalar_transpose_64x64(&mut b);
+        prop_assert_eq!(a, b);
+        let mut c = [0u64; 32];
+        c.copy_from_slice(&rows[..32]);
+        let mut d = c;
+        simd::transpose_32x64(&mut c);
+        scalar::scalar_transpose_32x64(&mut d);
+        prop_assert_eq!(c, d);
     }
 
     #[test]

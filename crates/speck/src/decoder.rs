@@ -1,8 +1,16 @@
-//! The SPECK decoder, kept in its own module so the whole decode path can
+//! The SPECK decoder, kept in its own modules so the whole decode path can
 //! be audited for panic-freedom (see the repo's `tests/panic_audit.rs`):
-//! nothing in this file may `unwrap`, `expect`, `panic!` or `assert` — all
-//! failures on untrusted input surface as [`DecodeError`].
+//! nothing in this file or [`crate::lsp_decode`] may `unwrap`, `expect`,
+//! `panic!` or `assert` — all failures on untrusted input surface as
+//! [`DecodeError`].
+//!
+//! Two sorting-pass front ends — Morton cells for power-of-two cubes,
+//! [`SetS`] cuboids for every other shape — feed one back half
+//! ([`DeferredLsp`]), which skips refinement bits while walking the stream
+//! and assembles all magnitudes at the end (DESIGN.md §13).
 
+use crate::lsp_decode::{DeferredLsp, Stop};
+use crate::morton::{self, MortonLayout};
 use crate::set::SetS;
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
@@ -60,216 +68,104 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
     }
 }
 
-/// Signals that the stream ran out mid-pass; unwinds the pass cleanly (a
-/// truncated embedded stream is a *valid* coarser encoding, not an error).
-struct Stop;
-
-/// A coefficient discovered in the current sorting pass, not yet merged
-/// into the LSP (its refinement starts on the next plane).
-struct NewPoint {
-    idx: u32,
-    negative: bool,
-    /// Discovery plane: initial magnitude is `1 << plane`.
-    plane: u8,
+/// One LIS bucket (`lists[at]`) at one plane, shared by both front ends.
+/// Insignificance bits come in runs (the encoder emits them through
+/// `put_zeros`): `count_zero_run` consumes a run through the refill
+/// register in bulk and the still-insignificant sets are compacted to the
+/// front with one `copy_within` — bucket storage is reused across planes.
+/// `split` handles a set whose significance bit was 1; the sets it creates
+/// land in *other* buckets (smaller sets, which this pass has already
+/// finished), so the bucket is taken out of `lists` while it is scanned.
+/// When the stream runs out it stays out, the set in hand dropped with
+/// it: nothing reads the LIS again.
+fn scan_bucket<S: Copy>(
+    input: &mut BitReader<'_>,
+    lists: &mut Vec<Vec<S>>,
+    at: usize,
+    mut split: impl FnMut(&mut BitReader<'_>, &mut Vec<Vec<S>>, S) -> Result<(), Stop>,
+) -> Result<(), Stop> {
+    let mut bucket = std::mem::take(&mut lists[at]);
+    let len = bucket.len();
+    let (mut read, mut write) = (0usize, 0usize);
+    while read < len {
+        let run = input.count_zero_run(len - read);
+        if write != read {
+            bucket.copy_within(read..read + run, write);
+        }
+        read += run;
+        write += run;
+        if read < len {
+            // The run stopped short: the next bit is a 1, or the stream
+            // is exhausted.
+            input.get_bit()?;
+            split(input, lists, bucket[read])?;
+            read += 1;
+        }
+    }
+    bucket.truncate(write);
+    lists[at] = bucket;
+    Ok(())
 }
 
-struct Decoder<'a, const D: usize> {
+/// Generic front end: buckets are partition levels (deepest, i.e. smallest
+/// sets, first). A significant pixel records its sign; a significant
+/// cuboid splits and each child is tested in turn.
+fn split_generic<const D: usize>(
+    input: &mut BitReader<'_>,
+    lis: &mut Vec<Vec<SetS<D>>>,
+    lsp: &mut DeferredLsp,
     dims: [usize; D],
-    lis: Vec<Vec<SetS<D>>>,
-    /// Previously significant coefficients, one entry per discovery, in
-    /// discovery order — parallel arrays so the refinement pass updates
-    /// magnitudes with sequential writes. Keeping full-grid
-    /// `k_rec`/`uncert`/`negative` arrays instead (as the decoder once
-    /// did) turns every refinement plane into a random scatter over the
-    /// whole domain; here the grid is touched exactly once, at
-    /// reconstruction.
-    lsp_idx: Vec<u32>,
-    /// Reconstructed magnitude bits accumulated so far.
-    lsp_val: Vec<u64>,
-    /// Plane index below which this coefficient's bits are unknown.
-    lsp_unc: Vec<u8>,
-    lsp_neg: Vec<bool>,
-    lsp_new: Vec<NewPoint>,
-    input: BitReader<'a>,
+    set: SetS<D>,
+) -> Result<(), Stop> {
+    if set.is_pixel() {
+        lsp.push(set.pixel_index(dims) as u32, input.get_bit()?);
+        return Ok(());
+    }
+    let mut children = [set; 8];
+    let mut count = 0usize;
+    set.split(|c| {
+        children[count] = c;
+        count += 1;
+    });
+    for &child in &children[..count] {
+        if input.get_bit()? {
+            split_generic(input, lis, lsp, dims, child)?;
+        } else {
+            let lvl = child.part_level as usize;
+            if lis.len() <= lvl {
+                lis.resize_with(lvl + 1, Vec::new);
+            }
+            lis[lvl].push(child);
+        }
+    }
+    Ok(())
 }
 
-impl<'a, const D: usize> Decoder<'a, D> {
-    #[inline]
-    fn read_bit(&mut self) -> Result<bool, Stop> {
-        self.input.get_bit().map_err(|_| Stop)
+/// Morton front end. On a `2^k` cube every set is an aligned dyadic cube
+/// (see [`crate::morton`]): bucket `j` holds side-`2^j` cubes as bare
+/// Morton cell numbers — 4 bytes a set — ascending `j` is the generic
+/// front end's deepest-level-first order, and the `2^D` children of `cell`
+/// are cells `cell << D | 0..2^D` one bucket down, in [`SetS::split`]'s
+/// order. Bucket 0 is pixels, recorded as Morton cells.
+fn split_morton<const D: usize>(
+    input: &mut BitReader<'_>,
+    buckets: &mut [Vec<u32>],
+    lsp: &mut DeferredLsp,
+    j: usize,
+    cell: u32,
+) -> Result<(), Stop> {
+    if j == 0 {
+        lsp.push(cell, input.get_bit()?);
+        return Ok(());
     }
-
-    fn push_lis(&mut self, set: SetS<D>) {
-        let lvl = set.part_level as usize;
-        if self.lis.len() <= lvl {
-            self.lis.resize_with(lvl + 1, Vec::new);
-        }
-        self.lis[lvl].push(set);
-    }
-
-    /// One sorting pass at plane `n`. Mirrors the encoder's in-place LIS
-    /// bookkeeping: still-insignificant sets are compacted to the front of
-    /// their bucket instead of being drained into a fresh vector, so the
-    /// bucket storage is allocated once and reused across planes. Sets
-    /// created by splits always land in deeper buckets, which this pass
-    /// has already finished, so in-place mutation never aliases the
-    /// iteration.
-    ///
-    /// Insignificance bits come in runs (the encoder emits them through
-    /// `put_zeros`); `count_zero_run` consumes each run through the refill
-    /// register in bulk and the corresponding sets are retained with one
-    /// `copy_within`, instead of one `get_bit` + one element move per set.
-    fn sorting_pass(&mut self, n: u32) -> Result<(), Stop> {
-        for lvl in (0..self.lis.len()).rev() {
-            let len = self.lis[lvl].len();
-            let mut write = 0usize;
-            let mut read = 0usize;
-            while read < len {
-                let run = self.input.count_zero_run(len - read);
-                if run > 0 {
-                    // A run of 0 bits retains a run of sets unchanged.
-                    self.lis[lvl].copy_within(read..read + run, write);
-                    write += run;
-                    read += run;
-                    if read == len {
-                        break;
-                    }
-                }
-                // The run stopped short of `len - read` zeros: the next
-                // bit is a 1, or the stream is exhausted.
-                let keep_or_err = match self.input.get_bit() {
-                    Err(_) => Err(Stop),
-                    Ok(false) => Ok(true), // unreachable after count_zero_run
-                    Ok(true) => {
-                        let set = self.lis[lvl][read];
-                        self.process_significant(set, n).map(|()| false)
-                    }
-                };
-                match keep_or_err {
-                    Ok(true) => {
-                        self.lis[lvl][write] = self.lis[lvl][read];
-                        write += 1;
-                        read += 1;
-                    }
-                    Ok(false) => {
-                        read += 1;
-                    }
-                    Err(stop) => {
-                        // Keep the unprocessed remainder so state stays sane
-                        // (reconstruction happens right after a Stop anyway).
-                        // The set being processed when the stream ran out is
-                        // dropped, matching the historical take-and-repush
-                        // behavior.
-                        self.lis[lvl].copy_within(read + 1..len, write);
-                        let kept = write + (len - read - 1);
-                        self.lis[lvl].truncate(kept);
-                        return Err(stop);
-                    }
-                }
-            }
-            self.lis[lvl].truncate(write);
-        }
-        Ok(())
-    }
-
-    /// Handles a set whose significance bit was 1: a pixel records its
-    /// sign and magnitude, a cuboid splits.
-    fn process_significant(&mut self, set: SetS<D>, n: u32) -> Result<(), Stop> {
-        if set.is_pixel() {
-            let idx = set.pixel_index(self.dims);
-            let negative = self.read_bit()?;
-            self.lsp_new.push(NewPoint { idx: idx as u32, negative, plane: n as u8 });
-            Ok(())
-        } else {
-            self.code_s(&set, n)
+    for child in (cell << D)..(cell << D) + (1 << D) {
+        if input.get_bit()? {
+            split_morton::<D>(input, buckets, lsp, j - 1, child)?;
+        } else if let Some(bucket) = buckets.get_mut(j - 1) {
+            bucket.push(child);
         }
     }
-
-    fn process_s(&mut self, set: SetS<D>, n: u32) -> Result<(), Stop> {
-        let sig = self.read_bit()?;
-        if sig {
-            self.process_significant(set, n)
-        } else {
-            self.push_lis(set);
-            Ok(())
-        }
-    }
-
-    fn code_s(&mut self, set: &SetS<D>, n: u32) -> Result<(), Stop> {
-        let mut children = [*set; 8];
-        let mut count = 0usize;
-        set.split(|c| {
-            children[count] = c;
-            count += 1;
-        });
-        for child in children.iter().take(count) {
-            self.process_s(*child, n)?;
-        }
-        Ok(())
-    }
-
-    /// One refinement pass at plane `n`: bits are consumed up to 64 at a
-    /// time through the reader's refill register and applied to the LSP's
-    /// parallel magnitude array with sequential writes, mirroring the
-    /// encoder's word-packed emission. A truncated stream applies exactly
-    /// the bits that exist (the reader's remaining budget is checked up
-    /// front per word) and then stops, matching the bit-at-a-time
-    /// behavior: entries past the cut keep their previous uncertainty.
-    fn refinement_pass(&mut self, n: u32) -> Result<(), Stop> {
-        let len = self.lsp_val.len();
-        let mut i = 0usize;
-        while i < len {
-            let want = (len - i).min(64);
-            let avail = self.input.remaining_bits().min(want);
-            if avail > 0 {
-                let word = self.input.get_bits(avail as u32).map_err(|_| Stop)?;
-                sperr_simd::apply_plane_bits(
-                    &mut self.lsp_val[i..],
-                    &mut self.lsp_unc[i..],
-                    word,
-                    avail,
-                    n,
-                );
-                i += avail;
-            }
-            if avail < want {
-                return Err(Stop);
-            }
-        }
-        for p in std::mem::take(&mut self.lsp_new) {
-            self.lsp_idx.push(p.idx);
-            self.lsp_val.push(1u64 << p.plane);
-            self.lsp_unc.push(p.plane);
-            self.lsp_neg.push(p.negative);
-        }
-        Ok(())
-    }
-
-    /// Mid-riser reconstruction: a coefficient whose bits below plane
-    /// `uncert` are unknown lies in `[val·q, (val + 2^uncert)·q)`;
-    /// reconstruct at the interval centre. Undiscovered coefficients stay
-    /// 0. This is the only place the full grid is written — one pass,
-    /// one scatter per discovered coefficient.
-    fn reconstruct<T: Float>(&self, q: f64, n_total: usize) -> Vec<T> {
-        let qt = T::from_f64(q);
-        let mut out = vec![T::ZERO; n_total];
-        let place = |out: &mut [T], idx: u32, val: u64, unc: u8, neg: bool| {
-            let mag = (T::from_u64_lossy(val) + T::HALF * T::from_u64_lossy(1u64 << unc)) * qt;
-            if let Some(slot) = out.get_mut(idx as usize) {
-                *slot = if neg { -mag } else { mag };
-            }
-        };
-        for i in 0..self.lsp_idx.len() {
-            place(&mut out, self.lsp_idx[i], self.lsp_val[i], self.lsp_unc[i], self.lsp_neg[i]);
-        }
-        // Points discovered in a pass the stream ran out of were never
-        // merged into the LSP; they still reconstruct (at their discovery
-        // magnitude), exactly as when the grid was written at discovery.
-        for p in &self.lsp_new {
-            place(&mut out, p.idx, 1u64 << p.plane, p.plane, p.negative);
-        }
-        out
-    }
+    Ok(())
 }
 
 /// Decodes a SPECK stream produced by [`crate::encode`] with the same
@@ -285,6 +181,19 @@ pub fn decode<T: Float, const D: usize>(
     dims: [usize; D],
     q: f64,
     num_planes: u8,
+) -> Result<Vec<T>, DecodeError> {
+    decode_with(stream, dims, q, num_planes, morton::applicable(dims))
+}
+
+/// [`decode`] with the front end chosen by the caller: `use_morton` must
+/// imply `morton::applicable(dims)`; the generic front end takes any shape
+/// (which is what makes it the Morton one's oracle).
+pub(crate) fn decode_with<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+    use_morton: bool,
 ) -> Result<Vec<T>, DecodeError> {
     if !(q > 0.0) || !q.is_finite() {
         return Err(DecodeError::Corrupt("quantization step must be positive and finite"));
@@ -309,24 +218,32 @@ pub fn decode<T: Float, const D: usize>(
         // (and the degenerate root set would recurse on garbage bits).
         return Err(DecodeError::Corrupt("coded planes over an empty domain"));
     }
-    let mut dec = Decoder {
-        dims,
-        lis: vec![vec![SetS::root(dims)]],
-        lsp_idx: Vec::new(),
-        lsp_val: Vec::new(),
-        lsp_unc: Vec::new(),
-        lsp_neg: Vec::new(),
-        lsp_new: Vec::new(),
-        input: BitReader::new(stream),
-    };
-    'planes: for n in (0..num_planes as u32).rev() {
-        let _plane = sperr_telemetry::span!("speck.decode.plane", n);
-        if dec.sorting_pass(n).is_err() {
-            break 'planes;
-        }
-        if dec.refinement_pass(n).is_err() {
-            break 'planes;
-        }
+    let mut input = BitReader::new(stream);
+    let mut lsp = DeferredLsp::default();
+    if use_morton {
+        let k = dims[0].trailing_zeros() as usize;
+        let mut buckets = vec![Vec::new(); k + 1];
+        buckets[k].push(0u32);
+        lsp.decode_planes(&mut input, num_planes, |input, lsp| {
+            (0..=k).try_for_each(|j| {
+                scan_bucket(input, &mut buckets, j, |input, buckets, cell| {
+                    split_morton::<D>(input, buckets, lsp, j, cell)
+                })
+            })
+        });
+        drop(buckets);
+        let layout = MortonLayout::new::<D>(dims[0]);
+        Ok(lsp.reconstruct(stream, q, n_total, num_planes, |cell| layout.demorton(cell)))
+    } else {
+        let mut lis = vec![vec![SetS::root(dims)]];
+        lsp.decode_planes(&mut input, num_planes, |input, lsp| {
+            (0..lis.len()).rev().try_for_each(|lvl| {
+                scan_bucket(input, &mut lis, lvl, |input, lis, set| {
+                    split_generic(input, lis, lsp, dims, set)
+                })
+            })
+        });
+        drop(lis);
+        Ok(lsp.reconstruct(stream, q, n_total, num_planes, |idx| idx))
     }
-    Ok(dec.reconstruct(q, n_total))
 }

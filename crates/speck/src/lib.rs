@@ -41,6 +41,7 @@
 
 mod coder;
 mod decoder;
+mod lsp_decode;
 mod morton;
 mod pyramid;
 pub mod reference;
@@ -205,6 +206,59 @@ mod tests {
         let dims = [4usize, 4];
         let rec: Vec<f64> = decode(&[], dims, 1.0, 5).unwrap();
         assert_eq!(rec, vec![0.0; 16]);
+    }
+
+    #[test]
+    fn cut_between_significance_and_sign_drops_the_pixel() {
+        // Hand-built streams whose last pixel's significance bit is bit 7
+        // and whose sign bit is bit 8: a one-byte prefix must drop the
+        // pixel (both front ends, as the bit-at-a-time decoder always
+        // did), the second byte brings it back at its discovery magnitude.
+        // 2x2, 4 planes: root insignificant on planes 3..1 (bits 0-2);
+        // plane 0: root 1, children 0 0 0 1 (bits 3-7), sign (bit 8).
+        for dec in [decode::<f64, 2>, reference::decode::<f64, 2>] {
+            assert_eq!(dec(&[0x88], [2, 2], 1.0, 4).unwrap(), vec![0.0; 4]);
+            assert_eq!(dec(&[0x88, 1], [2, 2], 1.0, 4).unwrap(), vec![0.0, 0.0, 0.0, -1.5]);
+        }
+        // A 3-vector (generic front end only), 6 planes: root insignificant
+        // on planes 5..1 (bits 0-4); plane 0: root 1, left half 0, right
+        // pixel 1 (bits 5-7), sign (bit 8).
+        assert_eq!(decode::<f64, 1>(&[0xA0], [3], 1.0, 6).unwrap(), vec![0.0; 3]);
+        assert_eq!(decode::<f64, 1>(&[0xA0, 1], [3], 1.0, 6).unwrap(), vec![0.0, 0.0, -1.5]);
+    }
+
+    #[test]
+    fn partial_last_refinement_segment_keeps_present_bits_only() {
+        // 2-vector, 3 planes. Plane 2: root 1, pixel0 1 +, pixel1 1 -
+        // (bits 0-4: 1 1 0 1 1). Plane 1: no sets left; refinement bits for
+        // both pixels (bits 5-6: 1 0). Plane 0: refinement bits 7-8: 1 1.
+        // One byte holds plane 0's first refinement bit only: pixel 0 is
+        // refined down to plane 0 (4+2+1 = 7 -> 7.5), pixel 1 stays at
+        // plane 1 (4 -> 4 + 1 = 5).
+        let bytes = [0b1011_1011u8, 0b1];
+        for dec in [decode::<f64, 1>, reference::decode::<f64, 1>] {
+            assert_eq!(dec(&bytes[..1], [2], 1.0, 3).unwrap(), vec![7.5, -5.0]);
+            assert_eq!(dec(&bytes, [2], 1.0, 3).unwrap(), vec![7.5, -5.5]);
+        }
+    }
+
+    #[test]
+    fn wide_magnitudes_take_the_64_plane_transpose() {
+        // > 32 planes: magnitudes past u32, cube and non-cube shapes, all
+        // three decoders agree with the encode-side reconstruction.
+        let coeffs: Vec<f64> =
+            (0..512).map(|i| ((i * 7919) % 1021) as f64 * 1.0e9 - 4.0e11).collect();
+        let q = 1.0e-3;
+        for dims in [[8usize, 8, 8], [16, 8, 4]] {
+            let enc = encode(&coeffs, dims, q, Termination::Quality);
+            assert!(enc.num_planes > 32, "planes {}", enc.num_planes);
+            let want = reconstruct_quantized(&coeffs, q);
+            assert_eq!(decode::<f64, 3>(&enc.stream, dims, q, enc.num_planes).unwrap(), want);
+            assert_eq!(
+                reference::decode::<f64, 3>(&enc.stream, dims, q, enc.num_planes).unwrap(),
+                want
+            );
+        }
     }
 
     #[test]

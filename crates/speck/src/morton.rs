@@ -59,7 +59,7 @@ pub(crate) fn applicable<const D: usize>(dims: [usize; D]) -> bool {
 /// `idx = Σ_g  L[(m >> g·GB) & (2^GB - 1)] << (g·B)`.
 /// `B` is chosen so the table stays one-or-two-cache-lines hot
 /// (`2^GB <= 512` entries).
-struct MortonLayout {
+pub(crate) struct MortonLayout {
     lut: Vec<u32>,
     /// Morton bits per group (`D · bits_per_axis_per_group`).
     group_bits: u32,
@@ -69,7 +69,7 @@ struct MortonLayout {
 }
 
 impl MortonLayout {
-    fn new<const D: usize>(side: usize) -> Self {
+    pub(crate) fn new<const D: usize>(side: usize) -> Self {
         debug_assert!(side.is_power_of_two() && side >= 2 && D >= 1);
         let k = side.trailing_zeros();
         // 9 Morton bits per group for D ∈ {1, 3}, 8 for D = 2.
@@ -97,7 +97,7 @@ impl MortonLayout {
 
     /// Row-major index of Morton index `m`.
     #[inline]
-    fn demorton(&self, m: u32) -> u32 {
+    pub(crate) fn demorton(&self, m: u32) -> u32 {
         let mask = (1u32 << self.group_bits) - 1;
         let mut idx = 0u32;
         for g in 0..self.groups {

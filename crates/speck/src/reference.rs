@@ -1,7 +1,8 @@
 //! The pre-overhaul SPECK encoder, kept verbatim as a differential
-//! oracle (mirroring `wavelet::reference` for the lifting scheme).
+//! oracle (mirroring `wavelet::reference` for the lifting scheme), and
+//! the decoder's oracle entry point, [`decode`].
 //!
-//! This implementation does everything the slow, obviously-correct way:
+//! The encoder here does everything the slow, obviously-correct way:
 //! one [`BitWriter::put_bit`] per output bit with a per-bit budget check,
 //! a [`MaxPyramid::region_max`] query per significance test, and
 //! take-and-rebuild LIS buckets. The production [`crate::encode`] must
@@ -10,6 +11,7 @@
 //! enforce this. Do not optimize this file; its value is being boring.
 
 use crate::coder::{quantize_all, EncodedSpeck, Termination};
+use crate::decoder::DecodeError;
 use crate::pyramid::MaxPyramid;
 use crate::set::SetS;
 use sperr_bitstream::BitWriter;
@@ -187,4 +189,18 @@ pub fn encode<T: Float, const D: usize>(
         num_planes,
         bits_used,
     }
+}
+
+/// Decodes exactly like [`crate::decode`] but always through the generic
+/// cuboid front end, whatever the shape — on power-of-two cubes, where
+/// [`crate::decode`] takes the Morton front end, the two must return
+/// bit-identical reconstructions for every stream and every prefix of it.
+/// Differential-oracle use only.
+pub fn decode<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+) -> Result<Vec<T>, DecodeError> {
+    crate::decoder::decode_with(stream, dims, q, num_planes, false)
 }

@@ -11,6 +11,96 @@ fn field_strategy() -> impl Strategy<Value = (Vec<f64>, [usize; 3])> {
     })
 }
 
+/// A `2^k`-sided `D`-cube worth of coefficients, described by seeds so one
+/// strategy serves every `D`: at most `nnz` non-zero entries (large cubes
+/// stay sparse so their streams are short enough to sweep every prefix),
+/// magnitudes log-uniform over `2^0..2^mag_bits` so a fine `q` reaches
+/// the > 32-plane wide path.
+fn cube_field(n: usize, seed: u64, mag_bits: u32) -> Vec<f64> {
+    let nnz = if n > 4096 { 4 } else { n.min(40) };
+    let mut state = seed | 1;
+    let mut next = || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut field = vec![0.0f64; n];
+    for _ in 0..nnz {
+        let at = next() as usize % n;
+        let mag = (1u64 << (next() % mag_bits as u64)) as f64 * (1.0 + (next() % 1000) as f64 / 1000.0);
+        field[at] = if next() & 1 == 1 { -mag } else { mag };
+    }
+    field
+}
+
+/// Morton front end ([`decode`] on a power-of-two cube) vs the generic
+/// cuboid front end ([`sperr_speck::reference::decode`]): bit-identical
+/// output at every byte prefix, for the stream's own plane count and an
+/// arbitrary one.
+fn front_ends_agree<T: sperr_simd::Float, const D: usize>(
+    coeffs: &[T],
+    side: usize,
+    q: f64,
+    budget_frac: f64,
+    planes: u8,
+) -> Result<(), TestCaseError> {
+    let dims = [side; D];
+    let full = encode(coeffs, dims, q, Termination::Quality);
+    let budget = (full.bits_used as f64 * budget_frac) as usize;
+    let cut = encode(coeffs, dims, q, Termination::BitBudget(budget));
+    for enc in [&full, &cut] {
+        for len in 0..=enc.stream.len() {
+            for np in [enc.num_planes, planes] {
+                let morton = decode::<T, D>(&enc.stream[..len], dims, q, np);
+                let generic = sperr_speck::reference::decode::<T, D>(&enc.stream[..len], dims, q, np);
+                match (morton, generic) {
+                    (Ok(m), Ok(g)) => {
+                        let same = m.len() == g.len()
+                            && m.iter().zip(&g).all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits());
+                        prop_assert!(same, "D={} side={} len={} np={}", D, side, len, np);
+                    }
+                    (m, g) => prop_assert!(m.is_err() && g.is_err(), "Ok/Err split at len={}", len),
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn morton_and_generic_front_ends_decode_identically(
+        (d, k) in (1usize..=3, 1u32..=6),
+        seed in any::<u64>(),
+        mag_bits in 1u32..=50,
+        q_exp in -12i32..=4,
+        budget_frac in 0.0f64..1.0,
+        planes in 1u8..=64,
+    ) {
+        let side = 1usize << k;
+        let q = 2f64.powi(q_exp) * 1.37;
+        let field = cube_field(side.pow(d as u32), seed, mag_bits);
+        let field32: Vec<f32> = field.iter().map(|&v| v as f32).collect();
+        match d {
+            1 => {
+                front_ends_agree::<f64, 1>(&field, side, q, budget_frac, planes)?;
+                front_ends_agree::<f32, 1>(&field32, side, q, budget_frac, planes)?;
+            }
+            2 => {
+                front_ends_agree::<f64, 2>(&field, side, q, budget_frac, planes)?;
+                front_ends_agree::<f32, 2>(&field32, side, q, budget_frac, planes)?;
+            }
+            _ => {
+                front_ends_agree::<f64, 3>(&field, side, q, budget_frac, planes)?;
+                front_ends_agree::<f32, 3>(&field32, side, q, budget_frac, planes)?;
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

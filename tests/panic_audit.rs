@@ -15,6 +15,7 @@ const AUDITED_FILES: &[&str] = &[
     "crates/bitstream/src/reader.rs",
     "crates/bitstream/src/byteio.rs",
     "crates/speck/src/decoder.rs",
+    "crates/speck/src/lsp_decode.rs",
     "crates/outlier/src/decoder.rs",
     // The whole decode side of the lossless crate: stream framing and
     // block directory, block inflate, Huffman table build + decode.
