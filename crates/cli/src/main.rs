@@ -1388,6 +1388,36 @@ mod tests {
     }
 
     #[test]
+    fn level_no_chunk_has_is_a_typed_error_not_a_shift_overflow() {
+        let dir = std::env::temp_dir().join("sperr_cli_level_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("x.raw");
+        let packed = dir.join("x.sperr");
+        let coarse = dir.join("coarse.raw");
+        run(&w(&["gen", "--field", "s3d-ch4", "--dims", "32,32,16", "--output",
+                 raw.to_str().unwrap(), "--type", "f64", "--quiet"]))
+            .unwrap();
+        run(&w(&["compress", "--input", raw.to_str().unwrap(), "--output",
+                 packed.to_str().unwrap(), "--dims", "32,32,16", "--type", "f64",
+                 "--pwe", "1e-3", "--chunk", "16,16,16", "--quiet"]))
+            .unwrap();
+        let decompress_at = |level: &str| {
+            run(&w(&["decompress", "--input", packed.to_str().unwrap(), "--output",
+                     coarse.to_str().unwrap(), "--type", "f64", "--level", level, "--quiet"]))
+        };
+        decompress_at("1").unwrap();
+        assert_eq!(std::fs::metadata(&coarse).unwrap().len(), 16 * 16 * 8 * 8);
+        // 64 used to overflow `1 << level` (a panic in debug builds, a
+        // level-mod-64-dependent message in release); exit code 3.
+        for level in ["64", "65", "18446744073709551615"] {
+            let err = decompress_at(level).unwrap_err();
+            assert!(matches!(&err, CliError::Compress(CompressError::Invalid(_))), "{err:?}");
+            assert_eq!(exit_code(&err), 3);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn region_preview_and_level_are_mutually_exclusive() {
         let combos: &[&[&str]] = &[
             &["--region", "0:4,0:4,0:4", "--level", "1"],

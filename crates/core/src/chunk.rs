@@ -3,6 +3,8 @@
 //! need not divide the volume dimensions — boundary chunks are simply
 //! smaller.
 
+use sperr_simd::Float;
+
 /// One chunk: offset and extent within the full volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSpec {
@@ -79,21 +81,28 @@ pub fn extract_chunk_into<T: Copy>(
     }
 }
 
-/// Writes a dense chunk buffer back into the row-major volume.
-pub fn insert_chunk<T: Copy>(
-    volume: &mut [T],
-    volume_dims: [usize; 3],
-    spec: &ChunkSpec,
-    chunk: &[T],
+/// Copies the box of `extent` samples at `src_lo` of the row-major volume
+/// `src` (of `src_dims`) to `dst_lo` of the row-major volume `dst` (of
+/// `dst_dims`), widening exactly where the destination is the wider type.
+/// The one assembly step of every decode: a whole chunk into the volume,
+/// a chunk's intersection into a region, a chunk's coarse corner into a
+/// coarse volume.
+pub(crate) fn copy_box<S: Float, D: Float>(
+    src: &[S],
+    src_dims: [usize; 3],
+    src_lo: [usize; 3],
+    extent: [usize; 3],
+    dst: &mut [D],
+    dst_dims: [usize; 3],
+    dst_lo: [usize; 3],
 ) {
-    debug_assert_eq!(chunk.len(), spec.len());
-    for z in 0..spec.dims[2] {
-        for y in 0..spec.dims[1] {
-            let row_start = spec.offset[0]
-                + volume_dims[0] * ((spec.offset[1] + y) + volume_dims[1] * (spec.offset[2] + z));
-            let src = spec.dims[0] * (y + spec.dims[1] * z);
-            volume[row_start..row_start + spec.dims[0]]
-                .copy_from_slice(&chunk[src..src + spec.dims[0]]);
+    for z in 0..extent[2] {
+        for y in 0..extent[1] {
+            let s = src_lo[0] + src_dims[0] * ((src_lo[1] + y) + src_dims[1] * (src_lo[2] + z));
+            let d = dst_lo[0] + dst_dims[0] * ((dst_lo[1] + y) + dst_dims[1] * (dst_lo[2] + z));
+            for (out, &v) in dst[d..d + extent[0]].iter_mut().zip(&src[s..s + extent[0]]) {
+                *out = D::from_f64(v.to_f64());
+            }
         }
     }
 }
@@ -129,15 +138,30 @@ mod tests {
     }
 
     #[test]
-    fn extract_insert_roundtrip() {
+    fn extract_copy_box_roundtrip() {
         let dims = [7usize, 5, 4];
         let volume: Vec<f64> = (0..140).map(|i| i as f64).collect();
         let mut rebuilt = vec![0.0; 140];
         for spec in chunk_grid(dims, [3, 2, 3]) {
             let chunk = extract_chunk(&volume, dims, &spec);
-            insert_chunk(&mut rebuilt, dims, &spec, &chunk);
+            copy_box(&chunk, spec.dims, [0; 3], spec.dims, &mut rebuilt, dims, spec.offset);
         }
         assert_eq!(volume, rebuilt);
+    }
+
+    #[test]
+    fn copy_box_moves_a_sub_box_and_widens_exactly() {
+        // A 2×2×1 box from the middle of a 4×3×2 f32 volume to the far
+        // corner of a 3×3×2 f64 volume; everything else stays untouched.
+        let src: Vec<f32> = (0..24).map(|i| i as f32 + 0.1).collect();
+        let mut dst = vec![-1.0f64; 18];
+        copy_box(&src, [4, 3, 2], [1, 1, 1], [2, 2, 1], &mut dst, [3, 3, 2], [1, 1, 1]);
+        for (i, &v) in dst.iter().enumerate() {
+            let (x, y, z) = (i % 3, (i / 3) % 3, i / 9);
+            let inside = x >= 1 && y >= 1 && z == 1;
+            let want = if inside { src[x + 4 * (y + 3 * z)] as f64 } else { -1.0 };
+            assert_eq!(v.to_bits(), want.to_bits(), "at {x},{y},{z}");
+        }
     }
 
     #[test]

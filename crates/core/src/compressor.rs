@@ -1,19 +1,20 @@
 //! The top-level SPERR compressor: chunking, the embarrassingly parallel
-//! driver (§III-D), container assembly and the lossless post-pass (§V).
+//! compress driver (§III-D), container assembly and the lossless post-pass
+//! (§V) — and every in-memory read, each a thin wrapper that builds a task
+//! list for the decode plan ([`crate::decode`]), runs it and folds the
+//! results.
 
-use crate::chunk::{chunk_grid, extract_chunk_into, insert_chunk, ChunkSpec};
+use crate::chunk::{chunk_grid, extract_chunk_into, ChunkSpec};
 use crate::container::{
-    read_container, write_container, ChunkEntry, ChunkIndexEntry, Header, Mode, VERSION,
-    VERSION_V2,
+    write_container, ChunkIndexEntry, Header, Mode, VERSION, VERSION_V1, VERSION_V2,
 };
-use crate::crc32::crc32;
-use crate::outer::{unwrap_outer, wrap_outer, Framed};
+use crate::decode::{strict, ChunkTask, Head, Opened};
+use crate::outer::{wrap_outer, Framed};
 use crate::pipeline::{
-    compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, decompress_chunk,
-    decompress_chunk_multires, decompress_chunk_region_with, decompress_chunk_with, ChunkEncoding,
-    DecodeArenas, ScratchArena,
+    compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, ChunkEncoding,
+    ScratchArena,
 };
-use crate::pool::{PerWorker, WorkerPool};
+use crate::pool::WorkerPool;
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
 use sperr_simd::Float;
@@ -23,6 +24,30 @@ use sperr_wavelet::{Kernel, PANEL_W};
 /// Amortized per-chunk container overhead charged against the bit budget
 /// in size-bounded mode (chunk-table entry + share of the header).
 pub(crate) const PER_CHUNK_HEADER_BITS: usize = 26 * 8;
+
+/// Bytes of a chunk's SPECK stream a `bpp` bits-per-point target keeps:
+/// the chunk's share of the rate minus the per-chunk container overhead.
+/// One formula for [`Sperr::decode_at_bpp`] and
+/// [`Sperr::transcode_to_bpp`], so the preview is bit-identical to
+/// decoding the transcoded stream.
+fn preview_budget_bytes(bpp: f64, spec: &ChunkSpec) -> usize {
+    ((bpp * spec.len() as f64) as usize / 8).saturating_sub(PER_CHUNK_HEADER_BITS / 8)
+}
+
+/// Checks a bound's value and names the termination mode it selects.
+pub(crate) fn validate_bound(bound: Bound) -> Result<(Mode, f64), CompressError> {
+    let (mode, value, what) = match bound {
+        Bound::Pwe(t) => (Mode::Pwe, t, "tolerance"),
+        Bound::Bpp(r) => (Mode::Bpp, r, "bitrate"),
+        // §VII extension: average-error-targeted compression via the
+        // near-orthogonality of the transform.
+        Bound::Psnr(p) => (Mode::Rmse, p, "PSNR target"),
+    };
+    if !(value > 0.0) || !value.is_finite() {
+        return Err(CompressError::Invalid(format!("invalid {what} {value}")));
+    }
+    Ok((mode, value))
+}
 
 /// Configuration for [`Sperr`].
 #[derive(Debug, Clone)]
@@ -77,6 +102,105 @@ pub struct Sperr {
     config: SperrConfig,
 }
 
+/// What the two compress drivers share around their chunk scheduling: the
+/// termination mode resolved once per call, the per-chunk encode it
+/// selects, and the sealing of the encoded chunks into the final stream.
+pub(crate) struct CompressRun<'a> {
+    config: &'a SperrConfig,
+    mode: Mode,
+    bound_value: f64,
+    /// RMSE each chunk targets in [`Mode::Rmse`]; needs the whole field's
+    /// range, so the in-memory driver fills it in.
+    rmse_target: f64,
+}
+
+impl CompressRun<'_> {
+    /// Compresses one chunk under the run's termination mode.
+    pub(crate) fn encode_chunk<T: Float>(
+        &self,
+        data: &[T],
+        spec: &ChunkSpec,
+        pool: &WorkerPool,
+        arena: &mut ScratchArena<T>,
+    ) -> ChunkEncoding {
+        let SperrConfig { q_factor, kernel, .. } = *self.config;
+        match self.mode {
+            Mode::Pwe => compress_chunk_pwe_with(
+                data, spec.dims, self.bound_value, q_factor, kernel, pool, arena,
+            ),
+            Mode::Bpp => {
+                // Per-chunk bit budget: the raw target minus the amortized
+                // chunk-table overhead, so the final container lands at or
+                // under the requested rate.
+                let budget = ((self.bound_value * spec.len() as f64) as usize)
+                    .saturating_sub(PER_CHUNK_HEADER_BITS);
+                compress_chunk_bpp_with(data, spec.dims, budget, kernel, pool, arena)
+            }
+            Mode::Rmse => {
+                compress_chunk_rmse_with(data, spec.dims, self.rmse_target, kernel, pool, arena)
+            }
+        }
+    }
+
+    /// Seals the encoded chunks of a `dims` volume into the final stream:
+    /// folds their accounting into the run's statistics, writes the
+    /// container and frames it, the lossless pass (when on) running its
+    /// blocks on `pool`. The sample type `T` the chunks were encoded from
+    /// selects the payload-width tag.
+    pub(crate) fn seal_container<T: Float>(
+        &self,
+        dims: [usize; 3],
+        precision: Precision,
+        encoded: &[ChunkEncoding],
+        pool: &WorkerPool,
+    ) -> (Vec<u8>, CompressionStats) {
+        let cfg = self.config;
+        let mut stats = CompressionStats {
+            num_points: dims.iter().product(),
+            num_chunks: encoded.len(),
+            ..CompressionStats::default()
+        };
+        for enc in encoded {
+            sperr_telemetry::record_bytes(
+                metric_labels::SIZE_CHUNK_SPECK,
+                enc.speck_stream.len() as u64,
+            );
+            stats.speck_bits += enc.speck_bits;
+            stats.outlier_bits += enc.outlier_bits;
+            stats.num_outliers += enc.num_outliers as usize;
+            stats.stage_times.accumulate(&enc.times);
+            stats.coeff_sq_error += enc.coeff_sq_error;
+        }
+        let header = Header {
+            mode: self.mode,
+            kernel: cfg.kernel,
+            precision,
+            native_f32: T::BYTES == 4,
+            dims,
+            chunk_dims: cfg.chunk_dims,
+            bound_value: self.bound_value,
+            n_chunks: encoded.len(),
+        };
+        let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
+            write_container(&header, encoded, cfg.container_version)
+        });
+        stats.container_bytes = container.len();
+        stats.stage_times.container = container_time;
+
+        let out = if cfg.lossless {
+            let (out, lossless_time) =
+                timed(stage_labels::LOSSLESS_COMPRESS, || wrap_outer(&container, true, pool));
+            stats.stage_times.lossless = lossless_time;
+            out
+        } else {
+            wrap_outer(&container, false, pool)
+        };
+        stats.output_bytes = out.len();
+        sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
+        (out, stats)
+    }
+}
+
 impl Sperr {
     /// Creates a compressor with the given configuration.
     pub fn new(config: SperrConfig) -> Self {
@@ -101,7 +225,10 @@ impl Sperr {
     /// parallelism — but bounded by those inner job counts, so a tiny
     /// volume on a many-core machine does not spawn workers that
     /// outnumber the jobs they would run.
-    pub(crate) fn effective_threads(&self, chunks: &[ChunkSpec]) -> usize {
+    pub(crate) fn effective_threads<'a>(
+        &self,
+        chunks: impl IntoIterator<Item = &'a ChunkSpec>,
+    ) -> usize {
         let t = if self.config.num_threads == 0 {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
         } else {
@@ -112,12 +239,10 @@ impl Sperr {
         // strided-pass job count of the largest chunk (lines along the
         // non-transformed axis × panels along x; see `apply_axis_blocked`
         // in `sperr-wavelet`).
-        let panel_jobs = chunks
-            .iter()
-            .map(|c| c.dims[1].max(c.dims[2]) * c.dims[0].div_ceil(PANEL_W))
-            .max()
-            .unwrap_or(1);
-        t.min(chunks.len().max(panel_jobs)).max(1)
+        let (n_chunks, panel_jobs) = chunks.into_iter().fold((0, 0), |(n, jobs), c| {
+            (n + 1, jobs.max(c.dims[1].max(c.dims[2]) * c.dims[0].div_ceil(PANEL_W)))
+        });
+        t.min(n_chunks.max(panel_jobs)).max(1)
     }
 
     /// The worker-pool size a run over a volume of `dims` would actually
@@ -141,7 +266,7 @@ impl Sperr {
         field: &Field,
         bound: Bound,
     ) -> Result<(Vec<u8>, CompressionStats), CompressError> {
-        self.compress_impl(field, bound, false)
+        self.compress_impl(field, bound)
     }
 
     /// Compresses an `f32` field through the f32-native pipeline: every
@@ -163,161 +288,67 @@ impl Sperr {
         field: &FieldOf<f32>,
         bound: Bound,
     ) -> Result<(Vec<u8>, CompressionStats), CompressError> {
-        self.compress_impl(field, bound, true)
+        self.compress_impl(field, bound)
+    }
+
+    /// Validates `bound` and resolves it, with the configuration, into the
+    /// per-call state both compress drivers work from.
+    pub(crate) fn compress_run(&self, bound: Bound) -> Result<CompressRun<'_>, CompressError> {
+        let (mode, bound_value) = validate_bound(bound)?;
+        Ok(CompressRun { config: &self.config, mode, bound_value, rmse_target: 0.0 })
     }
 
     /// The width-generic compression driver behind both public surfaces.
-    /// `native_f32` selects the wire precision tag; the chunk pipeline
+    /// The sample type selects the wire precision tag; the chunk pipeline
     /// itself is monomorphized over `T`, so the `f64` instantiation is
     /// bit-for-bit the pre-generic code path.
     fn compress_impl<T: Float>(
         &self,
         field: &FieldOf<T>,
         bound: Bound,
-        native_f32: bool,
     ) -> Result<(Vec<u8>, CompressionStats), CompressError> {
         if field.is_empty() {
             return Err(CompressError::Invalid("empty field".into()));
         }
+        let native_f32 = T::BYTES == 4;
         let _run = sperr_telemetry::span!("sperr.compress", field.len());
         let _op = sperr_telemetry::OpTimer::new(if native_f32 {
             metric_labels::OP_COMPRESS_F32
         } else {
             metric_labels::OP_COMPRESS_F64
         });
-        let chunks_spec = chunk_grid(field.dims, self.config.chunk_dims);
-        let (mode, bound_value) = match bound {
-            Bound::Pwe(t) => {
-                if !(t > 0.0) || !t.is_finite() {
-                    return Err(CompressError::Invalid(format!("invalid tolerance {t}")));
-                }
-                (Mode::Pwe, t)
-            }
-            Bound::Bpp(r) => {
-                if !(r > 0.0) || !r.is_finite() {
-                    return Err(CompressError::Invalid(format!("invalid bitrate {r}")));
-                }
-                (Mode::Bpp, r)
-            }
-            Bound::Psnr(p) => {
-                // §VII extension: average-error-targeted compression via
-                // the near-orthogonality of the transform.
-                if !(p > 0.0) || !p.is_finite() {
-                    return Err(CompressError::Invalid(format!("invalid PSNR target {p}")));
-                }
-                (Mode::Rmse, p)
-            }
-        };
-        // PSNR targets translate to an RMSE target over the whole field's
-        // range; a zero-range (constant) field quantizes relative to its
-        // magnitude.
-        let rmse_target = if let Mode::Rmse = mode {
+        let mut run = self.compress_run(bound)?;
+        if let Mode::Rmse = run.mode {
+            // PSNR targets translate to an RMSE target over the whole
+            // field's range; a zero-range (constant) field quantizes
+            // relative to its magnitude.
             let range = field.range();
-            if range > 0.0 {
-                range / 10f64.powf(bound_value / 20.0)
+            run.rmse_target = if range > 0.0 {
+                range / 10f64.powf(run.bound_value / 20.0)
             } else {
                 let max_abs = field.data.iter().fold(0.0f64, |m, &v| m.max(v.to_f64().abs()));
                 max_abs.max(1.0) * f64::exp2(-40.0)
-            }
-        } else {
-            0.0
-        };
-
-        // Per-chunk bit budget for size mode: the raw target minus the
-        // amortized chunk-table overhead, so the final container lands at
-        // or under the requested rate.
-        let per_chunk_header_bits = PER_CHUNK_HEADER_BITS;
-        let cfg = &self.config;
-        let q_factor = cfg.q_factor;
-        let kernel = cfg.kernel;
-        let volume_dims = field.dims;
-        let data = &field.data;
-
-        let n_chunks = chunks_spec.len();
-        let threads = self.effective_threads(&chunks_spec);
+            };
+        }
+        let grid = chunk_grid(field.dims, self.config.chunk_dims);
         // One pool for the whole call: the chunk encodes, then the blocks
         // of the lossless pass over the assembled container.
-        WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
-            let inputs = PerWorker::new(pool.threads(), Vec::new);
-            let encode_one = |i: usize, w: usize| {
-                // SAFETY: concurrent jobs see distinct worker slots (pool
-                // contract), so each arena/input buffer has one user.
-                let (arena, input) = unsafe { (arenas.get(w), inputs.get(w)) };
-                let spec = &chunks_spec[i];
-                extract_chunk_into(data, volume_dims, spec, input);
-                match mode {
-                    Mode::Pwe => compress_chunk_pwe_with(
-                        input, spec.dims, bound_value, q_factor, kernel, pool, arena,
-                    ),
-                    Mode::Bpp => {
-                        let budget = ((bound_value * spec.len() as f64) as usize)
-                            .saturating_sub(per_chunk_header_bits);
-                        compress_chunk_bpp_with(input, spec.dims, budget, kernel, pool, arena)
-                    }
-                    Mode::Rmse => {
-                        compress_chunk_rmse_with(input, spec.dims, rmse_target, kernel, pool, arena)
-                    }
-                }
-            };
-            let encoded = if n_chunks >= pool.threads() {
-                // Enough chunks to saturate the pool: parallelize the outer
-                // loop; each chunk's inner stages then run inline.
-                pool.map(n_chunks, |i, w| encode_one(i, w))
-            } else {
-                // Few chunks: serial outer loop so each chunk's wavelet
-                // panels and elementwise sweeps fan out across the pool.
-                (0..n_chunks).map(|i| encode_one(i, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
-            }
-
-            let mut stats = CompressionStats {
-                num_points: field.len(),
-                num_chunks: n_chunks,
-                ..CompressionStats::default()
-            };
-            for enc in &encoded {
-                sperr_telemetry::record_bytes(
-                    metric_labels::SIZE_CHUNK_SPECK,
-                    enc.speck_stream.len() as u64,
-                );
-                stats.speck_bits += enc.speck_bits;
-                stats.outlier_bits += enc.outlier_bits;
-                stats.num_outliers += enc.num_outliers as usize;
-                stats.stage_times.accumulate(&enc.times);
-                stats.coeff_sq_error += enc.coeff_sq_error;
-            }
-
-            let header = Header {
-                mode,
-                kernel,
-                precision: if native_f32 { Precision::Single } else { field.precision },
-                native_f32,
-                dims: field.dims,
-                chunk_dims: cfg.chunk_dims,
-                bound_value,
-                n_chunks,
-            };
-            let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
-                write_container(&header, &encoded, cfg.container_version)
+        WorkerPool::scoped(self.effective_threads(&grid), |pool| {
+            let scratch = || (ScratchArena::new(), Vec::new());
+            let (encoded, scratch) = pool.map_with_state(grid.len(), scratch, |i, (arena, input)| {
+                extract_chunk_into(&field.data, field.dims, &grid[i], input);
+                run.encode_chunk(input, &grid[i], pool, arena)
             });
-            stats.container_bytes = container.len();
-            stats.stage_times.container = container_time;
-
-            let out = if cfg.lossless {
-                let (out, lossless_time) =
-                    timed(stage_labels::LOSSLESS_COMPRESS, || wrap_outer(&container, true, pool));
-                stats.stage_times.lossless = lossless_time;
-                out
-            } else {
-                wrap_outer(&container, false, pool)
-            };
-            stats.output_bytes = out.len();
-            sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
-            Ok((out, stats))
+            let precision = if native_f32 { Precision::Single } else { field.precision };
+            let sealed = run.seal_container::<T>(field.dims, precision, &encoded, pool);
+            // Release order matters to the allocator: the encoded chunks,
+            // then the scratch, both only after sealing. Freed first, the
+            // scratch's chunk-sized buffers hand the top of the heap back to
+            // the OS just before the container and lossless buffers need it
+            // (2–3 × the page faults per call on a one-chunk volume).
+            drop(encoded);
+            scratch.into_values().for_each(|(arena, _)| arena.record_footprint());
+            Ok(sealed)
         })
     }
 
@@ -357,23 +388,12 @@ impl Sperr {
     /// v1 streams carry no checksums — the report says so via
     /// [`VerifyReport::checksummed`] and trivially lists no corruption.
     pub fn verify(&self, stream: &[u8]) -> Result<VerifyReport, CompressError> {
-        let (container, _) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        let mut corrupt_chunks = Vec::new();
-        if let Some(crcs) = &parsed.chunk_crcs {
-            let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-            for (i, (e, &start)) in parsed.entries.iter().zip(&offsets).enumerate() {
-                let payload = &container[start..start + e.speck_len + e.outlier_len];
-                if crc32(payload) != crcs[i] {
-                    corrupt_chunks.push(i);
-                }
-            }
-        }
+        let opened = Opened::whole(stream)?;
         Ok(VerifyReport {
-            version: parsed.version,
-            checksummed: parsed.chunk_crcs.is_some(),
-            n_chunks: parsed.header.n_chunks,
-            corrupt_chunks,
+            version: opened.version,
+            checksummed: opened.checksummed(),
+            n_chunks: opened.header.n_chunks,
+            corrupt_chunks: opened.corrupt_chunks().collect(),
         })
     }
 
@@ -389,66 +409,13 @@ impl Sperr {
         &self,
         stream: &[u8],
     ) -> Result<(Field, ResilientReport), CompressError> {
-        let (container, _) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        let chunks_spec = chunk_grid(parsed.header.dims, parsed.header.chunk_dims);
-        if chunks_spec.len() != parsed.entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let tolerance = match parsed.header.mode {
-            Mode::Pwe => parsed.header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let mut volume = vec![0.0f64; parsed.header.dims.iter().product()];
-        let mut statuses = Vec::with_capacity(parsed.entries.len());
-        for (i, (spec, e)) in chunks_spec.iter().zip(&parsed.entries).enumerate() {
-            let start = offsets[i];
-            let payload = &container[start..start + e.speck_len + e.outlier_len];
-            if let Some(crcs) = &parsed.chunk_crcs {
-                if crc32(payload) != crcs[i] {
-                    // Known-bad payload: don't even hand it to the coders.
-                    statuses.push(ChunkStatus::ChecksumMismatch);
-                    continue;
-                }
-            }
-            let (speck, outlier) = payload.split_at(e.speck_len);
-            // f32-native payloads decode at native width and widen exactly,
-            // matching the strict decoder's output for healthy chunks.
-            let result = if parsed.header.native_f32 {
-                decompress_chunk::<f32>(
-                    speck,
-                    outlier,
-                    spec.dims,
-                    e.q,
-                    e.num_planes,
-                    e.max_n,
-                    tolerance,
-                    parsed.header.kernel,
-                )
-                .map(|c| c.iter().map(|&v| v as f64).collect())
-            } else {
-                decompress_chunk::<f64>(
-                    speck,
-                    outlier,
-                    spec.dims,
-                    e.q,
-                    e.num_planes,
-                    e.max_n,
-                    tolerance,
-                    parsed.header.kernel,
-                )
-            };
-            match result {
-                Ok(chunk) => {
-                    insert_chunk(&mut volume, parsed.header.dims, spec, &chunk);
-                    statuses.push(ChunkStatus::Ok);
-                }
-                Err(e) => statuses.push(ChunkStatus::DecodeFailed(e)),
-            }
-        }
-        let field =
-            Field::new(parsed.header.dims, volume).with_precision(parsed.header.precision);
+        let opened = Opened::whole(stream)?;
+        let tasks = opened.all_tasks();
+        let results = opened.run(self, &tasks);
+        let dims = opened.header.dims;
+        let field = Field::new(dims, opened.assemble(&tasks, &results, [0; 3], dims))
+            .with_precision(opened.header.precision);
+        let statuses = results.into_iter().map(|(_, status, _)| status).collect();
         Ok((field, ResilientReport { statuses }))
     }
 
@@ -466,43 +433,10 @@ impl Sperr {
         if level == 0 {
             return self.decompress(stream);
         }
-        let (container, _) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let Header { dims, chunk_dims, kernel, precision, .. } = parsed.header;
-        let entries = parsed.entries;
-        let payload_start = parsed.payload_start;
-        let chunks_spec = chunk_grid(dims, chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let step = 1usize << level;
-        // Offsets are multiples of chunk_dims; they must stay aligned
-        // after coarsening (single-chunk streams are always fine).
-        if chunks_spec.len() > 1 && chunk_dims.iter().any(|&d| d % step != 0) {
-            return Err(CompressError::Invalid(format!(
-                "chunk dims {chunk_dims:?} not divisible by 2^{level}"
-            )));
-        }
-        // Coarse volume geometry: iterated ceil-halving == ceil(n / 2^l).
-        let cdims =
-            [dims[0].div_ceil(step), dims[1].div_ceil(step), dims[2].div_ceil(step)];
-        let mut volume = vec![0.0f64; cdims.iter().product()];
-        let mut cursor = payload_start;
-        for (spec, e) in chunks_spec.iter().zip(&entries) {
-            let speck = &container[cursor..cursor + e.speck_len];
-            cursor += e.speck_len + e.outlier_len;
-            let (chunk, chunk_cdims) =
-                decompress_chunk_multires(speck, spec.dims, e.q, e.num_planes, level, kernel)?;
-            let coffset = [spec.offset[0] / step, spec.offset[1] / step, spec.offset[2] / step];
-            insert_chunk(
-                &mut volume,
-                cdims,
-                &crate::chunk::ChunkSpec { offset: coffset, dims: chunk_cdims },
-                &chunk,
-            );
-        }
-        Ok(Field::new(cdims, volume).with_precision(precision))
+        let opened = Opened::strict(stream)?;
+        let (tasks, coarse_dims) = opened.coarse_tasks(level)?;
+        let (volume, _) = self.run_strict(&opened, &tasks, coarse_dims)?;
+        Ok(Field::new(coarse_dims, volume).with_precision(opened.header.precision))
     }
 
     /// Region-of-interest decompression: reconstructs only the sub-box
@@ -519,17 +453,8 @@ impl Sperr {
         hi: [usize; 3],
     ) -> Result<Field, CompressError> {
         let (field, report) = self.decode_region(stream, lo, hi)?;
-        for (&id, status) in report.chunk_ids.iter().zip(&report.statuses) {
-            match status {
-                ChunkStatus::Ok => {}
-                ChunkStatus::ChecksumMismatch => {
-                    return Err(CompressError::Corrupt(format!(
-                        "chunk {id} payload checksum mismatch"
-                    )))
-                }
-                ChunkStatus::DecodeFailed(e) => return Err(e.clone()),
-            }
-        }
+        let mut outcomes = report.chunk_ids.iter().zip(&report.statuses);
+        outcomes.try_for_each(|(&id, status)| status.to_result(id))?;
         Ok(field)
     }
 
@@ -571,191 +496,22 @@ impl Sperr {
     ) -> Result<(Field, RegionReport), CompressError> {
         let _run = sperr_telemetry::span!("sperr.decode_region", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_REGION);
-        let framed = Framed::open(stream)?;
-        let parsed = framed.read_head()?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        for d in 0..3 {
-            if lo[d] >= hi[d] || hi[d] > header.dims[d] {
-                return Err(CompressError::Invalid(format!(
-                    "region [{lo:?}, {hi:?}) out of bounds for dims {:?}",
-                    header.dims
-                )));
-            }
+        let (opened, tasks) = Opened::region(stream, lo, hi)?;
+        let used_index = opened.used_index();
+        if !used_index {
+            // Legacy v1/v2 streams force a full walk of the chunk table
+            // (the documented fallback — cheap relative to decode, but a
+            // scan all the same, hence the one-time nudge to re-encode).
+            warn_legacy_region_scan(opened.version);
         }
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        // Seek table. The v3 index gives each payload's offset directly;
-        // legacy v1/v2 streams force a full walk of the chunk table (the
-        // documented fallback — cheap relative to decode, but a scan all
-        // the same, hence the one-time nudge to re-encode).
-        let used_index = parsed.index.is_some();
-        let offsets: Vec<usize> = match &parsed.index {
-            Some(index) => {
-                index.iter().map(|e| parsed.payload_start + e.offset as usize).collect()
-            }
-            None => {
-                warn_legacy_region_scan(parsed.version);
-                chunk_offsets(&entries, parsed.payload_start)
-            }
-        };
-        let tolerance = match header.mode {
-            Mode::Pwe => header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
-
-        // Clip the bbox against the grid: one decode job per intersecting
-        // chunk, carrying the chunk-local box to keep.
-        struct Target {
-            chunk: usize,
-            isect_lo: [usize; 3],
-            isect_hi: [usize; 3],
-        }
-        let mut targets = Vec::new();
-        let mut target_specs = Vec::new();
-        for (i, spec) in chunks_spec.iter().enumerate() {
-            let c_lo = spec.offset;
-            let c_hi = [
-                spec.offset[0] + spec.dims[0],
-                spec.offset[1] + spec.dims[1],
-                spec.offset[2] + spec.dims[2],
-            ];
-            let isect_lo = [lo[0].max(c_lo[0]), lo[1].max(c_lo[1]), lo[2].max(c_lo[2])];
-            let isect_hi = [hi[0].min(c_hi[0]), hi[1].min(c_hi[1]), hi[2].min(c_hi[2])];
-            if (0..3).any(|d| isect_lo[d] >= isect_hi[d]) {
-                continue; // chunk does not touch the region
-            }
-            targets.push(Target { chunk: i, isect_lo, isect_hi });
-            target_specs.push(*spec);
-        }
-
-        let n_targets = targets.len();
-        sperr_telemetry::counter!("region.chunks_touched", n_targets);
+        sperr_telemetry::counter!("region.chunks_touched", tasks.len());
         sperr_telemetry::counter!("region.used_index", used_index as u64);
-        let payload_of = |chunk: usize| {
-            let e = &entries[chunk];
-            offsets[chunk]..offsets[chunk] + e.speck_len + e.outlier_len
-        };
-        let wanted: Vec<_> = targets.iter().map(|t| payload_of(t.chunk)).collect();
-        let fetched = framed.fetch(&wanted)?;
-        let threads = self.effective_threads(&target_specs);
-        let entries_ref = &entries;
-        let specs_ref = &chunks_spec;
-        let targets_ref = &targets;
-        let crcs_ref = &parsed.chunk_crcs;
-        let kernel = header.kernel;
-        let native_f32 = header.native_f32;
-        let decoded: Vec<(Vec<f64>, ChunkStatus)> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), DecodeArenas::default);
-            let decode_one = |j: usize, w: usize| {
-                let t = &targets_ref[j];
-                let spec = &specs_ref[t.chunk];
-                let e = &entries_ref[t.chunk];
-                let payload = match fetched.get(payload_of(t.chunk)) {
-                    Ok(payload) => payload,
-                    // The payload's SLZ1 block did not inflate.
-                    Err(err) => return (vec![0.0; spec.len()], ChunkStatus::DecodeFailed(err)),
-                };
-                if let Some(crcs) = crcs_ref {
-                    if crc32(payload) != crcs[t.chunk] {
-                        return (vec![0.0; spec.len()], ChunkStatus::ChecksumMismatch);
-                    }
-                }
-                let (speck, outlier) = payload.split_at(e.speck_len);
-                // Chunk-local keep box: only corrections landing inside
-                // the intersection matter for the assembled output.
-                let keep_lo = [
-                    t.isect_lo[0] - spec.offset[0],
-                    t.isect_lo[1] - spec.offset[1],
-                    t.isect_lo[2] - spec.offset[2],
-                ];
-                let keep_hi = [
-                    t.isect_hi[0] - spec.offset[0],
-                    t.isect_hi[1] - spec.offset[1],
-                    t.isect_hi[2] - spec.offset[2],
-                ];
-                // f32-native payloads decode at native width and widen
-                // exactly, keeping the bit-identity contract with the
-                // full-decompress slice.
-                let decoded = if native_f32 {
-                    // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena32 = &mut unsafe { arenas.get(w) }.narrow;
-                    decompress_chunk_region_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        keep_lo,
-                        keep_hi,
-                        pool,
-                        arena32,
-                    )
-                    .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
-                } else {
-                    // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena = &mut unsafe { arenas.get(w) }.wide;
-                    decompress_chunk_region_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        keep_lo,
-                        keep_hi,
-                        pool,
-                        arena,
-                    )
-                };
-                match decoded {
-                    Ok((chunk, _)) => (chunk, ChunkStatus::Ok),
-                    Err(err) => (vec![0.0; spec.len()], ChunkStatus::DecodeFailed(err)),
-                }
-            };
-            let decoded = if n_targets >= pool.threads() {
-                pool.map(n_targets, |j, w| decode_one(j, w))
-            } else {
-                (0..n_targets).map(|j| decode_one(j, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint(native_f32);
-            }
-            decoded
-        });
-
+        let results = opened.run(self, &tasks);
         let region_dims = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
-        let mut out = vec![0.0f64; region_dims.iter().product()];
-        let mut chunk_ids = Vec::with_capacity(n_targets);
-        let mut statuses = Vec::with_capacity(n_targets);
-        for (t, (chunk, status)) in targets.iter().zip(decoded) {
-            let spec = &chunks_spec[t.chunk];
-            if matches!(status, ChunkStatus::Ok) {
-                for z in t.isect_lo[2]..t.isect_hi[2] {
-                    for y in t.isect_lo[1]..t.isect_hi[1] {
-                        let src_row = (t.isect_lo[0] - spec.offset[0])
-                            + spec.dims[0]
-                                * ((y - spec.offset[1]) + spec.dims[1] * (z - spec.offset[2]));
-                        let dst_row = (t.isect_lo[0] - lo[0])
-                            + region_dims[0] * ((y - lo[1]) + region_dims[1] * (z - lo[2]));
-                        let len = t.isect_hi[0] - t.isect_lo[0];
-                        out[dst_row..dst_row + len]
-                            .copy_from_slice(&chunk[src_row..src_row + len]);
-                    }
-                }
-            }
-            chunk_ids.push(t.chunk);
-            statuses.push(status);
-        }
-        let field = Field::new(region_dims, out).with_precision(header.precision);
+        let field = Field::new(region_dims, opened.assemble(&tasks, &results, lo, region_dims))
+            .with_precision(opened.header.precision);
+        let chunk_ids = tasks.iter().map(|t| t.chunk).collect();
+        let statuses = results.into_iter().map(|(_, status, _)| status).collect();
         Ok((field, RegionReport { chunk_ids, statuses, used_index }))
     }
 
@@ -772,99 +528,16 @@ impl Sperr {
         stream: &[u8],
         budgets: &[usize],
     ) -> Result<Field, CompressError> {
-        let _run = sperr_telemetry::span!("sperr.decode_at_budgets", stream.len());
-        let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_PREVIEW);
-        let (container, _) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        if budgets.len() != entries.len() {
-            return Err(CompressError::Invalid(format!(
-                "{} budgets for {} chunks",
-                budgets.len(),
-                entries.len()
-            )));
-        }
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let offsets = chunk_offsets(&entries, parsed.payload_start);
-        let kept_bytes: usize =
-            entries.iter().zip(budgets).map(|(e, &b)| e.speck_len.min(b)).sum();
-        sperr_telemetry::counter!("preview.kept_speck_bytes", kept_bytes);
-        let n_chunks = entries.len();
-        let threads = self.effective_threads(&chunks_spec);
-        let container_ref = &container;
-        let entries_ref = &entries;
-        let offsets_ref = &offsets;
-        let specs_ref = &chunks_spec;
-        let kernel = header.kernel;
-        let native_f32 = header.native_f32;
-        type Decoded = Result<(Vec<f64>, StageTimes), CompressError>;
-        let decoded: Vec<Decoded> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), DecodeArenas::default);
-            let decode_one = |i: usize, w: usize| {
-                let e = &entries_ref[i];
-                let start = offsets_ref[i];
-                let keep = e.speck_len.min(budgets[i]);
-                let speck = &container_ref[start..start + keep];
-                // Empty outlier stream + zero tolerance: corrections do
-                // not apply to a truncated reconstruction.
-                if native_f32 {
-                    // f32-native payloads preview at native width and widen
-                    // exactly, so decode_at_bpp stays bit-identical to
-                    // transcode-then-decompress for tag-2 streams too.
-                    // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena32 = &mut unsafe { arenas.get(w) }.narrow;
-                    decompress_chunk_with(
-                        speck,
-                        &[],
-                        specs_ref[i].dims,
-                        e.q,
-                        e.num_planes,
-                        0,
-                        0.0,
-                        kernel,
-                        pool,
-                        arena32,
-                    )
-                    .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
-                } else {
-                    // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena = &mut unsafe { arenas.get(w) }.wide;
-                    decompress_chunk_with(
-                        speck,
-                        &[],
-                        specs_ref[i].dims,
-                        e.q,
-                        e.num_planes,
-                        0,
-                        0.0,
-                        kernel,
-                        pool,
-                        arena,
-                    )
-                }
-            };
-            let decoded = if n_chunks >= pool.threads() {
-                pool.map(n_chunks, |i, w| decode_one(i, w))
-            } else {
-                (0..n_chunks).map(|i| decode_one(i, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint(native_f32);
+        self.preview(stream, |head| {
+            if budgets.len() != head.entries.len() {
+                return Err(CompressError::Invalid(format!(
+                    "{} budgets for {} chunks",
+                    budgets.len(),
+                    head.entries.len()
+                )));
             }
-            decoded
-        });
-        let mut volume = vec![0.0f64; header.dims.iter().product()];
-        for (spec, result) in chunks_spec.iter().zip(decoded) {
-            let (chunk, _) = result?;
-            insert_chunk(&mut volume, header.dims, spec, &chunk);
-        }
-        Ok(Field::new(header.dims, volume).with_precision(header.precision))
+            Ok(head.preview_tasks(|chunk| budgets[chunk]))
+        })
     }
 
     /// Progressive (preview) decode at a uniform rate: truncates each
@@ -875,15 +548,30 @@ impl Sperr {
     /// materializing the transcoded stream). See
     /// [`Sperr::decode_at_budgets`].
     pub fn decode_at_bpp(&self, stream: &[u8], bpp: f64) -> Result<Field, CompressError> {
-        if !(bpp > 0.0) || !bpp.is_finite() {
-            return Err(CompressError::Invalid(format!("invalid bitrate {bpp}")));
-        }
-        let info = self.inspect(stream)?;
-        let budgets: Vec<usize> = chunk_grid(info.dims, info.chunk_dims)
-            .iter()
-            .map(|spec| ((bpp * spec.len() as f64) as usize / 8).saturating_sub(26))
-            .collect();
-        self.decode_at_budgets(stream, &budgets)
+        validate_bound(Bound::Bpp(bpp))?;
+        self.preview(stream, |head| {
+            Ok(head.preview_tasks(|chunk| preview_budget_bytes(bpp, &head.grid[chunk])))
+        })
+    }
+
+    /// The preview read behind [`Sperr::decode_at_budgets`] and
+    /// [`Sperr::decode_at_bpp`]: opens `stream` once, lets `plan` cut each
+    /// chunk's SPECK stream, decodes strictly.
+    fn preview(
+        &self,
+        stream: &[u8],
+        plan: impl FnOnce(&Head) -> Result<Vec<ChunkTask>, CompressError>,
+    ) -> Result<Field, CompressError> {
+        let _run = sperr_telemetry::span!("sperr.decode_at_budgets", stream.len());
+        let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_PREVIEW);
+        let opened = Opened::strict(stream)?;
+        let tasks = plan(&opened)?;
+        let kept_bytes: usize =
+            tasks.iter().map(|t| opened.entries[t.chunk].speck_len.min(t.budget)).sum();
+        sperr_telemetry::counter!("preview.kept_speck_bytes", kept_bytes);
+        let dims = opened.header.dims;
+        let (volume, _) = self.run_strict(&opened, &tasks, dims)?;
+        Ok(Field::new(dims, volume).with_precision(opened.header.precision))
     }
 
     /// Re-rates an existing SPERR stream to a (lower) size target without
@@ -892,55 +580,18 @@ impl Sperr {
     /// version of the data"). Outlier corrections are dropped — the result
     /// is a size-bounded stream with no error guarantee.
     pub fn transcode_to_bpp(&self, stream: &[u8], bpp: f64) -> Result<Vec<u8>, CompressError> {
-        if !(bpp > 0.0) || !bpp.is_finite() {
-            return Err(CompressError::Invalid(format!("invalid bitrate {bpp}")));
-        }
-        let (container, lossless) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        let payload_start = parsed.payload_start;
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let mut new_chunks = Vec::with_capacity(entries.len());
-        let mut cursor = payload_start;
-        for (spec, e) in chunks_spec.iter().zip(&entries) {
-            let speck = &container[cursor..cursor + e.speck_len];
-            cursor += e.speck_len + e.outlier_len;
-            let budget_bytes = ((bpp * spec.len() as f64) as usize / 8).saturating_sub(26);
-            let keep = e.speck_len.min(budget_bytes);
-            new_chunks.push(ChunkEncoding {
-                speck_stream: speck[..keep].to_vec(),
-                outlier_stream: Vec::new(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: 0,
-                num_outliers: 0,
-                speck_bits: keep * 8,
-                outlier_bits: 0,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN, // truncation voids the recorded bound
-            });
-        }
-        let new_header = Header {
-            mode: Mode::Bpp,
-            kernel: header.kernel,
-            precision: header.precision,
-            native_f32: header.native_f32,
-            dims: header.dims,
-            chunk_dims: header.chunk_dims,
-            bound_value: bpp,
-            n_chunks: new_chunks.len(),
+        validate_bound(Bound::Bpp(bpp))?;
+        let opened = Opened::strict(stream)?;
+        let cut = |chunk| {
+            let budget = preview_budget_bytes(bpp, &opened.grid[chunk]);
+            stored_chunk(&opened, chunk, budget, false)
         };
+        let chunks = (0..opened.grid.len()).map(cut).collect::<Result<Vec<_>, _>>()?;
+        let header = Header { mode: Mode::Bpp, bound_value: bpp, ..opened.header.clone() };
         // Keep the source stream's container version (v1 sources stay at
         // v2: the writer no longer emits v1 except via `downgrade_to_v1`).
-        let new_container =
-            write_container(&new_header, &new_chunks, parsed.version.max(VERSION_V2));
-        Ok(wrap_outer(&new_container, lossless, &WorkerPool::inline()))
+        let container = write_container(&header, &chunks, opened.version.max(VERSION_V2));
+        Ok(wrap_outer(&container, opened.lossless, &WorkerPool::inline()))
     }
 
     /// Re-frames a stream as a legacy **container v1** (checksum-free)
@@ -951,31 +602,7 @@ impl Sperr {
     /// around. The result must always decode to exactly the same field as
     /// the input stream.
     pub fn downgrade_to_v1(&self, stream: &[u8]) -> Result<Vec<u8>, CompressError> {
-        let (container, lossless) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let chunks: Vec<ChunkEncoding> = parsed
-            .entries
-            .iter()
-            .zip(&offsets)
-            .map(|(e, &s)| ChunkEncoding {
-                speck_stream: container[s..s + e.speck_len].to_vec(),
-                outlier_stream: container[s + e.speck_len..s + e.speck_len + e.outlier_len]
-                    .to_vec(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: e.max_n,
-                num_outliers: e.num_outliers,
-                speck_bits: e.speck_len * 8,
-                outlier_bits: e.outlier_len * 8,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN, // not representable in v1
-            })
-            .collect();
-        let v1 = crate::container::write_container_v1(&parsed.header, &chunks);
-        Ok(wrap_outer(&v1, lossless, &WorkerPool::inline()))
+        reframe(stream, VERSION_V1)
     }
 
     /// Re-frames a stream as a **container v2** (checksummed, index-free)
@@ -986,31 +613,7 @@ impl Sperr {
     /// conformance suite to prove the v3 fixtures are v2 goldens plus an
     /// index and nothing else.
     pub fn downgrade_to_v2(&self, stream: &[u8]) -> Result<Vec<u8>, CompressError> {
-        let (container, lossless) = unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let chunks: Vec<ChunkEncoding> = parsed
-            .entries
-            .iter()
-            .zip(&offsets)
-            .map(|(e, &s)| ChunkEncoding {
-                speck_stream: container[s..s + e.speck_len].to_vec(),
-                outlier_stream: container[s + e.speck_len..s + e.speck_len + e.outlier_len]
-                    .to_vec(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: e.max_n,
-                num_outliers: e.num_outliers,
-                speck_bits: e.speck_len * 8,
-                outlier_bits: e.outlier_len * 8,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN, // not representable in v2
-            })
-            .collect();
-        let v2 = write_container(&parsed.header, &chunks, VERSION_V2);
-        Ok(wrap_outer(&v2, lossless, &WorkerPool::inline()))
+        reframe(stream, VERSION_V2)
     }
 
     /// Decompresses and returns the field together with per-stage timing
@@ -1023,51 +626,22 @@ impl Sperr {
         // The op label depends on the stream's width tag, unknown until
         // the container parses — so time manually and record on success.
         let op_t0 = sperr_telemetry::is_recording().then(std::time::Instant::now);
-        let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || unwrap_outer(stream));
-        let (container, was_lossless) = unwrapped?;
         // Strict mode: any checksummed chunk failing its CRC fails the
         // whole decode (use `decompress_resilient` to salvage the rest).
-        let (parsed, container_time) = timed(stage_labels::CONTAINER_READ, || {
-            let parsed = read_container(&container)?;
-            verify_chunk_crcs(&container, &parsed)?;
-            Ok::<_, CompressError>(parsed)
-        });
-        let parsed = parsed?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        let (volume, chunk_times) = if header.native_f32 {
-            // f32-native payloads decode at their native width; widening
-            // for the f64 surface is exact, so this field carries exactly
-            // the values `decompress_f32` would return.
-            let (v32, t) =
-                self.decode_volume::<f32>(&container, &header, &entries, parsed.payload_start)?;
-            (v32.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t)
-        } else {
-            self.decode_volume::<f64>(&container, &header, &entries, parsed.payload_start)?
-        };
-
-        let mut stats = CompressionStats {
-            num_points: header.dims.iter().product(),
-            num_chunks: entries.len(),
-            container_bytes: container.len(),
-            output_bytes: stream.len(),
-            ..CompressionStats::default()
-        };
-        if was_lossless {
-            stats.stage_times.lossless = lossless_time;
-        }
-        stats.stage_times.container = container_time;
-        stats.stage_times.accumulate(&chunk_times);
+        let opened = Opened::strict(stream)?;
+        // f32-native payloads decode at their native width; widening for
+        // the f64 surface is exact, so this field carries exactly the
+        // values `decompress_f32` would return.
+        let (volume, stats) = self.decode_with_stats(&opened, stream.len())?;
         if let Some(t0) = op_t0 {
-            let label = if header.native_f32 {
+            let label = if opened.header.native_f32 {
                 metric_labels::OP_DECOMPRESS_F32
             } else {
                 metric_labels::OP_DECOMPRESS_F64
             };
             sperr_telemetry::record_ns(label, t0.elapsed().as_nanos() as u64);
         }
-        let field = Field::new(header.dims, volume).with_precision(header.precision);
+        let field = Field::new(opened.header.dims, volume).with_precision(opened.header.precision);
         Ok((field, stats))
     }
 
@@ -1087,115 +661,94 @@ impl Sperr {
     ) -> Result<(FieldOf<f32>, CompressionStats), CompressError> {
         let _run = sperr_telemetry::span!("sperr.decompress_f32", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_F32);
-        let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || unwrap_outer(stream));
-        let (container, was_lossless) = unwrapped?;
-        let (parsed, container_time) = timed(stage_labels::CONTAINER_READ, || {
-            let parsed = read_container(&container)?;
-            verify_chunk_crcs(&container, &parsed)?;
-            Ok::<_, CompressError>(parsed)
-        });
-        let parsed = parsed?;
-        if !parsed.header.native_f32 {
+        let opened = Opened::strict(stream)?;
+        if !opened.header.native_f32 {
             return Err(CompressError::Invalid(
                 "stream is not f32-native; decode it with decompress() and narrow explicitly"
                     .into(),
             ));
         }
-        let header = parsed.header;
-        let entries = parsed.entries;
-        let (volume, chunk_times) =
-            self.decode_volume::<f32>(&container, &header, &entries, parsed.payload_start)?;
-        let mut stats = CompressionStats {
-            num_points: header.dims.iter().product(),
-            num_chunks: entries.len(),
-            container_bytes: container.len(),
-            output_bytes: stream.len(),
-            ..CompressionStats::default()
-        };
-        if was_lossless {
-            stats.stage_times.lossless = lossless_time;
-        }
-        stats.stage_times.container = container_time;
-        stats.stage_times.accumulate(&chunk_times);
-        let field = FieldOf::<f32>::new(header.dims, volume).with_precision(header.precision);
+        let (volume, stats) = self.decode_with_stats(&opened, stream.len())?;
+        let field = FieldOf::<f32>::new(opened.header.dims, volume)
+            .with_precision(opened.header.precision);
         Ok((field, stats))
     }
 
-    /// Decodes every chunk of a parsed container at sample width `T` and
-    /// assembles the full volume, returning it with the accumulated
-    /// per-chunk stage times. Pool scheduling (outer chunk map vs.
-    /// intra-chunk fan-out) is width-independent, so thread-count
-    /// determinism holds at both widths.
-    fn decode_volume<T: Float>(
+    /// Strictly decodes every chunk of `opened` in full into a volume of
+    /// `D`, with the run's statistics.
+    fn decode_with_stats<D: Float>(
         &self,
-        container: &[u8],
-        header: &Header,
-        entries: &[ChunkEntry],
-        payload_start: usize,
-    ) -> Result<(Vec<T>, StageTimes), CompressError> {
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-
-        // Pre-slice each chunk's payload region.
-        let offsets = chunk_offsets(entries, payload_start);
-
-        let tolerance = match header.mode {
-            Mode::Pwe => header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
+        opened: &Opened<'_>,
+        stream_len: usize,
+    ) -> Result<(Vec<D>, CompressionStats), CompressError> {
+        let dims = opened.header.dims;
+        let (volume, stage_times) = self.run_strict(opened, &opened.all_tasks(), dims)?;
+        let stats = CompressionStats {
+            num_points: dims.iter().product(),
+            num_chunks: opened.grid.len(),
+            container_bytes: opened.container_len,
+            output_bytes: stream_len,
+            stage_times,
+            ..CompressionStats::default()
         };
-        let n_chunks = entries.len();
-        let threads = self.effective_threads(&chunks_spec);
-        let offsets_ref = &offsets;
-        let specs_ref = &chunks_spec;
-        let kernel = header.kernel;
-        type Decoded<T> = Result<(Vec<T>, StageTimes), CompressError>;
-        let decoded: Vec<Decoded<T>> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::<T>::new);
-            let decode_one = |i: usize, w: usize| {
-                // SAFETY: concurrent jobs see distinct worker slots.
-                let arena = unsafe { arenas.get(w) };
-                let e = &entries[i];
-                let start = offsets_ref[i];
-                let speck = &container[start..start + e.speck_len];
-                let outlier =
-                    &container[start + e.speck_len..start + e.speck_len + e.outlier_len];
-                decompress_chunk_with(
-                    speck,
-                    outlier,
-                    specs_ref[i].dims,
-                    e.q,
-                    e.num_planes,
-                    e.max_n,
-                    tolerance,
-                    kernel,
-                    pool,
-                    arena,
-                )
-            };
-            let decoded = if n_chunks >= pool.threads() {
-                pool.map(n_chunks, |i, w| decode_one(i, w))
-            } else {
-                (0..n_chunks).map(|i| decode_one(i, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
-            }
-            decoded
-        });
-
-        let mut times = StageTimes::default();
-        let mut volume = vec![T::ZERO; header.dims.iter().product()];
-        for (spec, result) in chunks_spec.iter().zip(decoded) {
-            let (chunk, t) = result?;
-            times.accumulate(&t);
-            insert_chunk(&mut volume, header.dims, spec, &chunk);
-        }
-        Ok((volume, times))
+        Ok((volume, stats))
     }
+
+    /// Runs `tasks` and folds strictly: any task that did not decode fails
+    /// the read; otherwise the kept boxes are assembled into a volume of
+    /// `out_dims`, returned with the stage times of opening and decoding.
+    fn run_strict<D: Float>(
+        &self,
+        opened: &Opened<'_>,
+        tasks: &[ChunkTask],
+        out_dims: [usize; 3],
+    ) -> Result<(Vec<D>, StageTimes), CompressError> {
+        let results = opened.run(self, tasks);
+        strict(tasks, &results)?;
+        let mut times = opened.open_times;
+        results.iter().for_each(|(_, _, t)| times.accumulate(t));
+        Ok((opened.assemble(tasks, &results, [0; 3], out_dims), times))
+    }
+}
+
+/// `chunk` of `opened` as the container stores it, re-packaged for the
+/// container writer with its SPECK stream cut at `speck_budget` bytes and,
+/// unless `outliers`, its corrections dropped. `max_err` is NaN: a cut
+/// voids the recorded bound, and re-framing does not carry it.
+fn stored_chunk(
+    opened: &Opened<'_>,
+    chunk: usize,
+    speck_budget: usize,
+    outliers: bool,
+) -> Result<ChunkEncoding, CompressError> {
+    let e = &opened.entries[chunk];
+    let (speck, outlier) = opened.payload(chunk)?.split_at(e.speck_len);
+    let speck = &speck[..e.speck_len.min(speck_budget)];
+    let outlier = if outliers { outlier } else { &[] };
+    Ok(ChunkEncoding {
+        speck_stream: speck.to_vec(),
+        outlier_stream: outlier.to_vec(),
+        q: e.q,
+        num_planes: e.num_planes,
+        max_n: if outliers { e.max_n } else { 0 },
+        num_outliers: if outliers { e.num_outliers } else { 0 },
+        speck_bits: speck.len() * 8,
+        outlier_bits: outlier.len() * 8,
+        times: Default::default(),
+        coeff_sq_error: 0.0,
+        max_err: f64::NAN,
+    })
+}
+
+/// Re-frames `stream` as a container of `version` with byte-identical
+/// chunk payloads, preserving the outer lossless framing.
+fn reframe(stream: &[u8], version: u8) -> Result<Vec<u8>, CompressError> {
+    let opened = Opened::strict(stream)?;
+    let chunks = (0..opened.grid.len())
+        .map(|chunk| stored_chunk(&opened, chunk, usize::MAX, true))
+        .collect::<Result<Vec<_>, _>>()?;
+    let container = write_container(&opened.header, &chunks, version);
+    Ok(wrap_outer(&container, opened.lossless, &WorkerPool::inline()))
 }
 
 /// One-time warning that a region query had to scan a legacy container.
@@ -1212,33 +765,6 @@ fn warn_legacy_region_scan(version: u8) {
     });
 }
 
-/// Byte offset of each chunk's payload within the container.
-pub(crate) fn chunk_offsets(entries: &[ChunkEntry], payload_start: usize) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(entries.len());
-    let mut cursor = payload_start;
-    for e in entries {
-        offsets.push(cursor);
-        cursor += e.speck_len + e.outlier_len;
-    }
-    offsets
-}
-
-/// Checks every chunk payload against its v2 CRC; no-op for v1 streams.
-pub(crate) fn verify_chunk_crcs(
-    container: &[u8],
-    parsed: &crate::container::Parsed,
-) -> Result<(), CompressError> {
-    let Some(crcs) = &parsed.chunk_crcs else { return Ok(()) };
-    let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-    for (i, (e, &start)) in parsed.entries.iter().zip(&offsets).enumerate() {
-        let payload = &container[start..start + e.speck_len + e.outlier_len];
-        if crc32(payload) != crcs[i] {
-            return Err(CompressError::Corrupt(format!("chunk {i} payload checksum mismatch")));
-        }
-    }
-    Ok(())
-}
-
 /// Outcome of one chunk in [`Sperr::decompress_resilient`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum ChunkStatus {
@@ -1249,6 +775,20 @@ pub enum ChunkStatus {
     /// The payload passed its checksum (or the stream is v1) but the
     /// coders rejected it.
     DecodeFailed(CompressError),
+}
+
+impl ChunkStatus {
+    /// The strict reading of this outcome for chunk `chunk`: anything but
+    /// [`ChunkStatus::Ok`] is the error that fails the read.
+    pub(crate) fn to_result(&self, chunk: usize) -> Result<(), CompressError> {
+        match self {
+            ChunkStatus::Ok => Ok(()),
+            ChunkStatus::ChecksumMismatch => {
+                Err(CompressError::Corrupt(format!("chunk {chunk} payload checksum mismatch")))
+            }
+            ChunkStatus::DecodeFailed(e) => Err(e.clone()),
+        }
+    }
 }
 
 /// Per-chunk outcomes of a resilient decode.
@@ -1395,91 +935,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_stream_decodes_back_compat() {
-        // Re-emit a freshly compressed stream in the legacy v1 layout and
-        // check the reader still accepts it, byte-identically.
-        let field = test_field([16, 16, 16]);
-        let sperr = raw_sperr();
-        let v2 = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        let parsed = read_container(&v2[1..]).unwrap();
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let chunks: Vec<ChunkEncoding> = parsed
-            .entries
-            .iter()
-            .zip(&offsets)
-            .map(|(e, &s)| ChunkEncoding {
-                speck_stream: v2[1 + s..1 + s + e.speck_len].to_vec(),
-                outlier_stream:
-                    v2[1 + s + e.speck_len..1 + s + e.speck_len + e.outlier_len].to_vec(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: e.max_n,
-                num_outliers: e.num_outliers,
-                speck_bits: e.speck_len * 8,
-                outlier_bits: e.outlier_len * 8,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN,
-            })
-            .collect();
-        let v1 = crate::container::write_container_v1(&parsed.header, &chunks);
-        let mut legacy = vec![crate::outer::OUTER_RAW];
-        legacy.extend_from_slice(&v1);
-        assert_eq!(
-            sperr.decompress(&legacy).unwrap().data,
-            sperr.decompress(&v2).unwrap().data
-        );
-        assert_eq!(sperr.inspect(&legacy).unwrap().version, 1);
-        let report = sperr.verify(&legacy).unwrap();
-        assert!(!report.checksummed);
-        assert!(report.is_ok());
-    }
-
-    #[test]
-    fn resilient_decode_isolates_damaged_chunk() {
-        // Two chunks; flip a byte inside the second chunk's payload. The
-        // strict decoder must reject the stream, verify() must name the
-        // chunk, and the resilient decoder must return chunk 0
-        // bit-identical with chunk 1 zero-filled.
-        let field = test_field([32, 16, 16]);
-        let sperr = raw_sperr();
-        let stream = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        let info = sperr.inspect(&stream).unwrap();
-        assert_eq!(info.n_chunks, 2);
-        let clean = sperr.decompress(&stream).unwrap();
-
-        let mut bad = stream.clone();
-        let target = 1 + info.payload_offset + info.chunk_payload_sizes[0] + 2;
-        bad[target] ^= 0xFF;
-
-        assert!(matches!(sperr.decompress(&bad), Err(CompressError::Corrupt(_))));
-        assert_eq!(sperr.verify(&bad).unwrap().corrupt_chunks, vec![1]);
-
-        let (rec, report) = sperr.decompress_resilient(&bad).unwrap();
-        assert_eq!(report.statuses[0], ChunkStatus::Ok);
-        assert_eq!(report.statuses[1], ChunkStatus::ChecksumMismatch);
-        assert_eq!(report.failed_chunks(), vec![1]);
-        assert!(!report.all_ok());
-        // Chunk 0 spans x in 0..16; chunk 1 spans x in 16..32.
-        for z in 0..16 {
-            for y in 0..16 {
-                for x in 0..32 {
-                    let i = x + 32 * (y + 16 * z);
-                    if x < 16 {
-                        assert_eq!(rec.data[i], clean.data[i], "healthy chunk altered at {i}");
-                    } else {
-                        assert_eq!(rec.data[i], 0.0, "damaged chunk not neutral at {i}");
-                    }
-                }
-            }
-        }
-        // An undamaged stream reports all chunks Ok and matches strict.
-        let (rec2, report2) = sperr.decompress_resilient(&stream).unwrap();
-        assert!(report2.all_ok());
-        assert_eq!(rec2.data, clean.data);
-    }
-
-    #[test]
     fn stream_bytes_identical_across_thread_counts() {
         // The acceptance bar for the parallel overhaul: the container bytes
         // must not depend on the thread count, for multi-chunk volumes
@@ -1565,114 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn decode_region_seeks_v3_and_scans_legacy() {
-        // The same bbox query must produce identical bytes from a v3
-        // stream (index seek), its v2 downgrade and its v1 downgrade
-        // (both full-scan fallback), with used_index reporting the path.
-        let field = test_field([40, 24, 16]);
-        let sperr = raw_sperr();
-        let v3 = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        let v2 = sperr.downgrade_to_v2(&v3).unwrap();
-        let v1 = sperr.downgrade_to_v1(&v3).unwrap();
-        assert_eq!(sperr.inspect(&v2).unwrap().version, 2);
-        assert!(sperr.inspect(&v2).unwrap().chunk_index.is_none());
-        let (lo, hi) = ([7usize, 3, 2], [25usize, 20, 13]);
-        let (r3, rep3) = sperr.decode_region(&v3, lo, hi).unwrap();
-        let (r2, rep2) = sperr.decode_region(&v2, lo, hi).unwrap();
-        let (r1, rep1) = sperr.decode_region(&v1, lo, hi).unwrap();
-        assert!(rep3.used_index);
-        assert!(!rep2.used_index);
-        assert!(!rep1.used_index);
-        assert!(rep3.all_ok() && rep2.all_ok() && rep1.all_ok());
-        assert_eq!(r3.data, r2.data);
-        assert_eq!(r3.data, r1.data);
-        // Bit-identical to the bbox slice of a full decompress.
-        let full = sperr.decompress(&v3).unwrap();
-        let rdims = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
-        assert_eq!(r3.dims, rdims);
-        for z in 0..rdims[2] {
-            for y in 0..rdims[1] {
-                for x in 0..rdims[0] {
-                    let src = (x + lo[0]) + 40 * ((y + lo[1]) + 24 * (z + lo[2]));
-                    let dst = x + rdims[0] * (y + rdims[1] * z);
-                    assert_eq!(full.data[src].to_bits(), r3.data[dst].to_bits());
-                }
-            }
-        }
-        // Only the chunks the bbox touches get decoded.
-        assert!(rep3.chunk_ids.len() < sperr.chunk_count([40, 24, 16]));
-    }
-
-    #[test]
-    fn decode_region_contains_damage_to_touched_chunks() {
-        // Damage inside the region: the damaged chunk's intersection is
-        // zero-filled and reported; healthy chunks still decode. Damage
-        // *outside* the region is invisible to the query.
-        let field = test_field([32, 16, 16]);
-        let sperr = raw_sperr();
-        let stream = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        let info = sperr.inspect(&stream).unwrap();
-        let mut bad = stream.clone();
-        // Corrupt chunk 1 (x in 16..32).
-        bad[1 + info.payload_offset + info.chunk_payload_sizes[0] + 2] ^= 0xFF;
-
-        // Query only chunk 0: unaffected, and strict wrapper succeeds.
-        let (r, rep) = sperr.decode_region(&bad, [0, 0, 0], [16, 16, 16]).unwrap();
-        assert!(rep.all_ok());
-        assert_eq!(rep.chunk_ids, vec![0]);
-        assert_eq!(
-            r.data,
-            sperr.decompress_region(&stream, [0, 0, 0], [16, 16, 16]).unwrap().data
-        );
-        assert!(sperr.decompress_region(&bad, [0, 0, 0], [16, 16, 16]).is_ok());
-
-        // Query spanning both: chunk 1's slice zero-filled + reported,
-        // strict wrapper errors.
-        let (r, rep) = sperr.decode_region(&bad, [12, 0, 0], [20, 16, 16]).unwrap();
-        assert_eq!(rep.chunk_ids, vec![0, 1]);
-        assert_eq!(rep.statuses[0], ChunkStatus::Ok);
-        assert_eq!(rep.statuses[1], ChunkStatus::ChecksumMismatch);
-        for z in 0..16 {
-            for y in 0..16 {
-                for x in 16..20 {
-                    assert_eq!(r.data[(x - 12) + 8 * (y + 16 * z)], 0.0);
-                }
-            }
-        }
-        assert!(matches!(
-            sperr.decompress_region(&bad, [12, 0, 0], [20, 16, 16]),
-            Err(CompressError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn decode_at_bpp_matches_transcode_then_decompress() {
-        // The in-place preview must be bit-identical to materializing the
-        // transcoded stream and decoding it — same budget arithmetic, same
-        // truncated decode.
-        let field = test_field([32, 20, 16]);
-        let sperr = raw_sperr();
-        let stream = sperr.compress(&field, Bound::Pwe(1e-4)).unwrap();
-        for bpp in [0.25, 1.0, 4.0] {
-            let preview = sperr.decode_at_bpp(&stream, bpp).unwrap();
-            let transcoded = sperr.transcode_to_bpp(&stream, bpp).unwrap();
-            let reference = sperr.decompress(&transcoded).unwrap();
-            assert_eq!(preview.dims, reference.dims);
-            let identical = preview
-                .data
-                .iter()
-                .zip(&reference.data)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(identical, "preview at {bpp} bpp diverges from transcode");
-        }
-        // Unlimited budgets reproduce the outlier-free reconstruction of
-        // every chunk without error — truncation is never "corruption".
-        let info = sperr.inspect(&stream).unwrap();
-        let full = sperr.decode_at_budgets(&stream, &vec![usize::MAX; info.n_chunks]).unwrap();
-        assert_eq!(full.dims, field.dims);
-    }
-
-    #[test]
     fn downgrade_to_v2_round_trips() {
         let field = test_field([24, 16, 16]);
         for lossless in [false, true] {
@@ -1729,33 +1076,6 @@ mod tests {
     }
 
     #[test]
-    fn f32_stream_decompresses_to_exact_widening() {
-        // decompress() on a tag-2 stream must equal decompress_f32()
-        // widened — the f64 surface never re-runs the math at f64.
-        let field = test_field_f32([20, 20, 20]);
-        let sperr = raw_sperr();
-        let stream = sperr.compress_f32(&field, Bound::Pwe(1e-3)).unwrap();
-        let narrow = sperr.decompress_f32(&stream).unwrap();
-        let wide = sperr.decompress(&stream).unwrap();
-        assert_eq!(wide.precision, Precision::Single);
-        assert_eq!(wide.data.len(), narrow.data.len());
-        for (w, n) in wide.data.iter().zip(&narrow.data) {
-            assert_eq!(w.to_bits(), (*n as f64).to_bits());
-        }
-    }
-
-    #[test]
-    fn decompress_f32_rejects_non_native_stream() {
-        let field = test_field([16, 16, 16]);
-        let sperr = raw_sperr();
-        let stream = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        assert!(matches!(
-            sperr.decompress_f32(&stream),
-            Err(CompressError::Invalid(_))
-        ));
-    }
-
-    #[test]
     fn f32_stream_bytes_identical_across_thread_counts() {
         // Same determinism bar as the f64 path: container bytes must not
         // depend on the thread count at either sample width.
@@ -1802,70 +1122,5 @@ mod tests {
                 assert!(same, "f32 decode differs across threads ({dims:?})");
             }
         }
-    }
-
-    #[test]
-    fn f32_stream_supports_all_f64_decode_surfaces() {
-        // Region decode, resilient decode, transcode and budget previews
-        // all accept tag-2 streams and agree with the widened full decode.
-        let field = test_field_f32([32, 20, 16]);
-        let sperr = raw_sperr();
-        let stream = sperr.compress_f32(&field, Bound::Pwe(1e-4)).unwrap();
-        let full = sperr.decompress(&stream).unwrap();
-
-        // Region decode matches the same slice of the full decode.
-        let region = sperr.decompress_region(&stream, [4, 2, 1], [20, 18, 9]).unwrap();
-        for z in 1..9 {
-            for y in 2..18 {
-                for x in 4..20 {
-                    let fi = x + 32 * (y + 20 * z);
-                    let ri = (x - 4) + 16 * ((y - 2) + 16 * (z - 1));
-                    assert_eq!(full.data[fi].to_bits(), region.data[ri].to_bits());
-                }
-            }
-        }
-
-        // Resilient decode of an undamaged stream matches strict.
-        let (res, report) = sperr.decompress_resilient(&stream).unwrap();
-        assert!(report.all_ok());
-        assert_eq!(res.data, full.data);
-
-        // Transcode preserves the native-f32 tag; the preview is
-        // bit-identical to transcode-then-decompress.
-        for bpp in [0.5, 2.0] {
-            let transcoded = sperr.transcode_to_bpp(&stream, bpp).unwrap();
-            assert!(sperr.inspect(&transcoded).unwrap().native_f32);
-            let preview = sperr.decode_at_bpp(&stream, bpp).unwrap();
-            let reference = sperr.decompress(&transcoded).unwrap();
-            let same = preview
-                .data
-                .iter()
-                .zip(&reference.data)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "tag-2 preview at {bpp} bpp diverges from transcode");
-        }
-    }
-
-    #[test]
-    fn f32_lossless_postpass_roundtrips() {
-        let field = test_field_f32([20, 20, 20]);
-        let sperr = Sperr::new(SperrConfig {
-            chunk_dims: [16, 16, 16],
-            lossless: true,
-            ..SperrConfig::default()
-        });
-        let stream = sperr.compress_f32(&field, Bound::Pwe(1e-3)).unwrap();
-        assert!(sperr.inspect(&stream).unwrap().native_f32);
-        let raw = Sperr::new(SperrConfig {
-            chunk_dims: [16, 16, 16],
-            lossless: false,
-            ..SperrConfig::default()
-        })
-        .compress_f32(&field, Bound::Pwe(1e-3))
-        .unwrap();
-        assert_eq!(
-            sperr.decompress_f32(&stream).unwrap().data,
-            sperr.decompress_f32(&raw).unwrap().data
-        );
     }
 }

@@ -170,8 +170,13 @@ fn kernel_from_tag(tag: u8) -> Result<Kernel, CompressError> {
 }
 
 /// Serializes header + chunk table (+ v3 index, + v2 checksums) +
-/// payloads.
-fn write_container_versioned(header: &Header, chunks: &[ChunkEncoding], version: u8) -> Vec<u8> {
+/// payloads at the requested version. The version comes from
+/// [`crate::SperrConfig::container_version`] (2 or 3), for transcodes
+/// from the source stream, and for the back-compat fixtures from
+/// [`crate::Sperr::downgrade_to_v1`] — the only writer of the legacy v1
+/// layout, which every reader must keep accepting.
+pub(crate) fn write_container(header: &Header, chunks: &[ChunkEncoding], version: u8) -> Vec<u8> {
+    debug_assert!((VERSION_V1..=VERSION).contains(&version));
     let mut w = ByteWriter::new();
     // Fixed 20-byte header.
     w.put_bytes(MAGIC);
@@ -253,22 +258,6 @@ fn write_container_versioned(header: &Header, chunks: &[ChunkEncoding], version:
         w.put_bytes(&c.outlier_stream);
     }
     w.into_bytes()
-}
-
-/// Serializes a container at the requested version (2 or 3; use
-/// [`write_container_v1`] for the legacy layout). The version comes from
-/// [`crate::SperrConfig::container_version`] or, for transcodes, the
-/// source stream.
-pub(crate) fn write_container(header: &Header, chunks: &[ChunkEncoding], version: u8) -> Vec<u8> {
-    debug_assert!((VERSION_V1..=VERSION).contains(&version));
-    write_container_versioned(header, chunks, version)
-}
-
-/// Serializes a legacy v1 container (no checksums). Kept for back-compat
-/// tests and the conformance v1 fixture ([`crate::Sperr::downgrade_to_v1`]):
-/// every reader must keep accepting v1 streams.
-pub(crate) fn write_container_v1(header: &Header, chunks: &[ChunkEncoding]) -> Vec<u8> {
-    write_container_versioned(header, chunks, VERSION_V1)
 }
 
 /// Bytes of the fixed and extended headers, through the chunk count:
@@ -569,7 +558,8 @@ mod tests {
 
     #[test]
     fn v1_stream_still_parses_without_checksums() {
-        let bytes = write_container_v1(&dummy_header(), &[dummy_chunk(vec![1, 2, 3], vec![4])]);
+        let chunks = [dummy_chunk(vec![1, 2, 3], vec![4])];
+        let bytes = write_container(&dummy_header(), &chunks, VERSION_V1);
         let parsed = read_container(&bytes).unwrap();
         assert_eq!(parsed.version, VERSION_V1);
         assert!(parsed.chunk_crcs.is_none());
@@ -584,7 +574,7 @@ mod tests {
         // (modulo the version byte), so v1 readers of the future could at
         // worst skip checksums, and sizes differ by exactly 4(n+1) bytes.
         let chunks = vec![dummy_chunk(vec![1, 2, 3], vec![4])];
-        let v1 = write_container_v1(&dummy_header(), &chunks);
+        let v1 = write_container(&dummy_header(), &chunks, VERSION_V1);
         let v2 = write_container(&dummy_header(), &chunks, VERSION_V2);
         assert_eq!(v2.len(), v1.len() + 4 * (chunks.len() + 1));
         let table_end = 20 + 24 + CHUNK_ENTRY_BYTES * chunks.len();
@@ -685,7 +675,8 @@ mod tests {
     #[test]
     fn absurd_headers_hit_limits_not_allocations() {
         // Craft a v1 stream (no header CRC to fix up) with huge dims.
-        let good = write_container_v1(&dummy_header(), &[dummy_chunk(vec![1, 2, 3], vec![])]);
+        let chunks = [dummy_chunk(vec![1, 2, 3], vec![])];
+        let good = write_container(&dummy_header(), &chunks, VERSION_V1);
         // Volume limit: dims -> u32::MAX on every axis.
         let mut bad = good.clone();
         bad[8..20].fill(0xFF);

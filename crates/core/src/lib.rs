@@ -59,6 +59,7 @@ mod chunk;
 mod compressor;
 mod container;
 mod crc32;
+mod decode;
 mod outer;
 #[doc(hidden)]
 pub mod faultpoint;
@@ -76,9 +77,8 @@ pub use container::Mode;
 pub use container::{ChunkIndexEntry, VERSION as CONTAINER_VERSION};
 pub use crc32::crc32;
 pub use pipeline::{
-    compress_chunk_bpp, compress_chunk_bpp_with, compress_chunk_pwe, compress_chunk_pwe_with,
-    compress_chunk_rmse, compress_chunk_rmse_with, decompress_chunk, decompress_chunk_multires,
-    decompress_chunk_region_with, decompress_chunk_with, ChunkEncoding, ScratchArena,
+    compress_chunk_bpp_with, compress_chunk_pwe, compress_chunk_pwe_with,
+    compress_chunk_rmse_with, ChunkEncoding, ScratchArena,
 };
 pub use pool::{JobPanic, WorkerPool};
 /// The sample-width abstraction the generic pipeline is written against,

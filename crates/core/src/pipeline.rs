@@ -1,12 +1,13 @@
 //! The per-chunk SPERR pipeline: transform → SPECK → outlier detection →
 //! outlier coding (compression) and the mirror image (decompression).
 //!
-//! Each stage comes in two flavours: the classic allocating entry points
-//! (`compress_chunk_pwe`, `decompress_chunk`, …) kept for API
-//! compatibility and tests, and the hot-path `_with` variants that take a
-//! [`WorkerPool`] plus a reusable [`ScratchArena`] so that compressing a
-//! stream of chunks performs no per-chunk allocations and can fan the
-//! elementwise and wavelet work out across the pool.
+//! The hot-path entry points take a [`WorkerPool`] plus a reusable
+//! [`ScratchArena`] so that a stream of chunks performs no per-chunk
+//! scratch allocations and can fan the elementwise and wavelet work out
+//! across the pool. Compression has one `_with` function per termination
+//! mode (plus the allocating [`compress_chunk_pwe`] the conformance oracle
+//! calls); decompression is the single [`decode_chunk`], whatever the
+//! read — full, region, preview or coarse.
 //!
 //! # Determinism
 //!
@@ -16,7 +17,7 @@
 //! therefore the compressed bytes — are identical for any `--threads`
 //! value, and identical to the serial reference path.
 
-use crate::pool::WorkerPool;
+use crate::pool::{Slots, WorkerPool};
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
 use sperr_outlier::Outlier;
@@ -24,7 +25,8 @@ use sperr_simd::Float;
 use sperr_speck::Termination;
 use sperr_telemetry::timed;
 use sperr_wavelet::{
-    forward_3d_with, inverse_3d_with, levels_for_dims, Kernel, TransformScratch,
+    coarse_dims, coarse_scale, forward_3d_with, inverse_3d_partial_with, inverse_3d_with,
+    levels_for_dims, Kernel, TransformScratch,
 };
 
 /// Block length (in samples) for parallel elementwise sweeps. Fixed — not
@@ -91,11 +93,12 @@ pub(crate) struct DecodeArenas {
 }
 
 impl DecodeArenas {
-    /// Records the footprint of the arena the stream's width used.
-    pub(crate) fn record_footprint(&self, native_f32: bool) {
-        if native_f32 {
+    /// Records the footprint of the arena(s) this worker decoded with.
+    pub(crate) fn record_footprint(&self) {
+        if self.narrow.bytes() > 0 {
             self.narrow.record_footprint();
-        } else {
+        }
+        if self.wide.bytes() > 0 {
             self.wide.record_footprint();
         }
     }
@@ -145,34 +148,15 @@ pub struct ChunkEncoding {
     pub max_err: f64,
 }
 
-/// Raw-pointer wrapper for disjoint block writes from pool jobs. The
-/// method (not field) access makes closures capture the `Sync` wrapper.
-struct BlockPtr<T>(*mut T);
-unsafe impl<T: Send> Send for BlockPtr<T> {}
-unsafe impl<T: Send> Sync for BlockPtr<T> {}
-impl<T> BlockPtr<T> {
-    /// # Safety
-    ///
-    /// Caller guarantees `start..start + len` is in bounds and disjoint
-    /// from every other concurrently accessed block.
-    unsafe fn block(&self, start: usize, len: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(start), len)
-    }
-}
-
 /// Mid-riser reconstruction of `coeffs` into `out` (same length), block-
 /// parallel over the pool. Bit-identical to the serial sweep.
 fn reconstruct_blocks<T: Float>(coeffs: &[T], q: f64, out: &mut [T], pool: &WorkerPool) {
-    let len = coeffs.len();
-    debug_assert_eq!(len, out.len());
-    let n_blocks = len.div_ceil(ELEM_BLOCK).max(1);
-    let dst = BlockPtr(out.as_mut_ptr());
-    pool.run(n_blocks, &|b, _| {
+    debug_assert_eq!(coeffs.len(), out.len());
+    let blocks: Slots<&mut [T]> = out.chunks_mut(ELEM_BLOCK).collect();
+    pool.run(coeffs.len().div_ceil(ELEM_BLOCK), &|b, _| {
         let start = b * ELEM_BLOCK;
-        let n = ELEM_BLOCK.min(len - start);
-        // SAFETY: blocks are disjoint and in bounds.
-        let dst = unsafe { dst.block(start, n) };
-        sperr_speck::reconstruct_quantized_into(&coeffs[start..start + n], q, dst);
+        let dst = &mut *blocks.lock(b);
+        sperr_speck::reconstruct_quantized_into(&coeffs[start..start + dst.len()], q, dst);
     });
 }
 
@@ -348,24 +332,7 @@ const BPP_MODE_PLANES: i32 = 48;
 /// Size-bounded compression of one chunk: SPECK's embedded stream is cut
 /// at `budget_bits`; no error guarantee, no outlier pass (§III-B: "the
 /// encoding process can terminate whenever a user-prescribed output size
-/// is reached"). Allocating wrapper around [`compress_chunk_bpp_with`].
-pub fn compress_chunk_bpp<T: Float>(
-    data: &[T],
-    dims: [usize; 3],
-    budget_bits: usize,
-    kernel: Kernel,
-) -> ChunkEncoding {
-    compress_chunk_bpp_with(
-        data,
-        dims,
-        budget_bits,
-        kernel,
-        &WorkerPool::inline(),
-        &mut ScratchArena::new(),
-    )
-}
-
-/// Hot-path size-bounded compression; see [`compress_chunk_bpp`].
+/// is reached").
 pub fn compress_chunk_bpp_with<T: Float>(
     data: &[T],
     dims: [usize; 3],
@@ -418,24 +385,6 @@ pub fn compress_chunk_bpp_with<T: Float>(
 /// `q = target_rmse`, whose mid-riser error (≤ q/2 per coded coefficient,
 /// < q in the dead zone) keeps the reconstruction RMSE at or below the
 /// target thanks to the transform's near-orthogonality. No outlier pass.
-/// Allocating wrapper around [`compress_chunk_rmse_with`].
-pub fn compress_chunk_rmse<T: Float>(
-    data: &[T],
-    dims: [usize; 3],
-    target_rmse: f64,
-    kernel: Kernel,
-) -> ChunkEncoding {
-    compress_chunk_rmse_with(
-        data,
-        dims,
-        target_rmse,
-        kernel,
-        &WorkerPool::inline(),
-        &mut ScratchArena::new(),
-    )
-}
-
-/// Hot-path average-error compression; see [`compress_chunk_rmse`].
 pub fn compress_chunk_rmse_with<T: Float>(
     data: &[T],
     dims: [usize; 3],
@@ -496,181 +445,97 @@ pub fn compress_chunk_rmse_with<T: Float>(
     }
 }
 
-/// Multi-resolution decompression of one chunk (paper §VII: the wavelet
-/// hierarchy "enables multi-level reconstruction that is useful in areas
-/// such as explorative analysis"): decodes the coefficients, undoes all
-/// but the finest `level` transform levels, and returns the coarse
-/// approximation (re-scaled to physical units) together with its dims.
-/// Outlier corrections are full-resolution data and do not apply to a
-/// coarse reconstruction.
-pub fn decompress_chunk_multires(
-    speck_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    level: usize,
-    kernel: Kernel,
-) -> Result<(Vec<f64>, [usize; 3]), CompressError> {
-    let levels = levels_for_dims(dims);
-    if levels.iter().any(|&l| l < level) {
-        return Err(CompressError::Invalid(format!(
-            "resolution level {level} exceeds the chunk's transform depth {levels:?}"
-        )));
-    }
-    let mut coeffs: Vec<f64> = sperr_speck::decode(speck_stream, dims, q, num_planes)?;
-    sperr_wavelet::inverse_3d_partial(&mut coeffs, dims, levels, level, kernel);
-    let cdims = sperr_wavelet::coarse_dims(dims, levels, level);
-    let scale = 1.0 / sperr_wavelet::coarse_scale(dims, levels, level);
-    let mut out = Vec::with_capacity(cdims.iter().product());
-    for z in 0..cdims[2] {
-        for y in 0..cdims[1] {
-            for x in 0..cdims[0] {
-                out.push(coeffs[x + dims[0] * (y + dims[1] * z)] * scale);
-            }
-        }
-    }
-    Ok((out, cdims))
+/// One chunk's decode, as the container's chunk table and the read at
+/// hand describe it.
+pub(crate) struct ChunkJob<'a> {
+    /// The SPECK stream, or the prefix of it a preview keeps (truncation
+    /// is the embedded-coding contract, not corruption).
+    pub speck: &'a [u8],
+    /// The outlier stream; empty when there are no corrections or the read
+    /// does not apply them (previews, coarse levels).
+    pub outliers: &'a [u8],
+    /// Chunk extent.
+    pub dims: [usize; 3],
+    /// SPECK's finest quantization step.
+    pub q: f64,
+    /// SPECK bitplane count.
+    pub num_planes: u8,
+    /// Outlier coder starting exponent.
+    pub max_n: u8,
+    /// The compression-time PWE tolerance (scales the outlier thresholds);
+    /// ignored when `outliers` is empty.
+    pub tolerance: f64,
+    /// Wavelet kernel.
+    pub kernel: Kernel,
+    /// Chunk-local half-open box outside which outlier corrections are
+    /// skipped (a region read keeps nothing else); `None` keeps them all.
+    pub keep: Option<([usize; 3], [usize; 3])>,
+    /// Finest transform levels left undone: 0 reconstructs the chunk, `l`
+    /// its `1/2^l`-resolution approximation (paper §VII: the wavelet
+    /// hierarchy "enables multi-level reconstruction that is useful in
+    /// areas such as explorative analysis"). The caller has checked that
+    /// the chunk has that many levels on every axis.
+    pub level: usize,
 }
 
-/// Decompresses one chunk. `tolerance` must be the compression-time `t`
-/// for PWE streams (used to scale outlier thresholds); it is ignored when
-/// the outlier stream is empty. Allocating compatibility wrapper around
-/// [`decompress_chunk_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_chunk<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
-) -> Result<Vec<T>, CompressError> {
-    decompress_chunk_with(
-        speck_stream,
-        outlier_stream,
-        dims,
-        q,
-        num_planes,
-        max_n,
-        tolerance,
-        kernel,
-        &WorkerPool::inline(),
-        &mut ScratchArena::new(),
-    )
-    .map(|(data, _)| data)
-}
-
-/// Hot-path decompression: the inverse wavelet transform runs on `pool`
-/// using `arena`'s panel scratch. Also reports per-stage wall times
-/// (SPECK decode / wavelet / outlier correction) for `info --verbose`.
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_chunk_with<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
+/// Decompresses one chunk: SPECK decode, inverse wavelet transform on
+/// `pool` with `arena`'s panel scratch, outlier corrections. Also reports
+/// per-stage wall times for `info --verbose`.
+///
+/// The transform is global to the chunk, so the whole chunk is always
+/// reconstructed; a `keep` box scopes only the sparse correction pass, and
+/// inside it the result is bit-identical to an unscoped decode
+/// (corrections are point-local, Eq. 1). At `level > 0` the returned
+/// buffer still has the chunk's full extent, with the coarse
+/// approximation, re-scaled to physical units, in its
+/// `[0, coarse_dims)` corner.
+pub(crate) fn decode_chunk<T: Float>(
+    job: &ChunkJob<'_>,
     pool: &WorkerPool,
     arena: &mut ScratchArena<T>,
 ) -> Result<(Vec<T>, StageTimes), CompressError> {
-    decompress_chunk_inner(
-        speck_stream,
-        outlier_stream,
-        dims,
-        q,
-        num_planes,
-        max_n,
-        tolerance,
-        kernel,
-        None,
-        pool,
-        arena,
-    )
-}
-
-/// Region-of-interest variant of [`decompress_chunk_with`]: identical
-/// pipeline, but outlier corrections landing outside the chunk-local
-/// half-open box `keep_lo..keep_hi` are skipped. The wavelet transform is
-/// global to the chunk, so the full chunk is still reconstructed — only
-/// the sparse correction pass is scoped — and the kept box is
-/// bit-identical to a full decode of the chunk (corrections are
-/// point-local, Eq. 1). Used by [`crate::Sperr::decode_region`].
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_chunk_region_with<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
-    keep_lo: [usize; 3],
-    keep_hi: [usize; 3],
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<(Vec<T>, StageTimes), CompressError> {
-    decompress_chunk_inner(
-        speck_stream,
-        outlier_stream,
-        dims,
-        q,
-        num_planes,
-        max_n,
-        tolerance,
-        kernel,
-        Some((keep_lo, keep_hi)),
-        pool,
-        arena,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn decompress_chunk_inner<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
-    keep: Option<([usize; 3], [usize; 3])>,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<(Vec<T>, StageTimes), CompressError> {
+    let dims = job.dims;
     let levels = levels_for_dims(dims);
     crate::faultpoint::stage(stage_labels::SPECK_DECODE);
     let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
-        sperr_speck::decode(speck_stream, dims, q, num_planes)
+        sperr_speck::decode(job.speck, dims, job.q, job.num_planes)
     });
-    let mut coeffs = decoded?;
+    let mut coeffs: Vec<T> = decoded?;
 
     crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
     let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
-        inverse_3d_with(&mut coeffs, dims, levels, kernel, pool, &mut arena.wavelet);
+        let scratch = &mut arena.wavelet;
+        inverse_3d_partial_with(&mut coeffs, dims, levels, job.level, job.kernel, pool, scratch);
+        if job.level > 0 {
+            // The approximation band carries the kernel's DC gain.
+            let cdims = coarse_dims(dims, levels, job.level);
+            let scale = 1.0 / coarse_scale(dims, levels, job.level);
+            for z in 0..cdims[2] {
+                for y in 0..cdims[1] {
+                    let row = dims[0] * (y + dims[1] * z);
+                    for c in &mut coeffs[row..row + cdims[0]] {
+                        *c = T::from_f64(c.to_f64() * scale);
+                    }
+                }
+            }
+        }
     });
 
     crate::faultpoint::stage(stage_labels::OUTLIER_APPLY);
     let (applied, outlier_time) = timed(stage_labels::OUTLIER_APPLY, || {
-        if !outlier_stream.is_empty() {
-            if !(tolerance > 0.0) {
+        if !job.outliers.is_empty() {
+            if !(job.tolerance > 0.0) {
                 return Err(CompressError::Corrupt(
                     "outlier stream present but tolerance missing".into(),
                 ));
             }
             let corrections =
-                sperr_outlier::decode(outlier_stream, coeffs.len(), tolerance, max_n)?;
+                sperr_outlier::decode(job.outliers, coeffs.len(), job.tolerance, job.max_n)?;
             for c in corrections {
                 if c.pos >= coeffs.len() {
                     return Err(CompressError::Corrupt("outlier position out of range".into()));
                 }
-                if let Some((lo, hi)) = keep {
+                if let Some((lo, hi)) = job.keep {
                     let x = c.pos % dims[0];
                     let y = (c.pos / dims[0]) % dims[1];
                     let z = c.pos / (dims[0] * dims[1]);
@@ -707,24 +572,38 @@ mod tests {
             .collect()
     }
 
+    /// The full-resolution job for everything `enc` holds.
+    fn job<'a>(enc: &'a ChunkEncoding, dims: [usize; 3], t: f64) -> ChunkJob<'a> {
+        ChunkJob {
+            speck: &enc.speck_stream,
+            outliers: &enc.outlier_stream,
+            dims,
+            q: enc.q,
+            num_planes: enc.num_planes,
+            max_n: enc.max_n,
+            tolerance: t,
+            kernel: Kernel::Cdf97,
+            keep: None,
+            level: 0,
+        }
+    }
+
+    fn decode(job: &ChunkJob<'_>) -> Vec<f64> {
+        decode_chunk(job, &WorkerPool::inline(), &mut ScratchArena::new()).unwrap().0
+    }
+
+    fn compress_bpp(data: &[f64], dims: [usize; 3], budget_bits: usize) -> ChunkEncoding {
+        let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+        compress_chunk_bpp_with(data, dims, budget_bits, Kernel::Cdf97, &pool, &mut arena)
+    }
+
     #[test]
     fn chunk_pwe_roundtrip_bounds_error() {
         let dims = [24usize, 16, 12];
         let data = test_data(dims);
         let t = 0.01;
         let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97);
-        let rec = decompress_chunk(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            t,
-            Kernel::Cdf97,
-        )
-        .unwrap();
-        for (a, b) in data.iter().zip(&rec) {
+        for (a, b) in data.iter().zip(&decode(&job(&enc, dims, t))) {
             assert!((a - b).abs() <= t, "{a} vs {b}");
         }
     }
@@ -738,22 +617,8 @@ mod tests {
         let t = 0.001;
         let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97);
         assert!(enc.num_outliers > 0, "expected outliers at q = 3t");
-        let rec = decompress_chunk(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            t,
-            Kernel::Cdf97,
-        )
-        .unwrap();
-        let max_err = data
-            .iter()
-            .zip(&rec)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
+        let rec = decode(&job(&enc, dims, t));
+        let max_err = data.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
         assert!(max_err <= t);
     }
 
@@ -762,20 +627,9 @@ mod tests {
         let dims = [16usize, 16, 16];
         let data = test_data(dims);
         let budget = 4096usize; // 1 bpp
-        let enc = compress_chunk_bpp(&data, dims, budget, Kernel::Cdf97);
+        let enc = compress_bpp(&data, dims, budget);
         assert!(enc.speck_bits <= budget);
-        let rec = decompress_chunk::<f64>(
-            &enc.speck_stream,
-            &[],
-            dims,
-            enc.q,
-            enc.num_planes,
-            0,
-            0.0,
-            Kernel::Cdf97,
-        )
-        .unwrap();
-        assert_eq!(rec.len(), data.len());
+        assert_eq!(decode(&job(&enc, dims, 0.0)).len(), data.len());
     }
 
     #[test]
@@ -785,18 +639,7 @@ mod tests {
         let enc = compress_chunk_pwe(&data, dims, 0.1, 1.5, Kernel::Cdf97);
         assert!(enc.speck_stream.is_empty());
         assert_eq!(enc.num_outliers, 0);
-        let rec = decompress_chunk::<f64>(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            0.1,
-            Kernel::Cdf97,
-        )
-        .unwrap();
-        assert_eq!(rec, data);
+        assert_eq!(decode(&job(&enc, dims, 0.1)), data);
     }
 
     #[test]
@@ -830,17 +673,7 @@ mod tests {
         let data = test_data(dims);
         for (t, q_factor) in [(0.01, 1.5), (0.001, 3.0)] {
             let enc = compress_chunk_pwe(&data, dims, t, q_factor, Kernel::Cdf97);
-            let rec = decompress_chunk(
-                &enc.speck_stream,
-                &enc.outlier_stream,
-                dims,
-                enc.q,
-                enc.num_planes,
-                enc.max_n,
-                t,
-                Kernel::Cdf97,
-            )
-            .unwrap();
+            let rec = decode(&job(&enc, dims, t));
             let measured =
                 data.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
             assert_eq!(enc.max_err, measured, "t={t} q_factor={q_factor}");
@@ -849,7 +682,7 @@ mod tests {
     }
 
     #[test]
-    fn region_variant_matches_full_decode_inside_kept_box() {
+    fn keep_box_matches_full_decode_inside_it() {
         // Outliers outside the kept box are skipped; inside it the decode
         // must be bit-identical to the full chunk decode.
         let dims = [16usize, 12, 10];
@@ -857,39 +690,41 @@ mod tests {
         let t = 0.001;
         let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97);
         assert!(enc.num_outliers > 0, "test needs outliers to be meaningful");
-        let full = decompress_chunk::<f64>(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            t,
-            Kernel::Cdf97,
-        )
-        .unwrap();
+        let full = decode(&job(&enc, dims, t));
         let (lo, hi) = ([3usize, 0, 2], [9usize, 12, 7]);
-        let mut arena = ScratchArena::<f64>::new();
-        let (region, _) = decompress_chunk_region_with(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            t,
-            Kernel::Cdf97,
-            lo,
-            hi,
-            &WorkerPool::inline(),
-            &mut arena,
-        )
-        .unwrap();
+        let region = decode(&ChunkJob { keep: Some((lo, hi)), ..job(&enc, dims, t) });
         for z in lo[2]..hi[2] {
             for y in lo[1]..hi[1] {
                 for x in lo[0]..hi[0] {
                     let pos = x + dims[0] * (y + dims[1] * z);
                     assert_eq!(full[pos].to_bits(), region[pos].to_bits(), "at {x},{y},{z}");
+                }
+            }
+        }
+        assert_ne!(full, region, "no correction fell outside the box");
+    }
+
+    #[test]
+    fn coarse_level_is_the_rescaled_partial_inverse() {
+        // Level l leaves the finest l transform levels undone and divides
+        // the approximation corner by the kernel's DC gain, nothing else.
+        let dims = [24usize, 16, 12];
+        let data = test_data(dims);
+        let enc = compress_chunk_pwe(&data, dims, 0.01, 1.5, Kernel::Cdf97);
+        let levels = levels_for_dims(dims);
+        for level in 1..=2 {
+            let coarse = decode(&ChunkJob { outliers: &[], level, ..job(&enc, dims, 0.01) });
+            let mut want: Vec<f64> =
+                sperr_speck::decode(&enc.speck_stream, dims, enc.q, enc.num_planes).unwrap();
+            sperr_wavelet::inverse_3d_partial(&mut want, dims, levels, level, Kernel::Cdf97);
+            let cdims = coarse_dims(dims, levels, level);
+            let scale = 1.0 / coarse_scale(dims, levels, level);
+            for z in 0..cdims[2] {
+                for y in 0..cdims[1] {
+                    for x in 0..cdims[0] {
+                        let pos = x + dims[0] * (y + dims[1] * z);
+                        assert_eq!(coarse[pos].to_bits(), (want[pos] * scale).to_bits());
+                    }
                 }
             }
         }
@@ -901,32 +736,10 @@ mod tests {
         let data = test_data(dims);
         let t = 0.002;
         let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97);
-        let serial = decompress_chunk::<f64>(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            t,
-            Kernel::Cdf97,
-        )
-        .unwrap();
+        let serial = decode(&job(&enc, dims, t));
         let mut arena = ScratchArena::new();
         WorkerPool::scoped(3, |pool| {
-            let (pooled, times) = decompress_chunk_with(
-                &enc.speck_stream,
-                &enc.outlier_stream,
-                dims,
-                enc.q,
-                enc.num_planes,
-                enc.max_n,
-                t,
-                Kernel::Cdf97,
-                pool,
-                &mut arena,
-            )
-            .unwrap();
+            let (pooled, times) = decode_chunk(&job(&enc, dims, t), pool, &mut arena).unwrap();
             assert_eq!(serial, pooled);
             assert!(times.speck + times.wavelet > std::time::Duration::ZERO);
         });

@@ -320,27 +320,9 @@ impl WorkerPool {
         T: Send,
         F: Fn(usize, usize) -> T + Sync,
     {
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        let slots = SendPtr(out.as_mut_ptr());
-        self.run(n, &|i, w| {
-            let v = f(i, w);
-            // SAFETY: each job index writes exactly its own slot.
-            unsafe { *slots.at(i) = Some(v) };
-        });
-        out.into_iter()
-            .map(|s| s.expect("worker failed to fill slot"))
-            .collect()
-    }
-}
-
-/// Raw pointer wrapper for the disjoint-slot writes in [`WorkerPool::map`].
-struct SendPtr<T>(*mut T);
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-impl<T> SendPtr<T> {
-    /// Method (not field) access so closures capture the Sync wrapper.
-    unsafe fn at(&self, i: usize) -> *mut T {
-        self.0.add(i)
+        let out = Slots::new(n, || None);
+        self.run(n, &|i, w| *out.lock(i) = Some(f(i, w)));
+        out.into_values().map(|v| v.expect("worker failed to fill slot")).collect()
     }
 }
 
@@ -417,27 +399,68 @@ impl sperr_wavelet::LineExecutor for WorkerPool {
     }
 }
 
-/// One value per worker slot, handed out mutably by slot index — the
-/// core-side twin of the wavelet crate's internal scratch keying. Used
-/// for per-worker [`ScratchArena`](crate::pipeline::ScratchArena)s.
-pub(crate) struct PerWorker<T> {
-    slots: Box<[std::cell::UnsafeCell<T>]>,
+/// One value per index, handed out mutably through `&self`: per-worker
+/// scratch such as the [`ScratchArena`](crate::pipeline::ScratchArena)s
+/// (indexed by worker slot), per-job results and output blocks (indexed
+/// by job). Each value sits behind its own mutex. Concurrent jobs always
+/// see distinct worker slots and distinct job indices (the pool contract),
+/// so a lock is never contended; it is what makes `&mut T` out of `&self`
+/// safe.
+pub(crate) struct Slots<T> {
+    slots: Box<[Mutex<T>]>,
 }
 
-// SAFETY: `get` callers uphold one-thread-per-slot (pool contract).
-unsafe impl<T: Send> Sync for PerWorker<T> {}
-
-impl<T> PerWorker<T> {
+impl<T> Slots<T> {
     pub(crate) fn new(n: usize, mut init: impl FnMut() -> T) -> Self {
-        PerWorker { slots: (0..n).map(|_| std::cell::UnsafeCell::new(init())).collect() }
+        (0..n).map(|_| init()).collect()
     }
 
-    /// # Safety
-    ///
-    /// No two threads may use the same `worker` index concurrently.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self, worker: usize) -> &mut T {
-        &mut *self.slots[worker].get()
+    /// The value at `index`, for the duration of one job.
+    pub(crate) fn lock(&self, index: usize) -> MutexGuard<'_, T> {
+        lock_ignore_poison(&self.slots[index])
+    }
+
+    /// Hands the values back, in index order, once every job is done.
+    pub(crate) fn into_values(self) -> impl Iterator<Item = T> {
+        self.slots
+            .into_vec()
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+impl<T> FromIterator<T> for Slots<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(values: I) -> Self {
+        Slots { slots: values.into_iter().map(Mutex::new).collect() }
+    }
+}
+
+impl WorkerPool {
+    /// Ordered map of `n` jobs, each with exclusive use of one of
+    /// `threads()` per-worker states built by `init` — the chunk loop of
+    /// every driver. With enough jobs to saturate the pool the jobs run
+    /// in parallel and whatever they nest runs inline; with fewer they
+    /// run one after another on the caller (state 0), so each job's inner
+    /// batches — wavelet panels, elementwise sweeps — fan out across the
+    /// pool instead. Results come back in job order, with the states.
+    pub(crate) fn map_with_state<S, T, F>(
+        &self,
+        n: usize,
+        init: impl FnMut() -> S,
+        f: F,
+    ) -> (Vec<T>, Slots<S>)
+    where
+        S: Send,
+        T: Send,
+        F: Fn(usize, &mut S) -> T + Sync,
+    {
+        let states = Slots::new(self.threads, init);
+        let out = if n >= self.threads {
+            self.map(n, |i, w| f(i, &mut states.lock(w)))
+        } else {
+            (0..n).map(|i| f(i, &mut states.lock(0))).collect()
+        };
+        (out, states)
     }
 }
 
@@ -763,6 +786,33 @@ mod tests {
             assert!(result.is_err());
             // Pool still works after a failed batch.
             assert_eq!(pool.map(3, |i, _| i), vec![0, 1, 2]);
+        });
+    }
+
+    #[test]
+    fn map_with_state_gives_each_job_exclusive_worker_state() {
+        WorkerPool::scoped(4, |pool| {
+            // Many jobs: outer-parallel, one state per worker, every job
+            // counted exactly once, results in job order.
+            let (out, states) = pool.map_with_state(64, || 0usize, |i, seen| {
+                *seen += 1;
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                i * 3
+            });
+            assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
+            let per_worker: Vec<usize> = states.into_values().collect();
+            assert_eq!(per_worker.len(), 4);
+            assert_eq!(per_worker.iter().sum::<usize>(), 64);
+            // Fewer jobs than workers: serial on the caller with state 0,
+            // out of job context, so a nested batch still fans out.
+            let caller = std::thread::current().id();
+            let (out, states) = pool.map_with_state(3, || 0usize, |i, seen| {
+                *seen += 1;
+                assert_eq!(std::thread::current().id(), caller);
+                pool.map(8, |j, _| j).len() + i
+            });
+            assert_eq!(out, vec![8, 9, 10]);
+            assert_eq!(states.into_values().collect::<Vec<_>>(), vec![3, 0, 0, 0]);
         });
     }
 }

@@ -59,21 +59,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
 use crate::chunk::{chunk_grid, ChunkSpec};
-use crate::compressor::{chunk_offsets, verify_chunk_crcs, Sperr, PER_CHUNK_HEADER_BITS};
-use crate::container::{read_container, write_container, ChunkEntry, Header, Mode};
-use crate::crc32::crc32;
+use crate::compressor::{CompressRun, Sperr};
+use crate::decode::{Opened, Samples};
 use crate::faultpoint;
-use crate::outer::{unwrap_outer, wrap_outer};
-use crate::pipeline::{
-    compress_chunk_bpp_with, compress_chunk_pwe_with, decompress_chunk_with, ChunkEncoding,
-    DecodeArenas, ScratchArena,
-};
-use crate::pool::{lock_ignore_poison, panic_payload_message, PerWorker, WorkerPool};
-use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
+use crate::pipeline::{ChunkEncoding, DecodeArenas, ScratchArena};
+use crate::pool::{lock_ignore_poison, panic_payload_message, Slots, WorkerPool};
+use crate::stats::{metric_labels, CompressionStats, StageTimes};
 use crate::ChunkStatus;
 use sperr_compress_api::{Bound, CompressError, Precision};
 use sperr_simd::Float;
-use sperr_telemetry::timed;
 
 /// Stage labels specific to the streaming pipeline (the per-chunk codec
 /// stages reuse [`stage_labels`]).
@@ -128,6 +122,16 @@ pub enum SperrError {
 impl SperrError {
     fn io(stage: &'static str, chunk: Option<usize>, e: &std::io::Error) -> Self {
         SperrError::Io { stage, chunk, kind: e.kind(), message: e.to_string() }
+    }
+
+    /// A caught panic, attributed to the last stage the panicking thread
+    /// entered.
+    fn caught(chunk: Option<usize>, payload: &(dyn std::any::Any + Send)) -> Self {
+        SperrError::Panic {
+            stage: faultpoint::last_stage(),
+            chunk,
+            message: panic_payload_message(payload),
+        }
     }
 
     /// The underlying codec error, when this is a codec failure.
@@ -402,8 +406,8 @@ fn ingest_volume<R: Read, T: Float>(
 }
 
 /// Shared state of one parallel streaming run. Generic over the raw
-/// sample type the compress direction buffers (`f64` on the decompress
-/// side, whose decoded chunks are widened before entering the mailbox).
+/// sample type the compress direction buffers (unused on the decompress
+/// side, whose decoded chunks enter the mailbox as [`Samples`]).
 struct PipeState<T> {
     /// Completed chunk buffers awaiting their worker (compress) or the
     /// emitter (decompress): index → payload.
@@ -424,7 +428,7 @@ struct PipeState<T> {
 
 enum ReadyChunk<T> {
     Raw(Vec<T>),
-    Decoded { data: Vec<T>, status: ChunkStatus, times: StageTimes },
+    Decoded { data: Samples, status: ChunkStatus, times: StageTimes },
 }
 
 struct PipeShared<T> {
@@ -473,18 +477,15 @@ impl<T> PipeShared<T> {
     }
 }
 
-/// Raw pointer wrapper for disjoint per-chunk result writes from pool
-/// jobs (same pattern as `WorkerPool::map`).
-struct SlotPtr<T>(*mut Option<T>);
-unsafe impl<T> Send for SlotPtr<T> {}
-unsafe impl<T> Sync for SlotPtr<T> {}
-impl<T> SlotPtr<T> {
-    /// # Safety
-    ///
-    /// `i` in bounds; each index written by exactly one job.
-    unsafe fn put(&self, i: usize, v: T) {
-        *self.0.add(i) = Some(v);
-    }
+/// Runs `body`, turning an unwind out of it into the typed
+/// [`SperrError::Panic`] for `chunk` — nothing unwinds out of the
+/// streaming API, wherever on the caller or a worker thread it started.
+fn guarded<R>(
+    chunk: Option<usize>,
+    body: impl FnOnce() -> Result<R, SperrError>,
+) -> Result<R, SperrError> {
+    catch_unwind(AssertUnwindSafe(body))
+        .unwrap_or_else(|p| Err(SperrError::caught(chunk, p.as_ref())))
 }
 
 impl Sperr {
@@ -520,16 +521,9 @@ impl Sperr {
     ) -> Result<StreamReport, SperrError> {
         // Outer guard: a panic anywhere on the caller thread (e.g. in
         // container assembly, after the pool has drained) still surfaces
-        // as a typed error — nothing unwinds out of the public API.
-        catch_unwind(AssertUnwindSafe(|| {
-            self.compress_stream_inner::<f64, R, W>(reader, writer, dims, precision, false, bound)
-        }))
-        .unwrap_or_else(|p| {
-            Err(SperrError::Panic {
-                stage: faultpoint::last_stage(),
-                chunk: None,
-                message: panic_payload_message(p.as_ref()),
-            })
+        // as a typed error.
+        guarded(None, || {
+            self.compress_stream_inner::<f64, R, W>(reader, writer, dims, precision, bound)
         })
     }
 
@@ -547,22 +541,8 @@ impl Sperr {
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
         // Outer guard: see `compress_stream`.
-        catch_unwind(AssertUnwindSafe(|| {
-            self.compress_stream_inner::<f32, R, W>(
-                reader,
-                writer,
-                dims,
-                Precision::Single,
-                true,
-                bound,
-            )
-        }))
-        .unwrap_or_else(|p| {
-            Err(SperrError::Panic {
-                stage: faultpoint::last_stage(),
-                chunk: None,
-                message: panic_payload_message(p.as_ref()),
-            })
+        guarded(None, || {
+            self.compress_stream_inner::<f32, R, W>(reader, writer, dims, Precision::Single, bound)
         })
     }
 
@@ -572,73 +552,33 @@ impl Sperr {
         writer: W,
         dims: [usize; 3],
         precision: Precision,
-        native_f32: bool,
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
-        let invalid = |msg: String| SperrError::Codec {
-            stage: STAGE_INGEST,
-            chunk: None,
-            source: CompressError::Invalid(msg),
-        };
+        let rejected =
+            |source| SperrError::Codec { stage: STAGE_INGEST, chunk: None, source };
         if dims.iter().any(|&d| d == 0) {
-            return Err(invalid("empty field".into()));
+            return Err(rejected(CompressError::Invalid("empty field".into())));
         }
-        let (mode, bound_value) = match bound {
-            Bound::Pwe(t) => {
-                if !(t > 0.0) || !t.is_finite() {
-                    return Err(invalid(format!("invalid tolerance {t}")));
-                }
-                (Mode::Pwe, t)
-            }
-            Bound::Bpp(r) => {
-                if !(r > 0.0) || !r.is_finite() {
-                    return Err(invalid(format!("invalid bitrate {r}")));
-                }
-                (Mode::Bpp, r)
-            }
-            Bound::Psnr(_) => {
-                return Err(SperrError::Codec {
-                    stage: STAGE_INGEST,
-                    chunk: None,
-                    source: CompressError::Unsupported(
-                        "PSNR-bounded compression needs the full-volume data range; \
-                         unavailable in single-pass streaming",
-                    ),
-                });
-            }
-        };
+        if let Bound::Psnr(_) = bound {
+            return Err(rejected(CompressError::Unsupported(
+                "PSNR-bounded compression needs the full-volume data range; \
+                 unavailable in single-pass streaming",
+            )));
+        }
+        let run = self.compress_run(bound).map_err(rejected)?;
         let total_points: usize = dims.iter().product();
         let _run = sperr_telemetry::span!("sperr.compress_stream", total_points);
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_COMPRESS_STREAM);
 
-        let cfg = self.config().clone();
-        let grid = chunk_grid(dims, cfg.chunk_dims);
-        let geo = LayerGeometry::new(dims, cfg.chunk_dims);
+        let grid = chunk_grid(dims, self.config().chunk_dims);
+        let geo = LayerGeometry::new(dims, self.config().chunk_dims);
         let n_chunks = grid.len();
         let threads = self.effective_threads(&grid);
         let budget = self.resolve_budget(threads, geo.layer_len());
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
         let mut rd = ScalarReader::<R, T>::new(reader, precision, dims[0]);
-        let mut results: Vec<Option<ChunkEncoding>> = (0..n_chunks).map(|_| None).collect();
-        let encode_chunk = |data: &[T],
-                            spec: &ChunkSpec,
-                            pool: &WorkerPool,
-                            arena: &mut ScratchArena<T>|
-         -> ChunkEncoding {
-            match mode {
-                Mode::Pwe => compress_chunk_pwe_with(
-                    data, spec.dims, bound_value, cfg.q_factor, cfg.kernel, pool, arena,
-                ),
-                Mode::Bpp => {
-                    let bits = ((bound_value * spec.len() as f64) as usize)
-                        .saturating_sub(PER_CHUNK_HEADER_BITS);
-                    compress_chunk_bpp_with(data, spec.dims, bits, cfg.kernel, pool, arena)
-                }
-                // PSNR was rejected above; this arm cannot execute.
-                Mode::Rmse => unreachable!("PSNR mode rejected for streaming"),
-            }
-        };
+        let results: Slots<Option<ChunkEncoding>> = Slots::new(n_chunks, || None);
 
         // One pool for the whole call: the chunk pipeline, then the blocks
         // of the lossless pass over the assembled container. With one
@@ -653,13 +593,8 @@ impl Sperr {
                     in_flight: usize,
                     peak: usize,
                     grid: &'a [ChunkSpec],
-                    results: &'a mut [Option<ChunkEncoding>],
-                    encode: &'a dyn Fn(
-                        &[T],
-                        &ChunkSpec,
-                        &WorkerPool,
-                        &mut ScratchArena<T>,
-                    ) -> ChunkEncoding,
+                    results: &'a Slots<Option<ChunkEncoding>>,
+                    run: &'a CompressRun<'a>,
                     pool: &'a WorkerPool,
                     arena: ScratchArena<T>,
                 }
@@ -674,26 +609,18 @@ impl Sperr {
                         Ok(self.free.pop().unwrap_or_default())
                     }
                     fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError> {
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            (self.encode)(&buf, &self.grid[idx], self.pool, &mut self.arena)
-                        }));
+                        let encoded = guarded(Some(idx), || {
+                            let spec = &self.grid[idx];
+                            Ok(self.run.encode_chunk(&buf, spec, self.pool, &mut self.arena))
+                        });
                         self.in_flight -= 1;
                         sperr_telemetry::record_units(
                             metric_labels::STREAM_IN_FLIGHT,
                             self.in_flight as u64,
                         );
                         self.free.push(buf);
-                        match r {
-                            Ok(enc) => {
-                                self.results[idx] = Some(enc);
-                                Ok(())
-                            }
-                            Err(p) => Err(SperrError::Panic {
-                                stage: faultpoint::last_stage(),
-                                chunk: Some(idx),
-                                message: panic_payload_message(p.as_ref()),
-                            }),
-                        }
+                        *self.results.lock(idx) = Some(encoded?);
+                        Ok(())
                     }
                 }
                 let mut sink = SerialSink {
@@ -701,8 +628,8 @@ impl Sperr {
                     in_flight: 0,
                     peak: 0,
                     grid: &grid,
-                    results: &mut results,
-                    encode: &encode_chunk,
+                    results: &results,
+                    run: &run,
                     pool,
                     arena: ScratchArena::new(),
                 };
@@ -711,11 +638,10 @@ impl Sperr {
                 peak_in_flight = sink.peak;
             } else {
                 let shared = PipeShared::new(budget);
-                let results_ptr = SlotPtr(results.as_mut_ptr());
                 let grid_ref = &grid;
                 let shared_ref = &shared;
-                let run = {
-                    let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
+                let drained = {
+                    let arenas = Slots::new(pool.threads(), ScratchArena::new);
                     let worker = |i: usize, w: usize| {
                         // Wait for chunk i (or cancellation).
                         let buf = {
@@ -733,19 +659,12 @@ impl Sperr {
                                     .unwrap_or_else(std::sync::PoisonError::into_inner);
                             }
                         };
-                        // SAFETY: one thread per worker slot (pool contract).
-                        let arena = unsafe { arenas.get(w) };
-                        let r = catch_unwind(AssertUnwindSafe(|| {
-                            encode_chunk(&buf, &grid_ref[i], pool, arena)
-                        }));
-                        match r {
-                            // SAFETY: each job writes exactly its own slot.
-                            Ok(enc) => unsafe { results_ptr.put(i, enc) },
-                            Err(p) => shared_ref.cancel(SperrError::Panic {
-                                stage: faultpoint::last_stage(),
-                                chunk: Some(i),
-                                message: panic_payload_message(p.as_ref()),
-                            }),
+                        let encoded = guarded(Some(i), || {
+                            Ok(run.encode_chunk(&buf, &grid_ref[i], pool, &mut arenas.lock(w)))
+                        });
+                        match encoded {
+                            Ok(enc) => *results.lock(i) = Some(enc),
+                            Err(e) => shared_ref.cancel(e),
                         }
                         // Return the buffer and unblock the producer.
                         let mut st = lock_ignore_poison(&shared_ref.state);
@@ -801,30 +720,19 @@ impl Sperr {
                             }
                         }
                         let mut sink = ParallelSink { shared: shared_ref };
-                        let body = catch_unwind(AssertUnwindSafe(|| {
-                            ingest_volume(&mut rd, &geo, grid_ref, &mut sink)
-                        }));
-                        match body {
-                            Ok(Ok(())) => {}
-                            Ok(Err(e)) => shared_ref.cancel(e),
-                            Err(p) => shared_ref.cancel(SperrError::Panic {
-                                stage: faultpoint::last_stage(),
-                                chunk: None,
-                                message: panic_payload_message(p.as_ref()),
-                            }),
+                        let ingest = || ingest_volume(&mut rd, &geo, grid_ref, &mut sink);
+                        if let Err(e) = guarded(None, ingest) {
+                            shared_ref.cancel(e);
                         }
                     };
-                    let run = pool.run_with_producer(n_chunks, producer, &worker);
-                    for w in 0..pool.threads() {
-                        // SAFETY: all jobs have completed; no concurrent users.
-                        unsafe { arenas.get(w) }.record_footprint();
-                    }
-                    run
+                    let drained = pool.run_with_producer(n_chunks, producer, &worker);
+                    arenas.into_values().for_each(|arena| arena.record_footprint());
+                    drained
                 };
                 if let Some(e) = shared.take_error() {
                     return Err(e);
                 }
-                if let Err(jp) = run {
+                if let Err(jp) = drained {
                     return Err(SperrError::Panic {
                         stage: STAGE_PIPELINE,
                         chunk: None,
@@ -837,7 +745,7 @@ impl Sperr {
             // All chunks encoded (any failure returned above); assemble and
             // emit the container exactly like the non-streaming path.
             let mut encoded = Vec::with_capacity(n_chunks);
-            for (i, slot) in results.into_iter().enumerate() {
+            for (i, slot) in results.into_values().enumerate() {
                 match slot {
                     Some(enc) => encoded.push(enc),
                     None => {
@@ -849,43 +757,8 @@ impl Sperr {
                     }
                 }
             }
-            let mut stats = CompressionStats {
-                num_points: total_points,
-                num_chunks: n_chunks,
-                ..CompressionStats::default()
-            };
-            for enc in &encoded {
-                stats.speck_bits += enc.speck_bits;
-                stats.outlier_bits += enc.outlier_bits;
-                stats.num_outliers += enc.num_outliers as usize;
-                stats.stage_times.accumulate(&enc.times);
-                stats.coeff_sq_error += enc.coeff_sq_error;
-            }
             faultpoint::stage(STAGE_CONTAINER);
-            let header = Header {
-                mode,
-                kernel: cfg.kernel,
-                precision,
-                native_f32,
-                dims,
-                chunk_dims: cfg.chunk_dims,
-                bound_value,
-                n_chunks,
-            };
-            let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
-                write_container(&header, &encoded, cfg.container_version)
-            });
-            stats.container_bytes = container.len();
-            stats.stage_times.container = container_time;
-            let out = if cfg.lossless {
-                let (out, lossless_time) =
-                    timed(stage_labels::LOSSLESS_COMPRESS, || wrap_outer(&container, true, pool));
-                stats.stage_times.lossless = lossless_time;
-                out
-            } else {
-                wrap_outer(&container, false, pool)
-            };
-            stats.output_bytes = out.len();
+            let (out, stats) = run.seal_container::<T>(dims, precision, &encoded, pool);
 
             faultpoint::stage(STAGE_EMIT);
             let mut wr = ScalarWriter::new(writer, precision);
@@ -941,16 +814,7 @@ impl Sperr {
         resilient: bool,
     ) -> Result<StreamResilientReport, SperrError> {
         // Outer guard: see `compress_stream`.
-        catch_unwind(AssertUnwindSafe(|| {
-            self.decompress_stream_inner(reader, writer, out_precision, resilient)
-        }))
-        .unwrap_or_else(|p| {
-            Err(SperrError::Panic {
-                stage: faultpoint::last_stage(),
-                chunk: None,
-                message: panic_payload_message(p.as_ref()),
-            })
-        })
+        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, resilient))
     }
 
     fn decompress_stream_inner<R: Read, W: Write>(
@@ -973,115 +837,41 @@ impl Sperr {
         let _run = sperr_telemetry::span!("sperr.decompress_stream", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_STREAM);
 
-        let codec_err = |stage: &'static str, chunk: Option<usize>, source: CompressError| {
-            SperrError::Codec { stage, chunk, source }
-        };
+        // Strict mode verifies every payload checksum before anything is
+        // decoded or emitted; resilient mode leaves them to the tasks.
         faultpoint::stage(STAGE_CONTAINER);
-        let (container, _) = unwrap_outer(&stream)
-            .map_err(|e| codec_err(STAGE_CONTAINER, None, e))?;
-        let parsed =
-            read_container(&container).map_err(|e| codec_err(STAGE_CONTAINER, None, e))?;
-        if !resilient {
-            verify_chunk_crcs(&container, &parsed)
-                .map_err(|e| codec_err(STAGE_CONTAINER, None, e))?;
-        }
-        let header = parsed.header.clone();
-        let grid = chunk_grid(header.dims, header.chunk_dims);
-        if grid.len() != parsed.entries.len() {
-            return Err(codec_err(
-                STAGE_CONTAINER,
-                None,
-                CompressError::Corrupt("chunk table size mismatch".into()),
-            ));
-        }
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let tolerance = match header.mode {
-            Mode::Pwe => header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
+        let opened = if resilient { Opened::whole(&stream) } else { Opened::strict(&stream) }
+            .map_err(|source| SperrError::Codec { stage: STAGE_CONTAINER, chunk: None, source })?;
+        let header = &opened.header;
+        let grid = &opened.grid;
+        let tasks = opened.all_tasks();
         let geo = LayerGeometry::new(header.dims, header.chunk_dims);
         let n_chunks = grid.len();
-        let threads = self.effective_threads(&grid);
+        let threads = self.effective_threads(grid);
         let budget = self.resolve_budget(threads, geo.layer_len());
-        let kernel = header.kernel;
-        let native_f32 = header.native_f32;
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
-        // Decodes chunk i, honoring resilient semantics: Ok(status) with
-        // a data buffer (zero-filled on per-chunk failure), Err on a
-        // strict-mode failure.
+        // Decodes chunk i through the decode plan's per-task function,
+        // honoring resilient semantics: Ok(status) with a data buffer
+        // (zero-filled on per-chunk failure), Err on a strict-mode failure.
         let decode_chunk = |i: usize,
                             pool: &WorkerPool,
                             arenas: &mut DecodeArenas|
-         -> Result<(Vec<f64>, ChunkStatus, StageTimes), SperrError> {
-            let e: &ChunkEntry = &parsed.entries[i];
-            let start = offsets[i];
-            let payload = &container[start..start + e.speck_len + e.outlier_len];
-            let spec = &grid[i];
-            if resilient {
-                if let Some(crcs) = &parsed.chunk_crcs {
-                    if crc32(payload) != crcs[i] {
-                        return Ok((
-                            vec![0.0; spec.len()],
-                            ChunkStatus::ChecksumMismatch,
-                            StageTimes::default(),
-                        ));
+         -> Result<(Samples, ChunkStatus, StageTimes), SperrError> {
+            guarded(Some(i), || {
+                let (data, status, times) = opened.decode_task(&tasks[i], pool, arenas);
+                match status.to_result(i) {
+                    Ok(()) => Ok((data, status, times)),
+                    Err(_) if resilient => {
+                        Ok((Samples::Wide(vec![0.0; grid[i].len()]), status, times))
                     }
+                    Err(source) => Err(SperrError::Codec {
+                        stage: faultpoint::last_stage(),
+                        chunk: Some(i),
+                        source,
+                    }),
                 }
-            }
-            let (speck, outlier) = payload.split_at(e.speck_len);
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if native_f32 {
-                    // f32-native payload: decode at native width, widen
-                    // (exact) for the f64 emit path. Row emission narrows
-                    // back losslessly when the output precision is Single.
-                    decompress_chunk_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        pool,
-                        &mut arenas.narrow,
-                    )
-                    .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
-                } else {
-                    decompress_chunk_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        pool,
-                        &mut arenas.wide,
-                    )
-                }
-            }));
-            match r {
-                Ok(Ok((data, times))) => Ok((data, ChunkStatus::Ok, times)),
-                Ok(Err(ce)) => {
-                    if resilient {
-                        Ok((
-                            vec![0.0; spec.len()],
-                            ChunkStatus::DecodeFailed(ce),
-                            StageTimes::default(),
-                        ))
-                    } else {
-                        Err(codec_err(faultpoint::last_stage(), Some(i), ce))
-                    }
-                }
-                Err(p) => Err(SperrError::Panic {
-                    stage: faultpoint::last_stage(),
-                    chunk: Some(i),
-                    message: panic_payload_message(p.as_ref()),
-                }),
-            }
+            })
         };
 
         let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
@@ -1089,7 +879,7 @@ impl Sperr {
         let mut stats = CompressionStats {
             num_points: header.dims.iter().product(),
             num_chunks: n_chunks,
-            container_bytes: container.len(),
+            container_bytes: opened.container_len,
             output_bytes: stream.len(),
             ..CompressionStats::default()
         };
@@ -1109,7 +899,7 @@ impl Sperr {
                 let mut peak = 0usize;
                 for l in 0..geo.nz {
                     let base = l * geo.layer_len();
-                    let mut layer: Vec<Vec<f64>> = Vec::with_capacity(geo.layer_len());
+                    let mut layer: Vec<Samples> = Vec::with_capacity(geo.layer_len());
                     for p in 0..geo.layer_len() {
                         let (data, status, times) = decode_chunk(base + p, pool, &mut arenas)?;
                         stats.stage_times.accumulate(&times);
@@ -1121,23 +911,24 @@ impl Sperr {
                         metric_labels::STREAM_IN_FLIGHT,
                         layer.len() as u64,
                     );
-                    emit_layer(&mut wr, &geo, &grid, base, &layer, &mut row)?;
+                    emit_layer(&mut wr, &geo, grid, base, &layer, &mut row)?;
                 }
-                arenas.record_footprint(native_f32);
+                arenas.record_footprint();
                 Ok::<usize, SperrError>(peak)
             })?;
         } else {
-            let shared = PipeShared::new(budget);
+            // No raw buffers travel in this direction; `f64` only names the type.
+            let shared = PipeShared::<f64>::new(budget);
             let shared_ref = &shared;
             let statuses_ref = &mut statuses;
             let stats_ref = &mut stats;
             let wr_ref = &mut wr;
             let row_ref = &mut row;
             let geo_ref = &geo;
-            let grid_ref = &grid;
+            let grid_ref = grid;
             let decode_ref = &decode_chunk;
             let run = WorkerPool::scoped(threads, |pool| {
-                let arenas = PerWorker::new(pool.threads(), DecodeArenas::default);
+                let arenas = Slots::new(pool.threads(), DecodeArenas::default);
                 let worker = |i: usize, w: usize| {
                     // Ordered token grant (see module docs).
                     {
@@ -1166,9 +957,7 @@ impl Sperr {
                         // (including the next index) must re-check.
                         shared_ref.worker_cv.notify_all();
                     }
-                    // SAFETY: one thread per worker slot (pool contract).
-                    let arenas = unsafe { arenas.get(w) };
-                    match decode_ref(i, pool, arenas) {
+                    match decode_ref(i, pool, &mut arenas.lock(w)) {
                         Ok((data, status, times)) => {
                             let mut st = lock_ignore_poison(&shared_ref.state);
                             st.ready.insert(i, ReadyChunk::Decoded { data, status, times });
@@ -1182,72 +971,57 @@ impl Sperr {
                         }
                     }
                 };
-                let emitter = || {
-                    let body = catch_unwind(AssertUnwindSafe(
-                        || -> Result<(), SperrError> {
-                            for l in 0..geo_ref.nz {
-                                let base = l * geo_ref.layer_len();
-                                let mut layer: Vec<Vec<f64>> =
-                                    Vec::with_capacity(geo_ref.layer_len());
-                                for p in 0..geo_ref.layer_len() {
-                                    let idx = base + p;
-                                    let chunk = {
-                                        let mut st = lock_ignore_poison(&shared_ref.state);
-                                        loop {
-                                            if let Some(e) = &st.error {
-                                                return Err(e.clone());
-                                            }
-                                            if let Some(c) = st.ready.remove(&idx) {
-                                                break c;
-                                            }
-                                            st = shared_ref
-                                                .caller_cv
-                                                .wait(st)
-                                                .unwrap_or_else(
-                                                    std::sync::PoisonError::into_inner,
-                                                );
-                                        }
-                                    };
-                                    let ReadyChunk::Decoded { data, status, times } = chunk
-                                    else {
-                                        // Only decoded chunks enter the
-                                        // mailbox on this path.
-                                        continue;
-                                    };
-                                    stats_ref.stage_times.accumulate(&times);
-                                    statuses_ref.push(status);
-                                    layer.push(data);
-                                }
-                                emit_layer(wr_ref, geo_ref, grid_ref, base, &layer, row_ref)?;
-                                // Layer written: release its decode
-                                // tokens and wake token waiters.
+                let emit_all = || -> Result<(), SperrError> {
+                    for l in 0..geo_ref.nz {
+                        let base = l * geo_ref.layer_len();
+                        let mut layer: Vec<Samples> = Vec::with_capacity(geo_ref.layer_len());
+                        for p in 0..geo_ref.layer_len() {
+                            let idx = base + p;
+                            let chunk = {
                                 let mut st = lock_ignore_poison(&shared_ref.state);
-                                st.in_flight -= layer.len();
-                                sperr_telemetry::record_units(
-                                    metric_labels::STREAM_IN_FLIGHT,
-                                    st.in_flight as u64,
-                                );
-                                drop(st);
-                                shared_ref.worker_cv.notify_all();
-                            }
-                            Ok(())
-                        },
-                    ));
-                    match body {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => shared_ref.cancel(e),
-                        Err(p) => shared_ref.cancel(SperrError::Panic {
-                            stage: faultpoint::last_stage(),
-                            chunk: None,
-                            message: panic_payload_message(p.as_ref()),
-                        }),
+                                loop {
+                                    if let Some(e) = &st.error {
+                                        return Err(e.clone());
+                                    }
+                                    if let Some(c) = st.ready.remove(&idx) {
+                                        break c;
+                                    }
+                                    st = shared_ref
+                                        .caller_cv
+                                        .wait(st)
+                                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                                }
+                            };
+                            let ReadyChunk::Decoded { data, status, times } = chunk else {
+                                // Only decoded chunks enter the mailbox on
+                                // this path.
+                                continue;
+                            };
+                            stats_ref.stage_times.accumulate(&times);
+                            statuses_ref.push(status);
+                            layer.push(data);
+                        }
+                        emit_layer(wr_ref, geo_ref, grid_ref, base, &layer, row_ref)?;
+                        // Layer written: release its decode tokens and wake
+                        // token waiters.
+                        let mut st = lock_ignore_poison(&shared_ref.state);
+                        st.in_flight -= layer.len();
+                        sperr_telemetry::record_units(
+                            metric_labels::STREAM_IN_FLIGHT,
+                            st.in_flight as u64,
+                        );
+                        drop(st);
+                        shared_ref.worker_cv.notify_all();
+                    }
+                    Ok(())
+                };
+                let emitter = || {
+                    if let Err(e) = guarded(None, emit_all) {
+                        shared_ref.cancel(e);
                     }
                 };
                 let run = pool.run_with_producer(n_chunks, emitter, &worker);
-                for w in 0..pool.threads() {
-                    // SAFETY: all jobs have completed; no concurrent users.
-                    unsafe { arenas.get(w) }.record_footprint(native_f32);
-                }
+                arenas.into_values().for_each(|a| a.record_footprint());
                 run
             });
             if let Some(e) = shared.take_error() {
@@ -1279,17 +1053,20 @@ impl Sperr {
 }
 
 /// Writes one chunk layer's z-planes to the writer, interleaving the
-/// per-chunk buffers back into x-fastest volume rows.
+/// per-chunk buffers back into x-fastest volume rows (f32-native chunks
+/// widen exactly on the way into the row; row emission narrows back
+/// losslessly when the output precision is Single).
 fn emit_layer<W: Write>(
     wr: &mut ScalarWriter<W>,
     geo: &LayerGeometry,
     grid: &[ChunkSpec],
     base: usize,
-    layer: &[Vec<f64>],
+    layer: &[Samples],
     row: &mut [f64],
 ) -> Result<(), SperrError> {
     let l = base / geo.layer_len();
     let (z0, z1) = geo.z_range(l);
+    let row_dims = [geo.dims[0], 1, 1];
     for z in z0..z1 {
         faultpoint::stage(STAGE_EMIT);
         for y in 0..geo.dims[1] {
@@ -1297,11 +1074,9 @@ fn emit_layer<W: Write>(
             for cx in 0..geo.nx {
                 let p = cy * geo.nx + cx;
                 let spec = &grid[base + p];
-                let lz = z - spec.offset[2];
-                let ly = y - spec.offset[1];
-                let cdx = spec.dims[0];
-                let src = &layer[p][cdx * (ly + spec.dims[1] * lz)..][..cdx];
-                row[spec.offset[0]..spec.offset[0] + cdx].copy_from_slice(src);
+                let src_lo = [0, y - spec.offset[1], z - spec.offset[2]];
+                let extent = [spec.dims[0], 1, 1];
+                layer[p].copy_box(spec.dims, src_lo, extent, row, row_dims, [spec.offset[0], 0, 0]);
             }
             wr.write_row(row)?;
         }
@@ -1420,37 +1195,6 @@ mod tests {
     }
 
     #[test]
-    fn stream_decompress_native_f32_stream() {
-        // decompress_stream on a tag-2 stream: the default output
-        // precision is Single, and the emitted f32 wire bytes must match
-        // the in-memory decompress_f32 samples exactly (decode at f32,
-        // widen, narrow back — all lossless).
-        let dims = [40usize, 28, 20];
-        let field = wavy(dims).narrow_lossy();
-        let sperr = Sperr::new(cfg(4));
-        let stream = sperr.compress_f32(&field, Bound::Pwe(1e-3)).unwrap();
-        let decoded = sperr.decompress_f32(&stream).unwrap();
-        let want: Vec<u8> =
-            decoded.data.iter().flat_map(|v| v.to_le_bytes()).collect();
-        for threads in [1usize, 2, 4, 8] {
-            let mut out = Vec::new();
-            let report = Sperr::new(cfg(threads))
-                .decompress_stream(&stream[..], &mut out, None)
-                .unwrap();
-            assert_eq!(out, want, "threads={threads}");
-            assert!(report.peak_in_flight <= report.in_flight_budget);
-        }
-        // Explicit f64 output widens exactly.
-        let mut out64 = Vec::new();
-        sperr
-            .decompress_stream(&stream[..], &mut out64, Some(Precision::Double))
-            .unwrap();
-        let want64: Vec<u8> =
-            decoded.data.iter().flat_map(|v| (*v as f64).to_le_bytes()).collect();
-        assert_eq!(out64, want64);
-    }
-
-    #[test]
     fn bounded_in_flight_budget_is_honored() {
         // 8 z-layers of 1 chunk each with a budget of 2: the producer
         // must block rather than buffer ahead.
@@ -1520,35 +1264,6 @@ mod tests {
             err,
             SperrError::Codec { source: CompressError::Unsupported(_), .. }
         ));
-    }
-
-    #[test]
-    fn resilient_stream_decode_neutral_fills_corrupt_chunk() {
-        let dims = [32usize, 16, 16];
-        let field = wavy(dims);
-        let sperr = Sperr::new(SperrConfig {
-            chunk_dims: [16, 16, 16],
-            lossless: false,
-            num_threads: 4,
-            ..SperrConfig::default()
-        });
-        let stream = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        let info = sperr.inspect(&stream).unwrap();
-        let mut bad = stream.clone();
-        bad[1 + info.payload_offset + info.chunk_payload_sizes[0] + 3] ^= 0xFF;
-
-        // Strict streaming fails typed.
-        let mut out = Vec::new();
-        let err = sperr.decompress_stream(&bad[..], &mut out, None).unwrap_err();
-        assert!(matches!(err, SperrError::Codec { .. }), "{err:?}");
-
-        // Resilient streaming matches the in-memory resilient decode.
-        let (ref_field, ref_report) = sperr.decompress_resilient(&bad).unwrap();
-        let mut out = Vec::new();
-        let res = sperr.decompress_stream_resilient(&bad[..], &mut out, None).unwrap();
-        assert_eq!(res.statuses, ref_report.statuses);
-        assert!(!res.all_ok());
-        assert_eq!(out, raw_bytes(&ref_field, ref_field.precision));
     }
 
     #[test]

@@ -22,7 +22,16 @@ const AUDITED_FILES: &[&str] = &[
     "crates/lossless/src/decode.rs",
     "crates/lossless/src/inflate.rs",
     "crates/lossless/src/huffman/decode.rs",
+    // The decode plan: everything in sperr-core that walks an untrusted
+    // chunk table — open, plan builders, per-task decode, folds.
+    "crates/core/src/decode.rs",
 ];
+
+/// The one file of `sperr-core` that may say `unsafe`: the pool (the
+/// batch hand-off to its workers). Everything the drivers used to
+/// hand-roll around it — per-worker scratch, per-job result slots,
+/// disjoint output blocks — now goes through the pool's safe `Slots`.
+const UNSAFE_ALLOWED: &[&str] = &["pool.rs"];
 
 /// Tokens that can panic at runtime. `assert!(` also catches
 /// `debug_assert!(` and friends as a substring.
@@ -105,6 +114,37 @@ fn decoder_files_contain_no_panicking_constructs() {
     );
 }
 
+/// Lines of `code` (comments stripped) that use the `unsafe` keyword.
+fn unsafe_lines(code: &str) -> Vec<usize> {
+    let is_unsafe = |line: &str| {
+        line.split(|c: char| !c.is_alphanumeric() && c != '_').any(|word| word == "unsafe")
+    };
+    code.lines().enumerate().filter(|(_, l)| is_unsafe(l)).map(|(i, _)| i + 1).collect()
+}
+
+#[test]
+fn core_unsafe_is_confined_to_the_allowlist() {
+    let dir = workspace_root().join("crates/core/src");
+    let mut violations = Vec::new();
+    for entry in std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{dir:?} unreadable: {e}")) {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if !name.ends_with(".rs") {
+            continue;
+        }
+        let lines = unsafe_lines(&strip_comments(&std::fs::read_to_string(&path).unwrap()));
+        if !lines.is_empty() && !UNSAFE_ALLOWED.contains(&name.as_str()) {
+            violations.push(format!("crates/core/src/{name}: `unsafe` on lines {lines:?}"));
+        }
+    }
+    assert!(
+        violations.is_empty(),
+        "`unsafe` outside {UNSAFE_ALLOWED:?} in sperr-core (per-worker state, result \
+         slots and output blocks come from `pool::Slots`):\n{}",
+        violations.join("\n")
+    );
+}
+
 #[test]
 fn audit_catches_violations_and_ignores_comments() {
     // Self-test of the scanner: live tokens are caught...
@@ -120,4 +160,9 @@ fn audit_catches_violations_and_ignores_comments() {
     );
     // debug_assert! is caught by the assert! substring.
     assert!(strip_comments("debug_assert!(x > 0);").contains("assert!("));
+    // The keyword scan sees `unsafe` blocks, fns and impls — not comments,
+    // not identifiers that merely contain the word.
+    let code = "let a = unsafe { p.get(w) };\nunsafe impl Sync for P {}\n\
+                // unsafe\nlet unsafe_count = 0;\n";
+    assert_eq!(unsafe_lines(&strip_comments(code)), [1, 2]);
 }
