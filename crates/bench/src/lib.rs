@@ -7,8 +7,6 @@
 //! (laptop-scale); set `SPERR_BENCH_SCALE=full|half|quarter|tiny` to grow
 //! or shrink them.
 
-pub mod json;
-
 use sperr_compress_api::Field;
 use sperr_datagen::SyntheticField;
 use sperr_outlier::Outlier;

@@ -12,22 +12,21 @@ pub struct Args {
     positional: Vec<String>,
 }
 
-/// Option names that take no value.
-const BOOLEAN_FLAGS: &[&str] =
-    &["no-lossless", "help", "quiet", "verify", "verbose", "stats", "stream", "resilient", "json"];
-
 impl Args {
-    /// Parses raw argv words (without the program/subcommand names).
-    pub fn parse(words: &[String]) -> Result<Args, String> {
+    /// Parses raw argv words (without the program/subcommand names)
+    /// against what the subcommand accepts: `options` take a value,
+    /// `flags` take none, `--help` is a flag everywhere, and any other
+    /// `--name` is an error naming it rather than a silently dropped pair.
+    pub fn parse(words: &[String], options: &[&str], flags: &[&str]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut i = 0;
         while i < words.len() {
             let w = &words[i];
             if let Some(name) = w.strip_prefix("--") {
-                if BOOLEAN_FLAGS.contains(&name) {
+                if name == "help" || flags.contains(&name) {
                     args.flags.push(name.to_string());
                     i += 1;
-                } else {
+                } else if options.contains(&name) {
                     let value = words
                         .get(i + 1)
                         .ok_or_else(|| format!("option --{name} needs a value"))?;
@@ -35,6 +34,8 @@ impl Args {
                         return Err(format!("option --{name} given twice"));
                     }
                     i += 2;
+                } else {
+                    return Err(format!("unknown option --{name}"));
                 }
             } else {
                 args.positional.push(w.clone());
@@ -167,30 +168,48 @@ mod tests {
         s.iter().map(|w| w.to_string()).collect()
     }
 
+    const OPTIONS: &[&str] = &["dims", "pwe", "output"];
+    const FLAGS: &[&str] = &["no-lossless", "quiet"];
+
+    fn parse(s: &[&str]) -> Result<Args, String> {
+        Args::parse(&words(s), OPTIONS, FLAGS)
+    }
+
     #[test]
     fn parses_options_and_flags() {
-        let a = Args::parse(&words(&["--dims", "8,8,8", "--pwe", "0.5", "--no-lossless"]))
-            .unwrap();
+        let a = parse(&["--dims", "8,8,8", "--pwe", "0.5", "--no-lossless", "--help"]).unwrap();
         assert_eq!(a.req("dims").unwrap(), "8,8,8");
         assert_eq!(a.opt_f64("pwe").unwrap(), Some(0.5));
         assert!(a.flag("no-lossless"));
+        assert!(a.flag("help"));
         assert!(!a.flag("quiet"));
         assert!(a.positional().is_empty());
     }
 
     #[test]
+    fn unknown_option_or_flag_is_error_naming_it() {
+        // An unknown name with a value, one without, a flag spelled as an
+        // option elsewhere, and a typo of an accepted name.
+        for bad in [&["--bogus", "1"][..], &["--verify"], &["--dims", "8,8", "--theads", "8"]] {
+            let err = parse(bad).unwrap_err();
+            let name = bad.iter().rfind(|w| w.starts_with("--")).unwrap();
+            assert!(err.contains("unknown option") && err.contains(name), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
     fn missing_value_is_error() {
-        assert!(Args::parse(&words(&["--dims"])).is_err());
+        assert!(parse(&["--dims"]).is_err());
     }
 
     #[test]
     fn duplicate_option_is_error() {
-        assert!(Args::parse(&words(&["--pwe", "1", "--pwe", "2"])).is_err());
+        assert!(parse(&["--pwe", "1", "--pwe", "2"]).is_err());
     }
 
     #[test]
     fn missing_required_reported_by_name() {
-        let a = Args::parse(&words(&[])).unwrap();
+        let a = parse(&[]).unwrap();
         let err = a.req("output").unwrap_err();
         assert!(err.contains("--output"));
     }

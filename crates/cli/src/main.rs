@@ -102,15 +102,16 @@ USAGE:
                    (--pwe T | --idx N | --bpp R | --psnr P)
                    [--chunk CX,CY,CZ] [--threads N] [--q-factor F] [--no-lossless]
                    [--stream] [--in-flight N] [--verbose] [--stats] [--trace FILE]
-                   [--metrics FILE]
+                   [--metrics FILE] [--quiet]
   sperr decompress --input SPERR --output RAW [--dtype f32|f64] [--level L]
                    [--region X0:X1,Y0:Y1,Z0:Z1] [--preview-bpp R]
                    [--stream] [--in-flight N] [--resilient]
                    [--threads N] [--verbose] [--stats] [--trace FILE]
-                   [--metrics FILE]
+                   [--metrics FILE] [--quiet]
   sperr info       --input SPERR [--verify] [--verbose]
   sperr metrics    --input SPERR [--json] [--threads N]
   sperr gen        --field NAME --dims NX,NY[,NZ] --output RAW [--dtype f32|f64] [--seed S]
+                   [--quiet]
   sperr eval       --original RAW --reconstructed RAW --dims NX,NY[,NZ] [--dtype f32|f64]
 
 Bounds: --pwe is an absolute point-wise error tolerance; --idx N sets it to
@@ -139,6 +140,7 @@ decompressing; corrupt chunks are listed and reflected in the exit code.
 --verbose adds per-stage wall times (wavelet / SPECK / outlier detection
 and coding / container / lossless); for info it runs a timed decode to
 produce them.
+--quiet suppresses the one-line summary a command prints on success.
 --stats prints a telemetry summary (per-span CPU vs wall time, counters,
 per-worker utilization); --trace FILE writes Chrome trace-event JSON
 loadable in Perfetto (ui.perfetto.dev) or chrome://tracing; --metrics FILE
@@ -176,12 +178,67 @@ fn main() -> ExitCode {
     }
 }
 
+/// One subcommand: the `--key value` options and boolean `--flag`s it
+/// accepts — what USAGE lists for it, plus the legacy `--type` spelling —
+/// and its entry point. Anything else on its command line is a usage
+/// error, so a typo cannot silently run with defaults.
+struct Command {
+    name: &'static str,
+    options: &'static [&'static str],
+    flags: &'static [&'static str],
+    run: fn(&Args) -> Result<(), CliError>,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "compress",
+        options: &[
+            "input", "output", "dims", "dtype", "type", "pwe", "idx", "bpp", "psnr", "chunk",
+            "threads", "q-factor", "in-flight", "trace", "metrics",
+        ],
+        flags: &["no-lossless", "stream", "verbose", "stats", "quiet"],
+        run: cmd_compress,
+    },
+    Command {
+        name: "decompress",
+        options: &[
+            "input", "output", "dtype", "type", "level", "region", "preview-bpp", "in-flight",
+            "threads", "trace", "metrics",
+        ],
+        flags: &["stream", "resilient", "verbose", "stats", "quiet"],
+        run: cmd_decompress,
+    },
+    Command { name: "info", options: &["input"], flags: &["verify", "verbose"], run: cmd_info },
+    Command { name: "metrics", options: &["input", "threads"], flags: &["json"], run: cmd_metrics },
+    Command {
+        name: "gen",
+        options: &["field", "dims", "output", "dtype", "type", "seed"],
+        flags: &["quiet"],
+        run: cmd_gen,
+    },
+    Command {
+        name: "eval",
+        options: &["original", "reconstructed", "dims", "dtype", "type"],
+        flags: &[],
+        run: cmd_eval,
+    },
+];
+
 fn run(argv: &[String]) -> Result<(), CliError> {
     let Some((cmd, rest)) = argv.split_first() else {
         println!("{USAGE}");
         return Ok(());
     };
-    let args = Args::parse(rest)?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return Ok(());
+    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or_else(|| format!("unknown command {cmd}; run `sperr help`"))?;
+    let args = Args::parse(rest, command.options, command.flags)
+        .map_err(|e| format!("sperr {cmd}: {e}; run `sperr help`"))?;
     if args.flag("help") {
         println!("{USAGE}");
         return Ok(());
@@ -189,19 +246,7 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     if !args.positional().is_empty() {
         return Err(CliError::Usage(format!("unexpected argument: {}", args.positional()[0])));
     }
-    match cmd.as_str() {
-        "compress" => cmd_compress(&args),
-        "decompress" => cmd_decompress(&args),
-        "info" => cmd_info(&args),
-        "metrics" => cmd_metrics(&args),
-        "gen" => cmd_gen(&args),
-        "eval" => cmd_eval(&args),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!("unknown command {other}; run `sperr help`"))),
-    }
+    (command.run)(&args)
 }
 
 /// Per-stage timing table for `--verbose`. Times are summed across chunks
@@ -472,8 +517,10 @@ fn build_sperr(args: &Args) -> Result<Sperr, String> {
         cfg.num_threads = threads;
     }
     if let Some(qf) = args.opt_f64("q-factor")? {
-        if qf <= 0.0 {
-            return Err("--q-factor must be positive".into());
+        // `Sperr::new` asserts the same; here it is a usage error. Written
+        // so that NaN fails it too.
+        if !(qf.is_finite() && qf > 0.0) {
+            return Err("--q-factor must be finite and positive".into());
         }
         cfg.q_factor = qf;
     }
@@ -1037,29 +1084,30 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_trace_flags_are_accepted() {
-        // Without the `telemetry` feature these flags warn and record
-        // nothing; with it, the trace file must be valid Chrome trace JSON
-        // naming the pipeline stages.
+    fn traced_compress_writes_a_valid_chrome_trace() {
+        // With the `telemetry` feature a traced multi-chunk compress must
+        // emit Chrome trace JSON that passes the exporter's schema check
+        // with a span for every compress stage and a worker track; without
+        // it the flags warn and record nothing.
         let dir = std::env::temp_dir().join("sperr_cli_telemetry_test");
         std::fs::create_dir_all(&dir).unwrap();
         let raw = dir.join("x.raw");
         let packed = dir.join("x.sperr");
         let trace = dir.join("trace.json");
-        run(&w(&["gen", "--field", "miranda-pressure", "--dims", "16,16,16",
+        run(&w(&["gen", "--field", "miranda-density", "--dims", "32,32,32",
                  "--output", raw.to_str().unwrap(), "--type", "f64", "--quiet"]))
             .unwrap();
         run(&w(&["compress", "--input", raw.to_str().unwrap(), "--output",
-                 packed.to_str().unwrap(), "--dims", "16,16,16", "--type", "f64",
-                 "--idx", "12", "--stats", "--trace", trace.to_str().unwrap(),
-                 "--quiet"]))
+                 packed.to_str().unwrap(), "--dims", "32,32,32", "--type", "f64",
+                 "--idx", "13", "--chunk", "16,16,16", "--threads", "2", "--stats",
+                 "--trace", trace.to_str().unwrap(), "--quiet"]))
             .unwrap();
         if sperr_telemetry::is_enabled() {
             let json = std::fs::read_to_string(&trace).unwrap();
-            assert!(json.contains("\"traceEvents\""));
-            assert!(json.contains("stage.speck.encode"));
-            assert!(json.contains("stage.lossless.compress"));
+            sperr_telemetry::validate_chrome_trace(&json, sperr_core::stage_labels::COMPRESS)
+                .unwrap();
         } else {
+            eprintln!("trace validation skipped: built without the `telemetry` feature");
             assert!(!trace.exists(), "trace written by a telemetry-less build");
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -1136,6 +1184,81 @@ mod tests {
         run(&w(&[])).unwrap();
         run(&w(&["help"])).unwrap();
         run(&w(&["compress", "--help"])).unwrap();
+    }
+
+    /// The `--name` words USAGE lists under each `sperr NAME` synopsis.
+    fn usage_options() -> Vec<(String, Vec<String>)> {
+        let synopsis = USAGE.split("USAGE:\n").nth(1).unwrap().split("\n\n").next().unwrap();
+        let mut listed: Vec<(String, Vec<String>)> = Vec::new();
+        for line in synopsis.lines() {
+            let mut words = line.split_whitespace().peekable();
+            if words.peek() == Some(&"sperr") {
+                listed.push((words.nth(1).unwrap().to_string(), Vec::new()));
+            }
+            let names = words
+                .flat_map(|word| word.split(|c: char| !(c.is_ascii_lowercase() || c == '-')))
+                .filter_map(|word| word.strip_prefix("--"));
+            listed.last_mut().unwrap().1.extend(names.map(str::to_string));
+        }
+        listed
+    }
+
+    #[test]
+    fn each_subcommand_accepts_exactly_the_options_help_lists_for_it() {
+        let listed = usage_options();
+        assert_eq!(listed.len(), COMMANDS.len());
+        for (name, mut listed) in listed {
+            let command = COMMANDS.iter().find(|c| c.name == name).unwrap();
+            let mut accepted: Vec<String> = (command.options.iter().chain(command.flags))
+                .filter(|&&n| n != "type") // legacy spelling of --dtype, named in the prose
+                .map(|n| n.to_string())
+                .collect();
+            accepted.sort();
+            listed.sort();
+            assert_eq!(accepted, listed, "sperr {name}");
+        }
+    }
+
+    #[test]
+    fn unknown_options_are_usage_errors_not_silent_defaults() {
+        let compress = |extra: &[&str]| {
+            let mut v = vec![
+                "compress", "--input", "/dev/null", "--output", "/dev/null",
+                "--dims", "8,8,8", "--type", "f64", "--idx", "10",
+            ];
+            v.extend_from_slice(extra);
+            run(&w(&v))
+        };
+        let cases = [
+            (compress(&["--q", "3"]), "--q"),
+            (compress(&["--theads", "8"]), "--theads"),
+            (compress(&["--bogus", "1"]), "--bogus"),
+            // A flag and an option that exist, but for other subcommands.
+            (compress(&["--verify"]), "--verify"),
+            (run(&w(&["info", "--input", "/dev/null", "--dims", "8,8,8"])), "--dims"),
+            (run(&w(&["eval", "--quiet"])), "--quiet"),
+        ];
+        for (result, name) in cases {
+            let err = result.unwrap_err();
+            assert!(matches!(&err, CliError::Usage(_)), "{name}: {err:?}");
+            assert_eq!(exit_code(&err), 2);
+            assert!(err.to_string().contains(&format!("unknown option {name};")), "{err}");
+        }
+    }
+
+    #[test]
+    fn q_factor_must_be_finite_and_positive() {
+        // Usage errors before any I/O, never a panic (exit 101) in
+        // `Sperr::new` or in a pool job.
+        for value in ["nan", "inf", "-inf", "0", "-1"] {
+            let err = run(&w(&["compress", "--input", "/dev/null", "--output", "/dev/null",
+                               "--dims", "8,8,8", "--type", "f64", "--pwe", "0.1",
+                               "--q-factor", value]))
+                .unwrap_err();
+            assert!(matches!(&err, CliError::Usage(_)), "--q-factor {value}: {err:?}");
+            assert_eq!(exit_code(&err), 2);
+            assert!(err.to_string().contains("--q-factor"), "{err}");
+        }
     }
 
     #[test]

@@ -204,7 +204,10 @@ impl CompressRun<'_> {
 impl Sperr {
     /// Creates a compressor with the given configuration.
     pub fn new(config: SperrConfig) -> Self {
-        assert!(config.q_factor > 0.0, "q_factor must be positive");
+        assert!(
+            config.q_factor.is_finite() && config.q_factor > 0.0,
+            "q_factor must be finite and positive"
+        );
         assert!(config.chunk_dims.iter().all(|&d| d > 0), "chunk dims must be positive");
         assert!(
             (VERSION_V2..=VERSION).contains(&config.container_version),
@@ -243,20 +246,6 @@ impl Sperr {
             (n + 1, jobs.max(c.dims[1].max(c.dims[2]) * c.dims[0].div_ceil(PANEL_W)))
         });
         t.min(n_chunks.max(panel_jobs)).max(1)
-    }
-
-    /// The worker-pool size a run over a volume of `dims` would actually
-    /// use (thread config clamped to the available parallelism); surfaced
-    /// so benchmark artifacts can record it alongside the raw thread
-    /// count.
-    pub fn effective_workers(&self, dims: [usize; 3]) -> usize {
-        self.effective_threads(&chunk_grid(dims, self.config.chunk_dims))
-    }
-
-    /// Number of chunks a volume of `dims` partitions into under this
-    /// configuration.
-    pub fn chunk_count(&self, dims: [usize; 3]) -> usize {
-        chunk_grid(dims, self.config.chunk_dims).len()
     }
 
     /// Compresses and returns the stream together with cost/timing
@@ -982,6 +971,14 @@ mod tests {
         assert_eq!(cfg.kernel, Kernel::Cdf97);
         assert!(cfg.lossless); // §V: ZSTD stage on by default
         assert_eq!(cfg.container_version, 3); // indexed container
+    }
+
+    #[test]
+    #[should_panic(expected = "q_factor must be finite and positive")]
+    fn infinite_q_factor_fails_at_construction() {
+        // +∞ passes `> 0.0`; unchecked, it dies inside a pool job at
+        // `sperr_speck::encode`'s step assertion.
+        Sperr::new(SperrConfig { q_factor: f64::INFINITY, ..SperrConfig::default() });
     }
 
     #[test]

@@ -8,33 +8,28 @@
 /// [`scalar_plane_word_u64`].
 pub fn plane_word_u64(ks: &[u64], n: u32) -> u64 {
     debug_assert!(ks.len() <= 64);
-    #[cfg(feature = "force-scalar")]
-    return scalar_plane_word_u64(ks, n);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        // Per-lane shift/mask then a lane-indexed OR-reduction. Written
-        // as two fixed-width passes (extract into a block, fold the
-        // block) so the extraction loop vectorizes even when the
-        // reduction does not.
-        const W: usize = 8;
-        let mut word = 0u64;
-        let mut base = 0usize;
-        let mut chunks = ks.chunks_exact(W);
-        for c in chunks.by_ref() {
-            let mut lanes = [0u64; W];
-            for (l, &kv) in lanes.iter_mut().zip(c) {
-                *l = (kv >> n) & 1;
-            }
-            for (j, &l) in lanes.iter().enumerate() {
-                word |= l << (base + j);
-            }
-            base += W;
+    // Per-lane shift/mask then a lane-indexed OR-reduction. Written
+    // as two fixed-width passes (extract into a block, fold the
+    // block) so the extraction loop vectorizes even when the
+    // reduction does not.
+    const W: usize = 8;
+    let mut word = 0u64;
+    let mut base = 0usize;
+    let mut chunks = ks.chunks_exact(W);
+    for c in chunks.by_ref() {
+        let mut lanes = [0u64; W];
+        for (l, &kv) in lanes.iter_mut().zip(c) {
+            *l = (kv >> n) & 1;
         }
-        for (j, &kv) in chunks.remainder().iter().enumerate() {
-            word |= ((kv >> n) & 1) << (base + j);
+        for (j, &l) in lanes.iter().enumerate() {
+            word |= l << (base + j);
         }
-        word
+        base += W;
     }
+    for (j, &kv) in chunks.remainder().iter().enumerate() {
+        word |= ((kv >> n) & 1) << (base + j);
+    }
+    word
 }
 
 /// Scalar reference for [`plane_word_u64`].
@@ -51,29 +46,24 @@ pub fn scalar_plane_word_u64(ks: &[u64], n: u32) -> u64 {
 /// traffic). Scalar twin: [`scalar_plane_word_u32`].
 pub fn plane_word_u32(ks: &[u32], n: u32) -> u64 {
     debug_assert!(ks.len() <= 64);
-    #[cfg(feature = "force-scalar")]
-    return scalar_plane_word_u32(ks, n);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        const W: usize = 8;
-        let mut word = 0u64;
-        let mut base = 0usize;
-        let mut chunks = ks.chunks_exact(W);
-        for c in chunks.by_ref() {
-            let mut lanes = [0u32; W];
-            for (l, &kv) in lanes.iter_mut().zip(c) {
-                *l = (kv >> n) & 1;
-            }
-            for (j, &l) in lanes.iter().enumerate() {
-                word |= (l as u64) << (base + j);
-            }
-            base += W;
+    const W: usize = 8;
+    let mut word = 0u64;
+    let mut base = 0usize;
+    let mut chunks = ks.chunks_exact(W);
+    for c in chunks.by_ref() {
+        let mut lanes = [0u32; W];
+        for (l, &kv) in lanes.iter_mut().zip(c) {
+            *l = (kv >> n) & 1;
         }
-        for (j, &kv) in chunks.remainder().iter().enumerate() {
-            word |= (((kv >> n) & 1) as u64) << (base + j);
+        for (j, &l) in lanes.iter().enumerate() {
+            word |= (l as u64) << (base + j);
         }
-        word
+        base += W;
     }
+    for (j, &kv) in chunks.remainder().iter().enumerate() {
+        word |= (((kv >> n) & 1) as u64) << (base + j);
+    }
+    word
 }
 
 /// Scalar reference for [`plane_word_u32`].
@@ -89,7 +79,6 @@ pub fn scalar_plane_word_u32(ks: &[u32], n: u32) -> u64 {
 /// `(k, k + j)` exchanges the bit block at columns `[j, 2j)` of row `k`
 /// with the block at columns `[0, j)` of row `k + j` (`mask` selects the
 /// low `j` columns of every `2j`-column group).
-#[cfg(not(feature = "force-scalar"))]
 #[inline(always)]
 fn swap_stage<const N: usize>(m: &mut [u64; N], j: usize, mask: u64) {
     let mut k = 0;
@@ -108,17 +97,12 @@ fn swap_stage<const N: usize>(m: &mut [u64; N], j: usize, mask: u64) {
 /// pairs each (Hacker's Delight §7-3, LSB-first). Scalar twin:
 /// [`scalar_transpose_64x64`].
 pub fn transpose_64x64(m: &mut [u64; 64]) {
-    #[cfg(feature = "force-scalar")]
-    return scalar_transpose_64x64(m);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        swap_stage(m, 32, 0x0000_0000_ffff_ffff);
-        swap_stage(m, 16, 0x0000_ffff_0000_ffff);
-        swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
-        swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
-        swap_stage(m, 2, 0x3333_3333_3333_3333);
-        swap_stage(m, 1, 0x5555_5555_5555_5555);
-    }
+    swap_stage(m, 32, 0x0000_0000_ffff_ffff);
+    swap_stage(m, 16, 0x0000_ffff_0000_ffff);
+    swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
+    swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
+    swap_stage(m, 2, 0x3333_3333_3333_3333);
+    swap_stage(m, 1, 0x5555_5555_5555_5555);
 }
 
 /// Scalar reference for [`transpose_64x64`]: one bit at a time.
@@ -140,16 +124,11 @@ pub fn scalar_transpose_64x64(m: &mut [u64; 64]) {
 /// for the common `num_planes <= 32` decode. Scalar twin:
 /// [`scalar_transpose_32x64`].
 pub fn transpose_32x64(m: &mut [u64; 32]) {
-    #[cfg(feature = "force-scalar")]
-    return scalar_transpose_32x64(m);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        swap_stage(m, 16, 0x0000_ffff_0000_ffff);
-        swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
-        swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
-        swap_stage(m, 2, 0x3333_3333_3333_3333);
-        swap_stage(m, 1, 0x5555_5555_5555_5555);
-    }
+    swap_stage(m, 16, 0x0000_ffff_0000_ffff);
+    swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
+    swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
+    swap_stage(m, 2, 0x3333_3333_3333_3333);
+    swap_stage(m, 1, 0x5555_5555_5555_5555);
 }
 
 /// Scalar reference for [`transpose_32x64`]: one bit at a time.

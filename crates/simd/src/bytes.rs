@@ -13,28 +13,23 @@ const W: usize = 16;
 ///
 /// Scalar twin: [`scalar_max_elem`].
 pub fn max_elem<T: Lane>(a: &[T]) -> T {
-    #[cfg(feature = "force-scalar")]
-    return scalar_max_elem(a);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        let mut chunks = a.chunks_exact(W);
-        let mut acc = [T::default(); W];
-        for c in chunks.by_ref() {
-            // One independent max tree per lane: vectorizes to a pmaxu-
-            // style op per block, horizontal reduction only at the end.
-            for (l, &v) in acc.iter_mut().zip(c) {
-                *l = (*l).max(v);
-            }
+    let mut chunks = a.chunks_exact(W);
+    let mut acc = [T::default(); W];
+    for c in chunks.by_ref() {
+        // One independent max tree per lane: vectorizes to a pmaxu-
+        // style op per block, horizontal reduction only at the end.
+        for (l, &v) in acc.iter_mut().zip(c) {
+            *l = (*l).max(v);
         }
-        let mut m = T::default();
-        for &v in &acc {
-            m = m.max(v);
-        }
-        for &v in chunks.remainder() {
-            m = m.max(v);
-        }
-        m
     }
+    let mut m = T::default();
+    for &v in &acc {
+        m = m.max(v);
+    }
+    for &v in chunks.remainder() {
+        m = m.max(v);
+    }
+    m
 }
 
 /// Scalar reference for [`max_elem`].
@@ -46,15 +41,10 @@ pub fn scalar_max_elem<T: Lane>(a: &[T]) -> T {
 /// length. Scalar twin: [`scalar_max_assign`].
 pub fn max_assign<T: Lane>(dst: &mut [T], src: &[T]) {
     assert_eq!(dst.len(), src.len());
-    #[cfg(feature = "force-scalar")]
-    return scalar_max_assign(dst, src);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        // Straight-line elementwise loop over equal-length slices: the
-        // assert above lets LLVM drop the bounds checks and vectorize.
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d = (*d).max(s);
-        }
+    // Straight-line elementwise loop over equal-length slices: the
+    // assert above lets LLVM drop the bounds checks and vectorize.
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d = (*d).max(s);
     }
 }
 
@@ -72,20 +62,15 @@ pub fn scalar_max_assign<T: Lane>(dst: &mut [T], src: &[T]) {
 /// max pyramid. Scalar twin: [`scalar_pairwise_max_into`].
 pub fn pairwise_max_into<T: Lane>(src: &[T], dst: &mut [T]) {
     assert_eq!(dst.len(), src.len().div_ceil(2));
-    #[cfg(feature = "force-scalar")]
-    return scalar_pairwise_max_into(src, dst);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        let pairs = src.len() / 2;
-        let (dst_pairs, dst_tail) = dst.split_at_mut(pairs);
-        // chunks_exact(2) + zip: a stride-2 interleaved-load pattern LLVM
-        // recognizes (shuffle + vertical max), scalar tail below.
-        for (d, p) in dst_pairs.iter_mut().zip(src.chunks_exact(2)) {
-            *d = p[0].max(p[1]);
-        }
-        if let Some(d) = dst_tail.first_mut() {
-            *d = src[src.len() - 1];
-        }
+    let pairs = src.len() / 2;
+    let (dst_pairs, dst_tail) = dst.split_at_mut(pairs);
+    // chunks_exact(2) + zip: a stride-2 interleaved-load pattern LLVM
+    // recognizes (shuffle + vertical max), scalar tail below.
+    for (d, p) in dst_pairs.iter_mut().zip(src.chunks_exact(2)) {
+        *d = p[0].max(p[1]);
+    }
+    if let Some(d) = dst_tail.first_mut() {
+        *d = src[src.len() - 1];
     }
 }
 
@@ -113,32 +98,27 @@ pub fn scalar_pairwise_max_into<T: Lane>(src: &[T], dst: &mut [T]) {
 /// Scalar twin: [`scalar_run_le`].
 pub fn run_le(bytes: &[u8], t: u8) -> usize {
     debug_assert!(t < 128);
-    #[cfg(feature = "force-scalar")]
-    return scalar_run_le(bytes, t);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        const HI: u64 = 0x8080_8080_8080_8080;
-        const LO: u64 = 0x0101_0101_0101_0101;
-        let bias = LO * (127 - t) as u64;
-        let mut chunks = bytes.chunks_exact(8);
-        let mut run = 0usize;
-        for c in chunks.by_ref() {
-            let w = u64::from_le_bytes(c.try_into().unwrap());
-            debug_assert_eq!(w & HI, 0, "run_le bytes must be < 128");
-            let mask = w.wrapping_add(bias) & HI;
-            if mask != 0 {
-                return run + (mask.trailing_zeros() / 8) as usize;
-            }
-            run += 8;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    const LO: u64 = 0x0101_0101_0101_0101;
+    let bias = LO * (127 - t) as u64;
+    let mut chunks = bytes.chunks_exact(8);
+    let mut run = 0usize;
+    for c in chunks.by_ref() {
+        let w = u64::from_le_bytes(c.try_into().unwrap());
+        debug_assert_eq!(w & HI, 0, "run_le bytes must be < 128");
+        let mask = w.wrapping_add(bias) & HI;
+        if mask != 0 {
+            return run + (mask.trailing_zeros() / 8) as usize;
         }
-        for &b in chunks.remainder() {
-            if b > t {
-                return run;
-            }
-            run += 1;
-        }
-        run
+        run += 8;
     }
+    for &b in chunks.remainder() {
+        if b > t {
+            return run;
+        }
+        run += 1;
+    }
+    run
 }
 
 /// Scalar reference for [`run_le`].

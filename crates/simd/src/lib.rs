@@ -17,15 +17,13 @@
 //! kernels never reassociate across elements — each output lane is an
 //! independent expression — so vector and scalar evaluation produce
 //! bit-identical results. The SPECK and wavelet conformance goldens rely
-//! on this: enabling or disabling the blocked paths must not change a
-//! single stream byte.
+//! on this: a blocked kernel may not change a single stream byte.
 //!
-//! # Scalar fallback
+//! # Scalar twins
 //!
-//! The `force-scalar` feature routes every public entry point to its
-//! scalar reference implementation. CI builds and tests the workspace in
-//! that configuration to prove the fallback stays correct (and the
-//! proptests in this crate diff blocked vs scalar on every shape).
+//! The twins are test oracles, not a build configuration: the proptests
+//! in this crate diff blocked vs scalar at f32 and f64 on every shape
+//! and tail, which is what proves the rule above.
 
 mod bitplane;
 mod bytes;

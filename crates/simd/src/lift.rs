@@ -20,28 +20,23 @@ use crate::float::Float;
 pub fn lift_pairs<T: Float>(dst: &mut [T], a: &[T], b: &[T], c: T) {
     assert_eq!(dst.len(), a.len());
     assert_eq!(dst.len(), b.len());
-    #[cfg(feature = "force-scalar")]
-    return scalar_lift_pairs(dst, a, b, c);
-    #[cfg(not(feature = "force-scalar"))]
+    const W: usize = 8;
+    let n = dst.len();
+    let blocks = n / W * W;
+    let (dv, dt) = dst.split_at_mut(blocks);
+    // Equal-length chunked zips: bounds checks hoist, the block body
+    // is W independent fused mul-adds.
+    for ((db, ab), bb) in dv
+        .chunks_exact_mut(W)
+        .zip(a[..blocks].chunks_exact(W))
+        .zip(b[..blocks].chunks_exact(W))
     {
-        const W: usize = 8;
-        let n = dst.len();
-        let blocks = n / W * W;
-        let (dv, dt) = dst.split_at_mut(blocks);
-        // Equal-length chunked zips: bounds checks hoist, the block body
-        // is W independent fused mul-adds.
-        for ((db, ab), bb) in dv
-            .chunks_exact_mut(W)
-            .zip(a[..blocks].chunks_exact(W))
-            .zip(b[..blocks].chunks_exact(W))
-        {
-            for ((d, &x), &y) in db.iter_mut().zip(ab).zip(bb) {
-                *d += c * (x + y);
-            }
-        }
-        for ((d, &x), &y) in dt.iter_mut().zip(&a[blocks..]).zip(&b[blocks..]) {
+        for ((d, &x), &y) in db.iter_mut().zip(ab).zip(bb) {
             *d += c * (x + y);
         }
+    }
+    for ((d, &x), &y) in dt.iter_mut().zip(&a[blocks..]).zip(&b[blocks..]) {
+        *d += c * (x + y);
     }
 }
 
@@ -56,20 +51,15 @@ pub fn scalar_lift_pairs<T: Float>(dst: &mut [T], a: &[T], b: &[T], c: T) {
 
 /// `x[i] *= f` for every lane. Scalar twin: [`scalar_scale_in_place`].
 pub fn scale_in_place<T: Float>(x: &mut [T], f: T) {
-    #[cfg(feature = "force-scalar")]
-    return scalar_scale_in_place(x, f);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        const W: usize = 8;
-        let mut it = x.chunks_exact_mut(W);
-        for b in it.by_ref() {
-            for v in b {
-                *v *= f;
-            }
-        }
-        for v in it.into_remainder() {
+    const W: usize = 8;
+    let mut it = x.chunks_exact_mut(W);
+    for b in it.by_ref() {
+        for v in b {
             *v *= f;
         }
+    }
+    for v in it.into_remainder() {
+        *v *= f;
     }
 }
 
@@ -86,20 +76,15 @@ pub fn split_even_odd<T: Float>(x: &[T], even: &mut [T], odd: &mut [T]) {
     let n = x.len();
     assert_eq!(even.len(), n.div_ceil(2));
     assert_eq!(odd.len(), n / 2);
-    #[cfg(feature = "force-scalar")]
-    return scalar_split_even_odd(x, even, odd);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        let pairs = n / 2;
-        // chunks_exact(2): one interleaved load per pair, split into the
-        // two bands with shuffles.
-        for ((p, e), o) in x.chunks_exact(2).zip(even.iter_mut()).zip(odd.iter_mut()) {
-            *e = p[0];
-            *o = p[1];
-        }
-        if n % 2 == 1 {
-            even[pairs] = x[n - 1];
-        }
+    let pairs = n / 2;
+    // chunks_exact(2): one interleaved load per pair, split into the
+    // two bands with shuffles.
+    for ((p, e), o) in x.chunks_exact(2).zip(even.iter_mut()).zip(odd.iter_mut()) {
+        *e = p[0];
+        *o = p[1];
+    }
+    if n % 2 == 1 {
+        even[pairs] = x[n - 1];
     }
 }
 
@@ -123,18 +108,13 @@ pub fn merge_even_odd<T: Float>(even: &[T], odd: &[T], x: &mut [T]) {
     let n = x.len();
     assert_eq!(even.len(), n.div_ceil(2));
     assert_eq!(odd.len(), n / 2);
-    #[cfg(feature = "force-scalar")]
-    return scalar_merge_even_odd(even, odd, x);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        let pairs = n / 2;
-        for ((p, &e), &o) in x.chunks_exact_mut(2).zip(even.iter()).zip(odd.iter()) {
-            p[0] = e;
-            p[1] = o;
-        }
-        if n % 2 == 1 {
-            x[n - 1] = even[pairs];
-        }
+    let pairs = n / 2;
+    for ((p, &e), &o) in x.chunks_exact_mut(2).zip(even.iter()).zip(odd.iter()) {
+        p[0] = e;
+        p[1] = o;
+    }
+    if n % 2 == 1 {
+        x[n - 1] = even[pairs];
     }
 }
 

@@ -45,40 +45,35 @@ fn planes_of(k: u64) -> u8 {
 /// twin: [`scalar_quantize_meta_into`].
 pub fn quantize_meta_into<T: Float>(coeffs: &[T], inv_q: T, meta: &mut [u8]) {
     assert_eq!(coeffs.len(), meta.len());
-    #[cfg(feature = "force-scalar")]
-    return scalar_quantize_meta_into(coeffs, inv_q, meta);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        // 16 lanes per window: two 256-bit-class vectors of f64, one of
-        // f32 pairs — the per-lane expressions are independent, so the
-        // window width never affects results, only unrolling.
-        const W: usize = 16;
-        let mut c_it = coeffs.chunks_exact(W);
-        let mut m_it = meta.chunks_exact_mut(W);
-        for (cb, mb) in c_it.by_ref().zip(m_it.by_ref()) {
-            // Block 1: the float -> magnitude cast, one independent
-            // expression per lane (select between the saturated constant
-            // and the truncating cast — no cross-lane state).
-            let mut kw = [0u64; W];
-            for (kv, &c) in kw.iter_mut().zip(cb) {
-                let r = c.abs() * inv_q;
-                *kv = if r >= T::CAP {
-                    SAT
-                } else {
-                    r.to_u64_saturating()
-                };
-            }
-            // Block 2: integer-only meta packing (lzcnt + shift + or).
-            let mut mw = [0u8; W];
-            for ((mv, &kv), &c) in mw.iter_mut().zip(&kw).zip(cb) {
-                *mv = (planes_of(kv) << 1) | (c < T::ZERO) as u8;
-            }
-            mb.copy_from_slice(&mw);
+    // 16 lanes per window: two 256-bit-class vectors of f64, one of
+    // f32 pairs — the per-lane expressions are independent, so the
+    // window width never affects results, only unrolling.
+    const W: usize = 16;
+    let mut c_it = coeffs.chunks_exact(W);
+    let mut m_it = meta.chunks_exact_mut(W);
+    for (cb, mb) in c_it.by_ref().zip(m_it.by_ref()) {
+        // Block 1: the float -> magnitude cast, one independent
+        // expression per lane (select between the saturated constant
+        // and the truncating cast — no cross-lane state).
+        let mut kw = [0u64; W];
+        for (kv, &c) in kw.iter_mut().zip(cb) {
+            let r = c.abs() * inv_q;
+            *kv = if r >= T::CAP {
+                SAT
+            } else {
+                r.to_u64_saturating()
+            };
         }
-        for (&c, mv) in c_it.remainder().iter().zip(m_it.into_remainder()) {
-            let q = quantize_magnitude(c, inv_q);
-            *mv = (planes_of(q) << 1) | (c < T::ZERO) as u8;
+        // Block 2: integer-only meta packing (lzcnt + shift + or).
+        let mut mw = [0u8; W];
+        for ((mv, &kv), &c) in mw.iter_mut().zip(&kw).zip(cb) {
+            *mv = (planes_of(kv) << 1) | (c < T::ZERO) as u8;
         }
+        mb.copy_from_slice(&mw);
+    }
+    for (&c, mv) in c_it.remainder().iter().zip(m_it.into_remainder()) {
+        let q = quantize_magnitude(c, inv_q);
+        *mv = (planes_of(q) << 1) | (c < T::ZERO) as u8;
     }
 }
 
@@ -98,29 +93,11 @@ pub fn scalar_quantize_meta_into<T: Float>(coeffs: &[T], inv_q: T, meta: &mut [u
 /// [`scalar_reconstruct_mid_riser_into`].
 pub fn reconstruct_mid_riser_into<T: Float>(coeffs: &[T], q: T, inv_q: T, out: &mut [T]) {
     assert_eq!(coeffs.len(), out.len());
-    #[cfg(feature = "force-scalar")]
-    return scalar_reconstruct_mid_riser_into(coeffs, q, inv_q, out);
-    #[cfg(not(feature = "force-scalar"))]
-    {
-        const W: usize = 8;
-        let mut c_it = coeffs.chunks_exact(W);
-        let mut o_it = out.chunks_exact_mut(W);
-        for (cb, ob) in c_it.by_ref().zip(o_it.by_ref()) {
-            for (o, &c) in ob.iter_mut().zip(cb) {
-                let k = quantize_magnitude(c, inv_q);
-                *o = if k == 0 {
-                    T::ZERO
-                } else {
-                    let mag = (T::from_u64_lossy(k) + T::HALF) * q;
-                    if c < T::ZERO {
-                        -mag
-                    } else {
-                        mag
-                    }
-                };
-            }
-        }
-        for (o, &c) in o_it.into_remainder().iter_mut().zip(c_it.remainder()) {
+    const W: usize = 8;
+    let mut c_it = coeffs.chunks_exact(W);
+    let mut o_it = out.chunks_exact_mut(W);
+    for (cb, ob) in c_it.by_ref().zip(o_it.by_ref()) {
+        for (o, &c) in ob.iter_mut().zip(cb) {
             let k = quantize_magnitude(c, inv_q);
             *o = if k == 0 {
                 T::ZERO
@@ -133,6 +110,19 @@ pub fn reconstruct_mid_riser_into<T: Float>(coeffs: &[T], q: T, inv_q: T, out: &
                 }
             };
         }
+    }
+    for (o, &c) in o_it.into_remainder().iter_mut().zip(c_it.remainder()) {
+        let k = quantize_magnitude(c, inv_q);
+        *o = if k == 0 {
+            T::ZERO
+        } else {
+            let mag = (T::from_u64_lossy(k) + T::HALF) * q;
+            if c < T::ZERO {
+                -mag
+            } else {
+                mag
+            }
+        };
     }
 }
 

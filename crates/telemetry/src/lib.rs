@@ -29,6 +29,7 @@ mod chrome;
 pub mod metrics;
 mod report;
 
+pub use chrome::validate as validate_chrome_trace;
 pub use metrics::{Histogram, MetricEntry, MetricsSnapshot, Unit};
 pub use report::{CounterEvent, LabelSummary, Report, Span, Track};
 

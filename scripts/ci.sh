@@ -15,17 +15,6 @@ cargo test --workspace --quiet
 echo "==> decoder panic audit"
 cargo test --quiet --test panic_audit
 
-echo "==> force-scalar matrix: build + full test suite on the scalar twins"
-# The sperr-simd force-scalar feature routes every kernel entry point to
-# its scalar twin — the portability escape hatch for targets where the
-# blocked loops don't pay off. The whole workspace must build and pass
-# (including the conformance goldens, which prove the scalar path is
-# bit-identical to the blocked one end-to-end, and the width-generic
-# kernel proptests, which run at both f32 and f64 so the scalar twins
-# cover the f32-native path too).
-cargo build --workspace --release --features sperr-simd/force-scalar
-cargo test --workspace --quiet --features sperr-simd/force-scalar
-
 echo "==> cross-target check: aarch64 (NEON lane widths)"
 # Type-check the workspace for a 128-bit-SIMD target so a portability
 # break (x86-only assumption, pointer-width slip) is caught even though
@@ -94,69 +83,6 @@ else
     echo "no parent commit available; skipping"
 fi
 
-echo "==> bench smoke (release)"
-# Tiny-dims run so the harness itself cannot rot; writes
-# target/bench_smoke.json and self-validates it. Invoked via its own
-# shebang (bash): running it under plain `sh` breaks on bash-isms.
-scripts/bench.sh --smoke
-
-echo "==> tracked bench artifacts are well-formed"
-# The committed baselines must parse and carry their expected schemas.
-target/release/hotpath --check BENCH_pr2.json
-target/release/hotpath --check BENCH_pr4.json
-target/release/hotpath --check BENCH_pr5.json
-target/release/hotpath --check BENCH_pr7.json
-target/release/hotpath --check BENCH_pr8.json
-target/release/hotpath --check BENCH_pr9.json
-target/release/hotpath --check BENCH_pr10.json
-
-echo "==> loadgen smoke: mixed-traffic artifact generates and validates"
-# Tiny-dims mixed-traffic run (PR 10): five classes through one shared
-# pool; the binary self-validates the artifact before writing, and the
-# explicit --check re-reads it from disk.
-target/release/hotpath loadgen --smoke --out target/loadgen_smoke.json
-target/release/hotpath --check target/loadgen_smoke.json
-
-echo "==> trend gate: cross-PR perf trajectory (hard on SPECK ratios)"
-# Reads every committed artifact, prints each derived ratio's trajectory
-# and the loadgen class tables, and fails when the latest full-size
-# occurrence of a hard-gated SPECK ratio is >20% below the best value
-# that ratio ever reached across the history. Deterministic: compares
-# tracked files only.
-target/release/hotpath trend BENCH_pr2.json BENCH_pr4.json BENCH_pr5.json \
-    BENCH_pr7.json BENCH_pr8.json BENCH_pr9.json BENCH_pr10.json
-
-echo "==> perf gate: committed BENCH_pr9.json vs PR 2..8 baselines (hard)"
-# The committed full-size artifact must not record a >20% regression on
-# the SPECK stage ratios relative to the best committed baseline — this
-# is the deterministic hard gate (it compares tracked files, so it never
-# flakes on host noise; it fails exactly when someone commits a slower
-# artifact). Satellite of the PR 7 overhaul: the PR 5 episode showed a
-# soft warning on these ratios is too easy to scroll past. The PR 9
-# artifact additionally carries the f32-native end-to-end ratios, which
-# the gate binary enforces as an absolute ≥1.0 floor on full-size
-# artifacts: committing an artifact where the f32 path is slower than
-# the f64 path on any end-to-end workload fails CI.
-target/release/hotpath --perf-gate BENCH_pr9.json \
-    BENCH_pr2.json BENCH_pr4.json BENCH_pr5.json BENCH_pr7.json BENCH_pr8.json
-
-echo "==> perf gate: fresh smoke run vs baselines (soft)"
-# Compare the smoke run's derived speedup ratios against the BEST value
-# each ratio ever reached across all committed full-size baselines, so a
-# slow PR cannot quietly lower the bar for the next one. The per-ratio
-# delta table prints even when everything is green; a >20% regression
-# adds a loud warning but does not fail CI: smoke dims and shared-host
-# noise make a hard gate flaky (the gate binary downgrades the hard keys
-# for --smoke artifacts), and the goal is that a real performance cliff
-# cannot land silently.
-# Note the coder-path *correctness* gate is NOT this: byte-for-byte
-# stream stability of the overhauled SPECK/outlier coders is enforced
-# hard by `sperr-conformance check` + the golden governance step above
-# (the goldens exercise every coder path and fail on any byte change).
-target/release/hotpath --perf-gate target/bench_smoke.json \
-    BENCH_pr2.json BENCH_pr4.json BENCH_pr5.json BENCH_pr7.json BENCH_pr8.json \
-    BENCH_pr9.json
-
 echo "==> benchmark of record: its own tests + a smoke run"
 # `benchmark/` is a package of its own (own workspace and lock file), so
 # nothing above builds or tests it. Its tests hold a smoke run against
@@ -197,47 +123,36 @@ echo "==> telemetry on: streaming worker timelines overlap"
 # workers with concurrent spans during a streaming compression.
 cargo test --quiet --features telemetry --test streaming
 
-echo "==> telemetry on: --stats/--trace smoke on a 128^3 PWE run"
-# End-to-end acceptance: a traced CLI compression emits Chrome trace JSON
-# with a span for every compress stage and per-worker timeline tracks.
-target/release/sperr gen --field miranda-density --dims 128,128,128 \
-    --output /tmp/ci_trace_input.f64 --type f64 --quiet
-target/release/sperr compress --input /tmp/ci_trace_input.f64 \
-    --output /tmp/ci_trace_out.sperr --dims 128,128,128 --type f64 \
-    --idx 13 --chunk 64,64,64 --threads 8 \
-    --stats --trace /tmp/ci_trace.json --quiet
-target/release/hotpath --check-trace /tmp/ci_trace.json \
-    stage.wavelet.forward stage.speck.encode stage.outlier.locate \
-    stage.outlier.encode stage.container.write stage.lossless.compress
+echo "==> telemetry on: a traced CLI compress emits a valid Chrome trace"
+# End-to-end acceptance: `sperr compress --stats --trace` on a multi-chunk
+# volume writes trace JSON that passes the exporter's own schema check
+# (`sperr_telemetry::validate_chrome_trace`) with a span for every
+# compress stage and per-worker timeline tracks.
+cargo test --quiet -p sperr-cli --features telemetry traced_compress_writes_a_valid_chrome_trace
 
 echo "==> telemetry on: --metrics exports + metrics subcommand"
 # The PR 10 metrics layer end-to-end: a compress run exports Prometheus
 # text exposition (op summary with quantile series, memory _max gauge),
 # a decompress run exports the JSON schema, and the `metrics` subcommand
 # profiles an existing stream directly.
-target/release/sperr compress --input /tmp/ci_trace_input.f64 \
-    --output /tmp/ci_trace_out.sperr --dims 128,128,128 --type f64 \
+target/release/sperr gen --field miranda-density --dims 128,128,128 \
+    --output /tmp/ci_metrics_input.f64 --type f64 --quiet
+target/release/sperr compress --input /tmp/ci_metrics_input.f64 \
+    --output /tmp/ci_metrics_out.sperr --dims 128,128,128 --type f64 \
     --idx 13 --chunk 64,64,64 --threads 8 \
     --metrics /tmp/ci_metrics.prom --quiet
 grep -q '# TYPE sperr_op_compress_f64_seconds summary' /tmp/ci_metrics.prom
 grep -q 'sperr_op_compress_f64_seconds{quantile="0.99"} ' /tmp/ci_metrics.prom
 grep -q 'sperr_mem_arena_f64_bytes_max ' /tmp/ci_metrics.prom
 grep -q 'sperr_stage_speck_encode_seconds_count ' /tmp/ci_metrics.prom
-target/release/sperr decompress --input /tmp/ci_trace_out.sperr \
+target/release/sperr decompress --input /tmp/ci_metrics_out.sperr \
     --output /tmp/ci_metrics_rt.f64 --metrics /tmp/ci_metrics.json --quiet
 grep -q '"sperr-metrics/v1"' /tmp/ci_metrics.json
 grep -q '"op.decompress.f64"' /tmp/ci_metrics.json
-target/release/sperr metrics --input /tmp/ci_trace_out.sperr \
+target/release/sperr metrics --input /tmp/ci_metrics_out.sperr \
     | grep -q 'sperr_op_decompress_f64_seconds_count '
-rm -f /tmp/ci_trace_input.f64 /tmp/ci_trace_out.sperr /tmp/ci_trace.json \
+rm -f /tmp/ci_metrics_input.f64 /tmp/ci_metrics_out.sperr \
     /tmp/ci_metrics.prom /tmp/ci_metrics.json /tmp/ci_metrics_rt.f64
-
-echo "==> telemetry + force-scalar matrix: goldens stay byte-identical"
-# The third cell of the feature matrix (PR 10 satellite): metrics
-# recording layered over the scalar kernel twins must still reproduce
-# the committed golden streams byte-for-byte.
-cargo build --workspace --release --features telemetry,sperr-simd/force-scalar
-target/release/sperr-conformance check
 
 echo "==> ThreadSanitizer: pool + streaming pipeline tests"
 # The streaming pipeline is the one place the codebase hand-rolls

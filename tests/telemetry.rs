@@ -266,12 +266,12 @@ fn trace_covers_all_stages_and_worker_tracks() {
         );
     }
 
-    // The rendered Chrome trace passes the bench harness's schema check,
+    // The rendered Chrome trace passes the exporter's own schema check,
     // including every stage label of both directions.
     let all_labels: Vec<&str> = stage_labels::COMPRESS
         .iter()
         .chain(stage_labels::DECOMPRESS)
         .copied()
         .collect();
-    sperr_bench::json::validate_trace_artifact(&report.chrome_trace(), &all_labels).unwrap();
+    sperr_telemetry::validate_chrome_trace(&report.chrome_trace(), &all_labels).unwrap();
 }
