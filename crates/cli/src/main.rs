@@ -626,11 +626,17 @@ fn cmd_compress_stream(args: &Args, input: &str, output: &str) -> Result<(), Cli
     // byte-identical to the in-memory compress_f32); f64 through the
     // double-precision one.
     let report = match ty {
-        ScalarType::F32 => sperr.compress_stream_f32(reader, writer, dims, bound)?,
-        ScalarType::F64 => {
-            sperr.compress_stream(reader, writer, dims, Precision::Double, bound)?
-        }
+        ScalarType::F32 => sperr.compress_stream_f32(reader, writer, dims, bound),
+        ScalarType::F64 => sperr.compress_stream(reader, writer, dims, Precision::Double, bound),
     };
+    let report = report.inspect_err(|_| {
+        // The container is emitted in one piece at the end, so a refused
+        // or failed run leaves the file it created empty: take it away
+        // again rather than leave something that looks like an output.
+        if std::fs::metadata(output).is_ok_and(|m| m.is_file() && m.len() == 0) {
+            let _ = std::fs::remove_file(output);
+        }
+    })?;
     scope.finish()?;
     stream_say(
         output,
@@ -1382,6 +1388,43 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(&err, CliError::Stream(SperrError::Io { .. })), "{err:?}");
             assert_eq!(exit_code(&err), 1);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn pwe_compress_that_misses_its_bound_exits_3_and_writes_nothing() {
+        // Tolerances below what the quantizer's 2^62 cap and the outlier
+        // coder can express used to exit 0 with a stream whose own index
+        // recorded the miss (4.4 on a field of range 7.8 at 1e-300).
+        let dir = std::env::temp_dir().join("sperr_cli_pwe_refusal_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("x.raw");
+        let packed = dir.join("x.sperr");
+        run(&w(&["gen", "--field", "miranda-pressure", "--dims", "20,20,20", "--output",
+                 raw.to_str().unwrap(), "--type", "f64", "--quiet"]))
+            .unwrap();
+        let compress = |bound: &[&str], stream: bool| {
+            let mut args = w(&["compress", "--input", raw.to_str().unwrap(), "--output",
+                               packed.to_str().unwrap(), "--dims", "20,20,20", "--type",
+                               "f64", "--quiet"]);
+            args.extend(w(bound));
+            args.extend(w(if stream { &["--stream"] } else { &[] }));
+            run(&args)
+        };
+        for stream in [false, true] {
+            for bound in [["--pwe", "1e-300"], ["--pwe", "1e-30"], ["--pwe", "1e-18"], ["--idx", "100"]] {
+                if stream && bound[0] == "--idx" {
+                    continue; // a usage error in streaming mode
+                }
+                let err = compress(&bound, stream).unwrap_err();
+                assert_eq!(exit_code(&err), 3, "{bound:?} stream={stream}: {err:?}");
+                assert!(err.to_string().contains("cannot be met: chunk 0"), "{err}");
+                assert!(!packed.exists(), "{bound:?} stream={stream} left an output file");
+            }
+            compress(&["--pwe", "1e-15"], stream).unwrap();
+            assert!(std::fs::metadata(&packed).unwrap().len() > 0);
+            std::fs::remove_file(&packed).unwrap();
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -103,8 +103,10 @@ fn report(what: &str, failures: &[CheckFailure]) -> i32 {
 
 /// The full differential-oracle sweep over the corpus: blocked lifting,
 /// encoder-vs-reference, SPECK-stage fast path vs bit-at-a-time
-/// reference, SPECK decoder Morton vs generic front end, thread identity (1/2/4/8), resilient decode, re-encode
-/// stability, and the f32-native path vs its widened-f64 twin.
+/// reference (bytes and counters, plus the pinned structural counts),
+/// SPECK decoder vs its cuboid-walk oracle, thread identity (1/2/4/8),
+/// resilient decode, re-encode stability, and the f32-native path vs its
+/// widened-f64 twin.
 fn run_oracles() -> Vec<CheckFailure> {
     let mut failures = Vec::new();
     fn run(failures: &mut Vec<CheckFailure>, r: oracle::CheckResult) {
@@ -118,8 +120,12 @@ fn run_oracles() -> Vec<CheckFailure> {
         run(&mut failures, oracle::blocked_lifting_matches_reference(&field.data, field.dims, Kernel::Cdf97));
         run(&mut failures, oracle::encoder_matches_reference(&field.data, field.dims, t, 1.5, Kernel::Cdf97));
         run(&mut failures, oracle::speck_matches_reference(&field.data, field.dims, 1.5 * t));
-        run(&mut failures, oracle::speck_decode_morton_vs_generic(&field.data, 1.5 * t));
+        run(&mut failures, oracle::speck_decode_matches_reference(&field.data, field.dims, 1.5 * t));
         let field32 = input.generate_f32();
+        run(
+            &mut failures,
+            oracle::speck_structure_pinned(input.id, &field.data, &field32.data, field.dims, 1.5 * t),
+        );
         run(
             &mut failures,
             oracle::f32_vs_widened(&field32, field32.tolerance_for_idx(15), [16, 16, 16], &[1, 2, 4, 8]),

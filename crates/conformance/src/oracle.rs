@@ -418,26 +418,66 @@ pub fn speck_matches_reference(coeffs: &[f64], dims: [usize; 3], q: f64) -> Chec
     Ok(())
 }
 
-/// The decoder's two sorting-pass front ends must agree: on every
-/// power-of-two cube `sperr_speck::decode` walks Morton cells while
-/// `sperr_speck::reference::decode` walks cuboid sets, and the two must
-/// return the same `Ok`/`Err` and bit-identical samples — for the full
-/// stream, a bit-budget stream and byte prefixes of both (truncation
-/// inside sorting and refinement passes alike), at both sample widths.
-/// The cubes (1-D, 2-D and 3-D, the largest the samples fill) are cut
-/// from the head of `samples`, so every corpus input exercises it
-/// whatever its own shape.
-pub fn speck_decode_morton_vs_generic(samples: &[f64], q: f64) -> CheckResult {
-    fn sweep<T: Float, const D: usize>(samples: &[T], q: f64) -> CheckResult {
-        let mut side = 1usize;
-        while (side * 2).pow(D as u32) <= samples.len() {
-            side *= 2;
-        }
-        if side < 2 {
-            return Ok(());
-        }
-        let dims = [side; D];
-        let coeffs = &samples[..side.pow(D as u32)];
+/// What the SPECK encoder *did*, not only what it wrote: sets split and
+/// bulk zero runs per corpus input — `[quality, 2/3-budget, f32
+/// quality]` × `[sets_split, zero_runs]` at `q = 1.5 · tolerance(idx
+/// 15)` — as measured at commit `b4c368a`, the last with a `SetS` walker
+/// and a Morton twin on the hot path. The reference encoder reports 0
+/// for both, so the bytes-and-bit-counters oracle above cannot see a
+/// coder that reaches the same stream by a different walk; these can.
+const SPECK_STRUCTURE: [(&str, [usize; 6]); 8] = [
+    ("press-1d61", [60, 5, 60, 5, 60, 5]),
+    ("press-2d29x23", [314, 160, 314, 160, 314, 160]),
+    ("press-3d16", [585, 1551, 585, 1544, 585, 1551]),
+    ("press-3d21x10x11", [1135, 698, 1135, 691, 1135, 698]),
+    ("nyx-1d61", [60, 28, 60, 28, 60, 28]),
+    ("nyx-2d29x23", [314, 374, 306, 347, 314, 374]),
+    ("nyx-3d16", [585, 2512, 585, 2215, 585, 2512]),
+    ("nyx-3d21x10x11", [1131, 1205, 1046, 1008, 1131, 1205]),
+];
+
+/// `sets_split` and `zero_runs` of the production encoder on corpus
+/// input `id` must equal the pinned [`SPECK_STRUCTURE`] row.
+pub fn speck_structure_pinned(
+    id: &str,
+    coeffs: &[f64],
+    coeffs32: &[f32],
+    dims: [usize; 3],
+    q: f64,
+) -> CheckResult {
+    let Some((_, want)) = SPECK_STRUCTURE.iter().find(|(name, _)| *name == id) else {
+        return fail("speck-structure", format!("no pinned row for corpus input {id}"));
+    };
+    let full = sperr_speck::encode(coeffs, dims, q, Termination::Quality);
+    let budget = Termination::BitBudget(full.bits_used * 2 / 3);
+    let cut = sperr_speck::encode(coeffs, dims, q, budget);
+    let full32 = sperr_speck::encode(coeffs32, dims, q, Termination::Quality);
+    let got = [
+        full.sets_split,
+        full.zero_runs,
+        cut.sets_split,
+        cut.zero_runs,
+        full32.sets_split,
+        full32.zero_runs,
+    ];
+    if got != *want {
+        return fail("speck-structure", format!("{id}: {got:?}, pinned {want:?}"));
+    }
+    Ok(())
+}
+
+/// The decoder against its oracle: `sperr_speck::decode` walks cell
+/// numbers — the dyadic geometry on a power-of-two cube, the tabled one
+/// on every other shape — while `sperr_speck::reference::decode` walks
+/// cuboid sets bit by bit, and the two must return the same `Ok`/`Err`
+/// and bit-identical samples — for the full stream, a bit-budget stream
+/// and byte prefixes of both (truncation inside sorting and refinement
+/// passes alike), at both sample widths. Swept on the input's own shape
+/// and on the cubes (1-D, 2-D and 3-D, the largest the samples fill) cut
+/// from the head of `samples`, so every corpus input exercises both
+/// geometries whatever its shape.
+pub fn speck_decode_matches_reference(samples: &[f64], dims: [usize; 3], q: f64) -> CheckResult {
+    fn sweep<T: Float, const D: usize>(coeffs: &[T], dims: [usize; D], q: f64) -> CheckResult {
         let full = sperr_speck::encode(coeffs, dims, q, Termination::Quality);
         let budget = Termination::BitBudget(full.bits_used * 2 / 3);
         let cut = sperr_speck::encode(coeffs, dims, q, budget);
@@ -445,16 +485,16 @@ pub fn speck_decode_morton_vs_generic(samples: &[f64], q: f64) -> CheckResult {
             let total = enc.stream.len();
             for len in (0..total).step_by((total / 16).max(1)).chain([total]) {
                 let prefix = &enc.stream[..len];
-                let morton = sperr_speck::decode::<T, D>(prefix, dims, q, enc.num_planes);
-                let generic =
+                let fast = sperr_speck::decode::<T, D>(prefix, dims, q, enc.num_planes);
+                let oracle =
                     sperr_speck::reference::decode::<T, D>(prefix, dims, q, enc.num_planes);
                 let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
-                if morton.as_deref().map(bits) != generic.as_deref().map(bits) {
+                if fast.as_deref().map(bits) != oracle.as_deref().map(bits) {
                     return fail(
-                        "speck-decode-morton-vs-generic",
+                        "speck-decode-vs-reference",
                         format!(
-                            "{} dims {dims:?} q {q:e}: front ends diverge on the {len}-byte \
-                             prefix of a {total}-byte stream",
+                            "{} dims {dims:?} q {q:e}: decoder and oracle diverge on the \
+                             {len}-byte prefix of a {total}-byte stream",
                             T::NAME
                         ),
                     );
@@ -463,13 +503,25 @@ pub fn speck_decode_morton_vs_generic(samples: &[f64], q: f64) -> CheckResult {
         }
         Ok(())
     }
+    fn cube<T: Float, const D: usize>(samples: &[T], q: f64) -> CheckResult {
+        let mut side = 1usize;
+        while (side * 2).pow(D as u32) <= samples.len() {
+            side *= 2;
+        }
+        if side < 2 {
+            return Ok(());
+        }
+        sweep(&samples[..side.pow(D as u32)], [side; D], q)
+    }
     let narrow: Vec<f32> = samples.iter().map(|&v| v as f32).collect();
-    sweep::<f64, 1>(samples, q)?;
-    sweep::<f64, 2>(samples, q)?;
-    sweep::<f64, 3>(samples, q)?;
-    sweep::<f32, 1>(&narrow, q)?;
-    sweep::<f32, 2>(&narrow, q)?;
-    sweep::<f32, 3>(&narrow, q)
+    sweep(samples, dims, q)?;
+    sweep(&narrow, dims, q)?;
+    cube::<f64, 1>(samples, q)?;
+    cube::<f64, 2>(samples, q)?;
+    cube::<f64, 3>(samples, q)?;
+    cube::<f32, 1>(&narrow, q)?;
+    cube::<f32, 2>(&narrow, q)?;
+    cube::<f32, 3>(&narrow, q)
 }
 
 // ---------------------------------------------------------------------
@@ -1036,9 +1088,19 @@ mod tests {
     }
 
     #[test]
-    fn speck_decoder_oracle_accepts_both_front_ends() {
+    fn speck_decoder_oracle_accepts_both_geometries() {
         let f = small_field();
-        speck_decode_morton_vs_generic(&f.data, 1.5e-3 * f.range()).unwrap();
+        speck_decode_matches_reference(&f.data, f.dims, 1.5e-3 * f.range()).unwrap();
+    }
+
+    #[test]
+    fn speck_structure_is_pinned_on_the_corpus() {
+        for input in crate::corpus::corpus_inputs() {
+            let (f, f32s) = (input.generate(), input.generate_f32());
+            let q = 1.5 * f.tolerance_for_idx(15);
+            speck_structure_pinned(input.id, &f.data, &f32s.data, f.dims, q).unwrap();
+        }
+        assert!(speck_structure_pinned("no-such-input", &[0.0], &[0.0], [1, 1, 1], 1.0).is_err());
     }
 
     #[test]

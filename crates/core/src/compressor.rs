@@ -147,14 +147,36 @@ impl CompressRun<'_> {
     /// container and frames it, the lossless pass (when on) running its
     /// blocks on `pool`. The sample type `T` the chunks were encoded from
     /// selects the payload-width tag.
+    ///
+    /// Refuses — naming the chunk — when a PWE-bounded f64 chunk knows it
+    /// missed the bound: `ChunkEncoding::max_err` is the exact error a
+    /// decode will show, and `max|x − x̂| <= t` is the contract of the
+    /// mode (a tolerance below what the quantizer's 2^62 cap and the
+    /// outlier coder can express ends above it). f32-native chunks are
+    /// held to the range-relative budget of DESIGN.md §15 instead, which
+    /// needs the whole field's range and is not checked here.
     pub(crate) fn seal_container<T: Float>(
         &self,
         dims: [usize; 3],
         precision: Precision,
         encoded: &[ChunkEncoding],
         pool: &WorkerPool,
-    ) -> (Vec<u8>, CompressionStats) {
+    ) -> Result<(Vec<u8>, CompressionStats), (usize, CompressError)> {
         let cfg = self.config;
+        if let (Mode::Pwe, 8) = (self.mode, T::BYTES) {
+            let t = self.bound_value;
+            if let Some((chunk, enc)) = encoded.iter().enumerate().find(|(_, e)| e.max_err > t) {
+                let max_err = enc.max_err;
+                return Err((
+                    chunk,
+                    CompressError::Invalid(format!(
+                        "PWE tolerance {t:e} cannot be met: chunk {chunk} ends at max error \
+                         {max_err:e} (the tolerance is below what the coders can express \
+                         for this data)"
+                    )),
+                ));
+            }
+        }
         let mut stats = CompressionStats {
             num_points: dims.iter().product(),
             num_chunks: encoded.len(),
@@ -197,7 +219,7 @@ impl CompressRun<'_> {
         };
         stats.output_bytes = out.len();
         sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
-        (out, stats)
+        Ok((out, stats))
     }
 }
 
@@ -337,7 +359,7 @@ impl Sperr {
             // (2–3 × the page faults per call on a one-chunk volume).
             drop(encoded);
             scratch.into_values().for_each(|(arena, _)| arena.record_footprint());
-            Ok(sealed)
+            sealed.map_err(|(_, refused)| refused)
         })
     }
 

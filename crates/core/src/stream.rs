@@ -758,7 +758,13 @@ impl Sperr {
                 }
             }
             faultpoint::stage(STAGE_CONTAINER);
-            let (out, stats) = run.seal_container::<T>(dims, precision, &encoded, pool);
+            let (out, stats) = run
+                .seal_container::<T>(dims, precision, &encoded, pool)
+                .map_err(|(chunk, source)| SperrError::Codec {
+                    stage: STAGE_CONTAINER,
+                    chunk: Some(chunk),
+                    source,
+                })?;
 
             faultpoint::stage(STAGE_EMIT);
             let mut wr = ScalarWriter::new(writer, precision);

@@ -1,79 +1,7 @@
-//! Bitplane gather/scatter kernels for SPECK's word-packed refinement:
-//! collect bit `n` of up to 64 magnitudes into one packed word (encoder)
-//! and turn a stack of per-plane refinement words back into magnitudes
-//! with a bit-matrix transpose (decoder).
-
-/// Packs bit `n` of each magnitude into one word, lane `j` = bit `n` of
-/// `ks[j]`. `ks.len()` must be at most 64. Scalar twin:
-/// [`scalar_plane_word_u64`].
-pub fn plane_word_u64(ks: &[u64], n: u32) -> u64 {
-    debug_assert!(ks.len() <= 64);
-    // Per-lane shift/mask then a lane-indexed OR-reduction. Written
-    // as two fixed-width passes (extract into a block, fold the
-    // block) so the extraction loop vectorizes even when the
-    // reduction does not.
-    const W: usize = 8;
-    let mut word = 0u64;
-    let mut base = 0usize;
-    let mut chunks = ks.chunks_exact(W);
-    for c in chunks.by_ref() {
-        let mut lanes = [0u64; W];
-        for (l, &kv) in lanes.iter_mut().zip(c) {
-            *l = (kv >> n) & 1;
-        }
-        for (j, &l) in lanes.iter().enumerate() {
-            word |= l << (base + j);
-        }
-        base += W;
-    }
-    for (j, &kv) in chunks.remainder().iter().enumerate() {
-        word |= ((kv >> n) & 1) << (base + j);
-    }
-    word
-}
-
-/// Scalar reference for [`plane_word_u64`].
-pub fn scalar_plane_word_u64(ks: &[u64], n: u32) -> u64 {
-    let mut word = 0u64;
-    for (j, &kv) in ks.iter().enumerate() {
-        word |= ((kv >> n) & 1) << j;
-    }
-    word
-}
-
-/// [`plane_word_u64`] over narrow magnitudes (the coder stores the LSP
-/// as `u32` when every magnitude fits, halving refinement memory
-/// traffic). Scalar twin: [`scalar_plane_word_u32`].
-pub fn plane_word_u32(ks: &[u32], n: u32) -> u64 {
-    debug_assert!(ks.len() <= 64);
-    const W: usize = 8;
-    let mut word = 0u64;
-    let mut base = 0usize;
-    let mut chunks = ks.chunks_exact(W);
-    for c in chunks.by_ref() {
-        let mut lanes = [0u32; W];
-        for (l, &kv) in lanes.iter_mut().zip(c) {
-            *l = (kv >> n) & 1;
-        }
-        for (j, &l) in lanes.iter().enumerate() {
-            word |= (l as u64) << (base + j);
-        }
-        base += W;
-    }
-    for (j, &kv) in chunks.remainder().iter().enumerate() {
-        word |= (((kv >> n) & 1) as u64) << (base + j);
-    }
-    word
-}
-
-/// Scalar reference for [`plane_word_u32`].
-pub fn scalar_plane_word_u32(ks: &[u32], n: u32) -> u64 {
-    let mut word = 0u64;
-    for (j, &kv) in ks.iter().enumerate() {
-        word |= (((kv >> n) & 1) as u64) << j;
-    }
-    word
-}
+//! Bit-matrix transposes for SPECK's deferred refinement: 64 magnitudes
+//! become one packed word per bitplane (encoder), and a stack of
+//! per-plane refinement words becomes 64 magnitudes again (decoder) — the
+//! same transpose, which is its own inverse.
 
 /// One stage of the recursive block-swap transpose: for every row pair
 /// `(k, k + j)` exchanges the bit block at columns `[j, 2j)` of row `k`
@@ -93,7 +21,8 @@ fn swap_stage<const N: usize>(m: &mut [u64; N], j: usize, mask: u64) {
 /// Transposes a 64×64 bit matrix in place: afterwards bit `r` of `m[c]`
 /// is what bit `c` of `m[r]` was. The SPECK decoder feeds it one 64-bit
 /// refinement window per bitplane (row = plane, column = LSP entry) and
-/// reads back one magnitude per entry. Six block-swap stages of 32 row
+/// reads back one magnitude per entry; the encoder feeds it magnitudes
+/// and reads back the plane words. Six block-swap stages of 32 row
 /// pairs each (Hacker's Delight §7-3, LSB-first). Scalar twin:
 /// [`scalar_transpose_64x64`].
 pub fn transpose_64x64(m: &mut [u64; 64]) {
@@ -145,18 +74,6 @@ pub fn scalar_transpose_32x64(m: &mut [u64; 32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plane_word_matches_scalar() {
-        let ks: Vec<u64> = (0..64).map(|i| (i * 2654435761u64) >> 3).collect();
-        for n in [0u32, 1, 13, 31, 62] {
-            assert_eq!(plane_word_u64(&ks, n), scalar_plane_word_u64(&ks, n));
-        }
-        let ks32: Vec<u32> = ks.iter().map(|&k| k as u32).collect();
-        for n in [0u32, 7, 31] {
-            assert_eq!(plane_word_u32(&ks32, n), scalar_plane_word_u32(&ks32, n));
-        }
-    }
 
     fn mixed_rows<const N: usize>(seed: u64) -> [u64; N] {
         let mut x = seed | 1;

@@ -31,27 +31,24 @@ mod float;
 mod lift;
 mod quant;
 
-pub use bitplane::{plane_word_u32, plane_word_u64, transpose_32x64, transpose_64x64};
+pub use bitplane::{transpose_32x64, transpose_64x64};
 pub use bytes::{max_assign, max_elem, pairwise_max_into, run_le};
 pub use float::Float;
 pub use lift::{lift_pairs, merge_even_odd, scale_in_place, split_even_odd};
-pub use quant::{quantize_magnitude, quantize_meta_into, reconstruct_mid_riser_into};
+pub use quant::{quantize_magnitude, reconstruct_mid_riser_into};
 
 /// The scalar reference implementations (the `scalar_*` twins), exported
 /// for differential tests: proptests diff every blocked kernel against
 /// its twin across shapes, tails, and alignments.
 pub mod scalar {
-    pub use crate::bitplane::{
-        scalar_plane_word_u32, scalar_plane_word_u64, scalar_transpose_32x64,
-        scalar_transpose_64x64,
-    };
+    pub use crate::bitplane::{scalar_transpose_32x64, scalar_transpose_64x64};
     pub use crate::bytes::{
         scalar_max_assign, scalar_max_elem, scalar_pairwise_max_into, scalar_run_le,
     };
     pub use crate::lift::{
         scalar_lift_pairs, scalar_merge_even_odd, scalar_scale_in_place, scalar_split_even_odd,
     };
-    pub use crate::quant::{scalar_quantize_meta_into, scalar_reconstruct_mid_riser_into};
+    pub use crate::quant::scalar_reconstruct_mid_riser_into;
 }
 
 /// Primitive unsigned lane types the integer kernels are generic over.
@@ -71,7 +68,10 @@ mod tests {
         // fails the plain test build, not just downstream crates.
         assert_eq!(crate::max_elem(&[3u8, 9, 1]), 9);
         assert_eq!(crate::run_le(&[1u8, 2, 3], 2), 2);
-        assert_eq!(crate::plane_word_u64(&[1, 2, 3], 1), 0b110);
+        let mut rows = [0u64; 32];
+        rows[1] = 1;
+        crate::transpose_32x64(&mut rows);
+        assert_eq!(rows[0], 0b10);
         let mut x = [1.0f64, 2.0];
         crate::scale_in_place(&mut x, 2.0);
         assert_eq!(x, [2.0, 4.0]);

@@ -1,19 +1,14 @@
-//! The SPECK encoder proper: quantization, sorting passes, refinement
-//! passes, and mid-riser reconstruction — the hot-path (word-granular)
-//! implementation. The pre-overhaul bit-at-a-time path lives on in
-//! [`crate::reference`] as a differential oracle; both must produce
-//! byte-identical streams (see DESIGN.md §10 for the invariants that make
-//! this restructuring stream-neutral, and §13 for the vectorized kernels
-//! the hot loops lean on).
-//!
-//! Two encoder bodies share the emission machinery in this module:
-//! the general [`Encoder`] below handles any domain shape, and the
-//! cache-oriented Morton-layout encoder in [`crate::morton`] takes over
-//! for power-of-two cubic domains (where all partitions are aligned
-//! dyadic cubes). Both produce identical streams; [`encode`] dispatches.
+//! The SPECK encoder: quantization, sorting passes, the deferred
+//! refinement pass, and mid-riser reconstruction. One word-granular body
+//! ([`encode_on`]) serves every shape; what a shape decides is only the
+//! [`Geometry`] it runs on (DESIGN.md §13). The pre-overhaul
+//! bit-at-a-time encoder lives on in [`crate::reference`] as a
+//! differential oracle; both must produce byte-identical streams (see
+//! DESIGN.md §10 for the invariants that make this stream-neutral).
 
-use crate::pyramid::MaxPyramid;
-use crate::set::SetS;
+use crate::layout::Geometry;
+use crate::lsp_decode::low_mask;
+use crate::morton::Dyadic;
 use sperr_bitstream::BitWriter;
 use sperr_simd::Float;
 
@@ -28,8 +23,9 @@ pub enum Termination {
     BitBudget(usize),
 }
 
-/// Result of [`encode`].
-#[derive(Debug, Clone)]
+/// Result of [`encode`]. The default is what an all-dead-zone input
+/// encodes to: no planes, an empty stream.
+#[derive(Debug, Clone, Default)]
 pub struct EncodedSpeck {
     /// Bit-packed SPECK stream (zero-padded to a whole byte).
     pub stream: Vec<u8>,
@@ -68,29 +64,6 @@ pub(crate) fn quantize_all<T: Float>(coeffs: &[T], q: f64) -> (Vec<u64>, Vec<boo
     (k, negative)
 }
 
-/// Quantizes every coefficient into a packed per-pixel byte
-/// `meta = planes_of(k) << 1 | sign`. The sorting passes only ever need
-/// a pixel's MSB position and its sign, both read at the same index at
-/// discovery time — packing them into one byte cuts the footprint of the
-/// hottest random reads 8× versus gathering `u64` magnitudes. Because
-/// the MSB occupies the high bits, `meta` values order exactly like
-/// their MSBs, so the max pyramid can be built over `meta` directly:
-/// `region_max(..) >> 1` is the region's true `planes_of` max.
-/// (`planes_of(k) <= 63` since magnitudes saturate at 2^62, so the
-/// packed byte cannot overflow.) No magnitude array is materialized at
-/// all: the encoder requantizes LSP admissions straight from `coeffs`
-/// (see [`Lsp::admit`]), which both removes a full-size `u64` plane from
-/// peak memory and turns a scattered 8-byte gather in the discovery hot
-/// loop into a dense batched one. Shares
-/// [`sperr_simd::quantize_magnitude`] with [`quantize_all`] so the
-/// production and reference paths cannot drift in their dead-zone
-/// handling.
-pub(crate) fn quantize_meta<T: Float>(coeffs: &[T], q: f64) -> Vec<u8> {
-    let mut meta = vec![0u8; coeffs.len()];
-    sperr_simd::quantize_meta_into(coeffs, T::ONE / T::from_f64(q), &mut meta);
-    meta
-}
-
 /// The reconstruction the decoder produces from a *complete* (quality-mode)
 /// stream, computed directly from the input. The SPERR pipeline uses this
 /// to locate outliers without a decode pass; equality with [`decode`] is
@@ -119,42 +92,36 @@ pub(crate) struct Stop;
 // --------------------------------------------------------------- bit sink
 
 /// The encoder's output side: a [`BitWriter`] plus the pending bit batch,
-/// the budget discipline, and the per-type bit statistics. Shared by the
-/// general [`Encoder`] and the Morton fast path so their emission
-/// semantics (and therefore their streams) cannot diverge.
+/// the budget discipline, and the per-type bit statistics.
 ///
 /// `CHECKED` selects the budget discipline at monomorphization time:
-/// `true` for [`Termination::BitBudget`] (every write is bounds-checked
-/// against the budget, at batch granularity for bulk writes), `false`
-/// for [`Termination::Quality`] (no budget exists, so the per-bit
-/// `len_bits() >= budget` comparison the old path paid on every single
-/// bit compiles out entirely; a debug assertion documents the invariant).
+/// `true` for [`Termination::BitBudget`] (every write is cut at the
+/// budget, at batch granularity), `false` for [`Termination::Quality`]
+/// (no budget exists and the comparison compiles out).
 ///
-/// Individual significance/sign bits are not written one at a time: they
+/// Significance and sign bits are not written one at a time: they
 /// accumulate in a 64-bit pending word (`pend`) and reach the writer in
-/// batches — child-significance runs, signs, and LIS exit bits all
-/// coalesce into `put_bits` calls. The batch is flushed before any bulk
-/// write (zero runs, refinement words) so bits always land in stream
-/// order, and in `CHECKED` mode a flush that would overrun the budget
-/// truncates to exactly the remaining room, landing on the same bit the
-/// per-bit reference path stops at. `pend_signs` marks which pending
-/// positions are sign bits so the statistics split stays exact even
-/// across truncation.
-pub(crate) struct BitSink<const CHECKED: bool> {
+/// batches. The batch is flushed before any bulk write (zero runs,
+/// refinement spans) so bits always land in stream order, and a write
+/// that would overrun the budget is truncated to exactly the remaining
+/// room, landing on the same bit the per-bit reference path stops at.
+/// `pend_signs` marks which pending positions are sign bits so the
+/// statistics split stays exact even across truncation.
+struct BitSink<const CHECKED: bool> {
     out: BitWriter,
     budget: usize,
     /// Pending bit batch: LSB-first bits not yet handed to the writer.
     pend: u64,
     pend_signs: u64,
     pend_len: u32,
-    pub(crate) significance_bits: usize,
-    pub(crate) sign_bits: usize,
-    pub(crate) refinement_bits: usize,
-    pub(crate) zero_runs: usize,
+    significance_bits: usize,
+    sign_bits: usize,
+    refinement_bits: usize,
+    zero_runs: usize,
 }
 
 impl<const CHECKED: bool> BitSink<CHECKED> {
-    pub(crate) fn new(budget: usize, capacity_bits: usize) -> Self {
+    fn new(budget: usize, capacity_bits: usize) -> Self {
         BitSink {
             out: BitWriter::with_capacity_bits(capacity_bits),
             budget,
@@ -168,9 +135,19 @@ impl<const CHECKED: bool> BitSink<CHECKED> {
         }
     }
 
+    /// How many of the next `want` bits the budget has room for.
+    #[inline]
+    fn room_for(&self, want: usize) -> usize {
+        if CHECKED {
+            want.min(self.budget - self.out.len_bits())
+        } else {
+            want
+        }
+    }
+
     /// Appends one bit to the pending batch, flushing first if full.
     #[inline]
-    pub(crate) fn emit(&mut self, bit: bool, is_sign: bool) -> Result<(), Stop> {
+    fn emit(&mut self, bit: bool, is_sign: bool) -> Result<(), Stop> {
         if self.pend_len == 64 {
             self.flush()?;
         }
@@ -181,403 +158,372 @@ impl<const CHECKED: bool> BitSink<CHECKED> {
     }
 
     /// Writes the pending batch to the stream in one `put_bits` call.
-    pub(crate) fn flush(&mut self) -> Result<(), Stop> {
-        if self.pend_len == 0 {
-            return Ok(());
-        }
+    fn flush(&mut self) -> Result<(), Stop> {
         let nbits = self.pend_len as usize;
-        let word = self.pend;
-        let signs = self.pend_signs;
-        self.pend = 0;
-        self.pend_signs = 0;
-        self.pend_len = 0;
-        if CHECKED {
-            let room = self.budget - self.out.len_bits();
-            if nbits > room {
-                self.out.put_bits(word, room as u32);
-                let kept = if room == 0 { 0 } else { !0u64 >> (64 - room) };
-                let sc = (signs & kept).count_ones() as usize;
-                self.sign_bits += sc;
-                self.significance_bits += room - sc;
-                return Err(Stop);
-            }
-        } else {
-            debug_assert!(self.out.len_bits() + nbits <= self.budget);
+        let take = self.room_for(nbits);
+        self.out.put_bits(self.pend, take as u32);
+        let signs = (self.pend_signs & low_mask(take)).count_ones() as usize;
+        self.sign_bits += signs;
+        self.significance_bits += take - signs;
+        (self.pend, self.pend_signs, self.pend_len) = (0, 0, 0);
+        if take < nbits {
+            return Err(Stop);
         }
-        self.out.put_bits(word, nbits as u32);
-        let sc = signs.count_ones() as usize;
-        self.sign_bits += sc;
-        self.significance_bits += nbits - sc;
         Ok(())
     }
 
-    /// Emits `run` guaranteed-zero significance bits in one bulk write
-    /// (after flushing any pending batch, preserving stream order). In
-    /// `CHECKED` mode the budget is enforced at run granularity: the run
-    /// is truncated to the remaining budget and the encoder stops at
-    /// exactly the bit the per-bit reference path would have stopped at.
+    /// Emits `run > 0` guaranteed-zero significance bits in one bulk
+    /// write, after flushing any pending batch.
     #[inline]
-    pub(crate) fn emit_zero_run(&mut self, run: usize) -> Result<(), Stop> {
-        if run == 0 {
-            return Ok(());
-        }
+    fn emit_zero_run(&mut self, run: usize) -> Result<(), Stop> {
         self.flush()?;
         self.zero_runs += 1;
-        if CHECKED {
-            let room = self.budget - self.out.len_bits();
-            if run > room {
-                self.out.put_zeros(room);
-                self.significance_bits += room;
-                return Err(Stop);
-            }
+        let take = self.room_for(run);
+        self.out.put_zeros(take);
+        self.significance_bits += take;
+        if take < run {
+            return Err(Stop);
         }
-        self.out.put_zeros(run);
-        self.significance_bits += run;
         Ok(())
     }
 
-    /// One refinement word write. In `CHECKED` mode a word that would
-    /// overrun the budget is truncated to the remaining bits, so
-    /// termination lands on exactly the same bit as the per-bit path.
-    #[inline]
-    fn put_refine_word(&mut self, word: u64, w: usize) -> Result<(), Stop> {
+    /// Reserves up to `want` zero bits for a refinement span that is
+    /// filled in after the last plane ([`fill_refinement`]) and returns
+    /// how many fit.
+    fn reserve_refinement(&mut self, want: usize) -> usize {
         debug_assert_eq!(self.pend_len, 0, "sorting pass leaves the batch empty");
-        if CHECKED {
-            let room = self.budget - self.out.len_bits();
-            if w > room {
-                self.out.put_bits(word, room as u32);
-                self.refinement_bits += room;
-                return Err(Stop);
-            }
+        let present = self.room_for(want);
+        self.out.put_zeros(present);
+        self.refinement_bits += present;
+        present
+    }
+}
+
+// ------------------------------------------------------------ the encoder
+
+/// The cached significance byte of every cell (`max` over its pixels of
+/// `meta = planes << 1 | sign`), all partition levels in one allocation,
+/// deepest first: level `k` — the pixels' own `meta` in layout order — at
+/// offset 0. `x >> 1` is monotone, so a cell is insignificant at plane
+/// `n` exactly when its byte is `<= 2n + 1`: the one-sided compare
+/// [`sperr_simd::run_le`] scans for, with no shift. A pixel's byte keeps
+/// its sign bit, so discovery reads nothing else.
+struct Levels {
+    bytes: Vec<u8>,
+    /// Where each level sits in `bytes`, indexed by level.
+    at: Vec<std::ops::Range<usize>>,
+}
+
+impl Levels {
+    fn new(geom: &impl Geometry) -> Self {
+        let mut at = vec![0..0; geom.depth() + 1];
+        let mut end = 0usize;
+        for (level, span) in at.iter_mut().enumerate().rev() {
+            *span = end..end + geom.cells(level);
+            end = span.end;
         }
-        self.out.put_bits(word, w as u32);
-        self.refinement_bits += w;
-        Ok(())
+        Levels { bytes: vec![0u8; end], at }
     }
 
-    pub(crate) fn len_bits(&self) -> usize {
-        self.out.len_bits()
+    #[inline]
+    fn level(&self, level: usize) -> &[u8] {
+        &self.bytes[self.at[level].clone()]
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
-        self.out.into_bytes()
-    }
-}
-
-// -------------------------------------------------------------------- LSP
-
-/// The list of significant pixels: magnitudes of previously significant
-/// coefficients, in discovery order. The refinement pass only ever needs
-/// bit `n` of each magnitude, so the values are stored contiguously here
-/// and every refinement pass is a sequential scan — storing indices would
-/// turn the hottest loop in the encoder into a per-plane random gather
-/// over the full domain. When every magnitude fits in 32 bits
-/// (`num_planes <= 32`, the overwhelmingly common case) the LSP narrows
-/// to `k32`, halving the traffic of the pass that dominates bit volume;
-/// `k64` serves the rest. Exactly one of the two is ever non-empty.
-///
-/// `new_idx` holds the current plane's discoveries as pixel *indices*
-/// (row-major), staged until the refinement pass (their bit `n` is
-/// implied by the significance test itself). The magnitudes are
-/// requantized from the coefficient array in one dense batch when the
-/// plane's discoveries join the LSP ([`Lsp::admit`]): the discovery hot
-/// loop then only appends a 4-byte index (sequential write), and the
-/// unavoidable random reads of `coeffs` happen in a tight pure-gather
-/// loop where the out-of-order window keeps many cache misses in flight,
-/// instead of one serialized miss inside the branchy sorting pass per
-/// discovered pixel.
-pub(crate) struct Lsp {
-    narrow: bool,
-    k32: Vec<u32>,
-    k64: Vec<u64>,
-    pub(crate) new_idx: Vec<u32>,
-}
-
-impl Lsp {
-    pub(crate) fn new(num_planes: u8) -> Self {
-        Lsp { narrow: num_planes <= 32, k32: Vec::new(), k64: Vec::new(), new_idx: Vec::new() }
-    }
-
-    /// One refinement pass at plane `n`: bit `n` of every previously
-    /// significant coefficient, gathered 64 at a time into a word
-    /// ([`sperr_simd::plane_word_u64`] / [`plane_word_u32`][u32]) and
-    /// emitted with a single bulk write.
-    ///
-    /// [u32]: sperr_simd::plane_word_u32
-    pub(crate) fn refine<const CHECKED: bool>(
-        &self,
-        sink: &mut BitSink<CHECKED>,
-        n: u32,
-    ) -> Result<(), Stop> {
-        if self.narrow {
-            let len = self.k32.len();
-            let mut i = 0usize;
-            while i < len {
-                let w = (len - i).min(64);
-                let word = sperr_simd::plane_word_u32(&self.k32[i..i + w], n);
-                sink.put_refine_word(word, w)?;
-                i += w;
-            }
-        } else {
-            let len = self.k64.len();
-            let mut i = 0usize;
-            while i < len {
-                let w = (len - i).min(64);
-                let word = sperr_simd::plane_word_u64(&self.k64[i..i + w], n);
-                sink.put_refine_word(word, w)?;
-                i += w;
-            }
+    /// Fills every level above the pixels bottom-up: a contiguous
+    /// segment max per cell.
+    fn coarsen(&mut self, geom: &impl Geometry) {
+        for level in (0..geom.depth()).rev() {
+            let (finer, coarser) = self.bytes.split_at_mut(self.at[level].start);
+            let cells = self.at[level].len();
+            geom.coarsen(level, &finer[self.at[level + 1].clone()], &mut coarser[..cells]);
         }
-        Ok(())
-    }
-
-    /// Admits the current plane's discoveries into the LSP (called after
-    /// the plane's refinement pass): one dense requantizing gather over
-    /// the staged indices.
-    pub(crate) fn admit<T: Float>(&mut self, coeffs: &[T], inv_q: T) {
-        if self.narrow {
-            self.k32.extend(
-                self.new_idx
-                    .iter()
-                    .map(|&i| sperr_simd::quantize_magnitude(coeffs[i as usize], inv_q) as u32),
-            );
-        } else {
-            self.k64.extend(
-                self.new_idx
-                    .iter()
-                    .map(|&i| sperr_simd::quantize_magnitude(coeffs[i as usize], inv_q)),
-            );
-        }
-        self.new_idx.clear();
     }
 }
 
-// ----------------------------------------------- encoder (general shapes)
-
-/// One LIS bucket (all insignificant sets at one partition level), stored
-/// as parallel arrays: the set geometry and its cached `msb_plus1` side
-/// by side. The sorting pass only reads `msb` until a set turns
-/// significant, so splitting the 1-byte significance key out of the
-/// 20-odd-byte `SetS` lets the insignificance scan run over a dense byte
-/// array — one cache line answers 64 sets, and the SWAR run scan
-/// ([`sperr_simd::run_le`]) tests 8 per step instead of branching on each.
-struct LisBucket<const D: usize> {
-    sets: Vec<SetS<D>>,
-    msb: Vec<u8>,
-}
-
-impl<const D: usize> LisBucket<D> {
-    fn new() -> Self {
-        LisBucket { sets: Vec::new(), msb: Vec::new() }
-    }
-}
-
-/// The word-granular encoder for arbitrary domain shapes. Power-of-two
-/// cubic domains take the Morton fast path in [`crate::morton`] instead;
-/// the two produce identical streams.
-struct Encoder<'a, T: Float, const D: usize, const CHECKED: bool> {
-    dims: [usize; D],
-    coeffs: &'a [T],
+/// Quantizes the coefficients into layout order, fused with the gather:
+/// position `pos` of level `k` receives `meta = planes_of(k) << 1 | sign`
+/// (`planes_of(k) <= 63` since magnitudes saturate at `2^62`) and, when
+/// `mags` is not empty, the low 32 bits of the magnitude `k` itself.
+/// Sequential writes, gathered reads, 64 pixels at a time. Shares
+/// [`sperr_simd::quantize_magnitude`] with [`quantize_all`] so the
+/// production and reference paths cannot drift in their dead-zone
+/// handling.
+fn gather_quantized<T: Float>(
+    geom: &impl Geometry,
+    coeffs: &[T],
     inv_q: T,
-    /// Per-coefficient `planes_of(k) << 1 | sign` (see [`quantize_meta`]).
-    /// Significance only ever compares MSB positions, so the sorting
-    /// passes run entirely on this `u8` array (and the `u8` pyramid
-    /// below); the full magnitudes are only computed once per
-    /// coefficient, at LSP admission.
-    meta: &'a [u8],
-    pyramid: &'a MaxPyramid<'a, u8, D>,
-    /// Insignificant sets, bucketed by partition level (deeper == smaller;
-    /// deeper buckets are processed first, i.e. smallest sets first).
-    lis: Vec<LisBucket<D>>,
-    lsp: Lsp,
+    meta: &mut [u8],
+    mags: &mut [u32],
+) {
+    let _span = sperr_telemetry::span!("speck.encode.gather", coeffs.len());
+    let mut at = [0u32; 64];
+    let mut mags = mags.chunks_mut(64);
+    for (block, meta) in meta.chunks_mut(64).enumerate() {
+        let at = &mut at[..meta.len()];
+        geom.row_major_run(block as u32 * 64, at);
+        let mags = mags.next().unwrap_or_default();
+        for (lane, (m, &i)) in meta.iter_mut().zip(at.iter()).enumerate() {
+            let c = coeffs[i as usize];
+            let k = sperr_simd::quantize_magnitude(c, inv_q);
+            *m = ((64 - k.leading_zeros()) as u8) << 1 | (c < T::ZERO) as u8;
+            if let Some(mag) = mags.get_mut(lane) {
+                *mag = k as u32;
+            }
+        }
+    }
+}
+
+/// One LIS bucket: the insignificant cells of one partition level, as
+/// parallel arrays of cell number and cached byte. The sorting pass reads
+/// only `mb` until a cell turns significant, so the insignificance scan
+/// runs over a dense byte array — one cache line answers 64 cells.
+struct Bucket {
+    cells: Vec<u32>,
+    mb: Vec<u8>,
+}
+
+/// One plane's refinement pass as it sits in the stream: bit
+/// `start_bit + i` is bit `plane` of the `i`-th pixel found, `i < present`.
+struct RefinementSpan {
+    plane: u32,
+    start_bit: usize,
+    present: usize,
+}
+
+/// The sorting passes of one encode, on any geometry.
+struct Sorter<'a, G: Geometry, const CHECKED: bool> {
+    geom: &'a G,
+    levels: &'a Levels,
+    /// Insignificant cells by partition level; the deepest level (the
+    /// smallest sets) is processed first.
+    buckets: Vec<Bucket>,
+    /// Significant pixels in discovery order, as positions of level `k`.
+    found: Vec<u32>,
     sink: BitSink<CHECKED>,
     sets_split: usize,
 }
 
-impl<'a, T: Float, const D: usize, const CHECKED: bool> Encoder<'a, T, D, CHECKED> {
-    fn push_lis(&mut self, set: SetS<D>) {
-        let lvl = set.part_level as usize;
-        if self.lis.len() <= lvl {
-            self.lis.resize_with(lvl + 1, LisBucket::new);
-        }
-        self.lis[lvl].sets.push(set);
-        self.lis[lvl].msb.push(set.msb_plus1);
-    }
-
-    /// One sorting pass at plane `n`. Smallest sets first (paper, Listing
-    /// 2: "in increasing order of their sizes"): iterate buckets from the
-    /// deepest partition level.
+impl<G: Geometry, const CHECKED: bool> Sorter<'_, G, CHECKED> {
+    /// One sorting pass at plane `n`, smallest sets first (paper,
+    /// Listing 2: "in increasing order of their sizes").
     ///
-    /// Each bucket is compacted in place — surviving (still-insignificant)
-    /// sets slide to the front with bulk `copy_within` instead of being
-    /// drained into a fresh vector, so bucket storage is allocated once
-    /// and reused across planes. Thanks to the parallel `msb` byte array,
-    /// a maximal run of insignificant sets is located by one SWAR scan
-    /// ([`sperr_simd::run_le`]: a set is insignificant at plane `n`
-    /// exactly when `msb_plus1 <= n`; both sides are < 128 so the
-    /// movemask trick applies), retained with two `copy_within`s, and
-    /// emitted as one zero run; only significant sets take the (rare)
-    /// slow path. New sets created by splits always land in *deeper*
-    /// buckets, which this pass already finished, so in-place mutation
-    /// never aliases the iteration.
+    /// Each bucket is compacted in place: a maximal run of insignificant
+    /// cells is located by one SWAR scan ([`sperr_simd::run_le`]; bytes
+    /// and threshold are < 128, so the movemask trick applies), retained
+    /// with two `copy_within`s and emitted as one zero run; only
+    /// significant cells take the slow path. Cells created by splits
+    /// land in *deeper* buckets, which this pass already finished, so
+    /// in-place mutation never aliases the iteration.
     fn sorting_pass(&mut self, n: u32) -> Result<(), Stop> {
-        debug_assert!(n < 64);
-        let t = n as u8;
-        for lvl in (0..self.lis.len()).rev() {
-            let len = self.lis[lvl].sets.len();
-            let mut read = 0usize;
-            let mut write = 0usize;
+        debug_assert!(n < 63);
+        let t = (2 * n + 1) as u8;
+        for level in (0..self.buckets.len()).rev() {
+            let len = self.buckets[level].cells.len();
+            let (mut read, mut write) = (0usize, 0usize);
             while read < len {
-                let run = sperr_simd::run_le(&self.lis[lvl].msb[read..len], t);
+                let run = sperr_simd::run_le(&self.buckets[level].mb[read..len], t);
                 if run > 0 {
                     if write != read {
-                        let b = &mut self.lis[lvl];
-                        b.sets.copy_within(read..read + run, write);
-                        b.msb.copy_within(read..read + run, write);
+                        let b = &mut self.buckets[level];
+                        b.cells.copy_within(read..read + run, write);
+                        b.mb.copy_within(read..read + run, write);
                     }
                     write += run;
                     read += run;
                     self.sink.emit_zero_run(run)?;
                 }
                 if read < len {
-                    // First significant set after the run.
-                    let set = self.lis[lvl].sets[read];
+                    let (cell, byte) =
+                        (self.buckets[level].cells[read], self.buckets[level].mb[read]);
                     read += 1;
                     self.sink.emit(true, false)?;
-                    if set.is_pixel() {
-                        let idx = set.pixel_index(self.dims);
-                        self.sink.emit(self.meta[idx] & 1 == 1, true)?;
-                        self.lsp.new_idx.push(idx as u32);
-                    } else {
-                        self.code_s(&set, n)?;
-                    }
-                    // Significant sets are consumed (not kept in the LIS).
+                    self.significant(level, cell, byte, t)?;
                 }
             }
-            let b = &mut self.lis[lvl];
-            b.sets.truncate(write);
-            b.msb.truncate(write);
+            let b = &mut self.buckets[level];
+            b.cells.truncate(write);
+            b.mb.truncate(write);
         }
         self.sink.flush()
     }
 
-    /// Splits a significant set and processes its children immediately
-    /// (per the paper). Each child's significance cache is computed here,
-    /// exactly once in its lifetime: pixels read the `meta` array
-    /// directly, cuboids pay one (u8) pyramid query — after which every
-    /// future significance test on the child (one per plane while it
-    /// waits in the LIS) is a byte compare in the bucket scan. Child
-    /// significance and sign bits accumulate in the pending batch;
-    /// recursion appends to the same batch, so an entire split subtree
-    /// typically reaches the writer as a handful of word writes.
-    fn code_s(&mut self, set: &SetS<D>, n: u32) -> Result<(), Stop> {
+    /// A cell whose significance bit (a 1) was just emitted: a pixel
+    /// emits its sign and is found; any other cell splits, and each
+    /// child — their cached bytes are consecutive, one load — is tested
+    /// and processed immediately (per the paper). Bits accumulate in the
+    /// sink's pending batch, so a whole split subtree typically reaches
+    /// the writer as a handful of word writes.
+    fn significant(&mut self, level: usize, cell: u32, byte: u8, t: u8) -> Result<(), Stop> {
+        let (lo, count) = match self.geom.children(level, cell) {
+            Some((lo, count)) if count > 1 => (lo, (count as usize).min(8)),
+            // Level `k`, or a pixel found one level early (its only
+            // child is itself).
+            one => {
+                self.sink.emit(byte & 1 == 1, true)?;
+                self.found.push(one.map_or(cell, |(lo, _)| lo));
+                return Ok(());
+            }
+        };
         self.sets_split += 1;
-        let mut children = [*set; 8];
-        let mut count = 0usize;
-        set.split(|c| {
-            children[count] = c;
-            count += 1;
-        });
-        for child in children.iter_mut().take(count) {
-            if child.is_pixel() {
-                let idx = child.pixel_index(self.dims);
-                let m = self.meta[idx]; // one random read: MSB and sign together
-                let sig = (m >> 1) as u32 > n;
-                self.sink.emit(sig, false)?;
-                if sig {
-                    self.sink.emit(m & 1 == 1, true)?;
-                    self.lsp.new_idx.push(idx as u32);
-                } else {
-                    child.msb_plus1 = m >> 1;
-                    self.push_lis(*child);
-                }
+        let mut block = [0u8; 8];
+        block[..count].copy_from_slice(&self.levels.level(level + 1)[lo as usize..][..count]);
+        // Children on the deepest level are pixels: no call to learn that.
+        let leaves = level + 1 == self.geom.depth();
+        for (child, &m) in (lo..).zip(&block[..count]) {
+            let sig = m > t;
+            self.sink.emit(sig, false)?;
+            if !sig {
+                let b = &mut self.buckets[level + 1];
+                b.cells.push(child);
+                b.mb.push(m);
+            } else if leaves {
+                self.sink.emit(m & 1 == 1, true)?;
+                self.found.push(child);
             } else {
-                let msb = self.pyramid.region_max(child.origin, child.len) >> 1;
-                let sig = (msb as u32) > n;
-                self.sink.emit(sig, false)?;
-                if sig {
-                    self.code_s(child, n)?;
-                } else {
-                    child.msb_plus1 = msb;
-                    self.push_lis(*child);
-                }
+                self.significant(level + 1, child, m, t)?;
             }
         }
         Ok(())
     }
+}
 
-    fn run(&mut self, num_planes: u8) {
-        for n in (0..num_planes as u32).rev() {
-            let _plane = sperr_telemetry::span!("speck.encode.plane", n);
-            if self.sorting_pass(n).is_err() {
-                break;
+/// ORs the low bits of `word` into `stream` from bit `pos` on (LSB first,
+/// as [`BitWriter`] packs them); bits that would land past the end of the
+/// stream are dropped.
+#[inline]
+fn or_bits(stream: &mut [u8], pos: usize, word: u64) {
+    let wide = ((word as u128) << (pos % 8)).to_le_bytes();
+    for (byte, add) in stream.iter_mut().skip(pos / 8).zip(&wide[..9]) {
+        *byte |= add;
+    }
+}
+
+/// The deferred refinement pass. A sorting pass never looks at a
+/// magnitude, so the plane loop only *reserves* each plane's refinement
+/// bits; here, after the last plane, the pixels found are taken 64 at a
+/// time, their magnitudes bit-transposed (row `p` of the result is plane
+/// `p`'s word for these 64), and each word ORed into its span — one pass
+/// over the magnitudes instead of one per plane. Only pixels some span
+/// reaches are looked at, so a budget-cut encode never pays for a
+/// magnitude it does not emit.
+fn fill_refinement(
+    stream: &mut [u8],
+    spans: &[RefinementSpan],
+    found: &[u32],
+    narrow: bool,
+    magnitude: impl Fn(u32) -> u64,
+) {
+    let refined = spans.iter().map(|s| s.present).max().unwrap_or(0);
+    let _span = sperr_telemetry::span!("speck.encode.refinement", refined);
+    for (block, pixels) in found[..refined].chunks(64).enumerate() {
+        let first = block * 64;
+        let mut rows = [0u64; 64];
+        match rows.first_chunk_mut::<32>() {
+            // Two 32-bit magnitudes a row, lanes `r` and `r + 32`.
+            Some(low) if narrow => {
+                for (lane, &pixel) in pixels.iter().enumerate() {
+                    low[lane % 32] |= magnitude(pixel) << (lane / 32 * 32);
+                }
+                sperr_simd::transpose_32x64(low);
             }
-            if self.lsp.refine(&mut self.sink, n).is_err() {
-                break;
+            _ => {
+                for (row, &pixel) in rows.iter_mut().zip(pixels) {
+                    *row = magnitude(pixel);
+                }
+                sperr_simd::transpose_64x64(&mut rows);
             }
-            self.lsp.admit(self.coeffs, self.inv_q);
+        }
+        for s in spans.iter().filter(|s| s.present > first) {
+            let word = rows[s.plane as usize] & low_mask(s.present - first);
+            or_bits(stream, s.start_bit + first, word);
         }
     }
 }
 
-fn encode_with<T: Float, const D: usize, const CHECKED: bool>(
-    dims: [usize; D],
+/// The one encoder body: quantize into layout order, cache every cell's
+/// significance byte, run the sorting passes with each plane's refinement
+/// span reserved, then fill the spans.
+fn encode_on<T: Float, G: Geometry, const CHECKED: bool>(
+    geom: &G,
     coeffs: &[T],
-    inv_q: T,
-    meta: &[u8],
-    pyramid: &MaxPyramid<'_, u8, D>,
-    num_planes: u8,
+    q: f64,
     budget: usize,
-    n_total: usize,
 ) -> EncodedSpeck {
-    let mut root = SetS::root(dims);
-    root.msb_plus1 = num_planes;
-    let mut enc = Encoder::<'_, T, D, CHECKED> {
-        dims,
-        coeffs,
-        inv_q,
-        meta,
-        pyramid,
-        lis: vec![LisBucket { sets: vec![root], msb: vec![num_planes] }],
-        lsp: Lsp::new(num_planes),
-        sink: BitSink::new(budget, n_total / 2),
+    let inv_q = T::ONE / T::from_f64(q);
+    let k = geom.depth();
+    let mut levels = Levels::new(geom);
+    // Quality mode finds every coefficient outside the dead zone, so all
+    // their magnitudes are needed and are quantized once, with `meta`. A
+    // budget may stop long before that: those magnitudes are quantized
+    // for the refined pixels only, at the end.
+    let mut mags = vec![0u32; if CHECKED { 0 } else { coeffs.len() }];
+    gather_quantized(geom, coeffs, inv_q, &mut levels.bytes[..coeffs.len()], &mut mags);
+    {
+        let _span = sperr_telemetry::span!("speck.encode.levels", k);
+        levels.coarsen(geom);
+    }
+    sperr_telemetry::counter!("speck.layout.cells", coeffs.len());
+    sperr_telemetry::counter!("speck.layout.levels", k + 1);
+
+    let root = levels.level(0)[0];
+    let num_planes = root >> 1; // the largest magnitude's plane count
+    if num_planes == 0 {
+        return EncodedSpeck::default();
+    }
+    let narrow = num_planes <= 32;
+    if !narrow {
+        mags = Vec::new(); // 32 bits were not enough
+    }
+
+    let mut sorter = Sorter::<'_, G, CHECKED> {
+        geom,
+        levels: &levels,
+        buckets: (0..=k).map(|_| Bucket { cells: Vec::new(), mb: Vec::new() }).collect(),
+        found: Vec::new(),
+        sink: BitSink::new(budget, coeffs.len() / 2),
         sets_split: 0,
     };
-    enc.run(num_planes);
-    finish(enc.sink, enc.sets_split, num_planes)
-}
-
-/// Packages a finished sink into the [`EncodedSpeck`] result.
-pub(crate) fn finish<const CHECKED: bool>(
-    sink: BitSink<CHECKED>,
-    sets_split: usize,
-    num_planes: u8,
-) -> EncodedSpeck {
-    let bits_used = sink.len_bits();
-    EncodedSpeck {
+    sorter.buckets[0].cells.push(0);
+    sorter.buckets[0].mb.push(root);
+    let mut spans = Vec::with_capacity(num_planes as usize);
+    for n in (0..num_planes as u32).rev() {
+        let _plane = sperr_telemetry::span!("speck.encode.plane", n);
+        // Pixels found on this plane join the refinement from the next
+        // one on (their bit `n` is implied by the significance test).
+        let older = sorter.found.len();
+        if sorter.sorting_pass(n).is_err() {
+            break;
+        }
+        let start_bit = sorter.sink.out.len_bits();
+        let present = sorter.sink.reserve_refinement(older);
+        spans.push(RefinementSpan { plane: n, start_bit, present });
+        if present < older {
+            break;
+        }
+    }
+    let Sorter { found, sink, sets_split, .. } = sorter;
+    let mut enc = EncodedSpeck {
+        num_planes,
+        bits_used: sink.out.len_bits(),
         significance_bits: sink.significance_bits,
         sign_bits: sink.sign_bits,
         refinement_bits: sink.refinement_bits,
         sets_split,
         zero_runs: sink.zero_runs,
-        stream: sink.into_bytes(),
-        num_planes,
-        bits_used,
+        stream: sink.out.into_bytes(),
+    };
+    if mags.is_empty() {
+        fill_refinement(&mut enc.stream, &spans, &found, narrow, |pixel| {
+            let c = geom.to_row_major(pixel).map_or(T::ZERO, |i| coeffs[i as usize]);
+            sperr_simd::quantize_magnitude(c, inv_q)
+        });
+    } else {
+        fill_refinement(&mut enc.stream, &spans, &found, narrow, |pixel| {
+            mags[pixel as usize] as u64
+        });
     }
-}
-
-/// An all-dead-zone result (no planes, empty stream).
-pub(crate) fn empty_result() -> EncodedSpeck {
-    EncodedSpeck {
-        stream: Vec::new(),
-        num_planes: 0,
-        bits_used: 0,
-        significance_bits: 0,
-        sign_bits: 0,
-        refinement_bits: 0,
-        sets_split: 0,
-        zero_runs: 0,
-    }
+    enc
 }
 
 /// Encodes `coeffs` (shape `dims`, row-major with axis 0 fastest) with
@@ -592,39 +538,30 @@ pub fn encode<T: Float, const D: usize>(
     let n_total: usize = dims.iter().product();
     assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
     assert!(n_total as u64 <= u32::MAX as u64, "domain too large for u32 indices");
-
-    let meta = quantize_meta(coeffs, q);
-    let inv_q = T::ONE / T::from_f64(q);
-
-    // Power-of-two cubes (the dominant case in practice) take the
-    // Morton-layout fast path: every partition the coder creates is an
-    // aligned dyadic cube there, so the Z-order layout makes each split's
-    // child block one contiguous load. Identical streams by construction;
-    // enforced by the conformance goldens and the reference oracle.
+    if n_total == 0 {
+        return EncodedSpeck::default();
+    }
+    // The geometry is the only thing the shape decides; the coder body
+    // is the same on both.
     if crate::morton::applicable(dims) {
-        let r = match term {
-            Termination::Quality => {
-                crate::morton::encode_morton::<T, D, false>(coeffs, dims, inv_q, meta, usize::MAX)
-            }
-            Termination::BitBudget(b) => {
-                crate::morton::encode_morton::<T, D, true>(coeffs, dims, inv_q, meta, b)
-            }
-        };
-        return r;
+        encode_in(&Dyadic::new(dims), coeffs, q, term)
+    } else {
+        let layout = crate::layout::shared(crate::layout::pad(dims))
+            .expect("out of memory building the SPECK layout tables");
+        encode_in(&*layout, coeffs, q, term)
     }
+}
 
-    let pyramid = MaxPyramid::build(&meta, dims);
-    let num_planes = pyramid.global_max() >> 1;
-    if num_planes == 0 {
-        return empty_result();
-    }
-
+/// [`encode`] on a geometry of the caller's choice (the tests run cubes on
+/// the tables too).
+pub(crate) fn encode_in<T: Float, G: Geometry>(
+    geom: &G,
+    coeffs: &[T],
+    q: f64,
+    term: Termination,
+) -> EncodedSpeck {
     match term {
-        Termination::Quality => encode_with::<T, D, false>(
-            dims, coeffs, inv_q, &meta, &pyramid, num_planes, usize::MAX, n_total,
-        ),
-        Termination::BitBudget(b) => {
-            encode_with::<T, D, true>(dims, coeffs, inv_q, &meta, &pyramid, num_planes, b, n_total)
-        }
+        Termination::Quality => encode_on::<T, G, false>(geom, coeffs, q, usize::MAX),
+        Termination::BitBudget(b) => encode_on::<T, G, true>(geom, coeffs, q, b),
     }
 }

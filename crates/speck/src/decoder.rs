@@ -1,17 +1,17 @@
 //! The SPECK decoder, kept in its own modules so the whole decode path can
 //! be audited for panic-freedom (see the repo's `tests/panic_audit.rs`):
-//! nothing in this file or [`crate::lsp_decode`] may `unwrap`, `expect`,
-//! `panic!` or `assert` — all failures on untrusted input surface as
-//! [`DecodeError`].
+//! nothing in this file, [`crate::lsp_decode`] or [`crate::layout`] may
+//! `unwrap`, `expect`, `panic!` or `assert` — all failures on untrusted
+//! input surface as [`DecodeError`].
 //!
-//! Two sorting-pass front ends — Morton cells for power-of-two cubes,
-//! [`SetS`] cuboids for every other shape — feed one back half
-//! ([`DeferredLsp`]), which skips refinement bits while walking the stream
-//! and assembles all magnitudes at the end (DESIGN.md §13).
+//! One sorting pass — a walk over the cells of the shape's [`Geometry`]
+//! — feeds one back half ([`DeferredLsp`]), which skips refinement bits
+//! while walking the stream and assembles all magnitudes at the end
+//! (DESIGN.md §13).
 
+use crate::layout::{self, Geometry};
 use crate::lsp_decode::{DeferredLsp, Stop};
-use crate::morton::{self, MortonLayout};
-use crate::set::SetS;
+use crate::morton::{self, Dyadic};
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
 use std::fmt;
@@ -68,23 +68,24 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
     }
 }
 
-/// One LIS bucket (`lists[at]`) at one plane, shared by both front ends.
-/// Insignificance bits come in runs (the encoder emits them through
-/// `put_zeros`): `count_zero_run` consumes a run through the refill
-/// register in bulk and the still-insignificant sets are compacted to the
-/// front with one `copy_within` — bucket storage is reused across planes.
-/// `split` handles a set whose significance bit was 1; the sets it creates
-/// land in *other* buckets (smaller sets, which this pass has already
-/// finished), so the bucket is taken out of `lists` while it is scanned.
-/// When the stream runs out it stays out, the set in hand dropped with
-/// it: nothing reads the LIS again.
-fn scan_bucket<S: Copy>(
+/// One LIS bucket (`buckets[level]`) at one plane. Insignificance bits
+/// come in runs (the encoder emits them through `put_zeros`):
+/// `count_zero_run` consumes a run through the refill register in bulk
+/// and the still-insignificant cells are compacted to the front with one
+/// `copy_within` — bucket storage is reused across planes. A cell whose
+/// significance bit was 1 goes to [`significant`]; the cells that creates
+/// land in *deeper* buckets (smaller sets, which this pass has already
+/// finished), so the bucket is taken out of `buckets` while it is
+/// scanned. When the stream runs out it stays out, the cell in hand
+/// dropped with it: nothing reads the LIS again.
+fn scan_bucket(
     input: &mut BitReader<'_>,
-    lists: &mut Vec<Vec<S>>,
-    at: usize,
-    mut split: impl FnMut(&mut BitReader<'_>, &mut Vec<Vec<S>>, S) -> Result<(), Stop>,
+    geom: &impl Geometry,
+    buckets: &mut [Vec<u32>],
+    lsp: &mut DeferredLsp,
+    level: usize,
 ) -> Result<(), Stop> {
-    let mut bucket = std::mem::take(&mut lists[at]);
+    let mut bucket = buckets.get_mut(level).map(std::mem::take).unwrap_or_default();
     let len = bucket.len();
     let (mut read, mut write) = (0usize, 0usize);
     while read < len {
@@ -94,107 +95,64 @@ fn scan_bucket<S: Copy>(
         }
         read += run;
         write += run;
-        if read < len {
+        if let Some(&cell) = bucket.get(read) {
             // The run stopped short: the next bit is a 1, or the stream
             // is exhausted.
             input.get_bit()?;
-            split(input, lists, bucket[read])?;
+            significant(input, geom, buckets, lsp, level, cell)?;
             read += 1;
         }
     }
     bucket.truncate(write);
-    lists[at] = bucket;
-    Ok(())
-}
-
-/// Generic front end: buckets are partition levels (deepest, i.e. smallest
-/// sets, first). A significant pixel records its sign; a significant
-/// cuboid splits and each child is tested in turn.
-fn split_generic<const D: usize>(
-    input: &mut BitReader<'_>,
-    lis: &mut Vec<Vec<SetS<D>>>,
-    lsp: &mut DeferredLsp,
-    dims: [usize; D],
-    set: SetS<D>,
-) -> Result<(), Stop> {
-    if set.is_pixel() {
-        lsp.push(set.pixel_index(dims) as u32, input.get_bit()?);
-        return Ok(());
-    }
-    let mut children = [set; 8];
-    let mut count = 0usize;
-    set.split(|c| {
-        children[count] = c;
-        count += 1;
-    });
-    for &child in &children[..count] {
-        if input.get_bit()? {
-            split_generic(input, lis, lsp, dims, child)?;
-        } else {
-            let lvl = child.part_level as usize;
-            if lis.len() <= lvl {
-                lis.resize_with(lvl + 1, Vec::new);
-            }
-            lis[lvl].push(child);
-        }
+    if let Some(slot) = buckets.get_mut(level) {
+        *slot = bucket;
     }
     Ok(())
 }
 
-/// Morton front end. On a `2^k` cube every set is an aligned dyadic cube
-/// (see [`crate::morton`]): bucket `j` holds side-`2^j` cubes as bare
-/// Morton cell numbers — 4 bytes a set — ascending `j` is the generic
-/// front end's deepest-level-first order, and the `2^D` children of `cell`
-/// are cells `cell << D | 0..2^D` one bucket down, in [`SetS::split`]'s
-/// order. Bucket 0 is pixels, recorded as Morton cells.
-fn split_morton<const D: usize>(
+/// A cell whose significance bit was 1. A pixel — a cell of the deepest
+/// level, or one with a single child (itself, found one level early) —
+/// records its sign, as a position of level `k`; any other cell splits
+/// and each child is tested in turn, in the encoder's order.
+fn significant(
     input: &mut BitReader<'_>,
+    geom: &impl Geometry,
     buckets: &mut [Vec<u32>],
     lsp: &mut DeferredLsp,
-    j: usize,
+    level: usize,
     cell: u32,
 ) -> Result<(), Stop> {
-    if j == 0 {
-        lsp.push(cell, input.get_bit()?);
-        return Ok(());
-    }
-    for child in (cell << D)..(cell << D) + (1 << D) {
-        if input.get_bit()? {
-            split_morton::<D>(input, buckets, lsp, j - 1, child)?;
-        } else if let Some(bucket) = buckets.get_mut(j - 1) {
-            bucket.push(child);
+    let (lo, count) = match geom.children(level, cell) {
+        Some((lo, count)) if count > 1 => (lo, count),
+        one => {
+            lsp.push(one.map_or(cell, |(lo, _)| lo), input.get_bit()?);
+            return Ok(());
+        }
+    };
+    // Children on the deepest level are pixels: no call to learn that.
+    let leaves = level + 1 == geom.depth();
+    for child in (lo..).take(count as usize) {
+        if !input.get_bit()? {
+            if let Some(bucket) = buckets.get_mut(level + 1) {
+                bucket.push(child);
+            }
+        } else if leaves {
+            lsp.push(child, input.get_bit()?);
+        } else {
+            significant(input, geom, buckets, lsp, level + 1, child)?;
         }
     }
     Ok(())
 }
 
-/// Decodes a SPECK stream produced by [`crate::encode`] with the same
-/// `dims`, `q` and `num_planes`. A truncated stream (embedded prefix, or a
-/// bit-budget encode) decodes to a coarser but valid reconstruction;
-/// decoding never fails on short input. Invalid parameters — a
-/// non-positive or non-finite `q`, more than 64 bitplanes, or dims whose
-/// product exceeds [`MAX_DECODE_ELEMENTS`] — return a typed error instead
-/// of panicking, so header fields from untrusted containers can be passed
-/// through unchecked.
-pub fn decode<T: Float, const D: usize>(
-    stream: &[u8],
+/// The parameter checks every decoder makes before it allocates
+/// anything. Returns the sample count and whether there is anything to
+/// walk: a stream with no planes is the all-zero answer.
+pub(crate) fn check_params<const D: usize>(
     dims: [usize; D],
     q: f64,
     num_planes: u8,
-) -> Result<Vec<T>, DecodeError> {
-    decode_with(stream, dims, q, num_planes, morton::applicable(dims))
-}
-
-/// [`decode`] with the front end chosen by the caller: `use_morton` must
-/// imply `morton::applicable(dims)`; the generic front end takes any shape
-/// (which is what makes it the Morton one's oracle).
-pub(crate) fn decode_with<T: Float, const D: usize>(
-    stream: &[u8],
-    dims: [usize; D],
-    q: f64,
-    num_planes: u8,
-    use_morton: bool,
-) -> Result<Vec<T>, DecodeError> {
+) -> Result<(usize, bool), DecodeError> {
     if !(q > 0.0) || !q.is_finite() {
         return Err(DecodeError::Corrupt("quantization step must be positive and finite"));
     }
@@ -207,7 +165,7 @@ pub(crate) fn decode_with<T: Float, const D: usize>(
     }
     let n_total = n_total as usize;
     if num_planes == 0 {
-        return Ok(vec![T::ZERO; n_total]);
+        return Ok((n_total, false));
     }
     if num_planes > 64 {
         return Err(DecodeError::Corrupt("num_planes exceeds 64"));
@@ -218,32 +176,55 @@ pub(crate) fn decode_with<T: Float, const D: usize>(
         // (and the degenerate root set would recurse on garbage bits).
         return Err(DecodeError::Corrupt("coded planes over an empty domain"));
     }
+    Ok((n_total, true))
+}
+
+/// Decodes a SPECK stream produced by [`crate::encode`] with the same
+/// `dims`, `q` and `num_planes`. A truncated stream (embedded prefix, or a
+/// bit-budget encode) decodes to a coarser but valid reconstruction;
+/// decoding never fails on short input. Invalid parameters — a
+/// non-positive or non-finite `q`, more than 64 bitplanes, or dims whose
+/// product exceeds [`MAX_DECODE_ELEMENTS`] — return a typed error instead
+/// of panicking, so header fields from untrusted containers can be passed
+/// through unchecked. The shape's layout tables are fetched (or built)
+/// only once those checks have passed.
+pub fn decode<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+) -> Result<Vec<T>, DecodeError> {
+    let (n_total, coded) = check_params(dims, q, num_planes)?;
+    if !coded {
+        return Ok(vec![T::ZERO; n_total]);
+    }
+    if morton::applicable(dims) {
+        return Ok(decode_on(&Dyadic::new(dims), stream, q, n_total, num_planes));
+    }
+    let tables = layout::shared(layout::pad(dims))
+        .map_err(|_| DecodeError::LimitExceeded("no memory for the layout tables"))?;
+    Ok(decode_on(&*tables, stream, q, n_total, num_planes))
+}
+
+/// The one decoder body, on either geometry: per plane, scan the buckets
+/// deepest level (smallest sets) first; then assemble.
+pub(crate) fn decode_on<T: Float>(
+    geom: &impl Geometry,
+    stream: &[u8],
+    q: f64,
+    n_total: usize,
+    num_planes: u8,
+) -> Vec<T> {
+    let k = geom.depth();
     let mut input = BitReader::new(stream);
     let mut lsp = DeferredLsp::default();
-    if use_morton {
-        let k = dims[0].trailing_zeros() as usize;
-        let mut buckets = vec![Vec::new(); k + 1];
-        buckets[k].push(0u32);
-        lsp.decode_planes(&mut input, num_planes, |input, lsp| {
-            (0..=k).try_for_each(|j| {
-                scan_bucket(input, &mut buckets, j, |input, buckets, cell| {
-                    split_morton::<D>(input, buckets, lsp, j, cell)
-                })
-            })
-        });
-        drop(buckets);
-        let layout = MortonLayout::new::<D>(dims[0]);
-        Ok(lsp.reconstruct(stream, q, n_total, num_planes, |cell| layout.demorton(cell)))
-    } else {
-        let mut lis = vec![vec![SetS::root(dims)]];
-        lsp.decode_planes(&mut input, num_planes, |input, lsp| {
-            (0..lis.len()).rev().try_for_each(|lvl| {
-                scan_bucket(input, &mut lis, lvl, |input, lis, set| {
-                    split_generic(input, lis, lsp, dims, set)
-                })
-            })
-        });
-        drop(lis);
-        Ok(lsp.reconstruct(stream, q, n_total, num_planes, |idx| idx))
+    let mut buckets = vec![Vec::new(); k + 1];
+    if let Some(root) = buckets.first_mut() {
+        root.push(0u32);
     }
+    lsp.decode_planes(&mut input, num_planes, |input, lsp| {
+        (0..=k).rev().try_for_each(|level| scan_bucket(input, geom, &mut buckets, lsp, level))
+    });
+    drop(buckets);
+    lsp.reconstruct(stream, q, n_total, num_planes, |pos| geom.to_row_major(pos))
 }

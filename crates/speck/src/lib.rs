@@ -20,8 +20,12 @@
 //!   which is what enables SPERR's fixed-size compression mode.
 //!
 //! The implementation is generic over dimensionality `D ∈ {1, 2, 3}`.
-//! Significance queries are answered by a max-magnitude pyramid
-//! ([`MaxPyramid`]) built once per encode.
+//! The partition is geometry, not data, so it is numbered once per shape
+//! (the `layout` module): coefficients are laid out in the order splitting
+//! visits them, a set is a cell number, its children's cached
+//! significance bytes are consecutive, and one encoder body and one
+//! decoder body serve every shape. [`reference`] keeps the
+//! bit-at-a-time cuboid coders as the oracle.
 //!
 //! # Example
 //!
@@ -41,6 +45,9 @@
 
 mod coder;
 mod decoder;
+mod layout;
+#[cfg(test)]
+mod layout_tests;
 mod lsp_decode;
 mod morton;
 mod pyramid;
@@ -51,7 +58,6 @@ pub use coder::{
     encode, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck, Termination,
 };
 pub use decoder::{decode, DecodeError, MAX_DECODE_ELEMENTS};
-pub use pyramid::MaxPyramid;
 
 /// Version of the SPECK bitstream layout produced by [`encode`]. Bump this
 /// whenever an intentional change alters the emitted bits for the same

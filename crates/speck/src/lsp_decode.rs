@@ -1,6 +1,6 @@
-//! The decoder's back half, shared by both sorting-pass front ends in
-//! [`crate::decoder`] and audited for panic-freedom with it: the list of
-//! significant pixels and the *deferred* refinement pass (DESIGN.md §13).
+//! The back half of [`crate::decoder`], audited for panic-freedom with it:
+//! the list of significant pixels and the *deferred* refinement pass
+//! (DESIGN.md §13).
 //! A sorting pass never looks at a magnitude, so the decoder stays in
 //! sync with the stream by *skipping* each plane's refinement bits and
 //! remembering where they were. Magnitudes are assembled once, after the
@@ -40,8 +40,8 @@ struct Run {
 
 #[derive(Default)]
 pub(crate) struct DeferredLsp {
-    /// Where each significant coefficient lives, in discovery order — a
-    /// row-major index or a Morton cell, as the front end numbers pixels.
+    /// Where each significant coefficient lives, in discovery order, as a
+    /// position of the layout's deepest level.
     pixels: Vec<u32>,
     /// Sign of entry `i` in bit `i % 64` of word `i / 64`.
     signs: Vec<u64>,
@@ -52,7 +52,7 @@ pub(crate) struct DeferredLsp {
 
 /// The low `n` bits set (all 64 for any larger `n`).
 #[inline]
-fn low_mask(n: usize) -> u64 {
+pub(crate) fn low_mask(n: usize) -> u64 {
     1u64.checked_shl(n.min(64) as u32).map_or(u64::MAX, |bit| bit - 1)
 }
 
@@ -143,15 +143,16 @@ impl DeferredLsp {
     /// entries, row `p` of a bit matrix is plane `p`'s refinement window
     /// (masked to the bits present) plus the discovery bit of entries
     /// found on plane `p`; its transpose is the 64 magnitudes. `locate`
-    /// maps a recorded pixel to its row-major output index — the grid is
-    /// written here only, once per discovery.
+    /// maps a recorded pixel to its row-major output index
+    /// ([`crate::layout::Geometry::to_row_major`]) — the grid is written
+    /// here only, once per discovery.
     pub(crate) fn reconstruct<T: Float>(
         &self,
         stream: &[u8],
         q: f64,
         n_total: usize,
         num_planes: u8,
-        locate: impl Fn(u32) -> u32,
+        locate: impl Fn(u32) -> Option<u32>,
     ) -> Vec<T> {
         let _span = sperr_telemetry::span!("speck.decode.reconstruct", self.pixels.len());
         let qt = T::from_f64(q);
@@ -189,7 +190,7 @@ impl DeferredLsp {
                     rows[lane]
                 };
                 let mag = (T::from_u64_lossy(val) + half[lane]) * qt;
-                if let Some(slot) = out.get_mut(locate(pixel) as usize) {
+                if let Some(slot) = locate(pixel).and_then(|at| out.get_mut(at as usize)) {
                     *slot = if (signs >> lane) & 1 == 1 { -mag } else { mag };
                 }
             }

@@ -1,20 +1,23 @@
 //! The pre-overhaul SPECK encoder, kept verbatim as a differential
-//! oracle (mirroring `wavelet::reference` for the lifting scheme), and
-//! the decoder's oracle entry point, [`decode`].
+//! oracle (mirroring `wavelet::reference` for the lifting scheme), and a
+//! decoder written the same way.
 //!
-//! The encoder here does everything the slow, obviously-correct way:
-//! one [`BitWriter::put_bit`] per output bit with a per-bit budget check,
-//! a [`MaxPyramid::region_max`] query per significance test, and
-//! take-and-rebuild LIS buckets. The production [`crate::encode`] must
-//! emit **byte-identical** streams and identical bit-type counters for
-//! every input — `sperr-conformance` and the crate's property tests
-//! enforce this. Do not optimize this file; its value is being boring.
+//! Both do everything the slow, obviously-correct way, on the cuboid
+//! sets themselves ([`SetS`]) and knowing nothing of layouts: one
+//! [`BitWriter::put_bit`] / [`BitReader::get_bit`] per bit with a per-bit
+//! budget check, a [`MaxPyramid::region_max`] query per significance
+//! test, take-and-rebuild LIS buckets, a refinement pass per plane. The
+//! production [`crate::encode`] must emit **byte-identical** streams and
+//! identical bit-type counters for every input, and [`crate::decode`]
+//! must return bit-identical values for every stream and every prefix of
+//! one — `sperr-conformance` and the crate's property tests enforce
+//! this. Do not optimize this file; its value is being boring.
 
 use crate::coder::{quantize_all, EncodedSpeck, Termination};
-use crate::decoder::DecodeError;
+use crate::decoder::{check_params, DecodeError};
 use crate::pyramid::MaxPyramid;
 use crate::set::SetS;
-use sperr_bitstream::BitWriter;
+use sperr_bitstream::{BitReader, BitWriter};
 use sperr_simd::Float;
 
 /// Signals that the bit budget has been exhausted; unwinds the pass.
@@ -191,16 +194,108 @@ pub fn encode<T: Float, const D: usize>(
     }
 }
 
-/// Decodes exactly like [`crate::decode`] but always through the generic
-/// cuboid front end, whatever the shape — on power-of-two cubes, where
-/// [`crate::decode`] takes the Morton front end, the two must return
-/// bit-identical reconstructions for every stream and every prefix of it.
-/// Differential-oracle use only.
+/// A significant coefficient as the decoder knows it so far.
+struct Found {
+    idx: u32,
+    negative: bool,
+    /// The magnitude bits read so far.
+    val: u64,
+    /// The lowest plane whose bit is known; everything below is not.
+    unc: u32,
+}
+
+struct Decoder<'a, const D: usize> {
+    dims: [usize; D],
+    input: BitReader<'a>,
+    lis: Vec<Vec<SetS<D>>>,
+    lsp: Vec<Found>,
+    lsp_new: Vec<Found>,
+}
+
+impl<const D: usize> Decoder<'_, D> {
+    fn read(&mut self) -> Result<bool, Stop> {
+        self.input.get_bit().map_err(|_| Stop)
+    }
+
+    fn sorting_pass(&mut self, n: u32) -> Result<(), Stop> {
+        for lvl in (0..self.lis.len()).rev() {
+            let bucket = std::mem::take(&mut self.lis[lvl]);
+            for set in bucket {
+                self.process_s(set, n)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn process_s(&mut self, set: SetS<D>, n: u32) -> Result<(), Stop> {
+        if !self.read()? {
+            let lvl = set.part_level as usize;
+            if self.lis.len() <= lvl {
+                self.lis.resize_with(lvl + 1, Vec::new);
+            }
+            self.lis[lvl].push(set);
+        } else if set.is_pixel() {
+            // A pixel whose sign bit the stream no longer holds is dropped.
+            let negative = self.read()?;
+            let idx = set.pixel_index(self.dims) as u32;
+            self.lsp_new.push(Found { idx, negative, val: 1u64 << n, unc: n });
+        } else {
+            let mut children = Vec::new();
+            set.split(|c| children.push(c));
+            for child in children {
+                self.process_s(child, n)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn refinement_pass(&mut self, n: u32) -> Result<(), Stop> {
+        for i in 0..self.lsp.len() {
+            let bit = self.read()?;
+            self.lsp[i].val |= (bit as u64) << n;
+            self.lsp[i].unc = n;
+        }
+        Ok(())
+    }
+}
+
+/// Decodes exactly like [`crate::decode`] — same parameter checks, same
+/// treatment of a stream that ends anywhere, same mid-riser arithmetic —
+/// through the bit-at-a-time cuboid walk. Differential-oracle use only.
 pub fn decode<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
     q: f64,
     num_planes: u8,
 ) -> Result<Vec<T>, DecodeError> {
-    crate::decoder::decode_with(stream, dims, q, num_planes, false)
+    let (n_total, coded) = check_params(dims, q, num_planes)?;
+    let mut out = vec![T::ZERO; n_total];
+    if !coded {
+        return Ok(out);
+    }
+    let mut dec = Decoder {
+        dims,
+        input: BitReader::new(stream),
+        lis: vec![vec![SetS::root(dims)]],
+        lsp: Vec::new(),
+        lsp_new: Vec::new(),
+    };
+    for n in (0..num_planes as u32).rev() {
+        let stopped = dec.sorting_pass(n).is_err() || dec.refinement_pass(n).is_err();
+        // Pixels found in a pass the stream ran out of still count, at
+        // their discovery magnitude.
+        dec.lsp.append(&mut dec.lsp_new);
+        if stopped {
+            break;
+        }
+    }
+    // A coefficient whose bits below plane `unc` are unknown lies in
+    // `[val·q, (val + 2^unc)·q)`: place it at the interval centre.
+    let qt = T::from_f64(q);
+    for p in &dec.lsp {
+        let half = T::HALF * T::from_u64_lossy(1u64 << p.unc);
+        let mag = (T::from_u64_lossy(p.val) + half) * qt;
+        out[p.idx as usize] = if p.negative { -mag } else { mag };
+    }
+    Ok(out)
 }

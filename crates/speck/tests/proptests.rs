@@ -11,13 +11,11 @@ fn field_strategy() -> impl Strategy<Value = (Vec<f64>, [usize; 3])> {
     })
 }
 
-/// A `2^k`-sided `D`-cube worth of coefficients, described by seeds so one
-/// strategy serves every `D`: at most `nnz` non-zero entries (large cubes
-/// stay sparse so their streams are short enough to sweep every prefix),
-/// magnitudes log-uniform over `2^0..2^mag_bits` so a fine `q` reaches
-/// the > 32-plane wide path.
-fn cube_field(n: usize, seed: u64, mag_bits: u32) -> Vec<f64> {
-    let nnz = if n > 4096 { 4 } else { n.min(40) };
+/// `n` coefficients described by seeds, so one strategy serves every
+/// shape: at most `nnz` non-zero entries (large domains stay sparse so
+/// their streams are short enough to sweep), magnitudes log-uniform over
+/// `2^0..2^mag_bits` so a fine `q` reaches the > 32-plane wide path.
+fn seeded_field(n: usize, seed: u64, mag_bits: u32, nnz: usize) -> Vec<f64> {
     let mut state = seed | 1;
     let mut next = || {
         state ^= state << 13;
@@ -28,39 +26,64 @@ fn cube_field(n: usize, seed: u64, mag_bits: u32) -> Vec<f64> {
     let mut field = vec![0.0f64; n];
     for _ in 0..nnz {
         let at = next() as usize % n;
-        let mag = (1u64 << (next() % mag_bits as u64)) as f64 * (1.0 + (next() % 1000) as f64 / 1000.0);
+        let mag =
+            (1u64 << (next() % mag_bits as u64)) as f64 * (1.0 + (next() % 1000) as f64 / 1000.0);
         field[at] = if next() & 1 == 1 { -mag } else { mag };
     }
     field
 }
 
-/// Morton front end ([`decode`] on a power-of-two cube) vs the generic
-/// cuboid front end ([`sperr_speck::reference::decode`]): bit-identical
-/// output at every byte prefix, for the stream's own plane count and an
-/// arbitrary one.
-fn front_ends_agree<T: sperr_simd::Float, const D: usize>(
+const PRIMES: [usize; 12] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37];
+
+/// A `D`-dimensional shape of one of the classes the coders meet:
+/// arbitrary extents up to 40, extent-1 axes, primes, powers of two that
+/// are not cubes, power-of-two cubes (the dyadic geometry), and the two
+/// shapes the benchmark's chunks have.
+fn shape<const D: usize>(class: u8, seeds: [usize; 3]) -> [usize; D] {
+    // The big 3-D ones run in the release lane only (`scripts/ci.sh`):
+    // the reference coders are too slow for them in a debug build.
+    let small = cfg!(debug_assertions) && D == 3;
+    let three = match class % 7 {
+        0 => seeds.map(|s| 1 + s % if small { 12 } else { 40 }),
+        1 => [1 + seeds[0] % 40, 1, 1 + seeds[2] % 9],
+        2 => seeds.map(|s| PRIMES[s % if small { 5 } else { PRIMES.len() }]),
+        3 => [8 << (seeds[0] % 3), 8, 4],
+        4 => [2 << (seeds[0] % if small { 3 } else { 5 }); 3],
+        5 if !small => [40, 40, 40],
+        _ => [21, 10, 11],
+    };
+    std::array::from_fn(|d| three[d])
+}
+
+fn bits_of<T: sperr_simd::Float>(v: &[T]) -> Vec<u64> {
+    v.iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// [`decode`] — the dyadic geometry on a power-of-two cube, the tabled one
+/// on every other shape — vs the bit-at-a-time cuboid walk of
+/// [`sperr_speck::reference::decode`]: bit-identical output at every byte
+/// prefix, for the stream's own plane count and an arbitrary one.
+fn decodes_like_the_reference<T: sperr_simd::Float, const D: usize>(
     coeffs: &[T],
-    side: usize,
+    dims: [usize; D],
     q: f64,
     budget_frac: f64,
     planes: u8,
 ) -> Result<(), TestCaseError> {
-    let dims = [side; D];
     let full = encode(coeffs, dims, q, Termination::Quality);
     let budget = (full.bits_used as f64 * budget_frac) as usize;
     let cut = encode(coeffs, dims, q, Termination::BitBudget(budget));
     for enc in [&full, &cut] {
         for len in 0..=enc.stream.len() {
             for np in [enc.num_planes, planes] {
-                let morton = decode::<T, D>(&enc.stream[..len], dims, q, np);
-                let generic = sperr_speck::reference::decode::<T, D>(&enc.stream[..len], dims, q, np);
-                match (morton, generic) {
-                    (Ok(m), Ok(g)) => {
-                        let same = m.len() == g.len()
-                            && m.iter().zip(&g).all(|(a, b)| a.to_f64().to_bits() == b.to_f64().to_bits());
-                        prop_assert!(same, "D={} side={} len={} np={}", D, side, len, np);
+                let fast = decode::<T, D>(&enc.stream[..len], dims, q, np);
+                let oracle =
+                    sperr_speck::reference::decode::<T, D>(&enc.stream[..len], dims, q, np);
+                match (fast, oracle) {
+                    (Ok(f), Ok(o)) => {
+                        prop_assert!(bits_of(&f) == bits_of(&o), "{:?} len={} np={}", dims, len, np)
                     }
-                    (m, g) => prop_assert!(m.is_err() && g.is_err(), "Ok/Err split at len={}", len),
+                    (f, o) => prop_assert!(f.is_err() && o.is_err(), "Ok/Err split at len={}", len),
                 }
             }
         }
@@ -68,35 +91,163 @@ fn front_ends_agree<T: sperr_simd::Float, const D: usize>(
     Ok(())
 }
 
+/// The budget just short of, and just reaching, the `ordinal`-th
+/// refinement bit of the quality stream. `refinement_bits` grows by one
+/// per budget bit inside a refinement span and not at all inside a
+/// sorting pass, so the bit is found by bisection.
+fn budgets_around_refinement_bit<T: sperr_simd::Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    q: f64,
+    bits_used: usize,
+    ordinal: usize,
+) -> [usize; 2] {
+    let (mut lo, mut hi) = (0usize, bits_used);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if encode(coeffs, dims, q, Termination::BitBudget(mid)).refinement_bits >= ordinal {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    [lo - 1, lo]
+}
+
+/// [`encode`] vs [`sperr_speck::reference::encode`]: the same bytes and
+/// the same counters, in quality mode and at budgets of every kind — 0,
+/// 1, inside a sorting pass, on the first and last bit of refinement
+/// spans and inside them, the whole stream and beyond. Small streams are
+/// swept at every budget.
+fn encodes_like_the_reference<T: sperr_simd::Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    q: f64,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let same = |term: Termination| -> Result<sperr_speck::EncodedSpeck, TestCaseError> {
+        let fast = encode(coeffs, dims, q, term);
+        let slow = sperr_speck::reference::encode(coeffs, dims, q, term);
+        prop_assert!(fast.stream == slow.stream, "{:?} {:?}: bytes differ", dims, term);
+        prop_assert_eq!(
+            (
+                fast.bits_used,
+                fast.significance_bits,
+                fast.sign_bits,
+                fast.refinement_bits,
+                fast.num_planes
+            ),
+            (
+                slow.bits_used,
+                slow.significance_bits,
+                slow.sign_bits,
+                slow.refinement_bits,
+                slow.num_planes
+            ),
+            "{:?} {:?}",
+            dims,
+            term
+        );
+        Ok(fast)
+    };
+    let full = same(Termination::Quality)?;
+    let bits = full.bits_used;
+    let mut budgets =
+        vec![0, 1, bits.saturating_sub(1), bits, bits + 1, bits + 4096, usize::MAX / 2];
+    if bits <= 1500 {
+        budgets.extend(0..bits);
+    } else {
+        budgets.extend((0..6).map(|i| (seed.rotate_left(i * 11) % bits as u64) as usize));
+    }
+    if full.refinement_bits > 0 {
+        // Where each plane's refinement span begins and ends, as ordinals
+        // of refinement bits: the span of plane `p` has one bit per
+        // coefficient found on a higher plane.
+        let inv_q = T::ONE / T::from_f64(q);
+        let mags: Vec<u64> =
+            coeffs.iter().map(|&c| sperr_simd::quantize_magnitude(c, inv_q)).collect();
+        let mut edges = Vec::new();
+        let mut before = 0usize;
+        for p in (0..full.num_planes as u32).rev() {
+            let older = mags.iter().filter(|&&k| k >> (p + 1) != 0).count();
+            if older > 0 {
+                edges.extend([before + 1, before + older.div_ceil(2), before + older]);
+            }
+            before += older;
+        }
+        prop_assert_eq!(before, full.refinement_bits);
+        for i in 0..4u32 {
+            let ordinal = edges[(seed.rotate_right(i * 13) % edges.len() as u64) as usize];
+            budgets.extend(budgets_around_refinement_bit(coeffs, dims, q, bits, ordinal));
+        }
+        budgets.extend(budgets_around_refinement_bit(coeffs, dims, q, bits, full.refinement_bits));
+    }
+    for b in budgets {
+        let cut = same(Termination::BitBudget(b))?;
+        prop_assert_eq!(cut.bits_used, b.min(bits));
+        prop_assert_eq!(cut.significance_bits + cut.sign_bits + cut.refinement_bits, cut.bits_used);
+    }
+    Ok(())
+}
+
+/// One seeded case of both differentials at both widths.
+fn differential_case<const D: usize>(
+    class: u8,
+    seeds: [usize; 3],
+    seed: u64,
+    mag_bits: u32,
+    q: f64,
+    budget_frac: f64,
+    planes: u8,
+) -> Result<(), TestCaseError> {
+    let dims: [usize; D] = shape(class, seeds);
+    let n: usize = dims.iter().product();
+    // All-zero, single-nonzero, sparse and dense fields (large domains
+    // are never fully dense: the reference encoder is slow).
+    let nnz = match (seed >> 8) % 16 {
+        0 => 0,
+        1 => 1,
+        2..=5 => n.min(40),
+        _ if n <= 2500 => n,
+        _ => n / 16,
+    };
+    let mut field = seeded_field(n, seed, mag_bits, nnz);
+    if seed.is_multiple_of(5) && nnz > 0 {
+        // Past every representable magnitude: quantizes to the 2^62 cap.
+        field[seed as usize % n] = -3.0e38;
+    }
+    let field32: Vec<f32> = field.iter().map(|&v| v as f32).collect();
+    encodes_like_the_reference::<f64, D>(&field, dims, q, seed)?;
+    encodes_like_the_reference::<f32, D>(&field32, dims, q, seed)?;
+    // Every prefix of two streams at two plane counts: short streams only.
+    if n <= 600 || nnz <= 40 {
+        decodes_like_the_reference::<f64, D>(&field, dims, q, budget_frac, planes)?;
+        decodes_like_the_reference::<f32, D>(&field32, dims, q, budget_frac, planes)?;
+    }
+    Ok(())
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(40))]
 
     #[test]
-    fn morton_and_generic_front_ends_decode_identically(
-        (d, k) in (1usize..=3, 1u32..=6),
+    fn both_directions_match_the_reference_on_every_shape_class(
+        d in 1usize..=3,
+        class in any::<u8>(),
+        (a, b, c) in (any::<usize>(), any::<usize>(), any::<usize>()),
         seed in any::<u64>(),
-        mag_bits in 1u32..=50,
+        (wide, mag_bits) in (any::<bool>(), 1u32..=62),
         q_exp in -12i32..=4,
         budget_frac in 0.0f64..1.0,
         planes in 1u8..=64,
     ) {
-        let side = 1usize << k;
+        // Half the cases stay within 32 planes (the narrow transpose).
+        let (mag_bits, q_exp) = if wide { (mag_bits, q_exp) } else { (1 + mag_bits % 20, q_exp.max(-8)) };
         let q = 2f64.powi(q_exp) * 1.37;
-        let field = cube_field(side.pow(d as u32), seed, mag_bits);
-        let field32: Vec<f32> = field.iter().map(|&v| v as f32).collect();
         match d {
-            1 => {
-                front_ends_agree::<f64, 1>(&field, side, q, budget_frac, planes)?;
-                front_ends_agree::<f32, 1>(&field32, side, q, budget_frac, planes)?;
-            }
-            2 => {
-                front_ends_agree::<f64, 2>(&field, side, q, budget_frac, planes)?;
-                front_ends_agree::<f32, 2>(&field32, side, q, budget_frac, planes)?;
-            }
-            _ => {
-                front_ends_agree::<f64, 3>(&field, side, q, budget_frac, planes)?;
-                front_ends_agree::<f32, 3>(&field32, side, q, budget_frac, planes)?;
-            }
+            1 => differential_case::<1>(class, [a, b, c], seed, mag_bits, q, budget_frac, planes)?,
+            2 => differential_case::<2>(class, [a, b, c], seed, mag_bits, q, budget_frac, planes)?,
+            _ => differential_case::<3>(class, [a, b, c], seed, mag_bits, q, budget_frac, planes)?,
         }
     }
 }

@@ -15,6 +15,13 @@ cargo test --workspace --quiet
 echo "==> decoder panic audit"
 cargo test --quiet --test panic_audit
 
+echo "==> speck differential (release)"
+# The encode/decode differentials against `sperr_speck::reference` size
+# their 3-D shapes by build profile: the workspace step above ran the
+# debug profile, where the reference coders are too slow for the 40^3
+# and 32^3 cases; this lane runs them.
+cargo test --release --quiet -p sperr-speck
+
 echo "==> cross-target check: aarch64 (NEON lane widths)"
 # Type-check the workspace for a 128-bit-SIMD target so a portability
 # break (x86-only assumption, pointer-width slip) is caught even though

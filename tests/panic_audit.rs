@@ -16,6 +16,9 @@ const AUDITED_FILES: &[&str] = &[
     "crates/bitstream/src/byteio.rs",
     "crates/speck/src/decoder.rs",
     "crates/speck/src/lsp_decode.rs",
+    // The partition-order layout both SPECK coder bodies walk: table
+    // build, lookups, and the shared table cache.
+    "crates/speck/src/layout.rs",
     "crates/outlier/src/decoder.rs",
     // The whole decode side of the lossless crate: stream framing and
     // block directory, block inflate, Huffman table build + decode.

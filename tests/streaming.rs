@@ -169,3 +169,45 @@ fn streaming_worker_timelines_overlap() {
     });
     assert!(overlapping, "no concurrent spans across worker timelines: stages never overlapped");
 }
+
+#[test]
+fn pwe_compress_that_knows_it_missed_the_bound_is_refused() {
+    // `max|x − x̂| <= t` is the mode's contract and the encoder knows the
+    // exact error each chunk ends at. Tolerances below what the
+    // quantizer (saturating at 2^62) and the outlier coder can express
+    // used to come back `Ok` with the miss recorded in the stream's own
+    // index: 4.4 on this field of range 7.8 at 1e-300, ~1e-15 at 1e-18.
+    let dims = [20usize, 20, 20];
+    let field = SyntheticField::MirandaPressure.generate(dims, 1);
+    let s = Sperr::new(SperrConfig { chunk_dims: [16, 16, 16], ..SperrConfig::default() });
+    for t in [1e-300, 1e-30, 1e-18] {
+        let refused = s.compress(&field, Bound::Pwe(t)).unwrap_err();
+        let msg = refused.to_string();
+        assert!(matches!(refused, sperr_compress_api::CompressError::Invalid(_)), "{msg}");
+        assert!(msg.contains(&format!("{t:e}")) && msg.contains("chunk 0"), "{msg}");
+
+        let mut out = Vec::new();
+        let refused = s
+            .compress_stream(&raw_f64(&field)[..], &mut out, dims, Precision::Double, Bound::Pwe(t))
+            .unwrap_err();
+        assert!(out.is_empty(), "t={t:e}: {} bytes written before the refusal", out.len());
+        match refused {
+            SperrError::Codec { stage, chunk, source } => {
+                assert_eq!((stage, chunk), (STAGE_CONTAINER, Some(0)));
+                assert_eq!(source.to_string(), msg, "both drivers refuse alike");
+            }
+            other => panic!("expected a typed refusal, got {other}"),
+        }
+    }
+    // The tightest tolerance the coders do meet on this field still works,
+    // on both drivers, and the stream keeps its promise.
+    let t = 1e-15;
+    let stream = s.compress(&field, Bound::Pwe(t)).unwrap();
+    let mut streamed = Vec::new();
+    s.compress_stream(&raw_f64(&field)[..], &mut streamed, dims, Precision::Double, Bound::Pwe(t))
+        .unwrap();
+    assert_eq!(streamed, stream);
+    let back = s.decompress(&stream).unwrap();
+    let worst = field.data.iter().zip(&back.data).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
+    assert!(worst <= t, "max error {worst:e} above {t:e}");
+}
