@@ -1430,6 +1430,45 @@ mod tests {
     }
 
     #[test]
+    fn non_finite_input_exits_3_and_writes_nothing() {
+        // One +inf or NaN in a 16³ f64 field used to hang (`--pwe`, in
+        // memory and streaming), panic with exit 101 (`--bpp`, `--psnr`)
+        // or exit 0 with the NaN decoded as 0.
+        let dir = std::env::temp_dir().join("sperr_cli_non_finite_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let raw = dir.join("x.raw");
+        let packed = dir.join("x.sperr");
+        for bad in [f64::INFINITY, f64::NAN] {
+            run(&w(&["gen", "--field", "miranda-pressure", "--dims", "16,16,16", "--output",
+                     raw.to_str().unwrap(), "--type", "f64", "--quiet"]))
+                .unwrap();
+            let mut bytes = std::fs::read(&raw).unwrap();
+            bytes[8 * 1234..8 * 1235].copy_from_slice(&bad.to_le_bytes());
+            std::fs::write(&raw, bytes).unwrap();
+            for bound in [["--pwe", "1e-3"], ["--bpp", "4"], ["--psnr", "60"], ["--idx", "20"]] {
+                for stream in [false, true] {
+                    if stream && matches!(bound[0], "--psnr" | "--idx") {
+                        continue; // a usage error in streaming mode
+                    }
+                    let mut args = w(&["compress", "--input", raw.to_str().unwrap(), "--output",
+                                       packed.to_str().unwrap(), "--dims", "16,16,16", "--type",
+                                       "f64", "--quiet"]);
+                    args.extend(w(&bound));
+                    args.extend(w(if stream { &["--stream"] } else { &[] }));
+                    let err = run(&args).unwrap_err();
+                    let case = format!("{bad} {bound:?} stream={stream}");
+                    assert_eq!(exit_code(&err), 3, "{case}: {err:?}");
+                    // `--idx` of an infinite range is an infinite tolerance.
+                    let named = err.to_string().contains("linear index 1234 ");
+                    assert!(named || bound[0] == "--idx", "{case}: {err}");
+                    assert!(!packed.exists(), "{case} left an output file");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn stream_error_classes_map_to_exit_codes() {
         let s = |e| exit_code(&CliError::Stream(e));
         assert_eq!(

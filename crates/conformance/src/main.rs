@@ -19,7 +19,7 @@ use sperr_conformance::corpus::{corpus_inputs, documented_budget, CodecId};
 use sperr_conformance::oracle;
 use sperr_conformance::pwe::{run_campaign, CampaignConfig};
 use sperr_conformance::{golden, CheckFailure};
-use sperr_compress_api::{Bound, LossyCompressor};
+use sperr_compress_api::Bound;
 use sperr_core::{Sperr, SperrConfig};
 use sperr_wavelet::Kernel;
 
@@ -156,12 +156,13 @@ fn run_oracles() -> Vec<CheckFailure> {
     failures
 }
 
-/// The region oracle over the whole corpus: each field compressed once
-/// (PWE at the corpus-standard tolerance, indexed v3 container), then
-/// `decode_region` over `n` randomized bboxes at 1/2/4/8 threads must
-/// match the full decode bit-for-bit — and again through the legacy
-/// chunk-table scan after a `downgrade_to_v2`. Then the wrapper-damage
-/// oracle on one multi-block stream.
+/// The region oracle over the whole corpus: each field compressed once per
+/// read variant (every kernel at f64, CDF 9/7 at f32-native; PWE at the
+/// corpus-standard tolerance, indexed v3 container), then `decode_region`
+/// over `n` randomized bboxes at 1/2/4/8 threads must match the full
+/// decode bit-for-bit — and again through the legacy chunk-table scan
+/// after a `downgrade_to_v2`. Every field's coarse reads must match their
+/// pinned digest. Then the wrapper-damage oracle on one multi-block stream.
 fn run_regions(n: usize) -> Vec<CheckFailure> {
     let chunk_dims = [16usize, 16, 16];
     let sperr =
@@ -170,35 +171,41 @@ fn run_regions(n: usize) -> Vec<CheckFailure> {
     let mut failures = Vec::new();
     for (i, input) in corpus_inputs().iter().enumerate() {
         let field = input.generate();
-        let t = field.tolerance_for_idx(15);
-        let stream = match sperr.compress(&field, Bound::Pwe(t)) {
-            Ok(s) => s,
-            Err(e) => {
-                failures.push(CheckFailure {
-                    check: "region-vs-full",
-                    detail: format!("{}: compress failed: {e}", input.id),
-                });
-                continue;
-            }
-        };
         let bboxes = oracle::region_bboxes(field.dims, chunk_dims, n, 0x8e90_2026 ^ i as u64);
-        if let Err(mut f) = oracle::region_vs_full(&stream, chunk_dims, &bboxes, &threads, true) {
-            f.detail = format!("{} (v3): {}", input.id, f.detail);
-            failures.push(f);
-        }
-        match sperr.downgrade_to_v2(&stream) {
-            Ok(v2) => {
-                if let Err(mut f) =
-                    oracle::region_vs_full(&v2, chunk_dims, &bboxes, &threads, false)
-                {
-                    f.detail = format!("{} (v2 scan): {}", input.id, f.detail);
-                    failures.push(f);
+        for variant in oracle::READ_VARIANTS {
+            let id = format!("{} {}", input.id, variant.0);
+            let stream = match oracle::variant_stream(&field, variant, chunk_dims) {
+                Ok(s) => s,
+                Err(e) => {
+                    failures.push(CheckFailure {
+                        check: "region-vs-full",
+                        detail: format!("{id}: compress failed: {e}"),
+                    });
+                    continue;
                 }
+            };
+            if let Err(mut f) = oracle::region_vs_full(&stream, chunk_dims, &bboxes, &threads, true)
+            {
+                f.detail = format!("{id} (v3): {}", f.detail);
+                failures.push(f);
             }
-            Err(e) => failures.push(CheckFailure {
-                check: "region-vs-full",
-                detail: format!("{}: downgrade_to_v2 failed: {e}", input.id),
-            }),
+            match sperr.downgrade_to_v2(&stream) {
+                Ok(v2) => {
+                    if let Err(mut f) =
+                        oracle::region_vs_full(&v2, chunk_dims, &bboxes, &threads, false)
+                    {
+                        f.detail = format!("{id} (v2 scan): {}", f.detail);
+                        failures.push(f);
+                    }
+                }
+                Err(e) => failures.push(CheckFailure {
+                    check: "region-vs-full",
+                    detail: format!("{id}: downgrade_to_v2 failed: {e}"),
+                }),
+            }
+        }
+        if let Err(f) = oracle::multires_pinned(input.id, &field) {
+            failures.push(f);
         }
     }
     // Damage inside the lossless wrapper, on a stream of several SLZ1

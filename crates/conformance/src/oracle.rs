@@ -8,7 +8,7 @@
 //! panic, collect, or shrink.
 
 use crate::corpus::{check_budget, f32_budget, ErrorBudget};
-use sperr_compress_api::{Bound, Field, FieldOf, LossyCompressor};
+use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor};
 use sperr_core::{compress_chunk_pwe, Float, Sperr, SperrConfig, StageTimes};
 use sperr_outlier::Outlier;
 use sperr_speck::Termination;
@@ -182,7 +182,10 @@ pub fn encoder_matches_reference(
     kernel: Kernel,
 ) -> CheckResult {
     let want = reference_chunk_pwe(data, dims, t, q_factor, kernel);
-    let got = compress_chunk_pwe(data, dims, t, q_factor, kernel);
+    let got = compress_chunk_pwe(data, dims, t, q_factor, kernel).map_err(|bad| CheckFailure {
+        check: "encoder-vs-reference",
+        detail: format!("production encoder refused dims {dims:?}: {}", CompressError::from(bad)),
+    })?;
     if got.speck_stream != want.speck_stream {
         return fail(
             "encoder-vs-reference",
@@ -661,6 +664,100 @@ pub fn region_vs_full(
     Ok(())
 }
 
+/// The streams the region and multires oracles decode: each corpus field
+/// under every wavelet kernel at f64, and under the paper's at f32-native.
+/// A region or coarse read assembles only its synthesis support and lifts
+/// only the lines reaching it, so every kernel and width needs its own
+/// proof that nothing it reads was left out.
+pub const READ_VARIANTS: [(&str, Kernel, bool); 4] = [
+    ("cdf97", Kernel::Cdf97, false),
+    ("cdf53", Kernel::Cdf53, false),
+    ("haar", Kernel::Haar, false),
+    ("cdf97-f32", Kernel::Cdf97, true),
+];
+
+/// `field` compressed as a corpus region-oracle stream (PWE at idx 15) of
+/// `variant`, with `chunk_dims`.
+pub fn variant_stream(
+    field: &Field,
+    (_, kernel, narrow): (&str, Kernel, bool),
+    chunk_dims: [usize; 3],
+) -> Result<Vec<u8>, sperr_compress_api::CompressError> {
+    let config = SperrConfig { chunk_dims, kernel, num_threads: 1, ..SperrConfig::default() };
+    let sperr = Sperr::new(config);
+    let bound = Bound::Pwe(field.tolerance_for_idx(15));
+    if narrow {
+        sperr.compress_f32(&field.narrow_lossy(), bound)
+    } else {
+        sperr.compress(field, bound)
+    }
+}
+
+/// CRC-32 of everything [`Sperr::decompress_multires`] answers for `field`
+/// at levels 1–3 under every [`READ_VARIANTS`] entry, in 16³ chunks and in
+/// one chunk, decoded at `threads`: the little-endian dims and samples of
+/// each coarse volume, or the text of its typed refusal. Pinned per corpus
+/// field (`MULTIRES_CRC`) with the values the decoder gave before coarse
+/// reads decoded only their corner, so they stay bit-identical.
+pub fn multires_digest(field: &Field, threads: usize) -> u32 {
+    let mut bytes = Vec::new();
+    for variant in READ_VARIANTS {
+        for chunk_dims in [[16, 16, 16], [256, 256, 256]] {
+            let stream = match variant_stream(field, variant, chunk_dims) {
+                Ok(stream) => stream,
+                Err(e) => {
+                    bytes.extend(e.to_string().into_bytes());
+                    continue;
+                }
+            };
+            let config = SperrConfig { chunk_dims, num_threads: threads, ..SperrConfig::default() };
+            let sperr = Sperr::new(config);
+            for level in 1..=3 {
+                match sperr.decompress_multires(&stream, level) {
+                    Ok(coarse) => {
+                        bytes.extend(coarse.dims.iter().flat_map(|&d| (d as u64).to_le_bytes()));
+                        bytes.extend(coarse.data.iter().flat_map(|v| v.to_le_bytes()));
+                    }
+                    Err(e) => bytes.extend(e.to_string().into_bytes()),
+                }
+            }
+        }
+    }
+    sperr_core::crc32(&bytes)
+}
+
+/// [`multires_digest`] of every corpus field, pinned: `(corpus id, CRC)`.
+/// The 1-D and 2-D fields pin only refusals (no chunk of theirs has a
+/// transform level on every axis), which read the same for both fields.
+pub const MULTIRES_CRC: [(&str, u32); 8] = [
+    ("press-1d61", 0xE252_E9E5),
+    ("press-2d29x23", 0x2A89_6EF6),
+    ("press-3d16", 0xFD0E_55E5),
+    ("press-3d21x10x11", 0x69D9_B748),
+    ("nyx-1d61", 0xE252_E9E5),
+    ("nyx-2d29x23", 0x2A89_6EF6),
+    ("nyx-3d16", 0xCC3F_039F),
+    ("nyx-3d21x10x11", 0xF30F_7D44),
+];
+
+/// Coarse reads of `field` (corpus id `id`) match their pinned digest at
+/// one thread and at three.
+pub fn multires_pinned(id: &str, field: &Field) -> CheckResult {
+    let Some(&(_, want)) = MULTIRES_CRC.iter().find(|(pinned, _)| *pinned == id) else {
+        return fail("multires-pinned", format!("{id}: no pinned digest"));
+    };
+    for threads in [1, 3] {
+        let got = multires_digest(field, threads);
+        if got != want {
+            return fail(
+                "multires-pinned",
+                format!("{id} @{threads}t: coarse reads digest to {got:#010X}, not {want:#010X}"),
+            );
+        }
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Oracle 8b: region reads through a damaged lossless wrapper.
 // ---------------------------------------------------------------------
@@ -1076,7 +1173,7 @@ mod tests {
         let want = reference_chunk_pwe(&f.data, f.dims, t, 1.5, Kernel::Cdf97);
         let mut perturbed = f.data.clone();
         perturbed[0] += 10.0 * f.range();
-        let got = compress_chunk_pwe(&perturbed, f.dims, t, 1.5, Kernel::Cdf97);
+        let got = compress_chunk_pwe(&perturbed, f.dims, t, 1.5, Kernel::Cdf97).unwrap();
         assert_ne!(got.speck_stream, want.speck_stream);
     }
 
@@ -1122,6 +1219,19 @@ mod tests {
         region_vs_full(&stream, chunk_dims, &bboxes, &[1, 2], true).unwrap();
         let v2 = sperr.downgrade_to_v2(&stream).unwrap();
         region_vs_full(&v2, chunk_dims, &bboxes, &[1, 2], false).unwrap();
+    }
+
+    #[test]
+    fn coarse_reads_match_their_pins_and_a_wrong_pin_fails() {
+        // The full corpus runs in `sperr-conformance regions`; here one
+        // field with coarse levels and one with only refusals.
+        for input in crate::corpus::corpus_inputs() {
+            if ["press-3d21x10x11", "nyx-1d61"].contains(&input.id) {
+                multires_pinned(input.id, &input.generate()).unwrap();
+            }
+        }
+        let other = crate::corpus::corpus_inputs().remove(2).generate();
+        assert!(multires_pinned("press-3d21x10x11", &other).is_err());
     }
 
     #[test]

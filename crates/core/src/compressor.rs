@@ -12,7 +12,7 @@ use crate::decode::{strict, ChunkTask, Head, Opened};
 use crate::outer::{wrap_outer, Framed};
 use crate::pipeline::{
     compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, ChunkEncoding,
-    ScratchArena,
+    NonFinite, ScratchArena,
 };
 use crate::pool::WorkerPool;
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
@@ -107,6 +107,8 @@ pub struct Sperr {
 /// selects, and the sealing of the encoded chunks into the final stream.
 pub(crate) struct CompressRun<'a> {
     config: &'a SperrConfig,
+    /// Extent of the volume being compressed.
+    dims: [usize; 3],
     mode: Mode,
     bound_value: f64,
     /// RMSE each chunk targets in [`Mode::Rmse`]; needs the whole field's
@@ -115,16 +117,23 @@ pub(crate) struct CompressRun<'a> {
 }
 
 impl CompressRun<'_> {
-    /// Compresses one chunk under the run's termination mode.
+    /// Compresses one chunk under the run's termination mode; a sample
+    /// that is not finite is refused, by its linear index in the volume.
     pub(crate) fn encode_chunk<T: Float>(
         &self,
         data: &[T],
         spec: &ChunkSpec,
         pool: &WorkerPool,
         arena: &mut ScratchArena<T>,
-    ) -> ChunkEncoding {
+    ) -> Result<ChunkEncoding, NonFinite> {
         let SperrConfig { q_factor, kernel, .. } = *self.config;
-        match self.mode {
+        let in_volume = |bad: NonFinite| {
+            let [cx, cy, _] = spec.dims;
+            let local = [bad.index % cx, bad.index / cx % cy, bad.index / (cx * cy)];
+            let [x, y, z] = [0, 1, 2].map(|d| spec.offset[d] + local[d]);
+            NonFinite { index: x + self.dims[0] * (y + self.dims[1] * z), ..bad }
+        };
+        let encoded = match self.mode {
             Mode::Pwe => compress_chunk_pwe_with(
                 data, spec.dims, self.bound_value, q_factor, kernel, pool, arena,
             ),
@@ -139,10 +148,11 @@ impl CompressRun<'_> {
             Mode::Rmse => {
                 compress_chunk_rmse_with(data, spec.dims, self.rmse_target, kernel, pool, arena)
             }
-        }
+        };
+        encoded.map_err(in_volume)
     }
 
-    /// Seals the encoded chunks of a `dims` volume into the final stream:
+    /// Seals the encoded chunks of the run's volume into the final stream:
     /// folds their accounting into the run's statistics, writes the
     /// container and frames it, the lossless pass (when on) running its
     /// blocks on `pool`. The sample type `T` the chunks were encoded from
@@ -157,7 +167,6 @@ impl CompressRun<'_> {
     /// needs the whole field's range and is not checked here.
     pub(crate) fn seal_container<T: Float>(
         &self,
-        dims: [usize; 3],
         precision: Precision,
         encoded: &[ChunkEncoding],
         pool: &WorkerPool,
@@ -178,7 +187,7 @@ impl CompressRun<'_> {
             }
         }
         let mut stats = CompressionStats {
-            num_points: dims.iter().product(),
+            num_points: self.dims.iter().product(),
             num_chunks: encoded.len(),
             ..CompressionStats::default()
         };
@@ -198,7 +207,7 @@ impl CompressRun<'_> {
             kernel: cfg.kernel,
             precision,
             native_f32: T::BYTES == 4,
-            dims,
+            dims: self.dims,
             chunk_dims: cfg.chunk_dims,
             bound_value: self.bound_value,
             n_chunks: encoded.len(),
@@ -303,10 +312,14 @@ impl Sperr {
     }
 
     /// Validates `bound` and resolves it, with the configuration, into the
-    /// per-call state both compress drivers work from.
-    pub(crate) fn compress_run(&self, bound: Bound) -> Result<CompressRun<'_>, CompressError> {
+    /// per-call state both compress drivers work from for a `dims` volume.
+    pub(crate) fn compress_run(
+        &self,
+        bound: Bound,
+        dims: [usize; 3],
+    ) -> Result<CompressRun<'_>, CompressError> {
         let (mode, bound_value) = validate_bound(bound)?;
-        Ok(CompressRun { config: &self.config, mode, bound_value, rmse_target: 0.0 })
+        Ok(CompressRun { config: &self.config, dims, mode, bound_value, rmse_target: 0.0 })
     }
 
     /// The width-generic compression driver behind both public surfaces.
@@ -328,12 +341,21 @@ impl Sperr {
         } else {
             metric_labels::OP_COMPRESS_F64
         });
-        let mut run = self.compress_run(bound)?;
+        let mut run = self.compress_run(bound, field.dims)?;
         if let Mode::Rmse = run.mode {
             // PSNR targets translate to an RMSE target over the whole
             // field's range; a zero-range (constant) field quantizes
             // relative to its magnitude.
             let range = field.range();
+            if !range.is_finite() {
+                // An infinite sample, or finite ones whose spread
+                // overflows: no target exists either way.
+                let bad = field.data.iter().position(|v| !v.is_finite());
+                return Err(bad.map_or_else(
+                    || CompressError::Invalid(format!("field range {range} is not finite")),
+                    |index| NonFinite { index, value: field.data[index].to_f64() }.into(),
+                ));
+            }
             run.rmse_target = if range > 0.0 {
                 range / 10f64.powf(run.bound_value / 20.0)
             } else {
@@ -350,8 +372,14 @@ impl Sperr {
                 extract_chunk_into(&field.data, field.dims, &grid[i], input);
                 run.encode_chunk(input, &grid[i], pool, arena)
             });
+            // Chunk order is not linear order: name the lowest bad index.
+            let refused = encoded.iter().filter_map(|e| e.as_ref().err()).min_by_key(|b| b.index);
+            if let Some(&bad) = refused {
+                return Err(bad.into());
+            }
+            let encoded: Vec<ChunkEncoding> = encoded.into_iter().flatten().collect();
             let precision = if native_f32 { Precision::Single } else { field.precision };
-            let sealed = run.seal_container::<T>(field.dims, precision, &encoded, pool);
+            let sealed = run.seal_container::<T>(precision, &encoded, pool);
             // Release order matters to the allocator: the encoded chunks,
             // then the scratch, both only after sealing. Freed first, the
             // scratch's chunk-sized buffers hand the top of the heap back to

@@ -78,7 +78,7 @@ pub use container::{ChunkIndexEntry, VERSION as CONTAINER_VERSION};
 pub use crc32::crc32;
 pub use pipeline::{
     compress_chunk_bpp_with, compress_chunk_pwe, compress_chunk_pwe_with,
-    compress_chunk_rmse_with, ChunkEncoding, ScratchArena,
+    compress_chunk_rmse_with, ChunkEncoding, NonFinite, ScratchArena,
 };
 pub use pool::{JobPanic, WorkerPool};
 /// The sample-width abstraction the generic pipeline is written against,

@@ -26,7 +26,7 @@ use sperr_speck::Termination;
 use sperr_telemetry::timed;
 use sperr_wavelet::{
     coarse_dims, coarse_scale, forward_3d_with, inverse_3d_partial_with, inverse_3d_with,
-    levels_for_dims, Kernel, TransformScratch,
+    levels_for_dims, Kernel, Support, TransformScratch,
 };
 
 /// Block length (in samples) for parallel elementwise sweeps. Fixed — not
@@ -104,13 +104,49 @@ impl DecodeArenas {
     }
 }
 
+/// Samples per block of [`load_coeffs`]: the copy and the finiteness test
+/// of one block both run while it sits in L1.
+const LOAD_BLOCK: usize = 1024;
+
+/// A sample that is not a finite number, refused before anything is
+/// encoded. The error contract `max|x − x̂| ≤ t` is over finite reals; one
+/// NaN would smear through the transform and decode as 0, one infinity
+/// stalls the bitplane loop or sets a non-finite quantization step.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct NonFinite {
+    /// Linear index of the sample: chunk-local from the chunk coders, of
+    /// the whole volume once a compress driver has placed it.
+    pub index: usize,
+    /// The sample, widened to `f64`.
+    pub value: f64,
+}
+
+impl From<NonFinite> for CompressError {
+    fn from(bad: NonFinite) -> Self {
+        CompressError::Invalid(format!(
+            "sample at linear index {} is {}: only finite values can be compressed",
+            bad.index, bad.value
+        ))
+    }
+}
+
 /// Fills `coeffs` with a copy of `data` (the transform is in-place and
-/// must not clobber the caller's input), reusing capacity. Part of the
-/// wavelet stage's timed region, hence free-standing rather than a method
-/// (the arena is already destructured at the call sites).
-fn load_coeffs<T: Float>(coeffs: &mut Vec<T>, data: &[T]) {
+/// must not clobber the caller's input), reusing capacity, and refuses the
+/// first sample that is not finite — the copy is the one pass that reads
+/// every sample, so the check rides it. Part of the wavelet stage's timed
+/// region, hence free-standing rather than a method (the arena is already
+/// destructured at the call sites).
+fn load_coeffs<T: Float>(coeffs: &mut Vec<T>, data: &[T]) -> Result<(), NonFinite> {
     coeffs.clear();
-    coeffs.extend_from_slice(data);
+    coeffs.reserve(data.len());
+    for (b, block) in data.chunks(LOAD_BLOCK).enumerate() {
+        coeffs.extend_from_slice(block);
+        if !block.iter().fold(true, |finite, v| finite & v.is_finite()) {
+            let at = block.iter().position(|v| !v.is_finite()).unwrap_or(0);
+            return Err(NonFinite { index: b * LOAD_BLOCK + at, value: block[at].to_f64() });
+        }
+    }
+    Ok(())
 }
 
 /// Everything produced by compressing one chunk.
@@ -213,7 +249,7 @@ pub fn compress_chunk_pwe<T: Float>(
     t: f64,
     q_factor: f64,
     kernel: Kernel,
-) -> ChunkEncoding {
+) -> Result<ChunkEncoding, NonFinite> {
     compress_chunk_pwe_with(
         data,
         dims,
@@ -227,7 +263,8 @@ pub fn compress_chunk_pwe<T: Float>(
 
 /// Hot-path PWE compression: wavelet panels, the mid-riser reconstruction
 /// and the outlier scan all run on `pool`; every buffer comes from
-/// `arena`. Output is bit-identical to [`compress_chunk_pwe`].
+/// `arena`. Output is bit-identical to [`compress_chunk_pwe`]. A sample
+/// that is not finite is refused (as are the other chunk coders').
 pub fn compress_chunk_pwe_with<T: Float>(
     data: &[T],
     dims: [usize; 3],
@@ -236,7 +273,7 @@ pub fn compress_chunk_pwe_with<T: Float>(
     kernel: Kernel,
     pool: &WorkerPool,
     arena: &mut ScratchArena<T>,
-) -> ChunkEncoding {
+) -> Result<ChunkEncoding, NonFinite> {
     assert!(t > 0.0 && t.is_finite(), "PWE tolerance must be positive");
     assert!(q_factor > 0.0, "q factor must be positive");
     let levels = levels_for_dims(dims);
@@ -246,10 +283,12 @@ pub fn compress_chunk_pwe_with<T: Float>(
 
     // Stage 1: forward wavelet transform.
     crate::faultpoint::stage(stage_labels::WAVELET_FORWARD);
-    let ((), wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
-        load_coeffs(coeffs, data);
+    let (loaded, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
+        load_coeffs(coeffs, data)?;
         forward_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
+        Ok(())
     });
+    loaded?;
 
     // Stage 2: SPECK coding of coefficients, all planes down to q.
     crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
@@ -303,7 +342,7 @@ pub fn compress_chunk_pwe_with<T: Float>(
     });
     sperr_telemetry::counter!("outlier.correction_bits", out_enc.bits_used);
 
-    ChunkEncoding {
+    Ok(ChunkEncoding {
         speck_stream: enc.stream,
         outlier_stream: out_enc.stream,
         q,
@@ -321,7 +360,7 @@ pub fn compress_chunk_pwe_with<T: Float>(
         },
         coeff_sq_error,
         max_err,
-    }
+    })
 }
 
 /// Number of bitplanes below the maximum coefficient magnitude that the
@@ -340,14 +379,16 @@ pub fn compress_chunk_bpp_with<T: Float>(
     kernel: Kernel,
     pool: &WorkerPool,
     arena: &mut ScratchArena<T>,
-) -> ChunkEncoding {
+) -> Result<ChunkEncoding, NonFinite> {
     let levels = levels_for_dims(dims);
     let ScratchArena { coeffs, wavelet, .. } = arena;
     crate::faultpoint::stage(stage_labels::WAVELET_FORWARD);
-    let ((), wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
-        load_coeffs(coeffs, data);
+    let (loaded, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
+        load_coeffs(coeffs, data)?;
         forward_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
+        Ok(())
     });
+    loaded?;
 
     let max_mag = coeffs.iter().fold(0.0f64, |m, &c| m.max(c.to_f64().abs()));
     // Quantization floor well below the budget's reach; degenerate
@@ -359,7 +400,7 @@ pub fn compress_chunk_bpp_with<T: Float>(
         sperr_speck::encode(coeffs, dims, q, Termination::BitBudget(budget_bits))
     });
 
-    ChunkEncoding {
+    Ok(ChunkEncoding {
         speck_stream: enc.stream,
         outlier_stream: Vec::new(),
         q,
@@ -375,7 +416,7 @@ pub fn compress_chunk_bpp_with<T: Float>(
         },
         coeff_sq_error: 0.0, // budget truncation: not tracked
         max_err: f64::NAN,   // no space-domain reconstruction at encode time
-    }
+    })
 }
 
 /// Average-error-targeted compression of one chunk (paper §VII: "the
@@ -392,15 +433,17 @@ pub fn compress_chunk_rmse_with<T: Float>(
     kernel: Kernel,
     pool: &WorkerPool,
     arena: &mut ScratchArena<T>,
-) -> ChunkEncoding {
+) -> Result<ChunkEncoding, NonFinite> {
     assert!(target_rmse > 0.0 && target_rmse.is_finite());
     let levels = levels_for_dims(dims);
     let ScratchArena { coeffs, recon, wavelet } = arena;
     crate::faultpoint::stage(stage_labels::WAVELET_FORWARD);
-    let ((), wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
-        load_coeffs(coeffs, data);
+    let (loaded, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
+        load_coeffs(coeffs, data)?;
         forward_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
+        Ok(())
     });
+    loaded?;
 
     let q = target_rmse;
     crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
@@ -430,7 +473,7 @@ pub fn compress_chunk_rmse_with<T: Float>(
         .sum()
     };
 
-    ChunkEncoding {
+    Ok(ChunkEncoding {
         speck_stream: enc.stream,
         outlier_stream: Vec::new(),
         q,
@@ -442,7 +485,7 @@ pub fn compress_chunk_rmse_with<T: Float>(
         times: StageTimes { wavelet: wavelet_time, speck: speck_time, ..StageTimes::default() },
         coeff_sq_error,
         max_err: f64::NAN, // tracked in the wavelet domain only
-    }
+    })
 }
 
 /// One chunk's decode, as the container's chunk table and the read at
@@ -482,13 +525,16 @@ pub(crate) struct ChunkJob<'a> {
 /// `pool` with `arena`'s panel scratch, outlier corrections. Also reports
 /// per-stage wall times for `info --verbose`.
 ///
-/// The transform is global to the chunk, so the whole chunk is always
-/// reconstructed; a `keep` box scopes only the sparse correction pass, and
-/// inside it the result is bit-identical to an unscoped decode
-/// (corrections are point-local, Eq. 1). At `level > 0` the returned
-/// buffer still has the chunk's full extent, with the coarse
-/// approximation, re-scaled to physical units, in its
-/// `[0, coarse_dims)` corner.
+/// The read decodes what it returns and no more: the [`Support`] of the
+/// kept box — `keep`, or at `level > 0` the coarse corner — names the
+/// coefficients SPECK assembles and the lines each inverse step lifts.
+/// Inside that box the result is bit-identical to the same samples of a
+/// full decode (the support is exact, corrections are point-local, Eq. 1);
+/// outside it the buffer holds whatever the restricted inverse left, and
+/// corrections are skipped. A box whose support is the whole chunk takes
+/// the full read. At `level > 0` the returned buffer still has the chunk's
+/// full extent, with the coarse approximation, re-scaled to physical
+/// units, in its `[0, coarse_dims)` corner.
 pub(crate) fn decode_chunk<T: Float>(
     job: &ChunkJob<'_>,
     pool: &WorkerPool,
@@ -496,16 +542,23 @@ pub(crate) fn decode_chunk<T: Float>(
 ) -> Result<(Vec<T>, StageTimes), CompressError> {
     let dims = job.dims;
     let levels = levels_for_dims(dims);
+    let keep = if job.level > 0 { None } else { job.keep };
+    let support = Support::new(dims, levels, job.level, keep);
     crate::faultpoint::stage(stage_labels::SPECK_DECODE);
     let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
-        sperr_speck::decode(job.speck, dims, job.q, job.num_planes)
+        if support.is_everything() {
+            return sperr_speck::decode(job.speck, dims, job.q, job.num_planes);
+        }
+        let bitmap = support.keep_bitmap().map_err(|_| {
+            sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
+        })?;
+        sperr_speck::decode_masked(job.speck, dims, job.q, job.num_planes, &bitmap)
     });
     let mut coeffs: Vec<T> = decoded?;
 
     crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
     let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
-        let scratch = &mut arena.wavelet;
-        inverse_3d_partial_with(&mut coeffs, dims, levels, job.level, job.kernel, pool, scratch);
+        inverse_3d_partial_with(&mut coeffs, &support, job.kernel, pool, &mut arena.wavelet);
         if job.level > 0 {
             // The approximation band carries the kernel's DC gain.
             let cdims = coarse_dims(dims, levels, job.level);
@@ -594,7 +647,7 @@ mod tests {
 
     fn compress_bpp(data: &[f64], dims: [usize; 3], budget_bits: usize) -> ChunkEncoding {
         let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
-        compress_chunk_bpp_with(data, dims, budget_bits, Kernel::Cdf97, &pool, &mut arena)
+        compress_chunk_bpp_with(data, dims, budget_bits, Kernel::Cdf97, &pool, &mut arena).unwrap()
     }
 
     #[test]
@@ -602,9 +655,32 @@ mod tests {
         let dims = [24usize, 16, 12];
         let data = test_data(dims);
         let t = 0.01;
-        let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97);
+        let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97).unwrap();
         for (a, b) in data.iter().zip(&decode(&job(&enc, dims, t))) {
             assert!((a - b).abs() <= t, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn every_coder_refuses_the_first_non_finite_sample() {
+        let dims = [24usize, 16, 12];
+        let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+        let cases = [(0, f64::NAN), (1023, f64::INFINITY), (1024, f64::NEG_INFINITY), (4607, f64::NAN)];
+        for (at, bad) in cases {
+            let mut data = test_data(dims);
+            data[at] = bad;
+            data[4607.min(at + 100)] = f64::NAN; // a later one is not the one named
+            let k = Kernel::Cdf97;
+            let refusals = [
+                compress_chunk_pwe_with(&data, dims, 0.01, 1.5, k, &pool, &mut arena).err(),
+                compress_chunk_bpp_with(&data, dims, 4096, k, &pool, &mut arena).err(),
+                compress_chunk_rmse_with(&data, dims, 0.01, k, &pool, &mut arena).err(),
+            ];
+            for refused in refusals {
+                let refused = refused.expect("non-finite sample accepted");
+                assert_eq!(refused.index, at);
+                assert_eq!(refused.value.to_bits(), bad.to_bits());
+            }
         }
     }
 
@@ -615,7 +691,7 @@ mod tests {
         let dims = [16usize, 16, 16];
         let data = test_data(dims);
         let t = 0.001;
-        let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97);
+        let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97).unwrap();
         assert!(enc.num_outliers > 0, "expected outliers at q = 3t");
         let rec = decode(&job(&enc, dims, t));
         let max_err = data.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
@@ -636,7 +712,7 @@ mod tests {
     fn all_zero_chunk() {
         let dims = [8usize, 8, 8];
         let data = vec![0.0; 512];
-        let enc = compress_chunk_pwe(&data, dims, 0.1, 1.5, Kernel::Cdf97);
+        let enc = compress_chunk_pwe(&data, dims, 0.1, 1.5, Kernel::Cdf97).unwrap();
         assert!(enc.speck_stream.is_empty());
         assert_eq!(enc.num_outliers, 0);
         assert_eq!(decode(&job(&enc, dims, 0.1)), data);
@@ -652,9 +728,10 @@ mod tests {
         WorkerPool::scoped(4, |pool| {
             for dims in [[24usize, 16, 12], [16, 16, 16], [7, 5, 3]] {
                 let data = test_data(dims);
-                let serial = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97);
+                let serial = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97).unwrap();
                 let pooled =
-                    compress_chunk_pwe_with(&data, dims, t, 1.5, Kernel::Cdf97, pool, &mut arena);
+                    compress_chunk_pwe_with(&data, dims, t, 1.5, Kernel::Cdf97, pool, &mut arena)
+                        .unwrap();
                 assert_eq!(serial.speck_stream, pooled.speck_stream, "dims {dims:?}");
                 assert_eq!(serial.outlier_stream, pooled.outlier_stream, "dims {dims:?}");
                 assert_eq!(serial.num_outliers, pooled.num_outliers);
@@ -672,7 +749,7 @@ mod tests {
         let dims = [16usize, 16, 16];
         let data = test_data(dims);
         for (t, q_factor) in [(0.01, 1.5), (0.001, 3.0)] {
-            let enc = compress_chunk_pwe(&data, dims, t, q_factor, Kernel::Cdf97);
+            let enc = compress_chunk_pwe(&data, dims, t, q_factor, Kernel::Cdf97).unwrap();
             let rec = decode(&job(&enc, dims, t));
             let measured =
                 data.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
@@ -688,7 +765,7 @@ mod tests {
         let dims = [16usize, 12, 10];
         let data = test_data(dims);
         let t = 0.001;
-        let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97);
+        let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97).unwrap();
         assert!(enc.num_outliers > 0, "test needs outliers to be meaningful");
         let full = decode(&job(&enc, dims, t));
         let (lo, hi) = ([3usize, 0, 2], [9usize, 12, 7]);
@@ -710,7 +787,7 @@ mod tests {
         // the approximation corner by the kernel's DC gain, nothing else.
         let dims = [24usize, 16, 12];
         let data = test_data(dims);
-        let enc = compress_chunk_pwe(&data, dims, 0.01, 1.5, Kernel::Cdf97);
+        let enc = compress_chunk_pwe(&data, dims, 0.01, 1.5, Kernel::Cdf97).unwrap();
         let levels = levels_for_dims(dims);
         for level in 1..=2 {
             let coarse = decode(&ChunkJob { outliers: &[], level, ..job(&enc, dims, 0.01) });
@@ -735,7 +812,7 @@ mod tests {
         let dims = [20usize, 14, 9];
         let data = test_data(dims);
         let t = 0.002;
-        let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97);
+        let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97).unwrap();
         let serial = decode(&job(&enc, dims, t));
         let mut arena = ScratchArena::new();
         WorkerPool::scoped(3, |pool| {

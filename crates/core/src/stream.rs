@@ -62,7 +62,7 @@ use crate::chunk::{chunk_grid, ChunkSpec};
 use crate::compressor::{CompressRun, Sperr};
 use crate::decode::{Opened, Samples};
 use crate::faultpoint;
-use crate::pipeline::{ChunkEncoding, DecodeArenas, ScratchArena};
+use crate::pipeline::{ChunkEncoding, DecodeArenas, NonFinite, ScratchArena};
 use crate::pool::{lock_ignore_poison, panic_payload_message, Slots, WorkerPool};
 use crate::stats::{metric_labels, CompressionStats, StageTimes};
 use crate::ChunkStatus;
@@ -477,6 +477,12 @@ impl<T> PipeShared<T> {
     }
 }
 
+/// The refusal of `chunk`'s non-finite sample, as the streaming driver
+/// reports it: the first bad sample of the first chunk found to hold one.
+fn non_finite(chunk: usize, bad: NonFinite) -> SperrError {
+    SperrError::Codec { stage: STAGE_INGEST, chunk: Some(chunk), source: bad.into() }
+}
+
 /// Runs `body`, turning an unwind out of it into the typed
 /// [`SperrError::Panic`] for `chunk` — nothing unwinds out of the
 /// streaming API, wherever on the caller or a worker thread it started.
@@ -565,7 +571,7 @@ impl Sperr {
                  unavailable in single-pass streaming",
             )));
         }
-        let run = self.compress_run(bound).map_err(rejected)?;
+        let run = self.compress_run(bound, dims).map_err(rejected)?;
         let total_points: usize = dims.iter().product();
         let _run = sperr_telemetry::span!("sperr.compress_stream", total_points);
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_COMPRESS_STREAM);
@@ -610,8 +616,9 @@ impl Sperr {
                     }
                     fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError> {
                         let encoded = guarded(Some(idx), || {
-                            let spec = &self.grid[idx];
-                            Ok(self.run.encode_chunk(&buf, spec, self.pool, &mut self.arena))
+                            let (spec, arena) = (&self.grid[idx], &mut self.arena);
+                            let encoded = self.run.encode_chunk(&buf, spec, self.pool, arena);
+                            encoded.map_err(|bad| non_finite(idx, bad))
                         });
                         self.in_flight -= 1;
                         sperr_telemetry::record_units(
@@ -660,7 +667,8 @@ impl Sperr {
                             }
                         };
                         let encoded = guarded(Some(i), || {
-                            Ok(run.encode_chunk(&buf, &grid_ref[i], pool, &mut arenas.lock(w)))
+                            run.encode_chunk(&buf, &grid_ref[i], pool, &mut arenas.lock(w))
+                                .map_err(|bad| non_finite(i, bad))
                         });
                         match encoded {
                             Ok(enc) => *results.lock(i) = Some(enc),
@@ -759,7 +767,7 @@ impl Sperr {
             }
             faultpoint::stage(STAGE_CONTAINER);
             let (out, stats) = run
-                .seal_container::<T>(dims, precision, &encoded, pool)
+                .seal_container::<T>(precision, &encoded, pool)
                 .map_err(|(chunk, source)| SperrError::Codec {
                     stage: STAGE_CONTAINER,
                     chunk: Some(chunk),

@@ -194,26 +194,80 @@ pub fn decode<T: Float, const D: usize>(
     q: f64,
     num_planes: u8,
 ) -> Result<Vec<T>, DecodeError> {
+    decode_keeping(stream, dims, q, num_planes, None)
+}
+
+/// [`decode`] for a read that needs only some coefficients — a region's
+/// or a coarse level's synthesis support. `keep` is a row-major bitmap:
+/// bit `i % 64` of word `i / 64` asks for coefficient `i` (a short bitmap
+/// asks for nothing past its end). The sorting pass walks the whole stream
+/// as [`decode`] does; only the assembly is restricted, to the 64-entry
+/// blocks of the significant-pixel list that hold a kept coefficient. Every
+/// kept coefficient comes back exactly as [`decode`] returns it; every
+/// other one is 0 or that same value.
+pub fn decode_masked<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+    keep: &[u64],
+) -> Result<Vec<T>, DecodeError> {
+    decode_keeping(stream, dims, q, num_planes, Some(keep))
+}
+
+/// The parameter checks, then the decode on the shape's geometry.
+fn decode_keeping<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+    keep: Option<&[u64]>,
+) -> Result<Vec<T>, DecodeError> {
     let (n_total, coded) = check_params(dims, q, num_planes)?;
     if !coded {
         return Ok(vec![T::ZERO; n_total]);
     }
     if morton::applicable(dims) {
-        return Ok(decode_on(&Dyadic::new(dims), stream, q, n_total, num_planes));
+        return decode_with(&Dyadic::new(dims), stream, q, n_total, num_planes, keep);
     }
     let tables = layout::shared(layout::pad(dims))
         .map_err(|_| DecodeError::LimitExceeded("no memory for the layout tables"))?;
-    Ok(decode_on(&*tables, stream, q, n_total, num_planes))
+    decode_with(&*tables, stream, q, n_total, num_planes, keep)
 }
 
-/// The one decoder body, on either geometry: per plane, scan the buckets
-/// deepest level (smallest sets) first; then assemble.
-pub(crate) fn decode_on<T: Float>(
+/// The full read, or — with a row-major `keep` bitmap — the masked one,
+/// its bitmap re-indexed into layout order first so the assembly tests a
+/// pixel without locating it.
+fn decode_with<T: Float>(
     geom: &impl Geometry,
     stream: &[u8],
     q: f64,
     n_total: usize,
     num_planes: u8,
+    keep: Option<&[u64]>,
+) -> Result<Vec<T>, DecodeError> {
+    let Some(row_major) = keep else {
+        return Ok(decode_on::<T, false>(geom, stream, q, n_total, num_planes, &[]));
+    };
+    let mut in_layout = Vec::new();
+    in_layout
+        .try_reserve_exact(n_total.div_ceil(64))
+        .map_err(|_| DecodeError::LimitExceeded("no memory for the keep bitmap"))?;
+    in_layout.resize(n_total.div_ceil(64), 0u64);
+    geom.layout_bitmap(row_major, &mut in_layout);
+    Ok(decode_on::<T, true>(geom, stream, q, n_total, num_planes, &in_layout))
+}
+
+/// The one decoder body, on either geometry: per plane, scan the buckets
+/// deepest level (smallest sets) first; then assemble — everything, or
+/// when `MASKED` the pixels whose layout position `keep` sets.
+pub(crate) fn decode_on<T: Float, const MASKED: bool>(
+    geom: &impl Geometry,
+    stream: &[u8],
+    q: f64,
+    n_total: usize,
+    num_planes: u8,
+    keep: &[u64],
 ) -> Vec<T> {
     let k = geom.depth();
     let mut input = BitReader::new(stream);
@@ -226,5 +280,5 @@ pub(crate) fn decode_on<T: Float>(
         (0..=k).rev().try_for_each(|level| scan_bucket(input, geom, &mut buckets, lsp, level))
     });
     drop(buckets);
-    lsp.reconstruct(stream, q, n_total, num_planes, |pos| geom.to_row_major(pos))
+    lsp.reconstruct::<T, MASKED>(stream, q, n_total, num_planes, |pos| geom.to_row_major(pos), keep)
 }

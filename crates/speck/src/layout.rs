@@ -54,6 +54,25 @@ pub(crate) trait Geometry {
     /// Fills `coarse` (level `level`) with the maximum over each cell's
     /// children in `fine` (level `level + 1`).
     fn coarsen(&self, level: usize, fine: &[u8], coarse: &mut [u8]);
+    /// ORs into `out` the row-major bitmap `row_major` (bit `i` of it:
+    /// coefficient `i`) re-indexed by position on level `k`: bit `pos` is
+    /// set when bit `to_row_major(pos)` is. Bits past either end are
+    /// ignored.
+    fn layout_bitmap(&self, row_major: &[u64], out: &mut [u64]);
+}
+
+/// Bit `i` of bitmap `words` (`false` past its end).
+#[inline]
+pub(crate) fn bit(words: &[u64], i: usize) -> bool {
+    words.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// Sets bit `i` of bitmap `words` (nothing past its end).
+#[inline]
+pub(crate) fn set_bit(words: &mut [u64], i: usize) {
+    if let Some(w) = words.get_mut(i / 64) {
+        *w |= 1 << (i % 64);
+    }
 }
 
 /// The tabled geometry of one shape. Immutable once built; shared
@@ -177,6 +196,16 @@ impl Geometry for Layout {
         for (out, span) in coarse.iter_mut().zip(table.windows(2)) {
             let children = fine.get(span[0] as usize..span[1] as usize).unwrap_or(&[]);
             *out = children.iter().copied().max().unwrap_or(0);
+        }
+    }
+
+    /// One pass over the pixel table (there is no inverse table to walk
+    /// the kept coefficients with instead).
+    fn layout_bitmap(&self, row_major: &[u64], out: &mut [u64]) {
+        for (pos, &at) in self.to_row_major.iter().enumerate() {
+            if bit(row_major, at as usize) {
+                set_bit(out, pos);
+            }
         }
     }
 }

@@ -57,7 +57,7 @@ mod set;
 pub use coder::{
     encode, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck, Termination,
 };
-pub use decoder::{decode, DecodeError, MAX_DECODE_ELEMENTS};
+pub use decoder::{decode, decode_masked, DecodeError, MAX_DECODE_ELEMENTS};
 
 /// Version of the SPECK bitstream layout produced by [`encode`]. Bump this
 /// whenever an intentional change alters the emitted bits for the same

@@ -7,6 +7,7 @@
 //! last plane, 64 entries at a time: one 64-bit stream window per plane,
 //! a bit-matrix transpose, one write per coefficient into the output.
 
+use crate::layout::bit;
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
 
@@ -145,14 +146,20 @@ impl DeferredLsp {
     /// found on plane `p`; its transpose is the 64 magnitudes. `locate`
     /// maps a recorded pixel to its row-major output index
     /// ([`crate::layout::Geometry::to_row_major`]) — the grid is written
-    /// here only, once per discovery.
-    pub(crate) fn reconstruct<T: Float>(
+    /// here only, once per discovery. `MASKED` reads assemble only the
+    /// pixels whose layout position is set in `keep`: a block of 64
+    /// entries with none of them is skipped whole — no window loads, no
+    /// transpose, no writes — and the others stay 0 or get their full-read
+    /// value. The full read is the `MASKED = false` instantiation, where
+    /// the test compiles away.
+    pub(crate) fn reconstruct<T: Float, const MASKED: bool>(
         &self,
         stream: &[u8],
         q: f64,
         n_total: usize,
         num_planes: u8,
         locate: impl Fn(u32) -> Option<u32>,
+        keep: &[u64],
     ) -> Vec<T> {
         let _span = sperr_telemetry::span!("speck.decode.reconstruct", self.pixels.len());
         let qt = T::from_f64(q);
@@ -162,6 +169,14 @@ impl DeferredLsp {
         let mut run_at = 0usize;
         for (block, pixels) in self.pixels.chunks(64).enumerate() {
             let first = block * 64;
+            if MASKED && !pixels.iter().any(|&pixel| bit(keep, pixel as usize)) {
+                // Step past the runs that end in this block, as the loop
+                // below would have.
+                while runs.get(run_at).is_some_and(|run| run.end <= first + pixels.len()) {
+                    run_at += 1;
+                }
+                continue;
+            }
             let mut rows = [0u64; 64];
             for s in self.segments.iter().filter(|s| s.present > first) {
                 rows[s.plane as usize % 64] =

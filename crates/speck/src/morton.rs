@@ -19,7 +19,7 @@
 //! same seam, not a second coder: the unit tests below hold its
 //! arithmetic equal to the tables built for the same cube.
 
-use crate::layout::Geometry;
+use crate::layout::{set_bit, Geometry};
 
 /// True when `dims` is a power-of-two cube [`Dyadic`] describes (side >=
 /// 2; a 1-cube is a bare pixel the tables cover).
@@ -146,6 +146,39 @@ impl<const D: usize> Geometry for Dyadic<D> {
             half = quarter;
         }
         sperr_simd::pairwise_max_into(&half, coarse);
+    }
+
+    /// Morton-numbers each kept coefficient: per axis, a table spreads a
+    /// coordinate's bits `D` apart, so a position is `D` lookups ORed.
+    fn layout_bitmap(&self, row_major: &[u64], out: &mut [u64]) {
+        if D == 1 {
+            // A line is its own Morton order.
+            out.iter_mut().zip(row_major).for_each(|(o, &r)| *o |= r);
+            return;
+        }
+        let side = 1usize << self.k;
+        let spread: Vec<[usize; D]> = (0..side)
+            .map(|c| {
+                let bits = (0..self.k).map(|j| (c >> j & 1) << (j * D));
+                let spread = bits.fold(0usize, |acc, b| acc | b);
+                std::array::from_fn(|d| spread << d)
+            })
+            .collect();
+        for (w, &word) in row_major.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                let i = w * 64 + rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let mut pos = 0usize;
+                for d in 0..D {
+                    let c = i >> (d * self.k) & (side - 1);
+                    pos |= spread.get(c).map_or(0, |s| s[d]);
+                }
+                if i >> (D * self.k) == 0 {
+                    set_bit(out, pos);
+                }
+            }
+        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! the embedded-stream property must hold for arbitrary inputs.
 
 use proptest::prelude::*;
-use sperr_speck::{decode, encode, Termination};
+use sperr_speck::{decode, decode_masked, encode, Termination};
 
 fn field_strategy() -> impl Strategy<Value = (Vec<f64>, [usize; 3])> {
     (1usize..=10, 1usize..=10, 1usize..=6).prop_flat_map(|(nx, ny, nz)| {
@@ -248,6 +248,86 @@ proptest! {
             1 => differential_case::<1>(class, [a, b, c], seed, mag_bits, q, budget_frac, planes)?,
             2 => differential_case::<2>(class, [a, b, c], seed, mag_bits, q, budget_frac, planes)?,
             _ => differential_case::<3>(class, [a, b, c], seed, mag_bits, q, budget_frac, planes)?,
+        }
+    }
+}
+
+/// A keep bitmap over `n` coefficients of one of four kinds: nothing,
+/// everything, a contiguous run (a box row), or scattered single bits —
+/// one word short of `n` when `short`, so the tail keeps nothing.
+fn keep_bitmap(n: usize, kind: u8, seed: u64, short: bool) -> Vec<u64> {
+    let mut bits = vec![0u64; n.div_ceil(64)];
+    let mut set = |i: usize| bits[i / 64] |= 1 << (i % 64);
+    let at = |k: u64| (seed.rotate_left(k as u32 * 7) % n.max(1) as u64) as usize;
+    match kind % 4 {
+        0 => {}
+        1 => (0..n).for_each(&mut set),
+        2 => (at(0)..(at(0) + 1 + at(1) % 97).min(n)).for_each(&mut set),
+        _ => (0..1 + n / 50).for_each(|k| set(at(k as u64 + 2))),
+    }
+    if short {
+        bits.pop();
+    }
+    bits
+}
+
+/// [`decode_masked`] vs [`decode`] at every byte prefix: every kept
+/// coefficient bit-identical, every other one 0 or the decoded value.
+fn masked_decodes_like_decode<T: sperr_simd::Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    q: f64,
+    keep: &[u64],
+) -> Result<(), TestCaseError> {
+    let enc = encode(coeffs, dims, q, Termination::Quality);
+    for len in 0..=enc.stream.len() {
+        let full = decode::<T, D>(&enc.stream[..len], dims, q, enc.num_planes).unwrap();
+        let masked =
+            decode_masked::<T, D>(&enc.stream[..len], dims, q, enc.num_planes, keep).unwrap();
+        prop_assert_eq!(masked.len(), full.len());
+        for (i, (m, f)) in masked.iter().zip(&full).enumerate() {
+            let kept = keep.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1);
+            let (m, f) = (m.to_f64().to_bits(), f.to_f64().to_bits());
+            prop_assert!(m == f || (!kept && m == 0), "{:?} len={} at {}: kept={}", dims, len, i, kept);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn masked_decode_keeps_exactly_what_decode_gives(
+        d in 1usize..=3,
+        class in any::<u8>(),
+        (a, b, c) in (any::<usize>(), any::<usize>(), any::<usize>()),
+        seed in any::<u64>(),
+        kind in any::<u8>(),
+        wide in any::<bool>(),
+    ) {
+        fn case<const D: usize>(
+            class: u8,
+            seeds: [usize; 3],
+            seed: u64,
+            kind: u8,
+            wide: bool,
+        ) -> Result<(), TestCaseError> {
+            let dims: [usize; D] = shape(class, seeds);
+            let n: usize = dims.iter().product();
+            let field = seeded_field(n, seed, 20, n.min(300));
+            let keep = keep_bitmap(n, kind, seed, seed % 7 == 0);
+            if wide {
+                masked_decodes_like_decode::<f64, D>(&field, dims, 0.37, &keep)
+            } else {
+                let field32: Vec<f32> = field.iter().map(|&v| v as f32).collect();
+                masked_decodes_like_decode::<f32, D>(&field32, dims, 0.37, &keep)
+            }
+        }
+        match d {
+            1 => case::<1>(class, [a, b, c], seed, kind, wide)?,
+            2 => case::<2>(class, [a, b, c], seed, kind, wide)?,
+            _ => case::<3>(class, [a, b, c], seed, kind, wide)?,
         }
     }
 }

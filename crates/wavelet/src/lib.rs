@@ -45,10 +45,14 @@
 
 mod exec;
 mod kernels;
+mod support;
+#[cfg(test)]
+mod support_tests;
 mod transform;
 
 pub use exec::{stress, LineExecutor, Serial, TransformScratch, PANEL_W};
 pub use kernels::Kernel;
+pub use support::{Region, Support};
 pub use transform::reference;
 pub use transform::{
     approx_len, coarse_dims, coarse_scale, forward_1d, forward_1d_with, forward_2d, forward_3d,

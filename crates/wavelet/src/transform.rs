@@ -23,7 +23,9 @@
 
 use crate::exec::{LineExecutor, Serial, TransformScratch, WorkerScratch, PANEL_W};
 use crate::kernels::Kernel;
+use crate::support::Support;
 use sperr_simd::Float;
+use std::ops::Range;
 
 /// Telemetry labels for per-axis lifting passes (span value = level).
 /// The `reference` module is deliberately not instrumented: it is the
@@ -139,7 +141,8 @@ pub fn forward_3d_with<T: Float>(
         for axis in 0..3 {
             if level < levels[axis] && cur[axis] >= 2 {
                 let _pass = sperr_telemetry::span!(FWD_AXIS_SPAN[axis], level);
-                apply_axis_blocked(data, dims, cur, axis, kernel, true, exec, scratch);
+                let lines = cur.map(|c| 0..c);
+                apply_axis_blocked(data, dims, cur, axis, &lines, kernel, true, exec, scratch);
                 cur[axis] = approx_len(cur[axis]);
             }
         }
@@ -160,7 +163,7 @@ pub fn inverse_3d_with<T: Float>(
     exec: &dyn LineExecutor,
     scratch: &mut TransformScratch<T>,
 ) {
-    inverse_3d_partial_with(data, dims, levels, 0, kernel, exec, scratch);
+    inverse_3d_partial_with(data, &Support::new(dims, levels, 0, None), kernel, exec, scratch);
 }
 
 /// Partial inverse supporting multi-resolution reconstruction (paper
@@ -179,44 +182,31 @@ pub fn inverse_3d_partial<T: Float>(
     skip_finest: usize,
     kernel: Kernel,
 ) {
-    inverse_3d_partial_with(data, dims, levels, skip_finest, kernel, &Serial, &mut TransformScratch::new());
+    let support = Support::new(dims, levels, skip_finest, None);
+    inverse_3d_partial_with(data, &support, kernel, &Serial, &mut TransformScratch::new());
 }
 
-/// [`inverse_3d_partial`] with executor + reusable scratch.
+/// The one inverse driver: undoes the steps `support` lists, last to
+/// first, each lifting only the rectangle of lines the support gives it.
+/// For a [`Support`] of the whole output this is the full (or, at a
+/// skipped level, the coarse) inverse; for a box of it, the box is
+/// bit-identical to the same samples of that inverse as long as every
+/// coefficient in [`Support::boxes`] holds its value — the rest of `data`
+/// may hold anything, and outside the box the result is unspecified.
 pub fn inverse_3d_partial_with<T: Float>(
     data: &mut [T],
-    dims: [usize; 3],
-    levels: [usize; 3],
-    skip_finest: usize,
+    support: &Support,
     kernel: Kernel,
     exec: &dyn LineExecutor,
     scratch: &mut TransformScratch<T>,
 ) {
+    let dims = support.dims();
     assert_eq!(data.len(), dims[0] * dims[1] * dims[2], "data/dims mismatch");
-    let max_levels = levels.iter().copied().max().unwrap_or(0);
     let max_dim = dims.iter().copied().max().unwrap_or(0);
     scratch.ensure(max_dim, exec.width());
-
-    // Replay the forward schedule to learn each step's box size, then undo
-    // the steps last-to-first, stopping before the finest `skip_finest`
-    // levels.
-    let mut schedule: Vec<(usize, usize, usize)> = Vec::new(); // (level, axis, len before)
-    let mut cur = dims;
-    for level in 0..max_levels {
-        for axis in 0..3 {
-            if level < levels[axis] && cur[axis] >= 2 {
-                schedule.push((level, axis, cur[axis]));
-                cur[axis] = approx_len(cur[axis]);
-            }
-        }
-    }
-    for &(level, axis, len_before) in schedule.iter().rev() {
-        if level < skip_finest {
-            continue;
-        }
-        cur[axis] = len_before;
-        let _pass = sperr_telemetry::span!(INV_AXIS_SPAN[axis], level);
-        apply_axis_blocked(data, dims, cur, axis, kernel, false, exec, scratch);
+    for step in support.steps().iter().rev() {
+        let _pass = sperr_telemetry::span!(INV_AXIS_SPAN[step.axis], step.level);
+        apply_axis_blocked(data, dims, step.cur, step.axis, &step.lines, kernel, false, exec, scratch);
     }
 }
 
@@ -276,20 +266,26 @@ impl<T> VolPtr<T> {
 /// dispatch, few enough to load-balance across workers.
 const X_LINES_PER_JOB: usize = 8;
 
-/// Applies one lifting pass (`forward` or inverse) to every line along
-/// `axis` within the sub-box `[0, cur)` of the full `dims` array,
-/// dispatching independent line batches / panels through `exec`.
+/// Applies one lifting pass (`forward` or inverse) to the lines along
+/// `axis` within the sub-box `[0, cur)` of the full `dims` array whose
+/// other two coordinates lie in `lines` (`lines[axis]` is ignored: lines
+/// are lifted whole), dispatching independent line batches / panels
+/// through `exec`.
 #[allow(clippy::too_many_arguments)]
 fn apply_axis_blocked<T: Float>(
     data: &mut [T],
     dims: [usize; 3],
     cur: [usize; 3],
     axis: usize,
+    lines: &[Range<usize>; 3],
     kernel: Kernel,
     forward: bool,
     exec: &dyn LineExecutor,
     scratch: &TransformScratch<T>,
 ) {
+    // The raw-pointer writes below stay inside `data` only because every
+    // line lies inside `[0, cur)` and `cur` inside `dims`.
+    assert!((0..3).all(|d| cur[d] <= dims[d] && (d == axis || lines[d].end <= cur[d])));
     let n = cur[axis];
     let strides = [1, dims[0], dims[0] * dims[1]];
     let stride = strides[axis];
@@ -300,14 +296,15 @@ fn apply_axis_blocked<T: Float>(
         // Contiguous fast path along x: each job takes a batch of whole
         // lines. Jobs touch disjoint `[base, base + n)` ranges, so the
         // raw-pointer writes never alias.
-        let n_lines = cur[1] * cur[2];
+        let (ys, zs) = (&lines[1], &lines[2]);
+        let n_lines = ys.len() * zs.len();
         let n_jobs = n_lines.div_ceil(X_LINES_PER_JOB);
         exec.run(n_jobs, &|job, worker| {
             // SAFETY: one live &mut per worker slot (executor contract).
             let ws: &mut WorkerScratch<T> = unsafe { workers.get(worker) };
             let start = job * X_LINES_PER_JOB;
             for li in start..(start + X_LINES_PER_JOB).min(n_lines) {
-                let (jy, jz) = (li % cur[1], li / cur[1]);
+                let (jy, jz) = (ys.start + li % ys.len(), zs.start + li / ys.len());
                 let base = jy * strides[1] + jz * strides[2];
                 // SAFETY: this job exclusively owns lines `start..end`.
                 let line = unsafe { std::slice::from_raw_parts_mut(vol.at(base), n) };
@@ -328,16 +325,16 @@ fn apply_axis_blocked<T: Float>(
     // transpose in/out of the line-major panel buffer streams through
     // memory instead of striding.
     let b = if axis == 1 { 2 } else { 1 };
-    let nx = cur[0];
-    let panels_per_row = nx.div_ceil(PANEL_W);
-    let n_jobs = cur[b] * panels_per_row;
+    let (xs, bs) = (&lines[0], &lines[b]);
+    let panels_per_row = xs.len().div_ceil(PANEL_W);
+    let n_jobs = bs.len() * panels_per_row;
     exec.run(n_jobs, &|job, worker| {
         // SAFETY: one live &mut per worker slot (executor contract).
         let ws: &mut WorkerScratch<T> = unsafe { workers.get(worker) };
         let WorkerScratch { panel, line } = ws;
-        let jb = job / panels_per_row;
-        let x0 = (job % panels_per_row) * PANEL_W;
-        let wlen = PANEL_W.min(nx - x0);
+        let jb = bs.start + job / panels_per_row;
+        let x0 = xs.start + (job % panels_per_row) * PANEL_W;
+        let wlen = PANEL_W.min(xs.end - x0);
         let base = jb * strides[b] + x0;
         // SAFETY: this job exclusively owns samples
         // `{base + i*stride + w : i in 0..n, w in 0..wlen}` — jobs differ

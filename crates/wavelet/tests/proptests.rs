@@ -6,7 +6,7 @@ use sperr_wavelet::{
     coarse_dims, forward_1d, forward_1d_with, forward_3d, forward_3d_with, inverse_1d,
     inverse_1d_with, inverse_3d, inverse_3d_partial, inverse_3d_partial_with, inverse_3d_with,
     levels_for_dims, num_levels, reference, stress::ReverseOrder, stress::StripedWorkers, Kernel,
-    TransformScratch, PANEL_W,
+    Support, TransformScratch, PANEL_W,
 };
 
 fn kernel_strategy() -> impl Strategy<Value = Kernel> {
@@ -228,9 +228,8 @@ proptest! {
         inverse_3d_partial(&mut a, dims, levels, skip, Kernel::Cdf97);
         let mut b = coeffs;
         let mut scratch = TransformScratch::new();
-        inverse_3d_partial_with(
-            &mut b, dims, levels, skip, Kernel::Cdf97, &StripedWorkers(3), &mut scratch,
-        );
+        let support = Support::new(dims, levels, skip, None);
+        inverse_3d_partial_with(&mut b, &support, Kernel::Cdf97, &StripedWorkers(3), &mut scratch);
         prop_assert_eq!(a, b);
     }
 

@@ -22,6 +22,13 @@ echo "==> speck differential (release)"
 # and 32^3 cases; this lane runs them.
 cargo test --release --quiet -p sperr-speck
 
+echo "==> wavelet support differential (release)"
+# A box rebuilt from its synthesis support alone (everything else NaN)
+# through the line-restricted inverse must equal the full inverse bit for
+# bit. The workspace step ran these at extents up to 24; the 70-sample
+# shapes are too slow for a debug build and run here.
+cargo test --release --quiet -p sperr-wavelet
+
 echo "==> cross-target check: aarch64 (NEON lane widths)"
 # Type-check the workspace for a 128-bit-SIMD target so a portability
 # break (x86-only assumption, pointer-width slip) is caught even though

@@ -19,6 +19,10 @@ const AUDITED_FILES: &[&str] = &[
     // The partition-order layout both SPECK coder bodies walk: table
     // build, lookups, and the shared table cache.
     "crates/speck/src/layout.rs",
+    // What a region or coarse read needs of a chunk: the box comes from
+    // the caller, the dims from an untrusted header, and the keep bitmap
+    // is reserved fallibly.
+    "crates/wavelet/src/support.rs",
     "crates/outlier/src/decoder.rs",
     // The whole decode side of the lossless crate: stream framing and
     // block directory, block inflate, Huffman table build + decode.

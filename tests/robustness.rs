@@ -2,8 +2,8 @@
 //! clean errors (or valid decodes), never panics, across every
 //! compressor; plus the paper's QMCPACK chunk-alignment scenario.
 
-use sperr_compress_api::{Bound, Field, LossyCompressor};
-use sperr_core::{Sperr, SperrConfig};
+use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
+use sperr_core::{Sperr, SperrConfig, SperrError};
 use sperr_datagen::{qmcpack_stack, SyntheticField};
 
 /// Deterministic xorshift for fuzz positions.
@@ -347,4 +347,68 @@ fn nan_free_output_for_finite_input() {
         let rec = sperr.decompress(&stream).unwrap();
         assert!(rec.data.iter().all(|v| v.is_finite()), "{bound:?}");
     }
+}
+
+/// A smooth field with `bad` written at the given linear indices.
+fn poisoned(dims: [usize; 3], bad: f64, at: &[usize]) -> Field {
+    let mut field = Field::from_fn(dims, |x, y, z| {
+        (x as f64 * 0.3).sin() + (y as f64 * 0.2).cos() * 2.0 + z as f64 * 0.1
+    });
+    for &i in at {
+        field.data[i] = bad;
+    }
+    field
+}
+
+/// The one refusal every compress surface must give for a non-finite
+/// sample: invalid input, naming the lowest bad linear index.
+fn is_refusal(e: &CompressError, index: usize) -> bool {
+    matches!(e, CompressError::Invalid(msg) if msg.contains(&format!("linear index {index} ")))
+}
+
+#[test]
+fn non_finite_samples_are_refused_by_index_never_hang_or_panic() {
+    // Each used to hang (+inf under a PWE bound: the bitplane loop never
+    // ends), panic (+inf under BPP or PSNR: a non-finite quantization step)
+    // or exit 0 with the NaN decoded as 0. Every bound, both widths, in
+    // memory and streaming, one chunk and several.
+    let dims = [16usize, 16, 16];
+    let started = std::time::Instant::now();
+    for chunk_dims in [[16usize, 16, 16], [8, 8, 8]] {
+        let config = SperrConfig { chunk_dims, num_threads: 2, ..SperrConfig::default() };
+        let sperr = Sperr::new(config);
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            // One bad sample, and two in chunks processed out of linear order.
+            for at in [vec![1234usize], vec![4000, 9, 2000]] {
+                let first = *at.iter().min().unwrap();
+                let field = poisoned(dims, bad, &at);
+                let narrow = FieldOf::new(dims, field.data.iter().map(|&v| v as f32).collect());
+                for bound in [Bound::Pwe(1e-3), Bound::Bpp(4.0), Bound::Psnr(60.0)] {
+                    let case = format!("{bad} at {at:?}, chunks {chunk_dims:?}, {bound:?}");
+                    let e = sperr.compress(&field, bound).unwrap_err();
+                    assert!(is_refusal(&e, first), "{case}: {e}");
+                    let e = sperr.compress_f32(&narrow, bound).unwrap_err();
+                    assert!(is_refusal(&e, first), "{case} f32: {e}");
+                    if let Bound::Psnr(_) = bound {
+                        continue; // streaming takes PWE and BPP bounds only
+                    }
+                    let bytes: Vec<u8> = field.data.iter().flat_map(|v| v.to_le_bytes()).collect();
+                    let mut out = Vec::new();
+                    let (raw, width) = (&bytes[..], Precision::Double);
+                    let e = sperr.compress_stream(raw, &mut out, dims, width, bound).unwrap_err();
+                    let SperrError::Codec { source, .. } = &e else { panic!("{case}: {e:?}") };
+                    // The streaming driver names the first bad sample of the
+                    // first chunk it finds one in.
+                    assert!(at.iter().any(|&i| is_refusal(source, i)), "{case} streamed: {e:?}");
+                    assert!(out.is_empty(), "{case}: streamed output for a refused input");
+                    let bytes: Vec<u8> = narrow.data.iter().flat_map(|v| v.to_le_bytes()).collect();
+                    let e = sperr.compress_stream_f32(&bytes[..], &mut Vec::new(), dims, bound);
+                    assert!(matches!(e, Err(SperrError::Codec { .. })), "{case} f32 streamed");
+                }
+            }
+        }
+    }
+    // Refusing is a scan, not a search: the whole matrix takes well under
+    // the time one hung compress used to run before being killed.
+    assert!(started.elapsed() < std::time::Duration::from_secs(60));
 }
