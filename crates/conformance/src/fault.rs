@@ -490,7 +490,7 @@ fn stage_panics_cancel_cleanly(
         (STAGE_CONTAINER, 0),
         (STAGE_EMIT, 2),
     ];
-    for threads in [1usize, 4] {
+    for threads in [1usize, 2, 4] {
         let sperr = Sperr::new(campaign_config(threads));
         for (decode_side, stages) in [(false, compress_stages), (true, decode_stages)] {
             for &(label, trigger) in stages.iter() {
@@ -594,15 +594,22 @@ fn budget_stress_bounded_and_identical(rng: &mut StdRng, cases: usize) -> CheckR
         ((x + 2 * y) as f64 * 0.21).sin() * 25.0 + (z as f64 * 0.05).cos() * 10.0
     });
     let raw = raw_f64(&field);
-    let reference = Sperr::new(campaign_config(1))
-        .compress(&field, BOUND)
-        .map_err(|e| CheckFailure {
-            check: "fault-budget",
-            detail: format!("reference failed: {e}"),
-        })?;
+    let setup = |e: sperr_compress_api::CompressError| CheckFailure {
+        check: "fault-budget",
+        detail: format!("reference failed: {e}"),
+    };
+    let in_memory = Sperr::new(campaign_config(1));
+    let reference = in_memory.compress(&field, BOUND).map_err(setup)?;
+    let decoded: Vec<u8> = in_memory
+        .decompress(&reference)
+        .map_err(setup)?
+        .data
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
     for i in 0..cases.max(4).min(24) {
         let budget = rand_in(rng, 1, 4);
-        let threads = [2, 4, 8][i % 3];
+        let threads = [1, 2, 4, 8][i % 4];
         let sperr = Sperr::new(SperrConfig {
             in_flight_chunks: budget,
             ..campaign_config(threads)
@@ -644,6 +651,12 @@ fn budget_stress_bounded_and_identical(rng: &mut StdRng, cases: usize) -> CheckR
                     "decode budget {budget} threads {threads}: peak {} exceeded budget {}",
                     dreport.peak_in_flight, dreport.in_flight_budget
                 ),
+            );
+        }
+        if round != decoded {
+            return fail(
+                "fault-budget",
+                format!("decode budget {budget} threads {threads}: output diverged"),
             );
         }
     }

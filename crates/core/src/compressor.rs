@@ -1,5 +1,5 @@
-//! The top-level SPERR compressor: chunking, the embarrassingly parallel
-//! compress driver (§III-D), container assembly and the lossless post-pass
+//! The top-level SPERR compressor: chunking, the parallel chunk loop of both
+//! compress drivers (§III-D), container assembly and the lossless post-pass
 //! (§V) — and every in-memory read, each a thin wrapper that builds a task
 //! list for the decode plan ([`crate::decode`]), runs it and folds the
 //! results.
@@ -102,9 +102,20 @@ pub struct Sperr {
     config: SperrConfig,
 }
 
-/// What the two compress drivers share around their chunk scheduling: the
-/// termination mode resolved once per call, the per-chunk encode it
-/// selects, and the sealing of the encoded chunks into the final stream.
+/// Where the samples of a batch of chunks come from.
+pub(crate) enum ChunkSource<'d, T> {
+    /// The whole volume: each job extracts its chunk into worker scratch.
+    Volume(&'d [T]),
+    /// One assembled buffer per chunk of the batch, lent to its job.
+    Assembled(&'d [Vec<T>]),
+}
+
+/// One chunk's encode: its encoding, or the sample that refused it.
+pub(crate) type Encoded = Result<ChunkEncoding, NonFinite>;
+
+/// What the two compress drivers share: the termination mode resolved once
+/// per call, the chunk loop it drives, and the sealing of the encoded
+/// chunks into the final stream.
 pub(crate) struct CompressRun<'a> {
     config: &'a SperrConfig,
     /// Extent of the volume being compressed.
@@ -117,9 +128,46 @@ pub(crate) struct CompressRun<'a> {
 }
 
 impl CompressRun<'_> {
+    /// Encodes one batch of chunks on `pool`, in batch order — the chunk
+    /// loop of both compress drivers (in memory: one batch of every chunk).
+    /// `specs[j]`'s encode runs as `guard(j, encode)` on the worker that
+    /// claims it; `scratch` keeps each worker's arena and extraction buffer
+    /// across batches. Failures fold whatever the scheduling: the guard
+    /// error of the lowest chunk, else `refused(j, sample)` for the refused
+    /// sample at the lowest linear index (of the volume, when batches are
+    /// z-ordered runs of whole layers).
+    pub(crate) fn encode_batch<T: Float, E: Send>(
+        &self,
+        specs: &[ChunkSpec],
+        source: ChunkSource<'_, T>,
+        pool: &WorkerPool,
+        scratch: &mut Vec<(ScratchArena<T>, Vec<T>)>,
+        guard: impl Fn(usize, &mut dyn FnMut() -> Encoded) -> Result<Encoded, E> + Sync,
+        refused: impl Fn(usize, NonFinite) -> E,
+    ) -> Result<Vec<ChunkEncoding>, E> {
+        let encoded = pool.map_with_state(specs.len(), scratch, |j, (arena, input)| {
+            guard(j, &mut || {
+                let data = match source {
+                    ChunkSource::Volume(volume) => {
+                        extract_chunk_into(volume, self.dims, &specs[j], input);
+                        &input[..]
+                    }
+                    ChunkSource::Assembled(chunks) => &chunks[j][..],
+                };
+                self.encode_chunk(data, &specs[j], pool, arena)
+            })
+        });
+        let encoded = encoded.into_iter().collect::<Result<Vec<Encoded>, E>>()?;
+        let bad = encoded.iter().enumerate().filter_map(|(j, e)| Some((j, *e.as_ref().err()?)));
+        if let Some((j, bad)) = bad.min_by_key(|(_, bad)| bad.index) {
+            return Err(refused(j, bad));
+        }
+        Ok(encoded.into_iter().flatten().collect())
+    }
+
     /// Compresses one chunk under the run's termination mode; a sample
     /// that is not finite is refused, by its linear index in the volume.
-    pub(crate) fn encode_chunk<T: Float>(
+    fn encode_chunk<T: Float>(
         &self,
         data: &[T],
         spec: &ChunkSpec,
@@ -367,17 +415,15 @@ impl Sperr {
         // One pool for the whole call: the chunk encodes, then the blocks
         // of the lossless pass over the assembled container.
         WorkerPool::scoped(self.effective_threads(&grid), |pool| {
-            let scratch = || (ScratchArena::new(), Vec::new());
-            let (encoded, scratch) = pool.map_with_state(grid.len(), scratch, |i, (arena, input)| {
-                extract_chunk_into(&field.data, field.dims, &grid[i], input);
-                run.encode_chunk(input, &grid[i], pool, arena)
-            });
-            // Chunk order is not linear order: name the lowest bad index.
-            let refused = encoded.iter().filter_map(|e| e.as_ref().err()).min_by_key(|b| b.index);
-            if let Some(&bad) = refused {
-                return Err(bad.into());
-            }
-            let encoded: Vec<ChunkEncoding> = encoded.into_iter().flatten().collect();
+            let mut scratch = Vec::new();
+            let encoded = run.encode_batch(
+                &grid,
+                ChunkSource::Volume(&field.data),
+                pool,
+                &mut scratch,
+                |_, encode| Ok(encode()),
+                |_, bad| CompressError::from(bad),
+            )?;
             let precision = if native_f32 { Precision::Single } else { field.precision };
             let sealed = run.seal_container::<T>(precision, &encoded, pool);
             // Release order matters to the allocator: the encoded chunks,
@@ -386,7 +432,7 @@ impl Sperr {
             // the OS just before the container and lossless buffers need it
             // (2–3 × the page faults per call on a one-chunk volume).
             drop(encoded);
-            scratch.into_values().for_each(|(arena, _)| arena.record_footprint());
+            scratch.iter().for_each(|(arena, _)| arena.record_footprint());
             sealed.map_err(|(_, refused)| refused)
         })
     }

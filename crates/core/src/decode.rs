@@ -12,11 +12,12 @@
 //! 2. **Plan**: a list of [`ChunkTask`]s — which chunk, what of it to
 //!    keep, how much of its SPECK stream to read, whether corrections
 //!    apply, at which resolution.
-//! 3. **Execute** ([`Opened::run`]): task `j` runs on the pool with its
+//! 3. **Execute** ([`Opened::run_on`]): task `j` runs on the pool with its
 //!    worker's arenas through [`Opened::decode_task`] — CRC, split, the
 //!    one [`decode_chunk`] — and yields `(samples, status, stage times)`
-//!    in task order. The streaming scheduler calls the same per-task
-//!    function from its own ordered-token loop.
+//!    in task order. The in-memory reads run every task at once
+//!    ([`Opened::run`]); streaming runs one batch of whole z-layers at a
+//!    time on the same executor.
 //!
 //! What remains for an entry point is a **fold** of the results: strict
 //! reads fail on the first task that did not decode ([`strict`]);
@@ -391,9 +392,8 @@ impl<'a> Opened<'a> {
     }
 
     /// Runs one task: checksum, split, decode at the stream's width. The
-    /// one place a chunk gets decoded — by [`Opened::run`] for the
-    /// in-memory reads, by the streaming scheduler for its own.
-    pub(crate) fn decode_task(
+    /// one place a chunk gets decoded, for every read.
+    fn decode_task(
         &self,
         task: &ChunkTask,
         pool: &WorkerPool,
@@ -442,20 +442,31 @@ impl<'a> Opened<'a> {
         }
     }
 
-    /// The executor: runs `tasks` on a pool sized by `sperr` for the
-    /// chunks they touch, one [`DecodeArenas`] per worker, results in task
-    /// order. Scheduling (outer task map vs. intra-chunk fan-out) does not
-    /// depend on the width or the kind of read, so every surface is
-    /// thread-count deterministic alike.
+    /// The executor of the in-memory reads: [`Opened::run_on`] a pool sized
+    /// by `sperr` for the chunks `tasks` touch.
     pub(crate) fn run(&self, sperr: &Sperr, tasks: &[ChunkTask]) -> Vec<TaskResult> {
         let threads = sperr.effective_threads(tasks.iter().map(|t| &self.grid[t.chunk]));
         WorkerPool::scoped(threads, |pool| {
-            let (results, arenas) =
-                pool.map_with_state(tasks.len(), DecodeArenas::default, |j, arenas| {
-                    self.decode_task(&tasks[j], pool, arenas)
-                });
-            arenas.into_values().for_each(|a| a.record_footprint());
+            let mut arenas = Vec::new();
+            let results = self.run_on(pool, tasks, &mut arenas, |_, decode| decode());
+            arenas.iter().for_each(DecodeArenas::record_footprint);
             results
+        })
+    }
+
+    /// The executor: task `j` runs as `guard(j, decode)` on the `pool`
+    /// worker that claims it, with that worker's arenas (kept across calls),
+    /// results in task order. Scheduling does not depend on the width or the
+    /// kind of read, so every surface is thread-count deterministic alike.
+    pub(crate) fn run_on<R: Send>(
+        &self,
+        pool: &WorkerPool,
+        tasks: &[ChunkTask],
+        arenas: &mut Vec<DecodeArenas>,
+        guard: impl Fn(usize, &mut dyn FnMut() -> TaskResult) -> R + Sync,
+    ) -> Vec<R> {
+        pool.map_with_state(tasks.len(), arenas, |j, arenas| {
+            guard(j, &mut || self.decode_task(&tasks[j], pool, arenas))
         })
     }
 

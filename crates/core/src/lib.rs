@@ -30,11 +30,12 @@
 //! [`Sperr::decompress_region`]), progressive byte-budget previews
 //! ([`Sperr::decode_at_bpp`] / [`Sperr::decode_at_budgets`]), re-rating
 //! without re-encoding ([`Sperr::transcode_to_bpp`]), stream inspection
-//! ([`Sperr::inspect`]) and multi-field archives ([`archive`]).
+//! ([`Sperr::inspect`]) and bounded-memory streaming over `Read`/`Write`
+//! ([`Sperr::compress_stream`] / [`Sperr::decompress_stream`]).
 //!
 //! Large volumes are split into chunks (default 256³, configurable, not
 //! required to divide the volume — §III-D) and chunks are processed
-//! embarrassingly parallel on scoped threads.
+//! embarrassingly parallel on one worker pool per call.
 //!
 //! # Example
 //!
@@ -54,7 +55,6 @@
 //! assert!(max_err <= t);
 //! ```
 
-pub mod archive;
 mod chunk;
 mod compressor;
 mod container;
@@ -87,7 +87,6 @@ pub use sperr_simd::Float;
 pub use stats::{CompressionStats, StageTimes};
 pub use stream::{
     SperrError, StreamReport, StreamResilientReport, STAGE_CONTAINER, STAGE_EMIT, STAGE_INGEST,
-    STAGE_PIPELINE,
 };
 
 #[cfg(test)]

@@ -1,10 +1,8 @@
-//! Shared worker pool for chunk- and line-level parallelism.
-//!
-//! Replaces the old per-call `parallel_map` (which spawned fresh OS
-//! threads on every invocation) with one set of workers per compression
-//! call, used at *two* levels: chunks in the outer loop, and wavelet
+//! Shared worker pool for chunk- and line-level parallelism: one set of
+//! workers per call, used for chunks in the outer loop and for wavelet
 //! line-panels / elementwise sweeps inside a chunk when too few chunks
-//! exist to keep the workers busy.
+//! exist to keep the workers busy. It is the one place in this crate that
+//! synchronises threads by hand; every driver maps chunks over it.
 //!
 //! # Nesting and oversubscription
 //!
@@ -59,10 +57,9 @@ pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> Str
     }
 }
 
-/// A worker job panicked during [`WorkerPool::try_run`] /
-/// [`WorkerPool::run_with_producer`]. Carries the first captured panic
-/// message so callers can surface *what* failed instead of a generic
-/// marker.
+/// A worker job panicked during [`WorkerPool::try_run`]. Carries the first
+/// captured panic message so callers can surface *what* failed instead of
+/// a generic marker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanic {
     /// Message of the first panic observed in the batch.
@@ -189,39 +186,14 @@ impl WorkerPool {
 
     /// Non-panicking variant of [`run`](Self::run): a panic in any job is
     /// caught, the batch still drains fully, and the first captured panic
-    /// message is returned as [`JobPanic`]. The streaming pipeline uses
-    /// this so a worker panic becomes a typed error instead of an unwind.
+    /// message is returned as [`JobPanic`].
     pub fn try_run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) -> Result<(), JobPanic> {
-        self.run_with_producer(n, || {}, f)
-    }
-
-    /// Runs a batch like [`try_run`](Self::try_run), but executes
-    /// `producer` on the caller thread *after* publishing the batch and
-    /// *before* the caller joins in as worker slot 0. Spawned workers
-    /// start claiming jobs as soon as the batch is published, so the
-    /// producer overlaps with them — this is the seam the streaming
-    /// pipeline uses: the producer feeds a bounded queue (ingest) while
-    /// replicated stage workers drain it.
-    ///
-    /// A panic in `producer` is caught so the published batch is never
-    /// orphaned: the caller still joins the batch, drains it, and the
-    /// producer's panic message is returned (taking precedence over any
-    /// job panic, since cancellation noise usually follows the root
-    /// cause).
-    pub fn run_with_producer(
-        &self,
-        n: usize,
-        producer: impl FnOnce(),
-        f: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<(), JobPanic> {
         if n == 0 {
-            producer();
             return Ok(());
         }
         // Inside a pool job: inline on the current slot (no oversubscription,
         // no deadlock on the single batch slot).
         if let Some(slot) = CURRENT_SLOT.with(|c| c.get()) {
-            producer();
             for i in 0..n {
                 f(i, slot);
             }
@@ -230,7 +202,6 @@ impl WorkerPool {
         // Trivial batches run on the caller as slot 0 *without* entering
         // job context, so deeper batches can still go parallel.
         if self.threads == 1 || n == 1 {
-            producer();
             for i in 0..n {
                 f(i, 0);
             }
@@ -274,14 +245,6 @@ impl WorkerPool {
         }
         self.shared.work.notify_all();
 
-        // Run the producer while workers chew on the batch. Catch its
-        // unwind: the batch is already published, so bailing out here
-        // would leave the slot occupied forever and deadlock the next
-        // caller. The batch must drain regardless.
-        let producer_panic = catch_unwind(AssertUnwindSafe(producer))
-            .err()
-            .map(|p| panic_payload_message(p.as_ref()));
-
         // The caller participates as worker 0.
         execute_batch(&batch, 0);
 
@@ -301,9 +264,6 @@ impl WorkerPool {
             st.batch = None;
         }
         self.shared.done.notify_all();
-        if let Some(message) = producer_panic {
-            return Err(JobPanic { message });
-        }
         if state.panicked.load(Ordering::Acquire) {
             let message = lock_ignore_poison(&state.panic_msg)
                 .take()
@@ -436,31 +396,28 @@ impl<T> FromIterator<T> for Slots<T> {
 }
 
 impl WorkerPool {
-    /// Ordered map of `n` jobs, each with exclusive use of one of
-    /// `threads()` per-worker states built by `init` — the chunk loop of
-    /// every driver. With enough jobs to saturate the pool the jobs run
-    /// in parallel and whatever they nest runs inline; with fewer they
-    /// run one after another on the caller (state 0), so each job's inner
-    /// batches — wavelet panels, elementwise sweeps — fan out across the
-    /// pool instead. Results come back in job order, with the states.
-    pub(crate) fn map_with_state<S, T, F>(
-        &self,
-        n: usize,
-        init: impl FnMut() -> S,
-        f: F,
-    ) -> (Vec<T>, Slots<S>)
+    /// Ordered map of `n` jobs, each with exclusive use of one of the
+    /// per-worker `states` (one per slot, defaulted as needed and kept for
+    /// the caller's next batch) — the chunk loop of every driver. With
+    /// enough jobs to saturate the pool they run in parallel and whatever
+    /// they nest runs inline; with fewer they run one after another on the
+    /// caller (state 0), so each job's inner batches (wavelet panels,
+    /// elementwise sweeps) fan out across the pool. Results in job order.
+    pub(crate) fn map_with_state<S, T, F>(&self, n: usize, states: &mut Vec<S>, f: F) -> Vec<T>
     where
-        S: Send,
+        S: Send + Default,
         T: Send,
         F: Fn(usize, &mut S) -> T + Sync,
     {
-        let states = Slots::new(self.threads, init);
+        states.resize_with(self.threads, S::default);
+        let slots: Slots<S> = states.drain(..).collect();
         let out = if n >= self.threads {
-            self.map(n, |i, w| f(i, &mut states.lock(w)))
+            self.map(n, |i, w| f(i, &mut slots.lock(w)))
         } else {
-            (0..n).map(|i| f(i, &mut states.lock(0))).collect()
+            (0..n).map(|i| f(i, &mut slots.lock(0))).collect()
         };
-        (out, states)
+        states.extend(slots.into_values());
+        out
     }
 }
 
@@ -710,52 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn run_with_producer_overlaps_and_survives_job_panic() {
-        WorkerPool::scoped(4, |pool| {
-            let produced = AtomicBool::new(false);
-            let ran = AtomicUsize::new(0);
-            let err = pool
-                .run_with_producer(
-                    8,
-                    || produced.store(true, Ordering::SeqCst),
-                    &|i, _| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        if i == 3 {
-                            panic!("mid-stream boom");
-                        }
-                    },
-                )
-                .unwrap_err();
-            assert!(produced.load(Ordering::SeqCst));
-            assert_eq!(ran.load(Ordering::SeqCst), 8, "batch did not drain");
-            assert!(err.message.contains("mid-stream boom"));
-        });
-    }
-
-    #[test]
-    fn run_with_producer_panicking_producer_does_not_orphan_batch() {
-        // The batch is published before the producer runs; a producer
-        // panic must not leave the batch slot occupied (which would
-        // deadlock the next caller) and its message must win.
-        WorkerPool::scoped(4, |pool| {
-            let ran = AtomicUsize::new(0);
-            let err = pool
-                .run_with_producer(
-                    8,
-                    || panic!("producer boom"),
-                    &|_, _| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(ran.load(Ordering::SeqCst), 8);
-            assert!(err.message.contains("producer boom"));
-            // Next batch proceeds — the slot was freed.
-            assert_eq!(pool.map(4, |i, _| i), vec![0, 1, 2, 3]);
-        });
-    }
-
-    #[test]
     fn pool_survives_poisoned_external_state_after_caught_panic() {
         // A caught job panic may poison unrelated user mutexes; the pool's
         // own locks must keep working (lock_ignore_poison) so back-to-back
@@ -794,25 +705,28 @@ mod tests {
         WorkerPool::scoped(4, |pool| {
             // Many jobs: outer-parallel, one state per worker, every job
             // counted exactly once, results in job order.
-            let (out, states) = pool.map_with_state(64, || 0usize, |i, seen| {
+            let mut states = Vec::new();
+            let out = pool.map_with_state(64, &mut states, |i, seen: &mut usize| {
                 *seen += 1;
                 std::thread::sleep(std::time::Duration::from_micros(100));
                 i * 3
             });
             assert_eq!(out, (0..64).map(|i| i * 3).collect::<Vec<_>>());
-            let per_worker: Vec<usize> = states.into_values().collect();
-            assert_eq!(per_worker.len(), 4);
-            assert_eq!(per_worker.iter().sum::<usize>(), 64);
+            assert_eq!(states.len(), 4);
+            assert_eq!(states.iter().sum::<usize>(), 64);
             // Fewer jobs than workers: serial on the caller with state 0,
-            // out of job context, so a nested batch still fans out.
+            // out of job context, so a nested batch still fans out. The
+            // states carry over from the batch before.
             let caller = std::thread::current().id();
-            let (out, states) = pool.map_with_state(3, || 0usize, |i, seen| {
+            let before = states.clone();
+            let out = pool.map_with_state(3, &mut states, |i, seen| {
                 *seen += 1;
                 assert_eq!(std::thread::current().id(), caller);
                 pool.map(8, |j, _| j).len() + i
             });
             assert_eq!(out, vec![8, 9, 10]);
-            assert_eq!(states.into_values().collect::<Vec<_>>(), vec![3, 0, 0, 0]);
+            assert_eq!(states[0], before[0] + 3);
+            assert_eq!(states[1..], before[1..]);
         });
     }
 }

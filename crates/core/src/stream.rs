@@ -1,83 +1,53 @@
-//! Staged streaming pipeline: bounded-memory compress/decompress over
-//! `Read`/`Write` endpoints.
+//! Streaming compress/decompress over `Read`/`Write` endpoints, with raw
+//! memory bounded by an in-flight chunk budget instead of the volume.
 //!
-//! The non-streaming API ([`Sperr::compress`]) holds the whole volume in
-//! RAM. This module drives the same per-chunk pipeline — ingest →
-//! wavelet → SPECK → outlier → lossless → ordered container emit —
-//! incrementally: the producer (caller thread) reads raw scalars row by
-//! row and assembles chunk buffers, replicated middle stages encode or
-//! decode chunks on the [`WorkerPool`], and an in-flight budget enforces
-//! back-pressure so peak raw-data memory is `O(in_flight × chunk)`
-//! instead of `O(volume)`. (Compressed chunk payloads still accumulate
-//! until the container header — which precedes them — can be written, so
-//! total memory is `O(in_flight × chunk + compressed_output)`.)
+//! Chunks are independent (§III-D), so every driver in this crate picks
+//! some chunks, maps them over the [`WorkerPool`] and folds the results in
+//! chunk order. A raw volume streams x-fastest, so here the chunks picked
+//! are a **batch** of `max(1, budget / layer)` whole z-layers of the chunk
+//! grid, and each direction is one loop over the batches:
 //!
-//! # Back-pressure protocol
+//! * compress: the caller reads a batch's rows into its chunk buffers
+//!   (reused across batches) and `CompressRun::encode_batch` — the chunk
+//!   loop the in-memory driver runs as one batch — encodes them; after the
+//!   last batch the container is sealed and emitted as in memory.
+//! * decompress: `Opened::run_on`, the executor of every in-memory read,
+//!   decodes a batch, and the caller writes its z-planes out row by row.
 //!
-//! One mutex-guarded [`PipeState`] plus two condvars per direction:
+//! At most `budget` chunk buffers are in flight, never fewer than one
+//! layer (a row-major stream completes no chunk before its whole layer).
+//! Compressed payloads still accumulate until the container header, which
+//! precedes them, can be written.
 //!
-//! * compress: the producer blocks acquiring a chunk buffer while
-//!   `in_flight ≥ budget`; workers wake it when they return a buffer.
-//!   Workers block waiting for *their* chunk index to appear in the
-//!   ready mailbox; the producer wakes them as chunks complete.
-//! * decompress: workers block acquiring a decode token (granted in
-//!   strict chunk-index order — see below); the emitter wakes them after
-//!   writing out a layer. The emitter blocks waiting for the decoded
-//!   chunks of the current layer.
-//!
-//! Decode tokens are granted in ascending chunk order: the pool's job
-//! counter hands indices out in order, but lock-acquisition races could
-//! otherwise let later chunks hog the whole budget while the emitter
-//! waits on an earlier layer — a deadlock. With ordered grants the
-//! lowest un-emitted layer always makes progress.
-//!
-//! # Cancellation semantics
-//!
-//! The first failure — reader/writer error, decode error (strict mode) or
-//! a caught worker panic — stores a typed [`SperrError`] in the shared
-//! state and broadcasts both condvars. Every wait loop re-checks the
-//! error and bails; chunks already being encoded/decoded run to
-//! completion (draining, not aborting, keeps buffer accounting exact);
-//! the producer stops at the next row boundary. The pool batch always
-//! drains fully, so no worker is left blocked and the pool stays usable.
-//!
-//! # Fault taxonomy
-//!
-//! * [`SperrError::Io`] — a `Read`/`Write` endpoint failed; carries the
-//!   pipeline stage (`stream.ingest` / `stream.emit`) and chunk index
-//!   when attributable.
-//! * [`SperrError::Codec`] — a typed codec error (corrupt stream,
-//!   truncation, limit violations); carries the stage label that raised
-//!   it and the chunk index when per-chunk.
-//! * [`SperrError::Panic`] — a worker panicked; carries the captured
-//!   panic message and the last stage label the panicking thread
-//!   entered. Never escapes as an unwind.
+//! **Failures** are typed [`SperrError`]s, never an unwind. Every job of a
+//! batch runs to completion; the call then stops at the first failing
+//! chunk of the first failing batch. A refused non-finite sample is named
+//! by the lowest linear index of the batch — of the volume, batches being
+//! z-ordered slabs — as in memory. The pool is idle between batches, so
+//! nothing is in flight when the call returns.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
 
 use crate::chunk::{chunk_grid, ChunkSpec};
-use crate::compressor::{CompressRun, Sperr};
-use crate::decode::{Opened, Samples};
+use crate::compressor::{ChunkSource, Sperr};
+use crate::decode::{Opened, Samples, TaskResult};
 use crate::faultpoint;
-use crate::pipeline::{ChunkEncoding, DecodeArenas, NonFinite, ScratchArena};
-use crate::pool::{lock_ignore_poison, panic_payload_message, Slots, WorkerPool};
-use crate::stats::{metric_labels, CompressionStats, StageTimes};
+use crate::pipeline::DecodeArenas;
+use crate::pool::{panic_payload_message, WorkerPool};
+use crate::stats::{metric_labels, CompressionStats};
 use crate::ChunkStatus;
 use sperr_compress_api::{Bound, CompressError, Precision};
 use sperr_simd::Float;
 
-/// Stage labels specific to the streaming pipeline (the per-chunk codec
-/// stages reuse [`stage_labels`]).
+/// Stage labels specific to the streaming drivers (the per-chunk codec
+/// stages reuse [`stage_labels`](crate::stage_labels)).
 pub const STAGE_INGEST: &str = "stream.ingest";
 /// See [`STAGE_INGEST`].
 pub const STAGE_EMIT: &str = "stream.emit";
 /// See [`STAGE_INGEST`].
 pub const STAGE_CONTAINER: &str = "stream.container";
-/// Fallback stage label when a panic cannot be attributed more precisely.
-pub const STAGE_PIPELINE: &str = "stream.pipeline";
 
 /// Typed error for the streaming pipeline. Every failure mode of
 /// [`Sperr::compress_stream`] / [`Sperr::decompress_stream`] surfaces as
@@ -131,14 +101,6 @@ impl SperrError {
             stage: faultpoint::last_stage(),
             chunk,
             message: panic_payload_message(payload),
-        }
-    }
-
-    /// The underlying codec error, when this is a codec failure.
-    pub fn codec_source(&self) -> Option<&CompressError> {
-        match self {
-            SperrError::Codec { source, .. } => Some(source),
-            _ => None,
         }
     }
 }
@@ -203,16 +165,14 @@ impl StreamResilientReport {
     }
 }
 
-/// Geometry of the chunk grid as seen by the streaming drivers: chunks
-/// arrive (and leave) in z-layers because the raw volume is streamed in
-/// x-fastest row-major order.
+/// The chunk grid as the streaming drivers see it: a raw volume streams
+/// x-fastest, so chunks arrive (and leave) in z-layers.
 struct LayerGeometry {
     dims: [usize; 3],
     chunk_dims: [usize; 3],
-    /// Chunk-grid extent per axis.
+    /// Chunk-grid extent along x and y.
     nx: usize,
     ny: usize,
-    nz: usize,
 }
 
 impl LayerGeometry {
@@ -222,7 +182,6 @@ impl LayerGeometry {
             chunk_dims,
             nx: dims[0].div_ceil(chunk_dims[0]),
             ny: dims[1].div_ceil(chunk_dims[1]),
-            nz: dims[2].div_ceil(chunk_dims[2]),
         }
     }
 
@@ -231,15 +190,29 @@ impl LayerGeometry {
         self.nx * self.ny
     }
 
-    /// Inclusive-exclusive z range of layer `l`.
-    fn z_range(&self, l: usize) -> (usize, usize) {
-        let z0 = l * self.chunk_dims[2];
-        (z0, (z0 + self.chunk_dims[2]).min(self.dims[2]))
+    /// The batches the drivers work in, in z order: runs of as many whole
+    /// layers as `budget` chunks hold, at least one.
+    fn batches(&self, budget: usize) -> impl Iterator<Item = Range<usize>> {
+        let per = (budget / self.layer_len()).max(1);
+        let nz = self.dims[2].div_ceil(self.chunk_dims[2]);
+        (0..nz).step_by(per).map(move |l| l..(l + per).min(nz))
     }
 
-    /// Last volume-y covered by chunk row `cy`.
-    fn last_y(&self, cy: usize) -> usize {
-        ((cy + 1) * self.chunk_dims[1]).min(self.dims[1]) - 1
+    /// Grid indices of the chunks in `layers`.
+    fn chunks(&self, layers: &Range<usize>) -> Range<usize> {
+        layers.start * self.layer_len()..layers.end * self.layer_len()
+    }
+
+    /// Volume z-planes covered by `layers`.
+    fn z_range(&self, layers: &Range<usize>) -> Range<usize> {
+        layers.start * self.chunk_dims[2]..(layers.end * self.chunk_dims[2]).min(self.dims[2])
+    }
+
+    /// Position within the batch `layers` of the first of the `nx` chunks
+    /// that the volume row `(y, z)` crosses.
+    fn row_chunks(&self, layers: &Range<usize>, y: usize, z: usize) -> usize {
+        let layer = z / self.chunk_dims[2] - layers.start;
+        (layer * self.ny + y / self.chunk_dims[1]) * self.nx
     }
 }
 
@@ -314,16 +287,11 @@ impl<W: Write> ScalarWriter<W> {
 
     fn write_row(&mut self, row: &[f64]) -> Result<(), SperrError> {
         self.buf.clear();
-        match self.precision {
-            Precision::Single => {
-                for &v in row {
-                    self.buf.extend_from_slice(&(v as f32).to_le_bytes());
-                }
-            }
-            Precision::Double => {
-                for &v in row {
-                    self.buf.extend_from_slice(&v.to_le_bytes());
-                }
+        let precision = self.precision;
+        for &v in row {
+            match precision {
+                Precision::Single => self.buf.extend_from_slice(&(v as f32).to_le_bytes()),
+                Precision::Double => self.buf.extend_from_slice(&v.to_le_bytes()),
             }
         }
         self.inner
@@ -333,159 +301,68 @@ impl<W: Write> ScalarWriter<W> {
         Ok(())
     }
 
-    fn write_all_at_once(&mut self, bytes: &[u8]) -> Result<(), SperrError> {
-        self.inner
-            .write_all(bytes)
-            .map_err(|e| SperrError::io(STAGE_EMIT, None, &e))?;
-        self.bytes_out += bytes.len() as u64;
-        Ok(())
-    }
-
     fn flush(&mut self) -> Result<(), SperrError> {
         self.inner.flush().map_err(|e| SperrError::io(STAGE_EMIT, None, &e))
     }
 }
 
-/// Sink for the ingest loop: hands out chunk buffers and receives them
-/// back filled. The serial driver encodes inline; the parallel driver's
-/// sink is the back-pressured handoff to the worker stages.
-trait ChunkSink<T> {
-    fn acquire(&mut self, idx: usize) -> Result<Vec<T>, SperrError>;
-    fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError>;
-}
-
-/// Streams the raw volume row by row, assembling each chunk's x-fastest
-/// buffer in exactly the order `extract_chunk_into` would, and handing
-/// completed chunks to the sink. Chunks complete as early as possible
-/// (during the layer's last z-plane, per chunk row) so downstream stages
-/// overlap with ingest.
-fn ingest_volume<R: Read, T: Float>(
+/// Reads the z-planes of `layers` row by row into `bufs`, one per chunk of
+/// those layers, each filled in the order `extract_chunk_into` fills it —
+/// so the encodes see the in-memory driver's samples.
+fn ingest_layers<R: Read, T: Float>(
     rd: &mut ScalarReader<R, T>,
     geo: &LayerGeometry,
-    grid: &[ChunkSpec],
-    sink: &mut dyn ChunkSink<T>,
+    specs: &[ChunkSpec],
+    layers: &Range<usize>,
+    bufs: &mut [Vec<T>],
 ) -> Result<(), SperrError> {
-    let layer_len = geo.layer_len();
-    for l in 0..geo.nz {
-        let (z0, z1) = geo.z_range(l);
-        let base = l * layer_len;
-        let mut bufs: Vec<Option<Vec<T>>> = Vec::with_capacity(layer_len);
-        for p in 0..layer_len {
-            let idx = base + p;
-            let mut b = sink.acquire(idx)?;
-            b.clear();
-            b.reserve(grid[idx].len());
-            bufs.push(Some(b));
-        }
-        for z in z0..z1 {
-            faultpoint::stage(STAGE_INGEST);
-            for y in 0..geo.dims[1] {
-                let row = rd.read_row()?;
-                let cy = y / geo.chunk_dims[1];
-                for cx in 0..geo.nx {
-                    let p = cy * geo.nx + cx;
-                    let spec = &grid[base + p];
-                    let ox = spec.offset[0];
-                    if let Some(buf) = bufs[p].as_mut() {
-                        buf.extend_from_slice(&row[ox..ox + spec.dims[0]]);
-                    }
-                }
-                // Chunk row (cy, all cx) completes on its last (y, z).
-                if z + 1 == z1 && y == geo.last_y(cy) {
-                    for cx in 0..geo.nx {
-                        let p = cy * geo.nx + cx;
-                        if let Some(buf) = bufs[p].take() {
-                            sink.complete(base + p, buf)?;
-                        }
-                    }
-                }
+    for (buf, spec) in bufs.iter_mut().zip(specs) {
+        buf.clear();
+        buf.reserve(spec.len());
+    }
+    for z in geo.z_range(layers) {
+        faultpoint::stage(STAGE_INGEST);
+        for y in 0..geo.dims[1] {
+            let row = rd.read_row()?;
+            let p = geo.row_chunks(layers, y, z);
+            for (buf, spec) in bufs[p..p + geo.nx].iter_mut().zip(&specs[p..]) {
+                let x = spec.offset[0];
+                buf.extend_from_slice(&row[x..x + spec.dims[0]]);
             }
         }
     }
     Ok(())
 }
 
-/// Shared state of one parallel streaming run. Generic over the raw
-/// sample type the compress direction buffers (unused on the decompress
-/// side, whose decoded chunks enter the mailbox as [`Samples`]).
-struct PipeState<T> {
-    /// Completed chunk buffers awaiting their worker (compress) or the
-    /// emitter (decompress): index → payload.
-    ready: HashMap<usize, ReadyChunk<T>>,
-    /// Returned raw buffers for reuse (compress only).
-    free: Vec<Vec<T>>,
-    /// Buffers/tokens currently in flight.
-    in_flight: usize,
-    /// High-water mark of `in_flight`.
-    peak: usize,
-    /// Next chunk index allowed to take a decode token (decompress);
-    /// tokens are granted in ascending order to keep the lowest
-    /// un-emitted layer progressing.
-    next_token: usize,
-    /// First failure; set once, checked by every wait loop.
-    error: Option<SperrError>,
-}
-
-enum ReadyChunk<T> {
-    Raw(Vec<T>),
-    Decoded { data: Samples, status: ChunkStatus, times: StageTimes },
-}
-
-struct PipeShared<T> {
-    state: Mutex<PipeState<T>>,
-    /// Wakes the producer/emitter side.
-    caller_cv: Condvar,
-    /// Wakes worker-side waits.
-    worker_cv: Condvar,
-    budget: usize,
-}
-
-impl<T> PipeShared<T> {
-    fn new(budget: usize) -> Self {
-        PipeShared {
-            state: Mutex::new(PipeState {
-                ready: HashMap::new(),
-                free: Vec::new(),
-                in_flight: 0,
-                peak: 0,
-                next_token: 0,
-                error: None,
-            }),
-            caller_cv: Condvar::new(),
-            worker_cv: Condvar::new(),
-            budget,
+/// Writes the z-planes of `layers` row by row from `chunks`, one decoded
+/// chunk per chunk of those layers — the interleave [`ingest_layers`]
+/// undoes. f32-native chunks widen exactly on the way into the row, and a
+/// Single output narrows them back losslessly.
+fn emit_layers<W: Write>(
+    wr: &mut ScalarWriter<W>,
+    geo: &LayerGeometry,
+    specs: &[ChunkSpec],
+    layers: &Range<usize>,
+    chunks: &[Samples],
+    row: &mut [f64],
+) -> Result<(), SperrError> {
+    for z in geo.z_range(layers) {
+        faultpoint::stage(STAGE_EMIT);
+        for y in 0..geo.dims[1] {
+            let p = geo.row_chunks(layers, y, z);
+            for (chunk, spec) in chunks[p..p + geo.nx].iter().zip(&specs[p..]) {
+                let src_lo = [0, y - spec.offset[1], z - spec.offset[2]];
+                let (extent, row_dims) = ([spec.dims[0], 1, 1], [geo.dims[0], 1, 1]);
+                chunk.copy_box(spec.dims, src_lo, extent, row, row_dims, [spec.offset[0], 0, 0]);
+            }
+            wr.write_row(row)?;
         }
     }
-
-    /// Records the first error and wakes every waiter on both sides.
-    fn cancel(&self, err: SperrError) {
-        let mut st = lock_ignore_poison(&self.state);
-        if st.error.is_none() {
-            st.error = Some(err);
-        }
-        drop(st);
-        self.caller_cv.notify_all();
-        self.worker_cv.notify_all();
-    }
-
-    fn take_error(&self) -> Option<SperrError> {
-        lock_ignore_poison(&self.state).error.take()
-    }
-
-    fn peak_in_flight(&self) -> usize {
-        lock_ignore_poison(&self.state).peak
-    }
+    Ok(())
 }
 
-/// The refusal of `chunk`'s non-finite sample, as the streaming driver
-/// reports it: the first bad sample of the first chunk found to hold one.
-fn non_finite(chunk: usize, bad: NonFinite) -> SperrError {
-    SperrError::Codec { stage: STAGE_INGEST, chunk: Some(chunk), source: bad.into() }
-}
-
-/// Runs `body`, turning an unwind out of it into the typed
-/// [`SperrError::Panic`] for `chunk` — nothing unwinds out of the
-/// streaming API, wherever on the caller or a worker thread it started.
+/// Runs `body`, turning an unwind out of it into the typed [`SperrError::Panic`]
+/// for `chunk`: nothing unwinds out of the streaming API, from any thread.
 fn guarded<R>(
     chunk: Option<usize>,
     body: impl FnOnce() -> Result<R, SperrError>,
@@ -500,12 +377,11 @@ impl Sperr {
     /// stream cannot complete any chunk without buffering its whole
     /// z-layer.
     fn resolve_budget(&self, threads: usize, layer_len: usize) -> usize {
-        let configured = if self.config().in_flight_chunks == 0 {
-            2 * threads
-        } else {
-            self.config().in_flight_chunks
+        let configured = match self.config().in_flight_chunks {
+            0 => 2 * threads,
+            n => n,
         };
-        configured.max(layer_len).max(1)
+        configured.max(layer_len)
     }
 
     /// Streaming compression: reads `dims[0]·dims[1]·dims[2]` raw
@@ -525,9 +401,8 @@ impl Sperr {
         precision: Precision,
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
-        // Outer guard: a panic anywhere on the caller thread (e.g. in
-        // container assembly, after the pool has drained) still surfaces
-        // as a typed error.
+        // Outer guard: a panic anywhere on the caller thread (ingest,
+        // container assembly, emit) still surfaces as a typed error.
         guarded(None, || {
             self.compress_stream_inner::<f64, R, W>(reader, writer, dims, precision, bound)
         })
@@ -572,216 +447,60 @@ impl Sperr {
             )));
         }
         let run = self.compress_run(bound, dims).map_err(rejected)?;
-        let total_points: usize = dims.iter().product();
-        let _run = sperr_telemetry::span!("sperr.compress_stream", total_points);
+        let _run = sperr_telemetry::span!("sperr.compress_stream", dims.iter().product::<usize>());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_COMPRESS_STREAM);
 
         let grid = chunk_grid(dims, self.config().chunk_dims);
         let geo = LayerGeometry::new(dims, self.config().chunk_dims);
-        let n_chunks = grid.len();
         let threads = self.effective_threads(&grid);
         let budget = self.resolve_budget(threads, geo.layer_len());
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
-
         let mut rd = ScalarReader::<R, T>::new(reader, precision, dims[0]);
-        let results: Slots<Option<ChunkEncoding>> = Slots::new(n_chunks, || None);
 
-        // One pool for the whole call: the chunk pipeline, then the blocks
-        // of the lossless pass over the assembled container. With one
-        // thread it spawns nothing and every batch runs inline.
+        // One pool for the whole call: the batches, then the blocks of the
+        // lossless pass over the assembled container.
         WorkerPool::scoped(threads, |pool| {
-            let peak_in_flight;
-            if threads == 1 {
-                // Serial driver: ingest a layer, encode its chunks inline,
-                // reuse the buffers. In flight = one layer by construction.
-                struct SerialSink<'a, T: Float> {
-                    free: Vec<Vec<T>>,
-                    in_flight: usize,
-                    peak: usize,
-                    grid: &'a [ChunkSpec],
-                    results: &'a Slots<Option<ChunkEncoding>>,
-                    run: &'a CompressRun<'a>,
-                    pool: &'a WorkerPool,
-                    arena: ScratchArena<T>,
-                }
-                impl<T: Float> ChunkSink<T> for SerialSink<'_, T> {
-                    fn acquire(&mut self, _idx: usize) -> Result<Vec<T>, SperrError> {
-                        self.in_flight += 1;
-                        self.peak = self.peak.max(self.in_flight);
-                        sperr_telemetry::record_units(
-                            metric_labels::STREAM_IN_FLIGHT,
-                            self.in_flight as u64,
-                        );
-                        Ok(self.free.pop().unwrap_or_default())
-                    }
-                    fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError> {
-                        let encoded = guarded(Some(idx), || {
-                            let (spec, arena) = (&self.grid[idx], &mut self.arena);
-                            let encoded = self.run.encode_chunk(&buf, spec, self.pool, arena);
-                            encoded.map_err(|bad| non_finite(idx, bad))
-                        });
-                        self.in_flight -= 1;
-                        sperr_telemetry::record_units(
-                            metric_labels::STREAM_IN_FLIGHT,
-                            self.in_flight as u64,
-                        );
-                        self.free.push(buf);
-                        *self.results.lock(idx) = Some(encoded?);
-                        Ok(())
-                    }
-                }
-                let mut sink = SerialSink {
-                    free: Vec::new(),
-                    in_flight: 0,
-                    peak: 0,
-                    grid: &grid,
-                    results: &results,
-                    run: &run,
+            let (mut bufs, mut scratch) = (Vec::new(), Vec::new());
+            let mut encoded = Vec::with_capacity(grid.len());
+            let mut peak_in_flight = 0;
+            for layers in geo.batches(budget) {
+                let chunks = geo.chunks(&layers);
+                let specs = &grid[chunks.clone()];
+                bufs.resize_with(specs.len(), Vec::new);
+                ingest_layers(&mut rd, &geo, specs, &layers, &mut bufs)?;
+                peak_in_flight = peak_in_flight.max(specs.len());
+                sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, specs.len() as u64);
+                encoded.extend(run.encode_batch(
+                    specs,
+                    ChunkSource::Assembled(&bufs),
                     pool,
-                    arena: ScratchArena::new(),
-                };
-                ingest_volume(&mut rd, &geo, &grid, &mut sink)?;
-                sink.arena.record_footprint();
-                peak_in_flight = sink.peak;
-            } else {
-                let shared = PipeShared::new(budget);
-                let grid_ref = &grid;
-                let shared_ref = &shared;
-                let drained = {
-                    let arenas = Slots::new(pool.threads(), ScratchArena::new);
-                    let worker = |i: usize, w: usize| {
-                        // Wait for chunk i (or cancellation).
-                        let buf = {
-                            let mut st = lock_ignore_poison(&shared_ref.state);
-                            loop {
-                                if st.error.is_some() {
-                                    return;
-                                }
-                                if let Some(ReadyChunk::Raw(b)) = st.ready.remove(&i) {
-                                    break b;
-                                }
-                                st = shared_ref
-                                    .worker_cv
-                                    .wait(st)
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            }
-                        };
-                        let encoded = guarded(Some(i), || {
-                            run.encode_chunk(&buf, &grid_ref[i], pool, &mut arenas.lock(w))
-                                .map_err(|bad| non_finite(i, bad))
-                        });
-                        match encoded {
-                            Ok(enc) => *results.lock(i) = Some(enc),
-                            Err(e) => shared_ref.cancel(e),
-                        }
-                        // Return the buffer and unblock the producer.
-                        let mut st = lock_ignore_poison(&shared_ref.state);
-                        st.free.push(buf);
-                        st.in_flight -= 1;
-                        sperr_telemetry::record_units(
-                            metric_labels::STREAM_IN_FLIGHT,
-                            st.in_flight as u64,
-                        );
-                        drop(st);
-                        shared_ref.caller_cv.notify_all();
-                    };
-                    let producer = || {
-                        struct ParallelSink<'a, T> {
-                            shared: &'a PipeShared<T>,
-                        }
-                        impl<T: Float> ChunkSink<T> for ParallelSink<'_, T> {
-                            fn acquire(&mut self, _idx: usize) -> Result<Vec<T>, SperrError> {
-                                let mut st = lock_ignore_poison(&self.shared.state);
-                                loop {
-                                    if let Some(e) = &st.error {
-                                        return Err(e.clone());
-                                    }
-                                    if st.in_flight < self.shared.budget {
-                                        st.in_flight += 1;
-                                        st.peak = st.peak.max(st.in_flight);
-                                        sperr_telemetry::record_units(
-                                            metric_labels::STREAM_IN_FLIGHT,
-                                            st.in_flight as u64,
-                                        );
-                                        return Ok(st.free.pop().unwrap_or_default());
-                                    }
-                                    st = self
-                                        .shared
-                                        .caller_cv
-                                        .wait(st)
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                }
-                            }
-                            fn complete(
-                                &mut self,
-                                idx: usize,
-                                buf: Vec<T>,
-                            ) -> Result<(), SperrError> {
-                                let mut st = lock_ignore_poison(&self.shared.state);
-                                if let Some(e) = &st.error {
-                                    return Err(e.clone());
-                                }
-                                st.ready.insert(idx, ReadyChunk::Raw(buf));
-                                drop(st);
-                                self.shared.worker_cv.notify_all();
-                                Ok(())
-                            }
-                        }
-                        let mut sink = ParallelSink { shared: shared_ref };
-                        let ingest = || ingest_volume(&mut rd, &geo, grid_ref, &mut sink);
-                        if let Err(e) = guarded(None, ingest) {
-                            shared_ref.cancel(e);
-                        }
-                    };
-                    let drained = pool.run_with_producer(n_chunks, producer, &worker);
-                    arenas.into_values().for_each(|arena| arena.record_footprint());
-                    drained
-                };
-                if let Some(e) = shared.take_error() {
-                    return Err(e);
-                }
-                if let Err(jp) = drained {
-                    return Err(SperrError::Panic {
-                        stage: STAGE_PIPELINE,
-                        chunk: None,
-                        message: jp.message,
-                    });
-                }
-                peak_in_flight = shared.peak_in_flight();
+                    &mut scratch,
+                    |j, encode| guarded(Some(chunks.start + j), || Ok(encode())),
+                    |j, bad| SperrError::Codec {
+                        stage: STAGE_INGEST,
+                        chunk: Some(chunks.start + j),
+                        source: bad.into(),
+                    },
+                )?);
             }
+            scratch.iter().for_each(|(arena, _)| arena.record_footprint());
 
-            // All chunks encoded (any failure returned above); assemble and
-            // emit the container exactly like the non-streaming path.
-            let mut encoded = Vec::with_capacity(n_chunks);
-            for (i, slot) in results.into_values().enumerate() {
-                match slot {
-                    Some(enc) => encoded.push(enc),
-                    None => {
-                        return Err(SperrError::Panic {
-                            stage: STAGE_PIPELINE,
-                            chunk: Some(i),
-                            message: "chunk result missing after pipeline drain".into(),
-                        })
-                    }
-                }
-            }
+            // Every chunk encoded: seal and emit the container exactly like
+            // the in-memory driver.
             faultpoint::stage(STAGE_CONTAINER);
-            let (out, stats) = run
-                .seal_container::<T>(precision, &encoded, pool)
-                .map_err(|(chunk, source)| SperrError::Codec {
-                    stage: STAGE_CONTAINER,
-                    chunk: Some(chunk),
-                    source,
-                })?;
+            let sealed = run.seal_container::<T>(precision, &encoded, pool);
+            let (out, stats) = sealed.map_err(|(chunk, source)| {
+                SperrError::Codec { stage: STAGE_CONTAINER, chunk: Some(chunk), source }
+            })?;
 
             faultpoint::stage(STAGE_EMIT);
-            let mut wr = ScalarWriter::new(writer, precision);
-            wr.write_all_at_once(&out)?;
-            wr.flush()?;
+            let mut writer = writer;
+            let written = writer.write_all(&out).and_then(|()| writer.flush());
+            written.map_err(|e| SperrError::io(STAGE_EMIT, None, &e))?;
             Ok(StreamReport {
                 bytes_in: rd.bytes_in,
-                bytes_out: wr.bytes_out,
-                n_chunks,
+                bytes_out: out.len() as u64,
+                n_chunks: grid.len(),
                 in_flight_budget: budget,
                 peak_in_flight,
                 stats,
@@ -803,7 +522,9 @@ impl Sperr {
         writer: W,
         out_precision: Option<Precision>,
     ) -> Result<StreamReport, SperrError> {
-        self.decompress_stream_impl(reader, writer, out_precision, false).map(|r| r.report)
+        // Outer guard: see `compress_stream`.
+        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, false))
+            .map(|r| r.report)
     }
 
     /// Streaming resilient decompression: like
@@ -817,18 +538,7 @@ impl Sperr {
         writer: W,
         out_precision: Option<Precision>,
     ) -> Result<StreamResilientReport, SperrError> {
-        self.decompress_stream_impl(reader, writer, out_precision, true)
-    }
-
-    fn decompress_stream_impl<R: Read, W: Write>(
-        &self,
-        reader: R,
-        writer: W,
-        out_precision: Option<Precision>,
-        resilient: bool,
-    ) -> Result<StreamResilientReport, SperrError> {
-        // Outer guard: see `compress_stream`.
-        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, resilient))
+        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, true))
     }
 
     fn decompress_stream_inner<R: Read, W: Write>(
@@ -838,10 +548,9 @@ impl Sperr {
         out_precision: Option<Precision>,
         resilient: bool,
     ) -> Result<StreamResilientReport, SperrError> {
-        // The container places header + chunk table + checksums before
-        // the payloads, and the lossless outer pass spans everything, so
-        // the compressed input must be held whole; what stays bounded is
-        // the *decoded* side.
+        // The container's head precedes the payloads and the lossless pass
+        // spans everything, so the compressed input is held whole; what
+        // stays bounded is the *decoded* side.
         let mut stream = Vec::new();
         faultpoint::stage(STAGE_INGEST);
         reader
@@ -856,207 +565,63 @@ impl Sperr {
         faultpoint::stage(STAGE_CONTAINER);
         let opened = if resilient { Opened::whole(&stream) } else { Opened::strict(&stream) }
             .map_err(|source| SperrError::Codec { stage: STAGE_CONTAINER, chunk: None, source })?;
-        let header = &opened.header;
-        let grid = &opened.grid;
+        let (header, grid) = (&opened.header, &opened.grid);
         let tasks = opened.all_tasks();
         let geo = LayerGeometry::new(header.dims, header.chunk_dims);
-        let n_chunks = grid.len();
         let threads = self.effective_threads(grid);
         let budget = self.resolve_budget(threads, geo.layer_len());
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
-        // Decodes chunk i through the decode plan's per-task function,
-        // honoring resilient semantics: Ok(status) with a data buffer
-        // (zero-filled on per-chunk failure), Err on a strict-mode failure.
-        let decode_chunk = |i: usize,
-                            pool: &WorkerPool,
-                            arenas: &mut DecodeArenas|
-         -> Result<(Samples, ChunkStatus, StageTimes), SperrError> {
-            guarded(Some(i), || {
-                let (data, status, times) = opened.decode_task(&tasks[i], pool, arenas);
-                match status.to_result(i) {
-                    Ok(()) => Ok((data, status, times)),
-                    Err(_) if resilient => {
-                        Ok((Samples::Wide(vec![0.0; grid[i].len()]), status, times))
-                    }
-                    Err(source) => Err(SperrError::Codec {
-                        stage: faultpoint::last_stage(),
-                        chunk: Some(i),
-                        source,
-                    }),
-                }
-            })
+        // Chunk i's outcome, settled on the worker that decoded it (a strict
+        // failure names that thread's stage): a failed chunk is zero-filled
+        // when resilient and fails the run when strict.
+        let settle = |i: usize, (data, status, times): TaskResult| match status.to_result(i) {
+            Ok(()) => Ok((data, status, times)),
+            Err(_) if resilient => Ok((Samples::Wide(vec![0.0; grid[i].len()]), status, times)),
+            Err(source) => {
+                Err(SperrError::Codec { stage: faultpoint::last_stage(), chunk: Some(i), source })
+            }
         };
 
         let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
-        let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(n_chunks);
+        let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(grid.len());
         let mut stats = CompressionStats {
             num_points: header.dims.iter().product(),
-            num_chunks: n_chunks,
+            num_chunks: grid.len(),
             container_bytes: opened.container_len,
             output_bytes: stream.len(),
             ..CompressionStats::default()
         };
         let mut row = vec![0.0f64; header.dims[0]];
-
-        let peak_in_flight;
-        // `n_chunks == 1` must use the serial driver too: the pool's
-        // single-job fast path runs the producer to completion before the
-        // job, and this direction's producer (the emitter) blocks waiting
-        // for the decoded chunk — producer-first would deadlock.
-        if threads == 1 || n_chunks == 1 {
-            // Chunks decode inline on the caller, but inside a scoped
-            // pool so a lone chunk still fans its wavelet/SPECK passes
-            // out across workers (decode_chunk nests `pool.run`).
-            peak_in_flight = WorkerPool::scoped(threads, |pool| {
-                let mut arenas = DecodeArenas::default();
-                let mut peak = 0usize;
-                for l in 0..geo.nz {
-                    let base = l * geo.layer_len();
-                    let mut layer: Vec<Samples> = Vec::with_capacity(geo.layer_len());
-                    for p in 0..geo.layer_len() {
-                        let (data, status, times) = decode_chunk(base + p, pool, &mut arenas)?;
-                        stats.stage_times.accumulate(&times);
-                        statuses.push(status);
-                        layer.push(data);
-                    }
-                    peak = peak.max(layer.len());
-                    sperr_telemetry::record_units(
-                        metric_labels::STREAM_IN_FLIGHT,
-                        layer.len() as u64,
-                    );
-                    emit_layer(&mut wr, &geo, grid, base, &layer, &mut row)?;
-                }
-                arenas.record_footprint();
-                Ok::<usize, SperrError>(peak)
-            })?;
-        } else {
-            // No raw buffers travel in this direction; `f64` only names the type.
-            let shared = PipeShared::<f64>::new(budget);
-            let shared_ref = &shared;
-            let statuses_ref = &mut statuses;
-            let stats_ref = &mut stats;
-            let wr_ref = &mut wr;
-            let row_ref = &mut row;
-            let geo_ref = &geo;
-            let grid_ref = grid;
-            let decode_ref = &decode_chunk;
-            let run = WorkerPool::scoped(threads, |pool| {
-                let arenas = Slots::new(pool.threads(), DecodeArenas::default);
-                let worker = |i: usize, w: usize| {
-                    // Ordered token grant (see module docs).
-                    {
-                        let mut st = lock_ignore_poison(&shared_ref.state);
-                        loop {
-                            if st.error.is_some() {
-                                return;
-                            }
-                            if st.next_token == i && st.in_flight < shared_ref.budget {
-                                st.in_flight += 1;
-                                st.next_token += 1;
-                                st.peak = st.peak.max(st.in_flight);
-                                sperr_telemetry::record_units(
-                                    metric_labels::STREAM_IN_FLIGHT,
-                                    st.in_flight as u64,
-                                );
-                                break;
-                            }
-                            st = shared_ref
-                                .worker_cv
-                                .wait(st)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                        drop(st);
-                        // The grant advanced next_token: other waiters
-                        // (including the next index) must re-check.
-                        shared_ref.worker_cv.notify_all();
-                    }
-                    match decode_ref(i, pool, &mut arenas.lock(w)) {
-                        Ok((data, status, times)) => {
-                            let mut st = lock_ignore_poison(&shared_ref.state);
-                            st.ready.insert(i, ReadyChunk::Decoded { data, status, times });
-                            drop(st);
-                            shared_ref.caller_cv.notify_all();
-                        }
-                        Err(e) => {
-                            // Token stays accounted; cancellation stops
-                            // the run, so the budget is moot.
-                            shared_ref.cancel(e);
-                        }
-                    }
-                };
-                let emit_all = || -> Result<(), SperrError> {
-                    for l in 0..geo_ref.nz {
-                        let base = l * geo_ref.layer_len();
-                        let mut layer: Vec<Samples> = Vec::with_capacity(geo_ref.layer_len());
-                        for p in 0..geo_ref.layer_len() {
-                            let idx = base + p;
-                            let chunk = {
-                                let mut st = lock_ignore_poison(&shared_ref.state);
-                                loop {
-                                    if let Some(e) = &st.error {
-                                        return Err(e.clone());
-                                    }
-                                    if let Some(c) = st.ready.remove(&idx) {
-                                        break c;
-                                    }
-                                    st = shared_ref
-                                        .caller_cv
-                                        .wait(st)
-                                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                }
-                            };
-                            let ReadyChunk::Decoded { data, status, times } = chunk else {
-                                // Only decoded chunks enter the mailbox on
-                                // this path.
-                                continue;
-                            };
-                            stats_ref.stage_times.accumulate(&times);
-                            statuses_ref.push(status);
-                            layer.push(data);
-                        }
-                        emit_layer(wr_ref, geo_ref, grid_ref, base, &layer, row_ref)?;
-                        // Layer written: release its decode tokens and wake
-                        // token waiters.
-                        let mut st = lock_ignore_poison(&shared_ref.state);
-                        st.in_flight -= layer.len();
-                        sperr_telemetry::record_units(
-                            metric_labels::STREAM_IN_FLIGHT,
-                            st.in_flight as u64,
-                        );
-                        drop(st);
-                        shared_ref.worker_cv.notify_all();
-                    }
-                    Ok(())
-                };
-                let emitter = || {
-                    if let Err(e) = guarded(None, emit_all) {
-                        shared_ref.cancel(e);
-                    }
-                };
-                let run = pool.run_with_producer(n_chunks, emitter, &worker);
-                arenas.into_values().for_each(|a| a.record_footprint());
-                run
-            });
-            if let Some(e) = shared.take_error() {
-                return Err(e);
-            }
-            if let Err(jp) = run {
-                return Err(SperrError::Panic {
-                    stage: STAGE_PIPELINE,
-                    chunk: None,
-                    message: jp.message,
+        let mut peak_in_flight = 0;
+        WorkerPool::scoped(threads, |pool| {
+            let mut arenas = Vec::new();
+            for layers in geo.batches(budget) {
+                let chunks = geo.chunks(&layers);
+                let results = opened.run_on(pool, &tasks[chunks.clone()], &mut arenas, |j, decode| {
+                    guarded(Some(chunks.start + j), || settle(chunks.start + j, decode()))
                 });
+                let mut decoded = Vec::with_capacity(chunks.len());
+                for result in results {
+                    let (data, status, times) = result?;
+                    stats.stage_times.accumulate(&times);
+                    statuses.push(status);
+                    decoded.push(data);
+                }
+                peak_in_flight = peak_in_flight.max(decoded.len());
+                sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, decoded.len() as u64);
+                emit_layers(&mut wr, &geo, &grid[chunks], &layers, &decoded, &mut row)?;
             }
-            peak_in_flight = shared.peak_in_flight();
-        }
+            arenas.iter().for_each(DecodeArenas::record_footprint);
+            Ok::<(), SperrError>(())
+        })?;
 
         wr.flush()?;
         Ok(StreamResilientReport {
             report: StreamReport {
                 bytes_in,
                 bytes_out: wr.bytes_out,
-                n_chunks,
+                n_chunks: grid.len(),
                 in_flight_budget: budget,
                 peak_in_flight,
                 stats,
@@ -1064,38 +629,6 @@ impl Sperr {
             statuses,
         })
     }
-}
-
-/// Writes one chunk layer's z-planes to the writer, interleaving the
-/// per-chunk buffers back into x-fastest volume rows (f32-native chunks
-/// widen exactly on the way into the row; row emission narrows back
-/// losslessly when the output precision is Single).
-fn emit_layer<W: Write>(
-    wr: &mut ScalarWriter<W>,
-    geo: &LayerGeometry,
-    grid: &[ChunkSpec],
-    base: usize,
-    layer: &[Samples],
-    row: &mut [f64],
-) -> Result<(), SperrError> {
-    let l = base / geo.layer_len();
-    let (z0, z1) = geo.z_range(l);
-    let row_dims = [geo.dims[0], 1, 1];
-    for z in z0..z1 {
-        faultpoint::stage(STAGE_EMIT);
-        for y in 0..geo.dims[1] {
-            let cy = y / geo.chunk_dims[1];
-            for cx in 0..geo.nx {
-                let p = cy * geo.nx + cx;
-                let spec = &grid[base + p];
-                let src_lo = [0, y - spec.offset[1], z - spec.offset[2]];
-                let extent = [spec.dims[0], 1, 1];
-                layer[p].copy_box(spec.dims, src_lo, extent, row, row_dims, [spec.offset[0], 0, 0]);
-            }
-            wr.write_row(row)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1210,31 +743,76 @@ mod tests {
 
     #[test]
     fn bounded_in_flight_budget_is_honored() {
-        // 8 z-layers of 1 chunk each with a budget of 2: the producer
-        // must block rather than buffer ahead.
+        // 8 z-layers of 1 chunk each with a budget of 2: neither direction
+        // may hold more than two chunks, and both keep the in-memory bytes.
         let dims = [16usize, 16, 128];
         let field = wavy(dims);
         let raw = raw_bytes(&field, Precision::Double);
-        let sperr = Sperr::new(SperrConfig {
-            chunk_dims: [16, 16, 16],
-            num_threads: 4,
-            in_flight_chunks: 2,
-            ..SperrConfig::default()
-        });
-        let mut out = Vec::new();
-        let report = sperr
-            .compress_stream(&raw[..], &mut out, dims, Precision::Double, Bound::Pwe(1e-3))
-            .unwrap();
-        assert_eq!(report.n_chunks, 8);
-        assert_eq!(report.in_flight_budget, 2);
-        assert!(
-            report.peak_in_flight <= 2,
-            "budget 2 but peak {}",
-            report.peak_in_flight
-        );
-        // And the output is still the reference bytes.
         let reference = Sperr::new(cfg(1)).compress(&field, Bound::Pwe(1e-3)).unwrap();
-        assert_eq!(out, reference);
+        let decoded = Sperr::new(cfg(1)).decompress(&reference).unwrap();
+        let want = raw_bytes(&decoded, decoded.precision);
+        for threads in [1usize, 2, 4] {
+            let sperr = Sperr::new(SperrConfig {
+                in_flight_chunks: 2,
+                ..cfg(threads)
+            });
+            let mut out = Vec::new();
+            let report = sperr
+                .compress_stream(&raw[..], &mut out, dims, Precision::Double, Bound::Pwe(1e-3))
+                .unwrap();
+            let mut round = Vec::new();
+            let strict = sperr.decompress_stream(&reference[..], &mut round, None).unwrap();
+            let mut salvaged = Vec::new();
+            let resilient =
+                sperr.decompress_stream_resilient(&reference[..], &mut salvaged, None).unwrap();
+            assert!(resilient.all_ok());
+            for (what, report) in
+                [("compress", &report), ("decompress", &strict), ("resilient", &resilient.report)]
+            {
+                assert_eq!(report.n_chunks, 8, "{what} t{threads}");
+                assert_eq!(report.in_flight_budget, 2, "{what} t{threads}");
+                let peak = report.peak_in_flight;
+                assert!(peak <= 2, "{what} t{threads}: budget 2 but peak {peak}");
+            }
+            assert_eq!(out, reference, "t{threads}");
+            assert_eq!(round, want, "t{threads}");
+            assert_eq!(salvaged, want, "t{threads}");
+        }
+    }
+
+    #[test]
+    fn refusals_name_the_lowest_bad_index_like_the_in_memory_driver() {
+        // Two chunks side by side in x. Chunk 1 holds the lowest bad linear
+        // index (20); chunk 0 holds a later one (2563 = (3, 0, 5)), and it
+        // is the first chunk a serial loop reaches.
+        let dims = [32usize, 16, 32];
+        let mut field = wavy(dims);
+        field.data[20] = f64::NAN;
+        field.data[3 + 32 * 16 * 5] = f64::INFINITY;
+        let narrow = field.narrow_lossy();
+        let names_20 = |e: &CompressError| e.to_string().contains("linear index 20 ");
+        for threads in [1usize, 2, 4, 8] {
+            let sperr = Sperr::new(cfg(threads));
+            for bound in [Bound::Pwe(1e-3), Bound::Bpp(2.0)] {
+                let case = format!("t{threads} {bound:?}");
+                assert!(names_20(&sperr.compress(&field, bound).unwrap_err()), "{case}");
+                assert!(names_20(&sperr.compress_f32(&narrow, bound).unwrap_err()), "{case}");
+                let raw = raw_bytes(&field, Precision::Double);
+                let streamed = sperr
+                    .compress_stream(&raw[..], Vec::new(), dims, Precision::Double, bound)
+                    .unwrap_err();
+                let raw: Vec<u8> = narrow.data.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let streamed_f32 =
+                    sperr.compress_stream_f32(&raw[..], Vec::new(), dims, bound).unwrap_err();
+                for e in [streamed, streamed_f32] {
+                    let SperrError::Codec { stage, chunk, source } = &e else {
+                        panic!("{case}: {e:?}")
+                    };
+                    assert_eq!((*stage, *chunk), (STAGE_INGEST, Some(1)), "{case}");
+                    assert!(names_20(source), "{case}: {e}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,10 +57,11 @@ target/release/sperr-conformance oracles
 target/release/sperr-conformance campaign 200
 
 echo "==> conformance: streaming fault-injection campaign"
-# Adversarial I/O endpoints and scripted worker panics against the
-# streaming API: typed errors only, no escaping panics, no hangs
-# (watchdog-enforced), no partial container that verifies, bounded
-# in-flight memory, byte-identity with the in-memory path on success.
+# Adversarial I/O endpoints and scripted worker panics (every stage, at
+# 1/2/4 threads) against the streaming API: typed errors only, no escaping
+# panics, no hangs (watchdog-enforced), no partial container that verifies,
+# bounded in-flight memory in both directions, byte-identity with the
+# in-memory path on success.
 target/release/sperr-conformance faults 12
 
 echo "==> conformance: random-access region oracle"
@@ -133,8 +134,10 @@ echo "==> telemetry on: identity, overhead and trace-coverage tests"
 cargo test --quiet --features telemetry --test telemetry
 
 echo "==> telemetry on: streaming worker timelines overlap"
-# The staged streaming pipeline must actually fan out: at least two pool
-# workers with concurrent spans during a streaming compression.
+# Both streaming directions must fan out: at least two pool workers with
+# concurrent spans during a streaming compression, and concurrent
+# `stage.speck.decode` spans on both slots of a two-thread pool during a
+# streaming decompression.
 cargo test --quiet --features telemetry --test streaming
 
 echo "==> telemetry on: a traced CLI compress emits a valid Chrome trace"
@@ -168,13 +171,15 @@ target/release/sperr metrics --input /tmp/ci_metrics_out.sperr \
 rm -f /tmp/ci_metrics_input.f64 /tmp/ci_metrics_out.sperr \
     /tmp/ci_metrics.prom /tmp/ci_metrics.json /tmp/ci_metrics_rt.f64
 
-echo "==> ThreadSanitizer: pool + streaming pipeline tests"
-# The streaming pipeline is the one place the codebase hand-rolls
-# cross-thread synchronization (condvar back-pressure, ordered decode
-# tokens, cancellation broadcast), so run its tests and the worker-pool
-# tests under TSan. Needs nightly with the rust-src component
-# (-Zbuild-std rebuilds std with the sanitizer); CI must never install
-# toolchain pieces, so skip gracefully — loudly — when absent.
+echo "==> ThreadSanitizer: pool + streaming tests"
+# The worker pool is the one place in sperr-core that synchronises threads
+# by hand (the published batch slot, its condvars, the lifetime-erased job
+# pointer); the streaming drivers are the heaviest users of it, running one
+# pool batch per z-layer batch with nested fan-out and per-chunk panic
+# guards. So run the pool and streaming tests under TSan. Needs nightly
+# with the rust-src component (-Zbuild-std rebuilds std with the
+# sanitizer); CI must never install toolchain pieces, so skip gracefully —
+# loudly — when absent.
 if command -v rustup >/dev/null 2>&1 \
     && rustup toolchain list 2>/dev/null | grep -q nightly \
     && rustup component list --toolchain nightly 2>/dev/null \

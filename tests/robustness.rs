@@ -397,13 +397,13 @@ fn non_finite_samples_are_refused_by_index_never_hang_or_panic() {
                     let (raw, width) = (&bytes[..], Precision::Double);
                     let e = sperr.compress_stream(raw, &mut out, dims, width, bound).unwrap_err();
                     let SperrError::Codec { source, .. } = &e else { panic!("{case}: {e:?}") };
-                    // The streaming driver names the first bad sample of the
-                    // first chunk it finds one in.
-                    assert!(at.iter().any(|&i| is_refusal(source, i)), "{case} streamed: {e:?}");
+                    // Streaming names the same sample as in memory.
+                    assert!(is_refusal(source, first), "{case} streamed: {e:?}");
                     assert!(out.is_empty(), "{case}: streamed output for a refused input");
                     let bytes: Vec<u8> = narrow.data.iter().flat_map(|v| v.to_le_bytes()).collect();
                     let e = sperr.compress_stream_f32(&bytes[..], &mut Vec::new(), dims, bound);
-                    assert!(matches!(e, Err(SperrError::Codec { .. })), "{case} f32 streamed");
+                    let Err(SperrError::Codec { source, .. }) = &e else { panic!("{case}: {e:?}") };
+                    assert!(is_refusal(source, first), "{case} f32 streamed: {e:?}");
                 }
             }
         }

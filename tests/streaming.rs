@@ -2,12 +2,21 @@
 //! `decompress_stream` API end to end, container edge cases fed through
 //! the streaming reader (a corrupt header must produce a typed error
 //! before it can drive any allocation), and — with the `telemetry`
-//! feature — proof that the staged pipeline actually overlaps work
+//! feature — proof that both streaming directions spread their chunks
 //! across pool workers.
 
 use sperr_compress_api::{Bound, Field, LossyCompressor, Precision};
-use sperr_core::{Sperr, SperrConfig, SperrError, STAGE_CONTAINER};
+use sperr_core::{stage_labels, Sperr, SperrConfig, SperrError, STAGE_CONTAINER};
 use sperr_datagen::SyntheticField;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that run pool work: telemetry sessions are
+/// process-wide, so a concurrent test's spans would land in another's
+/// timeline.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn sperr(threads: usize) -> Sperr {
     Sperr::new(SperrConfig {
@@ -50,6 +59,7 @@ const STREAM_N_CHUNKS: usize = 1 + 40;
 
 #[test]
 fn streaming_roundtrip_matches_in_memory_api() {
+    let _serial = serial();
     let dims = [24usize, 20, 16];
     let field = SyntheticField::S3dTemperature.generate(dims, 9);
     let t = field.range() * 1e-3;
@@ -127,47 +137,62 @@ fn oversized_chunk_grid_is_limit_error_without_allocation() {
     }
 }
 
-/// Tentpole acceptance: with telemetry compiled in, a streaming
-/// compression's worker timelines must show stages genuinely
-/// overlapping — at least two pool workers with recorded spans, and at
-/// least one pair of spans from different workers concurrent in wall
-/// time. Runtime-gated so the default (telemetry-off) test run skips it.
+/// Whether spans on two different tracks overlap in wall time; each track
+/// is a list of `(start_ns, dur_ns)`.
+fn any_concurrent(tracks: &[Vec<(u64, u64)>]) -> bool {
+    tracks.iter().enumerate().any(|(i, a)| {
+        tracks[i + 1..].iter().any(|b| {
+            a.iter().any(|&(sa, da)| b.iter().any(|&(sb, db)| sa < sb + db && sb < sa + da))
+        })
+    })
+}
+
+/// The spans labelled `label` (any label when `None`) of every pool worker
+/// track that has one.
+fn worker_spans(report: &sperr_telemetry::Report, label: Option<&str>) -> Vec<Vec<(u64, u64)>> {
+    let wanted = |s: &&sperr_telemetry::Span| label.is_none_or(|l| s.label == l);
+    report
+        .tracks
+        .iter()
+        .filter(|tr| tr.worker.is_some())
+        .map(|tr| tr.spans.iter().filter(wanted).map(|s| (s.start_ns, s.dur_ns)).collect())
+        .filter(|spans: &Vec<_>| !spans.is_empty())
+        .collect()
+}
+
+/// With telemetry compiled in, streaming runs must fan out in both
+/// directions: a compression's worker timelines show concurrent spans on
+/// two or more tracks, and a decompression on a two-thread pool decodes on
+/// both slots at once (the caller is a decode worker, not only the
+/// emitter). Runtime-gated so the default (telemetry-off) test run skips it.
 #[test]
 fn streaming_worker_timelines_overlap() {
     if !sperr_telemetry::is_enabled() {
         return;
     }
-    let dims = [32usize, 32, 32]; // 8 chunks of 16³ across 4 workers
+    let _serial = serial();
+    let dims = [32usize, 32, 32]; // 8 chunks of 16³, two z-layers of 4
     let field = SyntheticField::MirandaPressure.generate(dims, 11);
     let t = field.range() * 1e-4;
-    let s = sperr(4);
 
     sperr_telemetry::start();
     let mut out = Vec::new();
-    s.compress_stream(&raw_f64(&field)[..], &mut out, dims, Precision::Double, Bound::Pwe(t))
+    sperr(4)
+        .compress_stream(&raw_f64(&field)[..], &mut out, dims, Precision::Double, Bound::Pwe(t))
         .unwrap();
-    let report = sperr_telemetry::stop();
-
-    let busy: Vec<_> = report
-        .tracks
-        .iter()
-        .filter(|tr| tr.worker.is_some() && !tr.spans.is_empty())
-        .collect();
+    let busy = worker_spans(&sperr_telemetry::stop(), None);
     assert!(
         busy.len() >= 2,
-        "streaming run used {} busy worker track(s); expected overlap across >= 2",
+        "streaming compress used {} busy worker track(s); expected overlap across >= 2",
         busy.len()
     );
-    let overlapping = busy.iter().enumerate().any(|(i, a)| {
-        busy.iter().skip(i + 1).any(|b| {
-            a.spans.iter().any(|sa| {
-                b.spans.iter().any(|sb| {
-                    sa.start_ns < sb.start_ns + sb.dur_ns && sb.start_ns < sa.start_ns + sa.dur_ns
-                })
-            })
-        })
-    });
-    assert!(overlapping, "no concurrent spans across worker timelines: stages never overlapped");
+    assert!(any_concurrent(&busy), "no concurrent compress spans across worker timelines");
+
+    sperr_telemetry::start();
+    sperr(2).decompress_stream(&out[..], &mut Vec::new(), None).unwrap();
+    let decoding = worker_spans(&sperr_telemetry::stop(), Some(stage_labels::SPECK_DECODE));
+    assert_eq!(decoding.len(), 2, "streaming decode ran on {} of 2 slots", decoding.len());
+    assert!(any_concurrent(&decoding), "the two slots never decoded at the same time");
 }
 
 #[test]
@@ -177,6 +202,7 @@ fn pwe_compress_that_knows_it_missed_the_bound_is_refused() {
     // quantizer (saturating at 2^62) and the outlier coder can express
     // used to come back `Ok` with the miss recorded in the stream's own
     // index: 4.4 on this field of range 7.8 at 1e-300, ~1e-15 at 1e-18.
+    let _serial = serial();
     let dims = [20usize, 20, 20];
     let field = SyntheticField::MirandaPressure.generate(dims, 1);
     let s = Sperr::new(SperrConfig { chunk_dims: [16, 16, 16], ..SperrConfig::default() });
