@@ -5,7 +5,7 @@
 //! the exact same inputs at check time as at regen time, so only the
 //! codecs' behaviour is under test, never the corpus itself.
 
-use sperr_compress_api::{Bound, Field, LossyCompressor};
+use sperr_compress_api::{Bound, CompressError, Field, LossyCompressor};
 use sperr_core::{Sperr, SperrConfig};
 use sperr_datagen::SyntheticField;
 use sperr_mgard_like::MgardLike;
@@ -59,22 +59,43 @@ impl CodecId {
     /// interface. SPERR gets a fixed conformance configuration (16³
     /// chunks, lossless pass on, single thread — thread-count bit
     /// identity is the oracles' job, so goldens pin the 1-thread bytes).
-    /// The container version is pinned to 2: the 64 golden streams
-    /// predate the v3 chunk index and must stay byte-identical; v3 gets
-    /// its own dedicated fixture instead.
+    /// Its streams are container v2 ([`SperrV2`]).
     pub fn build(self) -> Box<dyn LossyCompressor> {
         match self {
-            CodecId::Sperr => Box::new(Sperr::new(SperrConfig {
+            CodecId::Sperr => Box::new(SperrV2(Sperr::new(SperrConfig {
                 chunk_dims: [16, 16, 16],
                 num_threads: 1,
-                container_version: 2,
                 ..SperrConfig::default()
-            })),
+            }))),
             CodecId::ZfpLike => Box::new(ZfpLike { num_threads: 1 }),
             CodecId::SzLike => Box::new(SzLike::default()),
             CodecId::TthreshLike => Box::new(TthreshLike),
             CodecId::MgardLike => Box::new(MgardLike),
         }
+    }
+}
+
+/// SPERR re-framing its streams as container v2: the 64 golden streams
+/// predate the v3 chunk index and must stay byte-identical, and
+/// [`Sperr::downgrade_to_v2`] drops only the index (v3 gets its own
+/// dedicated fixture instead).
+struct SperrV2(Sperr);
+
+impl LossyCompressor for SperrV2 {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn supports(&self, bound: &Bound) -> bool {
+        self.0.supports(bound)
+    }
+
+    fn compress(&self, field: &Field, bound: Bound) -> Result<Vec<u8>, CompressError> {
+        self.0.downgrade_to_v2(&self.0.compress(field, bound)?)
+    }
+
+    fn decompress(&self, stream: &[u8]) -> Result<Field, CompressError> {
+        self.0.decompress(stream)
     }
 }
 

@@ -46,9 +46,10 @@ use std::path::{Path, PathBuf};
 pub const GOLDEN_VERSION: u32 = 3;
 
 /// Container version the 64 matrix goldens are written in. Pinned at 2
-/// even though the default writer now emits v3: the committed bytes
-/// predate the chunk index and must not churn. The v3 format is pinned
-/// by its own dedicated fixture instead.
+/// even though compression writes v3: the committed bytes predate the
+/// chunk index and must not churn, so the corpus re-frames each encode
+/// with [`Sperr::downgrade_to_v2`]. The v3 format is pinned by its own
+/// dedicated fixture instead.
 pub const GOLDEN_CONTAINER_VERSION: u8 = 2;
 
 /// Manifest file name inside the golden directory.
@@ -168,21 +169,11 @@ fn digest_values_f32(values: &[f32]) -> u32 {
     crc32(&bytes)
 }
 
-/// The SPERR instance whose container layout the goldens pin (16³
-/// chunks, single thread, container v2 — matches [`CodecId::build`] for
-/// SPERR).
+/// The SPERR configuration the goldens pin (16³ chunks, single thread),
+/// writing the current indexed container: it produces the v3 fixture, and
+/// [`CodecId::build`] re-frames its encodes as the container-v2 matrix
+/// goldens.
 fn golden_sperr() -> Sperr {
-    Sperr::new(SperrConfig {
-        chunk_dims: [16, 16, 16],
-        num_threads: 1,
-        container_version: GOLDEN_CONTAINER_VERSION,
-        ..SperrConfig::default()
-    })
-}
-
-/// Same configuration but writing the current (indexed) container —
-/// produces the v3 fixture.
-fn golden_sperr_v3() -> Sperr {
     Sperr::new(SperrConfig { chunk_dims: [16, 16, 16], num_threads: 1, ..SperrConfig::default() })
 }
 
@@ -190,7 +181,7 @@ fn golden_sperr_v3() -> Sperr {
 /// Pins the index block itself, not just the container bytes: an index
 /// that drifted while payloads stayed put would change this digest.
 pub fn index_crc(stream: &[u8]) -> Result<u32, String> {
-    let info = golden_sperr_v3()
+    let info = golden_sperr()
         .inspect(stream)
         .map_err(|e| format!("v3 fixture does not inspect: {e}"))?;
     let index = info.chunk_index.ok_or("v3 fixture carries no chunk index")?;
@@ -237,7 +228,7 @@ pub fn generate() -> (Vec<(GoldenEntry, Vec<u8>)>, Vec<u8>, Vec<u8>) {
                     // chunk index on — its decode must match the v2 twin
                     // and its downgrade must reproduce the v2 bytes.
                     v3_fixture = Some(
-                        golden_sperr_v3()
+                        golden_sperr()
                             .compress(&field, bound)
                             .unwrap_or_else(|e| panic!("v3 fixture ({case_id}): {e}")),
                     );
@@ -278,7 +269,7 @@ pub fn f32_inputs() -> Vec<CorpusInput> {
 /// (indexed) container. Panics if a stream fails to round-trip, is not
 /// marked f32-native, or misses the f32-adjusted PWE budget.
 pub fn generate_f32() -> Vec<(F32GoldenEntry, Vec<u8>)> {
-    let sperr = golden_sperr_v3();
+    let sperr = golden_sperr();
     let mut out = Vec::new();
     for input in f32_inputs() {
         let field = input.generate_f32();
@@ -731,7 +722,7 @@ fn check_f32_entries(
         }
     }
 
-    let sperr = golden_sperr_v3();
+    let sperr = golden_sperr();
     for entry in &manifest.f32_entries {
         let Some(input) = inputs.iter().find(|i| i.id == entry.input_id) else {
             continue; // already reported as a stale cell
@@ -870,7 +861,7 @@ fn check_v3_fixture(
             return;
         }
     };
-    let sperr = golden_sperr_v3();
+    let sperr = golden_sperr();
     match (sperr.decompress(&v3), sperr.decompress(&twin_bytes)) {
         (Ok(from_v3), Ok(from_v2)) => {
             let same = from_v3.data.len() == from_v2.data.len()

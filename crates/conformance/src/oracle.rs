@@ -8,8 +8,11 @@
 //! panic, collect, or shrink.
 
 use crate::corpus::{check_budget, f32_budget, ErrorBudget};
-use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor};
-use sperr_core::{compress_chunk_pwe, Float, Sperr, SperrConfig, StageTimes};
+use sperr_compress_api::{Bound, Field, FieldOf, LossyCompressor};
+use sperr_core::{
+    compress_chunk, ChunkEncoding, ChunkMode, ChunkSpec, Float, Refusal, ScratchArena, Sperr,
+    SperrConfig, StageTimes, WorkerPool,
+};
 use sperr_outlier::Outlier;
 use sperr_speck::Termination;
 use sperr_wavelet::{levels_for_dims, reference, Kernel, LineExecutor, Serial, TransformScratch};
@@ -120,7 +123,7 @@ pub struct ReferenceChunk {
 /// APIs, the way `pipeline.rs` worked before the hot-path overhaul:
 /// per-line (reference) wavelet transforms, a fresh allocation per
 /// intermediate buffer, one thread, serial elementwise sweeps. This is
-/// the oracle the production [`compress_chunk_pwe`] must match
+/// the oracle the production [`compress_chunk`] must match
 /// bit-for-bit.
 pub fn reference_chunk_pwe(
     data: &[f64],
@@ -172,6 +175,20 @@ pub fn reference_chunk_pwe(
     }
 }
 
+/// The production chunk coder on the dense PWE chunk `data`, serially
+/// with a fresh arena.
+fn production_chunk_pwe(
+    data: &[f64],
+    dims: [usize; 3],
+    t: f64,
+    q_factor: f64,
+    kernel: Kernel,
+) -> Result<ChunkEncoding, Refusal> {
+    let (spec, mode) = (ChunkSpec { offset: [0; 3], dims }, ChunkMode::Pwe { t, q_factor });
+    let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+    compress_chunk(data, dims, &spec, mode, kernel, &pool, &mut arena)
+}
+
 /// The production chunk encoder must emit the same SPECK and outlier
 /// bytes as [`reference_chunk_pwe`].
 pub fn encoder_matches_reference(
@@ -182,9 +199,9 @@ pub fn encoder_matches_reference(
     kernel: Kernel,
 ) -> CheckResult {
     let want = reference_chunk_pwe(data, dims, t, q_factor, kernel);
-    let got = compress_chunk_pwe(data, dims, t, q_factor, kernel).map_err(|bad| CheckFailure {
+    let got = production_chunk_pwe(data, dims, t, q_factor, kernel).map_err(|bad| CheckFailure {
         check: "encoder-vs-reference",
-        detail: format!("production encoder refused dims {dims:?}: {}", CompressError::from(bad)),
+        detail: format!("production encoder refused dims {dims:?}: {}", bad.into_error(0)),
     })?;
     if got.speck_stream != want.speck_stream {
         return fail(
@@ -1173,7 +1190,7 @@ mod tests {
         let want = reference_chunk_pwe(&f.data, f.dims, t, 1.5, Kernel::Cdf97);
         let mut perturbed = f.data.clone();
         perturbed[0] += 10.0 * f.range();
-        let got = compress_chunk_pwe(&perturbed, f.dims, t, 1.5, Kernel::Cdf97).unwrap();
+        let got = production_chunk_pwe(&perturbed, f.dims, t, 1.5, Kernel::Cdf97).unwrap();
         assert_ne!(got.speck_stream, want.speck_stream);
     }
 

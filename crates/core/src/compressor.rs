@@ -4,16 +4,13 @@
 //! list for the decode plan ([`crate::decode`]), runs it and folds the
 //! results.
 
-use crate::chunk::{chunk_grid, extract_chunk_into, ChunkSpec};
+use crate::chunk::{chunk_grid, ChunkSpec};
 use crate::container::{
     write_container, ChunkIndexEntry, Header, Mode, VERSION, VERSION_V1, VERSION_V2,
 };
 use crate::decode::{strict, ChunkTask, Head, Opened};
 use crate::outer::{wrap_outer, Framed};
-use crate::pipeline::{
-    compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, ChunkEncoding,
-    NonFinite, ScratchArena,
-};
+use crate::pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
 use crate::pool::WorkerPool;
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
@@ -67,19 +64,15 @@ pub struct SperrConfig {
     /// Worker threads for chunk-parallel execution; 0 = one per available
     /// core.
     pub num_threads: usize,
-    /// Bound on the number of raw chunk buffers the streaming pipeline
+    /// Bound on the chunks the streaming pipeline
     /// ([`Sperr::compress_stream`] / [`Sperr::decompress_stream`]) keeps
-    /// in flight at once; back-pressure blocks the ingest/emit side when
-    /// the budget is exhausted. 0 = auto (2 × worker threads). The
-    /// effective budget is never below the number of chunks in one
-    /// z-layer of the chunk grid — a row-major stream cannot complete any
-    /// chunk of a layer without buffering the whole layer.
+    /// in flight at once (raw samples or decoded buffers); back-pressure
+    /// blocks the ingest/emit side when the budget is exhausted. 0 = auto
+    /// (2 × worker threads). The effective budget is never below the number
+    /// of chunks in one z-layer of the chunk grid — a row-major stream
+    /// cannot complete any chunk of a layer without buffering the whole
+    /// layer.
     pub in_flight_chunks: usize,
-    /// Container format version to write: 3 (default; carries the chunk
-    /// index that makes [`Sperr::decode_region`] seek instead of scan) or
-    /// 2 (checksummed but index-free — the layout the conformance goldens
-    /// pin). The reader accepts 1–3 regardless of this setting.
-    pub container_version: u8,
 }
 
 impl Default for SperrConfig {
@@ -91,7 +84,6 @@ impl Default for SperrConfig {
             lossless: true,
             num_threads: 0,
             in_flight_chunks: 0,
-            container_version: VERSION,
         }
     }
 }
@@ -102,16 +94,8 @@ pub struct Sperr {
     config: SperrConfig,
 }
 
-/// Where the samples of a batch of chunks come from.
-pub(crate) enum ChunkSource<'d, T> {
-    /// The whole volume: each job extracts its chunk into worker scratch.
-    Volume(&'d [T]),
-    /// One assembled buffer per chunk of the batch, lent to its job.
-    Assembled(&'d [Vec<T>]),
-}
-
-/// One chunk's encode: its encoding, or the sample that refused it.
-pub(crate) type Encoded = Result<ChunkEncoding, NonFinite>;
+/// One chunk's encode: its encoding, or why the coder refused it.
+pub(crate) type Encoded = Result<ChunkEncoding, Refusal>;
 
 /// What the two compress drivers share: the termination mode resolved once
 /// per call, the chunk loop it drives, and the sealing of the encoded
@@ -129,75 +113,68 @@ pub(crate) struct CompressRun<'a> {
 
 impl CompressRun<'_> {
     /// Encodes one batch of chunks on `pool`, in batch order — the chunk
-    /// loop of both compress drivers (in memory: one batch of every chunk).
-    /// `specs[j]`'s encode runs as `guard(j, encode)` on the worker that
-    /// claims it; `scratch` keeps each worker's arena and extraction buffer
+    /// loop of both compress drivers. `slab` is whole z-planes of the
+    /// volume from the first chunk's z-offset on, holding every chunk of
+    /// `specs`: in memory the field itself (one batch of every chunk),
+    /// streaming the batch's z-layers. Each chunk coder reads its rows
+    /// straight from it. `specs[j]`'s encode runs as `guard(j, encode)` on
+    /// the worker that claims it; `scratch` keeps each worker's arena
     /// across batches. Failures fold whatever the scheduling: the guard
-    /// error of the lowest chunk, else `refused(j, sample)` for the refused
-    /// sample at the lowest linear index (of the volume, when batches are
-    /// z-ordered runs of whole layers).
+    /// error of the lowest chunk, else `refused(j, refusal)` for the
+    /// non-finite sample at the lowest linear index of the volume, else for
+    /// the lowest chunk whose transform overflowed.
     pub(crate) fn encode_batch<T: Float, E: Send>(
         &self,
         specs: &[ChunkSpec],
-        source: ChunkSource<'_, T>,
+        slab: &[T],
         pool: &WorkerPool,
-        scratch: &mut Vec<(ScratchArena<T>, Vec<T>)>,
+        scratch: &mut Vec<ScratchArena<T>>,
         guard: impl Fn(usize, &mut dyn FnMut() -> Encoded) -> Result<Encoded, E> + Sync,
-        refused: impl Fn(usize, NonFinite) -> E,
+        refused: impl Fn(usize, Refusal) -> E,
     ) -> Result<Vec<ChunkEncoding>, E> {
-        let encoded = pool.map_with_state(specs.len(), scratch, |j, (arena, input)| {
+        let z0 = specs.first().map_or(0, |spec| spec.offset[2]);
+        let plane = self.dims[0] * self.dims[1];
+        let slab_dims = [self.dims[0], self.dims[1], slab.len() / plane];
+        let encoded = pool.map_with_state(specs.len(), scratch, |j, arena| {
             guard(j, &mut || {
-                let data = match source {
-                    ChunkSource::Volume(volume) => {
-                        extract_chunk_into(volume, self.dims, &specs[j], input);
-                        &input[..]
+                let mut spec = specs[j];
+                spec.offset[2] -= z0;
+                let (mode, kernel) = (self.chunk_mode(&spec), self.config.kernel);
+                let encoded = compress_chunk(slab, slab_dims, &spec, mode, kernel, pool, arena);
+                encoded.map_err(|refusal| match refusal {
+                    Refusal::NonFinite { index, value } => {
+                        Refusal::NonFinite { index: index + z0 * plane, value }
                     }
-                    ChunkSource::Assembled(chunks) => &chunks[j][..],
-                };
-                self.encode_chunk(data, &specs[j], pool, arena)
+                    overflow => overflow,
+                })
             })
         });
         let encoded = encoded.into_iter().collect::<Result<Vec<Encoded>, E>>()?;
-        let bad = encoded.iter().enumerate().filter_map(|(j, e)| Some((j, *e.as_ref().err()?)));
-        if let Some((j, bad)) = bad.min_by_key(|(_, bad)| bad.index) {
-            return Err(refused(j, bad));
+        let refusals = encoded.iter().enumerate();
+        let refusals = refusals.filter_map(|(j, e)| Some((j, *e.as_ref().err()?)));
+        let first = refusals.min_by_key(|&(j, refusal)| match refusal {
+            Refusal::NonFinite { index, .. } => (0, index),
+            Refusal::Overflow => (1, j),
+        });
+        if let Some((j, refusal)) = first {
+            return Err(refused(j, refusal));
         }
         Ok(encoded.into_iter().flatten().collect())
     }
 
-    /// Compresses one chunk under the run's termination mode; a sample
-    /// that is not finite is refused, by its linear index in the volume.
-    fn encode_chunk<T: Float>(
-        &self,
-        data: &[T],
-        spec: &ChunkSpec,
-        pool: &WorkerPool,
-        arena: &mut ScratchArena<T>,
-    ) -> Result<ChunkEncoding, NonFinite> {
-        let SperrConfig { q_factor, kernel, .. } = *self.config;
-        let in_volume = |bad: NonFinite| {
-            let [cx, cy, _] = spec.dims;
-            let local = [bad.index % cx, bad.index / cx % cy, bad.index / (cx * cy)];
-            let [x, y, z] = [0, 1, 2].map(|d| spec.offset[d] + local[d]);
-            NonFinite { index: x + self.dims[0] * (y + self.dims[1] * z), ..bad }
-        };
-        let encoded = match self.mode {
-            Mode::Pwe => compress_chunk_pwe_with(
-                data, spec.dims, self.bound_value, q_factor, kernel, pool, arena,
-            ),
-            Mode::Bpp => {
-                // Per-chunk bit budget: the raw target minus the amortized
-                // chunk-table overhead, so the final container lands at or
-                // under the requested rate.
-                let budget = ((self.bound_value * spec.len() as f64) as usize)
-                    .saturating_sub(PER_CHUNK_HEADER_BITS);
-                compress_chunk_bpp_with(data, spec.dims, budget, kernel, pool, arena)
-            }
-            Mode::Rmse => {
-                compress_chunk_rmse_with(data, spec.dims, self.rmse_target, kernel, pool, arena)
-            }
-        };
-        encoded.map_err(in_volume)
+    /// What the run's termination mode asks of the coder of `spec`.
+    fn chunk_mode(&self, spec: &ChunkSpec) -> ChunkMode {
+        match self.mode {
+            Mode::Pwe => ChunkMode::Pwe { t: self.bound_value, q_factor: self.config.q_factor },
+            // Per-chunk bit budget: the raw target minus the amortized
+            // chunk-table overhead, so the final container lands at or
+            // under the requested rate.
+            Mode::Bpp => ChunkMode::Bpp {
+                budget_bits: ((self.bound_value * spec.len() as f64) as usize)
+                    .saturating_sub(PER_CHUNK_HEADER_BITS),
+            },
+            Mode::Rmse => ChunkMode::Rmse { target_rmse: self.rmse_target },
+        }
     }
 
     /// Seals the encoded chunks of the run's volume into the final stream:
@@ -260,9 +237,8 @@ impl CompressRun<'_> {
             bound_value: self.bound_value,
             n_chunks: encoded.len(),
         };
-        let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
-            write_container(&header, encoded, cfg.container_version)
-        });
+        let (container, container_time) =
+            timed(stage_labels::CONTAINER_WRITE, || write_container(&header, encoded, VERSION));
         stats.container_bytes = container.len();
         stats.stage_times.container = container_time;
 
@@ -288,10 +264,6 @@ impl Sperr {
             "q_factor must be finite and positive"
         );
         assert!(config.chunk_dims.iter().all(|&d| d > 0), "chunk dims must be positive");
-        assert!(
-            (VERSION_V2..=VERSION).contains(&config.container_version),
-            "writable container versions are {VERSION_V2}..={VERSION}"
-        );
         Sperr { config }
     }
 
@@ -401,7 +373,10 @@ impl Sperr {
                 let bad = field.data.iter().position(|v| !v.is_finite());
                 return Err(bad.map_or_else(
                     || CompressError::Invalid(format!("field range {range} is not finite")),
-                    |index| NonFinite { index, value: field.data[index].to_f64() }.into(),
+                    |index| {
+                        let value = field.data[index].to_f64();
+                        Refusal::NonFinite { index, value }.into_error(0)
+                    },
                 ));
             }
             run.rmse_target = if range > 0.0 {
@@ -410,6 +385,13 @@ impl Sperr {
                 let max_abs = field.data.iter().fold(0.0f64, |m, &v| m.max(v.to_f64().abs()));
                 max_abs.max(1.0) * f64::exp2(-40.0)
             };
+            if run.rmse_target <= 0.0 {
+                return Err(CompressError::Invalid(format!(
+                    "PSNR target {} dB is out of reach: the RMSE it asks of a range of {range} \
+                     is zero",
+                    run.bound_value
+                )));
+            }
         }
         let grid = chunk_grid(field.dims, self.config.chunk_dims);
         // One pool for the whole call: the chunk encodes, then the blocks
@@ -418,11 +400,11 @@ impl Sperr {
             let mut scratch = Vec::new();
             let encoded = run.encode_batch(
                 &grid,
-                ChunkSource::Volume(&field.data),
+                &field.data,
                 pool,
                 &mut scratch,
                 |_, encode| Ok(encode()),
-                |_, bad| CompressError::from(bad),
+                |chunk, refusal| refusal.into_error(chunk),
             )?;
             let precision = if native_f32 { Precision::Single } else { field.precision };
             let sealed = run.seal_container::<T>(precision, &encoded, pool);
@@ -432,7 +414,7 @@ impl Sperr {
             // the OS just before the container and lossless buffers need it
             // (2–3 × the page faults per call on a one-chunk volume).
             drop(encoded);
-            scratch.iter().for_each(|(arena, _)| arena.record_footprint());
+            scratch.iter().for_each(ScratchArena::record_footprint);
             sealed.map_err(|(_, refused)| refused)
         })
     }
@@ -1066,7 +1048,6 @@ mod tests {
         assert!((cfg.q_factor - 1.5).abs() < 1e-12); // §IV-D choice
         assert_eq!(cfg.kernel, Kernel::Cdf97);
         assert!(cfg.lossless); // §V: ZSTD stage on by default
-        assert_eq!(cfg.container_version, 3); // indexed container
     }
 
     #[test]
@@ -1125,16 +1106,9 @@ mod tests {
             let v2 = sperr.downgrade_to_v2(&v3).unwrap();
             assert_eq!(sperr.inspect(&v2).unwrap().version, 2);
             assert_eq!(sperr.decompress(&v2).unwrap().data, sperr.decompress(&v3).unwrap().data);
-            // A v2-configured compressor produces that exact stream.
-            let direct = Sperr::new(SperrConfig {
-                chunk_dims: [16, 16, 16],
-                lossless,
-                container_version: 2,
-                ..SperrConfig::default()
-            })
-            .compress(&field, Bound::Pwe(1e-3))
-            .unwrap();
-            assert_eq!(v2, direct, "downgrade differs from a native v2 encode");
+            // The v2 conformance goldens are built this way and pin its
+            // bytes against the native v2 encodes they were committed from.
+            assert_eq!(sperr.downgrade_to_v2(&v2).unwrap(), v2, "downgrade is not idempotent");
         }
     }
 

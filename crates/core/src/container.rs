@@ -20,8 +20,9 @@
 //!   without walking the chunk table, and carries per-chunk quality
 //!   metadata for preview/refinement decisions.
 //!
-//! The writer emits v3 by default (configurable down to v2 via
-//! [`crate::SperrConfig::container_version`]); the reader accepts all
+//! Compression always writes v3; v2 and v1 are written only by re-framing
+//! an existing stream ([`crate::Sperr::downgrade_to_v2`] /
+//! [`crate::Sperr::downgrade_to_v1`]). The reader accepts all
 //! three versions (v1 streams have no checksums, so `chunk_crcs` parses
 //! as `None`; v1/v2 streams have no index, so `index` parses as `None`).
 
@@ -36,8 +37,8 @@ pub(crate) const MAGIC: &[u8; 4] = b"SPRR";
 /// so the conformance manifest can record which container format its
 /// goldens were cut against).
 pub const VERSION: u8 = 3;
-/// Checksummed but index-free version, still written on request
-/// ([`crate::SperrConfig::container_version`]) and always accepted by
+/// Checksummed but index-free version, still written by
+/// [`crate::Sperr::downgrade_to_v2`] and always accepted by
 /// [`read_container`].
 pub(crate) const VERSION_V2: u8 = 2;
 /// Legacy checksum-free version, still accepted by [`read_container`].
@@ -170,11 +171,11 @@ fn kernel_from_tag(tag: u8) -> Result<Kernel, CompressError> {
 }
 
 /// Serializes header + chunk table (+ v3 index, + v2 checksums) +
-/// payloads at the requested version. The version comes from
-/// [`crate::SperrConfig::container_version`] (2 or 3), for transcodes
-/// from the source stream, and for the back-compat fixtures from
-/// [`crate::Sperr::downgrade_to_v1`] — the only writer of the legacy v1
-/// layout, which every reader must keep accepting.
+/// payloads at the requested version: v3 for compression, the source
+/// stream's for transcodes, and v2 or v1 for the re-framings
+/// [`crate::Sperr::downgrade_to_v2`] and [`crate::Sperr::downgrade_to_v1`]
+/// — the only writer of the legacy v1 layout, which every reader must keep
+/// accepting.
 pub(crate) fn write_container(header: &Header, chunks: &[ChunkEncoding], version: u8) -> Vec<u8> {
     debug_assert!((VERSION_V1..=VERSION).contains(&version));
     let mut w = ByteWriter::new();

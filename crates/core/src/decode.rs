@@ -25,23 +25,174 @@
 //! zero-filled; all of them place the kept boxes with the one box copy
 //! ([`Opened::assemble`]).
 //!
-//! Everything here walks untrusted chunk tables, so the file is listed in
-//! `tests/panic_audit.rs`: no panicking construct, typed errors only.
+//! Everything here walks untrusted chunk tables and decodes untrusted
+//! payloads, so the file is listed in `tests/panic_audit.rs`: no panicking
+//! construct, typed errors only.
 
 use crate::chunk::{chunk_grid, copy_box, ChunkSpec};
 use crate::compressor::{ChunkStatus, Sperr};
 use crate::container::{read_container, ChunkEntry, ChunkIndexEntry, Header, Mode, Parsed};
 use crate::crc32::crc32;
 use crate::outer::{unwrap_outer, Fetched, Framed};
-use crate::pipeline::{decode_chunk, ChunkJob, DecodeArenas};
+use crate::pipeline::ScratchArena;
 use crate::pool::WorkerPool;
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
 use sperr_simd::Float;
 use sperr_telemetry::timed;
-use sperr_wavelet::{coarse_dims, levels_for_dims};
+use sperr_wavelet::{
+    coarse_dims, coarse_scale, inverse_3d_partial_with, levels_for_dims, Kernel, Support,
+};
 use std::borrow::Cow;
 use std::ops::{Deref, Range};
+
+/// One worker's decode scratch at both sample widths, for the drivers
+/// that learn a stream's width from its header (a stream decodes at one
+/// width only, and an arena costs nothing until it is used).
+#[derive(Default)]
+pub(crate) struct DecodeArenas {
+    pub(crate) wide: ScratchArena<f64>,
+    pub(crate) narrow: ScratchArena<f32>,
+}
+
+impl DecodeArenas {
+    /// Records the footprint of the arena(s) this worker decoded with.
+    pub(crate) fn record_footprint(&self) {
+        if self.narrow.bytes() > 0 {
+            self.narrow.record_footprint();
+        }
+        if self.wide.bytes() > 0 {
+            self.wide.record_footprint();
+        }
+    }
+}
+
+/// One chunk's decode, as the container's chunk table and the read at
+/// hand describe it.
+pub(crate) struct ChunkJob<'a> {
+    /// The SPECK stream, or the prefix of it a preview keeps (truncation
+    /// is the embedded-coding contract, not corruption).
+    pub speck: &'a [u8],
+    /// The outlier stream; empty when there are no corrections or the read
+    /// does not apply them (previews, coarse levels).
+    pub outliers: &'a [u8],
+    /// Chunk extent.
+    pub dims: [usize; 3],
+    /// SPECK's finest quantization step.
+    pub q: f64,
+    /// SPECK bitplane count.
+    pub num_planes: u8,
+    /// Outlier coder starting exponent.
+    pub max_n: u8,
+    /// The compression-time PWE tolerance (scales the outlier thresholds);
+    /// ignored when `outliers` is empty.
+    pub tolerance: f64,
+    /// Wavelet kernel.
+    pub kernel: Kernel,
+    /// Chunk-local half-open box outside which outlier corrections are
+    /// skipped (a region read keeps nothing else); `None` keeps them all.
+    pub keep: Option<([usize; 3], [usize; 3])>,
+    /// Finest transform levels left undone: 0 reconstructs the chunk, `l`
+    /// its `1/2^l`-resolution approximation (paper §VII: the wavelet
+    /// hierarchy "enables multi-level reconstruction that is useful in
+    /// areas such as explorative analysis"). The caller has checked that
+    /// the chunk has that many levels on every axis.
+    pub level: usize,
+}
+
+/// Decompresses one chunk: SPECK decode, inverse wavelet transform on
+/// `pool` with `arena`'s panel scratch, outlier corrections. Also reports
+/// per-stage wall times for `info --verbose`.
+///
+/// The read decodes what it returns and no more: the [`Support`] of the
+/// kept box — `keep`, or at `level > 0` the coarse corner — names the
+/// coefficients SPECK assembles and the lines each inverse step lifts.
+/// Inside that box the result is bit-identical to the same samples of a
+/// full decode (the support is exact, corrections are point-local, Eq. 1);
+/// outside it the buffer holds whatever the restricted inverse left, and
+/// corrections are skipped. A box whose support is the whole chunk takes
+/// the full read. At `level > 0` the returned buffer still has the chunk's
+/// full extent, with the coarse approximation, re-scaled to physical
+/// units, in its `[0, coarse_dims)` corner.
+pub(crate) fn decode_chunk<T: Float>(
+    job: &ChunkJob<'_>,
+    pool: &WorkerPool,
+    arena: &mut ScratchArena<T>,
+) -> Result<(Vec<T>, StageTimes), CompressError> {
+    let dims = job.dims;
+    let levels = levels_for_dims(dims);
+    let keep = if job.level > 0 { None } else { job.keep };
+    let support = Support::new(dims, levels, job.level, keep);
+    crate::faultpoint::stage(stage_labels::SPECK_DECODE);
+    let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
+        if support.is_everything() {
+            return sperr_speck::decode(job.speck, dims, job.q, job.num_planes);
+        }
+        let bitmap = support.keep_bitmap().map_err(|_| {
+            sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
+        })?;
+        sperr_speck::decode_masked(job.speck, dims, job.q, job.num_planes, &bitmap)
+    });
+    let mut coeffs: Vec<T> = decoded?;
+
+    crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
+    let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
+        inverse_3d_partial_with(&mut coeffs, &support, job.kernel, pool, &mut arena.wavelet);
+        if job.level > 0 {
+            // The approximation band carries the kernel's DC gain.
+            let cdims = coarse_dims(dims, levels, job.level);
+            let scale = 1.0 / coarse_scale(dims, levels, job.level);
+            for z in 0..cdims[2] {
+                for y in 0..cdims[1] {
+                    let row = dims[0] * (y + dims[1] * z);
+                    for c in &mut coeffs[row..row + cdims[0]] {
+                        *c = T::from_f64(c.to_f64() * scale);
+                    }
+                }
+            }
+        }
+    });
+
+    crate::faultpoint::stage(stage_labels::OUTLIER_APPLY);
+    let (applied, outlier_time) = timed(stage_labels::OUTLIER_APPLY, || {
+        if !job.outliers.is_empty() {
+            if !(job.tolerance > 0.0) {
+                return Err(CompressError::Corrupt(
+                    "outlier stream present but tolerance missing".into(),
+                ));
+            }
+            let corrections =
+                sperr_outlier::decode(job.outliers, coeffs.len(), job.tolerance, job.max_n)?;
+            for c in corrections {
+                if c.pos >= coeffs.len() {
+                    return Err(CompressError::Corrupt("outlier position out of range".into()));
+                }
+                if let Some((lo, hi)) = job.keep {
+                    let x = c.pos % dims[0];
+                    let y = (c.pos / dims[0]) % dims[1];
+                    let z = c.pos / (dims[0] * dims[1]);
+                    if x < lo[0] || x >= hi[0] || y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2]
+                    {
+                        continue;
+                    }
+                }
+                // z = x̃ + corr (Eq. 1), applied in f64 and narrowed once
+                // so the f32 path pays a single rounding (exact for f64).
+                coeffs[c.pos] = T::from_f64(coeffs[c.pos].to_f64() + c.corr);
+            }
+        }
+        Ok(())
+    });
+    applied?;
+
+    let times = StageTimes {
+        wavelet: wavelet_time,
+        speck: speck_time,
+        outlier_coding: outlier_time,
+        ..StageTimes::default()
+    };
+    Ok((coeffs, times))
+}
 
 /// One unit of decode work: a chunk and what the read wants of it.
 #[derive(Debug, Clone)]

@@ -76,10 +76,7 @@ pub use compressor::{
 pub use container::Mode;
 pub use container::{ChunkIndexEntry, VERSION as CONTAINER_VERSION};
 pub use crc32::crc32;
-pub use pipeline::{
-    compress_chunk_bpp_with, compress_chunk_pwe, compress_chunk_pwe_with,
-    compress_chunk_rmse_with, ChunkEncoding, NonFinite, ScratchArena,
-};
+pub use pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
 pub use pool::{JobPanic, WorkerPool};
 /// The sample-width abstraction the generic pipeline is written against,
 /// re-exported so downstream crates need not depend on `sperr-simd`.
@@ -270,6 +267,8 @@ mod tests {
         assert!(sperr.compress(&field, Bound::Pwe(-1.0)).is_err());
         assert!(sperr.compress(&field, Bound::Bpp(f64::NAN)).is_err());
         assert!(sperr.compress(&field, Bound::Psnr(0.0)).is_err());
+        // A target whose RMSE underflows to zero is refused, not a panic.
+        assert!(sperr.compress(&field, Bound::Psnr(1e4)).is_err());
     }
 
     #[test]

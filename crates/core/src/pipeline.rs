@@ -1,13 +1,15 @@
-//! The per-chunk SPERR pipeline: transform → SPECK → outlier detection →
-//! outlier coding (compression) and the mirror image (decompression).
+//! The per-chunk SPERR compressor: transform → SPECK → outlier detection →
+//! outlier coding (§IV), one [`compress_chunk`] for every termination mode.
+//! Its mirror image, the chunk decode, belongs to the decode plan
+//! ([`crate::decode`]).
 //!
-//! The hot-path entry points take a [`WorkerPool`] plus a reusable
-//! [`ScratchArena`] so that a stream of chunks performs no per-chunk
-//! scratch allocations and can fan the elementwise and wavelet work out
-//! across the pool. Compression has one `_with` function per termination
-//! mode (plus the allocating [`compress_chunk_pwe`] the conformance oracle
-//! calls); decompression is the single [`decode_chunk`], whatever the
-//! read — full, region, preview or coarse.
+//! The coder reads its chunk's rows straight out of the volume (in memory:
+//! the field; streaming: one z-slab) into the worker's [`ScratchArena`],
+//! the only chunk-sized float buffer of a compress. The forward transform,
+//! SPECK, the mid-riser reconstruction and the inverse transform of the
+//! outlier locate all run in place there, and the outlier scan compares
+//! against the volume's rows. The elementwise sweeps and the wavelet
+//! panels run on the [`WorkerPool`].
 //!
 //! # Determinism
 //!
@@ -17,6 +19,9 @@
 //! therefore the compressed bytes — are identical for any `--threads`
 //! value, and identical to the serial reference path.
 
+use std::ops::Range;
+
+use crate::chunk::ChunkSpec;
 use crate::pool::{Slots, WorkerPool};
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
@@ -24,35 +29,31 @@ use sperr_outlier::Outlier;
 use sperr_simd::Float;
 use sperr_speck::Termination;
 use sperr_telemetry::timed;
-use sperr_wavelet::{
-    coarse_dims, coarse_scale, forward_3d_with, inverse_3d_partial_with, inverse_3d_with,
-    levels_for_dims, Kernel, Support, TransformScratch,
-};
+use sperr_wavelet::{forward_3d_with, inverse_3d_with, levels_for_dims, Kernel, TransformScratch};
 
 /// Block length (in samples) for parallel elementwise sweeps. Fixed — not
 /// derived from the thread count — so that floating-point reduction order
 /// and outlier-list order are identical for every `--threads` value.
 const ELEM_BLOCK: usize = 1 << 16;
 
-/// Reusable per-worker scratch for the `_with` pipeline entry points.
-///
-/// Holds the coefficient buffer, the reconstruction buffer and the wavelet
+/// Samples per L1-sized block: the load copies and checks one block of a
+/// row at a time, and the reconstruction stages one block at a time.
+const L1_BLOCK: usize = 1024;
+
+/// Reusable per-worker scratch: the coefficient buffer and the wavelet
 /// transform's panel/line scratch. Buffers grow to the largest chunk seen
-/// and are never shrunk; a compressor keeps one arena per worker slot so
-/// that a multi-gigabyte run allocates a bounded, chunk-count-independent
-/// amount.
-/// Generic over the sample type: the f32 pipeline keeps all of its
-/// scratch at half width (the type parameter defaults to `f64` so
-/// existing code is unaffected).
+/// and are never shrunk; a driver keeps one arena per worker slot so that
+/// a multi-gigabyte run allocates a bounded, chunk-count-independent
+/// amount. Generic over the sample type: the f32 pipeline keeps all of its
+/// scratch at half width (the type parameter defaults to `f64`).
 pub struct ScratchArena<T: Float = f64> {
     coeffs: Vec<T>,
-    recon: Vec<T>,
-    wavelet: TransformScratch<T>,
+    pub(crate) wavelet: TransformScratch<T>,
 }
 
 impl<T: Float> Default for ScratchArena<T> {
     fn default() -> Self {
-        ScratchArena { coeffs: Vec::new(), recon: Vec::new(), wavelet: TransformScratch::new() }
+        ScratchArena { coeffs: Vec::new(), wavelet: TransformScratch::new() }
     }
 }
 
@@ -66,8 +67,7 @@ impl<T: Float> ScratchArena<T> {
     /// scratch included. Buffers never shrink, so after a run this *is*
     /// the arena's high-water mark.
     pub fn bytes(&self) -> usize {
-        (self.coeffs.capacity() + self.recon.capacity()) * std::mem::size_of::<T>()
-            + self.wavelet.bytes()
+        self.coeffs.capacity() * std::mem::size_of::<T>() + self.wavelet.bytes()
     }
 
     /// Records the current footprint into the width-matched memory
@@ -83,71 +83,79 @@ impl<T: Float> ScratchArena<T> {
     }
 }
 
-/// One worker's decode scratch at both sample widths, for the drivers
-/// that learn a stream's width from its header (a stream decodes at one
-/// width only, and an arena costs nothing until it is used).
-#[derive(Default)]
-pub(crate) struct DecodeArenas {
-    pub(crate) wide: ScratchArena<f64>,
-    pub(crate) narrow: ScratchArena<f32>,
-}
-
-impl DecodeArenas {
-    /// Records the footprint of the arena(s) this worker decoded with.
-    pub(crate) fn record_footprint(&self) {
-        if self.narrow.bytes() > 0 {
-            self.narrow.record_footprint();
-        }
-        if self.wide.bytes() > 0 {
-            self.wide.record_footprint();
-        }
-    }
-}
-
-/// Samples per block of [`load_coeffs`]: the copy and the finiteness test
-/// of one block both run while it sits in L1.
-const LOAD_BLOCK: usize = 1024;
-
-/// A sample that is not a finite number, refused before anything is
-/// encoded. The error contract `max|x − x̂| ≤ t` is over finite reals; one
-/// NaN would smear through the transform and decode as 0, one infinity
-/// stalls the bitplane loop or sets a non-finite quantization step.
+/// Why a chunk coder refused its chunk; nothing of it is encoded. The
+/// contract `max|x − x̂| ≤ t` is over finite reals, and every stage after
+/// the load assumes finite numbers: one NaN smears through the transform
+/// and decodes as 0, one infinity stalls the outlier coder's exponent
+/// search or sets a non-finite quantization step.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NonFinite {
-    /// Linear index of the sample: chunk-local from the chunk coders, of
-    /// the whole volume once a compress driver has placed it.
-    pub index: usize,
-    /// The sample, widened to `f64`.
-    pub value: f64,
+pub enum Refusal {
+    /// A sample that is not a finite number.
+    NonFinite {
+        /// Linear index of the sample in the volume the coder read — of
+        /// the whole volume once a compress driver has placed its slab.
+        index: usize,
+        /// The sample, widened to `f64`.
+        value: f64,
+    },
+    /// Finite samples whose wavelet coefficients, or whose reconstruction
+    /// in the outlier locate, are not finite at the sample width: values
+    /// within a small factor of the type's largest finite value.
+    Overflow,
 }
 
-impl From<NonFinite> for CompressError {
-    fn from(bad: NonFinite) -> Self {
-        CompressError::Invalid(format!(
-            "sample at linear index {} is {}: only finite values can be compressed",
-            bad.index, bad.value
-        ))
-    }
-}
-
-/// Fills `coeffs` with a copy of `data` (the transform is in-place and
-/// must not clobber the caller's input), reusing capacity, and refuses the
-/// first sample that is not finite — the copy is the one pass that reads
-/// every sample, so the check rides it. Part of the wavelet stage's timed
-/// region, hence free-standing rather than a method (the arena is already
-/// destructured at the call sites).
-fn load_coeffs<T: Float>(coeffs: &mut Vec<T>, data: &[T]) -> Result<(), NonFinite> {
-    coeffs.clear();
-    coeffs.reserve(data.len());
-    for (b, block) in data.chunks(LOAD_BLOCK).enumerate() {
-        coeffs.extend_from_slice(block);
-        if !block.iter().fold(true, |finite, v| finite & v.is_finite()) {
-            let at = block.iter().position(|v| !v.is_finite()).unwrap_or(0);
-            return Err(NonFinite { index: b * LOAD_BLOCK + at, value: block[at].to_f64() });
+impl Refusal {
+    /// The typed error a compress driver returns for this refusal of chunk
+    /// `chunk` (named by an [`Refusal::Overflow`] error; a non-finite
+    /// sample is named by its index instead).
+    pub fn into_error(self, chunk: usize) -> CompressError {
+        match self {
+            Refusal::NonFinite { index, value } => CompressError::Invalid(format!(
+                "sample at linear index {index} is {value}: only finite values can be compressed"
+            )),
+            Refusal::Overflow => CompressError::Invalid(format!(
+                "chunk {chunk}: its wavelet transform overflows (samples too close to the \
+                 largest finite value); nothing was encoded"
+            )),
         }
     }
-    Ok(())
 }
+
+/// A chunk coder's termination mode, with what it needs of the run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ChunkMode {
+    /// PWE-bounded (§IV): SPECK at `q = q_factor · t`, then outlier
+    /// correction so every point lands within `t`.
+    Pwe {
+        /// Point-wise error tolerance.
+        t: f64,
+        /// SPECK quantization step as a multiple of `t`.
+        q_factor: f64,
+    },
+    /// Size-bounded: SPECK's embedded stream is cut at `budget_bits`; no
+    /// error guarantee, no outlier pass (§III-B: "the encoding process can
+    /// terminate whenever a user-prescribed output size is reached").
+    Bpp {
+        /// The chunk's bit budget.
+        budget_bits: usize,
+    },
+    /// Average-error-targeted (paper §VII: "the property of roughly equal
+    /// root-mean-square error between wavelet coefficients and their
+    /// inversely transformed reconstruction ... enables ... compression
+    /// targeting an average error"): SPECK runs at `q = target_rmse`,
+    /// whose mid-riser error (≤ q/2 per coded coefficient, < q in the dead
+    /// zone) keeps the reconstruction RMSE at or below the target thanks
+    /// to the transform's near-orthogonality. No outlier pass.
+    Rmse {
+        /// The RMSE the chunk targets.
+        target_rmse: f64,
+    },
+}
+
+/// Number of bitplanes below the maximum coefficient magnitude that the
+/// size-bounded mode makes addressable. 48 planes put the floor far below
+/// any practical bit budget.
+const BPP_MODE_PLANES: i32 = 48;
 
 /// Everything produced by compressing one chunk.
 #[derive(Debug, Clone)]
@@ -184,296 +192,225 @@ pub struct ChunkEncoding {
     pub max_err: f64,
 }
 
-/// Mid-riser reconstruction of `coeffs` into `out` (same length), block-
-/// parallel over the pool. Bit-identical to the serial sweep.
-fn reconstruct_blocks<T: Float>(coeffs: &[T], q: f64, out: &mut [T], pool: &WorkerPool) {
-    debug_assert_eq!(coeffs.len(), out.len());
-    let blocks: Slots<&mut [T]> = out.chunks_mut(ELEM_BLOCK).collect();
-    pool.run(coeffs.len().div_ceil(ELEM_BLOCK), &|b, _| {
-        let start = b * ELEM_BLOCK;
-        let dst = &mut *blocks.lock(b);
-        sperr_speck::reconstruct_quantized_into(&coeffs[start..start + dst.len()], q, dst);
+/// A chunk's samples where they lie: rows of `spec.dims[0]` samples of a
+/// row-major volume of extent `volume_dims`.
+struct Rows<'a, T> {
+    volume: &'a [T],
+    volume_dims: [usize; 3],
+    spec: &'a ChunkSpec,
+}
+
+impl<'a, T> Rows<'a, T> {
+    /// Volume index of the chunk-local linear position `pos`.
+    fn volume_index(&self, pos: usize) -> usize {
+        let [cx, cy, _] = self.spec.dims;
+        let [x, y, z] = [pos % cx, pos / cx % cy, pos / (cx * cy)];
+        let [ox, oy, oz] = self.spec.offset;
+        ox + x + self.volume_dims[0] * (oy + y + self.volume_dims[1] * (oz + z))
+    }
+
+    /// The chunk-local positions `range` as runs within one row each, in
+    /// order: `(first position, samples)`.
+    fn runs(&self, range: Range<usize>) -> impl Iterator<Item = (usize, &'a [T])> + '_ {
+        let cx = self.spec.dims[0];
+        let mut pos = range.start;
+        std::iter::from_fn(move || {
+            (pos < range.end).then(|| {
+                let (first, start) = (pos, self.volume_index(pos));
+                pos = range.end.min((pos / cx + 1) * cx);
+                (first, &self.volume[start..start + (pos - first)])
+            })
+        })
+    }
+}
+
+/// Fills `coeffs` with the chunk's samples, row by row from the volume
+/// (the transform is in place and must not clobber the caller's input),
+/// reusing capacity, and refuses the first sample that is not finite —
+/// the copy is the one pass that reads every sample, so the check rides
+/// it, one L1-sized block at a time.
+fn load_coeffs<T: Float>(coeffs: &mut Vec<T>, chunk: &Rows<'_, T>) -> Result<(), Refusal> {
+    coeffs.clear();
+    coeffs.reserve_exact(chunk.spec.len());
+    for (_, row) in chunk.runs(0..chunk.spec.len()) {
+        for block in row.chunks(L1_BLOCK) {
+            let pos = coeffs.len();
+            coeffs.extend_from_slice(block);
+            if !block.iter().fold(true, |finite, v| finite & v.is_finite()) {
+                let at = block.iter().position(|v| !v.is_finite()).unwrap_or(0);
+                let index = chunk.volume_index(pos + at);
+                return Err(Refusal::NonFinite { index, value: block[at].to_f64() });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The largest coefficient magnitude, or `None` when a coefficient is not
+/// finite. Block-parallel; a max does not depend on the reduction order.
+fn max_magnitude<T: Float>(coeffs: &[T], pool: &WorkerPool) -> Option<f64> {
+    let len = coeffs.len();
+    let per_block = pool.map(len.div_ceil(ELEM_BLOCK), |b, _| {
+        let block = &coeffs[b * ELEM_BLOCK..((b + 1) * ELEM_BLOCK).min(len)];
+        block.iter().fold((0.0f64, true), |(m, finite), &c| {
+            (m.max(c.to_f64().abs()), finite & c.is_finite())
+        })
+    });
+    per_block.into_iter().try_fold(0.0f64, |m, (b, finite)| finite.then(|| m.max(b)))
+}
+
+/// Mid-riser reconstruction of `coeffs` in place, block-parallel over the
+/// pool: each L1-sized block is staged and reconstructed back over itself.
+/// Bit-identical to reconstructing into a second buffer.
+fn reconstruct_in_place<T: Float>(coeffs: &mut [T], q: f64, pool: &WorkerPool) {
+    let n_blocks = coeffs.len().div_ceil(ELEM_BLOCK);
+    let blocks: Slots<&mut [T]> = coeffs.chunks_mut(ELEM_BLOCK).collect();
+    pool.run(n_blocks, &|b, _| {
+        let mut stage = [T::ZERO; L1_BLOCK];
+        for run in blocks.lock(b).chunks_mut(L1_BLOCK) {
+            let stage = &mut stage[..run.len()];
+            stage.copy_from_slice(run);
+            sperr_speck::reconstruct_quantized_into(stage, q, run);
+        }
     });
 }
 
-/// Compares `data` with `recon` block-parallel, returning the outliers
-/// (positions ascending), the total squared error, and the max residual
-/// over the *in-tolerance* points (the part of the final max error that
-/// outlier correction won't touch). Fixed blocks + block-order reduction
-/// keep all three deterministic across thread counts (max is also
-/// order-independent).
+/// Sum of squared differences between `coeffs` and their mid-riser
+/// reconstruction, one staged L1-sized block at a time, summed in
+/// position order within each fixed block and in block order across them.
+fn quantization_sq_error<T: Float>(coeffs: &[T], q: f64, pool: &WorkerPool) -> f64 {
+    let len = coeffs.len();
+    let per_block = pool.map(len.div_ceil(ELEM_BLOCK).max(1), |b, _| {
+        let block = &coeffs[(b * ELEM_BLOCK).min(len)..((b + 1) * ELEM_BLOCK).min(len)];
+        let mut stage = [T::ZERO; L1_BLOCK];
+        let mut sq = 0.0;
+        for run in block.chunks(L1_BLOCK) {
+            let recon = &mut stage[..run.len()];
+            sperr_speck::reconstruct_quantized_into(run, q, recon);
+            for (&c, &r) in run.iter().zip(recon.iter()) {
+                let d = (c - r).to_f64();
+                sq += d * d;
+            }
+        }
+        sq
+    });
+    per_block.into_iter().sum()
+}
+
+/// Compares the chunk's samples with `recon` block-parallel, returning the
+/// outliers (positions ascending), the total squared error, and the max
+/// residual over the *in-tolerance* points (the part of the final max
+/// error that outlier correction won't touch). Fixed blocks + block-order
+/// reduction keep all three deterministic across thread counts (max is
+/// also order-independent). A residual that is not finite — the inverse
+/// transform overflowed — refuses the chunk.
 fn scan_outliers<T: Float>(
-    data: &[T],
+    chunk: &Rows<'_, T>,
     recon: &[T],
     t: f64,
     pool: &WorkerPool,
-) -> (Vec<Outlier>, f64, f64) {
-    let len = data.len();
-    let n_blocks = len.div_ceil(ELEM_BLOCK).max(1);
-    let per_block = pool.map(n_blocks, |b, _| {
-        let start = b * ELEM_BLOCK;
-        let end = (start + ELEM_BLOCK).min(len);
+) -> Result<(Vec<Outlier>, f64, f64), Refusal> {
+    let len = recon.len();
+    let per_block = pool.map(len.div_ceil(ELEM_BLOCK).max(1), |b, _| {
+        let block = (b * ELEM_BLOCK).min(len)..((b + 1) * ELEM_BLOCK).min(len);
         let mut sq = 0.0;
         let mut max_in_tol = 0.0f64;
         let mut found = Vec::new();
-        for pos in start..end {
-            // Residual in the native width, widened exactly for the (f64)
-            // outlier coder — the f64 instantiation is unchanged.
-            let corr = (data[pos] - recon[pos]).to_f64();
-            sq += corr * corr;
-            if corr.abs() > t {
-                found.push(Outlier { pos, corr });
-            } else {
-                max_in_tol = max_in_tol.max(corr.abs());
+        for (first, samples) in chunk.runs(block.clone()) {
+            let recon = &recon[first..first + samples.len()];
+            for (pos, (&x, &r)) in (first..).zip(samples.iter().zip(recon)) {
+                // Residual in the native width, widened exactly for the
+                // (f64) outlier coder.
+                let corr = (x - r).to_f64();
+                sq += corr * corr;
+                if corr.abs() > t {
+                    found.push(Outlier { pos, corr });
+                } else {
+                    max_in_tol = max_in_tol.max(corr.abs());
+                }
             }
         }
-        (found, sq, max_in_tol)
+        // A residual that is not finite makes the sum not finite; so can
+        // finite ones whose squares overflow, hence the second look.
+        let finite = sq.is_finite()
+            || chunk.runs(block).all(|(first, samples)| {
+                let recon = &recon[first..];
+                samples.iter().zip(recon).all(|(&x, &r)| (x - r).to_f64().is_finite())
+            });
+        (found, sq, max_in_tol, finite)
     });
     let mut outliers = Vec::new();
     let mut coeff_sq_error = 0.0;
     let mut max_in_tol = 0.0f64;
-    for (found, sq, m) in per_block {
+    for (found, sq, m, finite) in per_block {
+        if !finite {
+            return Err(Refusal::Overflow);
+        }
         outliers.extend(found);
         coeff_sq_error += sq;
         max_in_tol = max_in_tol.max(m);
     }
-    (outliers, coeff_sq_error, max_in_tol)
+    Ok((outliers, coeff_sq_error, max_in_tol))
 }
 
-/// PWE-bounded compression of one chunk (§IV): SPECK at `q = q_factor · t`
-/// followed by outlier correction so every point lands within `t`.
-/// Allocating compatibility wrapper around [`compress_chunk_pwe_with`].
-pub fn compress_chunk_pwe<T: Float>(
-    data: &[T],
-    dims: [usize; 3],
-    t: f64,
-    q_factor: f64,
-    kernel: Kernel,
-) -> Result<ChunkEncoding, NonFinite> {
-    compress_chunk_pwe_with(
-        data,
-        dims,
-        t,
-        q_factor,
-        kernel,
-        &WorkerPool::inline(),
-        &mut ScratchArena::new(),
-    )
-}
-
-/// Hot-path PWE compression: wavelet panels, the mid-riser reconstruction
-/// and the outlier scan all run on `pool`; every buffer comes from
-/// `arena`. Output is bit-identical to [`compress_chunk_pwe`]. A sample
-/// that is not finite is refused (as are the other chunk coders').
-pub fn compress_chunk_pwe_with<T: Float>(
-    data: &[T],
-    dims: [usize; 3],
-    t: f64,
-    q_factor: f64,
+/// Compresses the chunk `spec` of the row-major `volume` (of extent
+/// `volume_dims`) under `mode`: load and forward transform, SPECK, and by
+/// mode the outlier locate and coding (PWE) or the wavelet-domain
+/// quantization error (RMSE). Every buffer comes from `arena`; the wavelet
+/// panels and elementwise sweeps run on `pool`, bit-identically for any
+/// thread count. A dense chunk is the volume whose extent is the chunk's.
+///
+/// Refuses the chunk's first sample that is not finite, and a chunk whose
+/// transform or reconstruction overflows ([`Refusal`]).
+///
+/// # Panics
+///
+/// On caller bugs: a chunk outside the volume, or a PWE tolerance, q
+/// factor or RMSE target that is not positive and finite (the coders
+/// assert the tolerance and the quantization step).
+pub fn compress_chunk<T: Float>(
+    volume: &[T],
+    volume_dims: [usize; 3],
+    spec: &ChunkSpec,
+    mode: ChunkMode,
     kernel: Kernel,
     pool: &WorkerPool,
     arena: &mut ScratchArena<T>,
-) -> Result<ChunkEncoding, NonFinite> {
-    assert!(t > 0.0 && t.is_finite(), "PWE tolerance must be positive");
-    assert!(q_factor > 0.0, "q factor must be positive");
+) -> Result<ChunkEncoding, Refusal> {
+    let inside = (0..3).all(|d| spec.offset[d] + spec.dims[d] <= volume_dims[d]);
+    assert!(inside && volume.len() == volume_dims.iter().product(), "{spec:?} not in volume");
+    let chunk = Rows { volume, volume_dims, spec };
+    let dims = spec.dims;
     let levels = levels_for_dims(dims);
-    let q = q_factor * t;
+    let ScratchArena { coeffs, wavelet } = arena;
 
-    let ScratchArena { coeffs, recon, wavelet } = arena;
-
-    // Stage 1: forward wavelet transform.
+    // Stage 1: forward wavelet transform of the chunk's samples. The
+    // largest coefficient magnitude is the size-bounded mode's scale and
+    // the check that every coefficient stayed finite.
     crate::faultpoint::stage(stage_labels::WAVELET_FORWARD);
-    let (loaded, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
-        load_coeffs(coeffs, data)?;
+    let (max_mag, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
+        load_coeffs(coeffs, &chunk)?;
         forward_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
-        Ok(())
+        max_magnitude(coeffs, pool).ok_or(Refusal::Overflow)
     });
-    loaded?;
+    let max_mag = max_mag?;
 
-    // Stage 2: SPECK coding of coefficients, all planes down to q.
-    crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
-    let (enc, speck_time) = timed(stage_labels::SPECK_ENCODE, || {
-        sperr_speck::encode(coeffs, dims, q, Termination::Quality)
-    });
-    sperr_telemetry::counter!("speck.sets_split", enc.sets_split);
-    sperr_telemetry::counter!("speck.zero_runs", enc.zero_runs);
-    sperr_telemetry::counter!("speck.significance_bits", enc.significance_bits);
-    sperr_telemetry::counter!("speck.sign_bits", enc.sign_bits);
-    sperr_telemetry::counter!("speck.refinement_bits", enc.refinement_bits);
-
-    // Stage 3: locate outliers — reconstruct (quantized coefficients +
-    // inverse transform) and compare with the original input.
-    crate::faultpoint::stage(stage_labels::OUTLIER_LOCATE);
-    let ((outliers, coeff_sq_error, max_in_tol), locate_time) =
-        timed(stage_labels::OUTLIER_LOCATE, || {
-            recon.clear();
-            recon.resize(coeffs.len(), T::ZERO);
-            reconstruct_blocks(coeffs, q, recon, pool);
-            inverse_3d_with(recon, dims, levels, kernel, pool, wavelet);
-            scan_outliers(data, recon, t, pool)
-        });
-    sperr_telemetry::counter!("outlier.count", outliers.len());
-
-    // Stage 4: encode the outliers.
-    crate::faultpoint::stage(stage_labels::OUTLIER_ENCODE);
-    let ((out_enc, max_err), outlier_time) = timed(stage_labels::OUTLIER_ENCODE, || {
-        let out_enc = sperr_outlier::encode(&outliers, data.len(), t);
-        // Exact post-correction max error for the v3 chunk index: the
-        // in-tolerance residuals stay as-is, and the corrected points end
-        // at the residual the *quantized* correction leaves behind —
-        // measured by decoding the stream we just wrote (cheap: outliers
-        // are sparse by construction).
-        let mut max_err = max_in_tol;
-        if !outliers.is_empty() {
-            // Decode returns corrections in bit-plane discovery order, not
-            // position order — sort before pairing with the scan output
-            // (which is ascending by construction).
-            let mut corrections =
-                sperr_outlier::decode(&out_enc.stream, data.len(), t, out_enc.max_n)
-                    .expect("freshly encoded outlier stream must decode");
-            corrections.sort_by_key(|c| c.pos);
-            debug_assert_eq!(corrections.len(), outliers.len());
-            for (o, c) in outliers.iter().zip(&corrections) {
-                debug_assert_eq!(o.pos, c.pos);
-                max_err = max_err.max((o.corr - c.corr).abs());
-            }
-        }
-        (out_enc, max_err)
-    });
-    sperr_telemetry::counter!("outlier.correction_bits", out_enc.bits_used);
-
-    Ok(ChunkEncoding {
-        speck_stream: enc.stream,
-        outlier_stream: out_enc.stream,
-        q,
-        num_planes: enc.num_planes,
-        max_n: out_enc.max_n,
-        num_outliers: outliers.len() as u32,
-        speck_bits: enc.bits_used,
-        outlier_bits: out_enc.bits_used,
-        times: StageTimes {
-            wavelet: wavelet_time,
-            speck: speck_time,
-            locate_outliers: locate_time,
-            outlier_coding: outlier_time,
-            ..StageTimes::default()
-        },
-        coeff_sq_error,
-        max_err,
-    })
-}
-
-/// Number of bitplanes below the maximum coefficient magnitude that the
-/// size-bounded mode makes addressable. 48 planes put the floor far below
-/// any practical bit budget.
-const BPP_MODE_PLANES: i32 = 48;
-
-/// Size-bounded compression of one chunk: SPECK's embedded stream is cut
-/// at `budget_bits`; no error guarantee, no outlier pass (§III-B: "the
-/// encoding process can terminate whenever a user-prescribed output size
-/// is reached").
-pub fn compress_chunk_bpp_with<T: Float>(
-    data: &[T],
-    dims: [usize; 3],
-    budget_bits: usize,
-    kernel: Kernel,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<ChunkEncoding, NonFinite> {
-    let levels = levels_for_dims(dims);
-    let ScratchArena { coeffs, wavelet, .. } = arena;
-    crate::faultpoint::stage(stage_labels::WAVELET_FORWARD);
-    let (loaded, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
-        load_coeffs(coeffs, data)?;
-        forward_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
-        Ok(())
-    });
-    loaded?;
-
-    let max_mag = coeffs.iter().fold(0.0f64, |m, &c| m.max(c.to_f64().abs()));
-    // Quantization floor well below the budget's reach; degenerate
-    // all-zero chunks encode to an empty stream with any positive q.
-    let q = if max_mag > 0.0 { max_mag * f64::exp2(-f64::from(BPP_MODE_PLANES)) } else { 1.0 };
-
-    crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
-    let (enc, speck_time) = timed(stage_labels::SPECK_ENCODE, || {
-        sperr_speck::encode(coeffs, dims, q, Termination::BitBudget(budget_bits))
-    });
-
-    Ok(ChunkEncoding {
-        speck_stream: enc.stream,
-        outlier_stream: Vec::new(),
-        q,
-        num_planes: enc.num_planes,
-        max_n: 0,
-        num_outliers: 0,
-        speck_bits: enc.bits_used,
-        outlier_bits: 0,
-        times: StageTimes {
-            wavelet: wavelet_time,
-            speck: speck_time,
-            ..StageTimes::default()
-        },
-        coeff_sq_error: 0.0, // budget truncation: not tracked
-        max_err: f64::NAN,   // no space-domain reconstruction at encode time
-    })
-}
-
-/// Average-error-targeted compression of one chunk (paper §VII: "the
-/// property of roughly equal root-mean-square error between wavelet
-/// coefficients and their inversely transformed reconstruction ...
-/// enables ... compression targeting an average error"): SPECK runs at
-/// `q = target_rmse`, whose mid-riser error (≤ q/2 per coded coefficient,
-/// < q in the dead zone) keeps the reconstruction RMSE at or below the
-/// target thanks to the transform's near-orthogonality. No outlier pass.
-pub fn compress_chunk_rmse_with<T: Float>(
-    data: &[T],
-    dims: [usize; 3],
-    target_rmse: f64,
-    kernel: Kernel,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<ChunkEncoding, NonFinite> {
-    assert!(target_rmse > 0.0 && target_rmse.is_finite());
-    let levels = levels_for_dims(dims);
-    let ScratchArena { coeffs, recon, wavelet } = arena;
-    crate::faultpoint::stage(stage_labels::WAVELET_FORWARD);
-    let (loaded, wavelet_time) = timed(stage_labels::WAVELET_FORWARD, || {
-        load_coeffs(coeffs, data)?;
-        forward_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
-        Ok(())
-    });
-    loaded?;
-
-    let q = target_rmse;
-    crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
-    let (enc, speck_time) = timed(stage_labels::SPECK_ENCODE, || {
-        sperr_speck::encode(coeffs, dims, q, Termination::Quality)
-    });
-
-    // Wavelet-domain quantization error ~ reconstruction error (§III-A).
-    recon.clear();
-    recon.resize(coeffs.len(), T::ZERO);
-    reconstruct_blocks(coeffs, q, recon, pool);
-    let coeff_sq_error: f64 = {
-        // Same fixed-block reduction order as the outlier scan.
-        let len = coeffs.len();
-        let n_blocks = len.div_ceil(ELEM_BLOCK).max(1);
-        pool.map(n_blocks, |b, _| {
-            let start = b * ELEM_BLOCK;
-            let end = (start + ELEM_BLOCK).min(len);
-            let mut sq = 0.0;
-            for i in start..end {
-                let d = (coeffs[i] - recon[i]).to_f64();
-                sq += d * d;
-            }
-            sq
-        })
-        .into_iter()
-        .sum()
+    let (q, termination) = match mode {
+        ChunkMode::Pwe { t, q_factor } => (q_factor * t, Termination::Quality),
+        // Quantization floor well below the budget's reach; degenerate
+        // all-zero chunks encode to an empty stream with any positive q.
+        ChunkMode::Bpp { budget_bits } => (
+            if max_mag > 0.0 { max_mag * f64::exp2(-f64::from(BPP_MODE_PLANES)) } else { 1.0 },
+            Termination::BitBudget(budget_bits),
+        ),
+        ChunkMode::Rmse { target_rmse } => (target_rmse, Termination::Quality),
     };
 
-    Ok(ChunkEncoding {
+    // Stage 2: SPECK coding of the coefficients.
+    crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
+    let (enc, speck_time) =
+        timed(stage_labels::SPECK_ENCODE, || sperr_speck::encode(coeffs, dims, q, termination));
+    let mut out = ChunkEncoding {
         speck_stream: enc.stream,
         outlier_stream: Vec::new(),
         q,
@@ -483,146 +420,100 @@ pub fn compress_chunk_rmse_with<T: Float>(
         speck_bits: enc.bits_used,
         outlier_bits: 0,
         times: StageTimes { wavelet: wavelet_time, speck: speck_time, ..StageTimes::default() },
-        coeff_sq_error,
-        max_err: f64::NAN, // tracked in the wavelet domain only
-    })
-}
-
-/// One chunk's decode, as the container's chunk table and the read at
-/// hand describe it.
-pub(crate) struct ChunkJob<'a> {
-    /// The SPECK stream, or the prefix of it a preview keeps (truncation
-    /// is the embedded-coding contract, not corruption).
-    pub speck: &'a [u8],
-    /// The outlier stream; empty when there are no corrections or the read
-    /// does not apply them (previews, coarse levels).
-    pub outliers: &'a [u8],
-    /// Chunk extent.
-    pub dims: [usize; 3],
-    /// SPECK's finest quantization step.
-    pub q: f64,
-    /// SPECK bitplane count.
-    pub num_planes: u8,
-    /// Outlier coder starting exponent.
-    pub max_n: u8,
-    /// The compression-time PWE tolerance (scales the outlier thresholds);
-    /// ignored when `outliers` is empty.
-    pub tolerance: f64,
-    /// Wavelet kernel.
-    pub kernel: Kernel,
-    /// Chunk-local half-open box outside which outlier corrections are
-    /// skipped (a region read keeps nothing else); `None` keeps them all.
-    pub keep: Option<([usize; 3], [usize; 3])>,
-    /// Finest transform levels left undone: 0 reconstructs the chunk, `l`
-    /// its `1/2^l`-resolution approximation (paper §VII: the wavelet
-    /// hierarchy "enables multi-level reconstruction that is useful in
-    /// areas such as explorative analysis"). The caller has checked that
-    /// the chunk has that many levels on every axis.
-    pub level: usize,
-}
-
-/// Decompresses one chunk: SPECK decode, inverse wavelet transform on
-/// `pool` with `arena`'s panel scratch, outlier corrections. Also reports
-/// per-stage wall times for `info --verbose`.
-///
-/// The read decodes what it returns and no more: the [`Support`] of the
-/// kept box — `keep`, or at `level > 0` the coarse corner — names the
-/// coefficients SPECK assembles and the lines each inverse step lifts.
-/// Inside that box the result is bit-identical to the same samples of a
-/// full decode (the support is exact, corrections are point-local, Eq. 1);
-/// outside it the buffer holds whatever the restricted inverse left, and
-/// corrections are skipped. A box whose support is the whole chunk takes
-/// the full read. At `level > 0` the returned buffer still has the chunk's
-/// full extent, with the coarse approximation, re-scaled to physical
-/// units, in its `[0, coarse_dims)` corner.
-pub(crate) fn decode_chunk<T: Float>(
-    job: &ChunkJob<'_>,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<(Vec<T>, StageTimes), CompressError> {
-    let dims = job.dims;
-    let levels = levels_for_dims(dims);
-    let keep = if job.level > 0 { None } else { job.keep };
-    let support = Support::new(dims, levels, job.level, keep);
-    crate::faultpoint::stage(stage_labels::SPECK_DECODE);
-    let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
-        if support.is_everything() {
-            return sperr_speck::decode(job.speck, dims, job.q, job.num_planes);
-        }
-        let bitmap = support.keep_bitmap().map_err(|_| {
-            sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
-        })?;
-        sperr_speck::decode_masked(job.speck, dims, job.q, job.num_planes, &bitmap)
-    });
-    let mut coeffs: Vec<T> = decoded?;
-
-    crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
-    let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
-        inverse_3d_partial_with(&mut coeffs, &support, job.kernel, pool, &mut arena.wavelet);
-        if job.level > 0 {
-            // The approximation band carries the kernel's DC gain.
-            let cdims = coarse_dims(dims, levels, job.level);
-            let scale = 1.0 / coarse_scale(dims, levels, job.level);
-            for z in 0..cdims[2] {
-                for y in 0..cdims[1] {
-                    let row = dims[0] * (y + dims[1] * z);
-                    for c in &mut coeffs[row..row + cdims[0]] {
-                        *c = T::from_f64(c.to_f64() * scale);
-                    }
-                }
-            }
-        }
-    });
-
-    crate::faultpoint::stage(stage_labels::OUTLIER_APPLY);
-    let (applied, outlier_time) = timed(stage_labels::OUTLIER_APPLY, || {
-        if !job.outliers.is_empty() {
-            if !(job.tolerance > 0.0) {
-                return Err(CompressError::Corrupt(
-                    "outlier stream present but tolerance missing".into(),
-                ));
-            }
-            let corrections =
-                sperr_outlier::decode(job.outliers, coeffs.len(), job.tolerance, job.max_n)?;
-            for c in corrections {
-                if c.pos >= coeffs.len() {
-                    return Err(CompressError::Corrupt("outlier position out of range".into()));
-                }
-                if let Some((lo, hi)) = job.keep {
-                    let x = c.pos % dims[0];
-                    let y = (c.pos / dims[0]) % dims[1];
-                    let z = c.pos / (dims[0] * dims[1]);
-                    if x < lo[0] || x >= hi[0] || y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2]
-                    {
-                        continue;
-                    }
-                }
-                // z = x̃ + corr (Eq. 1), applied in f64 and narrowed once
-                // so the f32 path pays a single rounding (exact for f64).
-                coeffs[c.pos] = T::from_f64(coeffs[c.pos].to_f64() + c.corr);
-            }
-        }
-        Ok(())
-    });
-    applied?;
-
-    let times = StageTimes {
-        wavelet: wavelet_time,
-        speck: speck_time,
-        outlier_coding: outlier_time,
-        ..StageTimes::default()
+        coeff_sq_error: 0.0,
+        max_err: f64::NAN,
     };
-    Ok((coeffs, times))
+
+    match mode {
+        ChunkMode::Pwe { t, .. } => {
+            sperr_telemetry::counter!("speck.sets_split", enc.sets_split);
+            sperr_telemetry::counter!("speck.zero_runs", enc.zero_runs);
+            sperr_telemetry::counter!("speck.significance_bits", enc.significance_bits);
+            sperr_telemetry::counter!("speck.sign_bits", enc.sign_bits);
+            sperr_telemetry::counter!("speck.refinement_bits", enc.refinement_bits);
+
+            // Stage 3: locate outliers. SPECK is done with the coefficients,
+            // so they are reconstructed and inverse-transformed in place,
+            // then compared with the chunk's rows of the volume.
+            crate::faultpoint::stage(stage_labels::OUTLIER_LOCATE);
+            let (located, locate_time) = timed(stage_labels::OUTLIER_LOCATE, || {
+                reconstruct_in_place(coeffs, q, pool);
+                inverse_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
+                scan_outliers(&chunk, coeffs, t, pool)
+            });
+            let (outliers, coeff_sq_error, max_in_tol) = located?;
+            sperr_telemetry::counter!("outlier.count", outliers.len());
+
+            // Stage 4: encode the outliers.
+            crate::faultpoint::stage(stage_labels::OUTLIER_ENCODE);
+            let ((out_enc, max_err), outlier_time) = timed(stage_labels::OUTLIER_ENCODE, || {
+                let out_enc = sperr_outlier::encode(&outliers, spec.len(), t);
+                // Exact post-correction max error for the v3 chunk index:
+                // the in-tolerance residuals stay as-is, and the corrected
+                // points end at the residual the *quantized* correction
+                // leaves behind — measured by decoding the stream just
+                // written (cheap: outliers are sparse by construction).
+                let mut max_err = max_in_tol;
+                if !outliers.is_empty() {
+                    // Decode returns corrections in bit-plane discovery
+                    // order, not position order — sort before pairing with
+                    // the scan output (which is ascending by construction).
+                    let mut corrections =
+                        sperr_outlier::decode(&out_enc.stream, spec.len(), t, out_enc.max_n)
+                            .expect("freshly encoded outlier stream must decode");
+                    corrections.sort_by_key(|c| c.pos);
+                    debug_assert_eq!(corrections.len(), outliers.len());
+                    for (o, c) in outliers.iter().zip(&corrections) {
+                        debug_assert_eq!(o.pos, c.pos);
+                        max_err = max_err.max((o.corr - c.corr).abs());
+                    }
+                }
+                (out_enc, max_err)
+            });
+            sperr_telemetry::counter!("outlier.correction_bits", out_enc.bits_used);
+
+            out.outlier_stream = out_enc.stream;
+            out.max_n = out_enc.max_n;
+            out.num_outliers = outliers.len() as u32;
+            out.outlier_bits = out_enc.bits_used;
+            out.times.locate_outliers = locate_time;
+            out.times.outlier_coding = outlier_time;
+            out.coeff_sq_error = coeff_sq_error;
+            out.max_err = max_err;
+        }
+        // Wavelet-domain quantization error ~ reconstruction error (§III-A).
+        ChunkMode::Rmse { .. } => out.coeff_sq_error = quantization_sq_error(coeffs, q, pool),
+        // Budget truncation: the error is not tracked.
+        ChunkMode::Bpp { .. } => {}
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decode::{decode_chunk, ChunkJob};
+    use sperr_wavelet::{coarse_dims, coarse_scale};
 
     fn test_data(dims: [usize; 3]) -> Vec<f64> {
         (0..dims.iter().product())
             .map(|i| (i as f64 * 0.213).sin() * 12.0 + (i as f64 * 0.0071).cos() * 3.0)
             .collect()
+    }
+
+    /// The whole of a `dims` volume as one chunk.
+    fn whole(dims: [usize; 3]) -> ChunkSpec {
+        ChunkSpec { offset: [0; 3], dims }
+    }
+
+    fn pwe(t: f64, q_factor: f64) -> ChunkMode {
+        ChunkMode::Pwe { t, q_factor }
+    }
+
+    /// The dense chunk `data` of `dims`, serially with a fresh arena.
+    fn compress<T: Float>(data: &[T], dims: [usize; 3], mode: ChunkMode) -> ChunkEncoding {
+        let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+        compress_chunk(data, dims, &whole(dims), mode, Kernel::Cdf97, &pool, &mut arena).unwrap()
     }
 
     /// The full-resolution job for everything `enc` holds.
@@ -645,43 +536,142 @@ mod tests {
         decode_chunk(job, &WorkerPool::inline(), &mut ScratchArena::new()).unwrap().0
     }
 
-    fn compress_bpp(data: &[f64], dims: [usize; 3], budget_bits: usize) -> ChunkEncoding {
-        let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
-        compress_chunk_bpp_with(data, dims, budget_bits, Kernel::Cdf97, &pool, &mut arena).unwrap()
-    }
-
     #[test]
     fn chunk_pwe_roundtrip_bounds_error() {
         let dims = [24usize, 16, 12];
         let data = test_data(dims);
         let t = 0.01;
-        let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97).unwrap();
+        let enc = compress(&data, dims, pwe(t, 1.5));
         for (a, b) in data.iter().zip(&decode(&job(&enc, dims, t))) {
             assert!((a - b).abs() <= t, "{a} vs {b}");
         }
     }
 
     #[test]
-    fn every_coder_refuses_the_first_non_finite_sample() {
+    fn a_chunk_read_in_place_encodes_like_its_extracted_copy() {
+        // Every mode reads the chunk's rows straight from the volume; the
+        // bytes, the error sum and a refused sample's volume index must be
+        // those of the same chunk extracted into a dense buffer.
+        let vdims = [29usize, 14, 11];
+        let volume = test_data(vdims);
+        let spec = ChunkSpec { offset: [5, 3, 2], dims: [17, 9, 8] };
+        let dense = crate::chunk::extract_chunk(&volume, vdims, &spec);
+        let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+        for mode in [pwe(0.004, 1.5), ChunkMode::Bpp { budget_bits: 3000 }, ChunkMode::Rmse {
+            target_rmse: 0.01,
+        }] {
+            let k = Kernel::Cdf97;
+            let got = compress_chunk(&volume, vdims, &spec, mode, k, &pool, &mut arena).unwrap();
+            let want = compress(&dense, spec.dims, mode);
+            assert_eq!(got.speck_stream, want.speck_stream, "{mode:?}");
+            assert_eq!(got.outlier_stream, want.outlier_stream, "{mode:?}");
+            assert_eq!(got.coeff_sq_error.to_bits(), want.coeff_sq_error.to_bits(), "{mode:?}");
+            assert_eq!(got.max_err.to_bits(), want.max_err.to_bits(), "{mode:?}");
+        }
+        let mut poisoned = volume.clone();
+        let at = 9 + vdims[0] * (7 + vdims[1] * 6); // chunk-local (4, 4, 4)
+        poisoned[at] = f64::NAN;
+        poisoned[vdims[0] * vdims[1] * 10 + 20] = f64::INFINITY; // a later one
+        poisoned[3] = f64::INFINITY; // outside the chunk
+        let (k, mode) = (Kernel::Cdf97, pwe(0.004, 1.5));
+        let refused = compress_chunk(&poisoned, vdims, &spec, mode, k, &pool, &mut arena);
+        let named = matches!(refused, Err(Refusal::NonFinite { index, .. }) if index == at);
+        assert!(named, "{refused:?}");
+    }
+
+    #[test]
+    fn every_mode_refuses_the_first_non_finite_sample() {
         let dims = [24usize, 16, 12];
         let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
-        let cases = [(0, f64::NAN), (1023, f64::INFINITY), (1024, f64::NEG_INFINITY), (4607, f64::NAN)];
-        for (at, bad) in cases {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for (at, bad) in [(0, nan), (1023, inf), (1024, -inf), (4607, nan)] {
             let mut data = test_data(dims);
             data[at] = bad;
             data[4607.min(at + 100)] = f64::NAN; // a later one is not the one named
-            let k = Kernel::Cdf97;
-            let refusals = [
-                compress_chunk_pwe_with(&data, dims, 0.01, 1.5, k, &pool, &mut arena).err(),
-                compress_chunk_bpp_with(&data, dims, 4096, k, &pool, &mut arena).err(),
-                compress_chunk_rmse_with(&data, dims, 0.01, k, &pool, &mut arena).err(),
-            ];
-            for refused in refusals {
-                let refused = refused.expect("non-finite sample accepted");
-                assert_eq!(refused.index, at);
-                assert_eq!(refused.value.to_bits(), bad.to_bits());
+            for mode in [
+                pwe(0.01, 1.5),
+                ChunkMode::Bpp { budget_bits: 4096 },
+                ChunkMode::Rmse { target_rmse: 0.01 },
+            ] {
+                let k = Kernel::Cdf97;
+                let refused = compress_chunk(&data, dims, &whole(dims), mode, k, &pool, &mut arena);
+                let Err(Refusal::NonFinite { index, value }) = refused else {
+                    panic!("{mode:?}: non-finite sample accepted: {refused:?}")
+                };
+                assert_eq!(index, at);
+                assert_eq!(value.to_bits(), bad.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn every_mode_refuses_a_transform_that_overflows() {
+        // One finite sample at the width's largest value: the lifting steps
+        // overflow it, and every mode refuses instead of hanging (PWE: an
+        // infinite correction), panicking (BPP: an infinite step) or
+        // encoding a stream that decodes to non-finite samples (RMSE).
+        fn check<T: Float>(max: T) {
+            let dims = [16usize; 3];
+            let mut data: Vec<T> = test_data(dims).iter().map(|&v| T::from_f64(v)).collect();
+            data[1234] = max;
+            let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+            for mode in [
+                pwe(1e-3, 1.5),
+                ChunkMode::Bpp { budget_bits: 4 * 4096 },
+                ChunkMode::Rmse { target_rmse: 1e-3 },
+            ] {
+                let k = Kernel::Cdf97;
+                let refused = compress_chunk(&data, dims, &whole(dims), mode, k, &pool, &mut arena);
+                assert!(matches!(refused, Err(Refusal::Overflow)), "{mode:?}: {refused:?}");
+            }
+        }
+        check(f64::MAX);
+        check(f32::MAX);
+
+        // Finite coefficients, but a huge step: a mid-riser value (k + ½)·q
+        // lands past MAX, the inverse spreads it, and every residual is
+        // non-finite; unchecked, the stream decodes to 4096 non-finite
+        // samples. The outlier scan refuses it.
+        let dims = [16usize; 3];
+        let data: Vec<f64> = (0..4096).map(|i| 0.04 * f64::MAX + (i as f64 * 0.1).sin()).collect();
+        let (pool, mut arena) = (WorkerPool::inline(), ScratchArena::new());
+        let k = Kernel::Cdf97;
+        let refused =
+            compress_chunk(&data, dims, &whole(dims), pwe(3e307, 1.5), k, &pool, &mut arena);
+        assert!(matches!(refused, Err(Refusal::Overflow)), "{refused:?}");
+    }
+
+    #[test]
+    fn the_arena_is_the_only_chunk_sized_buffer() {
+        // Coefficients, reconstruction and inverse transform share one
+        // buffer: after a one-chunk 32³ compress the arena holds the chunk
+        // once (plus panel scratch), never a second chunk-sized buffer.
+        fn check<T: Float>() {
+            let dims = [32usize; 3];
+            let data: Vec<T> = test_data(dims).iter().map(|&v| T::from_f64(v)).collect();
+            let chunk_bytes = data.len() * std::mem::size_of::<T>();
+            for mode in [
+                pwe(1e-3, 1.5),
+                ChunkMode::Bpp { budget_bits: 2 * data.len() },
+                ChunkMode::Rmse { target_rmse: 1e-3 },
+            ] {
+                for threads in [1, 2] {
+                    let mut arena = ScratchArena::<T>::new();
+                    WorkerPool::scoped(threads, |pool| {
+                        let k = Kernel::Cdf97;
+                        compress_chunk(&data, dims, &whole(dims), mode, k, pool, &mut arena)
+                            .unwrap();
+                    });
+                    let bytes = arena.bytes();
+                    assert!(
+                        bytes < 2 * chunk_bytes,
+                        "{mode:?} t{threads}: arena {bytes} B for a {chunk_bytes} B chunk"
+                    );
+                }
+            }
+        }
+        check::<f64>();
+        check::<f32>();
     }
 
     #[test]
@@ -691,7 +681,7 @@ mod tests {
         let dims = [16usize, 16, 16];
         let data = test_data(dims);
         let t = 0.001;
-        let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97).unwrap();
+        let enc = compress(&data, dims, pwe(t, 3.0));
         assert!(enc.num_outliers > 0, "expected outliers at q = 3t");
         let rec = decode(&job(&enc, dims, t));
         let max_err = data.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
@@ -703,7 +693,7 @@ mod tests {
         let dims = [16usize, 16, 16];
         let data = test_data(dims);
         let budget = 4096usize; // 1 bpp
-        let enc = compress_bpp(&data, dims, budget);
+        let enc = compress(&data, dims, ChunkMode::Bpp { budget_bits: budget });
         assert!(enc.speck_bits <= budget);
         assert_eq!(decode(&job(&enc, dims, 0.0)).len(), data.len());
     }
@@ -712,31 +702,40 @@ mod tests {
     fn all_zero_chunk() {
         let dims = [8usize, 8, 8];
         let data = vec![0.0; 512];
-        let enc = compress_chunk_pwe(&data, dims, 0.1, 1.5, Kernel::Cdf97).unwrap();
+        let enc = compress(&data, dims, pwe(0.1, 1.5));
         assert!(enc.speck_stream.is_empty());
         assert_eq!(enc.num_outliers, 0);
         assert_eq!(decode(&job(&enc, dims, 0.1)), data);
     }
 
     #[test]
-    fn pooled_pwe_matches_serial_bit_for_bit() {
-        // The `_with` path on a real multi-worker pool must produce the
-        // exact bytes of the allocating serial path — for every stream and
-        // for an arena reused across differently-sized chunks.
-        let t = 0.004;
+    fn pooled_compress_matches_serial_bit_for_bit() {
+        // The coder on a real multi-worker pool must produce the exact
+        // bytes and error sums of the serial path — in every mode, for
+        // chunks of more than one fixed block, and for an arena reused
+        // across differently-sized chunks.
         let mut arena = ScratchArena::new();
         WorkerPool::scoped(4, |pool| {
-            for dims in [[24usize, 16, 12], [16, 16, 16], [7, 5, 3]] {
+            for dims in [[24usize, 16, 12], [48, 40, 36], [16, 16, 16], [7, 5, 3]] {
                 let data = test_data(dims);
-                let serial = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97).unwrap();
-                let pooled =
-                    compress_chunk_pwe_with(&data, dims, t, 1.5, Kernel::Cdf97, pool, &mut arena)
-                        .unwrap();
-                assert_eq!(serial.speck_stream, pooled.speck_stream, "dims {dims:?}");
-                assert_eq!(serial.outlier_stream, pooled.outlier_stream, "dims {dims:?}");
-                assert_eq!(serial.num_outliers, pooled.num_outliers);
-                assert_eq!(serial.q, pooled.q);
-                assert_eq!(serial.coeff_sq_error, pooled.coeff_sq_error, "fp order changed");
+                for mode in [
+                    pwe(0.004, 1.5),
+                    ChunkMode::Bpp { budget_bits: data.len() },
+                    ChunkMode::Rmse { target_rmse: 0.004 },
+                ] {
+                    let serial = compress(&data, dims, mode);
+                    let k = Kernel::Cdf97;
+                    let pooled =
+                        compress_chunk(&data, dims, &whole(dims), mode, k, pool, &mut arena)
+                            .unwrap();
+                    let case = format!("dims {dims:?} {mode:?}");
+                    assert_eq!(serial.speck_stream, pooled.speck_stream, "{case}");
+                    assert_eq!(serial.outlier_stream, pooled.outlier_stream, "{case}");
+                    assert_eq!(serial.num_outliers, pooled.num_outliers, "{case}");
+                    assert_eq!(serial.q, pooled.q, "{case}");
+                    let (s, p) = (serial.coeff_sq_error, pooled.coeff_sq_error);
+                    assert_eq!(s.to_bits(), p.to_bits(), "{case}: fp order changed");
+                }
             }
         });
     }
@@ -749,7 +748,7 @@ mod tests {
         let dims = [16usize, 16, 16];
         let data = test_data(dims);
         for (t, q_factor) in [(0.01, 1.5), (0.001, 3.0)] {
-            let enc = compress_chunk_pwe(&data, dims, t, q_factor, Kernel::Cdf97).unwrap();
+            let enc = compress(&data, dims, pwe(t, q_factor));
             let rec = decode(&job(&enc, dims, t));
             let measured =
                 data.iter().zip(&rec).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
@@ -765,7 +764,7 @@ mod tests {
         let dims = [16usize, 12, 10];
         let data = test_data(dims);
         let t = 0.001;
-        let enc = compress_chunk_pwe(&data, dims, t, 3.0, Kernel::Cdf97).unwrap();
+        let enc = compress(&data, dims, pwe(t, 3.0));
         assert!(enc.num_outliers > 0, "test needs outliers to be meaningful");
         let full = decode(&job(&enc, dims, t));
         let (lo, hi) = ([3usize, 0, 2], [9usize, 12, 7]);
@@ -787,7 +786,7 @@ mod tests {
         // the approximation corner by the kernel's DC gain, nothing else.
         let dims = [24usize, 16, 12];
         let data = test_data(dims);
-        let enc = compress_chunk_pwe(&data, dims, 0.01, 1.5, Kernel::Cdf97).unwrap();
+        let enc = compress(&data, dims, pwe(0.01, 1.5));
         let levels = levels_for_dims(dims);
         for level in 1..=2 {
             let coarse = decode(&ChunkJob { outliers: &[], level, ..job(&enc, dims, 0.01) });
@@ -812,7 +811,7 @@ mod tests {
         let dims = [20usize, 14, 9];
         let data = test_data(dims);
         let t = 0.002;
-        let enc = compress_chunk_pwe(&data, dims, t, 1.5, Kernel::Cdf97).unwrap();
+        let enc = compress(&data, dims, pwe(t, 1.5));
         let serial = decode(&job(&enc, dims, t));
         let mut arena = ScratchArena::new();
         WorkerPool::scoped(3, |pool| {

@@ -7,17 +7,19 @@
 //! are a **batch** of `max(1, budget / layer)` whole z-layers of the chunk
 //! grid, and each direction is one loop over the batches:
 //!
-//! * compress: the caller reads a batch's rows into its chunk buffers
-//!   (reused across batches) and `CompressRun::encode_batch` — the chunk
-//!   loop the in-memory driver runs as one batch — encodes them; after the
-//!   last batch the container is sealed and emitted as in memory.
+//! * compress: the caller appends a batch's z-planes to one slab (reused
+//!   across batches), and `CompressRun::encode_batch` — the chunk loop the
+//!   in-memory driver runs with the whole field as its slab — encodes the
+//!   batch's chunks, each coder reading its rows straight from the slab;
+//!   after the last batch the container is sealed and emitted as in
+//!   memory.
 //! * decompress: `Opened::run_on`, the executor of every in-memory read,
 //!   decodes a batch, and the caller writes its z-planes out row by row.
 //!
-//! At most `budget` chunk buffers are in flight, never fewer than one
-//! layer (a row-major stream completes no chunk before its whole layer).
-//! Compressed payloads still accumulate until the container header, which
-//! precedes them, can be written.
+//! At most `budget` chunks' worth of samples are in flight, never fewer
+//! than one layer (a row-major stream completes no chunk before its whole
+//! layer). Compressed payloads still accumulate until the container
+//! header, which precedes them, can be written.
 //!
 //! **Failures** are typed [`SperrError`]s, never an unwind. Every job of a
 //! batch runs to completion; the call then stops at the first failing
@@ -31,10 +33,10 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::chunk::{chunk_grid, ChunkSpec};
-use crate::compressor::{ChunkSource, Sperr};
-use crate::decode::{Opened, Samples, TaskResult};
+use crate::compressor::Sperr;
+use crate::decode::{DecodeArenas, Opened, Samples, TaskResult};
 use crate::faultpoint;
-use crate::pipeline::DecodeArenas;
+use crate::pipeline::ScratchArena;
 use crate::pool::{panic_payload_message, WorkerPool};
 use crate::stats::{metric_labels, CompressionStats};
 use crate::ChunkStatus;
@@ -140,7 +142,7 @@ pub struct StreamReport {
     /// value clamped up to one chunk layer; see
     /// [`SperrConfig::in_flight_chunks`](crate::SperrConfig)).
     pub in_flight_budget: usize,
-    /// Highest number of raw chunk buffers simultaneously in flight —
+    /// Highest number of chunks simultaneously in flight —
     /// always `≤ in_flight_budget`; the bounded-memory tests assert on
     /// this.
     pub peak_in_flight: usize,
@@ -168,51 +170,25 @@ impl StreamResilientReport {
 /// The chunk grid as the streaming drivers see it: a raw volume streams
 /// x-fastest, so chunks arrive (and leave) in z-layers.
 struct LayerGeometry {
-    dims: [usize; 3],
-    chunk_dims: [usize; 3],
-    /// Chunk-grid extent along x and y.
+    /// Chunks side by side in x.
     nx: usize,
-    ny: usize,
+    /// Chunks per z-layer.
+    layer_len: usize,
+    /// Chunks in the grid.
+    n_chunks: usize,
 }
 
 impl LayerGeometry {
     fn new(dims: [usize; 3], chunk_dims: [usize; 3]) -> Self {
-        LayerGeometry {
-            dims,
-            chunk_dims,
-            nx: dims[0].div_ceil(chunk_dims[0]),
-            ny: dims[1].div_ceil(chunk_dims[1]),
-        }
+        let [nx, ny, nz] = [0, 1, 2].map(|d| dims[d].div_ceil(chunk_dims[d]));
+        LayerGeometry { nx, layer_len: nx * ny, n_chunks: nx * ny * nz }
     }
 
-    /// Chunks per z-layer.
-    fn layer_len(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    /// The batches the drivers work in, in z order: runs of as many whole
-    /// layers as `budget` chunks hold, at least one.
+    /// The batches the drivers work in, in z order: the grid indices of as
+    /// many whole layers as `budget` chunks hold, at least one.
     fn batches(&self, budget: usize) -> impl Iterator<Item = Range<usize>> {
-        let per = (budget / self.layer_len()).max(1);
-        let nz = self.dims[2].div_ceil(self.chunk_dims[2]);
-        (0..nz).step_by(per).map(move |l| l..(l + per).min(nz))
-    }
-
-    /// Grid indices of the chunks in `layers`.
-    fn chunks(&self, layers: &Range<usize>) -> Range<usize> {
-        layers.start * self.layer_len()..layers.end * self.layer_len()
-    }
-
-    /// Volume z-planes covered by `layers`.
-    fn z_range(&self, layers: &Range<usize>) -> Range<usize> {
-        layers.start * self.chunk_dims[2]..(layers.end * self.chunk_dims[2]).min(self.dims[2])
-    }
-
-    /// Position within the batch `layers` of the first of the `nx` chunks
-    /// that the volume row `(y, z)` crosses.
-    fn row_chunks(&self, layers: &Range<usize>, y: usize, z: usize) -> usize {
-        let layer = z / self.chunk_dims[2] - layers.start;
-        (layer * self.ny + y / self.chunk_dims[1]) * self.nx
+        let (step, n) = ((budget / self.layer_len).max(1) * self.layer_len, self.n_chunks);
+        (0..n).step_by(step).map(move |first| first..(first + step).min(n))
     }
 }
 
@@ -306,56 +282,55 @@ impl<W: Write> ScalarWriter<W> {
     }
 }
 
-/// Reads the z-planes of `layers` row by row into `bufs`, one per chunk of
-/// those layers, each filled in the order `extract_chunk_into` fills it —
-/// so the encodes see the in-memory driver's samples.
-fn ingest_layers<R: Read, T: Float>(
+/// Reads the z-planes of the chunks `specs` (whole layers of a `dims`
+/// volume) into `slab`, replacing what it held: the slab the batch's chunk
+/// coders read their rows from.
+fn ingest_planes<R: Read, T: Float>(
     rd: &mut ScalarReader<R, T>,
-    geo: &LayerGeometry,
+    dims: [usize; 3],
     specs: &[ChunkSpec],
-    layers: &Range<usize>,
-    bufs: &mut [Vec<T>],
+    slab: &mut Vec<T>,
 ) -> Result<(), SperrError> {
-    for (buf, spec) in bufs.iter_mut().zip(specs) {
-        buf.clear();
-        buf.reserve(spec.len());
-    }
-    for z in geo.z_range(layers) {
+    let planes = specs.last().map_or(0, |last| last.offset[2] + last.dims[2] - specs[0].offset[2]);
+    slab.clear();
+    slab.reserve_exact(planes * dims[0] * dims[1]);
+    for _ in 0..planes {
         faultpoint::stage(STAGE_INGEST);
-        for y in 0..geo.dims[1] {
-            let row = rd.read_row()?;
-            let p = geo.row_chunks(layers, y, z);
-            for (buf, spec) in bufs[p..p + geo.nx].iter_mut().zip(&specs[p..]) {
-                let x = spec.offset[0];
-                buf.extend_from_slice(&row[x..x + spec.dims[0]]);
-            }
+        for _ in 0..dims[1] {
+            slab.extend_from_slice(rd.read_row()?);
         }
     }
     Ok(())
 }
 
-/// Writes the z-planes of `layers` row by row from `chunks`, one decoded
-/// chunk per chunk of those layers — the interleave [`ingest_layers`]
-/// undoes. f32-native chunks widen exactly on the way into the row, and a
+/// Writes the z-planes of a batch row by row from `chunks`, one decoded
+/// chunk per chunk of `specs` (whole layers of the chunk grid, in grid
+/// order). f32-native chunks widen exactly on the way into the row, and a
 /// Single output narrows them back losslessly.
 fn emit_layers<W: Write>(
     wr: &mut ScalarWriter<W>,
     geo: &LayerGeometry,
     specs: &[ChunkSpec],
-    layers: &Range<usize>,
     chunks: &[Samples],
     row: &mut [f64],
 ) -> Result<(), SperrError> {
-    for z in geo.z_range(layers) {
-        faultpoint::stage(STAGE_EMIT);
-        for y in 0..geo.dims[1] {
-            let p = geo.row_chunks(layers, y, z);
-            for (chunk, spec) in chunks[p..p + geo.nx].iter().zip(&specs[p..]) {
-                let src_lo = [0, y - spec.offset[1], z - spec.offset[2]];
-                let (extent, row_dims) = ([spec.dims[0], 1, 1], [geo.dims[0], 1, 1]);
-                chunk.copy_box(spec.dims, src_lo, extent, row, row_dims, [spec.offset[0], 0, 0]);
+    for (layer, layer_chunks) in specs.chunks(geo.layer_len).zip(chunks.chunks(geo.layer_len)) {
+        let [_, _, z_lo] = layer[0].offset;
+        for z in z_lo..z_lo + layer[0].dims[2] {
+            faultpoint::stage(STAGE_EMIT);
+            // One run of `nx` chunks side by side in x per chunk row.
+            for (run, run_chunks) in layer.chunks(geo.nx).zip(layer_chunks.chunks(geo.nx)) {
+                let [_, y_lo, _] = run[0].offset;
+                for y in y_lo..y_lo + run[0].dims[1] {
+                    for (chunk, spec) in run_chunks.iter().zip(run) {
+                        let src_lo = [0, y - y_lo, z - z_lo];
+                        let (extent, row_dims) = ([spec.dims[0], 1, 1], [row.len(), 1, 1]);
+                        let dst_lo = [spec.offset[0], 0, 0];
+                        chunk.copy_box(spec.dims, src_lo, extent, row, row_dims, dst_lo);
+                    }
+                    wr.write_row(row)?;
+                }
             }
-            wr.write_row(row)?;
         }
     }
     Ok(())
@@ -453,37 +428,35 @@ impl Sperr {
         let grid = chunk_grid(dims, self.config().chunk_dims);
         let geo = LayerGeometry::new(dims, self.config().chunk_dims);
         let threads = self.effective_threads(&grid);
-        let budget = self.resolve_budget(threads, geo.layer_len());
+        let budget = self.resolve_budget(threads, geo.layer_len);
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
         let mut rd = ScalarReader::<R, T>::new(reader, precision, dims[0]);
 
         // One pool for the whole call: the batches, then the blocks of the
         // lossless pass over the assembled container.
         WorkerPool::scoped(threads, |pool| {
-            let (mut bufs, mut scratch) = (Vec::new(), Vec::new());
+            let (mut slab, mut scratch) = (Vec::new(), Vec::new());
             let mut encoded = Vec::with_capacity(grid.len());
             let mut peak_in_flight = 0;
-            for layers in geo.batches(budget) {
-                let chunks = geo.chunks(&layers);
+            for chunks in geo.batches(budget) {
                 let specs = &grid[chunks.clone()];
-                bufs.resize_with(specs.len(), Vec::new);
-                ingest_layers(&mut rd, &geo, specs, &layers, &mut bufs)?;
+                ingest_planes(&mut rd, dims, specs, &mut slab)?;
                 peak_in_flight = peak_in_flight.max(specs.len());
                 sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, specs.len() as u64);
                 encoded.extend(run.encode_batch(
                     specs,
-                    ChunkSource::Assembled(&bufs),
+                    &slab,
                     pool,
                     &mut scratch,
                     |j, encode| guarded(Some(chunks.start + j), || Ok(encode())),
-                    |j, bad| SperrError::Codec {
-                        stage: STAGE_INGEST,
-                        chunk: Some(chunks.start + j),
-                        source: bad.into(),
+                    |j, refusal| {
+                        let chunk = chunks.start + j;
+                        let source = refusal.into_error(chunk);
+                        SperrError::Codec { stage: STAGE_INGEST, chunk: Some(chunk), source }
                     },
                 )?);
             }
-            scratch.iter().for_each(|(arena, _)| arena.record_footprint());
+            scratch.iter().for_each(ScratchArena::record_footprint);
 
             // Every chunk encoded: seal and emit the container exactly like
             // the in-memory driver.
@@ -569,7 +542,7 @@ impl Sperr {
         let tasks = opened.all_tasks();
         let geo = LayerGeometry::new(header.dims, header.chunk_dims);
         let threads = self.effective_threads(grid);
-        let budget = self.resolve_budget(threads, geo.layer_len());
+        let budget = self.resolve_budget(threads, geo.layer_len);
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
         // Chunk i's outcome, settled on the worker that decoded it (a strict
@@ -596,8 +569,7 @@ impl Sperr {
         let mut peak_in_flight = 0;
         WorkerPool::scoped(threads, |pool| {
             let mut arenas = Vec::new();
-            for layers in geo.batches(budget) {
-                let chunks = geo.chunks(&layers);
+            for chunks in geo.batches(budget) {
                 let results = opened.run_on(pool, &tasks[chunks.clone()], &mut arenas, |j, decode| {
                     guarded(Some(chunks.start + j), || settle(chunks.start + j, decode()))
                 });
@@ -610,7 +582,7 @@ impl Sperr {
                 }
                 peak_in_flight = peak_in_flight.max(decoded.len());
                 sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, decoded.len() as u64);
-                emit_layers(&mut wr, &geo, &grid[chunks], &layers, &decoded, &mut row)?;
+                emit_layers(&mut wr, &geo, &grid[chunks], &decoded, &mut row)?;
             }
             arenas.iter().for_each(DecodeArenas::record_footprint);
             Ok::<(), SperrError>(())
@@ -810,6 +782,46 @@ mod tests {
                     };
                     assert_eq!((*stage, *chunk), (STAGE_INGEST, Some(1)), "{case}");
                     assert!(names_20(source), "{case}: {e}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_refusal_in_a_later_batch_names_its_volume_index() {
+        // 3 × 1 chunks per layer, 5 layers; x and z end in boundary chunks.
+        // The one bad sample sits in a boundary chunk of layer 3 or 4, so
+        // its coder reads it from a slab that starts at z 32, 48 or 64 —
+        // at slab z 16 when a batch holds two layers (4 threads, default
+        // budget) — and the refusal must still name its volume index.
+        let dims = [40usize, 12, 72];
+        for [x, y, z] in [[37usize, 9, 53], [38, 11, 70]] {
+            let at = x + dims[0] * (y + dims[1] * z);
+            let mut field = wavy(dims);
+            field.data[at] = f64::NAN;
+            let wide = raw_bytes(&field, Precision::Double);
+            let narrow: Vec<u8> =
+                field.narrow_lossy().data.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let chunk = 2 + 3 * (z / 16);
+            for threads in [1usize, 2, 4] {
+                for in_flight_chunks in [1, 0] {
+                    let sperr = Sperr::new(SperrConfig { in_flight_chunks, ..cfg(threads) });
+                    for bound in [Bound::Pwe(1e-3), Bound::Bpp(2.0)] {
+                        let case = format!("({x}, {y}, {z}) t{threads} budget {in_flight_chunks}");
+                        let double = Precision::Double;
+                        let refusals = [
+                            sperr.compress_stream(&wide[..], Vec::new(), dims, double, bound),
+                            sperr.compress_stream_f32(&narrow[..], Vec::new(), dims, bound),
+                        ];
+                        for e in refusals {
+                            let Err(SperrError::Codec { stage, chunk: c, source }) = &e else {
+                                panic!("{case}: {e:?}")
+                            };
+                            assert_eq!((*stage, *c), (STAGE_INGEST, Some(chunk)), "{case}");
+                            let named = format!("linear index {at} ");
+                            assert!(source.to_string().contains(&named), "{case}: {source}");
+                        }
+                    }
                 }
             }
         }

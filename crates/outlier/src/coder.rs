@@ -207,9 +207,11 @@ fn split(set: SetR, pos: &[usize]) -> (SetR, SetR) {
 }
 
 /// Computes the starting exponent of Listing 1 line 4: the largest integer
-/// `n >= 0` such that `2^n · t < max_mag`.
+/// `n >= 0` such that `2^n · t < max_mag`, capped at `u8::MAX`. The cap
+/// comes first: a ratio `max_mag / t` that overflows to infinity would
+/// otherwise start the search at `i64::MAX`.
 fn starting_exponent(t: f64, max_mag: f64) -> u8 {
-    let mut n = ((max_mag / t).log2().floor().max(0.0)) as i64;
+    let mut n = ((max_mag / t).log2().floor().clamp(0.0, f64::from(u8::MAX))) as i64;
     // Guard against floating-point edge cases around exact powers of two.
     while (n as u32) < 200 && f64::exp2((n + 1) as f64) * t < max_mag {
         n += 1;

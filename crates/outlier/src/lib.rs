@@ -97,6 +97,15 @@ mod tests {
     }
 
     #[test]
+    fn correction_beyond_the_exponent_range_terminates() {
+        // |corr| / t overflows to infinity: the starting exponent caps at
+        // u8::MAX instead of searching down from i64::MAX.
+        let enc = encode(&[Outlier { pos: 3, corr: -1e307 }], 8, 1e-3);
+        assert_eq!(enc.max_n, u8::MAX);
+        assert_eq!(decode(&enc.stream, 8, 1e-3, enc.max_n).unwrap().len(), 1);
+    }
+
+    #[test]
     fn outlier_at_domain_edges() {
         let t = 0.25;
         check_roundtrip(

@@ -77,6 +77,42 @@ echo "==> conformance: progressive-refinement campaign"
 # untruncated decode; violations shrink to a committed reproducer.
 target/release/sperr-conformance refine 60
 
+echo "==> overflow probes: refused in bounded time, nothing written"
+# One finite sample at its width's largest value overflows the wavelet
+# lifting steps. These compresses used to hang (PWE, IDX), panic (BPP) or
+# exit 0 with a stream that decodes non-finite samples (PSNR). Each must now
+# exit 3 (invalid input) within 20 s and leave no output file, in memory
+# and with --stream (which takes absolute --pwe/--bpp bounds only), at f32
+# and f64. A regression fails here instead of stalling CI.
+PROBE_DIR="$(mktemp -d)"
+for ty in f64 f32; do
+    target/release/sperr gen --field miranda-pressure --dims 16,16,16 \
+        --output "$PROBE_DIR/in.$ty" --dtype "$ty" --quiet
+done
+# Sample 1234 := f64::MAX (0x7FEFFFFFFFFFFFFF) / f32::MAX (0x7F7FFFFF), LE.
+printf '\377\377\377\377\377\377\357\177' \
+    | dd of="$PROBE_DIR/in.f64" bs=1 seek=$((8 * 1234)) conv=notrunc 2>/dev/null
+printf '\377\377\177\177' \
+    | dd of="$PROBE_DIR/in.f32" bs=1 seek=$((4 * 1234)) conv=notrunc 2>/dev/null
+for ty in f64 f32; do
+    for bound in "--pwe 1e-3" "--idx 20" "--bpp 4" "--psnr 60" \
+        "--pwe 1e-3 --stream" "--bpp 4 --stream"; do
+        rm -f "$PROBE_DIR/out.sperr"
+        code=0
+        # shellcheck disable=SC2086 # $bound is a flag list
+        timeout 20 target/release/sperr compress --input "$PROBE_DIR/in.$ty" \
+            --output "$PROBE_DIR/out.sperr" --dims 16,16,16 --dtype "$ty" $bound \
+            --quiet 2>/dev/null || code=$?
+        if [ "$code" -ne 3 ] || [ -e "$PROBE_DIR/out.sperr" ]; then
+            echo "ERROR: overflow probe ($ty $bound) exited $code" \
+                "(want 3, no output file)" >&2
+            exit 1
+        fi
+    done
+done
+rm -rf "$PROBE_DIR"
+echo "overflow probes: all refused"
+
 echo "==> golden-stream governance"
 # A change to the committed golden artifacts is only legitimate when the
 # same commit bumps GOLDEN_VERSION (see DESIGN.md §9). Skipped gracefully

@@ -30,7 +30,8 @@ const AUDITED_FILES: &[&str] = &[
     "crates/lossless/src/inflate.rs",
     "crates/lossless/src/huffman/decode.rs",
     // The decode plan: everything in sperr-core that walks an untrusted
-    // chunk table — open, plan builders, per-task decode, folds.
+    // chunk table or decodes an untrusted payload — open, plan builders,
+    // per-task decode, the chunk decode itself, folds.
     "crates/core/src/decode.rs",
 ];
 

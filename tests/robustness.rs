@@ -412,3 +412,90 @@ fn non_finite_samples_are_refused_by_index_never_hang_or_panic() {
     // the time one hung compress used to run before being killed.
     assert!(started.elapsed() < std::time::Duration::from_secs(60));
 }
+
+/// Runs `probe` on a thread of its own and waits at most `secs` for its
+/// result, so a hang fails the test instead of stalling it (and a panic
+/// fails it too: the sender is dropped unsent).
+fn within<R, F>(secs: u64, what: &str, probe: F) -> R
+where
+    R: Send + 'static,
+    F: FnOnce() -> R + Send + 'static,
+{
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(probe());
+    });
+    let limit = std::time::Duration::from_secs(secs);
+    rx.recv_timeout(limit).unwrap_or_else(|e| panic!("{what}: no result within {secs} s ({e:?})"))
+}
+
+#[test]
+fn finite_samples_whose_transform_overflows_are_refused_in_bounded_time() {
+    // One finite sample at ±MAX of its width overflows the lifting steps.
+    // Each bound used to hang (PWE, and the range-derived PWE of `--idx`),
+    // panic on a non-finite quantization step (BPP) or encode a stream that
+    // decodes to non-finite samples (PSNR); now every one is a typed
+    // refusal naming the chunk, in memory and streaming (which takes
+    // absolute PWE and BPP bounds only), at both widths, and nothing is
+    // written. At MAX/4 the transform stays finite: an f64 PWE bound of
+    // 1e-3 then cannot be met (the correction / t ratio overflows, which
+    // used to hang the outlier coder) and is refused; the rest encode.
+    let dims = [16usize; 3];
+    for threads in [1usize, 2] {
+        let sperr = Sperr::new(SperrConfig { num_threads: threads, ..SperrConfig::default() });
+        for scale in [1.0, -1.0, 0.25] {
+            let mut wide = Field::new(dims, (0..4096).map(|i| (i as f64 * 0.1).sin()).collect());
+            wide.data[1234] = scale * f64::MAX;
+            let mut narrow = wide.narrow_lossy();
+            narrow.data[1234] = scale as f32 * f32::MAX;
+            let overflows = scale != 0.25;
+            let wide_raw: Vec<u8> = wide.data.iter().flat_map(|v| v.to_le_bytes()).collect();
+            let narrow_raw: Vec<u8> = narrow.data.iter().flat_map(|v| v.to_le_bytes()).collect();
+            // (bound, whether streaming takes it)
+            let bounds = [
+                (Bound::Pwe(1e-3), true),
+                (Bound::Pwe(wide.tolerance_for_idx(20)), false),
+                (Bound::Bpp(4.0), true),
+                (Bound::Psnr(60.0), false),
+            ];
+            for (i, (bound, streams)) in bounds.into_iter().enumerate() {
+                let case = format!("t{threads} {scale}·MAX {bound:?}");
+                // Ok, or the error text with the bytes written before it.
+                type Outcome = Result<(), (String, usize)>;
+                let check = |what: &str, got: Outcome, must_refuse: bool| match got {
+                    Err((msg, written)) => {
+                        let typed = msg.contains("invalid input") && msg.contains("chunk 0");
+                        assert!(typed && written == 0, "{case} {what}: {msg} ({written} B out)");
+                    }
+                    Ok(()) => assert!(!must_refuse, "{case} {what}: accepted"),
+                };
+                let in_memory = |e: CompressError| (e.to_string(), 0);
+                let (s, f) = (sperr.clone(), wide.clone());
+                let got = within(20, &case, move || s.compress(&f, bound).map(drop));
+                let got = got.map_err(in_memory);
+                check("f64", got, overflows || i == 0);
+                let (s, f) = (sperr.clone(), narrow.clone());
+                let got = within(20, &case, move || s.compress_f32(&f, bound).map(drop));
+                let got = got.map_err(in_memory);
+                check("f32", got, overflows);
+                if !streams {
+                    continue;
+                }
+                let (s, raw) = (sperr.clone(), wide_raw.clone());
+                let got = within(20, &case, move || {
+                    let mut out = Vec::new();
+                    let got = s.compress_stream(&raw[..], &mut out, dims, Precision::Double, bound);
+                    got.map(drop).map_err(|e| (e.to_string(), out.len()))
+                });
+                check("f64 streamed", got, overflows || i == 0);
+                let (s, raw) = (sperr.clone(), narrow_raw.clone());
+                let got = within(20, &case, move || {
+                    let mut out = Vec::new();
+                    let got = s.compress_stream_f32(&raw[..], &mut out, dims, bound);
+                    got.map(drop).map_err(|e| (e.to_string(), out.len()))
+                });
+                check("f32 streamed", got, overflows);
+            }
+        }
+    }
+}
