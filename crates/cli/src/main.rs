@@ -15,7 +15,10 @@ mod rawio;
 
 use args::{parse_type, Args, ScalarType};
 use sperr_compress_api::{Bound, CompressError, Precision};
-use sperr_core::{Sperr, SperrConfig, SperrError};
+use sperr_core::{
+    CompressionStats, Float, OnDamage, ReadOutput, ReadReport, ReadRequest, Sperr, SperrConfig,
+    SperrError,
+};
 use sperr_datagen::SyntheticField;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -554,7 +557,7 @@ fn cmd_compress(args: &Args) -> Result<(), CliError> {
             let field = rawio::read_field_f32(&input, dims)
                 .map_err(|e| CliError::Io(e.to_string()))?;
             let bound = parse_bound(args, |idx| field.tolerance_for_idx(idx))?;
-            sperr.compress_f32_with_stats(&field, bound)?
+            sperr.compress_with_stats(&field, bound)?
         }
         ScalarType::F64 => {
             let field = rawio::read_field(&input, dims, ty)
@@ -766,82 +769,70 @@ fn cmd_decompress(args: &Args) -> Result<(), CliError> {
     // region and preview decodes skip stages, so their timings would not
     // be comparable.
     let verbose = args.flag("verbose") && exclusive == 0;
-
-    // f32-native streams headed to f32 output decode at native width —
-    // the samples never materialize as f64.
-    if info.native_f32 && ty == ScalarType::F32 && exclusive == 0 {
-        let scope = TelemetryScope::begin(args);
-        let (field, stats) = sperr.decompress_f32_with_stats(&stream)?;
-        scope.finish()?;
-        rawio::write_field_f32(&output, &field).map_err(|e| CliError::Io(e.to_string()))?;
-        if !args.flag("quiet") {
-            println!(
-                "{} -> {}: {}x{}x{} F32 (native)",
-                input.display(),
-                output.display(),
-                field.dims[0],
-                field.dims[1],
-                field.dims[2],
-            );
-            if verbose {
-                print_stage_times(&stats.stage_times, field.len());
-            }
-        }
-        return Ok(());
-    }
-
-    let scope = TelemetryScope::begin(args);
-    let mut note = String::new();
-    let (field, stats) = if let Some((lo, hi)) = region {
-        let (field, report) = sperr.decode_region(&stream, lo, hi)?;
-        if !report.all_ok() {
-            let bad: Vec<usize> = report
-                .chunk_ids
-                .iter()
-                .zip(&report.statuses)
-                .filter(|(_, s)| !matches!(s, sperr_core::ChunkStatus::Ok))
-                .map(|(&id, _)| id)
-                .collect();
-            return Err(CliError::Compress(CompressError::Corrupt(format!(
-                "region decode hit damaged chunks {bad:?}"
-            ))));
-        }
-        note = format!(
-            " (region {}:{},{}:{},{}:{} — {} chunk(s) via {})",
-            lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
-            report.chunk_ids.len(),
-            if report.used_index { "index seek" } else { "chunk-table scan" },
-        );
-        (field, None)
-    } else if let Some(bpp) = preview_bpp {
-        note = format!(" (preview at {bpp} bpp)");
-        (sperr.decode_at_bpp(&stream, bpp)?, None)
-    } else if verbose {
-        let (field, stats) = sperr.decompress_with_stats(&stream)?;
-        (field, Some(stats))
-    } else {
-        (sperr.decompress_multires(&stream, level)?, None)
+    let what = match (region, preview_bpp) {
+        (Some((lo, hi)), _) => ReadRequest::Region { lo, hi },
+        (None, Some(bpp)) => ReadRequest::Bpp(bpp),
+        (None, None) => ReadRequest::Level(level),
     };
-    scope.finish()?;
-    rawio::write_field(&output, &field, ty, explicit).map_err(|e| CliError::Io(e.to_string()))?;
+
+    // f32-native streams headed to f32 output decode at native width — the
+    // samples never materialize as f64. Coarse levels are reconstructed at
+    // f64.
+    let native = info.native_f32 && ty == ScalarType::F32 && level == 0;
+    let scope = TelemetryScope::begin(args);
+    let (dims, report, stats) = if native {
+        read_to::<f32>(&sperr, &stream, what, scope, &output, ty, explicit)?
+    } else {
+        read_to::<f64>(&sperr, &stream, what, scope, &output, ty, explicit)?
+    };
     if !args.flag("quiet") {
-        if level > 0 {
-            note = format!(" (resolution level {level})");
-        }
-        println!(
-            "{} -> {}: {}x{}x{} {:?}{note}",
-            input.display(),
-            output.display(),
-            field.dims[0],
-            field.dims[1],
-            field.dims[2],
-            ty,
-        );
-        if let Some(stats) = &stats {
-            print_stage_times(&stats.stage_times, field.len());
+        let note = match what {
+            ReadRequest::Region { lo, hi } => format!(
+                " (region {}:{},{}:{},{}:{} — {} chunk(s) via {})",
+                lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
+                report.chunk_ids.len(),
+                if report.used_index { "index seek" } else { "chunk-table scan" },
+            ),
+            ReadRequest::Bpp(bpp) => format!(" (preview at {bpp} bpp)"),
+            ReadRequest::Level(level) if level > 0 => format!(" (resolution level {level})"),
+            _ if native => " (native)".into(),
+            _ => String::new(),
+        };
+        let [nx, ny, nz] = dims;
+        println!("{} -> {}: {nx}x{ny}x{nz} {ty:?}{note}", input.display(), output.display());
+        if verbose {
+            print_stage_times(&stats.stage_times, dims.iter().product());
         }
     }
     Ok(())
+}
+
+/// Reads `what` of `stream` at sample width `T`, closes the telemetry
+/// `scope` and writes the field to `output` as `ty`; returns the field's
+/// dims with the read's report and stats. A region read reports every
+/// damaged chunk it touches (exit 5 naming them all); every other read
+/// fails on its lowest damaged chunk.
+fn read_to<T: Float>(
+    sperr: &Sperr,
+    stream: &[u8],
+    what: ReadRequest<'_>,
+    scope: TelemetryScope,
+    output: &Path,
+    ty: ScalarType,
+    explicit: bool,
+) -> Result<([usize; 3], ReadReport, CompressionStats), CliError> {
+    let zero_fill = matches!(what, ReadRequest::Region { .. });
+    let on_damage = if zero_fill { OnDamage::ZeroFill } else { OnDamage::Fail };
+    let ReadOutput { field, report, stats } = sperr.read::<T>(stream, what, on_damage)?;
+    if !report.all_ok() {
+        return Err(CliError::Compress(CompressError::Corrupt(format!(
+            "region decode hit damaged chunks {:?}",
+            report.failed_chunks()
+        ))));
+    }
+    scope.finish()?;
+    rawio::write_field(output, &field, ty, explicit).map_err(|e| CliError::Io(e.to_string()))?;
+    Ok((field.dims, report, stats))
 }
 
 fn cmd_info(args: &Args) -> Result<(), CliError> {
@@ -916,7 +907,8 @@ fn cmd_info(args: &Args) -> Result<(), CliError> {
     if args.flag("verbose") {
         // A timed full decode, to report where decompression time goes.
         let t0 = std::time::Instant::now();
-        let (field, stats) = sperr.decompress_with_stats(&stream)?;
+        let ReadOutput { field, stats, .. } =
+            sperr.read::<f64>(&stream, ReadRequest::Full, OnDamage::Fail)?;
         let wall = t0.elapsed();
         println!("decode:      {:.4} s wall", wall.as_secs_f64());
         print_stage_times(&stats.stage_times, field.len());
@@ -959,7 +951,7 @@ fn cmd_metrics(args: &Args) -> Result<(), CliError> {
     }
     let sperr = build_sperr(args)?;
     sperr_telemetry::start();
-    let decode = sperr.decompress_with_stats(&stream);
+    let decode = sperr.read::<f64>(&stream, ReadRequest::Full, OnDamage::Fail);
     let _ = sperr_telemetry::stop();
     decode?;
     // Snapshots survive stop(); shards are cleared by the next start().

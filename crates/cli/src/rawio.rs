@@ -3,6 +3,7 @@
 
 use crate::args::ScalarType;
 use sperr_compress_api::{Field, FieldOf, Precision};
+use sperr_core::Float;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -57,7 +58,7 @@ pub fn read_field(path: &Path, dims: [usize; 3], ty: ScalarType) -> io::Result<F
 }
 
 /// Reads a raw little-endian f32 file at its native width — no widening,
-/// feeding [`sperr_core::Sperr::compress_f32`] directly.
+/// feeding the f32-native pipeline directly.
 pub fn read_field_f32(path: &Path, dims: [usize; 3]) -> io::Result<FieldOf<f32>> {
     let bytes = fs::read(path)?;
     let n = check_size(path, bytes.len(), dims, 4, ScalarType::F32)?;
@@ -78,14 +79,20 @@ fn write_bytes(path: &Path, bytes: &[u8]) -> io::Result<()> {
     fs::write(path, bytes)
 }
 
-/// Writes a [`Field`] as raw little-endian scalars.
+/// Writes a field of either sample width as raw little-endian `ty`
+/// scalars; an f32 field written as f32 keeps its exact samples.
 ///
 /// Writing a double-precision field (`precision == Double`) as f32 rounds
 /// every sample — real information loss, not a format conversion — so it
 /// is refused unless `lossy_ok` (the CLI sets it when the user passed an
 /// explicit `--dtype f32`/`--type f32`). Single-precision-origin fields
 /// narrow freely: their payload is f32 data, possibly widened in transit.
-pub fn write_field(path: &Path, field: &Field, ty: ScalarType, lossy_ok: bool) -> io::Result<()> {
+pub fn write_field<T: Float>(
+    path: &Path,
+    field: &FieldOf<T>,
+    ty: ScalarType,
+    lossy_ok: bool,
+) -> io::Result<()> {
     if ty == ScalarType::F32 && field.precision == Precision::Double && !lossy_ok {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -97,24 +104,14 @@ pub fn write_field(path: &Path, field: &Field, ty: ScalarType, lossy_ok: bool) -
     match ty {
         ScalarType::F32 => {
             for &v in &field.data {
-                bytes.extend_from_slice(&(v as f32).to_le_bytes());
+                bytes.extend_from_slice(&(v.to_f64() as f32).to_le_bytes());
             }
         }
         ScalarType::F64 => {
             for &v in &field.data {
-                bytes.extend_from_slice(&v.to_le_bytes());
+                bytes.extend_from_slice(&v.to_f64().to_le_bytes());
             }
         }
-    }
-    write_bytes(path, &bytes)
-}
-
-/// Writes a native f32 field as raw little-endian f32 — the exact samples
-/// the f32 pipeline produced, no round-trip through f64.
-pub fn write_field_f32(path: &Path, field: &FieldOf<f32>) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(field.len() * 4);
-    for &v in &field.data {
-        bytes.extend_from_slice(&v.to_le_bytes());
     }
     write_bytes(path, &bytes)
 }
@@ -172,7 +169,7 @@ mod tests {
         let p = dir.join("n.f32");
         let field =
             FieldOf::<f32>::from_fn([4, 2, 1], |x, y, _| (x as f64 * 0.7).sin() + y as f64);
-        write_field_f32(&p, &field).unwrap();
+        write_field(&p, &field, ScalarType::F32, false).unwrap();
         let back = read_field_f32(&p, [4, 2, 1]).unwrap();
         assert_eq!(back.precision, Precision::Single);
         for (a, b) in field.data.iter().zip(&back.data) {

@@ -33,8 +33,8 @@ use std::time::Duration;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sperr_compress_api::{Bound, Field, LossyCompressor, Precision};
 use sperr_core::{
-    faultpoint, stage_labels, ChunkStatus, Sperr, SperrConfig, SperrError, STAGE_CONTAINER,
-    STAGE_EMIT, STAGE_INGEST,
+    faultpoint, stage_labels, ChunkStatus, OnDamage, ReadOutput, ReadRequest, Sperr, SperrConfig,
+    SperrError, STAGE_CONTAINER, STAGE_EMIT, STAGE_INGEST,
 };
 
 use crate::oracle::{CheckFailure, CheckResult};
@@ -683,10 +683,12 @@ fn resilient_stream_salvages_corruption(field: &Field) -> CheckResult {
     let off = 1 + info.payload_offset + info.chunk_payload_sizes[0] + 2;
     bad[off] ^= 0x5A;
 
-    let (ref_field, ref_report) = sperr.decompress_resilient(&bad).map_err(|e| CheckFailure {
+    let resilient = sperr.read::<f64>(&bad, ReadRequest::Full, OnDamage::ZeroFill);
+    let resilient = resilient.map_err(|e| CheckFailure {
         check: "fault-resilient",
         detail: format!("in-memory resilient decode failed: {e}"),
     })?;
+    let ReadOutput { field: ref_field, report: ref_report, .. } = resilient;
     let mut out = Vec::new();
     let res = sperr
         .decompress_stream_resilient(FaultyReader::new(&bad), &mut out, None)

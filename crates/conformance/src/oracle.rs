@@ -10,8 +10,8 @@
 use crate::corpus::{check_budget, f32_budget, ErrorBudget};
 use sperr_compress_api::{Bound, Field, FieldOf, LossyCompressor};
 use sperr_core::{
-    compress_chunk, ChunkEncoding, ChunkMode, ChunkSpec, Float, Refusal, ScratchArena, Sperr,
-    SperrConfig, StageTimes, WorkerPool,
+    compress_chunk, ChunkEncoding, ChunkMode, ChunkSpec, Float, OnDamage, ReadOutput, ReadRequest,
+    Refusal, ScratchArena, Sperr, SperrConfig, StageTimes, WorkerPool,
 };
 use sperr_outlier::Outlier;
 use sperr_speck::Termination;
@@ -296,7 +296,7 @@ pub fn thread_count_bit_identity(
 // Oracle 4: the resilient decoder vs the strict decoder on clean input.
 // ---------------------------------------------------------------------
 
-/// On an *undamaged* stream, [`Sperr::decompress_resilient`] must agree
+/// On an *undamaged* stream, [`Sperr::read`] under [`OnDamage::ZeroFill`] must agree
 /// bit-for-bit with the strict [`Sperr::decompress`] and report every
 /// chunk healthy — degradation paths must cost nothing when nothing is
 /// degraded.
@@ -305,7 +305,8 @@ pub fn resilient_matches_strict(sperr: &Sperr, stream: &[u8]) -> CheckResult {
         check: "resilient-vs-strict",
         detail: format!("strict decode failed on clean stream: {e}"),
     })?;
-    let (resilient, report) = sperr.decompress_resilient(stream).map_err(|e| CheckFailure {
+    let resilient = sperr.read::<f64>(stream, ReadRequest::Full, OnDamage::ZeroFill);
+    let ReadOutput { field: resilient, report, .. } = resilient.map_err(|e| CheckFailure {
         check: "resilient-vs-strict",
         detail: format!("resilient decode failed on clean stream: {e}"),
     })?;
@@ -710,7 +711,7 @@ pub fn variant_stream(
     }
 }
 
-/// CRC-32 of everything [`Sperr::decompress_multires`] answers for `field`
+/// CRC-32 of everything a [`ReadRequest::Level`] read answers for `field`
 /// at levels 1–3 under every [`READ_VARIANTS`] entry, in 16³ chunks and in
 /// one chunk, decoded at `threads`: the little-endian dims and samples of
 /// each coarse volume, or the text of its typed refusal. Pinned per corpus
@@ -730,8 +731,8 @@ pub fn multires_digest(field: &Field, threads: usize) -> u32 {
             let config = SperrConfig { chunk_dims, num_threads: threads, ..SperrConfig::default() };
             let sperr = Sperr::new(config);
             for level in 1..=3 {
-                match sperr.decompress_multires(&stream, level) {
-                    Ok(coarse) => {
+                match sperr.read::<f64>(&stream, ReadRequest::Level(level), OnDamage::Fail) {
+                    Ok(ReadOutput { field: coarse, .. }) => {
                         bytes.extend(coarse.dims.iter().flat_map(|&d| (d as u64).to_le_bytes()));
                         bytes.extend(coarse.data.iter().flat_map(|v| v.to_le_bytes()));
                     }

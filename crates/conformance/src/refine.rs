@@ -23,7 +23,7 @@ use crate::oracle::CheckFailure;
 use crate::pwe::{crop, default_failure_dir, random_dims, random_spiky_field};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sperr_compress_api::{Bound, Field, LossyCompressor};
-use sperr_core::{Sperr, SperrConfig};
+use sperr_core::{OnDamage, ReadOutput, ReadRequest, Sperr, SperrConfig};
 use std::path::PathBuf;
 
 /// Campaign parameters.
@@ -115,8 +115,8 @@ fn violates(field: &Field, encode_bpp: f64, lo: f64, hi: f64) -> Option<String> 
     // the strict decode bit-for-bit (BPP mode has no outlier stream, so
     // the preview path and the strict path decode identical bytes).
     let unbounded = vec![usize::MAX; info.n_chunks as usize];
-    match sperr.decode_at_budgets(&stream, &unbounded) {
-        Ok(f) => {
+    match sperr.read::<f64>(&stream, ReadRequest::Budgets(&unbounded), OnDamage::Fail) {
+        Ok(ReadOutput { field: f, .. }) => {
             let same = f.data.len() == full.data.len()
                 && f.data.iter().zip(&full.data).all(|(a, b)| a.to_bits() == b.to_bits());
             if !same {

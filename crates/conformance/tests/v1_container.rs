@@ -6,7 +6,7 @@
 use sperr_compress_api::{Bound, LossyCompressor};
 use sperr_conformance::corpus::corpus_inputs;
 use sperr_conformance::golden;
-use sperr_core::{crc32, Sperr, SperrConfig};
+use sperr_core::{crc32, OnDamage, ReadOutput, ReadRequest, Sperr, SperrConfig};
 
 fn conformance_sperr() -> Sperr {
     Sperr::new(SperrConfig {
@@ -76,7 +76,8 @@ fn downgraded_streams_lose_checksum_protection_but_not_data() {
     let t = field.tolerance_for_idx(15);
     let v2 = sperr.compress(&field, Bound::Pwe(t)).unwrap();
     let v1 = sperr.downgrade_to_v1(&v2).unwrap();
-    let (clean, report) = sperr.decompress_resilient(&v1).unwrap();
+    let ReadOutput { field: clean, report, .. } =
+        sperr.read::<f64>(&v1, ReadRequest::Full, OnDamage::ZeroFill).unwrap();
     assert!(report.all_ok());
     assert_eq!(clean.data, sperr.decompress(&v2).unwrap().data);
 }

@@ -1,18 +1,18 @@
 //! The top-level SPERR compressor: chunking, the parallel chunk loop of both
 //! compress drivers (§III-D), container assembly and the lossless post-pass
-//! (§V) — and every in-memory read, each a thin wrapper that builds a task
-//! list for the decode plan ([`crate::decode`]), runs it and folds the
-//! results.
+//! (§V), plus the reads that re-frame a stream instead of decoding it. Every
+//! in-memory decode is [`Sperr::read`] ([`crate::decode`]); the few named
+//! reads left here are one-line calls of it.
 
 use crate::chunk::{chunk_grid, ChunkSpec};
 use crate::container::{
     write_container, ChunkIndexEntry, Header, Mode, VERSION, VERSION_V1, VERSION_V2,
 };
-use crate::decode::{strict, ChunkTask, Head, Opened};
+use crate::decode::{Opened, OnDamage, ReadReport, ReadRequest};
 use crate::outer::{wrap_outer, Framed};
 use crate::pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
 use crate::pool::WorkerPool;
-use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
+use crate::stats::{metric_labels, stage_labels, CompressionStats};
 use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
 use sperr_simd::Float;
 use sperr_telemetry::timed;
@@ -24,10 +24,9 @@ pub(crate) const PER_CHUNK_HEADER_BITS: usize = 26 * 8;
 
 /// Bytes of a chunk's SPECK stream a `bpp` bits-per-point target keeps:
 /// the chunk's share of the rate minus the per-chunk container overhead.
-/// One formula for [`Sperr::decode_at_bpp`] and
-/// [`Sperr::transcode_to_bpp`], so the preview is bit-identical to
-/// decoding the transcoded stream.
-fn preview_budget_bytes(bpp: f64, spec: &ChunkSpec) -> usize {
+/// One formula for [`ReadRequest::Bpp`] and [`Sperr::transcode_to_bpp`],
+/// so the preview is bit-identical to decoding the transcoded stream.
+pub(crate) fn preview_budget_bytes(bpp: f64, spec: &ChunkSpec) -> usize {
     ((bpp * spec.len() as f64) as usize / 8).saturating_sub(PER_CHUNK_HEADER_BITS / 8)
 }
 
@@ -122,7 +121,8 @@ impl CompressRun<'_> {
     /// across batches. Failures fold whatever the scheduling: the guard
     /// error of the lowest chunk, else `refused(j, refusal)` for the
     /// non-finite sample at the lowest linear index of the volume, else for
-    /// the lowest chunk whose transform overflowed.
+    /// the lowest chunk whose transform overflowed or whose step the coder
+    /// cannot use.
     pub(crate) fn encode_batch<T: Float, E: Send>(
         &self,
         specs: &[ChunkSpec],
@@ -154,7 +154,7 @@ impl CompressRun<'_> {
         let refusals = refusals.filter_map(|(j, e)| Some((j, *e.as_ref().err()?)));
         let first = refusals.min_by_key(|&(j, refusal)| match refusal {
             Refusal::NonFinite { index, .. } => (0, index),
-            Refusal::Overflow => (1, j),
+            Refusal::Overflow | Refusal::Step { .. } => (1, j),
         });
         if let Some((j, refusal)) = first {
             return Err(refused(j, refusal));
@@ -299,54 +299,15 @@ impl Sperr {
         t.min(n_chunks.max(panel_jobs)).max(1)
     }
 
-    /// Compresses and returns the stream together with cost/timing
-    /// statistics (the instrumentation behind Figs. 2, 4 and 6).
-    pub fn compress_with_stats(
-        &self,
-        field: &Field,
-        bound: Bound,
-    ) -> Result<(Vec<u8>, CompressionStats), CompressError> {
-        self.compress_impl(field, bound)
-    }
-
-    /// Compresses an `f32` field through the f32-native pipeline: every
-    /// hot-path stage (wavelet, SPECK quantization, outlier scan) runs at
-    /// single precision, and the stream is marked f32-native (precision
-    /// tag 2) so [`Sperr::decompress_f32`] reconstructs it without an f64
-    /// round-trip. The PWE guarantee holds against the f32 samples.
-    pub fn compress_f32(
-        &self,
-        field: &FieldOf<f32>,
-        bound: Bound,
-    ) -> Result<Vec<u8>, CompressError> {
-        self.compress_f32_with_stats(field, bound).map(|(stream, _)| stream)
-    }
-
-    /// [`Sperr::compress_f32`] with cost/timing statistics.
-    pub fn compress_f32_with_stats(
-        &self,
-        field: &FieldOf<f32>,
-        bound: Bound,
-    ) -> Result<(Vec<u8>, CompressionStats), CompressError> {
-        self.compress_impl(field, bound)
-    }
-
-    /// Validates `bound` and resolves it, with the configuration, into the
-    /// per-call state both compress drivers work from for a `dims` volume.
-    pub(crate) fn compress_run(
-        &self,
-        bound: Bound,
-        dims: [usize; 3],
-    ) -> Result<CompressRun<'_>, CompressError> {
-        let (mode, bound_value) = validate_bound(bound)?;
-        Ok(CompressRun { config: &self.config, dims, mode, bound_value, rmse_target: 0.0 })
-    }
-
-    /// The width-generic compression driver behind both public surfaces.
-    /// The sample type selects the wire precision tag; the chunk pipeline
-    /// itself is monomorphized over `T`, so the `f64` instantiation is
-    /// bit-for-bit the pre-generic code path.
-    fn compress_impl<T: Float>(
+    /// Compresses `field` and returns the stream together with cost/timing
+    /// statistics (the instrumentation behind Figs. 2, 4 and 6). The sample
+    /// type selects the pipeline: `f64` fields run the double-precision
+    /// one; `f32` fields run every hot-path stage (wavelet, SPECK
+    /// quantization, outlier scan) at single precision and mark the stream
+    /// f32-native (precision tag 2), so `read::<f32>` reconstructs it
+    /// without an f64 round-trip. The PWE guarantee holds against the
+    /// samples as given.
+    pub fn compress_with_stats<T: Float>(
         &self,
         field: &FieldOf<T>,
         bound: Bound,
@@ -419,6 +380,27 @@ impl Sperr {
         })
     }
 
+    /// `compress_with_stats(field, bound)` without the statistics. Kept
+    /// because the benchmark harness calls it by this name.
+    pub fn compress_f32(
+        &self,
+        field: &FieldOf<f32>,
+        bound: Bound,
+    ) -> Result<Vec<u8>, CompressError> {
+        self.compress_with_stats(field, bound).map(|(stream, _)| stream)
+    }
+
+    /// Validates `bound` and resolves it, with the configuration, into the
+    /// per-call state both compress drivers work from for a `dims` volume.
+    pub(crate) fn compress_run(
+        &self,
+        bound: Bound,
+        dims: [usize; 3],
+    ) -> Result<CompressRun<'_>, CompressError> {
+        let (mode, bound_value) = validate_bound(bound)?;
+        Ok(CompressRun { config: &self.config, dims, mode, bound_value, rmse_target: 0.0 })
+    }
+
     /// Inspects a SPERR stream without decoding it: dimensions, mode,
     /// chunking and per-chunk stream sizes. Reads the container's head
     /// only — on a lossless-packed stream that inflates the head's bytes
@@ -464,181 +446,31 @@ impl Sperr {
         })
     }
 
-    /// Best-effort decompression of a damaged stream: chunks whose payload
-    /// checksum mismatches (v2) or whose decode fails are skipped and
-    /// their region of the volume left neutrally zero-filled, while every
-    /// healthy chunk is reconstructed normally. The per-chunk outcome is
-    /// returned alongside the field. Header-level damage (bad magic,
-    /// unreadable chunk table, failed header CRC, or a corrupted lossless
-    /// outer wrapper) still fails outright — without the table there is
-    /// nothing to salvage.
-    pub fn decompress_resilient(
-        &self,
-        stream: &[u8],
-    ) -> Result<(Field, ResilientReport), CompressError> {
-        let opened = Opened::whole(stream)?;
-        let tasks = opened.all_tasks();
-        let results = opened.run(self, &tasks);
-        let dims = opened.header.dims;
-        let field = Field::new(dims, opened.assemble(&tasks, &results, [0; 3], dims))
-            .with_precision(opened.header.precision);
-        let statuses = results.into_iter().map(|(_, status, _)| status).collect();
-        Ok((field, ResilientReport { statuses }))
-    }
-
-    /// Multi-resolution decompression (§VII): reconstructs the field at
-    /// `1/2^level` resolution per axis by undoing only the coarser
-    /// transform levels. `level = 0` is full resolution (without outlier
-    /// corrections applied at `level > 0`, which are full-resolution
-    /// data). Requires every chunk to have at least `level` transform
-    /// levels on every axis and `chunk_dims` divisible by `2^level`.
-    pub fn decompress_multires(
-        &self,
-        stream: &[u8],
-        level: usize,
-    ) -> Result<Field, CompressError> {
-        if level == 0 {
-            return self.decompress(stream);
-        }
-        let opened = Opened::strict(stream)?;
-        let (tasks, coarse_dims) = opened.coarse_tasks(level)?;
-        let (volume, _) = self.run_strict(&opened, &tasks, coarse_dims)?;
-        Ok(Field::new(coarse_dims, volume).with_precision(opened.header.precision))
-    }
-
-    /// Region-of-interest decompression: reconstructs only the sub-box
-    /// `[lo, hi)` of the volume, decoding just the chunks that intersect
-    /// it — the practical payoff of SPERR's chunked storage for
-    /// explorative analysis. Returns a field of dims `hi - lo`.
-    ///
-    /// Strict wrapper around [`Sperr::decode_region`]: any intersecting
-    /// chunk that fails its checksum or decode fails the whole call.
-    pub fn decompress_region(
-        &self,
-        stream: &[u8],
-        lo: [usize; 3],
-        hi: [usize; 3],
-    ) -> Result<Field, CompressError> {
-        let (field, report) = self.decode_region(stream, lo, hi)?;
-        let mut outcomes = report.chunk_ids.iter().zip(&report.statuses);
-        outcomes.try_for_each(|(&id, status)| status.to_result(id))?;
-        Ok(field)
-    }
-
-    /// Random-access decode of the sub-box `[lo, hi)`: maps the bbox to
-    /// the intersecting chunks through the chunk grid, seeks straight to
-    /// their payloads via the container-v3 chunk index (v1/v2 streams
-    /// fall back to a chunk-table scan — see [`RegionReport::used_index`]),
-    /// decodes only those chunks in parallel on the worker pool, and
-    /// assembles the sub-volume.
-    ///
-    /// **Cost model.** The read touches the container's head (headers,
-    /// chunk table, index, checksums) and the touched chunks' payloads,
-    /// nothing else. With the lossless pass on (the default) that means
-    /// inflating the SLZ1 blocks — 128 KiB of container each,
-    /// independently decodable — that hold those bytes: the head's block,
-    /// plus the blocks under the touched payloads, each once. Cost follows
-    /// chunks touched, not stream length.
-    ///
-    /// **Damage.** Contained per chunk, like
-    /// [`Sperr::decompress_resilient`]: a touched chunk that fails its
-    /// CRC or its decode, *or whose payload lies in an SLZ1 block that
-    /// fails to inflate*, leaves its intersection zero-filled and is
-    /// reported in the [`RegionReport`] instead of failing the call (the
-    /// other chunks sharing a broken block fail with it; chunks in healthy
-    /// blocks decode). Only the touched chunks' checksums and the blocks
-    /// they need are inspected — corruption elsewhere in the stream, even
-    /// inside the lossless wrapper, neither slows the query down nor fails
-    /// it. Damage to the head (or to the block framing of the wrapper,
-    /// without which no block can be located) fails the call.
-    ///
-    /// Within the region the output is bit-identical to the same slice of
-    /// a full [`Sperr::decompress`] (chunks decode independently, and
-    /// skipped outlier corrections are point-local).
+    /// `read::<f64>(stream, Region { lo, hi }, ZeroFill)` as a pair: the
+    /// sub-box `[lo, hi)`, damaged chunks zero-filled and reported. Kept
+    /// because the benchmark harness calls it by this name.
     pub fn decode_region(
         &self,
         stream: &[u8],
         lo: [usize; 3],
         hi: [usize; 3],
-    ) -> Result<(Field, RegionReport), CompressError> {
-        let _run = sperr_telemetry::span!("sperr.decode_region", stream.len());
-        let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_REGION);
-        let (opened, tasks) = Opened::region(stream, lo, hi)?;
-        let used_index = opened.used_index();
-        if !used_index {
-            // Legacy v1/v2 streams force a full walk of the chunk table
-            // (the documented fallback — cheap relative to decode, but a
-            // scan all the same, hence the one-time nudge to re-encode).
-            warn_legacy_region_scan(opened.version);
-        }
-        sperr_telemetry::counter!("region.chunks_touched", tasks.len());
-        sperr_telemetry::counter!("region.used_index", used_index as u64);
-        let results = opened.run(self, &tasks);
-        let region_dims = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
-        let field = Field::new(region_dims, opened.assemble(&tasks, &results, lo, region_dims))
-            .with_precision(opened.header.precision);
-        let chunk_ids = tasks.iter().map(|t| t.chunk).collect();
-        let statuses = results.into_iter().map(|(_, status, _)| status).collect();
-        Ok((field, RegionReport { chunk_ids, statuses, used_index }))
+    ) -> Result<(Field, ReadReport), CompressError> {
+        let out = self.read(stream, ReadRequest::Region { lo, hi }, OnDamage::ZeroFill)?;
+        Ok((out.field, out.report))
     }
 
-    /// Progressive (preview) decode: reconstructs the full volume with
-    /// each chunk's embedded SPECK stream truncated at `budgets[chunk]`
-    /// bytes (clamped to the stream's actual length; `usize::MAX` means
-    /// "everything"). Truncation is the embedded-coding contract, not
-    /// corruption: the SPECK decoder treats budget exhaustion as clean
-    /// early exit, so any budget decodes without error to a coarser
-    /// field. Outlier corrections are full-fidelity data and are skipped
-    /// entirely — previews carry no point-wise error guarantee.
-    pub fn decode_at_budgets(
-        &self,
-        stream: &[u8],
-        budgets: &[usize],
-    ) -> Result<Field, CompressError> {
-        self.preview(stream, |head| {
-            if budgets.len() != head.entries.len() {
-                return Err(CompressError::Invalid(format!(
-                    "{} budgets for {} chunks",
-                    budgets.len(),
-                    head.entries.len()
-                )));
-            }
-            Ok(head.preview_tasks(|chunk| budgets[chunk]))
-        })
-    }
-
-    /// Progressive (preview) decode at a uniform rate: truncates each
-    /// chunk's SPECK stream at the byte budget a `bpp` bits-per-point
-    /// target implies (the same per-chunk accounting as
-    /// [`Sperr::transcode_to_bpp`], so `decode_at_bpp(s, r)` is
-    /// bit-identical to `decompress(transcode_to_bpp(s, r))` without
-    /// materializing the transcoded stream). See
-    /// [`Sperr::decode_at_budgets`].
+    /// `read::<f64>(stream, Bpp(bpp), Fail)`'s field: a preview at a
+    /// uniform rate. Kept because the benchmark harness calls it by this
+    /// name.
     pub fn decode_at_bpp(&self, stream: &[u8], bpp: f64) -> Result<Field, CompressError> {
-        validate_bound(Bound::Bpp(bpp))?;
-        self.preview(stream, |head| {
-            Ok(head.preview_tasks(|chunk| preview_budget_bytes(bpp, &head.grid[chunk])))
-        })
+        Ok(self.read(stream, ReadRequest::Bpp(bpp), OnDamage::Fail)?.field)
     }
 
-    /// The preview read behind [`Sperr::decode_at_budgets`] and
-    /// [`Sperr::decode_at_bpp`]: opens `stream` once, lets `plan` cut each
-    /// chunk's SPECK stream, decodes strictly.
-    fn preview(
-        &self,
-        stream: &[u8],
-        plan: impl FnOnce(&Head) -> Result<Vec<ChunkTask>, CompressError>,
-    ) -> Result<Field, CompressError> {
-        let _run = sperr_telemetry::span!("sperr.decode_at_budgets", stream.len());
-        let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_PREVIEW);
-        let opened = Opened::strict(stream)?;
-        let tasks = plan(&opened)?;
-        let kept_bytes: usize =
-            tasks.iter().map(|t| opened.entries[t.chunk].speck_len.min(t.budget)).sum();
-        sperr_telemetry::counter!("preview.kept_speck_bytes", kept_bytes);
-        let dims = opened.header.dims;
-        let (volume, _) = self.run_strict(&opened, &tasks, dims)?;
-        Ok(Field::new(dims, volume).with_precision(opened.header.precision))
+    /// `read::<f32>(stream, Full, Fail)`'s field: an f32-native stream at
+    /// its native width (a stream from the f64 pipeline is `Invalid`). Kept
+    /// because the benchmark harness calls it by this name.
+    pub fn decompress_f32(&self, stream: &[u8]) -> Result<FieldOf<f32>, CompressError> {
+        Ok(self.read(stream, ReadRequest::Full, OnDamage::Fail)?.field)
     }
 
     /// Re-rates an existing SPERR stream to a (lower) size target without
@@ -683,99 +515,6 @@ impl Sperr {
         reframe(stream, VERSION_V2)
     }
 
-    /// Decompresses and returns the field together with per-stage timing
-    /// statistics (surfaced by the CLI's `info --verbose`).
-    pub fn decompress_with_stats(
-        &self,
-        stream: &[u8],
-    ) -> Result<(Field, CompressionStats), CompressError> {
-        let _run = sperr_telemetry::span!("sperr.decompress", stream.len());
-        // The op label depends on the stream's width tag, unknown until
-        // the container parses — so time manually and record on success.
-        let op_t0 = sperr_telemetry::is_recording().then(std::time::Instant::now);
-        // Strict mode: any checksummed chunk failing its CRC fails the
-        // whole decode (use `decompress_resilient` to salvage the rest).
-        let opened = Opened::strict(stream)?;
-        // f32-native payloads decode at their native width; widening for
-        // the f64 surface is exact, so this field carries exactly the
-        // values `decompress_f32` would return.
-        let (volume, stats) = self.decode_with_stats(&opened, stream.len())?;
-        if let Some(t0) = op_t0 {
-            let label = if opened.header.native_f32 {
-                metric_labels::OP_DECOMPRESS_F32
-            } else {
-                metric_labels::OP_DECOMPRESS_F64
-            };
-            sperr_telemetry::record_ns(label, t0.elapsed().as_nanos() as u64);
-        }
-        let field = Field::new(opened.header.dims, volume).with_precision(opened.header.precision);
-        Ok((field, stats))
-    }
-
-    /// Reconstructs an f32-native stream (precision tag 2) at its native
-    /// width — no f64 materialization anywhere on the chunk hot path.
-    /// Streams from the f64 pipeline (tags 0/1) are rejected: narrowing
-    /// their decode is lossy, so the caller must opt in explicitly via
-    /// [`Sperr::decompress`] + [`Field::narrow_lossy`].
-    pub fn decompress_f32(&self, stream: &[u8]) -> Result<FieldOf<f32>, CompressError> {
-        self.decompress_f32_with_stats(stream).map(|(field, _)| field)
-    }
-
-    /// [`Sperr::decompress_f32`] with per-stage timing statistics.
-    pub fn decompress_f32_with_stats(
-        &self,
-        stream: &[u8],
-    ) -> Result<(FieldOf<f32>, CompressionStats), CompressError> {
-        let _run = sperr_telemetry::span!("sperr.decompress_f32", stream.len());
-        let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_F32);
-        let opened = Opened::strict(stream)?;
-        if !opened.header.native_f32 {
-            return Err(CompressError::Invalid(
-                "stream is not f32-native; decode it with decompress() and narrow explicitly"
-                    .into(),
-            ));
-        }
-        let (volume, stats) = self.decode_with_stats(&opened, stream.len())?;
-        let field = FieldOf::<f32>::new(opened.header.dims, volume)
-            .with_precision(opened.header.precision);
-        Ok((field, stats))
-    }
-
-    /// Strictly decodes every chunk of `opened` in full into a volume of
-    /// `D`, with the run's statistics.
-    fn decode_with_stats<D: Float>(
-        &self,
-        opened: &Opened<'_>,
-        stream_len: usize,
-    ) -> Result<(Vec<D>, CompressionStats), CompressError> {
-        let dims = opened.header.dims;
-        let (volume, stage_times) = self.run_strict(opened, &opened.all_tasks(), dims)?;
-        let stats = CompressionStats {
-            num_points: dims.iter().product(),
-            num_chunks: opened.grid.len(),
-            container_bytes: opened.container_len,
-            output_bytes: stream_len,
-            stage_times,
-            ..CompressionStats::default()
-        };
-        Ok((volume, stats))
-    }
-
-    /// Runs `tasks` and folds strictly: any task that did not decode fails
-    /// the read; otherwise the kept boxes are assembled into a volume of
-    /// `out_dims`, returned with the stage times of opening and decoding.
-    fn run_strict<D: Float>(
-        &self,
-        opened: &Opened<'_>,
-        tasks: &[ChunkTask],
-        out_dims: [usize; 3],
-    ) -> Result<(Vec<D>, StageTimes), CompressError> {
-        let results = opened.run(self, tasks);
-        strict(tasks, &results)?;
-        let mut times = opened.open_times;
-        results.iter().for_each(|(_, _, t)| times.accumulate(t));
-        Ok((opened.assemble(tasks, &results, [0; 3], out_dims), times))
-    }
 }
 
 /// `chunk` of `opened` as the container stores it, re-packaged for the
@@ -816,91 +555,6 @@ fn reframe(stream: &[u8], version: u8) -> Result<Vec<u8>, CompressError> {
         .collect::<Result<Vec<_>, _>>()?;
     let container = write_container(&opened.header, &chunks, version);
     Ok(wrap_outer(&container, opened.lossless, &WorkerPool::inline()))
-}
-
-/// One-time warning that a region query had to scan a legacy container.
-/// `Once` so a service looping over regions does not flood stderr; the
-/// fallback itself is fully supported, just not seekable.
-fn warn_legacy_region_scan(version: u8) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "sperr: container v{version} carries no chunk index; decode_region is walking \
-             the chunk table instead of seeking (re-encode as container v3 for indexed \
-             random access). This warning is printed once per process."
-        );
-    });
-}
-
-/// Outcome of one chunk in [`Sperr::decompress_resilient`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ChunkStatus {
-    /// Decoded normally.
-    Ok,
-    /// The v2 payload checksum failed; the chunk was not decoded.
-    ChecksumMismatch,
-    /// The payload passed its checksum (or the stream is v1) but the
-    /// coders rejected it.
-    DecodeFailed(CompressError),
-}
-
-impl ChunkStatus {
-    /// The strict reading of this outcome for chunk `chunk`: anything but
-    /// [`ChunkStatus::Ok`] is the error that fails the read.
-    pub(crate) fn to_result(&self, chunk: usize) -> Result<(), CompressError> {
-        match self {
-            ChunkStatus::Ok => Ok(()),
-            ChunkStatus::ChecksumMismatch => {
-                Err(CompressError::Corrupt(format!("chunk {chunk} payload checksum mismatch")))
-            }
-            ChunkStatus::DecodeFailed(e) => Err(e.clone()),
-        }
-    }
-}
-
-/// Per-chunk outcomes of a resilient decode.
-#[derive(Debug, Clone)]
-pub struct ResilientReport {
-    /// One status per chunk, in chunk-grid order.
-    pub statuses: Vec<ChunkStatus>,
-}
-
-impl ResilientReport {
-    /// True when every chunk decoded cleanly.
-    pub fn all_ok(&self) -> bool {
-        self.statuses.iter().all(|s| matches!(s, ChunkStatus::Ok))
-    }
-
-    /// Indices of chunks that failed (either way).
-    pub fn failed_chunks(&self) -> Vec<usize> {
-        self.statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, ChunkStatus::Ok))
-            .map(|(i, _)| i)
-            .collect()
-    }
-}
-
-/// Per-chunk outcomes of a region decode (see [`Sperr::decode_region`]).
-/// Only the chunks intersecting the requested bbox appear; `chunk_ids[i]`
-/// names the grid index `statuses[i]` refers to.
-#[derive(Debug, Clone)]
-pub struct RegionReport {
-    /// Grid indices of the chunks that intersect the region, ascending.
-    pub chunk_ids: Vec<usize>,
-    /// One status per intersecting chunk, parallel to `chunk_ids`.
-    pub statuses: Vec<ChunkStatus>,
-    /// Whether the container-v3 chunk index was used to seek (false for
-    /// legacy v1/v2 streams, which fall back to a chunk-table scan).
-    pub used_index: bool,
-}
-
-impl RegionReport {
-    /// True when every intersecting chunk decoded cleanly.
-    pub fn all_ok(&self) -> bool {
-        self.statuses.iter().all(|s| matches!(s, ChunkStatus::Ok))
-    }
 }
 
 /// Result of a checksum-only integrity pass (see [`Sperr::verify`]).
@@ -978,8 +632,10 @@ impl LossyCompressor for Sperr {
         self.compress_with_stats(field, bound).map(|(stream, _)| stream)
     }
 
+    /// `read::<f64>(stream, Full, Fail)`'s field. Kept because the trait
+    /// (and through it the benchmark harness) asks for it.
     fn decompress(&self, stream: &[u8]) -> Result<Field, CompressError> {
-        self.decompress_with_stats(stream).map(|(field, _)| field)
+        Ok(self.read(stream, ReadRequest::Full, OnDamage::Fail)?.field)
     }
 }
 

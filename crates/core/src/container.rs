@@ -10,13 +10,13 @@
 //!   chunk payload, then a CRC-32 over everything preceding it (the
 //!   "header CRC"), then payloads. The checksums let a reader detect
 //!   corruption cheaply ([`crate::Sperr::verify`]) and localize damage to
-//!   individual chunks ([`crate::Sperr::decompress_resilient`]).
+//!   individual chunks ([`crate::OnDamage::ZeroFill`]).
 //! * **v3** — identical through the chunk table, then a **chunk index**
 //!   (per chunk: payload byte offset, encoded length, chunk-grid
 //!   coordinates, and the chunk's post-correction max point-wise error),
 //!   then the v2 checksum block (whose header CRC also covers the index),
 //!   then payloads. The index lets a reader seek straight to the chunks
-//!   intersecting a region of interest ([`crate::Sperr::decode_region`])
+//!   intersecting a region of interest ([`crate::ReadRequest::Region`])
 //!   without walking the chunk table, and carries per-chunk quality
 //!   metadata for preview/refinement decisions.
 //!

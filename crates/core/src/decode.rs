@@ -1,17 +1,18 @@
 //! The decode plan: every read this crate offers — full, f32-native,
 //! resilient, multi-resolution, region, preview, streaming — is the same
 //! three steps, because the paper's chunks are independent by construction
-//! (§III-D). This module owns those steps and nothing else.
+//! (§III-D). This module owns those steps, and [`Sperr::read`], the one
+//! in-memory entry point that runs them for a [`ReadRequest`].
 //!
 //! 1. **Open** ([`Opened`]): outer flag → container head → chunk grid
 //!    cross-checked against the chunk table → each payload's offset (from
 //!    the v3 index, or a walk of the table) → tolerance. Payload bytes sit
 //!    behind one accessor, [`Opened::payload`], backed either by the
 //!    wholly inflated container ([`Opened::whole`], [`Opened::strict`]) or
-//!    by the SLZ1 blocks under the wanted chunks ([`Opened::region`]).
-//! 2. **Plan**: a list of [`ChunkTask`]s — which chunk, what of it to
-//!    keep, how much of its SPECK stream to read, whether corrections
-//!    apply, at which resolution.
+//!    by the SLZ1 blocks under the wanted chunks ([`Opened::sparse`]).
+//! 2. **Plan** ([`Head::plan`]): a list of [`ChunkTask`]s — which chunk,
+//!    what of it to keep, how much of its SPECK stream to read, whether
+//!    corrections apply, at which resolution.
 //! 3. **Execute** ([`Opened::run_on`]): task `j` runs on the pool with its
 //!    worker's arenas through [`Opened::decode_task`] — CRC, split, the
 //!    one [`decode_chunk`] — and yields `(samples, status, stage times)`
@@ -19,10 +20,10 @@
 //!    ([`Opened::run`]); streaming runs one batch of whole z-layers at a
 //!    time on the same executor.
 //!
-//! What remains for an entry point is a **fold** of the results: strict
-//! reads fail on the first task that did not decode ([`strict`]);
-//! resilient and region reads keep the statuses and leave failed boxes
-//! zero-filled; all of them place the kept boxes with the one box copy
+//! What remains is a **fold** of the results: under [`OnDamage::Fail`] the
+//! first task that did not decode fails the read ([`strict`]); under
+//! [`OnDamage::ZeroFill`] the statuses are kept and failed boxes stay
+//! zero; either way the kept boxes are placed with the one box copy
 //! ([`Opened::assemble`]).
 //!
 //! Everything here walks untrusted chunk tables and decodes untrusted
@@ -30,14 +31,14 @@
 //! construct, typed errors only.
 
 use crate::chunk::{chunk_grid, copy_box, ChunkSpec};
-use crate::compressor::{ChunkStatus, Sperr};
+use crate::compressor::{preview_budget_bytes, validate_bound, Sperr};
 use crate::container::{read_container, ChunkEntry, ChunkIndexEntry, Header, Mode, Parsed};
 use crate::crc32::crc32;
 use crate::outer::{unwrap_outer, Fetched, Framed};
 use crate::pipeline::ScratchArena;
 use crate::pool::WorkerPool;
-use crate::stats::{stage_labels, StageTimes};
-use sperr_compress_api::CompressError;
+use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
+use sperr_compress_api::{Bound, CompressError, FieldOf};
 use sperr_simd::Float;
 use sperr_telemetry::timed;
 use sperr_wavelet::{
@@ -327,74 +328,90 @@ impl Head {
         (0..self.grid.len()).map(ChunkTask::full).collect()
     }
 
-    /// The plan of a preview: every chunk, its SPECK stream cut at
-    /// `budget_of(chunk)` bytes, no corrections.
-    pub(crate) fn preview_tasks(&self, budget_of: impl Fn(usize) -> usize) -> Vec<ChunkTask> {
-        let cut = |chunk| ChunkTask {
-            budget: budget_of(chunk),
-            outliers: false,
-            ..ChunkTask::full(chunk)
-        };
-        (0..self.grid.len()).map(cut).collect()
-    }
-
-    /// The plan of a `1/2^level`-resolution decode, with the dims of the
-    /// coarse volume: every chunk, `level` transform levels left undone,
-    /// no corrections.
-    pub(crate) fn coarse_tasks(
+    /// The plan of a read of `what`, with the dims of the volume it
+    /// returns:
+    /// - `Full`: every chunk, whole;
+    /// - `Region`: one task per chunk intersecting the half-open box
+    ///   `[lo, hi)`, keeping the chunk-local intersection;
+    /// - `Level(l)`: every chunk, `l` transform levels left undone, no
+    ///   corrections;
+    /// - `Bpp`, `Budgets`: every chunk, its SPECK stream cut at the
+    ///   chunk's budget, no corrections.
+    pub(crate) fn plan(
         &self,
-        level: usize,
+        what: ReadRequest<'_>,
     ) -> Result<(Vec<ChunkTask>, [usize; 3]), CompressError> {
         let Header { dims, chunk_dims, .. } = self.header;
-        // Chunk offsets are multiples of chunk_dims; they must stay
-        // aligned after coarsening (single-chunk streams are always fine).
-        let divides = |d: &usize| d.trailing_zeros() as usize >= level;
-        if self.grid.len() > 1 && !chunk_dims.iter().all(divides) {
-            return Err(CompressError::Invalid(format!(
-                "chunk dims {chunk_dims:?} not divisible by 2^{level}"
-            )));
-        }
-        for spec in &self.grid {
-            let levels = levels_for_dims(spec.dims);
-            if levels.iter().any(|&l| l < level) {
-                return Err(CompressError::Invalid(format!(
-                    "resolution level {level} exceeds the chunk's transform depth {levels:?}"
-                )));
+        let n = self.grid.len();
+        let preview = |budget_of: &dyn Fn(usize) -> usize| -> Vec<ChunkTask> {
+            let cut = |chunk| ChunkTask {
+                budget: budget_of(chunk),
+                outliers: false,
+                ..ChunkTask::full(chunk)
+            };
+            (0..n).map(cut).collect()
+        };
+        match what {
+            ReadRequest::Full | ReadRequest::Level(0) => Ok((self.all_tasks(), dims)),
+            ReadRequest::Region { lo, hi } => {
+                if (0..3).any(|d| lo[d] >= hi[d] || hi[d] > dims[d]) {
+                    return Err(CompressError::Invalid(format!(
+                        "region [{lo:?}, {hi:?}) out of bounds for dims {dims:?}"
+                    )));
+                }
+                let mut tasks = Vec::new();
+                for (chunk, spec) in self.grid.iter().enumerate() {
+                    let mut keep = ([0; 3], [0; 3]);
+                    for d in 0..3 {
+                        let (start, end) = (spec.offset[d], spec.offset[d] + spec.dims[d]);
+                        keep.0[d] = lo[d].max(start) - start;
+                        keep.1[d] = hi[d].min(end).saturating_sub(start);
+                    }
+                    if (0..3).all(|d| keep.0[d] < keep.1[d]) {
+                        tasks.push(ChunkTask { keep: Some(keep), ..ChunkTask::full(chunk) });
+                    }
+                }
+                Ok((tasks, [0, 1, 2].map(|d| hi[d] - lo[d])))
+            }
+            ReadRequest::Level(level) => {
+                // Chunk offsets are multiples of chunk_dims; they must stay
+                // aligned after coarsening (single-chunk streams are always
+                // fine).
+                let divides = |d: &usize| d.trailing_zeros() as usize >= level;
+                if self.grid.len() > 1 && !chunk_dims.iter().all(divides) {
+                    return Err(CompressError::Invalid(format!(
+                        "chunk dims {chunk_dims:?} not divisible by 2^{level}"
+                    )));
+                }
+                for spec in &self.grid {
+                    let levels = levels_for_dims(spec.dims);
+                    if levels.iter().any(|&l| l < level) {
+                        return Err(CompressError::Invalid(format!(
+                            "resolution level {level} exceeds the chunk's transform depth \
+                             {levels:?}"
+                        )));
+                    }
+                }
+                // No axis has more than six transform levels, so the shift
+                // is in range. Iterated ceil-halving == ceil(n / 2^level).
+                let coarse = dims.map(|d| d.div_ceil(1 << level));
+                let task = |chunk| ChunkTask { outliers: false, level, ..ChunkTask::full(chunk) };
+                Ok(((0..n).map(task).collect(), coarse))
+            }
+            ReadRequest::Bpp(bpp) => {
+                Ok((preview(&|chunk| preview_budget_bytes(bpp, &self.grid[chunk])), dims))
+            }
+            ReadRequest::Budgets(budgets) => {
+                if budgets.len() != self.entries.len() {
+                    return Err(CompressError::Invalid(format!(
+                        "{} budgets for {} chunks",
+                        budgets.len(),
+                        self.entries.len()
+                    )));
+                }
+                Ok((preview(&|chunk| budgets[chunk]), dims))
             }
         }
-        // No axis has more than six transform levels, so the shift is in
-        // range. Iterated ceil-halving == ceil(n / 2^level).
-        let coarse = dims.map(|d| d.div_ceil(1 << level));
-        let task = |chunk| ChunkTask { outliers: false, level, ..ChunkTask::full(chunk) };
-        Ok(((0..self.grid.len()).map(task).collect(), coarse))
-    }
-
-    /// The plan of a region read: one task per chunk intersecting the
-    /// half-open box `[lo, hi)`, keeping the chunk-local intersection.
-    fn region_tasks(
-        &self,
-        lo: [usize; 3],
-        hi: [usize; 3],
-    ) -> Result<Vec<ChunkTask>, CompressError> {
-        let dims = self.header.dims;
-        if (0..3).any(|d| lo[d] >= hi[d] || hi[d] > dims[d]) {
-            return Err(CompressError::Invalid(format!(
-                "region [{lo:?}, {hi:?}) out of bounds for dims {dims:?}"
-            )));
-        }
-        let mut tasks = Vec::new();
-        for (chunk, spec) in self.grid.iter().enumerate() {
-            let mut keep = ([0; 3], [0; 3]);
-            for d in 0..3 {
-                let (start, end) = (spec.offset[d], spec.offset[d] + spec.dims[d]);
-                keep.0[d] = lo[d].max(start) - start;
-                keep.1[d] = hi[d].min(end).saturating_sub(start);
-            }
-            if (0..3).all(|d| keep.0[d] < keep.1[d]) {
-                tasks.push(ChunkTask { keep: Some(keep), ..ChunkTask::full(chunk) });
-            }
-        }
-        Ok(tasks)
     }
 
     /// The chunk-local box of `task`'s decode that the read keeps, as
@@ -446,13 +463,13 @@ impl Deref for Opened<'_> {
 
 impl<'a> Opened<'a> {
     /// Opens `stream` for a read that needs every payload and leaves
-    /// checksum failures to the tasks (resilient decode, `verify`): the
-    /// container is inflated whole.
+    /// checksum failures to the tasks ([`OnDamage::ZeroFill`], `verify`):
+    /// the container is inflated whole.
     pub(crate) fn whole(stream: &'a [u8]) -> Result<Self, CompressError> {
         Self::open_whole(stream, false)
     }
 
-    /// [`Opened::whole`] for the strict reads: every payload checksum is
+    /// [`Opened::whole`] for [`OnDamage::Fail`]: every payload checksum is
     /// verified before anything decodes ([`Opened::verify_crcs`]), so a
     /// damaged stream fails fast, naming its lowest damaged chunk.
     pub(crate) fn strict(stream: &'a [u8]) -> Result<Self, CompressError> {
@@ -485,20 +502,19 @@ impl<'a> Opened<'a> {
         Ok(opened)
     }
 
-    /// Opens `stream` for a read of the sub-box `[lo, hi)` and plans it.
-    /// Only the head and the SLZ1 blocks under the planned chunks'
-    /// payloads are inflated — cost follows chunks touched, and damage
-    /// elsewhere in the stream, even inside the lossless wrapper, is never
-    /// looked at. A needed block that fails to inflate fails the tasks
-    /// whose payloads overlap it, not the call.
-    pub(crate) fn region(
+    /// Opens `stream` for a read of `what` and plans it, with the dims of
+    /// the volume the plan returns. Only the head and the SLZ1 blocks under
+    /// the planned chunks' payloads are inflated — cost follows chunks
+    /// touched, and damage elsewhere in the stream, even inside the
+    /// lossless wrapper, is never looked at. A needed block that fails to
+    /// inflate fails the tasks whose payloads overlap it, not the call.
+    pub(crate) fn sparse(
         stream: &'a [u8],
-        lo: [usize; 3],
-        hi: [usize; 3],
-    ) -> Result<(Self, Vec<ChunkTask>), CompressError> {
+        what: ReadRequest<'_>,
+    ) -> Result<(Self, Vec<ChunkTask>, [usize; 3]), CompressError> {
         let framed = Framed::open(stream)?;
         let head = Head::new(framed.read_head()?)?;
-        let tasks = head.region_tasks(lo, hi)?;
+        let (tasks, out_dims) = head.plan(what)?;
         let wanted: Vec<_> = tasks.iter().map(|t| head.payload_range(t.chunk)).collect();
         let opened = Opened {
             head,
@@ -507,7 +523,7 @@ impl<'a> Opened<'a> {
             container_len: framed.container_len(),
             open_times: StageTimes::default(),
         };
-        Ok((opened, tasks))
+        Ok((opened, tasks, out_dims))
     }
 
     /// `chunk`'s payload bytes: SPECK stream, then outlier stream.
@@ -650,4 +666,259 @@ impl<'a> Opened<'a> {
 /// on opening, so for them this is the lowest-index decode failure.)
 pub(crate) fn strict(tasks: &[ChunkTask], results: &[TaskResult]) -> Result<(), CompressError> {
     tasks.iter().zip(results).try_for_each(|(task, (_, status, _))| status.to_result(task.chunk))
+}
+
+/// What [`Sperr::read`] reconstructs of a stream. The paper's §VII read
+/// modes — coarse levels, truncated previews of the embedded stream, and
+/// region reads of the chunked volume — are, like the full decode, one
+/// plan over independent chunks with different chunk tasks; a request
+/// names which. Being an enum, it cannot express a combination no read
+/// supports.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ReadRequest<'a> {
+    /// The whole volume at full fidelity.
+    Full,
+    /// The sub-box `[lo, hi)`, decoding just the chunks that intersect it
+    /// and, inside each, just the box's wavelet support: a field of dims
+    /// `hi - lo`, bit-identical to the same slice of a full read (chunks
+    /// decode independently, and corrections are point-local).
+    Region {
+        /// Lower corner, inclusive.
+        lo: [usize; 3],
+        /// Upper corner, exclusive.
+        hi: [usize; 3],
+    },
+    /// The `1/2^l`-resolution approximation, of dims `⌈dims / 2^l⌉`, from
+    /// undoing only the coarser transform levels (§VII multi-level
+    /// reconstruction), without outlier corrections (they are
+    /// full-resolution data). Needs every chunk to have `l` transform
+    /// levels on every axis and, on a multi-chunk stream, `chunk_dims`
+    /// divisible by `2^l`. `Level(0)` is `Full`.
+    Level(usize),
+    /// A preview at a uniform rate: each chunk's SPECK stream cut at the
+    /// bytes a `bpp` bits-per-point target implies — the accounting of
+    /// [`Sperr::transcode_to_bpp`], so this is bit-identical to decoding
+    /// the transcoded stream without materializing it.
+    Bpp(f64),
+    /// A preview with chunk `c`'s SPECK stream cut at `budgets[c]` bytes
+    /// (clamped to its length; `usize::MAX` keeps it all), one budget per
+    /// chunk. Truncation is the embedded-coding contract, not corruption:
+    /// any budget decodes to a coarser field. Previews skip the outlier
+    /// corrections and carry no point-wise error guarantee.
+    Budgets(&'a [usize]),
+}
+
+/// What a read does with a chunk that fails its checksum or its decode.
+/// Damage to the head (magic, header CRC, chunk table, the framing of the
+/// lossless wrapper) fails every read: without it nothing can be located.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OnDamage {
+    /// The read fails, naming its lowest damaged chunk. Whole-volume reads
+    /// check every payload checksum before anything decodes.
+    Fail,
+    /// The chunk's box is left zero-filled and reported in the
+    /// [`ReadReport`]; every healthy chunk decodes normally.
+    ZeroFill,
+}
+
+/// Outcome of one chunk of a read.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ChunkStatus {
+    /// Decoded normally.
+    Ok,
+    /// The v2 payload checksum failed; the chunk was not decoded.
+    ChecksumMismatch,
+    /// The payload passed its checksum (or the stream is v1) but the
+    /// coders rejected it.
+    DecodeFailed(CompressError),
+}
+
+impl ChunkStatus {
+    /// The strict reading of this outcome for chunk `chunk`: anything but
+    /// [`ChunkStatus::Ok`] is the error that fails the read.
+    pub(crate) fn to_result(&self, chunk: usize) -> Result<(), CompressError> {
+        match self {
+            ChunkStatus::Ok => Ok(()),
+            ChunkStatus::ChecksumMismatch => {
+                Err(CompressError::Corrupt(format!("chunk {chunk} payload checksum mismatch")))
+            }
+            ChunkStatus::DecodeFailed(e) => Err(e.clone()),
+        }
+    }
+}
+
+/// Per-chunk outcomes of a [`Sperr::read`].
+#[derive(Debug, Clone)]
+pub struct ReadReport {
+    /// Grid indices of the chunks the read decoded, ascending: every chunk,
+    /// or for a region read those that intersect its box.
+    pub chunk_ids: Vec<usize>,
+    /// One status per chunk, parallel to `chunk_ids` (all
+    /// [`ChunkStatus::Ok`] when an [`OnDamage::Fail`] read returns).
+    pub statuses: Vec<ChunkStatus>,
+    /// Whether the container-v3 chunk index gave the payload offsets
+    /// (false for legacy v1/v2 streams, which fall back to a walk of the
+    /// chunk table).
+    pub used_index: bool,
+}
+
+impl ReadReport {
+    /// True when every chunk the read touched decoded cleanly.
+    pub fn all_ok(&self) -> bool {
+        self.statuses.iter().all(|s| matches!(s, ChunkStatus::Ok))
+    }
+
+    /// Grid indices of the chunks that failed (either way), ascending.
+    pub fn failed_chunks(&self) -> Vec<usize> {
+        let outcomes = self.chunk_ids.iter().zip(&self.statuses);
+        outcomes.filter(|(_, s)| !matches!(s, ChunkStatus::Ok)).map(|(&id, _)| id).collect()
+    }
+}
+
+/// What a [`Sperr::read`] returns.
+#[derive(Debug, Clone)]
+pub struct ReadOutput<T: Float> {
+    /// The volume the request names, carrying the stream's recorded
+    /// precision.
+    pub field: FieldOf<T>,
+    /// Per-chunk outcomes.
+    pub report: ReadReport,
+    /// Sizes and per-stage wall times of the read (`info --verbose`).
+    pub stats: CompressionStats,
+}
+
+impl Sperr {
+    /// Reads `what` of `stream` at sample width `T`: every in-memory
+    /// decode this crate offers, as one open → plan → run → fold.
+    ///
+    /// **Cost.** A [`ReadRequest::Region`] read touches the container's
+    /// head (headers, chunk table, index, checksums) and the touched
+    /// chunks' payloads, nothing else: with the lossless pass on, the SLZ1
+    /// blocks (128 KiB of container each) that hold those bytes, each
+    /// inflated once. Its cost follows chunks touched, not stream length;
+    /// v1/v2 streams carry no index, so the table is walked (and a
+    /// once-per-process warning says so). Every other read inflates the
+    /// whole container.
+    ///
+    /// **Damage** ([`OnDamage`]). Under `Fail` a whole-volume read checks
+    /// every payload checksum up front and fails on the lowest damaged
+    /// chunk; a region read checks only its chunks' and fails on the lowest
+    /// of them, so damage elsewhere, even in an SLZ1 block it does not
+    /// need, neither slows nor fails it. Under `ZeroFill` each chunk's
+    /// outcome is reported instead.
+    ///
+    /// **Width.** `T = f64` reads every stream; f32-native payloads widen
+    /// exactly. `T = f32` reads an f32-native stream (precision tag 2) at
+    /// its native width, with no f64 on the chunk path. A stream from the
+    /// f64 pipeline, or a coarse level (reconstructed at f64), is
+    /// `Invalid` at `f32`: narrowing is lossy, so the caller opts in with
+    /// `read::<f64>` and [`FieldOf::narrow_lossy`].
+    pub fn read<T: Float>(
+        &self,
+        stream: &[u8],
+        what: ReadRequest<'_>,
+        on_damage: OnDamage,
+    ) -> Result<ReadOutput<T>, CompressError> {
+        let what = if what == ReadRequest::Level(0) { ReadRequest::Full } else { what };
+        let narrow = T::BYTES == 4;
+        let span = match what {
+            ReadRequest::Full if narrow => Some("sperr.decompress_f32"),
+            ReadRequest::Full => Some("sperr.decompress"),
+            ReadRequest::Region { .. } => Some("sperr.decode_region"),
+            ReadRequest::Bpp(_) | ReadRequest::Budgets(_) => Some("sperr.decode_at_budgets"),
+            ReadRequest::Level(_) => None,
+        };
+        let _run = span.map(|label| sperr_telemetry::span!(label, stream.len()));
+        // A full read's op label follows the payload width, unknown until
+        // the head parses — so time manually and record on success.
+        let t0 = sperr_telemetry::is_recording().then(std::time::Instant::now);
+        if let ReadRequest::Bpp(bpp) = what {
+            validate_bound(Bound::Bpp(bpp))?;
+        }
+        let (opened, tasks, out_dims) = match (what, on_damage) {
+            (ReadRequest::Region { .. }, _) => Opened::sparse(stream, what)?,
+            (_, damage) => {
+                let opened = match damage {
+                    OnDamage::Fail => Opened::strict(stream)?,
+                    OnDamage::ZeroFill => Opened::whole(stream)?,
+                };
+                let (tasks, out_dims) = opened.plan(what)?;
+                (opened, tasks, out_dims)
+            }
+        };
+        let native = opened.header.native_f32;
+        if narrow && (!native || matches!(what, ReadRequest::Level(_))) {
+            return Err(CompressError::Invalid(if native {
+                "coarse levels are reconstructed at f64; read them as f64".into()
+            } else {
+                "stream is not f32-native; decode it with decompress() and narrow explicitly".into()
+            }));
+        }
+        let used_index = opened.used_index();
+        match what {
+            ReadRequest::Region { .. } => {
+                if !used_index {
+                    warn_legacy_region_scan(opened.version);
+                }
+                sperr_telemetry::counter!("region.chunks_touched", tasks.len());
+                sperr_telemetry::counter!("region.used_index", used_index as u64);
+            }
+            ReadRequest::Bpp(_) | ReadRequest::Budgets(_) => {
+                let kept = tasks.iter().map(|t| opened.entries[t.chunk].speck_len.min(t.budget));
+                sperr_telemetry::counter!("preview.kept_speck_bytes", kept.sum::<usize>());
+            }
+            ReadRequest::Full | ReadRequest::Level(_) => {}
+        }
+
+        let results = opened.run(self, &tasks);
+        if on_damage == OnDamage::Fail {
+            strict(&tasks, &results)?;
+        }
+        let origin = match what {
+            ReadRequest::Region { lo, .. } => lo,
+            _ => [0; 3],
+        };
+        let volume = opened.assemble(&tasks, &results, origin, out_dims);
+        let mut stage_times = opened.open_times;
+        results.iter().for_each(|(_, _, times)| stage_times.accumulate(times));
+        let stats = CompressionStats {
+            num_points: volume.len(),
+            num_chunks: tasks.len(),
+            container_bytes: opened.container_len,
+            output_bytes: stream.len(),
+            stage_times,
+            ..CompressionStats::default()
+        };
+        let report = ReadReport {
+            chunk_ids: tasks.iter().map(|t| t.chunk).collect(),
+            statuses: results.into_iter().map(|(_, status, _)| status).collect(),
+            used_index,
+        };
+        let field = FieldOf::new(out_dims, volume).with_precision(opened.header.precision);
+        let op = match what {
+            ReadRequest::Full if native => Some(metric_labels::OP_DECOMPRESS_F32),
+            ReadRequest::Full => Some(metric_labels::OP_DECOMPRESS_F64),
+            ReadRequest::Region { .. } => Some(metric_labels::OP_DECODE_REGION),
+            ReadRequest::Bpp(_) | ReadRequest::Budgets(_) => Some(metric_labels::OP_DECODE_PREVIEW),
+            ReadRequest::Level(_) => None,
+        };
+        if let (Some(t0), Some(op)) = (t0, op) {
+            sperr_telemetry::record_ns(op, t0.elapsed().as_nanos() as u64);
+        }
+        Ok(ReadOutput { field, report, stats })
+    }
+}
+
+/// One-time warning that a region read had to walk a legacy container's
+/// chunk table. `Once` so a service looping over regions does not flood
+/// stderr; the fallback itself is fully supported, just not seekable.
+fn warn_legacy_region_scan(version: u8) {
+    static WARNED: std::sync::Once = std::sync::Once::new();
+    WARNED.call_once(|| {
+        eprintln!(
+            "sperr: container v{version} carries no chunk index; decode_region is walking \
+             the chunk table instead of seeking (re-encode as container v3 for indexed \
+             random access). This warning is printed once per process."
+        );
+    });
 }

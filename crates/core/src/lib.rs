@@ -24,13 +24,13 @@
 //! * **Average-error** (`Bound::Psnr(db)`): quantization step set from the
 //!   PSNR target via the transform's near-orthogonality (§VII item 1).
 //!
-//! Beyond compress/decompress: multi-resolution decoding
-//! ([`Sperr::decompress_multires`]), random-access region decoding via
-//! the container-v3 chunk index ([`Sperr::decode_region`] /
-//! [`Sperr::decompress_region`]), progressive byte-budget previews
-//! ([`Sperr::decode_at_bpp`] / [`Sperr::decode_at_budgets`]), re-rating
-//! without re-encoding ([`Sperr::transcode_to_bpp`]), stream inspection
-//! ([`Sperr::inspect`]) and bounded-memory streaming over `Read`/`Write`
+//! Beyond compress/decompress, one read ([`Sperr::read`]) answers every
+//! [`ReadRequest`] at either sample width: multi-resolution decoding,
+//! random-access region decoding via the container-v3 chunk index,
+//! progressive byte-budget previews, and damaged-stream salvage
+//! ([`OnDamage`]). Also: re-rating without re-encoding
+//! ([`Sperr::transcode_to_bpp`]), stream inspection ([`Sperr::inspect`])
+//! and bounded-memory streaming over `Read`/`Write`
 //! ([`Sperr::compress_stream`] / [`Sperr::decompress_stream`]).
 //!
 //! Large volumes are split into chunks (default 256³, configurable, not
@@ -70,12 +70,11 @@ mod stream;
 pub use stats::{metric_labels, stage_labels};
 
 pub use chunk::{chunk_grid, extract_chunk, extract_chunk_into, ChunkSpec};
-pub use compressor::{
-    ChunkStatus, RegionReport, ResilientReport, Sperr, SperrConfig, StreamInfo, VerifyReport,
-};
+pub use compressor::{Sperr, SperrConfig, StreamInfo, VerifyReport};
 pub use container::Mode;
 pub use container::{ChunkIndexEntry, VERSION as CONTAINER_VERSION};
 pub use crc32::crc32;
+pub use decode::{ChunkStatus, OnDamage, ReadOutput, ReadReport, ReadRequest};
 pub use pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
 pub use pool::{JobPanic, WorkerPool};
 /// The sample-width abstraction the generic pipeline is written against,
@@ -89,7 +88,12 @@ pub use stream::{
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sperr_compress_api::{Bound, Field, LossyCompressor};
+    use sperr_compress_api::{Bound, CompressError, Field, LossyCompressor};
+
+    /// `what` of `stream` at f64, strictly.
+    fn read(sperr: &Sperr, stream: &[u8], what: ReadRequest) -> Result<Field, CompressError> {
+        Ok(sperr.read(stream, what, OnDamage::Fail)?.field)
+    }
 
     fn wavy_field(dims: [usize; 3]) -> Field {
         Field::from_fn(dims, |x, y, z| {
@@ -326,10 +330,10 @@ mod tests {
         let t = field.tolerance_for_idx(20);
         let stream = sperr.compress(&field, Bound::Pwe(t)).unwrap();
         // level 0 == ordinary decode
-        let full = sperr.decompress_multires(&stream, 0).unwrap();
+        let full = read(&sperr, &stream, ReadRequest::Level(0)).unwrap();
         assert_eq!(full.dims, field.dims);
         for level in 1..=3usize {
-            let coarse = sperr.decompress_multires(&stream, level).unwrap();
+            let coarse = read(&sperr, &stream, ReadRequest::Level(level)).unwrap();
             let s = 1 << level;
             assert_eq!(
                 coarse.dims,
@@ -369,10 +373,10 @@ mod tests {
         });
         let t = field.tolerance_for_idx(15);
         let stream = sperr.compress(&field, Bound::Pwe(t)).unwrap();
-        let coarse = sperr.decompress_multires(&stream, 1).unwrap();
+        let coarse = read(&sperr, &stream, ReadRequest::Level(1)).unwrap();
         assert_eq!(coarse.dims, [32, 16, 16]);
         // Too-deep level must error cleanly, not panic.
-        assert!(sperr.decompress_multires(&stream, 7).is_err());
+        assert!(read(&sperr, &stream, ReadRequest::Level(7)).is_err());
     }
 
     #[test]
@@ -410,7 +414,7 @@ mod tests {
             ([17, 17, 17], [18, 18, 18]),        // single point
             ([40, 0, 16], [48, 16, 24]),         // corner
         ] {
-            let region = sperr.decompress_region(&stream, lo, hi).unwrap();
+            let region = read(&sperr, &stream, ReadRequest::Region { lo, hi }).unwrap();
             assert_eq!(region.dims, [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]]);
             for z in 0..region.dims[2] {
                 for y in 0..region.dims[1] {
@@ -425,8 +429,8 @@ mod tests {
             }
         }
         // Invalid regions are rejected.
-        assert!(sperr.decompress_region(&stream, [0, 0, 0], [0, 1, 1]).is_err());
-        assert!(sperr.decompress_region(&stream, [0, 0, 0], [49, 1, 1]).is_err());
+        assert!(read(&sperr, &stream, ReadRequest::Region { lo: [0; 3], hi: [0, 1, 1] }).is_err());
+        assert!(read(&sperr, &stream, ReadRequest::Region { lo: [0; 3], hi: [49, 1, 1] }).is_err());
     }
 
     #[test]

@@ -102,6 +102,14 @@ pub enum Refusal {
     /// in the outlier locate, are not finite at the sample width: values
     /// within a small factor of the type's largest finite value.
     Overflow,
+    /// A bound whose quantization step is not a finite normal number of
+    /// the sample width: a PWE tolerance or RMSE target so small that the
+    /// step rounds to zero or that SPECK's `1/q` overflows, or so large that
+    /// the step does.
+    Step {
+        /// The step the bound set.
+        q: f64,
+    },
 }
 
 impl Refusal {
@@ -116,6 +124,11 @@ impl Refusal {
             Refusal::Overflow => CompressError::Invalid(format!(
                 "chunk {chunk}: its wavelet transform overflows (samples too close to the \
                  largest finite value); nothing was encoded"
+            )),
+            Refusal::Step { q } => CompressError::Invalid(format!(
+                "chunk {chunk}: the bound sets quantization step {q:e}, which is not a finite \
+                 normal number at this sample width (the bound is out of the coder's range); \
+                 nothing was encoded"
             )),
         }
     }
@@ -360,14 +373,14 @@ fn scan_outliers<T: Float>(
 /// panels and elementwise sweeps run on `pool`, bit-identically for any
 /// thread count. A dense chunk is the volume whose extent is the chunk's.
 ///
-/// Refuses the chunk's first sample that is not finite, and a chunk whose
-/// transform or reconstruction overflows ([`Refusal`]).
+/// Refuses the chunk's first sample that is not finite, a chunk whose
+/// transform or reconstruction overflows, and a bound whose quantization
+/// step is not a finite normal number of the sample width ([`Refusal`]).
 ///
 /// # Panics
 ///
-/// On caller bugs: a chunk outside the volume, or a PWE tolerance, q
-/// factor or RMSE target that is not positive and finite (the coders
-/// assert the tolerance and the quantization step).
+/// On caller bugs: a chunk outside the volume, or a PWE tolerance that is
+/// not positive and finite (the outlier coder asserts it).
 pub fn compress_chunk<T: Float>(
     volume: &[T],
     volume_dims: [usize; 3],
@@ -395,16 +408,30 @@ pub fn compress_chunk<T: Float>(
     });
     let max_mag = max_mag?;
 
+    // SPECK quantizes with `1/q` at the sample width, so the step must be
+    // a normal number of that width: below the smallest, `1/q` overflows.
+    let min_step = match T::BYTES {
+        4 => f64::from(f32::MIN_POSITIVE),
+        _ => f64::MIN_POSITIVE,
+    };
     let (q, termination) = match mode {
         ChunkMode::Pwe { t, q_factor } => (q_factor * t, Termination::Quality),
-        // Quantization floor well below the budget's reach; degenerate
-        // all-zero chunks encode to an empty stream with any positive q.
+        // Quantization floor well below the budget's reach, but no lower
+        // than the coder can go (tiny coefficients underflow the product);
+        // degenerate all-zero chunks encode to an empty stream with any q.
         ChunkMode::Bpp { budget_bits } => (
-            if max_mag > 0.0 { max_mag * f64::exp2(-f64::from(BPP_MODE_PLANES)) } else { 1.0 },
+            if max_mag > 0.0 {
+                (max_mag * f64::exp2(-f64::from(BPP_MODE_PLANES))).max(min_step)
+            } else {
+                1.0
+            },
             Termination::BitBudget(budget_bits),
         ),
         ChunkMode::Rmse { target_rmse } => (target_rmse, Termination::Quality),
     };
+    if !(q >= min_step && q.is_finite()) {
+        return Err(Refusal::Step { q });
+    }
 
     // Stage 2: SPECK coding of the coefficients.
     crate::faultpoint::stage(stage_labels::SPECK_ENCODE);

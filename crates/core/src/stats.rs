@@ -52,18 +52,18 @@ pub mod stage_labels {
 /// [`stage_labels`] directly — `sperr_telemetry::timed` records a
 /// histogram sample under the span label at every stage call site.
 pub mod metric_labels {
-    /// Wall time of one `compress` call on the f64 pipeline.
+    /// Wall time of one compress call on the f64 pipeline.
     pub const OP_COMPRESS_F64: &str = "op.compress.f64";
-    /// Wall time of one `compress_f32` call (f32-native pipeline).
+    /// Wall time of one compress call on the f32-native pipeline.
     pub const OP_COMPRESS_F32: &str = "op.compress.f32";
-    /// Wall time of one `decompress` call over an f64 stream.
+    /// Wall time of one full read (`ReadRequest::Full`) of an f64 stream.
     pub const OP_DECOMPRESS_F64: &str = "op.decompress.f64";
-    /// Wall time of one f32-native decode (`decompress_f32` on a tag-2
-    /// stream, or the widening decode of one inside `decompress`).
+    /// Wall time of one full read of an f32-native stream, at either
+    /// width.
     pub const OP_DECOMPRESS_F32: &str = "op.decompress.f32";
-    /// Wall time of one `decode_region` call (either width).
+    /// Wall time of one region read (either width).
     pub const OP_DECODE_REGION: &str = "op.decode_region";
-    /// Wall time of one `decode_at_budgets`/`decode_at_bpp` preview.
+    /// Wall time of one preview read (`Bpp` or `Budgets`).
     pub const OP_DECODE_PREVIEW: &str = "op.decode_preview";
     /// Wall time of one streaming `compress_stream` run.
     pub const OP_COMPRESS_STREAM: &str = "op.compress_stream";

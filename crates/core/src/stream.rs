@@ -503,8 +503,8 @@ impl Sperr {
     /// Streaming resilient decompression: like
     /// [`Sperr::decompress_stream`], but a corrupt chunk yields its
     /// [`ChunkStatus`] and a neutral zero-filled region while the stream
-    /// continues — the streaming form of
-    /// [`Sperr::decompress_resilient`].
+    /// continues — the streaming form of [`Sperr::read`] under
+    /// [`crate::OnDamage::ZeroFill`].
     pub fn decompress_stream_resilient<R: Read, W: Write>(
         &self,
         reader: R,

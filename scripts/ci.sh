@@ -110,8 +110,60 @@ for ty in f64 f32; do
         fi
     done
 done
+# Tiny finite samples used to panic on a zero quantization step (exit 101;
+# 8 with --stream). Subnormal f64 samples (i mod 7)·5e-324 at --bpp 4,
+# whose largest coefficient times 2^-48 underflows, must now exit 0 with a
+# decode that is entirely finite (its rmse is a number); a sin field scaled
+# by 1e-310 at --pwe 5e-324 --q-factor 0.4, whose step q-factor·t rounds to
+# zero, must exit 3 and write nothing.
+i=0
+while [ $i -lt 4096 ]; do
+    printf "\\$(printf %03o $((i % 7)))\\000\\000\\000\\000\\000\\000\\000"
+    i=$((i + 1))
+done > "$PROBE_DIR/sub.f64"
+# Every sample subnormal: its 52-bit mantissa is round(|v| / 2^-1074), and
+# 1e-310 is 20240225330731 · 2^-1074.
+LC_ALL=C awk 'BEGIN {
+    for (z = 0; z < 16; z++) for (y = 0; y < 16; y++) for (x = 0; x < 16; x++) {
+        v = sin(0.3 * x + 0.2 * y + 0.1 * z) * 20240225330731
+        m = int(v < 0 ? 0.5 - v : v + 0.5)
+        for (b = 0; b < 7; b++) { printf "%c", m % 256; m = int(m / 256) }
+        printf "%c", v < 0 ? 128 : 0
+    }
+}' > "$PROBE_DIR/tiny.f64"
+for stream in "" "--stream"; do
+    rm -f "$PROBE_DIR/out.sperr" "$PROBE_DIR/out.f64"
+    code=0
+    # shellcheck disable=SC2086 # $stream is a flag list
+    timeout 20 target/release/sperr compress --input "$PROBE_DIR/sub.f64" \
+        --output "$PROBE_DIR/out.sperr" --dims 16,16,16 --dtype f64 --bpp 4 $stream \
+        --quiet 2>/dev/null || code=$?
+    if [ "$code" -eq 0 ]; then
+        target/release/sperr decompress --input "$PROBE_DIR/out.sperr" \
+            --output "$PROBE_DIR/out.f64" --dtype f64 --quiet
+        target/release/sperr eval --original "$PROBE_DIR/sub.f64" \
+            --reconstructed "$PROBE_DIR/out.f64" --dims 16,16,16 --dtype f64 \
+            | grep -q '^rmse: *[0-9]' || code=finite
+    fi
+    if [ "$code" != 0 ]; then
+        echo "ERROR: subnormal BPP probe ($stream) failed: $code (want exit 0," \
+            "a finite decode)" >&2
+        exit 1
+    fi
+    rm -f "$PROBE_DIR/out.sperr"
+    code=0
+    # shellcheck disable=SC2086 # $stream is a flag list
+    timeout 20 target/release/sperr compress --input "$PROBE_DIR/tiny.f64" \
+        --output "$PROBE_DIR/out.sperr" --dims 16,16,16 --dtype f64 --pwe 5e-324 \
+        --q-factor 0.4 $stream --quiet 2>/dev/null || code=$?
+    if [ "$code" -ne 3 ] || [ -e "$PROBE_DIR/out.sperr" ]; then
+        echo "ERROR: zero-step PWE probe ($stream) exited $code" \
+            "(want 3, no output file)" >&2
+        exit 1
+    fi
+done
 rm -rf "$PROBE_DIR"
-echo "overflow probes: all refused"
+echo "overflow probes: all refused; tiny-sample probes: encoded or refused"
 
 echo "==> golden-stream governance"
 # A change to the committed golden artifacts is only legitimate when the

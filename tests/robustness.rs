@@ -3,7 +3,7 @@
 //! compressor; plus the paper's QMCPACK chunk-alignment scenario.
 
 use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
-use sperr_core::{Sperr, SperrConfig, SperrError};
+use sperr_core::{Float, OnDamage, ReadOutput, ReadRequest, Sperr, SperrConfig, SperrError};
 use sperr_datagen::{qmcpack_stack, SyntheticField};
 
 /// Deterministic xorshift for fuzz positions.
@@ -306,7 +306,8 @@ fn resilient_decode_recovers_undamaged_chunks() {
     bad[target] ^= 0xFF;
     assert!(sperr.decompress(&bad).is_err(), "strict decode must reject");
 
-    let (rec, report) = sperr.decompress_resilient(&bad).unwrap();
+    let ReadOutput { field: rec, report, .. } =
+        sperr.read::<f64>(&bad, ReadRequest::Full, OnDamage::ZeroFill).unwrap();
     assert_eq!(report.statuses.len(), 3);
     assert_eq!(report.failed_chunks(), vec![1]);
     assert_eq!(report.statuses[0], sperr_core::ChunkStatus::Ok);
@@ -329,7 +330,8 @@ fn resilient_decode_recovers_undamaged_chunks() {
     }
 
     // On an undamaged stream the resilient path is equivalent to strict.
-    let (rec2, report2) = sperr.decompress_resilient(&stream).unwrap();
+    let ReadOutput { field: rec2, report: report2, .. } =
+        sperr.read::<f64>(&stream, ReadRequest::Full, OnDamage::ZeroFill).unwrap();
     assert!(report2.all_ok());
     assert_eq!(rec2.data, clean.data);
 }
@@ -495,6 +497,97 @@ fn finite_samples_whose_transform_overflows_are_refused_in_bounded_time() {
                     got.map(drop).map_err(|e| (e.to_string(), out.len()))
                 });
                 check("f32 streamed", got, overflows);
+            }
+        }
+    }
+}
+
+#[test]
+fn tiny_finite_samples_get_a_usable_step_or_a_typed_refusal() {
+    // Two inputs used to reach the quantization-step assertion in
+    // `sperr_speck::encode` (a panic: exit 101 in memory, 8 streaming):
+    // subnormal samples at a BPP target, whose largest coefficient times
+    // 2^-48 underflows to zero, and a PWE tolerance of the smallest
+    // subnormal at q-factor 0.4, whose product rounds to zero. The BPP
+    // step now has a floor (the width's smallest normal number), so the
+    // stream decodes to finite samples no farther from the input than its
+    // range; the PWE bound is a typed refusal naming the chunk, with
+    // nothing written, as is one whose step is positive but below the
+    // width's smallest normal. Both drivers, 1 and 2 threads, both widths
+    // (f32 has no subnormal as small as 5e-324, so its BPP probe uses its
+    // own).
+    let dims = [16usize; 3];
+    let wave = |x: usize, y: usize, z: usize| {
+        (0.3 * x as f64 + 0.2 * y as f64 + 0.1 * z as f64).sin()
+    };
+    let sub = Field::new(dims, (0..4096).map(|i| (i % 7) as f64 * 5e-324).collect());
+    let sub32 = FieldOf::<f32>::new(dims, (0..4096).map(|i| f32::from_bits(i % 7)).collect());
+    let tiny = Field::from_fn(dims, |x, y, z| wave(x, y, z) * 1e-310);
+    let tiny32 = FieldOf::<f32>::from_fn(dims, |x, y, z| wave(x, y, z) * 1e-40);
+    fn raw<T: Float>(field: &FieldOf<T>) -> Vec<u8> {
+        let mut out = vec![0; field.len() * T::BYTES];
+        let samples = field.data.iter().zip(out.chunks_exact_mut(T::BYTES));
+        samples.for_each(|(v, bytes)| v.write_le(bytes));
+        out
+    }
+    fn stream<T: Float>(
+        s: &Sperr,
+        field: &FieldOf<T>,
+        bound: Bound,
+    ) -> Result<Vec<u8>, (SperrError, usize)> {
+        let mut out = Vec::new();
+        let got = if T::BYTES == 4 {
+            s.compress_stream_f32(&raw(field)[..], &mut out, field.dims, bound)
+        } else {
+            s.compress_stream(&raw(field)[..], &mut out, field.dims, Precision::Double, bound)
+        };
+        match got {
+            Ok(_) => Ok(out),
+            Err(e) => Err((e, out.len())),
+        }
+    }
+    fn decoded_within_range<T: Float>(s: &Sperr, field: &FieldOf<T>, bytes: &[u8]) {
+        let decoded = s.read::<T>(bytes, ReadRequest::Full, OnDamage::Fail).unwrap().field;
+        let range = field.range();
+        for (a, b) in field.data.iter().zip(&decoded.data) {
+            assert!(b.is_finite(), "decoded a non-finite sample");
+            let (a, b) = (a.to_f64(), b.to_f64());
+            assert!((a - b).abs() <= range, "{a:e} decoded as {b:e}");
+        }
+    }
+    for threads in [1usize, 2] {
+        let sperr = Sperr::new(SperrConfig { num_threads: threads, ..SperrConfig::default() });
+        let in_memory = sperr.compress(&sub, Bound::Bpp(4.0)).unwrap();
+        assert_eq!(stream(&sperr, &sub, Bound::Bpp(4.0)).unwrap(), in_memory, "t{threads} f64");
+        decoded_within_range(&sperr, &sub, &in_memory);
+        let in_memory = sperr.compress_with_stats(&sub32, Bound::Bpp(4.0)).unwrap().0;
+        assert_eq!(stream(&sperr, &sub32, Bound::Bpp(4.0)).unwrap(), in_memory, "t{threads} f32");
+        decoded_within_range(&sperr, &sub32, &in_memory);
+
+        let config = SperrConfig { num_threads: threads, q_factor: 0.4, ..SperrConfig::default() };
+        let zero_step = Sperr::new(config);
+        let refused = |e: &CompressError| {
+            matches!(e, CompressError::Invalid(m) if m.contains("chunk 0") && m.contains("step"))
+        };
+        // 0.4 · 5e-324 rounds to zero at both widths. 1.5 · 1e-39 is positive
+        // but below f32's smallest normal number, so SPECK's 1/q overflows:
+        // f32 streams used to come back Ok at 10⁴ times the tolerance.
+        let probes = [(&zero_step, Bound::Pwe(5e-324), true), (&sperr, Bound::Pwe(1e-39), false)];
+        for (s, bound, wide) in probes {
+            let case = format!("t{threads} {bound:?}");
+            let mut streamed = vec![("f32", stream(s, &tiny32, bound))];
+            let e = s.compress_with_stats(&tiny32, bound).unwrap_err();
+            assert!(refused(&e), "{case} f32: {e}");
+            if wide {
+                let e = s.compress(&tiny, bound).unwrap_err();
+                assert!(refused(&e), "{case} f64: {e}");
+                streamed.push(("f64", stream(s, &tiny, bound)));
+            }
+            for (width, got) in streamed {
+                let Err((SperrError::Codec { source, .. }, 0)) = &got else {
+                    panic!("{case} {width} streamed: {got:?}")
+                };
+                assert!(refused(source), "{case} {width} streamed: {source}");
             }
         }
     }
