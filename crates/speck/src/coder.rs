@@ -173,11 +173,12 @@ impl<const CHECKED: bool> BitSink<CHECKED> {
     }
 
     /// Emits `run > 0` guaranteed-zero significance bits in one bulk
-    /// write, after flushing any pending batch.
+    /// write, after flushing any pending batch. `fresh` is false when the
+    /// run continues one that a pixel window already counted.
     #[inline]
-    fn emit_zero_run(&mut self, run: usize) -> Result<(), Stop> {
+    fn emit_zero_run(&mut self, run: usize, fresh: bool) -> Result<(), Stop> {
         self.flush()?;
-        self.zero_runs += 1;
+        self.zero_runs += fresh as usize;
         let take = self.room_for(run);
         self.out.put_zeros(take);
         self.significance_bits += take;
@@ -185,6 +186,20 @@ impl<const CHECKED: bool> BitSink<CHECKED> {
             return Err(Stop);
         }
         Ok(())
+    }
+
+    /// Writes one pixel window: `nbits` bits of `pattern`, `signs` of
+    /// them sign bits, `entries` significance bits. The caller has checked
+    /// that the budget has room for them; the batch is empty, since the
+    /// pixel bucket is the first a pass scans and the pass before ended
+    /// with a flush.
+    #[inline]
+    fn put_window(&mut self, pattern: u64, nbits: u32, entries: usize, signs: usize) {
+        debug_assert_eq!(self.pend_len, 0);
+        debug_assert!(self.room_for(nbits as usize) == nbits as usize);
+        self.out.put_bits(pattern, nbits);
+        self.significance_bits += entries;
+        self.sign_bits += signs;
     }
 
     /// Reserves up to `want` zero bits for a refinement span that is
@@ -274,6 +289,41 @@ fn gather_quantized<T: Float>(
     }
 }
 
+/// Pixel-bucket entries one window codes: at most two bits each, so a
+/// window's bits fit one `put_bits`.
+const PIXEL_WINDOW: usize = 32;
+
+/// Bit `i` of the first mask: byte `i` is above `t < 128` (its cell is
+/// significant); of the second: byte `i` has its sign bit set. Eight bytes
+/// a step: adding `127 - t` carries a byte above `t` into its top bit, and
+/// one multiply gathers the eight top (or bottom) bits into one byte.
+#[inline]
+fn window_masks(bytes: &[u8; PIXEL_WINDOW], t: u8) -> (u32, u32) {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let bias = LO * (127 - t) as u64;
+    let (mut sig, mut neg) = (0u32, 0u32);
+    for (k, chunk) in bytes.as_chunks::<8>().0.iter().enumerate() {
+        let w = u64::from_le_bytes(*chunk);
+        sig |= ((((w + bias) >> 7 & LO).wrapping_mul(GATHER) >> 56) as u32) << (8 * k);
+        neg |= (((w & LO).wrapping_mul(GATHER) >> 56) as u32) << (8 * k);
+    }
+    (sig, neg)
+}
+
+/// Appends `hits` to the pixels found, growing the list to the powers of
+/// two that one `push` at a time reaches: an `extend` would size it from
+/// the first window's count instead, and the encoder's peak allocation
+/// would depend on that count.
+#[inline]
+fn extend_found(found: &mut Vec<u32>, hits: &[u32]) {
+    let want = found.len() + hits.len();
+    if want > found.capacity() {
+        found.reserve_exact(want.next_power_of_two().max(4) - found.len());
+    }
+    found.extend_from_slice(hits);
+}
+
 /// One LIS bucket: the insignificant cells of one partition level, as
 /// parallel arrays of cell number and cached byte. The sorting pass reads
 /// only `mb` until a cell turns significant, so the insignificance scan
@@ -315,12 +365,18 @@ impl<G: Geometry, const CHECKED: bool> Sorter<'_, G, CHECKED> {
     /// significant cells take the slow path. Cells created by splits
     /// land in *deeper* buckets, which this pass already finished, so
     /// in-place mutation never aliases the iteration.
+    ///
+    /// The pixel bucket (level `k`, scanned first) goes a window at a time
+    /// ([`Sorter::pixel_windows`]); this loop finishes it — its last
+    /// partial window, or all the budget leaves — and runs every other
+    /// bucket.
     fn sorting_pass(&mut self, n: u32) -> Result<(), Stop> {
         debug_assert!(n < 63);
         let t = (2 * n + 1) as u8;
         for level in (0..self.buckets.len()).rev() {
             let len = self.buckets[level].cells.len();
-            let (mut read, mut write) = (0usize, 0usize);
+            let (mut read, mut write, mut in_run) =
+                if level == self.geom.depth() { self.pixel_windows(t)? } else { (0, 0, false) };
             while read < len {
                 let run = sperr_simd::run_le(&self.buckets[level].mb[read..len], t);
                 if run > 0 {
@@ -331,8 +387,9 @@ impl<G: Geometry, const CHECKED: bool> Sorter<'_, G, CHECKED> {
                     }
                     write += run;
                     read += run;
-                    self.sink.emit_zero_run(run)?;
+                    self.sink.emit_zero_run(run, !in_run)?;
                 }
+                in_run = false;
                 if read < len {
                     let (cell, byte) =
                         (self.buckets[level].cells[read], self.buckets[level].mb[read]);
@@ -346,6 +403,69 @@ impl<G: Geometry, const CHECKED: bool> Sorter<'_, G, CHECKED> {
             b.mb.truncate(write);
         }
         self.sink.flush()
+    }
+
+    /// The pixel bucket, [`PIXEL_WINDOW`] entries at a time, with no
+    /// branch on the data inside a window: significance and sign masks
+    /// from the window's bytes ([`window_masks`]); its bits — per entry
+    /// the significance bit, then the sign bit if significant — built by
+    /// index arithmetic and written with one `put_bits`; the retained
+    /// cells compacted in place and the found pixels appended the same
+    /// way. A window with no significant entry is the head of an
+    /// insignificant run, which goes out through `run_le` and one bulk
+    /// zero write. `zero_runs` counts maximal insignificant runs: those
+    /// that start in the window's mask, the one in progress carried
+    /// across windows. A budget with room for fewer than 64 more bits (a
+    /// window writes at most 64) hands the rest of the bucket to the
+    /// per-entry loop, so a cut lands on the bit, and with the counters,
+    /// it always did. Returns where that loop takes over: entries read,
+    /// entries kept, and whether the last entry read was insignificant.
+    fn pixel_windows(&mut self, t: u8) -> Result<(usize, usize, bool), Stop> {
+        let Self { geom, buckets, found, sink, .. } = self;
+        let Bucket { cells, mb } = &mut buckets[geom.depth()];
+        let len = cells.len();
+        let (mut read, mut write, mut in_run) = (0usize, 0usize, false);
+        while sink.room_for(64) == 64 {
+            let (Some(&bytes), Some(&window)) = (
+                mb.get(read..).and_then(|rest| rest.first_chunk::<PIXEL_WINDOW>()),
+                cells.get(read..).and_then(|rest| rest.first_chunk::<PIXEL_WINDOW>()),
+            ) else {
+                break;
+            };
+            let (sig, neg) = window_masks(&bytes, t);
+            if sig == 0 {
+                let run = sperr_simd::run_le(&mb[read..len], t);
+                cells.copy_within(read..read + run, write);
+                mb.copy_within(read..read + run, write);
+                (read, write) = (read + run, write + run);
+                sink.emit_zero_run(run, !in_run)?;
+                in_run = true;
+                continue;
+            }
+            let (mut kept_cells, mut kept_bytes) = ([0u32; PIXEL_WINDOW], [0u8; PIXEL_WINDOW]);
+            let mut hits = [0u32; PIXEL_WINDOW];
+            let (mut pattern, mut nbits, mut kept, mut hit) = (0u64, 0u32, 0usize, 0usize);
+            for (i, (&cell, &byte)) in window.iter().zip(&bytes).enumerate() {
+                let s = (sig >> i & 1) as usize;
+                pattern |= ((s as u64) | ((neg >> i & 1) as u64 & s as u64) << 1) << nbits;
+                nbits += 1 + s as u32;
+                (kept_cells[kept], kept_bytes[kept]) = (cell, byte);
+                kept += 1 - s;
+                hits[hit] = cell;
+                hit += s;
+            }
+            sink.put_window(pattern, nbits, PIXEL_WINDOW, hit);
+            let insig = !sig;
+            sink.zero_runs += (insig & !(insig << 1 | in_run as u32)).count_ones() as usize;
+            in_run = insig >> (PIXEL_WINDOW - 1) == 1;
+            // The whole window goes back: what lands past the kept entries
+            // covers entries already read.
+            cells[write..write + PIXEL_WINDOW].copy_from_slice(&kept_cells);
+            mb[write..write + PIXEL_WINDOW].copy_from_slice(&kept_bytes);
+            extend_found(found, &hits[..hit]);
+            (read, write) = (read + PIXEL_WINDOW, write + kept);
+        }
+        Ok((read, write, in_run))
     }
 
     /// A cell whose significance bit (a 1) was just emitted: a pixel

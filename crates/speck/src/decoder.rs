@@ -77,7 +77,9 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
 /// land in *deeper* buckets (smaller sets, which this pass has already
 /// finished), so the bucket is taken out of `buckets` while it is
 /// scanned. When the stream runs out it stays out, the cell in hand
-/// dropped with it: nothing reads the LIS again.
+/// dropped with it: nothing reads the LIS again. The pixel bucket (level
+/// `k`) goes a window at a time ([`pixel_windows`]) while the stream has
+/// 64 bits left; this loop finishes it and runs every other bucket.
 fn scan_bucket(
     input: &mut BitReader<'_>,
     geom: &impl Geometry,
@@ -87,7 +89,8 @@ fn scan_bucket(
 ) -> Result<(), Stop> {
     let mut bucket = buckets.get_mut(level).map(std::mem::take).unwrap_or_default();
     let len = bucket.len();
-    let (mut read, mut write) = (0usize, 0usize);
+    let (mut read, mut write) =
+        if level == geom.depth() { pixel_windows(input, &mut bucket, lsp)? } else { (0, 0) };
     while read < len {
         let run = input.count_zero_run(len - read);
         if write != read {
@@ -108,6 +111,67 @@ fn scan_bucket(
         *slot = bucket;
     }
     Ok(())
+}
+
+/// Pixel-bucket entries one window decodes: at most two bits each, so
+/// one [`BitReader::peek_bits`] of 56 holds a whole window.
+const PIXEL_WINDOW: usize = 28;
+
+/// The pixel bucket, [`PIXEL_WINDOW`] entries at a time, with no branch on
+/// the data inside a window: one 56-bit peek, read as `0` (insignificant)
+/// or `1` and a sign per entry by index arithmetic; the retained cells
+/// compacted in place and the found pixels appended to the LSP in bulk;
+/// one `skip_bits` for the bits used. A window that opens on eight zero
+/// bits is the head of an insignificant run, consumed by
+/// `count_zero_run`. Runs only while the stream has 64 bits left, so no
+/// window can reach past its end: a truncated stream finishes in the
+/// per-entry loop, which decodes every prefix as it always did, and so
+/// does the bucket's last partial window. Returns where that loop takes
+/// over: entries read and entries kept.
+fn pixel_windows(
+    input: &mut BitReader<'_>,
+    bucket: &mut [u32],
+    lsp: &mut DeferredLsp,
+) -> Result<(usize, usize), Stop> {
+    let len = bucket.len();
+    let (mut read, mut write) = (0usize, 0usize);
+    while input.remaining_bits() >= 64 {
+        let Some(&window) = bucket.get(read..).and_then(|rest| rest.first_chunk::<PIXEL_WINDOW>())
+        else {
+            break;
+        };
+        let bits = input.peek_bits(56);
+        if bits & 0xff == 0 {
+            let run = input.count_zero_run(len - read);
+            bucket.copy_within(read..read + run, write);
+            (read, write) = (read + run, write + run);
+            continue;
+        }
+        let (mut kept_cells, mut hits) = ([0u32; PIXEL_WINDOW], [0u32; PIXEL_WINDOW]);
+        let (mut at, mut kept, mut hit, mut signs) = (0u32, 0usize, 0usize, 0u64);
+        for cell in window {
+            let s = (bits >> at) & 1;
+            signs |= (bits >> (at + 1) & s) << hit;
+            at += 1 + s as u32;
+            if let Some(slot) = kept_cells.get_mut(kept) {
+                *slot = cell;
+            }
+            kept += 1 - s as usize;
+            if let Some(slot) = hits.get_mut(hit) {
+                *slot = cell;
+            }
+            hit += s as usize;
+        }
+        input.skip_bits(at)?;
+        // The whole window goes back: what lands past the kept entries
+        // covers entries already read.
+        if let Some(dst) = bucket.get_mut(write..write + PIXEL_WINDOW) {
+            dst.copy_from_slice(&kept_cells);
+        }
+        lsp.extend(&hits[..hit], signs);
+        (read, write) = (read + PIXEL_WINDOW, write + kept);
+    }
+    Ok((read, write))
 }
 
 /// A cell whose significance bit was 1. A pixel — a cell of the deepest
@@ -247,7 +311,7 @@ fn decode_with<T: Float>(
     keep: Option<&[u64]>,
 ) -> Result<Vec<T>, DecodeError> {
     let Some(row_major) = keep else {
-        return Ok(decode_on::<T, false>(geom, stream, q, n_total, num_planes, &[]));
+        return decode_on::<T, false>(geom, stream, q, n_total, num_planes, &[]);
     };
     let mut in_layout = Vec::new();
     in_layout
@@ -255,7 +319,7 @@ fn decode_with<T: Float>(
         .map_err(|_| DecodeError::LimitExceeded("no memory for the keep bitmap"))?;
     in_layout.resize(n_total.div_ceil(64), 0u64);
     geom.layout_bitmap(row_major, &mut in_layout);
-    Ok(decode_on::<T, true>(geom, stream, q, n_total, num_planes, &in_layout))
+    decode_on::<T, true>(geom, stream, q, n_total, num_planes, &in_layout)
 }
 
 /// The one decoder body, on either geometry: per plane, scan the buckets
@@ -268,10 +332,10 @@ pub(crate) fn decode_on<T: Float, const MASKED: bool>(
     n_total: usize,
     num_planes: u8,
     keep: &[u64],
-) -> Vec<T> {
+) -> Result<Vec<T>, DecodeError> {
     let k = geom.depth();
     let mut input = BitReader::new(stream);
-    let mut lsp = DeferredLsp::default();
+    let mut lsp = DeferredLsp::for_stream(n_total, stream.len())?;
     let mut buckets = vec![Vec::new(); k + 1];
     if let Some(root) = buckets.first_mut() {
         root.push(0u32);
@@ -280,5 +344,12 @@ pub(crate) fn decode_on<T: Float, const MASKED: bool>(
         (0..=k).rev().try_for_each(|level| scan_bucket(input, geom, &mut buckets, lsp, level))
     });
     drop(buckets);
-    lsp.reconstruct::<T, MASKED>(stream, q, n_total, num_planes, |pos| geom.to_row_major(pos), keep)
+    Ok(lsp.reconstruct::<T, MASKED>(
+        stream,
+        q,
+        n_total,
+        num_planes,
+        |pos| geom.to_row_major(pos),
+        keep,
+    ))
 }

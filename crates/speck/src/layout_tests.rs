@@ -197,7 +197,8 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let oracle = bits(reference::decode(prefix, dims, q, want.num_planes).unwrap());
             assert_eq!(bits(decode(prefix, dims, q, want.num_planes).unwrap()), oracle);
-            let tabled = decode_on::<f64, false>(&tables, prefix, q, n, want.num_planes, &[]);
+            let tabled =
+                decode_on::<f64, false>(&tables, prefix, q, n, want.num_planes, &[]).unwrap();
             assert_eq!(bits(tabled), oracle, "{dims:?} {term:?} prefix {len}");
         }
     }

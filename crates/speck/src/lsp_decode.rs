@@ -7,6 +7,7 @@
 //! last plane, 64 entries at a time: one 64-bit stream window per plane,
 //! a bit-matrix transpose, one write per coefficient into the output.
 
+use crate::decoder::DecodeError;
 use crate::layout::bit;
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
@@ -74,6 +75,22 @@ fn window(stream: &[u8], pos: usize) -> u64 {
 }
 
 impl DeferredLsp {
+    /// An empty LSP with room reserved, up front and exactly, for every
+    /// pixel a stream of `stream_bytes` can find in a domain of `n_total`:
+    /// each discovery costs at least its significance bit and its sign
+    /// bit, so there are at most `min(n_total, 4 · stream_bytes)`. The
+    /// reservation is proportional to the input whatever the header
+    /// claims, and the LSP never regrows.
+    pub(crate) fn for_stream(n_total: usize, stream_bytes: usize) -> Result<Self, DecodeError> {
+        let room = n_total.min(stream_bytes.saturating_mul(4));
+        let mut lsp = DeferredLsp::default();
+        lsp.pixels
+            .try_reserve_exact(room)
+            .and_then(|()| lsp.signs.try_reserve_exact(room.div_ceil(64)))
+            .map_err(|_| DecodeError::LimitExceeded("no memory for the significant-pixel list"))?;
+        Ok(lsp)
+    }
+
     /// Records a newly significant pixel.
     #[inline]
     pub(crate) fn push(&mut self, pixel: u32, negative: bool) {
@@ -85,6 +102,27 @@ impl DeferredLsp {
             *word |= (negative as u64) << lane;
         }
         self.pixels.push(pixel);
+    }
+
+    /// Records newly significant pixels, `pixels.len() <= 64` of them in
+    /// discovery order, the sign of `pixels[i]` in bit `i` of `signs`.
+    #[inline]
+    pub(crate) fn extend(&mut self, pixels: &[u32], signs: u64) {
+        let lane = self.pixels.len() % 64;
+        let signs = signs & low_mask(pixels.len());
+        if lane == 0 {
+            if !pixels.is_empty() {
+                self.signs.push(signs);
+            }
+        } else {
+            if let Some(word) = self.signs.last_mut() {
+                *word |= signs << lane;
+            }
+            if lane + pixels.len() > 64 {
+                self.signs.push(signs >> (64 - lane));
+            }
+        }
+        self.pixels.extend_from_slice(pixels);
     }
 
     /// Walks the stream plane by plane: `sorting_pass` consumes a plane's

@@ -252,6 +252,204 @@ proptest! {
     }
 }
 
+/// The cells of partition level `k - 1` (`k = ⌈log2(longest extent)⌉`),
+/// each as the row-major indices of its pixels: per axis, `k - 1`
+/// halvings of `[0, n)` (the first part taking `len - len/2`, empty parts
+/// dropped), and a cell is one interval per axis.
+fn cells_above_pixels<const D: usize>(dims: [usize; D]) -> Vec<Vec<usize>> {
+    let longest = dims.iter().copied().max().unwrap_or(1);
+    let k = longest.next_power_of_two().trailing_zeros() as usize;
+    let axis = |n: usize| {
+        let mut parts = vec![(0usize, n)];
+        for _ in 1..k {
+            parts = parts
+                .into_iter()
+                .flat_map(|(lo, len)| {
+                    let first = len - len / 2;
+                    [(lo, first), (lo + first, len / 2)].into_iter().filter(|p| p.1 > 0)
+                })
+                .collect();
+        }
+        parts
+    };
+    let mut cells = vec![vec![0usize]];
+    let mut stride = 1;
+    for &n in &dims {
+        let parts = axis(n);
+        cells = cells
+            .iter()
+            .flat_map(|base| {
+                parts.iter().map(move |&(lo, len)| {
+                    base.iter()
+                        .flat_map(|&b| (lo..lo + len).map(move |x| b + x * stride))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        stride *= n;
+    }
+    cells
+}
+
+/// A field whose pixel bucket holds exactly `len` entries from the second
+/// plane on: level-`k − 1` cells with one or more big pixels (`2^12`, all
+/// found on the first plane) and their other pixels small, until the
+/// cells' leftover pixels number `len`; every other pixel is zero. The
+/// first plane that finds a small pixel scans a bucket of exactly `len`
+/// entries. With `mixed`, a small pixel is zero or 1 to 15, so windows
+/// mix significant and insignificant entries over the last four planes;
+/// without, every small pixel is found on the last plane, whose windows
+/// are all significant: the longest bit patterns a window has.
+fn pixel_bucket_field<const D: usize>(
+    dims: [usize; D],
+    len: usize,
+    mixed: bool,
+    seed: u64,
+) -> Vec<f64> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut field = vec![0.0f64; dims.iter().product()];
+    let mut left = len;
+    for cell in cells_above_pixels(dims).into_iter().filter(|c| c.len() > 1) {
+        if left == 0 {
+            break;
+        }
+        let bigs = if left >= cell.len() - 1 { 1 } else { cell.len() - left };
+        for (j, &at) in cell.iter().enumerate() {
+            let sign = if next() & 1 == 1 { -1.0 } else { 1.0 };
+            field[at] = sign
+                * match (j < bigs, mixed, next() % 4) {
+                    (true, _, _) => 4096.5,
+                    (false, false, _) => 1.0 + (next() % 90) as f64 / 100.0,
+                    (false, true, 0) => 0.0,
+                    (false, true, _) => 1.0 + (next() % 1500) as f64 / 100.0,
+                };
+        }
+        left -= cell.len() - bigs;
+    }
+    assert_eq!(left, 0, "{dims:?} has too few cells for a bucket of {len}");
+    field
+}
+
+/// The smallest budget whose cut stream carries `signs` sign bits
+/// (`sign_bits` only grows with the budget).
+fn budget_reaching_sign_bit<T: sperr_simd::Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    bits_used: usize,
+    signs: usize,
+) -> usize {
+    let (mut lo, mut hi) = (0usize, bits_used);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if encode(coeffs, dims, 1.0, Termination::BitBudget(mid)).sign_bits >= signs {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    lo
+}
+
+/// [`encode`] and [`decode`] vs the reference around the pixel windows'
+/// edges, at three points of the quality stream: where the first small
+/// pixel is found (the first scan of the `len`-entry bucket that finds
+/// anything), where half of the last plane's discoveries are made, and
+/// the middle. Every budget within ±70 bits of each point gives the same
+/// bytes and counters; every byte prefix over the last 16 bytes of the
+/// quality stream and of the streams cut at the points, and within 8
+/// bytes of each point, decodes to the same values.
+fn window_edges_match_the_reference<T: sperr_simd::Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    len: usize,
+) -> Result<(), TestCaseError> {
+    let q = 1.0;
+    let full = encode(coeffs, dims, q, Termination::Quality);
+    let slow = sperr_speck::reference::encode(coeffs, dims, q, Termination::Quality);
+    prop_assert!(full.stream == slow.stream, "{:?}: quality bytes differ", dims);
+    let bits = full.bits_used;
+    let bigs = coeffs.iter().filter(|c| c.to_f64().abs() > 4096.0).count();
+    let points = [
+        budget_reaching_sign_bit(coeffs, dims, bits, bigs + 1),
+        budget_reaching_sign_bit(coeffs, dims, bits, full.sign_bits.saturating_sub(len / 2)),
+        bits / 2,
+    ];
+    let mut streams = vec![full.clone()];
+    for point in points {
+        for b in point.saturating_sub(70)..=point + 70 {
+            let term = Termination::BitBudget(b);
+            let fast = encode(coeffs, dims, q, term);
+            let slow = sperr_speck::reference::encode(coeffs, dims, q, term);
+            prop_assert!(fast.stream == slow.stream, "{:?} budget {}: bytes differ", dims, b);
+            prop_assert_eq!(
+                (fast.bits_used, fast.significance_bits, fast.sign_bits, fast.refinement_bits),
+                (slow.bits_used, slow.significance_bits, slow.sign_bits, slow.refinement_bits),
+                "{:?} budget {}",
+                dims,
+                b
+            );
+            if b == point {
+                streams.push(fast);
+            }
+        }
+    }
+    for (i, enc) in streams.iter().enumerate() {
+        let n = enc.stream.len();
+        let mut lens: Vec<usize> = (n.saturating_sub(16)..=n).collect();
+        if i == 0 {
+            for point in points {
+                lens.extend((point / 8).saturating_sub(8)..=(point / 8 + 8).min(n));
+            }
+        }
+        for cut in lens {
+            let prefix = &enc.stream[..cut];
+            let fast = decode::<T, D>(prefix, dims, q, enc.num_planes).unwrap();
+            let oracle =
+                sperr_speck::reference::decode::<T, D>(prefix, dims, q, enc.num_planes).unwrap();
+            prop_assert!(bits_of(&fast) == bits_of(&oracle), "{:?} prefix {}", dims, cut);
+        }
+    }
+    Ok(())
+}
+
+/// Pixel buckets one entry either side of the windows' sizes — 28 (a
+/// decoder window), 32 (an encoder window) and 64 (two of them) — with
+/// mixed and with all-significant windows, on a power-of-two cube and a
+/// non-pow2 shape, both widths.
+fn window_edge_sweep<const D: usize>(cube: [usize; D], other: [usize; D]) {
+    for dims in [cube, other] {
+        for (i, len) in [27, 28, 29, 31, 32, 33, 63, 64, 65].into_iter().enumerate() {
+            for mixed in [true, false] {
+                let field = pixel_bucket_field(dims, len, mixed, 0x5eed + i as u64);
+                let field32: Vec<f32> = field.iter().map(|&v| v as f32).collect();
+                window_edges_match_the_reference::<f64, D>(&field, dims, len).unwrap();
+                window_edges_match_the_reference::<f32, D>(&field32, dims, len).unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn pixel_window_edges_match_the_reference_1d() {
+    window_edge_sweep([256], [200]);
+}
+
+#[test]
+fn pixel_window_edges_match_the_reference_2d() {
+    window_edge_sweep([16, 16], [13, 11]);
+}
+
+#[test]
+fn pixel_window_edges_match_the_reference_3d() {
+    window_edge_sweep([8, 8, 8], [7, 6, 5]);
+}
+
 /// A keep bitmap over `n` coefficients of one of four kinds: nothing,
 /// everything, a contiguous run (a box row), or scattered single bits —
 /// one word short of `n` when `short`, so the tail keeps nothing.

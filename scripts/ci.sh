@@ -19,8 +19,8 @@ echo "==> speck differential (release)"
 # The encode/decode differentials against `sperr_speck::reference` size
 # their 3-D shapes by build profile: the workspace step above ran the
 # debug profile, where the reference coders are too slow for the 40^3
-# and 32^3 cases; this lane runs them.
-cargo test --release --quiet -p sperr-speck
+# and 32^3 cases; this lane runs them, with eight times the cases.
+SPERR_PROPTEST_SCALE=8 cargo test --release --quiet -p sperr-speck
 
 echo "==> wavelet support differential (release)"
 # A box rebuilt from its synthesis support alone (everything else NaN)

@@ -91,9 +91,24 @@ pub struct ProptestConfig {
 }
 
 impl ProptestConfig {
-    /// Config running `cases` accepted cases.
+    /// Config running `cases` accepted cases, times the positive integer
+    /// in `SPERR_PROPTEST_SCALE` (1 when unset): one knob that deepens
+    /// every property test of a run, e.g. in a release-mode CI lane.
     pub fn with_cases(cases: u32) -> Self {
-        ProptestConfig { cases }
+        ProptestConfig { cases: cases.saturating_mul(case_scale()) }
+    }
+}
+
+/// `SPERR_PROPTEST_SCALE`, read once per test. A value that is not a
+/// positive integer fails the test rather than silently running the
+/// default counts.
+fn case_scale() -> u32 {
+    match std::env::var("SPERR_PROPTEST_SCALE") {
+        Err(_) => 1,
+        Ok(v) => match v.trim().parse::<u32>() {
+            Ok(scale) if scale > 0 => scale,
+            _ => panic!("SPERR_PROPTEST_SCALE must be a positive integer, got {v:?}"),
+        },
     }
 }
 
