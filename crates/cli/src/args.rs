@@ -2,6 +2,7 @@
 //! offline allowlist): `--key value` pairs plus boolean `--flag`s, with
 //! typed accessors and error messages naming the offending option.
 
+use sperr_compress_api::Precision;
 use std::collections::HashMap;
 
 /// Parsed arguments: option map plus positional words.
@@ -149,6 +150,32 @@ pub fn parse_region(s: &str) -> Result<([usize; 3], [usize; 3]), String> {
 pub enum ScalarType {
     F32,
     F64,
+}
+
+impl ScalarType {
+    /// Bytes per sample.
+    pub fn bytes(self) -> usize {
+        match self {
+            ScalarType::F32 => 4,
+            ScalarType::F64 => 8,
+        }
+    }
+
+    /// The precision a stream records for samples of this width.
+    pub fn precision(self) -> Precision {
+        match self {
+            ScalarType::F32 => Precision::Single,
+            ScalarType::F64 => Precision::Double,
+        }
+    }
+
+    /// The width a stream of `precision` decodes to by default.
+    pub fn of(precision: Precision) -> ScalarType {
+        match precision {
+            Precision::Single => ScalarType::F32,
+            Precision::Double => ScalarType::F64,
+        }
+    }
 }
 
 /// Parses `--type f32|f64`.

@@ -14,10 +14,10 @@ mod args;
 mod rawio;
 
 use args::{parse_type, Args, ScalarType};
-use sperr_compress_api::{Bound, CompressError, Precision};
+use sperr_compress_api::{Bound, CompressError, FieldOf, Precision};
 use sperr_core::{
-    CompressionStats, Float, OnDamage, ReadOutput, ReadReport, ReadRequest, Sperr, SperrConfig,
-    SperrError,
+    ChunkStatus, CompressionStats, Float, OnDamage, ReadOutput, ReadReport, ReadRequest, Sperr,
+    SperrConfig, SperrError, StreamReport,
 };
 use sperr_datagen::SyntheticField;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -41,6 +41,12 @@ enum CliError {
 impl From<String> for CliError {
     fn from(msg: String) -> Self {
         CliError::Usage(msg)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Io(e.to_string())
     }
 }
 
@@ -134,9 +140,8 @@ half-open voxel box (axes left out default to 0:1) and writes just that
 sub-volume; container v3 streams seek via the chunk index, older streams
 fall back to a chunk-table walk. --preview-bpp decodes a coarse preview
 by truncating each chunk's embedded SPECK stream at the given bitrate
-(no error guarantee; outlier corrections are skipped). Both need random
-access and are rejected in --stream mode; --region, --preview-bpp and
---level are mutually exclusive.
+(no error guarantee; outlier corrections are skipped). --region,
+--preview-bpp and --level are mutually exclusive.
 
 --verify checks the stream's integrity checksums (container v2+) without
 decompressing; corrupt chunks are listed and reflected in the exit code.
@@ -151,17 +156,21 @@ exports latency/size histograms with p50/p90/p99/p999 quantiles and memory
 high-water marks as Prometheus text exposition (JSON when FILE ends in
 .json). `sperr metrics --input S` runs a recorded decode and prints the
 exposition to stdout. All need a build with the `telemetry` cargo feature;
-without it a warning is printed and nothing is recorded. In --stream mode
-with data on stdout the summaries move to stderr.
+without it a warning is printed and nothing is recorded. With data on
+stdout (--output -) every summary goes to stderr.
 
-Streaming: --stream (implied when --input or --output is \"-\") drives a
-bounded-memory pipeline instead of loading the whole volume; \"-\" means
-stdin/stdout, and the summary moves to stderr when data goes to stdout.
---in-flight N caps raw chunk buffers in flight (0 = 2x threads; never
-below one chunk layer). Streaming compress takes --pwe or --bpp (--idx
-and --psnr need full-volume statistics); streaming decompress rejects
---level, and --resilient zero-fills corrupt chunks and keeps going
-instead of failing.
+Drivers: the request picks one. compress with --pwe or --bpp streams
+raw chunks from the input to the output in bounded memory; only --idx
+and --psnr load the whole volume (they need its range). A full
+decompress streams; only --region, --level and --preview-bpp load the
+stream for random access. --in-flight N caps the chunks in flight
+(0 = 2x threads; never below one chunk layer). \"-\" as --input or
+--output means stdin/stdout. --stream (implied by \"-\") picks nothing:
+it refuses --idx, --psnr, --region, --level and --preview-bpp, and
+changes no output byte. --resilient zero-fills corrupt chunks with a
+warning on every decompress instead of failing. A raw input file whose
+length is not dims x width is refused before it is read, and a failed
+command leaves no file at --output.
 
 Exit codes: 0 ok, 1 I/O, 2 usage, 3 invalid input, 4 unsupported,
 5 corrupt stream, 6 truncated stream, 7 resource limit exceeded,
@@ -252,11 +261,21 @@ fn run(argv: &[String]) -> Result<(), CliError> {
     (command.run)(&args)
 }
 
+/// Where a command's human-readable output goes (its summary line, the
+/// `--verbose` stage times, the `--stats` report): stdout, unless the data
+/// owns stdout (`--output -`), then stderr.
+fn human(output: &str) -> Box<dyn Write> {
+    if output == "-" {
+        Box::new(std::io::stderr())
+    } else {
+        Box::new(std::io::stdout())
+    }
+}
+
 /// Per-stage timing table for `--verbose`. Times are summed across chunks
 /// (serial CPU time, not wall time when threads overlap); MB/s is computed
-/// over the full volume's f64 footprint. Writes to `out` so streaming
-/// mode can keep stdout clean for data.
-fn print_stage_times_to(out: &mut dyn Write, stages: &sperr_core::StageTimes, num_points: usize) {
+/// over the full volume's f64 footprint.
+fn print_stage_times(out: &mut dyn Write, stages: &sperr_core::StageTimes, num_points: usize) {
     let mb = (num_points * 8) as f64 / 1e6;
     fn row(out: &mut dyn Write, mb: f64, name: &str, d: std::time::Duration) {
         let s = d.as_secs_f64();
@@ -277,12 +296,7 @@ fn print_stage_times_to(out: &mut dyn Write, stages: &sperr_core::StageTimes, nu
     row(out, mb, "total", stages.total());
 }
 
-fn print_stage_times(stages: &sperr_core::StageTimes, num_points: usize) {
-    print_stage_times_to(&mut std::io::stdout(), stages, num_points);
-}
-
-/// Opens a streaming input endpoint: `-` is stdin, anything else a file
-/// (buffered).
+/// Opens a data source: `-` is stdin, anything else a file (buffered).
 fn open_reader(path: &str) -> Result<Box<dyn Read>, CliError> {
     if path == "-" {
         Ok(Box::new(std::io::stdin().lock()))
@@ -292,28 +306,39 @@ fn open_reader(path: &str) -> Result<Box<dyn Read>, CliError> {
     }
 }
 
-/// Opens a streaming output endpoint: `-` is stdout, anything else a file
-/// (buffered).
-fn open_writer(path: &str) -> Result<Box<dyn Write>, CliError> {
-    if path == "-" {
-        Ok(Box::new(std::io::stdout().lock()))
-    } else {
-        let f = std::fs::File::create(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
-        Ok(Box::new(BufWriter::new(f)))
-    }
+/// Reads a whole data source (`-` is stdin).
+fn read_input(path: &str) -> Result<Vec<u8>, CliError> {
+    let mut bytes = Vec::new();
+    let read = open_reader(path)?.read_to_end(&mut bytes);
+    read.map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    Ok(bytes)
 }
 
-/// Human-readable run summary for streaming mode; routed to stderr when
-/// the data stream owns stdout.
-fn stream_say(output: &str, quiet: bool, msg: String) {
-    if quiet {
-        return;
+/// Runs `body` on the data sink `path` names: stdout for `-`, else the
+/// file, created (or truncated) here and flushed after `body`. When
+/// anything fails, a regular file at `path` is removed again, so a failed
+/// command leaves nothing that looks like an output; devices such as
+/// `/dev/full` are left alone.
+fn write_output<R>(
+    path: &str,
+    body: impl FnOnce(&mut dyn Write) -> Result<R, CliError>,
+) -> Result<R, CliError> {
+    if path == "-" {
+        let mut out = std::io::stdout().lock();
+        let r = body(&mut out)?;
+        out.flush()?;
+        return Ok(r);
     }
-    if output == "-" {
-        eprintln!("{msg}");
-    } else {
-        println!("{msg}");
+    let file = std::fs::File::create(path).map_err(|e| CliError::Io(format!("{path}: {e}")))?;
+    let regular = file.metadata().is_ok_and(|m| m.is_file());
+    let mut out = BufWriter::new(file);
+    let result = body(&mut out)
+        .and_then(|r| out.flush().map(|()| r).map_err(|e| CliError::Io(format!("{path}: {e}"))));
+    if result.is_err() && regular {
+        drop(out);
+        let _ = std::fs::remove_file(path);
     }
+    result
 }
 
 /// Telemetry capture around one CLI operation: `--stats` prints an
@@ -326,31 +351,19 @@ struct TelemetryScope {
     stats: bool,
     trace: Option<std::path::PathBuf>,
     metrics: Option<std::path::PathBuf>,
-    /// Route the human-readable summaries to stderr (streaming mode with
-    /// data on stdout).
-    to_stderr: bool,
+    /// The command's `--output`, which decides where summaries go.
+    output: String,
 }
 
 impl TelemetryScope {
     /// Reads the flags and, when any is present, opens a recording
     /// session (or warns that the build cannot record).
-    fn begin(args: &Args) -> TelemetryScope {
-        Self::begin_routed(args, false)
-    }
-
-    /// [`TelemetryScope::begin`] for streaming commands: when the data
-    /// stream owns stdout, summaries move to stderr so `--stats` and
-    /// `--stream -` compose.
-    fn begin_stream(args: &Args, output: &str) -> TelemetryScope {
-        Self::begin_routed(args, output == "-")
-    }
-
-    fn begin_routed(args: &Args, to_stderr: bool) -> TelemetryScope {
+    fn begin(args: &Args, output: &str) -> TelemetryScope {
         let scope = TelemetryScope {
             stats: args.flag("stats"),
             trace: args.opt("trace").map(|p| Path::new(p).to_path_buf()),
             metrics: args.opt("metrics").map(|p| Path::new(p).to_path_buf()),
-            to_stderr,
+            output: output.to_string(),
         };
         if scope.wanted() {
             if sperr_telemetry::is_enabled() {
@@ -375,17 +388,9 @@ impl TelemetryScope {
             return Ok(());
         }
         let report = sperr_telemetry::stop();
-        let (mut err_out, mut std_out);
-        let out: &mut dyn Write = if self.to_stderr {
-            err_out = std::io::stderr();
-            &mut err_out
-        } else {
-            std_out = std::io::stdout();
-            &mut std_out
-        };
+        let mut out = human(&self.output);
         if let Some(path) = &self.trace {
-            std::fs::write(path, report.chrome_trace())
-                .map_err(|e| CliError::Io(e.to_string()))?;
+            std::fs::write(path, report.chrome_trace())?;
             writeln!(out, "trace:       {} events -> {}", report.event_count(), path.display())
                 .ok();
         }
@@ -396,12 +401,12 @@ impl TelemetryScope {
             } else {
                 snap.render_prometheus()
             };
-            std::fs::write(path, text).map_err(|e| CliError::Io(e.to_string()))?;
+            std::fs::write(path, text)?;
             writeln!(out, "metrics:     {} series -> {}", snap.entries.len(), path.display())
                 .ok();
         }
         if self.stats {
-            print_telemetry_stats_to(out, &report);
+            print_telemetry_stats_to(out.as_mut(), &report);
         }
         Ok(())
     }
@@ -489,28 +494,6 @@ fn require_dtype(args: &Args, path: &str) -> Result<(ScalarType, bool), CliError
     })
 }
 
-/// Parses the bound options; `tol_for_idx` supplies the Table I
-/// range/2^idx translation when `--idx` is given (it needs the data).
-fn parse_bound(
-    args: &Args,
-    tol_for_idx: impl FnOnce(u32) -> f64,
-) -> Result<Bound, CliError> {
-    match (
-        args.opt_f64("pwe")?,
-        args.opt_usize("idx")?,
-        args.opt_f64("bpp")?,
-        args.opt_f64("psnr")?,
-    ) {
-        (Some(t), None, None, None) => Ok(Bound::Pwe(t)),
-        (None, Some(idx), None, None) => Ok(Bound::Pwe(tol_for_idx(idx as u32))),
-        (None, None, Some(r), None) => Ok(Bound::Bpp(r)),
-        (None, None, None, Some(p)) => Ok(Bound::Psnr(p)),
-        _ => Err(CliError::Usage(
-            "give exactly one of --pwe, --idx, --bpp, --psnr".into(),
-        )),
-    }
-}
-
 fn build_sperr(args: &Args) -> Result<Sperr, String> {
     let mut cfg = SperrConfig::default();
     if let Some(chunk) = args.opt_dims("chunk")? {
@@ -536,308 +519,279 @@ fn build_sperr(args: &Args) -> Result<Sperr, String> {
     Ok(Sperr::new(cfg))
 }
 
-fn cmd_compress(args: &Args) -> Result<(), CliError> {
-    let input_arg = args.req("input")?.to_string();
-    let output_arg = args.req("output")?.to_string();
-    if args.flag("stream") || input_arg == "-" || output_arg == "-" {
-        return cmd_compress_stream(args, &input_arg, &output_arg);
-    }
-    let input = Path::new(&input_arg).to_path_buf();
-    let output = Path::new(&output_arg).to_path_buf();
-    let dims = args.req_dims("dims")?;
-    let (ty, _) = require_dtype(args, &input_arg)?;
-    let n: usize = dims.iter().product();
-
-    let sperr = build_sperr(args)?;
-    let scope = TelemetryScope::begin(args);
-    // f32 inputs run the native-width pipeline (tag-2 streams that decode
-    // back to f32); f64 inputs run the double-precision path.
-    let (stream, stats) = match ty {
-        ScalarType::F32 => {
-            let field = rawio::read_field_f32(&input, dims)
-                .map_err(|e| CliError::Io(e.to_string()))?;
-            let bound = parse_bound(args, |idx| field.tolerance_for_idx(idx))?;
-            sperr.compress_with_stats(&field, bound)?
-        }
-        ScalarType::F64 => {
-            let field = rawio::read_field(&input, dims, ty)
-                .map_err(|e| CliError::Io(e.to_string()))?;
-            let bound = parse_bound(args, |idx| field.tolerance_for_idx(idx))?;
-            sperr.compress_with_stats(&field, bound)?
-        }
-    };
-    scope.finish()?;
-    std::fs::write(&output, &stream).map_err(|e| CliError::Io(e.to_string()))?;
-    if !args.flag("quiet") {
-        let raw = n * match ty { ScalarType::F32 => 4, ScalarType::F64 => 8 };
-        println!(
-            "{} -> {}: {} -> {} bytes ({:.2}x, {:.3} bpp; speck {:.3} bpp, outliers {:.3} bpp / {})",
-            input.display(),
-            output.display(),
-            raw,
-            stream.len(),
-            raw as f64 / stream.len() as f64,
-            stats.bpp(),
-            stats.speck_bpp(),
-            stats.outlier_bpp(),
-            stats.num_outliers,
-        );
-        if args.flag("verbose") {
-            print_stage_times(&stats.stage_times, n);
-        }
-    }
-    Ok(())
+/// `--stream`, implied by a `-` endpoint, picks no driver: it refuses the
+/// requests the streaming driver cannot serve.
+fn streaming(args: &Args, input: &str, output: &str) -> bool {
+    args.flag("stream") || input == "-" || output == "-"
 }
 
-/// Streaming compression: raw scalars in from a file or stdin, SPERR
-/// stream out to a file or stdout, bounded raw-chunk memory throughout.
-fn cmd_compress_stream(args: &Args, input: &str, output: &str) -> Result<(), CliError> {
-    let dims = args.req_dims("dims")?;
-    let (ty, _) = require_dtype(args, input)?;
-    let bound = match (
+/// A compress bound as given. The absolute ones stream; `--idx` (Table
+/// I's range/2^N) and `--psnr` need the whole field's range.
+#[derive(Clone, Copy)]
+enum Target {
+    Absolute(Bound),
+    Idx(u32),
+    Psnr(f64),
+}
+
+fn parse_target(args: &Args) -> Result<Target, CliError> {
+    match (
         args.opt_f64("pwe")?,
         args.opt_usize("idx")?,
         args.opt_f64("bpp")?,
         args.opt_f64("psnr")?,
     ) {
-        (Some(t), None, None, None) => Bound::Pwe(t),
-        (None, None, Some(r), None) => Bound::Bpp(r),
-        (None, Some(_), None, None) => {
-            return Err(CliError::Usage(
-                "--idx derives the tolerance from the full volume's range; \
-                 streaming mode needs an absolute --pwe (or --bpp)"
-                    .into(),
-            ))
-        }
-        (None, None, None, Some(_)) => {
-            return Err(CliError::Usage(
-                "--psnr needs full-volume statistics; streaming mode supports --pwe and --bpp"
-                    .into(),
-            ))
-        }
-        _ => {
-            return Err(CliError::Usage(
-                "give exactly one of --pwe, --bpp in streaming mode".into(),
-            ))
-        }
+        (Some(t), None, None, None) => Ok(Target::Absolute(Bound::Pwe(t))),
+        (None, None, Some(r), None) => Ok(Target::Absolute(Bound::Bpp(r))),
+        (None, Some(idx), None, None) => Ok(Target::Idx(idx as u32)),
+        (None, None, None, Some(p)) => Ok(Target::Psnr(p)),
+        _ => Err(CliError::Usage("give exactly one of --pwe, --idx, --bpp, --psnr".into())),
+    }
+}
+
+/// `sperr compress`: `--pwe` and `--bpp` stream raw chunks from the input
+/// to the output in bounded memory; `--idx` and `--psnr` load the volume
+/// for its range. Either way the stream bytes are the same.
+fn cmd_compress(args: &Args) -> Result<(), CliError> {
+    let (input, output) = (args.req("input")?, args.req("output")?);
+    let dims = args.req_dims("dims")?;
+    let (ty, _) = require_dtype(args, input)?;
+    let target = parse_target(args)?;
+    let whole = match target {
+        Target::Absolute(_) => None,
+        Target::Idx(_) => Some("--idx"),
+        Target::Psnr(_) => Some("--psnr"),
     };
+    if let Some(flag) = whole.filter(|_| streaming(args, input, output)) {
+        return Err(CliError::Usage(format!(
+            "{flag} needs the whole volume's range; --stream (or `-`) takes --pwe or --bpp"
+        )));
+    }
     let sperr = build_sperr(args)?;
-    let scope = TelemetryScope::begin_stream(args, output);
-    let reader = open_reader(input)?;
-    let writer = open_writer(output)?;
-    // f32 wires stream through the native-width pipeline (tag-2 output,
-    // byte-identical to the in-memory compress_f32); f64 through the
-    // double-precision one.
-    let report = match ty {
-        ScalarType::F32 => sperr.compress_stream_f32(reader, writer, dims, bound),
-        ScalarType::F64 => sperr.compress_stream(reader, writer, dims, Precision::Double, bound),
-    };
-    let report = report.inspect_err(|_| {
-        // The container is emitted in one piece at the end, so a refused
-        // or failed run leaves the file it created empty: take it away
-        // again rather than leave something that looks like an output.
-        if std::fs::metadata(output).is_ok_and(|m| m.is_file() && m.len() == 0) {
-            let _ = std::fs::remove_file(output);
+    if input != "-" {
+        rawio::check_file_len(Path::new(input), dims, ty)?;
+    }
+    let scope = TelemetryScope::begin(args, output);
+    let report = match target {
+        Target::Absolute(bound) => {
+            let reader = open_reader(input)?;
+            write_output(output, |out| {
+                // f32 input runs the native-width pipeline (tag-2 streams
+                // that decode back to f32), f64 the double-precision one.
+                Ok(match ty {
+                    ScalarType::F32 => sperr.compress_stream_f32(reader, out, dims, bound),
+                    ScalarType::F64 => {
+                        sperr.compress_stream(reader, out, dims, Precision::Double, bound)
+                    }
+                }?)
+            })?
         }
-    })?;
+        Target::Idx(_) | Target::Psnr(_) => {
+            let path = Path::new(input);
+            let (stream, stats) = match ty {
+                ScalarType::F32 => {
+                    compress_whole(&sperr, rawio::read_field_f32(path, dims)?, target)
+                }
+                ScalarType::F64 => {
+                    compress_whole(&sperr, rawio::read_field(path, dims, ty)?, target)
+                }
+            }?;
+            write_output(output, |out| Ok(out.write_all(&stream)?))?;
+            // The whole volume was in memory: every chunk in flight at once.
+            let n_chunks = stats.num_chunks;
+            StreamReport {
+                bytes_in: (dims.iter().product::<usize>() * ty.bytes()) as u64,
+                bytes_out: stream.len() as u64,
+                n_chunks,
+                in_flight_budget: n_chunks,
+                peak_in_flight: n_chunks,
+                stats,
+            }
+        }
+    };
     scope.finish()?;
-    stream_say(
-        output,
-        args.flag("quiet"),
-        format!(
-            "{input} -> {output}: {} -> {} bytes ({:.2}x, {:.3} bpp; {} chunks, \
-             in-flight peak {}/{})",
+    if !args.flag("quiet") {
+        let (mut out, stats) = (human(output), &report.stats);
+        writeln!(
+            out,
+            "{input} -> {output}: {} -> {} bytes ({:.2}x, {:.3} bpp; speck {:.3} bpp, \
+             outliers {:.3} bpp / {}; {} chunks, in-flight peak {}/{})",
             report.bytes_in,
             report.bytes_out,
             report.bytes_in as f64 / report.bytes_out as f64,
-            report.stats.bpp(),
+            stats.bpp(),
+            stats.speck_bpp(),
+            stats.outlier_bpp(),
+            stats.num_outliers,
             report.n_chunks,
             report.peak_in_flight,
             report.in_flight_budget,
-        ),
-    );
-    if args.flag("verbose") && !args.flag("quiet") {
-        let n: usize = dims.iter().product();
-        if output == "-" {
-            print_stage_times_to(&mut std::io::stderr(), &report.stats.stage_times, n);
-        } else {
-            print_stage_times(&report.stats.stage_times, n);
+        )
+        .ok();
+        if args.flag("verbose") {
+            print_stage_times(out.as_mut(), &stats.stage_times, stats.num_points);
         }
     }
     Ok(())
 }
 
-/// Streaming decompression: SPERR stream in, raw scalars out, decoded
-/// chunks bounded by the in-flight budget. `--resilient` zero-fills
-/// corrupt chunks and keeps the stream going instead of failing.
-fn cmd_decompress_stream(args: &Args, input: &str, output: &str) -> Result<(), CliError> {
-    // Wire precision: explicit --dtype/--type or the output extension;
-    // when neither is given the stream's own precision decides.
-    let precision = resolve_dtype(args, output)?.map(|(ty, _)| match ty {
-        ScalarType::F32 => Precision::Single,
-        ScalarType::F64 => Precision::Double,
-    });
-    if args.opt_usize("level")?.unwrap_or(0) > 0 {
+/// Compresses a loaded `field` to a `--idx` or `--psnr` target.
+fn compress_whole<T: Float>(
+    sperr: &Sperr,
+    field: FieldOf<T>,
+    target: Target,
+) -> Result<(Vec<u8>, CompressionStats), CliError> {
+    let bound = match target {
+        Target::Absolute(bound) => bound,
+        Target::Idx(idx) => Bound::Pwe(field.tolerance_for_idx(idx)),
+        Target::Psnr(p) => Bound::Psnr(p),
+    };
+    Ok(sperr.compress_with_stats(&field, bound)?)
+}
+
+/// `sperr decompress`: a full read streams, holding decoded chunks within
+/// the in-flight budget; `--region`, `--level` and `--preview-bpp` load
+/// the stream for random access. `--resilient` zero-fills damaged chunks
+/// with a warning instead of failing.
+fn cmd_decompress(args: &Args) -> Result<(), CliError> {
+    let (input, output) = (args.req("input")?, args.req("output")?);
+    let dtype = resolve_dtype(args, output)?;
+    let level = args.opt_usize("level")?.unwrap_or(0);
+    let what = match (args.opt_region("region")?, args.opt_f64("preview-bpp")?, level) {
+        (None, None, 0) => None,
+        (Some((lo, hi)), None, 0) => Some(ReadRequest::Region { lo, hi }),
+        (None, Some(bpp), 0) => Some(ReadRequest::Bpp(bpp)),
+        (None, None, level) => Some(ReadRequest::Level(level)),
+        _ => {
+            return Err(CliError::Usage(
+                "--region, --preview-bpp and --level are mutually exclusive".into(),
+            ))
+        }
+    };
+    if what.is_some() && streaming(args, input, output) {
         return Err(CliError::Usage(
-            "--level (multiresolution) needs random access; not available in streaming mode"
-                .into(),
-        ));
-    }
-    if args.opt("region").is_some() || args.opt("preview-bpp").is_some() {
-        return Err(CliError::Usage(
-            "--region/--preview-bpp need random access into the container; \
-             not available in streaming mode"
+            "--region, --level and --preview-bpp need random access into the stream; \
+             --stream (or `-`) refuses them"
                 .into(),
         ));
     }
     let sperr = build_sperr(args)?;
-    let scope = TelemetryScope::begin_stream(args, output);
-    let reader = open_reader(input)?;
-    let writer = open_writer(output)?;
-    let quiet = args.flag("quiet");
-    let report = if args.flag("resilient") {
-        let res = sperr.decompress_stream_resilient(reader, writer, precision)?;
-        let bad: Vec<usize> = res
-            .statuses
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !matches!(s, sperr_core::ChunkStatus::Ok))
-            .map(|(i, _)| i)
-            .collect();
-        if !bad.is_empty() {
-            eprintln!(
-                "warning: {} of {} chunks corrupt, zero-filled: {bad:?}",
-                bad.len(),
-                res.report.n_chunks
+    let resilient = args.flag("resilient");
+    let scope = TelemetryScope::begin(args, output);
+    let (bytes_in, bytes_out, note, stats) = match what {
+        None => {
+            // Only an f32 width inferred from the extension can narrow
+            // silently, and only the stream's head says whether it would:
+            // read the stream ahead for the guard then, before the output
+            // is created.
+            let reader: Box<dyn Read> = match dtype {
+                Some((ScalarType::F32, false)) => {
+                    let stream = read_input(input)?;
+                    let source = sperr.inspect(&stream)?.precision;
+                    rawio::check_narrowing(ScalarType::F32, false, source)?;
+                    Box::new(std::io::Cursor::new(stream))
+                }
+                _ => open_reader(input)?,
+            };
+            // Without a width the stream's own decides.
+            let precision = dtype.map(|(ty, _)| ty.precision());
+            let report = write_output(output, |out| {
+                if !resilient {
+                    return Ok(sperr.decompress_stream(reader, out, precision)?);
+                }
+                let res = sperr.decompress_stream_resilient(reader, out, precision)?;
+                let bad = res.statuses.iter().enumerate();
+                let bad = bad.filter(|(_, s)| !matches!(s, ChunkStatus::Ok)).map(|(i, _)| i);
+                warn_zero_filled(&bad.collect::<Vec<_>>(), res.report.n_chunks);
+                Ok(res.report)
+            })?;
+            let note = format!(
+                "{} chunks, in-flight peak {}/{}",
+                report.n_chunks, report.peak_in_flight, report.in_flight_budget
             );
+            (report.bytes_in, report.bytes_out, note, Some(report.stats))
         }
-        res.report
-    } else {
-        sperr.decompress_stream(reader, writer, precision)?
+        Some(what) => {
+            let stream = read_input(input)?;
+            let info = sperr.inspect(&stream)?;
+            let (ty, explicit) = dtype.unwrap_or((ScalarType::of(info.precision), false));
+            rawio::check_narrowing(ty, explicit, info.precision)?;
+            // f32-native streams headed to f32 output decode at native
+            // width; the samples never materialize as f64. Coarse levels
+            // are reconstructed at f64.
+            let native =
+                info.native_f32 && ty == ScalarType::F32 && !matches!(what, ReadRequest::Level(_));
+            let (report, bytes_out) = if native {
+                read_to::<f32>(&sperr, &stream, what, resilient, output, ty)?
+            } else {
+                read_to::<f64>(&sperr, &stream, what, resilient, output, ty)?
+            };
+            let chunks = report.chunk_ids.len();
+            let note = match what {
+                ReadRequest::Region { lo, hi } => format!(
+                    "region {}:{},{}:{},{}:{} — {chunks} chunk(s) via {}",
+                    lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
+                    if report.used_index { "index seek" } else { "chunk-table scan" },
+                ),
+                ReadRequest::Level(level) => format!("resolution level {level}; {chunks} chunks"),
+                ReadRequest::Bpp(bpp) => format!("preview at {bpp} bpp; {chunks} chunks"),
+                _ => format!("{chunks} chunks"),
+            };
+            (stream.len() as u64, bytes_out, note, None)
+        }
     };
     scope.finish()?;
-    stream_say(
-        output,
-        quiet,
-        format!(
-            "{input} -> {output}: {} -> {} bytes ({} chunks, in-flight peak {}/{})",
-            report.bytes_in,
-            report.bytes_out,
-            report.n_chunks,
-            report.peak_in_flight,
-            report.in_flight_budget,
-        ),
-    );
-    Ok(())
-}
-
-fn cmd_decompress(args: &Args) -> Result<(), CliError> {
-    let input_arg = args.req("input")?.to_string();
-    let output_arg = args.req("output")?.to_string();
-    if args.flag("stream") || input_arg == "-" || output_arg == "-" {
-        return cmd_decompress_stream(args, &input_arg, &output_arg);
-    }
-    if args.flag("resilient") {
-        return Err(CliError::Usage(
-            "--resilient is a streaming-mode option; add --stream".into(),
-        ));
-    }
-    let input = Path::new(&input_arg).to_path_buf();
-    let output = Path::new(&output_arg).to_path_buf();
-    let dtype = resolve_dtype(args, &output_arg)?;
-    let level = args.opt_usize("level")?.unwrap_or(0);
-    let region = args.opt_region("region")?;
-    let preview_bpp = args.opt_f64("preview-bpp")?;
-    let exclusive = (level > 0) as u8 + region.is_some() as u8 + preview_bpp.is_some() as u8;
-    if exclusive > 1 {
-        return Err(CliError::Usage(
-            "--region, --preview-bpp and --level are mutually exclusive".into(),
-        ));
-    }
-    let stream = std::fs::read(&input).map_err(|e| CliError::Io(e.to_string()))?;
-    let sperr = build_sperr(args)?;
-    let info = sperr.inspect(&stream)?;
-    // Output type defaults to the stream's own precision.
-    let (ty, explicit) = dtype.unwrap_or((
-        match info.precision {
-            Precision::Single => ScalarType::F32,
-            Precision::Double => ScalarType::F64,
-        },
-        false,
-    ));
-    // Per-stage times only exist for the full-resolution path; multires,
-    // region and preview decodes skip stages, so their timings would not
-    // be comparable.
-    let verbose = args.flag("verbose") && exclusive == 0;
-    let what = match (region, preview_bpp) {
-        (Some((lo, hi)), _) => ReadRequest::Region { lo, hi },
-        (None, Some(bpp)) => ReadRequest::Bpp(bpp),
-        (None, None) => ReadRequest::Level(level),
-    };
-
-    // f32-native streams headed to f32 output decode at native width — the
-    // samples never materialize as f64. Coarse levels are reconstructed at
-    // f64.
-    let native = info.native_f32 && ty == ScalarType::F32 && level == 0;
-    let scope = TelemetryScope::begin(args);
-    let (dims, report, stats) = if native {
-        read_to::<f32>(&sperr, &stream, what, scope, &output, ty, explicit)?
-    } else {
-        read_to::<f64>(&sperr, &stream, what, scope, &output, ty, explicit)?
-    };
     if !args.flag("quiet") {
-        let note = match what {
-            ReadRequest::Region { lo, hi } => format!(
-                " (region {}:{},{}:{},{}:{} — {} chunk(s) via {})",
-                lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
-                report.chunk_ids.len(),
-                if report.used_index { "index seek" } else { "chunk-table scan" },
-            ),
-            ReadRequest::Bpp(bpp) => format!(" (preview at {bpp} bpp)"),
-            ReadRequest::Level(level) if level > 0 => format!(" (resolution level {level})"),
-            _ if native => " (native)".into(),
-            _ => String::new(),
-        };
-        let [nx, ny, nz] = dims;
-        println!("{} -> {}: {nx}x{ny}x{nz} {ty:?}{note}", input.display(), output.display());
-        if verbose {
-            print_stage_times(&stats.stage_times, dims.iter().product());
+        let mut out = human(output);
+        writeln!(out, "{input} -> {output}: {bytes_in} -> {bytes_out} bytes ({note})").ok();
+        // Per-stage times only exist for the full-resolution path; the
+        // other reads skip stages, so their timings would not compare.
+        if let Some(stats) = stats.filter(|_| args.flag("verbose")) {
+            print_stage_times(out.as_mut(), &stats.stage_times, stats.num_points);
         }
     }
     Ok(())
 }
 
-/// Reads `what` of `stream` at sample width `T`, closes the telemetry
-/// `scope` and writes the field to `output` as `ty`; returns the field's
-/// dims with the read's report and stats. A region read reports every
-/// damaged chunk it touches (exit 5 naming them all); every other read
-/// fails on its lowest damaged chunk.
+/// Reads `what` of `stream` at sample width `T` and writes the field to
+/// `output` as `ty`. A region read reports every damaged chunk it touches
+/// (exit 5 naming them all); every other read fails on its lowest damaged
+/// chunk. Under `--resilient` each damaged chunk is zero-filled instead.
 fn read_to<T: Float>(
     sperr: &Sperr,
     stream: &[u8],
     what: ReadRequest<'_>,
-    scope: TelemetryScope,
-    output: &Path,
+    resilient: bool,
+    output: &str,
     ty: ScalarType,
-    explicit: bool,
-) -> Result<([usize; 3], ReadReport, CompressionStats), CliError> {
-    let zero_fill = matches!(what, ReadRequest::Region { .. });
+) -> Result<(ReadReport, u64), CliError> {
+    let zero_fill = resilient || matches!(what, ReadRequest::Region { .. });
     let on_damage = if zero_fill { OnDamage::ZeroFill } else { OnDamage::Fail };
-    let ReadOutput { field, report, stats } = sperr.read::<T>(stream, what, on_damage)?;
-    if !report.all_ok() {
-        return Err(CliError::Compress(CompressError::Corrupt(format!(
-            "region decode hit damaged chunks {:?}",
-            report.failed_chunks()
-        ))));
+    let ReadOutput { field, report, .. } = sperr.read::<T>(stream, what, on_damage)?;
+    let bad = report.failed_chunks();
+    if !bad.is_empty() {
+        if !resilient {
+            return Err(CliError::Compress(CompressError::Corrupt(format!(
+                "region decode hit damaged chunks {bad:?}"
+            ))));
+        }
+        warn_zero_filled(&bad, report.chunk_ids.len());
     }
-    scope.finish()?;
-    rawio::write_field(output, &field, ty, explicit).map_err(|e| CliError::Io(e.to_string()))?;
-    Ok((field.dims, report, stats))
+    write_output(output, |out| Ok(rawio::write_field(out, &field, ty)?))?;
+    Ok((report, (field.len() * ty.bytes()) as u64))
+}
+
+/// The `--resilient` warning: which of the `n` chunks read were damaged
+/// and zero-filled.
+fn warn_zero_filled(bad: &[usize], n: usize) {
+    if !bad.is_empty() {
+        eprintln!("warning: {} of {n} chunks corrupt, zero-filled: {bad:?}", bad.len());
+    }
 }
 
 fn cmd_info(args: &Args) -> Result<(), CliError> {
     let input = Path::new(args.req("input")?).to_path_buf();
-    let stream = std::fs::read(&input).map_err(|e| CliError::Io(e.to_string()))?;
+    let stream = std::fs::read(&input)?;
     let sperr = Sperr::new(SperrConfig::default());
     let info = sperr.inspect(&stream)?;
     println!("file:        {}", input.display());
@@ -911,7 +865,7 @@ fn cmd_info(args: &Args) -> Result<(), CliError> {
             sperr.read::<f64>(&stream, ReadRequest::Full, OnDamage::Fail)?;
         let wall = t0.elapsed();
         println!("decode:      {:.4} s wall", wall.as_secs_f64());
-        print_stage_times(&stats.stage_times, field.len());
+        print_stage_times(&mut std::io::stdout(), &stats.stage_times, field.len());
     }
     if args.flag("verify") {
         let report = sperr.verify(&stream)?;
@@ -942,7 +896,7 @@ fn cmd_info(args: &Args) -> Result<(), CliError> {
 /// the metrics layer: one command, machine-readable output on stdout.
 fn cmd_metrics(args: &Args) -> Result<(), CliError> {
     let input = Path::new(args.req("input")?).to_path_buf();
-    let stream = std::fs::read(&input).map_err(|e| CliError::Io(e.to_string()))?;
+    let stream = std::fs::read(&input)?;
     if !sperr_telemetry::is_enabled() {
         eprintln!(
             "warning: this build has no `telemetry` feature; \
@@ -982,29 +936,21 @@ fn field_by_name(name: &str) -> Result<SyntheticField, String> {
 fn cmd_gen(args: &Args) -> Result<(), CliError> {
     let name = args.req("field")?;
     let dims = args.req_dims("dims")?;
-    let output_arg = args.req("output")?.to_string();
-    let output = Path::new(&output_arg).to_path_buf();
-    let (ty, _) = require_dtype(args, &output_arg)?;
+    let output = args.req("output")?;
+    let (ty, _) = require_dtype(args, output)?;
     let seed = args.opt_usize("seed")?.unwrap_or(42) as u64;
     let field = field_by_name(name)?.generate(dims, seed);
     // Generating raw test data at a requested width is a sanctioned
     // narrowing — there is no "original" being degraded.
-    rawio::write_field(&output, &field, ty, true).map_err(|e| CliError::Io(e.to_string()))?;
+    write_output(output, |out| Ok(rawio::write_field(out, &field, ty)?))?;
     if !args.flag("quiet") {
-        let msg = format!(
-            "generated {name} {}x{}x{} (range {:.4e}) -> {}",
-            dims[0],
-            dims[1],
-            dims[2],
-            field.range(),
-            output.display()
-        );
-        // The raw volume owns stdout when writing to `-`.
-        if output.as_os_str() == "-" {
-            eprintln!("{msg}");
-        } else {
-            println!("{msg}");
-        }
+        let [nx, ny, nz] = dims;
+        writeln!(
+            human(output),
+            "generated {name} {nx}x{ny}x{nz} (range {:.4e}) -> {output}",
+            field.range()
+        )
+        .ok();
     }
     Ok(())
 }
@@ -1012,10 +958,8 @@ fn cmd_gen(args: &Args) -> Result<(), CliError> {
 fn cmd_eval(args: &Args) -> Result<(), CliError> {
     let dims = args.req_dims("dims")?;
     let (ty, _) = require_dtype(args, args.req("original")?)?;
-    let a = rawio::read_field(Path::new(args.req("original")?), dims, ty)
-        .map_err(|e| CliError::Io(e.to_string()))?;
-    let b = rawio::read_field(Path::new(args.req("reconstructed")?), dims, ty)
-        .map_err(|e| CliError::Io(e.to_string()))?;
+    let a = rawio::read_field(Path::new(args.req("original")?), dims, ty)?;
+    let b = rawio::read_field(Path::new(args.req("reconstructed")?), dims, ty)?;
     println!("points:        {}", a.len());
     println!("range:         {:.6e}", a.range());
     println!("rmse:          {:.6e}", sperr_metrics::rmse(&a.data, &b.data));
@@ -1132,13 +1076,14 @@ mod tests {
             .unwrap();
         if sperr_telemetry::is_enabled() {
             let text = std::fs::read_to_string(&prom).unwrap();
-            assert!(text.contains("# TYPE sperr_op_compress_f64_seconds summary"));
+            // `--pwe` and a full read both run the streaming driver.
+            assert!(text.contains("# TYPE sperr_op_compress_stream_seconds summary"));
             assert!(text.contains("quantile=\"0.99\""));
             assert!(text.contains("sperr_stage_speck_encode_seconds_count"));
             assert!(text.contains("sperr_mem_arena_f64_bytes_max"));
             let j = std::fs::read_to_string(&json).unwrap();
             assert!(j.contains("sperr-metrics/v1"));
-            assert!(j.contains("op.decompress.f64"));
+            assert!(j.contains("op.decompress_stream"));
         } else {
             assert!(!prom.exists(), "metrics written by a telemetry-less build");
         }
@@ -1293,37 +1238,124 @@ mod tests {
 
     #[test]
     fn streaming_compress_matches_in_memory_and_roundtrips() {
+        // `--stream` changes no output byte. Every bound at both widths
+        // writes exactly `compress_with_stats`'s stream on the same
+        // samples, a full read writes the same bytes either way, and the
+        // random-access reads and `--resilient` work on every decompress.
         let dir = std::env::temp_dir().join("sperr_cli_stream_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let raw = dir.join("x.raw");
-        let packed = dir.join("x.sperr");
-        let packed_stream = dir.join("x_stream.sperr");
-        let restored = dir.join("y.raw");
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let dims = [40, 28, 32];
+        let sperr = Sperr::new(SperrConfig { chunk_dims: [16, 16, 16], ..SperrConfig::default() });
+        let compress = |raw: &str, packed: &str, ty: &str, extra: &[&str]| {
+            let mut args = w(&["compress", "--input", raw, "--output", packed, "--dims",
+                               "40,28,32", "--dtype", ty, "--chunk", "16,16,16", "--quiet"]);
+            args.extend(w(extra));
+            run(&args)
+        };
+        /// `compress_with_stats` of `field` under the bound a flag pair names.
+        fn reference<T: Float>(
+            sperr: &Sperr,
+            field: std::io::Result<FieldOf<T>>,
+            bound: [&str; 2],
+        ) -> Vec<u8> {
+            let (field, v) = (field.unwrap(), bound[1].parse::<f64>().unwrap());
+            let bound = match bound[0] {
+                "--pwe" => Bound::Pwe(v),
+                "--bpp" => Bound::Bpp(v),
+                "--psnr" => Bound::Psnr(v),
+                _ => Bound::Pwe(field.tolerance_for_idx(v as u32)),
+            };
+            sperr.compress_with_stats(&field, bound).unwrap().0
+        }
+        let decompress = |packed: &str, out: &str, extra: &[&str]| {
+            let mut args = w(&["decompress", "--input", packed, "--output", out, "--quiet"]);
+            args.extend(w(extra));
+            run(&args)
+        };
+        for ty in ["f32", "f64"] {
+            let raw = path(&format!("x.{ty}"));
+            run(&w(&["gen", "--field", "miranda-density", "--dims", "40,28,32", "--output",
+                     &raw, "--quiet"]))
+                .unwrap();
+            for bound in [["--pwe", "1e-3"], ["--bpp", "2"], ["--idx", "12"], ["--psnr", "60"]] {
+                let samples = Path::new(&raw);
+                let want = match ty {
+                    "f32" => reference(&sperr, rawio::read_field_f32(samples, dims), bound),
+                    _ => reference(&sperr, rawio::read_field(samples, dims, ScalarType::F64), bound),
+                };
+                let packed = path("x.sperr");
+                let spellings: [&[&str]; 3] =
+                    [&[], &["--stream"], &["--stream", "--threads", "4", "--in-flight", "6"]];
+                for extra in spellings {
+                    if !extra.is_empty() && matches!(bound[0], "--idx" | "--psnr") {
+                        continue; // refused under --stream
+                    }
+                    compress(&raw, &packed, ty, &[&bound[..], extra].concat()).unwrap();
+                    assert_eq!(std::fs::read(&packed).unwrap(), want, "{ty} {bound:?} {extra:?}");
+                }
+            }
 
-        run(&w(&["gen", "--field", "miranda-density", "--dims", "40,28,20",
-                 "--output", raw.to_str().unwrap(), "--type", "f64", "--quiet"]))
-            .unwrap();
-        run(&w(&["compress", "--input", raw.to_str().unwrap(), "--output",
-                 packed.to_str().unwrap(), "--dims", "40,28,20", "--type", "f64",
-                 "--pwe", "1e-3", "--chunk", "16,16,16", "--quiet"]))
-            .unwrap();
-        run(&w(&["compress", "--input", raw.to_str().unwrap(), "--output",
-                 packed_stream.to_str().unwrap(), "--dims", "40,28,20", "--type",
-                 "f64", "--pwe", "1e-3", "--chunk", "16,16,16", "--threads", "4",
-                 "--in-flight", "6", "--stream", "--quiet"]))
-            .unwrap();
-        assert_eq!(
-            std::fs::read(&packed).unwrap(),
-            std::fs::read(&packed_stream).unwrap(),
-            "streaming output must be byte-identical to the in-memory path"
-        );
-        run(&w(&["decompress", "--input", packed_stream.to_str().unwrap(),
-                 "--output", restored.to_str().unwrap(), "--type", "f64",
-                 "--threads", "4", "--stream", "--quiet"]))
-            .unwrap();
-        let a = rawio::read_field(&raw, [40, 28, 20], ScalarType::F64).unwrap();
-        let b = rawio::read_field(&restored, [40, 28, 20], ScalarType::F64).unwrap();
-        assert!(sperr_metrics::max_pwe(&a.data, &b.data) <= 1e-3);
+            // A full read writes the same bytes with and without --stream,
+            // in the stream's own width and in the other one.
+            let packed = path(&format!("{ty}.sperr"));
+            compress(&raw, &packed, ty, &["--pwe", "1e-3"]).unwrap();
+            for out_ty in ["f32", "f64"] {
+                let (a, b) = (path("a.raw"), path("b.raw"));
+                decompress(&packed, &a, &["--dtype", out_ty]).unwrap();
+                decompress(&packed, &b, &["--dtype", out_ty, "--stream", "--threads", "4"])
+                    .unwrap();
+                let (a, b) = (std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
+                assert_eq!(a, b, "{ty} -> {out_ty}");
+            }
+            let restored = path(&format!("y.{ty}"));
+            decompress(&packed, &restored, &[]).unwrap();
+            let st = parse_type(ty).unwrap();
+            let a = rawio::read_field(Path::new(&raw), dims, st).unwrap();
+            let b = rawio::read_field(Path::new(&restored), dims, st).unwrap();
+            assert!(sperr_metrics::max_pwe(&a.data, &b.data) <= 1e-3 * 1.001, "{ty}");
+
+            // The random-access reads still work, without --stream.
+            decompress(&packed, &path("r.raw"), &["--region", "5:23,12:20,3:18"]).unwrap();
+            decompress(&packed, &path("l.raw"), &["--level", "1"]).unwrap();
+            decompress(&packed, &path("p.raw"), &["--preview-bpp", "1"]).unwrap();
+        }
+
+        // --resilient on every decompress: a full read (either spelling)
+        // and a region read of a stream with one damaged chunk succeed,
+        // zero-filling exactly that chunk's voxels.
+        let (raw, packed) = (path("x.f64"), path("damaged.sperr"));
+        compress(&raw, &packed, "f64", &["--pwe", "1e-3", "--no-lossless"]).unwrap();
+        let clean = path("clean.raw");
+        decompress(&packed, &clean, &[]).unwrap();
+        let mut bytes = std::fs::read(&packed).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF; // the tail of the last chunk's payload
+        std::fs::write(&packed, bytes).unwrap();
+        let clean = rawio::read_field(Path::new(&clean), dims, ScalarType::F64).unwrap();
+        // The last chunk of the 3x2x2 grid: x 32..40, y 16..28, z 16..32.
+        let damaged = |x: usize, y: usize, z: usize| x >= 32 && y >= 16 && z >= 16;
+        for extra in [&[][..], &["--stream"]] {
+            let out = path("resilient.raw");
+            let err = decompress(&packed, &out, extra).unwrap_err();
+            assert_eq!(exit_code(&err), 5, "{extra:?}: {err}");
+            assert!(!Path::new(&out).exists(), "{extra:?} left an output file");
+            decompress(&packed, &out, &[extra, &["--resilient"]].concat()).unwrap();
+            let got = rawio::read_field(Path::new(&out), dims, ScalarType::F64).unwrap();
+            for (i, (&g, &c)) in got.data.iter().zip(&clean.data).enumerate() {
+                let (x, y, z) = (i % 40, i / 40 % 28, i / (40 * 28));
+                assert_eq!(g, if damaged(x, y, z) { 0.0 } else { c }, "({x},{y},{z}) {extra:?}");
+            }
+        }
+        let region = path("region.raw");
+        let err = decompress(&packed, &region, &["--region", "30:40,20:28,10:20"]).unwrap_err();
+        assert_eq!(exit_code(&err), 5, "{err}");
+        decompress(&packed, &region, &["--region", "30:40,20:28,10:20", "--resilient"]).unwrap();
+        let got = rawio::read_field(Path::new(&region), [10, 8, 10], ScalarType::F64).unwrap();
+        for (i, &g) in got.data.iter().enumerate() {
+            let (x, y, z) = (30 + i % 10, 20 + i / 10 % 8, 10 + i / 80);
+            let want = if damaged(x, y, z) { 0.0 } else { clean.data[(z * 28 + y) * 40 + x] };
+            assert_eq!(g, want, "region voxel ({x},{y},{z})");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1345,16 +1377,13 @@ mod tests {
                      "--type", "f64", "--stream", "--level", "1"])),
             Err(CliError::Usage(_))
         ));
-        assert!(matches!(
-            run(&w(&["decompress", "--input", "/dev/null", "--output", "/dev/null",
-                     "--type", "f64", "--resilient"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
     fn streaming_io_failures_exit_with_io_code_not_panic() {
-        // Truncated input: typed I/O error, exit code 1.
+        // Truncated input file: refused by its length before it is read,
+        // exit code 1. (A short stdin is the stream's typed ingest error;
+        // `tests/exit_codes.rs` pipes one.)
         let dir = std::env::temp_dir().join("sperr_cli_stream_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         let short = dir.join("short.raw");
@@ -1364,8 +1393,11 @@ mod tests {
                            "--dims", "16,16,16", "--type", "f64", "--pwe", "1e-3",
                            "--stream", "--quiet"]))
             .unwrap_err();
-        assert!(matches!(&err, CliError::Stream(SperrError::Io { .. })), "{err:?}");
+        assert!(matches!(&err, CliError::Io(_)), "{err:?}");
+        let want = "holds 128 bytes but dims [16, 16, 16] as F64 need 32768";
+        assert!(err.to_string().contains(want), "{err}");
         assert_eq!(exit_code(&err), 1);
+        assert!(!dir.join("o.sperr").exists());
 
         // ENOSPC on the output (only meaningful where /dev/full exists).
         if std::path::Path::new("/dev/full").exists() {
@@ -1717,12 +1749,16 @@ mod tests {
                  packed.to_str().unwrap(), "--dims", "16,16,16",
                  "--idx", "12", "--quiet"]))
             .unwrap();
-        // Inferred f32 output from a .f32 extension on an f64 stream: refused.
-        let err = run(&w(&["decompress", "--input", packed.to_str().unwrap(),
-                           "--output", dir.join("y.f32").to_str().unwrap(),
-                           "--quiet"]))
-            .unwrap_err();
-        assert!(matches!(&err, CliError::Io(_)), "{err:?}");
+        // Inferred f32 output from a .f32 extension on an f64 stream:
+        // refused before the output is created, with or without --stream.
+        for extra in [&[][..], &["--stream"]] {
+            let mut args = w(&["decompress", "--input", packed.to_str().unwrap(),
+                               "--output", dir.join("y.f32").to_str().unwrap(), "--quiet"]);
+            args.extend(w(extra));
+            let err = run(&args).unwrap_err();
+            assert!(matches!(&err, CliError::Io(_)), "{extra:?}: {err:?}");
+            assert!(!dir.join("y.f32").exists(), "{extra:?} left an output file");
+        }
         // Explicit --dtype f32 overrides.
         run(&w(&["decompress", "--input", packed.to_str().unwrap(), "--output",
                  dir.join("y.f32").to_str().unwrap(), "--dtype", "f32",

@@ -66,3 +66,86 @@ fn a_non_finite_sample_exits_3_and_writes_nothing() {
     assert!(packed.exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `sperr gen … --dtype f64` into `dir/name`.
+fn gen_f64(dir: &Path, name: &str, dims: &str) -> std::path::PathBuf {
+    let raw = dir.join(name);
+    let out = sperr(&["gen", "--field", "miranda-pressure", "--dims", dims, "--output", path(&raw),
+                      "--dtype", "f64", "--quiet"]);
+    assert!(out.status.success(), "gen: {}", String::from_utf8_lossy(&out.stderr));
+    raw
+}
+
+#[test]
+fn a_raw_file_of_the_wrong_length_exits_1_with_or_without_stream() {
+    let dir = std::env::temp_dir().join(format!("sperr_exit_len_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let raw = gen_f64(&dir, "x.raw", "16,16,16");
+    let mut bytes = std::fs::read(&raw).unwrap();
+    bytes.extend_from_slice(&[0; 8]);
+    std::fs::write(&raw, bytes).unwrap();
+    let packed = dir.join("x.sperr");
+    for bound in [&["--pwe", "1e-6"][..], &["--pwe", "1e-6", "--stream"], &["--idx", "20"]] {
+        let mut args = vec!["compress", "--input", path(&raw), "--output", path(&packed),
+                            "--dims", "16,16,16", "--dtype", "f64", "--quiet"];
+        args.extend_from_slice(bound);
+        let out = sperr(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bound:?}: {stderr}");
+        assert!(stderr.contains("holds 32776 bytes but dims [16, 16, 16] as F64 need 32768"),
+                "{bound:?}: {stderr}");
+        assert!(!packed.exists(), "{bound:?} left an output file");
+    }
+    // Stdin has no length to check: a short one is the stream's typed
+    // ingest error, also exit 1.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sperr"))
+        .args(["compress", "--input", "-", "--output", path(&packed), "--dims", "16,16,16",
+               "--dtype", "f64", "--pwe", "1e-3", "--quiet"])
+        .stdin(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn the sperr binary");
+    std::io::Write::write_all(&mut child.stdin.take().unwrap(), &[0; 128]).unwrap();
+    let out = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("[stream.ingest]"), "{stderr}");
+    assert!(!packed.exists(), "a short stdin left an output file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_damaged_stream_exits_5_and_leaves_no_file_unless_resilient() {
+    let dir = std::env::temp_dir().join(format!("sperr_exit_damage_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let raw = gen_f64(&dir, "x.raw", "32,32,32");
+    let packed = dir.join("x.sperr");
+    let out = sperr(&["compress", "--input", path(&raw), "--output", path(&packed), "--dims",
+                      "32,32,32", "--dtype", "f64", "--pwe", "1e-3", "--chunk", "16,16,16",
+                      "--no-lossless", "--quiet"]);
+    assert!(out.status.success(), "compress: {}", String::from_utf8_lossy(&out.stderr));
+    let mut bytes = std::fs::read(&packed).unwrap();
+    *bytes.last_mut().unwrap() ^= 0xFF; // the tail of the last chunk's payload
+    std::fs::write(&packed, bytes).unwrap();
+    let decoded = dir.join("y.raw");
+    let decompress = |extra: &[&str]| {
+        let mut args = vec!["decompress", "--input", path(&packed), "--output", path(&decoded),
+                            "--quiet"];
+        args.extend_from_slice(extra);
+        sperr(&args)
+    };
+    for extra in [&[][..], &["--stream"], &["--region", "8:24,8:24,8:24"]] {
+        let out = decompress(extra);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(5), "{extra:?}: {stderr}");
+        assert!(!decoded.exists(), "{extra:?} left an output file");
+        let out = decompress(&[extra, &["--resilient"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{extra:?} --resilient: {stderr}");
+        assert!(stderr.contains("warning: 1 of ") && stderr.contains("zero-filled: [7]"),
+                "{extra:?} --resilient: {stderr}");
+        assert!(decoded.exists());
+        std::fs::remove_file(&decoded).unwrap();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
