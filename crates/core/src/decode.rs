@@ -36,7 +36,7 @@ use crate::container::{read_container, ChunkEntry, ChunkIndexEntry, Header, Mode
 use crate::crc32::crc32;
 use crate::outer::{unwrap_outer, Fetched, Framed};
 use crate::pipeline::ScratchArena;
-use crate::pool::WorkerPool;
+use crate::pool::{Slots, WorkerPool};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use sperr_compress_api::{Bound, CompressError, FieldOf};
 use sperr_simd::Float;
@@ -44,8 +44,10 @@ use sperr_telemetry::timed;
 use sperr_wavelet::{
     coarse_dims, coarse_scale, inverse_3d_partial_with, levels_for_dims, Kernel, Support,
 };
+use std::any::Any;
 use std::borrow::Cow;
 use std::ops::{Deref, Range};
+use std::time::{Duration, Instant};
 
 /// One worker's decode scratch at both sample widths, for the drivers
 /// that learn a stream's width from its header (a stream decodes at one
@@ -115,6 +117,14 @@ pub(crate) struct ChunkJob<'a> {
 /// the full read. At `level > 0` the returned buffer still has the chunk's
 /// full extent, with the coarse approximation, re-scaled to physical
 /// units, in its `[0, coarse_dims)` corner.
+///
+/// When the pool [fans out](WorkerPool::fans_out) — a chunk whose batch
+/// leaves workers idle — the chunk uses them: the outlier list decodes on
+/// a second worker while SPECK's sorting pass runs, and SPECK assembles
+/// its z-slabs ([`sperr_speck::Sorted::slabs`]) on the pool, each into its
+/// own slice of the output. Either way the bits are those of a serial
+/// decode, and a failure is reported in the serial order: SPECK's error,
+/// then the outlier list's, then a correction out of range.
 pub(crate) fn decode_chunk<T: Float>(
     job: &ChunkJob<'_>,
     pool: &WorkerPool,
@@ -125,16 +135,33 @@ pub(crate) fn decode_chunk<T: Float>(
     let keep = if job.level > 0 { None } else { job.keep };
     let support = Support::new(dims, levels, job.level, keep);
     crate::faultpoint::stage(stage_labels::SPECK_DECODE);
-    let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
-        if support.is_everything() {
-            return sperr_speck::decode(job.speck, dims, job.q, job.num_planes);
+    let ((sorted, sort_time), (corrections, list_time)) = pool.join(
+        || phase(stage_labels::SPECK_DECODE, || sorting_pass(job, &support)),
+        || phase(stage_labels::OUTLIER_APPLY, || outlier_list(job)),
+    );
+    let sorted = sorted?;
+    let corrections = corrections?;
+    let mut coeffs = vec![T::ZERO; sorted.len()];
+    let ((), assembly_time) = phase(stage_labels::SPECK_DECODE, || {
+        let whole = std::iter::once(0..sorted.len());
+        let slabs = if pool.fans_out() { sorted.slabs() } else { whole.collect() };
+        let mut rest = coeffs.as_mut_slice();
+        let mut parts = Vec::with_capacity(slabs.len());
+        for slab in slabs {
+            let Some((part, tail)) = rest.split_at_mut_checked(slab.len()) else {
+                break;
+            };
+            parts.push((slab, part));
+            rest = tail;
         }
-        let bitmap = support.keep_bitmap().map_err(|_| {
-            sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
-        })?;
-        sperr_speck::decode_masked(job.speck, dims, job.q, job.num_planes, &bitmap)
+        let n_parts = parts.len();
+        let parts: Slots<(Range<usize>, &mut [T])> = parts.into_iter().collect();
+        pool.run(n_parts, &|s, _| {
+            let (slab, out) = &mut *parts.lock(s);
+            sorted.assemble(slab.clone(), out);
+        });
     });
-    let mut coeffs: Vec<T> = decoded?;
+    drop(sorted);
 
     crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
     let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
@@ -155,44 +182,88 @@ pub(crate) fn decode_chunk<T: Float>(
     });
 
     crate::faultpoint::stage(stage_labels::OUTLIER_APPLY);
-    let (applied, outlier_time) = timed(stage_labels::OUTLIER_APPLY, || {
-        if !job.outliers.is_empty() {
-            if !(job.tolerance > 0.0) {
-                return Err(CompressError::Corrupt(
-                    "outlier stream present but tolerance missing".into(),
-                ));
-            }
-            let corrections =
-                sperr_outlier::decode(job.outliers, coeffs.len(), job.tolerance, job.max_n)?;
-            for c in corrections {
-                if c.pos >= coeffs.len() {
-                    return Err(CompressError::Corrupt("outlier position out of range".into()));
-                }
-                if let Some((lo, hi)) = job.keep {
-                    let x = c.pos % dims[0];
-                    let y = (c.pos / dims[0]) % dims[1];
-                    let z = c.pos / (dims[0] * dims[1]);
-                    if x < lo[0] || x >= hi[0] || y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2]
-                    {
-                        continue;
-                    }
-                }
-                // z = x̃ + corr (Eq. 1), applied in f64 and narrowed once
-                // so the f32 path pays a single rounding (exact for f64).
-                coeffs[c.pos] = T::from_f64(coeffs[c.pos].to_f64() + c.corr);
-            }
-        }
-        Ok(())
-    });
+    let (applied, apply_time) =
+        phase(stage_labels::OUTLIER_APPLY, || apply_corrections(job, &corrections, &mut coeffs));
     applied?;
 
     let times = StageTimes {
         wavelet: wavelet_time,
-        speck: speck_time,
-        outlier_coding: outlier_time,
+        speck: sort_time + assembly_time,
+        outlier_coding: list_time + apply_time,
         ..StageTimes::default()
     };
+    sperr_telemetry::record_ns(stage_labels::SPECK_DECODE, times.speck.as_nanos() as u64);
+    sperr_telemetry::record_ns(stage_labels::OUTLIER_APPLY, times.outlier_coding.as_nanos() as u64);
     Ok((coeffs, times))
+}
+
+/// Runs `f` under `label`'s span and returns its wall time. A chunk's
+/// SPECK and outlier stages each run in two phases, possibly on two
+/// workers, so [`decode_chunk`] records each stage's histogram sample
+/// once, from the sum, where [`timed`] would record one per phase.
+fn phase<R>(label: &'static str, f: impl FnOnce() -> R) -> (R, Duration) {
+    let _span = sperr_telemetry::span!(label);
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed())
+}
+
+/// SPECK's sorting pass over the chunk's stream, masked to `support`
+/// unless that is the whole chunk.
+fn sorting_pass<'a>(
+    job: &ChunkJob<'a>,
+    support: &Support,
+) -> Result<sperr_speck::Sorted<'a, 3>, CompressError> {
+    let keep = if support.is_everything() {
+        None
+    } else {
+        Some(support.keep_bitmap().map_err(|_| {
+            sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
+        })?)
+    };
+    let sorted =
+        sperr_speck::sorting_pass(job.speck, job.dims, job.q, job.num_planes, keep.as_deref());
+    Ok(sorted?)
+}
+
+/// The chunk's outlier corrections, decoded (none when the read does not
+/// apply them).
+fn outlier_list(job: &ChunkJob<'_>) -> Result<Vec<sperr_outlier::Outlier>, CompressError> {
+    if job.outliers.is_empty() {
+        return Ok(Vec::new());
+    }
+    if !(job.tolerance > 0.0) {
+        return Err(CompressError::Corrupt("outlier stream present but tolerance missing".into()));
+    }
+    let n = job.dims.iter().product();
+    Ok(sperr_outlier::decode(job.outliers, n, job.tolerance, job.max_n)?)
+}
+
+/// Adds `corrections` to the reconstructed chunk, skipping those outside
+/// the kept box.
+fn apply_corrections<T: Float>(
+    job: &ChunkJob<'_>,
+    corrections: &[sperr_outlier::Outlier],
+    coeffs: &mut [T],
+) -> Result<(), CompressError> {
+    let dims = job.dims;
+    for c in corrections {
+        if c.pos >= coeffs.len() {
+            return Err(CompressError::Corrupt("outlier position out of range".into()));
+        }
+        if let Some((lo, hi)) = job.keep {
+            let x = c.pos % dims[0];
+            let y = (c.pos / dims[0]) % dims[1];
+            let z = c.pos / (dims[0] * dims[1]);
+            if x < lo[0] || x >= hi[0] || y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2] {
+                continue;
+            }
+        }
+        // z = x̃ + corr (Eq. 1), applied in f64 and narrowed once so the
+        // f32 path pays a single rounding (exact for f64).
+        coeffs[c.pos] = T::from_f64(coeffs[c.pos].to_f64() + c.corr);
+    }
+    Ok(())
 }
 
 /// One unit of decode work: a chunk and what the read wants of it.
@@ -242,6 +313,16 @@ impl Samples {
             Samples::Wide(v) => copy_box(v, src_dims, src_lo, extent, dst, dst_dims, dst_lo),
             Samples::Narrow(v) => copy_box(v, src_dims, src_lo, extent, dst, dst_dims, dst_lo),
         }
+    }
+
+    /// The samples themselves, leaving these empty, when they are at
+    /// width `D`.
+    fn take<D: Float>(&mut self) -> Option<Vec<D>> {
+        let held: &mut dyn Any = match self {
+            Samples::Wide(v) => v,
+            Samples::Narrow(v) => v,
+        };
+        held.downcast_mut::<Vec<D>>().map(std::mem::take)
     }
 }
 
@@ -464,21 +545,25 @@ impl Deref for Opened<'_> {
 impl<'a> Opened<'a> {
     /// Opens `stream` for a read that needs every payload and leaves
     /// checksum failures to the tasks ([`OnDamage::ZeroFill`], `verify`):
-    /// the container is inflated whole.
-    pub(crate) fn whole(stream: &'a [u8]) -> Result<Self, CompressError> {
-        Self::open_whole(stream, false)
+    /// the container is inflated whole, its SLZ1 blocks on `pool`.
+    pub(crate) fn whole(stream: &'a [u8], pool: &WorkerPool) -> Result<Self, CompressError> {
+        Self::open_whole(stream, false, pool)
     }
 
     /// [`Opened::whole`] for [`OnDamage::Fail`]: every payload checksum is
     /// verified before anything decodes ([`Opened::verify_crcs`]), so a
     /// damaged stream fails fast, naming its lowest damaged chunk.
-    pub(crate) fn strict(stream: &'a [u8]) -> Result<Self, CompressError> {
-        Self::open_whole(stream, true)
+    pub(crate) fn strict(stream: &'a [u8], pool: &WorkerPool) -> Result<Self, CompressError> {
+        Self::open_whole(stream, true, pool)
     }
 
-    fn open_whole(stream: &'a [u8], verify: bool) -> Result<Self, CompressError> {
+    fn open_whole(
+        stream: &'a [u8],
+        verify: bool,
+        pool: &WorkerPool,
+    ) -> Result<Self, CompressError> {
         let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || unwrap_outer(stream));
+            timed(stage_labels::LOSSLESS_DECOMPRESS, || unwrap_outer(stream, pool));
         let (container, lossless) = unwrapped?;
         let (opened, container_time) = timed(stage_labels::CONTAINER_READ, || {
             let head = Head::new(read_container(&container)?)?;
@@ -609,18 +694,6 @@ impl<'a> Opened<'a> {
         }
     }
 
-    /// The executor of the in-memory reads: [`Opened::run_on`] a pool sized
-    /// by `sperr` for the chunks `tasks` touch.
-    pub(crate) fn run(&self, sperr: &Sperr, tasks: &[ChunkTask]) -> Vec<TaskResult> {
-        let threads = sperr.effective_threads(tasks.iter().map(|t| &self.grid[t.chunk]));
-        WorkerPool::scoped(threads, |pool| {
-            let mut arenas = Vec::new();
-            let results = self.run_on(pool, tasks, &mut arenas, |_, decode| decode());
-            arenas.iter().for_each(DecodeArenas::record_footprint);
-            results
-        })
-    }
-
     /// The executor: task `j` runs as `guard(j, decode)` on the `pool`
     /// worker that claims it, with that worker's arenas (kept across calls),
     /// results in task order. Scheduling does not depend on the width or the
@@ -639,25 +712,102 @@ impl<'a> Opened<'a> {
 
     /// Places every decoded task's kept box into a zero-filled volume of
     /// `out_dims` whose origin sits at `origin` of the full (at a coarse
-    /// level: the coarsened) volume. Boxes of failed tasks stay zero.
+    /// level: the coarsened) volume. Boxes of failed tasks stay zero. When
+    /// the one task's kept box is that whole volume at width `D` — a full
+    /// read of a one-chunk stream — its buffer is the volume, taken from
+    /// `results` instead of copied.
     pub(crate) fn assemble<D: Float>(
         &self,
         tasks: &[ChunkTask],
-        results: &[TaskResult],
+        results: &mut [TaskResult],
         origin: [usize; 3],
         out_dims: [usize; 3],
     ) -> Vec<D> {
-        let mut out = vec![D::ZERO; out_dims.iter().product()];
-        for (task, (samples, status, _)) in tasks.iter().zip(results) {
-            if !matches!(status, ChunkStatus::Ok) {
-                continue;
-            }
+        let placed = |task: &ChunkTask| {
             let spec = &self.grid[task.chunk];
             let (src_lo, extent) = self.kept_box(task);
             let dst_lo = [0, 1, 2].map(|d| (spec.offset[d] >> task.level) + src_lo[d] - origin[d]);
-            samples.copy_box(spec.dims, src_lo, extent, &mut out, out_dims, dst_lo);
+            (spec.dims, src_lo, extent, dst_lo)
+        };
+        if let ([task], [(samples, ChunkStatus::Ok, _)]) = (tasks, &mut *results) {
+            if placed(task) == (out_dims, [0; 3], out_dims, [0; 3]) {
+                if let Some(volume) = samples.take::<D>() {
+                    return volume;
+                }
+            }
+        }
+        let mut out = vec![D::ZERO; out_dims.iter().product()];
+        for (task, (samples, status, _)) in tasks.iter().zip(results.iter()) {
+            if matches!(status, ChunkStatus::Ok) {
+                let (src_dims, src_lo, extent, dst_lo) = placed(task);
+                samples.copy_box(src_dims, src_lo, extent, &mut out, out_dims, dst_lo);
+            }
         }
         out
+    }
+
+    /// Runs `tasks` on `pool` and folds their results into what
+    /// [`Sperr::read`] returns for a read of `what` whose plan returns a
+    /// volume of `out_dims` (all but the stream's length in the stats).
+    fn read_on<T: Float>(
+        &self,
+        pool: &WorkerPool,
+        tasks: &[ChunkTask],
+        out_dims: [usize; 3],
+        what: ReadRequest<'_>,
+        on_damage: OnDamage,
+    ) -> Result<ReadOutput<T>, CompressError> {
+        let native = self.header.native_f32;
+        if T::BYTES == 4 && (!native || matches!(what, ReadRequest::Level(_))) {
+            return Err(CompressError::Invalid(if native {
+                "coarse levels are reconstructed at f64; read them as f64".into()
+            } else {
+                "stream is not f32-native; decode it with decompress() and narrow explicitly".into()
+            }));
+        }
+        let used_index = self.used_index();
+        match what {
+            ReadRequest::Region { .. } => {
+                if !used_index {
+                    warn_legacy_region_scan(self.version);
+                }
+                sperr_telemetry::counter!("region.chunks_touched", tasks.len());
+                sperr_telemetry::counter!("region.used_index", used_index as u64);
+            }
+            ReadRequest::Bpp(_) | ReadRequest::Budgets(_) => {
+                let kept = tasks.iter().map(|t| self.entries[t.chunk].speck_len.min(t.budget));
+                sperr_telemetry::counter!("preview.kept_speck_bytes", kept.sum::<usize>());
+            }
+            ReadRequest::Full | ReadRequest::Level(_) => {}
+        }
+
+        let mut arenas = Vec::new();
+        let mut results = self.run_on(pool, tasks, &mut arenas, |_, decode| decode());
+        arenas.iter().for_each(DecodeArenas::record_footprint);
+        if on_damage == OnDamage::Fail {
+            strict(tasks, &results)?;
+        }
+        let origin = match what {
+            ReadRequest::Region { lo, .. } => lo,
+            _ => [0; 3],
+        };
+        let volume = self.assemble(tasks, &mut results, origin, out_dims);
+        let mut stage_times = self.open_times;
+        results.iter().for_each(|(_, _, times)| stage_times.accumulate(times));
+        let stats = CompressionStats {
+            num_points: volume.len(),
+            num_chunks: tasks.len(),
+            container_bytes: self.container_len,
+            stage_times,
+            ..CompressionStats::default()
+        };
+        let report = ReadReport {
+            chunk_ids: tasks.iter().map(|t| t.chunk).collect(),
+            statuses: results.into_iter().map(|(_, status, _)| status).collect(),
+            used_index,
+        };
+        let field = FieldOf::new(out_dims, volume).with_precision(self.header.precision);
+        Ok(ReadOutput { field, report, stats })
     }
 }
 
@@ -831,70 +981,31 @@ impl Sperr {
         let _run = span.map(|label| sperr_telemetry::span!(label, stream.len()));
         // A full read's op label follows the payload width, unknown until
         // the head parses — so time manually and record on success.
-        let t0 = sperr_telemetry::is_recording().then(std::time::Instant::now);
+        let t0 = sperr_telemetry::is_recording().then(Instant::now);
         if let ReadRequest::Bpp(bpp) = what {
             validate_bound(Bound::Bpp(bpp))?;
         }
-        let (opened, tasks, out_dims) = match (what, on_damage) {
-            (ReadRequest::Region { .. }, _) => Opened::sparse(stream, what)?,
-            (_, damage) => {
-                let opened = match damage {
-                    OnDamage::Fail => Opened::strict(stream)?,
-                    OnDamage::ZeroFill => Opened::whole(stream)?,
+        let (mut out, native) = if let ReadRequest::Region { .. } = what {
+            let (opened, tasks, out_dims) = Opened::sparse(stream, what)?;
+            let threads = self.effective_threads(tasks.iter().map(|t| &opened.grid[t.chunk]));
+            let out = WorkerPool::scoped(threads, |pool| {
+                opened.read_on(pool, &tasks, out_dims, what, on_damage)
+            })?;
+            (out, opened.header.native_f32)
+        } else {
+            // The container inflates on the read's pool, so the pool is
+            // sized before it opens.
+            WorkerPool::scoped(self.whole_read_threads(stream), |pool| {
+                let opened = match on_damage {
+                    OnDamage::Fail => Opened::strict(stream, pool)?,
+                    OnDamage::ZeroFill => Opened::whole(stream, pool)?,
                 };
                 let (tasks, out_dims) = opened.plan(what)?;
-                (opened, tasks, out_dims)
-            }
+                let out = opened.read_on(pool, &tasks, out_dims, what, on_damage)?;
+                Ok::<_, CompressError>((out, opened.header.native_f32))
+            })?
         };
-        let native = opened.header.native_f32;
-        if narrow && (!native || matches!(what, ReadRequest::Level(_))) {
-            return Err(CompressError::Invalid(if native {
-                "coarse levels are reconstructed at f64; read them as f64".into()
-            } else {
-                "stream is not f32-native; decode it with decompress() and narrow explicitly".into()
-            }));
-        }
-        let used_index = opened.used_index();
-        match what {
-            ReadRequest::Region { .. } => {
-                if !used_index {
-                    warn_legacy_region_scan(opened.version);
-                }
-                sperr_telemetry::counter!("region.chunks_touched", tasks.len());
-                sperr_telemetry::counter!("region.used_index", used_index as u64);
-            }
-            ReadRequest::Bpp(_) | ReadRequest::Budgets(_) => {
-                let kept = tasks.iter().map(|t| opened.entries[t.chunk].speck_len.min(t.budget));
-                sperr_telemetry::counter!("preview.kept_speck_bytes", kept.sum::<usize>());
-            }
-            ReadRequest::Full | ReadRequest::Level(_) => {}
-        }
-
-        let results = opened.run(self, &tasks);
-        if on_damage == OnDamage::Fail {
-            strict(&tasks, &results)?;
-        }
-        let origin = match what {
-            ReadRequest::Region { lo, .. } => lo,
-            _ => [0; 3],
-        };
-        let volume = opened.assemble(&tasks, &results, origin, out_dims);
-        let mut stage_times = opened.open_times;
-        results.iter().for_each(|(_, _, times)| stage_times.accumulate(times));
-        let stats = CompressionStats {
-            num_points: volume.len(),
-            num_chunks: tasks.len(),
-            container_bytes: opened.container_len,
-            output_bytes: stream.len(),
-            stage_times,
-            ..CompressionStats::default()
-        };
-        let report = ReadReport {
-            chunk_ids: tasks.iter().map(|t| t.chunk).collect(),
-            statuses: results.into_iter().map(|(_, status, _)| status).collect(),
-            used_index,
-        };
-        let field = FieldOf::new(out_dims, volume).with_precision(opened.header.precision);
+        out.stats.output_bytes = stream.len();
         let op = match what {
             ReadRequest::Full if native => Some(metric_labels::OP_DECOMPRESS_F32),
             ReadRequest::Full => Some(metric_labels::OP_DECOMPRESS_F64),
@@ -905,7 +1016,18 @@ impl Sperr {
         if let (Some(t0), Some(op)) = (t0, op) {
             sperr_telemetry::record_ns(op, t0.elapsed().as_nanos() as u64);
         }
-        Ok(ReadOutput { field, report, stats })
+        Ok(out)
+    }
+
+    /// The pool width of a read that inflates the whole container:
+    /// [`Sperr::effective_threads`] over its chunks, learned from the head
+    /// alone — read through the framing, inflating only the SLZ1 blocks
+    /// under it — so the pool exists before the inflate that runs on it. 1
+    /// when the head does not parse: the open that follows then fails, on
+    /// one thread, with the error it has always given.
+    pub(crate) fn whole_read_threads(&self, stream: &[u8]) -> usize {
+        let head = Framed::open(stream).and_then(|framed| Head::new(framed.read_head()?));
+        head.map_or(1, |head| self.effective_threads(&head.grid))
     }
 }
 

@@ -50,12 +50,20 @@ fn split_flag(stream: &[u8]) -> Result<(bool, &[u8]), CompressError> {
 }
 
 /// Strips the outer framing, undoing the lossless pass when present (a
-/// raw container is borrowed, not copied). Returns the container and
-/// whether the lossless pass was on.
-pub(crate) fn unwrap_outer(stream: &[u8]) -> Result<(Cow<'_, [u8]>, bool), CompressError> {
+/// raw container is borrowed, not copied) with its blocks inflated on
+/// `pool`. Returns the container and whether the lossless pass was on.
+pub(crate) fn unwrap_outer<'a>(
+    stream: &'a [u8],
+    pool: &WorkerPool,
+) -> Result<(Cow<'a, [u8]>, bool), CompressError> {
     let (lossless, rest) = split_flag(stream)?;
-    let container =
-        if lossless { Cow::Owned(sperr_lossless::decompress(rest)?) } else { Cow::Borrowed(rest) };
+    let container = if lossless {
+        Cow::Owned(sperr_lossless::decompress_with(rest, |n_blocks, inflate| {
+            pool.run(n_blocks, inflate)
+        })?)
+    } else {
+        Cow::Borrowed(rest)
+    };
     Ok((container, lossless))
 }
 
@@ -196,7 +204,7 @@ mod tests {
                 ..SperrConfig::default()
             });
             let stream = sperr.compress(&field, Bound::Pwe(1e-6)).unwrap();
-            let (container, flag) = unwrap_outer(&stream).unwrap();
+            let (container, flag) = unwrap_outer(&stream, &WorkerPool::inline()).unwrap();
             assert_eq!(flag, lossless);
             assert_eq!(matches!(container, Cow::Borrowed(_)), !lossless, "raw is borrowed");
             let framed = Framed::open(&stream).unwrap();

@@ -273,6 +273,47 @@ impl WorkerPool {
         Ok(())
     }
 
+    /// Whether a batch issued here would use more than this thread: the
+    /// pool has workers and the caller is not inside a pool job (nested
+    /// batches run inline). A chunk decoded while other chunks keep the
+    /// workers busy answers `false`, and does not split its work.
+    pub(crate) fn fans_out(&self) -> bool {
+        self.threads > 1 && CURRENT_SLOT.with(|c| c.get()).is_none()
+    }
+
+    /// Runs `a` and `b` as one batch of two jobs — side by side when the
+    /// pool [`fans_out`](Self::fans_out), one after the other otherwise —
+    /// and returns both results. The caller's slot takes `a` unless a
+    /// worker got to the batch first, so what `a` allocates comes from the
+    /// caller thread's heap.
+    pub(crate) fn join<A: Send, B: Send>(
+        &self,
+        a: impl FnOnce() -> A + Send,
+        b: impl FnOnce() -> B + Send,
+    ) -> (A, B) {
+        let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+        let (ra, rb) = (Mutex::new(None), Mutex::new(None));
+        let run_a = || {
+            let a = lock_ignore_poison(&a).take()?;
+            *lock_ignore_poison(&ra) = Some(a());
+            Some(())
+        };
+        let run_b = || {
+            let b = lock_ignore_poison(&b).take()?;
+            *lock_ignore_poison(&rb) = Some(b());
+            Some(())
+        };
+        // Two jobs, two takers: each runs its slot's preference if it is
+        // still there, else the other one.
+        self.run(2, &|_, worker| {
+            let ran = if worker == 0 { run_a().or_else(run_b) } else { run_b().or_else(run_a) };
+            debug_assert!(ran.is_some(), "a join job found nothing to run");
+        });
+        let ra = ra.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let rb = rb.into_inner().unwrap_or_else(PoisonError::into_inner);
+        (ra.expect("join ran job 0"), rb.expect("join ran job 1"))
+    }
+
     /// Ordered parallel map: `f(job, worker)` for `job in 0..n`, results
     /// collected in job order.
     pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
@@ -625,10 +666,7 @@ mod tests {
                 })
             }));
             let msg = *result.unwrap_err().downcast::<String>().unwrap();
-            assert!(
-                msg.contains("map boom"),
-                "panic message lost the original payload: {msg:?}"
-            );
+            assert!(msg.contains("map boom"), "panic message lost the original payload: {msg:?}");
         });
     }
 
@@ -642,11 +680,7 @@ mod tests {
                     }
                 })
                 .unwrap_err();
-            assert!(
-                err.message.contains("stage exploded"),
-                "lost payload: {:?}",
-                err.message
-            );
+            assert!(err.message.contains("stage exploded"), "lost payload: {:?}", err.message);
             // Pool is reusable; a clean batch succeeds.
             assert!(pool.try_run(8, &|_, _| {}).is_ok());
         });
@@ -698,6 +732,34 @@ mod tests {
             // Pool still works after a failed batch.
             assert_eq!(pool.map(3, |i, _| i), vec![0, 1, 2]);
         });
+    }
+
+    #[test]
+    fn join_runs_both_sides_and_fans_out_only_at_the_top() {
+        // At the top of a wide pool the two sides run at once — each waits
+        // for the other to start — and the caller reports that the pool
+        // fans out; inside a pool job both run inline on the job's thread.
+        WorkerPool::scoped(2, |pool| {
+            assert!(pool.fans_out());
+            let started = AtomicUsize::new(0);
+            let meet = || {
+                started.fetch_add(1, Ordering::SeqCst);
+                while started.load(Ordering::SeqCst) < 2 {
+                    std::thread::yield_now();
+                }
+                std::thread::current().id()
+            };
+            let (a, b) = pool.join(meet, meet);
+            assert_ne!(a, b, "the two sides ran on one thread");
+            pool.run(2, &|_, _| {
+                assert!(!pool.fans_out());
+                let here = std::thread::current().id();
+                let (a, b) = pool.join(|| std::thread::current().id(), || 7);
+                assert_eq!((a, b), (here, 7));
+            });
+        });
+        assert!(!WorkerPool::inline().fans_out());
+        assert_eq!(WorkerPool::inline().join(|| 1, || 2), (1, 2));
     }
 
     #[test]

@@ -105,6 +105,13 @@ pub mod metric_labels {
 /// the container serialization and lossless back end that bracket them —
 /// with those included, `total()` reconciles with end-to-end time on a
 /// serial run).
+///
+/// Stages are timed where they run, so on more than one thread they
+/// overlap and `total()` can exceed the wall time: chunks decode side by
+/// side, and within a chunk whose batch leaves workers idle the outlier
+/// list decodes (counted in `outlier_coding`) while SPECK's sorting pass
+/// runs (counted in `speck`). On one thread nothing overlaps, and
+/// `total()` is at most the wall time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageTimes {
     /// 1) forward wavelet transform.

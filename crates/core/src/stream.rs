@@ -526,53 +526,63 @@ impl Sperr {
         // stays bounded is the *decoded* side.
         let mut stream = Vec::new();
         faultpoint::stage(STAGE_INGEST);
-        reader
-            .read_to_end(&mut stream)
-            .map_err(|e| SperrError::io(STAGE_INGEST, None, &e))?;
+        reader.read_to_end(&mut stream).map_err(|e| SperrError::io(STAGE_INGEST, None, &e))?;
         let bytes_in = stream.len() as u64;
         let _run = sperr_telemetry::span!("sperr.decompress_stream", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_STREAM);
 
-        // Strict mode verifies every payload checksum before anything is
-        // decoded or emitted; resilient mode leaves them to the tasks.
-        faultpoint::stage(STAGE_CONTAINER);
-        let opened = if resilient { Opened::whole(&stream) } else { Opened::strict(&stream) }
-            .map_err(|source| SperrError::Codec { stage: STAGE_CONTAINER, chunk: None, source })?;
-        let (header, grid) = (&opened.header, &opened.grid);
-        let tasks = opened.all_tasks();
-        let geo = LayerGeometry::new(header.dims, header.chunk_dims);
-        let threads = self.effective_threads(grid);
-        let budget = self.resolve_budget(threads, geo.layer_len);
-        sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
-
-        // Chunk i's outcome, settled on the worker that decoded it (a strict
-        // failure names that thread's stage): a failed chunk is zero-filled
-        // when resilient and fails the run when strict.
-        let settle = |i: usize, (data, status, times): TaskResult| match status.to_result(i) {
-            Ok(()) => Ok((data, status, times)),
-            Err(_) if resilient => Ok((Samples::Wide(vec![0.0; grid[i].len()]), status, times)),
-            Err(source) => {
-                Err(SperrError::Codec { stage: faultpoint::last_stage(), chunk: Some(i), source })
+        // The container inflates on the run's pool, so the pool is sized
+        // (from the head alone) before it opens.
+        WorkerPool::scoped(self.whole_read_threads(&stream), |pool| {
+            // Strict mode verifies every payload checksum before anything is
+            // decoded or emitted; resilient mode leaves them to the tasks.
+            faultpoint::stage(STAGE_CONTAINER);
+            let opened = if resilient {
+                Opened::whole(&stream, pool)
+            } else {
+                Opened::strict(&stream, pool)
             }
-        };
+            .map_err(|source| SperrError::Codec {
+                stage: STAGE_CONTAINER,
+                chunk: None,
+                source,
+            })?;
+            let (header, grid) = (&opened.header, &opened.grid);
+            let tasks = opened.all_tasks();
+            let geo = LayerGeometry::new(header.dims, header.chunk_dims);
+            let budget = self.resolve_budget(pool.threads(), geo.layer_len);
+            sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
-        let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
-        let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(grid.len());
-        let mut stats = CompressionStats {
-            num_points: header.dims.iter().product(),
-            num_chunks: grid.len(),
-            container_bytes: opened.container_len,
-            output_bytes: stream.len(),
-            ..CompressionStats::default()
-        };
-        let mut row = vec![0.0f64; header.dims[0]];
-        let mut peak_in_flight = 0;
-        WorkerPool::scoped(threads, |pool| {
+            // Chunk i's outcome, settled on the worker that decoded it (a
+            // strict failure names that thread's stage): a failed chunk is
+            // zero-filled when resilient and fails the run when strict.
+            let settle = |i: usize, (data, status, times): TaskResult| match status.to_result(i) {
+                Ok(()) => Ok((data, status, times)),
+                Err(_) if resilient => Ok((Samples::Wide(vec![0.0; grid[i].len()]), status, times)),
+                Err(source) => Err(SperrError::Codec {
+                    stage: faultpoint::last_stage(),
+                    chunk: Some(i),
+                    source,
+                }),
+            };
+
+            let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
+            let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(grid.len());
+            let mut stats = CompressionStats {
+                num_points: header.dims.iter().product(),
+                num_chunks: grid.len(),
+                container_bytes: opened.container_len,
+                output_bytes: stream.len(),
+                ..CompressionStats::default()
+            };
+            let mut row = vec![0.0f64; header.dims[0]];
+            let mut peak_in_flight = 0;
             let mut arenas = Vec::new();
             for chunks in geo.batches(budget) {
-                let results = opened.run_on(pool, &tasks[chunks.clone()], &mut arenas, |j, decode| {
-                    guarded(Some(chunks.start + j), || settle(chunks.start + j, decode()))
-                });
+                let results =
+                    opened.run_on(pool, &tasks[chunks.clone()], &mut arenas, |j, decode| {
+                        guarded(Some(chunks.start + j), || settle(chunks.start + j, decode()))
+                    });
                 let mut decoded = Vec::with_capacity(chunks.len());
                 for result in results {
                     let (data, status, times) = result?;
@@ -581,24 +591,26 @@ impl Sperr {
                     decoded.push(data);
                 }
                 peak_in_flight = peak_in_flight.max(decoded.len());
-                sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, decoded.len() as u64);
+                sperr_telemetry::record_units(
+                    metric_labels::STREAM_IN_FLIGHT,
+                    decoded.len() as u64,
+                );
                 emit_layers(&mut wr, &geo, &grid[chunks], &decoded, &mut row)?;
             }
             arenas.iter().for_each(DecodeArenas::record_footprint);
-            Ok::<(), SperrError>(())
-        })?;
 
-        wr.flush()?;
-        Ok(StreamResilientReport {
-            report: StreamReport {
-                bytes_in,
-                bytes_out: wr.bytes_out,
-                n_chunks: grid.len(),
-                in_flight_budget: budget,
-                peak_in_flight,
-                stats,
-            },
-            statuses,
+            wr.flush()?;
+            Ok(StreamResilientReport {
+                report: StreamReport {
+                    bytes_in,
+                    bytes_out: wr.bytes_out,
+                    n_chunks: grid.len(),
+                    in_flight_budget: budget,
+                    peak_in_flight,
+                    stats,
+                },
+                statuses,
+            })
         })
     }
 }

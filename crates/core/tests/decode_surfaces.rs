@@ -455,3 +455,188 @@ fn coarse_levels_of_an_f32_native_stream_and_levels_no_chunk_has() {
         assert_eq!(level(&s, &single, l).unwrap_err(), depth(l, [3, 3, 2]));
     }
 }
+
+/// One-chunk volumes — every shape up to the default 256³ chunk is one —
+/// on both SPECK geometries: a power-of-two cube (Morton), a box (tables),
+/// and a slab with one z-plane (no z split, so one assembly slab). Each
+/// with f32-native and f64 payloads, PWE (with outliers) and BPP streams;
+/// the debug-build cost of the two larger shapes' inverse transforms keeps
+/// them to two of the four (width, mode) pairs each, crossed.
+const ONE_CHUNK_ROWS: [([usize; 3], bool, Bound); 8] = [
+    ([32, 32, 32], false, Bound::Pwe(0.5)),
+    ([32, 32, 32], true, Bound::Bpp(1.0)),
+    ([24, 20, 18], true, Bound::Pwe(0.5)),
+    ([24, 20, 18], false, Bound::Bpp(1.0)),
+    ([32, 32, 1], false, Bound::Pwe(0.5)),
+    ([32, 32, 1], true, Bound::Pwe(0.5)),
+    ([32, 32, 1], false, Bound::Bpp(1.0)),
+    ([32, 32, 1], true, Bound::Bpp(1.0)),
+];
+
+/// A smooth field with sparse spikes, so a PWE stream carries outliers.
+fn spiky(dims: [usize; 3]) -> Field {
+    Field::from_fn(dims, |x, y, z| {
+        let spike = if (x * 7 + y * 3 + z * 5) % 89 == 0 { 25.0 } else { 0.0 };
+        (x as f64 * 0.31).sin() * 20.0 + (y as f64 * 0.17).cos() * 9.0 + z as f64 * 0.4 + spike
+    })
+}
+
+/// One read's outcome, in a form two thread counts can be compared by:
+/// the samples' bits and the per-chunk statuses, or the error.
+type Outcome = Result<(Vec<u64>, Vec<ChunkStatus>), CompressError>;
+
+fn outcome<T: Float>(
+    s: &Sperr,
+    stream: &[u8],
+    what: ReadRequest<'_>,
+    on_damage: OnDamage,
+) -> Outcome {
+    s.read::<T>(stream, what, on_damage).map(|out| {
+        let bits = out.field.data.iter().map(|v| v.to_f64().to_bits()).collect();
+        (bits, out.report.statuses)
+    })
+}
+
+#[test]
+fn one_chunk_reads_are_bit_identical_at_every_thread_count() {
+    // A read of one chunk splits across the pool (the outlier list beside
+    // SPECK's sorting pass, the assembly by z-slab, the inflate by SLZ1
+    // block): every read kind under both damage policies, and the streaming
+    // read, must give the 1-thread read's bits, statuses or error at every
+    // thread count. A Level(1) read of the one-plane slab is the typed
+    // error every time.
+    let one = |threads| Sperr::new(SperrConfig { num_threads: threads, ..SperrConfig::default() });
+    for (dims, narrow, bound) in ONE_CHUNK_ROWS {
+        let field = spiky(dims);
+        let row = format!("{dims:?} narrow={narrow} {bound:?}");
+        let stream = if narrow {
+            one(1).compress_f32(&field.narrow_lossy(), bound).unwrap()
+        } else {
+            one(1).compress(&field, bound).unwrap()
+        };
+        let info = one(1).inspect(&stream).unwrap();
+        assert_eq!(info.n_chunks, 1, "{row}");
+        if let Bound::Pwe(_) = bound {
+            assert!(info.outlier_bytes > 0, "{row}: no outliers to decode beside SPECK");
+        }
+        let cut = [info.speck_bytes / 3];
+        let hi = dims.map(|d| d - d / 4);
+        let requests = [
+            ReadRequest::Full,
+            ReadRequest::Region { lo: dims.map(|d| d / 5), hi },
+            ReadRequest::Level(1),
+            ReadRequest::Budgets(&cut),
+            ReadRequest::Bpp(1.0),
+        ];
+        let mut serial = Vec::new();
+        for threads in [1, 2, 3, 4, 8] {
+            let s = one(threads);
+            let mut got = Vec::new();
+            for what in requests {
+                for on_damage in [OnDamage::Fail, OnDamage::ZeroFill] {
+                    // An f32-native stream at its native width (the
+                    // f64 reads widen those samples exactly).
+                    got.push(if narrow {
+                        outcome::<f32>(&s, &stream, what, on_damage)
+                    } else {
+                        outcome::<f64>(&s, &stream, what, on_damage)
+                    });
+                }
+            }
+            let mut streamed = Vec::new();
+            s.decompress_stream(&stream[..], &mut streamed, None).unwrap();
+            got.push(Ok((streamed.iter().map(|&b| b as u64).collect(), Vec::new())));
+            if threads == 1 {
+                let full = got[0].as_ref().unwrap();
+                assert_eq!(full.0.len(), dims.iter().product::<usize>(), "{row}");
+                serial = got;
+            } else {
+                for (i, (got, want)) in got.iter().zip(&serial).enumerate() {
+                    assert!(got == want, "{row}: read {i} differs at {threads} threads");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn damage_to_a_one_chunk_stream_keeps_its_verdict_at_every_thread_count() {
+    // A checksum-free (v1) one-chunk stream, so the decoders see the
+    // damage. Flipped payload bytes decode (to other values); damaged
+    // chunk-table and header fields fail, and with the outlier list now
+    // decoding beside SPECK the verdict must still be the serial one:
+    // SPECK's error first, then the missing tolerance, then the outlier
+    // decoder's. The messages are those the serial decoder gave.
+    let dims = [24, 20, 18];
+    let one = |threads| {
+        Sperr::new(SperrConfig { lossless: false, num_threads: threads, ..SperrConfig::default() })
+    };
+    let v3 = one(1).compress(&spiky(dims), Bound::Pwe(0.5)).unwrap();
+    let clean = one(1).downgrade_to_v1(&v3).unwrap();
+    let info = one(1).inspect(&clean).unwrap();
+    assert!(info.outlier_bytes > 0);
+    let (speck, outliers) = (1 + info.payload_offset, 1 + info.payload_offset + info.speck_bytes);
+    let speck_error = "corrupt SPECK stream: num_planes exceeds 64";
+    let no_tolerance = "outlier stream present but tolerance missing";
+    let outlier_error = "corrupt outlier stream: tolerance must be positive and finite";
+    // (case, byte to flip, bitplane count, tolerance, strict verdict)
+    let cases = [
+        ("outlier payload byte", Some(outliers + 7), None, None, None),
+        ("SPECK payload byte", Some(speck + info.speck_bytes / 2), None, None, None),
+        ("infinite tolerance", None, None, Some(f64::INFINITY), Some(outlier_error)),
+        ("zero tolerance", None, None, Some(0.0), Some(no_tolerance)),
+        ("planes, infinite tolerance", None, Some(200), Some(f64::INFINITY), Some(speck_error)),
+        ("planes, zero tolerance", None, Some(200), Some(0.0), Some(speck_error)),
+    ];
+    for (case, flip, planes, tolerance, verdict) in cases {
+        let mut bad = clean.clone();
+        if let Some(at) = flip {
+            bad[at] ^= 0xFF;
+        }
+        // The chunk-table entry follows the 44-byte fixed header; its
+        // bitplane count is byte 8. The tolerance is the f64 at byte 20.
+        if let Some(planes) = planes {
+            bad[1 + 44 + 8] = planes;
+        }
+        if let Some(t) = tolerance {
+            bad[21..29].copy_from_slice(&t.to_le_bytes());
+        }
+        let mut serial = None;
+        for threads in [1, 2] {
+            let s = one(threads);
+            let strict = outcome::<f64>(&s, &bad, ReadRequest::Full, OnDamage::Fail);
+            let resilient = outcome::<f64>(&s, &bad, ReadRequest::Full, OnDamage::ZeroFill);
+            let (bits, statuses) = resilient.unwrap();
+            match verdict {
+                Some(message) => {
+                    let error = CompressError::Corrupt(message.into());
+                    assert_eq!(strict, Err(error.clone()), "{case} at {threads} threads");
+                    assert_eq!(statuses, [ChunkStatus::DecodeFailed(error)], "{case}");
+                    assert!(bits.iter().all(|&b| b == 0), "{case}: the failed chunk is zero");
+                }
+                None => {
+                    assert_eq!(statuses, [ChunkStatus::Ok], "{case}");
+                    assert_eq!(strict, Ok((bits.clone(), statuses)), "{case}");
+                }
+            }
+            assert!(serial.get_or_insert_with(|| bits.clone()) == &bits, "{case} at {threads}");
+        }
+    }
+}
+
+#[test]
+fn serial_stage_times_fit_in_the_wall_time() {
+    // On one thread a read's stages run one after another, so their sum
+    // cannot exceed the read's wall time (on more threads they overlap).
+    let s = Sperr::new(SperrConfig { num_threads: 1, ..SperrConfig::default() });
+    let stream = s.compress(&spiky([24, 20, 18]), Bound::Pwe(0.5)).unwrap();
+    for on_damage in [OnDamage::Fail, OnDamage::ZeroFill] {
+        let t0 = std::time::Instant::now();
+        let read = s.read::<f64>(&stream, ReadRequest::Full, on_damage).unwrap();
+        let wall = t0.elapsed();
+        let stages = read.stats.stage_times;
+        assert!(stages.total() <= wall, "{on_damage:?}: {stages:?} over {wall:?}");
+        let timed = [stages.speck, stages.wavelet, stages.outlier_coding];
+        assert!(timed.iter().all(|t| !t.is_zero()), "{on_damage:?}: {stages:?}");
+    }
+}

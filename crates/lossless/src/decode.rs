@@ -14,11 +14,12 @@
 //! ([`BlockDirectory::inflate_ranges`]) only those under the bytes it
 //! needs.
 
-use crate::inflate::inflate_block;
+use crate::inflate::{inflate_block, inflate_block_into};
 use crate::{BLOCK_SIZE, FLAG_CODED, FLAG_LAST, MAGIC};
 use sperr_bitstream::ByteReader;
 use std::fmt;
 use std::ops::Range;
+use std::sync::{Mutex, PoisonError};
 
 /// Upper bound on the output bytes a stream may declare per input byte.
 /// The LZ77 back end tops out near 207x (a 259-byte match costs at least
@@ -81,10 +82,63 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
 /// truncated input returns a typed error; the declared raw length is
 /// treated as untrusted and never allocated blindly.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
+    decompress_with(data, |n_jobs, job| (0..n_jobs).for_each(|i| job(i, 0)))
+}
+
+/// Blocks one [`decompress_with`] batch inflates: 1 MiB of raw data,
+/// enough jobs for a few workers, and little enough that the batch's
+/// zero-filled part of the output is still in cache when its blocks
+/// overwrite it.
+pub(crate) const INFLATE_BATCH: usize = 8;
+
+/// [`decompress`] with the per-block inflate handed to an executor — the
+/// mirror of [`crate::compress_with`], and the same bytes or the same
+/// error whatever the executor does: blocks inflate independently, each
+/// into its own slice of the output, and the first failing block in
+/// stream order names the error.
+///
+/// `run(n_jobs, job)` must call `job(i, worker)` exactly once for every
+/// `i in 0..n_jobs` before it returns; `worker` is not used (inflating
+/// needs no per-worker state). It is called once per batch of up to
+/// [`INFLATE_BATCH`] blocks, and a batch runs only once the blocks before
+/// it have inflated. At most `MAX_PREALLOC` bytes of output are allocated
+/// up front; past that the output grows a batch at a time, only as blocks
+/// decode, so a raw length the stream does not back is never allocated.
+pub fn decompress_with(
+    data: &[u8],
+    mut run: impl FnMut(usize, &(dyn Fn(usize, usize) + Sync)),
+) -> Result<Vec<u8>, DecodeError> {
     let _span = sperr_telemetry::span!("lossless.decompress", data.len());
     let dir = BlockDirectory::parse(data)?;
-    let mut out = Vec::with_capacity(dir.raw_len.min(MAX_PREALLOC));
-    dir.inflate_run(0..dir.blocks.len(), dir.raw_len, &mut out).map_err(|(_, e)| e)?;
+    let mut out = Vec::new();
+    out.try_reserve_exact(dir.raw_len.min(MAX_PREALLOC))
+        .map_err(|_| DecodeError::LimitExceeded("no memory for the decompressed data"))?;
+    for batch in dir.blocks.chunks(INFLATE_BATCH) {
+        let (start, end) = match (batch.first(), batch.last()) {
+            (Some(first), Some(last)) => (first.raw.start, last.raw.end),
+            _ => break,
+        };
+        out.try_reserve(end - start)
+            .map_err(|_| DecodeError::LimitExceeded("no memory for the decompressed data"))?;
+        out.resize(end, 0);
+        let mut rest = out.get_mut(start..end).unwrap_or(&mut []);
+        let mut slots = Vec::with_capacity(batch.len());
+        for block in batch {
+            let Some((dst, tail)) = rest.split_at_mut_checked(block.raw.len()) else { break };
+            slots.push(Mutex::new((dst, Ok(()))));
+            rest = tail;
+        }
+        run(slots.len(), &|i, _| {
+            if let (Some(slot), Some(block)) = (slots.get(i), batch.get(i)) {
+                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
+                let (dst, result) = &mut *slot;
+                *result = dir.inflate_into(block, dst);
+            }
+        });
+        for slot in slots {
+            slot.into_inner().unwrap_or_else(PoisonError::into_inner).1?;
+        }
+    }
     Ok(out)
 }
 
@@ -187,6 +241,23 @@ impl<'a> BlockDirectory<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Inflates the whole of `block` into `dst`, which holds exactly its
+    /// raw bytes.
+    fn inflate_into(&self, block: &Block, dst: &mut [u8]) -> Result<(), DecodeError> {
+        let src = self
+            .stream
+            .get(block.src.clone())
+            .ok_or(DecodeError::Corrupt("block directory out of range"))?;
+        if block.coded {
+            Ok(inflate_block_into(src, dst)?)
+        } else if src.len() == dst.len() {
+            dst.copy_from_slice(src);
+            Ok(())
+        } else {
+            Err(DecodeError::Corrupt("stored block length mismatch"))
+        }
     }
 
     /// Index of the block holding raw offset `at` (`at < raw_len`).

@@ -60,6 +60,12 @@ pub(crate) fn inflate_block(
     result
 }
 
+/// Decodes the whole block coded in `payload` into `dst`, which holds
+/// exactly its raw bytes; on error `dst` holds whatever was decoded.
+pub(crate) fn inflate_block_into(payload: &[u8], dst: &mut [u8]) -> Result<(), Error> {
+    inflate_tokens(payload, dst.len(), dst.len(), dst)
+}
+
 /// Decodes tokens into `dst`, the block's own output window, until `want`
 /// bytes are there (`want < raw_len`) or the block ends (`want ==
 /// raw_len`, which must coincide with `dst.len()` bytes written).
@@ -67,6 +73,10 @@ pub(crate) fn inflate_block(
 /// Match distances are checked against the bytes this block has produced:
 /// `dst` starts at the block start, so a distance reaching before it is
 /// corrupt no matter what the caller's buffer holds in front.
+///
+/// Inlined into both of its callers: as a shared out-of-line function the
+/// token loop measured about a quarter slower.
+#[inline(always)]
 fn inflate_tokens(
     payload: &[u8],
     raw_len: usize,

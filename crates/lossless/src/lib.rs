@@ -27,9 +27,10 @@
 //! a coded block carries its own Huffman tables. That independence is
 //! what the implementation is built on — the block headers alone form a
 //! [`BlockDirectory`], so a reader can inflate just the blocks under the
-//! bytes it needs ([`BlockDirectory::inflate_ranges`]), and a writer can
-//! encode blocks on as many threads as it likes ([`compress_with`]) and
-//! get the same bytes. See DESIGN.md §3.
+//! bytes it needs ([`BlockDirectory::inflate_ranges`]), and a writer or
+//! reader can code blocks on as many threads as it likes
+//! ([`compress_with`], [`decompress_with`]) and get the same bytes. See
+//! DESIGN.md §3.
 //!
 //! # Example
 //!
@@ -50,7 +51,7 @@ mod oracle;
 #[cfg(test)]
 mod proptests;
 
-pub use decode::{decompress, BlockDirectory, DecodeError, SparseBytes};
+pub use decode::{decompress, decompress_with, BlockDirectory, DecodeError, SparseBytes};
 
 use std::sync::{Mutex, PoisonError};
 

@@ -3,10 +3,14 @@
 //! the encoder, identical `Result`s out of the decoder (same bytes, or
 //! the very same error), on clean, damaged and hostile input alike.
 
+use crate::decode::INFLATE_BATCH;
 use crate::huffman::{self, CanonicalCode};
 use crate::inflate::inflate_block;
 use crate::oracle::{self, OracleCode};
-use crate::{compress, compress_with, decompress, BlockDirectory, BLOCK_SIZE};
+use crate::{
+    compress, compress_with, decompress, decompress_with, BlockDirectory, BLOCK_SIZE, FLAG_CODED,
+    FLAG_LAST,
+};
 use proptest::prelude::*;
 use sperr_bitstream::{BitReader, BitWriter, Error};
 
@@ -375,6 +379,111 @@ fn compress_with_is_executor_independent() {
     }
     // More workers than blocks, and a worker index past the block count.
     assert_eq!(with(&[], 4, &|n, job| (0..n).for_each(|i| job(i, 3))), compress(&[]));
+}
+
+/// A `run(n_jobs, job)` executor, as `compress_with` and
+/// `decompress_with` take one.
+type Executor = Box<dyn Fn(usize, &(dyn Fn(usize, usize) + Sync))>;
+
+/// The executors the block coders are held to: in order on one worker, in
+/// reverse, striped over three worker slots, and 2 and 7 real threads
+/// racing for jobs.
+fn executors() -> Vec<(&'static str, Executor)> {
+    let racing = |threads: usize| {
+        move |n: usize, job: &(dyn Fn(usize, usize) + Sync)| {
+            let next = std::sync::atomic::AtomicUsize::new(0);
+            std::thread::scope(|s| {
+                for worker in 0..threads {
+                    let next = &next;
+                    s.spawn(move || loop {
+                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        job(i, worker);
+                    });
+                }
+            });
+        }
+    };
+    vec![
+        ("serial", Box::new(|n, job| (0..n).for_each(|i| job(i, 0)))),
+        ("reversed", Box::new(|n, job| (0..n).rev().for_each(|i| job(i, 0)))),
+        ("striped", Box::new(|n, job| (0..n).for_each(|i| job(i, i % 3)))),
+        ("2 racing threads", Box::new(racing(2))),
+        ("7 racing threads", Box::new(racing(7))),
+    ]
+}
+
+#[test]
+fn decompress_with_is_executor_independent() {
+    // Mixed stored and coded blocks; then the stream cut short, and with
+    // bits flipped in block headers and payloads. Every executor gives
+    // `decompress`'s bytes, or its very error.
+    let mut data = corpus(4, 2 * BLOCK_SIZE, 5);
+    data.extend(corpus(0, BLOCK_SIZE + 123, 6));
+    let packed = compress(&data);
+    let mut streams = vec![packed.clone(), compress(&[])];
+    let cuts = [packed.len() - 1, packed.len() / 2, 20, 11, 0];
+    streams.extend(cuts.map(|cut| packed[..cut].to_vec()));
+    let mut rng = Rng::new(36);
+    for _ in 0..12 {
+        let mut bad = packed.clone();
+        let at = rng.below(bad.len() * 8);
+        bad[at / 8] ^= 1 << (at % 8);
+        streams.push(bad);
+    }
+    assert_eq!(decompress(&packed).as_deref(), Ok(&data[..]));
+    for stream in &streams {
+        let serial = decompress(stream);
+        for (name, run) in executors() {
+            assert!(decompress_with(stream, |n, job| run(n, job)) == serial, "{name}");
+        }
+    }
+}
+
+/// An SLZ1 stream of `n` copies of `packed`'s one coded block.
+fn repeated_block(packed: &[u8], n: usize) -> Vec<u8> {
+    let (flags, block) = (packed[12], &packed[13..]);
+    let raw_len = u32::from_le_bytes(block[..4].try_into().unwrap()) as u64;
+    assert_eq!(flags, FLAG_CODED | FLAG_LAST, "a one-block stream that codes");
+    let mut stream = b"SLZ1".to_vec();
+    stream.extend_from_slice(&(n as u64 * raw_len).to_le_bytes());
+    for i in 0..n {
+        stream.push(if i + 1 == n { FLAG_CODED | FLAG_LAST } else { FLAG_CODED });
+        stream.extend_from_slice(block);
+    }
+    stream
+}
+
+#[test]
+fn decompress_with_inflates_a_bounded_batch_at_a_time() {
+    // 300 coded blocks of zeros declare 39 MB from 180 KB of stream. The
+    // inflate is handed out a batch of INFLATE_BATCH blocks at a time, in
+    // order, and a batch with a bad block is the last one asked for: the
+    // output grows only as blocks really decode.
+    let zeros = compress(&vec![0u8; BLOCK_SIZE]);
+    let packed = repeated_block(&zeros, 300);
+    assert!(packed.len() * 200 < 300 * BLOCK_SIZE, "{} bytes", packed.len());
+    let batches = std::cell::RefCell::new(Vec::new());
+    let serial = |n: usize, job: &(dyn Fn(usize, usize) + Sync)| {
+        batches.borrow_mut().push(n);
+        (0..n).for_each(|i| job(i, 0));
+    };
+    let inflated = decompress_with(&packed, serial);
+    assert!(inflated.is_ok_and(|d| d.len() == 300 * BLOCK_SIZE && d.iter().all(|&b| b == 0)));
+    let mut want = vec![INFLATE_BATCH; 300 / INFLATE_BATCH];
+    want.push(300 % INFLATE_BATCH);
+    assert_eq!(*batches.borrow(), want);
+    // The same blocks with their payload broken: the first batch fails and
+    // nothing past it is asked for.
+    let mut broken = zeros.clone();
+    broken[21..29].fill(0xFF);
+    let bad = repeated_block(&broken, 300);
+    assert!(decompress(&bad).is_err());
+    batches.borrow_mut().clear();
+    assert!(decompress_with(&bad, serial) == decompress(&bad));
+    assert_eq!(*batches.borrow(), [INFLATE_BATCH]);
 }
 
 /// The pre-table `encode_symbols`: same header, codes emitted bit by bit.

@@ -4,7 +4,7 @@
 //! `expect`, `panic!` or `assert` — all failures on untrusted input
 //! surface as [`DecodeError`].
 
-use crate::coder::{Outlier, SetR};
+use crate::coder::Outlier;
 use sperr_bitstream::BitReader;
 use std::fmt;
 
@@ -60,6 +60,17 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
 /// truncated stream yields a coarser partial set of corrections).
 struct Stop;
 
+/// An insignificant set as the decoder keeps it: a half-open position
+/// range. Its level is the LIS bucket it sits in, and the encoder's
+/// outlier-range and magnitude caches have no use here, so a set costs 16
+/// bytes instead of the encoder's 40 — the LIS is most of the decoder's
+/// memory.
+#[derive(Clone, Copy)]
+struct Span {
+    start: usize,
+    len: usize,
+}
+
 struct DecPoint {
     pos: usize,
     negative: bool,
@@ -68,7 +79,7 @@ struct DecPoint {
 
 struct Decoder<'a> {
     input: BitReader<'a>,
-    lis: Vec<Vec<SetR>>,
+    lis: Vec<Vec<Span>>,
     /// Indices into `points` of previously significant entries.
     lsp: Vec<u32>,
     lnsp: Vec<u32>,
@@ -80,8 +91,7 @@ impl<'a> Decoder<'a> {
         self.input.get_bit().map_err(|_| Stop)
     }
 
-    fn push_lis(&mut self, set: SetR) {
-        let lvl = set.level as usize;
+    fn push_lis(&mut self, set: Span, lvl: usize) {
         if self.lis.len() <= lvl {
             self.lis.resize_with(lvl + 1, Vec::new);
         }
@@ -120,7 +130,7 @@ impl<'a> Decoder<'a> {
                     Ok(false) => Ok(true), // unreachable after count_zero_run
                     Ok(true) => {
                         let set = self.lis[lvl][read];
-                        self.process_significant(set, thrd).map(|()| false)
+                        self.process_significant(set, lvl, thrd).map(|()| false)
                     }
                 };
                 match keep_or_err {
@@ -151,7 +161,7 @@ impl<'a> Decoder<'a> {
 
     /// Handles a set whose significance bit was 1: a single position
     /// records its sign and discovery value, a longer range splits.
-    fn process_significant(&mut self, set: SetR, thrd: f64) -> Result<(), Stop> {
+    fn process_significant(&mut self, set: Span, lvl: usize, thrd: f64) -> Result<(), Stop> {
         if set.len == 1 {
             let negative = self.read_bit()?;
             // Listing 3 line 12: reconstruct at 3/2 of the discovery
@@ -161,45 +171,30 @@ impl<'a> Decoder<'a> {
             self.lnsp.push(idx);
             Ok(())
         } else {
-            self.code(set, thrd)
+            self.code(set, lvl, thrd)
         }
     }
 
-    fn process(&mut self, set: SetR, thrd: f64) -> Result<(), Stop> {
+    fn process(&mut self, set: Span, lvl: usize, thrd: f64) -> Result<(), Stop> {
         let sig = self.read_bit()?;
         if sig {
-            self.process_significant(set, thrd)
+            self.process_significant(set, lvl, thrd)
         } else {
-            self.push_lis(set);
+            self.push_lis(set, lvl);
             Ok(())
         }
     }
 
-    fn code(&mut self, set: SetR, thrd: f64) -> Result<(), Stop> {
-        // Decoder-side split mirrors the encoder geometrically; outlier
-        // index ranges and the `max_mag` cache are unknown (and unused)
-        // here. `set.len >= 2` here, so both halves are non-empty and the
-        // recursion depth is bounded by log2(array_len).
+    fn code(&mut self, set: Span, lvl: usize, thrd: f64) -> Result<(), Stop> {
+        // Decoder-side split mirrors the encoder geometrically. `set.len >=
+        // 2` here, so both halves are non-empty and the recursion depth is
+        // bounded by log2(array_len).
         let second = set.len / 2;
         let first = set.len - second;
-        let a = SetR {
-            start: set.start,
-            len: first,
-            olo: 0,
-            ohi: 0,
-            level: set.level + 1,
-            max_mag: 0.0,
-        };
-        let b = SetR {
-            start: set.start + first,
-            len: second,
-            olo: 0,
-            ohi: 0,
-            level: set.level + 1,
-            max_mag: 0.0,
-        };
-        self.process(a, thrd)?;
-        self.process(b, thrd)
+        let a = Span { start: set.start, len: first };
+        let b = Span { start: set.start + first, len: second };
+        self.process(a, lvl + 1, thrd)?;
+        self.process(b, lvl + 1, thrd)
     }
 
     /// One refinement pass: bits are consumed up to 64 at a time through
@@ -271,7 +266,7 @@ pub fn decode(
     }
     let mut dec = Decoder {
         input: BitReader::new(stream),
-        lis: vec![vec![SetR { start: 0, len: array_len, olo: 0, ohi: 0, level: 0, max_mag: 0.0 }]],
+        lis: vec![vec![Span { start: 0, len: array_len }]],
         lsp: Vec::new(),
         lnsp: Vec::new(),
         points: Vec::new(),

@@ -4,17 +4,21 @@
 //! `unwrap`, `expect`, `panic!` or `assert` — all failures on untrusted
 //! input surface as [`DecodeError`].
 //!
-//! One sorting pass — a walk over the cells of the shape's [`Geometry`]
-//! — feeds one back half ([`DeferredLsp`]), which skips refinement bits
-//! while walking the stream and assembles all magnitudes at the end
-//! (DESIGN.md §13).
+//! The decoder runs in two phases (DESIGN.md §13). The sorting pass — a
+//! walk over the cells of the shape's [`Geometry`] — fills the back half
+//! ([`DeferredLsp`]), which skips refinement bits while walking the
+//! stream ([`sorting_pass`]). The assembly then turns the significant
+//! pixels into coefficients, one z-slab of the output at a time
+//! ([`Sorted::assemble`]), so slabs can go to different threads.
 
-use crate::layout::{self, Geometry};
+use crate::layout::{self, Geometry, Layout};
 use crate::lsp_decode::{DeferredLsp, Stop};
 use crate::morton::{self, Dyadic};
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
 use std::fmt;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Hard ceiling on the number of coefficients a decoder will allocate
 /// reconstruction buffers for. Matches the encoder's own u32-index domain
@@ -252,13 +256,16 @@ pub(crate) fn check_params<const D: usize>(
 /// of panicking, so header fields from untrusted containers can be passed
 /// through unchecked. The shape's layout tables are fetched (or built)
 /// only once those checks have passed.
+///
+/// This is [`sorting_pass`], then [`Sorted::assemble`] of the whole
+/// domain as one slab.
 pub fn decode<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
     q: f64,
     num_planes: u8,
 ) -> Result<Vec<T>, DecodeError> {
-    decode_keeping(stream, dims, q, num_planes, None)
+    sorting_pass(stream, dims, q, num_planes, None).map(|sorted| sorted.assemble_all())
 }
 
 /// [`decode`] for a read that needs only some coefficients — a region's
@@ -276,63 +283,57 @@ pub fn decode_masked<T: Float, const D: usize>(
     num_planes: u8,
     keep: &[u64],
 ) -> Result<Vec<T>, DecodeError> {
-    decode_keeping(stream, dims, q, num_planes, Some(keep))
+    sorting_pass(stream, dims, q, num_planes, Some(keep)).map(|sorted| sorted.assemble_all())
 }
 
-/// The parameter checks, then the decode on the shape's geometry.
-fn decode_keeping<T: Float, const D: usize>(
-    stream: &[u8],
+/// The decoder's first phase: the parameter checks, then the sorting pass
+/// over the whole stream on the shape's geometry. What it returns
+/// assembles into coefficients a z-slab at a time ([`Sorted::assemble`]),
+/// on as many threads as there are slabs; [`decode`] and [`decode_masked`]
+/// are this with one slab. `keep` is [`decode_masked`]'s row-major bitmap
+/// (`None`: the full read).
+pub fn sorting_pass<'a, const D: usize>(
+    stream: &'a [u8],
     dims: [usize; D],
     q: f64,
     num_planes: u8,
     keep: Option<&[u64]>,
-) -> Result<Vec<T>, DecodeError> {
-    let (n_total, coded) = check_params(dims, q, num_planes)?;
-    if !coded {
-        return Ok(vec![T::ZERO; n_total]);
-    }
-    if morton::applicable(dims) {
-        return decode_with(&Dyadic::new(dims), stream, q, n_total, num_planes, keep);
-    }
-    let tables = layout::shared(layout::pad(dims))
-        .map_err(|_| DecodeError::LimitExceeded("no memory for the layout tables"))?;
-    decode_with(&*tables, stream, q, n_total, num_planes, keep)
+) -> Result<Sorted<'a, D>, DecodeError> {
+    let (_, coded) = check_params(dims, q, num_planes)?;
+    let shape = if !coded {
+        None
+    } else if morton::applicable(dims) {
+        Some(Shape::Dyadic(Dyadic::new(dims)))
+    } else {
+        let tables = layout::shared(layout::pad(dims))
+            .map_err(|_| DecodeError::LimitExceeded("no memory for the layout tables"))?;
+        Some(Shape::Table(tables))
+    };
+    Sorted::new(shape, stream, dims, q, num_planes, keep)
 }
 
-/// The full read, or — with a row-major `keep` bitmap — the masked one,
-/// its bitmap re-indexed into layout order first so the assembly tests a
-/// pixel without locating it.
-fn decode_with<T: Float>(
+/// The sorting pass proper on `geom`: per plane, the buckets deepest
+/// level (smallest sets) first. Also moves a keep bitmap into layout
+/// order.
+fn walk(
     geom: &impl Geometry,
     stream: &[u8],
-    q: f64,
     n_total: usize,
     num_planes: u8,
     keep: Option<&[u64]>,
-) -> Result<Vec<T>, DecodeError> {
-    let Some(row_major) = keep else {
-        return decode_on::<T, false>(geom, stream, q, n_total, num_planes, &[]);
+) -> Result<(DeferredLsp, Option<Vec<u64>>), DecodeError> {
+    let in_layout = match keep {
+        None => None,
+        Some(row_major) => {
+            let mut in_layout = Vec::new();
+            in_layout
+                .try_reserve_exact(n_total.div_ceil(64))
+                .map_err(|_| DecodeError::LimitExceeded("no memory for the keep bitmap"))?;
+            in_layout.resize(n_total.div_ceil(64), 0u64);
+            geom.layout_bitmap(row_major, &mut in_layout);
+            Some(in_layout)
+        }
     };
-    let mut in_layout = Vec::new();
-    in_layout
-        .try_reserve_exact(n_total.div_ceil(64))
-        .map_err(|_| DecodeError::LimitExceeded("no memory for the keep bitmap"))?;
-    in_layout.resize(n_total.div_ceil(64), 0u64);
-    geom.layout_bitmap(row_major, &mut in_layout);
-    decode_on::<T, true>(geom, stream, q, n_total, num_planes, &in_layout)
-}
-
-/// The one decoder body, on either geometry: per plane, scan the buckets
-/// deepest level (smallest sets) first; then assemble — everything, or
-/// when `MASKED` the pixels whose layout position `keep` sets.
-pub(crate) fn decode_on<T: Float, const MASKED: bool>(
-    geom: &impl Geometry,
-    stream: &[u8],
-    q: f64,
-    n_total: usize,
-    num_planes: u8,
-    keep: &[u64],
-) -> Result<Vec<T>, DecodeError> {
     let k = geom.depth();
     let mut input = BitReader::new(stream);
     let mut lsp = DeferredLsp::for_stream(n_total, stream.len())?;
@@ -343,13 +344,116 @@ pub(crate) fn decode_on<T: Float, const MASKED: bool>(
     lsp.decode_planes(&mut input, num_planes, |input, lsp| {
         (0..=k).rev().try_for_each(|level| scan_bucket(input, geom, &mut buckets, lsp, level))
     });
-    drop(buckets);
-    Ok(lsp.reconstruct::<T, MASKED>(
-        stream,
-        q,
-        n_total,
-        num_planes,
-        |pos| geom.to_row_major(pos),
-        keep,
-    ))
+    Ok((lsp, in_layout))
+}
+
+/// The geometry a [`Sorted`] stream was walked on and assembles on.
+pub(crate) enum Shape<const D: usize> {
+    Dyadic(Dyadic<D>),
+    Table(Arc<Layout>),
+}
+
+/// A SPECK stream after its sorting pass: every significant pixel found,
+/// with its sign and where its refinement bits sit in the stream; no
+/// coefficient assembled yet (DESIGN.md §13).
+///
+/// The assembly splits into *z-slabs* — contiguous ranges of z-planes of
+/// the row-major output ([`Sorted::slabs`]) — that write disjoint slices
+/// and can run on different threads. The root split of a 3D domain lists
+/// its children with axis 0 fastest on both geometries, so its z-low
+/// half is a prefix of the pixel level: the layout positions of a slab
+/// are the very range of row-major indices it covers, and whether a pixel
+/// lies in a slab is two compares on its position.
+pub struct Sorted<'a, const D: usize> {
+    stream: &'a [u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+    n_total: usize,
+    /// `None` for a stream with no planes: there is nothing to assemble.
+    shape: Option<Shape<D>>,
+    lsp: DeferredLsp,
+    /// [`decode_masked`]'s bitmap, re-indexed into layout order so the
+    /// assembly tests a pixel without locating it.
+    keep: Option<Vec<u64>>,
+}
+
+impl<'a, const D: usize> Sorted<'a, D> {
+    /// Runs the sorting pass of `stream` on `shape` (parameters already
+    /// checked).
+    pub(crate) fn new(
+        shape: Option<Shape<D>>,
+        stream: &'a [u8],
+        dims: [usize; D],
+        q: f64,
+        num_planes: u8,
+        keep: Option<&[u64]>,
+    ) -> Result<Self, DecodeError> {
+        let n_total = dims.iter().product();
+        let (lsp, keep) = match &shape {
+            None => (DeferredLsp::default(), None),
+            Some(Shape::Dyadic(geom)) => walk(geom, stream, n_total, num_planes, keep)?,
+            Some(Shape::Table(tables)) => walk(&**tables, stream, n_total, num_planes, keep)?,
+        };
+        Ok(Sorted { stream, dims, q, num_planes, n_total, shape, lsp, keep })
+    }
+
+    /// Coefficients in the domain (the output's length).
+    pub fn len(&self) -> usize {
+        self.n_total
+    }
+
+    /// Whether the domain is empty.
+    pub fn is_empty(&self) -> bool {
+        self.n_total == 0
+    }
+
+    /// The z-slabs the assembly can run as, as row-major ranges that tile
+    /// `0..len()`: the z-low and z-high halves of the root split on a 3D
+    /// domain with at least two z-planes, else the whole domain. The
+    /// whole domain is always a valid slab too.
+    pub fn slabs(&self) -> Vec<Range<usize>> {
+        match self.dims.as_slice() {
+            &[nx, ny, nz] if nz >= 2 => {
+                let half = nx * ny * (nz - nz / 2);
+                vec![0..half, half..self.n_total]
+            }
+            _ => std::iter::once(0..self.n_total).collect(),
+        }
+    }
+
+    /// The decoder's second phase for one slab: writes every coefficient
+    /// the sorting pass found in row-major range `slab` — one of
+    /// [`Sorted::slabs`], or the whole domain — into `out`, which holds
+    /// that range (`out[i]` is coefficient `slab.start + i`) and starts
+    /// zeroed; an undiscovered coefficient stays 0. On a masked stream the
+    /// coefficients outside the keep bitmap are 0 or their full-read value.
+    /// Slabs are independent: assembling each into its own part of one
+    /// zeroed buffer, in any order or at once, gives [`decode`]'s bits.
+    pub fn assemble<T: Float>(&self, slab: Range<usize>, out: &mut [T]) {
+        match &self.shape {
+            None => {}
+            Some(Shape::Dyadic(geom)) => self.assemble_on(geom, slab, out),
+            Some(Shape::Table(tables)) => self.assemble_on(&**tables, slab, out),
+        }
+    }
+
+    /// [`Sorted::assemble`] on the geometry the pass walked.
+    fn assemble_on<T: Float>(&self, geom: &impl Geometry, slab: Range<usize>, out: &mut [T]) {
+        let whole = slab.start == 0 && slab.end >= self.n_total;
+        let (stream, q, planes) = (self.stream, self.q, self.num_planes);
+        match self.keep.as_deref() {
+            None => self.lsp.assemble::<T, false>(stream, q, planes, geom, &[], slab, whole, out),
+            Some(keep) => {
+                self.lsp.assemble::<T, true>(stream, q, planes, geom, keep, slab, whole, out)
+            }
+        }
+    }
+
+    /// The whole domain as one slab, into a new zeroed buffer.
+    pub(crate) fn assemble_all<T: Float>(&self) -> Vec<T> {
+        let mut out = vec![T::ZERO; self.n_total];
+        self.assemble(0..self.n_total, &mut out);
+        out
+    }
 }

@@ -5,7 +5,7 @@
 //! `layout.rs` because that file is scanned by `tests/panic_audit.rs`.)
 
 use crate::coder::encode_in;
-use crate::decoder::decode_on;
+use crate::decoder::{Shape, Sorted};
 use crate::layout::{self, Geometry, Layout, MAX_CACHED_BYTES, MAX_CACHED_SHAPES};
 use crate::morton::{applicable, Dyadic};
 use crate::set::SetS;
@@ -179,11 +179,11 @@ fn seeded_field(n: usize, seed: u64, mag_bits: u32, nnz: usize) -> Vec<f64> {
 fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32, q: f64) {
     let dims = [side; D];
     let field = seeded_field(side.pow(D as u32), seed, mag_bits, 48);
-    let tables = Layout::build(layout::pad(dims)).unwrap();
+    let tables = std::sync::Arc::new(Layout::build(layout::pad(dims)).unwrap());
     let full = reference::encode(&field, dims, q, Termination::Quality);
     for term in [Termination::Quality, Termination::BitBudget(full.bits_used * 2 / 3)] {
         let want = reference::encode(&field, dims, q, term);
-        for got in [encode(&field, dims, q, term), encode_in(&tables, &field, q, term)] {
+        for got in [encode(&field, dims, q, term), encode_in(&*tables, &field, q, term)] {
             assert_eq!(got.stream, want.stream, "{dims:?} {term:?}");
             assert_eq!(
                 (got.bits_used, got.significance_bits, got.sign_bits, got.refinement_bits),
@@ -191,14 +191,14 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
                 "{dims:?} {term:?}"
             );
         }
-        let n = field.len();
         for len in 0..=want.stream.len() {
             let prefix = &want.stream[..len];
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let oracle = bits(reference::decode(prefix, dims, q, want.num_planes).unwrap());
             assert_eq!(bits(decode(prefix, dims, q, want.num_planes).unwrap()), oracle);
-            let tabled =
-                decode_on::<f64, false>(&tables, prefix, q, n, want.num_planes, &[]).unwrap();
+            let shape = Some(Shape::Table(tables.clone()));
+            let tabled = Sorted::new(shape, prefix, dims, q, want.num_planes, None).unwrap();
+            let tabled = tabled.assemble_all::<f64>();
             assert_eq!(bits(tabled), oracle, "{dims:?} {term:?} prefix {len}");
         }
     }

@@ -5,12 +5,15 @@
 //! sync with the stream by *skipping* each plane's refinement bits and
 //! remembering where they were. Magnitudes are assembled once, after the
 //! last plane, 64 entries at a time: one 64-bit stream window per plane,
-//! a bit-matrix transpose, one write per coefficient into the output.
+//! a bit-matrix transpose, 64 signed values, then one write per
+//! coefficient into the output — a z-slab of it per call, so the slabs of
+//! one chunk can be assembled on different threads.
 
 use crate::decoder::DecodeError;
-use crate::layout::bit;
+use crate::layout::{bit, Geometry};
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
+use std::ops::Range;
 
 /// Signals that the stream ran out mid-pass; unwinds the pass cleanly (a
 /// truncated embedded stream is a *valid* coarser encoding, not an error).
@@ -176,38 +179,50 @@ impl DeferredLsp {
         runs
     }
 
-    /// Mid-riser reconstruction: a coefficient whose bits below plane
-    /// `unc` are unknown lies in `[val·q, (val + 2^unc)·q)` and is placed
-    /// at the interval centre; undiscovered coefficients stay 0. Per 64
-    /// entries, row `p` of a bit matrix is plane `p`'s refinement window
-    /// (masked to the bits present) plus the discovery bit of entries
-    /// found on plane `p`; its transpose is the 64 magnitudes. `locate`
-    /// maps a recorded pixel to its row-major output index
-    /// ([`crate::layout::Geometry::to_row_major`]) — the grid is written
-    /// here only, once per discovery. `MASKED` reads assemble only the
-    /// pixels whose layout position is set in `keep`: a block of 64
-    /// entries with none of them is skipped whole — no window loads, no
-    /// transpose, no writes — and the others stay 0 or get their full-read
-    /// value. The full read is the `MASKED = false` instantiation, where
-    /// the test compiles away.
-    pub(crate) fn reconstruct<T: Float, const MASKED: bool>(
+    /// Mid-riser reconstruction of the coefficients in row-major range
+    /// `slab` into `out` (`out[i]` is coefficient `slab.start + i`): a
+    /// coefficient whose bits below plane `unc` are unknown lies in
+    /// `[val·q, (val + 2^unc)·q)` and is placed at the interval centre;
+    /// undiscovered coefficients are not written. Per 64 entries, row `p`
+    /// of a bit matrix is plane `p`'s refinement window (masked to the bits
+    /// present) plus the discovery bit of entries found on plane `p`; its
+    /// transpose is the 64 magnitudes, which become 64 signed values (the
+    /// sign applied by a multiply, no branch) before any is scattered
+    /// through [`Geometry::to_row_major`].
+    ///
+    /// `slab` must be a range whose layout positions are its own row-major
+    /// indices (the whole domain, or a z-half of it; see
+    /// [`crate::Sorted::slabs`]), so a pixel is in it when its position is:
+    /// two compares, no lookup. A block of 64 entries with no pixel in the
+    /// slab — or, when `MASKED`, none set in `keep` (bitmap by layout
+    /// position) — is skipped whole: no window loads, no transpose, no
+    /// writes. For `whole` (the slab is the domain) of an unmasked read the
+    /// test is not made.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn assemble<T: Float, const MASKED: bool>(
         &self,
         stream: &[u8],
         q: f64,
-        n_total: usize,
         num_planes: u8,
-        locate: impl Fn(u32) -> Option<u32>,
+        geom: &impl Geometry,
         keep: &[u64],
-    ) -> Vec<T> {
+        slab: Range<usize>,
+        whole: bool,
+        out: &mut [T],
+    ) {
         let _span = sperr_telemetry::span!("speck.decode.reconstruct", self.pixels.len());
         let qt = T::from_f64(q);
         let narrow = num_planes <= 32;
-        let mut out = vec![T::ZERO; n_total];
+        let sign = [T::ONE, -T::ONE];
+        let (lo, width) = (slab.start, slab.len());
+        let inside = |pixel: u32| (pixel as usize).wrapping_sub(lo) < width;
         let runs = self.runs();
         let mut run_at = 0usize;
         for (block, pixels) in self.pixels.chunks(64).enumerate() {
             let first = block * 64;
-            if MASKED && !pixels.iter().any(|&pixel| bit(keep, pixel as usize)) {
+            if (MASKED || !whole)
+                && !pixels.iter().any(|&p| inside(p) && (!MASKED || bit(keep, p as usize)))
+            {
                 // Step past the runs that end in this block, as the loop
                 // below would have.
                 while runs.get(run_at).is_some_and(|run| run.end <= first + pixels.len()) {
@@ -236,18 +251,25 @@ impl DeferredLsp {
                 _ => sperr_simd::transpose_64x64(&mut rows),
             }
             let signs = self.signs.get(block).copied().unwrap_or(0);
-            for (lane, &pixel) in pixels.iter().enumerate() {
+            let mut values = [T::ZERO; 64];
+            for (lane, value) in values.iter_mut().enumerate().take(pixels.len()) {
                 let val = if narrow {
                     (rows[lane % 32] >> (lane / 32 * 32)) & 0xffff_ffff
                 } else {
                     rows[lane]
                 };
                 let mag = (T::from_u64_lossy(val) + half[lane]) * qt;
-                if let Some(slot) = locate(pixel).and_then(|at| out.get_mut(at as usize)) {
-                    *slot = if (signs >> lane) & 1 == 1 { -mag } else { mag };
+                *value = mag * sign[(signs >> lane & 1) as usize];
+            }
+            for (&pixel, &value) in pixels.iter().zip(&values) {
+                if !inside(pixel) {
+                    continue;
+                }
+                let at = geom.to_row_major(pixel).map(|at| (at as usize).wrapping_sub(lo));
+                if let Some(slot) = at.and_then(|at| out.get_mut(at)) {
+                    *slot = value;
                 }
             }
         }
-        out
     }
 }

@@ -238,6 +238,48 @@ fn lossless_spans_and_counters_fire_once_per_call_not_per_block() {
 }
 
 #[test]
+fn one_chunk_read_uses_both_workers() {
+    // A full read of a one-chunk volume on a 2-thread pool: the outlier
+    // list decodes on one worker while SPECK's sorting pass walks its
+    // planes on the other, and both workers assemble a z-slab. Which slot
+    // takes which job is a race; a host that leaves one worker asleep
+    // through a whole phase is given a few more reads before this fails.
+    let _guard = session_lock();
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate([64, 64, 64], 3);
+    let sperr = Sperr::new(SperrConfig { num_threads: 2, ..SperrConfig::default() });
+    let stream = sperr.compress(&field, Bound::Pwe(field.tolerance_for_idx(16))).unwrap();
+    assert!(sperr.inspect(&stream).unwrap().outlier_bytes > 0, "no outliers to decode");
+    // (start, end) of every span labelled `label`, per worker slot.
+    let on_slot = |report: &sperr_telemetry::Report, slot: usize, label: &str| -> Vec<(u64, u64)> {
+        let tracks = report.tracks.iter().filter(|t| t.worker == Some(slot));
+        let spans = tracks.flat_map(|t| &t.spans).filter(|s| s.label == label);
+        spans.map(|s| (s.start_ns, s.start_ns + s.dur_ns)).collect()
+    };
+    let overlap = |a: &[(u64, u64)], b: &[(u64, u64)]| {
+        a.iter().any(|&(s0, e0)| b.iter().any(|&(s1, e1)| s0 < e1 && s1 < e0))
+    };
+    let mut seen = Vec::new();
+    for _ in 0..5 {
+        sperr_telemetry::start();
+        sperr.decompress(&stream).unwrap();
+        let report = sperr_telemetry::stop();
+        let beside = [(0, 1), (1, 0)].iter().any(|&(a, b)| {
+            overlap(
+                &on_slot(&report, a, "outlier.decode"),
+                &on_slot(&report, b, "speck.decode.plane"),
+            )
+        });
+        let assembled =
+            [0, 1].map(|slot| !on_slot(&report, slot, "speck.decode.reconstruct").is_empty());
+        if beside && assembled == [true, true] {
+            return;
+        }
+        seen.push((beside, assembled));
+    }
+    panic!("(outlier decode beside the sorting pass, assembly per slot) over five reads: {seen:?}");
+}
+
+#[test]
 fn trace_covers_all_stages_and_worker_tracks() {
     let _guard = session_lock();
     let dims = [32usize, 32, 32];
