@@ -15,7 +15,8 @@ use sperr_core::{
 };
 use sperr_outlier::Outlier;
 use sperr_speck::Termination;
-use sperr_wavelet::{levels_for_dims, reference, Kernel, LineExecutor, Serial, TransformScratch};
+use sperr_exec::{Exec, Serial};
+use sperr_wavelet::{levels_for_dims, reference, Kernel, TransformScratch};
 use std::time::Instant;
 
 /// A named oracle violation.
@@ -56,13 +57,13 @@ fn first_bit_mismatch(a: &[f64], b: &[f64]) -> Option<(usize, f64, f64)> {
 
 /// Forward + inverse blocked lifting must be **bit-identical** to the
 /// per-line `wavelet::reference` implementation on the same input, for
-/// any [`LineExecutor`] (the executor only reorders whole independent
+/// any [`Exec`] (the executor only reorders whole independent
 /// lines, so the arithmetic per line is the same).
 pub fn blocked_lifting_matches_reference_with(
     data: &[f64],
     dims: [usize; 3],
     kernel: Kernel,
-    exec: &dyn LineExecutor,
+    exec: &dyn Exec,
 ) -> CheckResult {
     let levels = levels_for_dims(dims);
 
@@ -1160,7 +1161,7 @@ pub fn outlier_roundtrip_exact(outliers: &[Outlier], array_len: usize, t: f64) -
 mod tests {
     use super::*;
     use sperr_datagen::SyntheticField;
-    use sperr_wavelet::stress::{ReverseOrder, StripedWorkers};
+    use sperr_exec::stress::{ReverseOrder, StripedWorkers};
 
     fn small_field() -> Field {
         SyntheticField::MirandaPressure.generate([13, 10, 11], 3)
@@ -1169,7 +1170,7 @@ mod tests {
     #[test]
     fn lifting_oracle_accepts_all_executors() {
         let f = small_field();
-        for exec in [&Serial as &dyn LineExecutor, &ReverseOrder, &StripedWorkers(3)] {
+        for exec in [&Serial as &dyn Exec, &ReverseOrder, &StripedWorkers(3)] {
             blocked_lifting_matches_reference_with(&f.data, f.dims, Kernel::Cdf97, exec)
                 .unwrap();
         }

@@ -7,8 +7,9 @@ use sperr_compress_api::{Bound, LossyCompressor};
 use sperr_conformance::corpus::{corpus_inputs, documented_budget, CodecId};
 use sperr_conformance::oracle;
 use sperr_core::{Sperr, SperrConfig};
-use sperr_wavelet::stress::{ReverseOrder, StripedWorkers};
-use sperr_wavelet::{Kernel, LineExecutor, Serial};
+use sperr_exec::stress::{ReverseOrder, StripedWorkers};
+use sperr_exec::{Exec, Serial};
+use sperr_wavelet::Kernel;
 
 /// Chunk shape used throughout: small enough that the 3D corpus inputs
 /// split into several chunks, so the pool actually schedules work.
@@ -18,7 +19,7 @@ const CHUNK: [usize; 3] = [16, 16, 16];
 fn blocked_lifting_matches_reference_under_adversarial_executors() {
     for input in corpus_inputs() {
         let field = input.generate();
-        for exec in [&Serial as &dyn LineExecutor, &ReverseOrder, &StripedWorkers(3)] {
+        for exec in [&Serial as &dyn Exec, &ReverseOrder, &StripedWorkers(3)] {
             for kernel in [Kernel::Cdf97, Kernel::Haar] {
                 oracle::blocked_lifting_matches_reference_with(&field.data, field.dims, kernel, exec)
                     .unwrap_or_else(|f| panic!("{} ({kernel:?}): {f}", input.id));

@@ -11,9 +11,9 @@ use crate::container::{
 use crate::decode::{Opened, OnDamage, ReadReport, ReadRequest};
 use crate::outer::{wrap_outer, Framed};
 use crate::pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
-use crate::pool::WorkerPool;
 use crate::stats::{metric_labels, stage_labels, CompressionStats};
 use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
+use sperr_exec::WorkerPool;
 use sperr_simd::Float;
 use sperr_telemetry::timed;
 use sperr_wavelet::{Kernel, PANEL_W};

@@ -36,9 +36,9 @@ use crate::container::{read_container, ChunkEntry, ChunkIndexEntry, Header, Mode
 use crate::crc32::crc32;
 use crate::outer::{unwrap_outer, Fetched, Framed};
 use crate::pipeline::ScratchArena;
-use crate::pool::{Slots, WorkerPool};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use sperr_compress_api::{Bound, CompressError, FieldOf};
+use sperr_exec::{Slots, WorkerPool};
 use sperr_simd::Float;
 use sperr_telemetry::timed;
 use sperr_wavelet::{

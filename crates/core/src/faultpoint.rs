@@ -15,7 +15,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use crate::pool::lock_ignore_poison;
+use sperr_exec::lock_ignore_poison;
 
 /// Fast-path gate: true only while a plan is armed. Checked before
 /// touching the mutex so un-instrumented runs pay one relaxed load.

@@ -64,7 +64,6 @@ mod outer;
 #[doc(hidden)]
 pub mod faultpoint;
 mod pipeline;
-mod pool;
 mod stats;
 mod stream;
 pub use stats::{metric_labels, stage_labels};
@@ -76,7 +75,7 @@ pub use container::{ChunkIndexEntry, VERSION as CONTAINER_VERSION};
 pub use crc32::crc32;
 pub use decode::{ChunkStatus, OnDamage, ReadOutput, ReadReport, ReadRequest};
 pub use pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
-pub use pool::{JobPanic, WorkerPool};
+pub use sperr_exec::WorkerPool;
 /// The sample-width abstraction the generic pipeline is written against,
 /// re-exported so downstream crates need not depend on `sperr-simd`.
 pub use sperr_simd::Float;

@@ -9,8 +9,8 @@
 //! inflating only the SLZ1 blocks that hold them from a packed one.
 
 use crate::container::{head_len, read_container_head, Parsed, FIXED_HEADER_BYTES};
-use crate::pool::WorkerPool;
 use sperr_compress_api::CompressError;
+use sperr_exec::WorkerPool;
 use sperr_lossless::{BlockDirectory, SparseBytes};
 use std::borrow::Cow;
 use std::ops::Range;
@@ -24,12 +24,7 @@ pub(crate) fn wrap_outer(container: &[u8], lossless: bool, pool: &WorkerPool) ->
     let mut out = Vec::new();
     if lossless {
         out.push(OUTER_LOSSLESS);
-        sperr_lossless::compress_with(
-            container,
-            pool.threads(),
-            |n_blocks, encode| pool.run(n_blocks, encode),
-            &mut out,
-        );
+        sperr_lossless::compress_with(container, pool, &mut out);
     } else {
         out.reserve_exact(container.len() + 1);
         out.push(OUTER_RAW);
@@ -58,9 +53,7 @@ pub(crate) fn unwrap_outer<'a>(
 ) -> Result<(Cow<'a, [u8]>, bool), CompressError> {
     let (lossless, rest) = split_flag(stream)?;
     let container = if lossless {
-        Cow::Owned(sperr_lossless::decompress_with(rest, |n_blocks, inflate| {
-            pool.run(n_blocks, inflate)
-        })?)
+        Cow::Owned(sperr_lossless::decompress_with(rest, pool)?)
     } else {
         Cow::Borrowed(rest)
     };
@@ -146,8 +139,8 @@ mod tests {
     use crate::container::read_container;
     use crate::{Sperr, SperrConfig};
     use sperr_compress_api::{Bound, Field, LossyCompressor};
-    use sperr_wavelet::stress::{ReverseOrder, StripedWorkers};
-    use sperr_wavelet::LineExecutor;
+    use sperr_exec::stress::{ReverseOrder, StripedWorkers};
+    use sperr_exec::Exec;
 
     /// A few SLZ1 blocks' worth of bytes, some that code and some that
     /// store (so block sizes differ and ordering mistakes show).
@@ -171,16 +164,10 @@ mod tests {
         let serial = sperr_lossless::compress(&data);
         // The adversarial executors the wavelet drivers are held to:
         // reversed job order, and jobs striped over worker slots.
-        let executors: [&dyn LineExecutor; 3] =
-            [&ReverseOrder, &StripedWorkers(3), &StripedWorkers(7)];
+        let executors: [&dyn Exec; 3] = [&ReverseOrder, &StripedWorkers(3), &StripedWorkers(7)];
         for exec in executors {
             let mut packed = Vec::new();
-            sperr_lossless::compress_with(
-                &data,
-                exec.width(),
-                |n, job| exec.run(n, job),
-                &mut packed,
-            );
+            sperr_lossless::compress_with(&data, exec, &mut packed);
             assert!(packed == serial, "executor of width {}", exec.width());
         }
         // The real pool, as the compress drivers use it.

@@ -22,9 +22,9 @@
 use std::ops::Range;
 
 use crate::chunk::ChunkSpec;
-use crate::pool::{Slots, WorkerPool};
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
+use sperr_exec::{Slots, WorkerPool};
 use sperr_outlier::Outlier;
 use sperr_simd::Float;
 use sperr_speck::Termination;

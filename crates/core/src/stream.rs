@@ -37,10 +37,10 @@ use crate::compressor::Sperr;
 use crate::decode::{DecodeArenas, Opened, Samples, TaskResult};
 use crate::faultpoint;
 use crate::pipeline::ScratchArena;
-use crate::pool::{panic_payload_message, WorkerPool};
 use crate::stats::{metric_labels, CompressionStats};
 use crate::ChunkStatus;
 use sperr_compress_api::{Bound, CompressError, Precision};
+use sperr_exec::{panic_payload_message, Exec, WorkerPool};
 use sperr_simd::Float;
 
 /// Stage labels specific to the streaming drivers (the per-chunk codec
@@ -550,7 +550,7 @@ impl Sperr {
             let (header, grid) = (&opened.header, &opened.grid);
             let tasks = opened.all_tasks();
             let geo = LayerGeometry::new(header.dims, header.chunk_dims);
-            let budget = self.resolve_budget(pool.threads(), geo.layer_len);
+            let budget = self.resolve_budget(pool.width(), geo.layer_len);
             sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
             // Chunk i's outcome, settled on the worker that decoded it (a

@@ -17,9 +17,9 @@
 use crate::inflate::{inflate_block, inflate_block_into};
 use crate::{BLOCK_SIZE, FLAG_CODED, FLAG_LAST, MAGIC};
 use sperr_bitstream::ByteReader;
+use sperr_exec::{Exec, Serial, Slots};
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
 
 /// Upper bound on the output bytes a stream may declare per input byte.
 /// The LZ77 back end tops out near 207x (a 259-byte match costs at least
@@ -82,7 +82,7 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
 /// truncated input returns a typed error; the declared raw length is
 /// treated as untrusted and never allocated blindly.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>, DecodeError> {
-    decompress_with(data, |n_jobs, job| (0..n_jobs).for_each(|i| job(i, 0)))
+    decompress_with(data, &Serial)
 }
 
 /// Blocks one [`decompress_with`] batch inflates: 1 MiB of raw data,
@@ -97,17 +97,13 @@ pub(crate) const INFLATE_BATCH: usize = 8;
 /// into its own slice of the output, and the first failing block in
 /// stream order names the error.
 ///
-/// `run(n_jobs, job)` must call `job(i, worker)` exactly once for every
-/// `i in 0..n_jobs` before it returns; `worker` is not used (inflating
-/// needs no per-worker state). It is called once per batch of up to
-/// [`INFLATE_BATCH`] blocks, and a batch runs only once the blocks before
-/// it have inflated. At most `MAX_PREALLOC` bytes of output are allocated
-/// up front; past that the output grows a batch at a time, only as blocks
-/// decode, so a raw length the stream does not back is never allocated.
-pub fn decompress_with(
-    data: &[u8],
-    mut run: impl FnMut(usize, &(dyn Fn(usize, usize) + Sync)),
-) -> Result<Vec<u8>, DecodeError> {
+/// `exec` runs one batch of up to [`INFLATE_BATCH`] blocks at a time, and
+/// a batch only once the blocks before it have inflated; inflating needs
+/// no per-worker state. At most `MAX_PREALLOC` bytes of output are
+/// allocated up front; past that the output grows a batch at a time, only
+/// as blocks decode, so a raw length the stream does not back is never
+/// allocated.
+pub fn decompress_with(data: &[u8], exec: &dyn Exec) -> Result<Vec<u8>, DecodeError> {
     let _span = sperr_telemetry::span!("lossless.decompress", data.len());
     let dir = BlockDirectory::parse(data)?;
     let mut out = Vec::new();
@@ -125,18 +121,18 @@ pub fn decompress_with(
         let mut slots = Vec::with_capacity(batch.len());
         for block in batch {
             let Some((dst, tail)) = rest.split_at_mut_checked(block.raw.len()) else { break };
-            slots.push(Mutex::new((dst, Ok(()))));
+            slots.push((dst, Ok(())));
             rest = tail;
         }
-        run(slots.len(), &|i, _| {
-            if let (Some(slot), Some(block)) = (slots.get(i), batch.get(i)) {
-                let mut slot = slot.lock().unwrap_or_else(PoisonError::into_inner);
-                let (dst, result) = &mut *slot;
+        let slots: Slots<(&mut [u8], Result<(), DecodeError>)> = slots.into_iter().collect();
+        exec.run(slots.len(), &|i, _| {
+            if let Some(block) = batch.get(i) {
+                let (dst, result) = &mut *slots.lock(i);
                 *result = dir.inflate_into(block, dst);
             }
         });
-        for slot in slots {
-            slot.into_inner().unwrap_or_else(PoisonError::into_inner).1?;
+        for (_, result) in slots.into_values() {
+            result?;
         }
     }
     Ok(out)

@@ -28,9 +28,8 @@
 //! what the implementation is built on — the block headers alone form a
 //! [`BlockDirectory`], so a reader can inflate just the blocks under the
 //! bytes it needs ([`BlockDirectory::inflate_ranges`]), and a writer or
-//! reader can code blocks on as many threads as it likes
-//! ([`compress_with`], [`decompress_with`]) and get the same bytes. See
-//! DESIGN.md §3.
+//! reader can code blocks on any [`sperr_exec::Exec`] ([`compress_with`],
+//! [`decompress_with`]) and get the same bytes. See DESIGN.md §3.
 //!
 //! # Example
 //!
@@ -53,7 +52,7 @@ mod proptests;
 
 pub use decode::{decompress, decompress_with, BlockDirectory, DecodeError, SparseBytes};
 
-use std::sync::{Mutex, PoisonError};
+use sperr_exec::{Exec, Serial, Slots};
 
 const MAGIC: &[u8; 4] = b"SLZ1";
 const BLOCK_SIZE: usize = 128 * 1024;
@@ -64,35 +63,22 @@ const FLAG_LAST: u8 = 0b10;
 /// verbatim, so expansion is bounded by a few bytes per 128 KiB block.
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut packed = Vec::new();
-    compress_with(data, 1, |n_jobs, job| (0..n_jobs).for_each(|i| job(i, 0)), &mut packed);
+    compress_with(data, &Serial, &mut packed);
     packed
 }
 
-/// [`compress`] with the per-block encode handed to an executor, and the
+/// [`compress`] with the per-block encode run as jobs on `exec`, and the
 /// stream appended to `out` (after whatever framing the caller already
 /// put there) — the same bytes, whatever the executor does with them:
 /// blocks are encoded independently of each other and laid down in order.
-///
-/// `run(n_jobs, job)` must call `job(i, worker)` exactly once for every
-/// `i in 0..n_jobs` before it returns, with `worker < width`, and must
-/// give jobs that execute concurrently distinct `worker` values (each
-/// worker slot owns one set of parse tables). This is
-/// the contract of `sperr-wavelet`'s `LineExecutor` and `sperr-core`'s
-/// `WorkerPool::run`, spelled as a closure so this crate depends on
-/// neither.
-pub fn compress_with(
-    data: &[u8],
-    width: usize,
-    run: impl FnOnce(usize, &(dyn Fn(usize, usize) + Sync)),
-    out: &mut Vec<u8>,
-) {
+/// Each of `exec`'s workers owns one set of parse tables.
+pub fn compress_with(data: &[u8], exec: &dyn Exec, out: &mut Vec<u8>) {
     let _span = sperr_telemetry::span!("lossless.compress", data.len());
     sperr_telemetry::counter!("lossless.bytes_in", data.len());
     // Empty input is one empty (stored, last) block.
     let n_blocks = data.len().div_ceil(BLOCK_SIZE).max(1);
     // One encoder per worker that can be busy at once.
-    let encoders: Vec<Mutex<lz77::BlockEncoder>> =
-        (0..width.clamp(1, n_blocks)).map(|_| Mutex::new(lz77::BlockEncoder::new())).collect();
+    let encoders = Slots::new(exec.width().clamp(1, n_blocks), lz77::BlockEncoder::new);
     // Every block is encoded into its own fixed-size slot of the output
     // buffer, then the slots are closed up in place: no per-block
     // buffers, no second copy of the stream.
@@ -103,23 +89,19 @@ pub fn compress_with(
     let body_start = out.len();
     out.resize(body_start + n_blocks * lz77::MAX_FRAMED_BLOCK, 0);
     let body = &mut out[body_start..];
-    let slots: Vec<Mutex<(&mut [u8], usize)>> =
-        body.chunks_mut(lz77::MAX_FRAMED_BLOCK).map(|slot| Mutex::new((slot, 0))).collect();
-    run(n_blocks, &|i, worker| {
+    let slots: Slots<(&mut [u8], usize)> =
+        body.chunks_mut(lz77::MAX_FRAMED_BLOCK).map(|slot| (slot, 0)).collect();
+    exec.run(n_blocks, &|i, worker| {
         let block = &data[i * BLOCK_SIZE..data.len().min((i + 1) * BLOCK_SIZE)];
         // Uncontended by the executor contract (unless workers outnumber
-        // blocks and two of them share a slot — then they take turns); an
-        // encoder left behind by a panicked job is safe to reuse because
-        // every block resets it.
-        let mut encoder =
-            encoders[worker % encoders.len()].lock().unwrap_or_else(PoisonError::into_inner);
-        let mut slot = slots[i].lock().unwrap_or_else(PoisonError::into_inner);
+        // blocks and two of them share an encoder — then they take turns);
+        // an encoder left behind by a panicked job is safe to reuse
+        // because every block resets it.
+        let mut encoder = encoders.lock(worker % encoders.len());
+        let mut slot = slots.lock(i);
         slot.1 = encoder.encode(block, i + 1 == n_blocks, slot.0);
     });
-    let lens: Vec<usize> = slots
-        .into_iter()
-        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).1)
-        .collect();
+    let lens: Vec<usize> = slots.into_values().map(|slot| slot.1).collect();
     let mut end = body_start;
     for (i, len) in lens.into_iter().enumerate() {
         let start = body_start + i * lz77::MAX_FRAMED_BLOCK;

@@ -13,6 +13,8 @@ use crate::{
 };
 use proptest::prelude::*;
 use sperr_bitstream::{BitReader, BitWriter, Error};
+use sperr_exec::stress::{ReverseOrder, StripedWorkers};
+use sperr_exec::{Exec, Serial, WorkerPool};
 
 /// Deterministic xorshift, so corpus entries are a function of their seed.
 struct Rng(u64);
@@ -343,76 +345,45 @@ fn sparse_inflate_ignores_damage_in_blocks_it_does_not_need() {
     assert!(sparse.get(4 * BLOCK_SIZE + 5000..4 * BLOCK_SIZE + 5010).is_err());
 }
 
+/// Runs `check` under each executor the block coders are held to: in
+/// order on one worker, in reverse, striped over three worker slots, and
+/// pools of 2 and 7 threads racing for jobs.
+fn for_each_executor(mut check: impl FnMut(&str, &dyn Exec)) {
+    check("serial", &Serial);
+    check("reversed", &ReverseOrder);
+    check("striped", &StripedWorkers(3));
+    for threads in [2usize, 7] {
+        WorkerPool::scoped(threads, |pool| check(&format!("{threads}-thread pool"), pool));
+    }
+}
+
+/// Runs every job on the last of its `.0` workers.
+struct LastWorker(usize);
+
+impl Exec for LastWorker {
+    fn width(&self) -> usize {
+        self.0
+    }
+
+    fn run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) {
+        (0..n).for_each(|i| f(i, self.0 - 1));
+    }
+}
+
 #[test]
 fn compress_with_is_executor_independent() {
     let mut data = corpus(4, 3 * BLOCK_SIZE, 5);
     data.extend(corpus(0, BLOCK_SIZE + 123, 6));
     let serial = compress(&data);
-    let with = |data: &[u8], width: usize, run: &dyn Fn(usize, &(dyn Fn(usize, usize) + Sync))| {
+    let with = |data: &[u8], exec: &dyn Exec| {
         let mut out = b"framing".to_vec(); // appended to, not overwritten
-        compress_with(data, width, run, &mut out);
+        compress_with(data, exec, &mut out);
         assert_eq!(&out[..7], b"framing");
         out.split_off(7)
     };
-    // Reverse order on one worker; striped over three worker slots.
-    let reversed = with(&data, 1, &|n, job| (0..n).rev().for_each(|i| job(i, 0)));
-    let striped = with(&data, 3, &|n, job| (0..n).for_each(|i| job(i, i % 3)));
-    assert!(serial == reversed && serial == striped);
-    // Real threads racing for jobs.
-    for threads in [2usize, 7] {
-        let threaded = with(&data, threads, &|n, job| {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for worker in 0..threads {
-                    let next = &next;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        job(i, worker);
-                    });
-                }
-            });
-        });
-        assert!(serial == threaded, "{threads} threads");
-    }
+    for_each_executor(|name, exec| assert!(with(&data, exec) == serial, "{name}"));
     // More workers than blocks, and a worker index past the block count.
-    assert_eq!(with(&[], 4, &|n, job| (0..n).for_each(|i| job(i, 3))), compress(&[]));
-}
-
-/// A `run(n_jobs, job)` executor, as `compress_with` and
-/// `decompress_with` take one.
-type Executor = Box<dyn Fn(usize, &(dyn Fn(usize, usize) + Sync))>;
-
-/// The executors the block coders are held to: in order on one worker, in
-/// reverse, striped over three worker slots, and 2 and 7 real threads
-/// racing for jobs.
-fn executors() -> Vec<(&'static str, Executor)> {
-    let racing = |threads: usize| {
-        move |n: usize, job: &(dyn Fn(usize, usize) + Sync)| {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for worker in 0..threads {
-                    let next = &next;
-                    s.spawn(move || loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        job(i, worker);
-                    });
-                }
-            });
-        }
-    };
-    vec![
-        ("serial", Box::new(|n, job| (0..n).for_each(|i| job(i, 0)))),
-        ("reversed", Box::new(|n, job| (0..n).rev().for_each(|i| job(i, 0)))),
-        ("striped", Box::new(|n, job| (0..n).for_each(|i| job(i, i % 3)))),
-        ("2 racing threads", Box::new(racing(2))),
-        ("7 racing threads", Box::new(racing(7))),
-    ]
+    assert_eq!(with(&[], &LastWorker(4)), compress(&[]));
 }
 
 #[test]
@@ -436,9 +407,7 @@ fn decompress_with_is_executor_independent() {
     assert_eq!(decompress(&packed).as_deref(), Ok(&data[..]));
     for stream in &streams {
         let serial = decompress(stream);
-        for (name, run) in executors() {
-            assert!(decompress_with(stream, |n, job| run(n, job)) == serial, "{name}");
-        }
+        for_each_executor(|name, exec| assert!(decompress_with(stream, exec) == serial, "{name}"));
     }
 }
 
@@ -465,25 +434,36 @@ fn decompress_with_inflates_a_bounded_batch_at_a_time() {
     let zeros = compress(&vec![0u8; BLOCK_SIZE]);
     let packed = repeated_block(&zeros, 300);
     assert!(packed.len() * 200 < 300 * BLOCK_SIZE, "{} bytes", packed.len());
-    let batches = std::cell::RefCell::new(Vec::new());
-    let serial = |n: usize, job: &(dyn Fn(usize, usize) + Sync)| {
-        batches.borrow_mut().push(n);
-        (0..n).for_each(|i| job(i, 0));
-    };
-    let inflated = decompress_with(&packed, serial);
+    let recording = Recording::default();
+    let inflated = decompress_with(&packed, &recording);
     assert!(inflated.is_ok_and(|d| d.len() == 300 * BLOCK_SIZE && d.iter().all(|&b| b == 0)));
     let mut want = vec![INFLATE_BATCH; 300 / INFLATE_BATCH];
     want.push(300 % INFLATE_BATCH);
-    assert_eq!(*batches.borrow(), want);
+    assert_eq!(*recording.0.lock().unwrap(), want);
     // The same blocks with their payload broken: the first batch fails and
     // nothing past it is asked for.
     let mut broken = zeros.clone();
     broken[21..29].fill(0xFF);
     let bad = repeated_block(&broken, 300);
     assert!(decompress(&bad).is_err());
-    batches.borrow_mut().clear();
-    assert!(decompress_with(&bad, serial) == decompress(&bad));
-    assert_eq!(*batches.borrow(), [INFLATE_BATCH]);
+    let recording = Recording::default();
+    assert!(decompress_with(&bad, &recording) == decompress(&bad));
+    assert_eq!(*recording.0.lock().unwrap(), [INFLATE_BATCH]);
+}
+
+/// The serial executor, recording the size of every batch it is handed.
+#[derive(Default)]
+struct Recording(std::sync::Mutex<Vec<usize>>);
+
+impl Exec for Recording {
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) {
+        self.0.lock().unwrap().push(n);
+        Serial.run(n, f);
+    }
 }
 
 /// The pre-table `encode_symbols`: same header, codes emitted bit by bit.

@@ -1,123 +1,17 @@
-//! Execution abstraction for the transform drivers.
+//! Per-worker scratch for the multilevel transforms.
 //!
 //! The multilevel transform is a sequence of axis passes; within one pass
-//! every line (or panel of lines) is independent. [`LineExecutor`] lets a
-//! caller supply a parallel runtime (e.g. `sperr-core`'s worker pool)
-//! without this crate depending on one: the driver describes the pass as
-//! `n_jobs` independent jobs and the executor decides how to run them.
-//! [`Serial`] is the built-in single-threaded executor.
+//! every line (or panel of lines) is independent, so each pass goes to a
+//! [`sperr_exec::Exec`] as independent jobs. Each job borrows its worker's
+//! panel and line buffers from [`TransformScratch`].
 //!
 //! Bit-exactness: every job performs the same per-line arithmetic as the
 //! serial reference path, and jobs touch disjoint samples, so the output
 //! is identical regardless of executor, worker count or scheduling order
 //! (enforced by the equivalence proptests).
 
+use sperr_exec::Slots;
 use sperr_simd::Float;
-use std::cell::UnsafeCell;
-
-/// Runs batches of independent jobs, possibly in parallel.
-///
-/// # Contract
-///
-/// * `run(n_jobs, f)` must call `f(job, worker)` exactly once for every
-///   `job in 0..n_jobs`, with `worker < width()`, and must not return
-///   before every call has completed.
-/// * Two jobs executing *concurrently* must be passed distinct `worker`
-///   values — `worker` indexes per-worker scratch buffers.
-pub trait LineExecutor: Sync {
-    /// Upper bound (exclusive) on the `worker` indices passed to jobs.
-    fn width(&self) -> usize {
-        1
-    }
-
-    /// Runs `f(job, worker)` for every `job in 0..n_jobs`.
-    fn run(&self, n_jobs: usize, f: &(dyn Fn(usize, usize) + Sync));
-}
-
-/// The trivial executor: every job runs on the calling thread as worker 0.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Serial;
-
-impl LineExecutor for Serial {
-    fn run(&self, n_jobs: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-        for job in 0..n_jobs {
-            f(job, 0);
-        }
-    }
-}
-
-/// Adversarial executors for differential testing.
-///
-/// The blocked transform drivers promise byte-identical output under any
-/// legal [`LineExecutor`] — any scheduling order, any worker keying. These
-/// executors deliberately stress both axes of that contract without real
-/// threads, so the check is deterministic. They are shared by this crate's
-/// proptests, the `sperr-conformance` oracles and future fuzz targets.
-pub mod stress {
-    use super::LineExecutor;
-
-    /// Runs jobs in reverse order — still serial, still worker 0. Output
-    /// must not depend on job scheduling order.
-    #[derive(Debug, Clone, Copy, Default)]
-    pub struct ReverseOrder;
-
-    impl LineExecutor for ReverseOrder {
-        fn run(&self, n_jobs: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-            for job in (0..n_jobs).rev() {
-                f(job, 0);
-            }
-        }
-    }
-
-    /// Serial executor that cycles jobs over `width` worker slots —
-    /// exercises per-worker scratch keying without real threads.
-    #[derive(Debug, Clone, Copy)]
-    pub struct StripedWorkers(pub usize);
-
-    impl LineExecutor for StripedWorkers {
-        fn width(&self) -> usize {
-            self.0.max(1)
-        }
-        fn run(&self, n_jobs: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-            for job in 0..n_jobs {
-                f(job, job % self.0.max(1));
-            }
-        }
-    }
-}
-
-/// One value per worker slot, accessed mutably through a shared reference.
-///
-/// Safety rests on the [`LineExecutor`] contract: concurrent jobs see
-/// distinct `worker` indices, so `get(worker)` never hands out two live
-/// `&mut` to the same slot.
-pub(crate) struct PerWorker<T> {
-    slots: Box<[UnsafeCell<T>]>,
-}
-
-// SAFETY: slots are only accessed through `get`, whose caller guarantees
-// (via the executor contract) that each index is used by one thread at a
-// time.
-unsafe impl<T: Send> Sync for PerWorker<T> {}
-
-impl<T> PerWorker<T> {
-    pub(crate) fn new(n: usize, mut init: impl FnMut() -> T) -> Self {
-        PerWorker { slots: (0..n).map(|_| UnsafeCell::new(init())).collect() }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// # Safety
-    ///
-    /// No two threads may call `get` with the same `worker` concurrently,
-    /// and the returned reference must not outlive the current job.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn get(&self, worker: usize) -> &mut T {
-        &mut *self.slots[worker].get()
-    }
-}
 
 /// Number of adjacent lines gathered into one contiguous panel for the
 /// strided (y/z) axis passes. A panel is `PANEL_W · n` doubles; at the
@@ -142,7 +36,7 @@ pub(crate) struct WorkerScratch<T> {
 /// transforms allocate nothing. Generic over the sample type with the
 /// historical `f64` as default, so existing call sites are unchanged.
 pub struct TransformScratch<T: Float = f64> {
-    pub(crate) workers: PerWorker<WorkerScratch<T>>,
+    pub(crate) workers: Slots<WorkerScratch<T>>,
     max_dim: usize,
 }
 
@@ -155,7 +49,7 @@ impl<T: Float> Default for TransformScratch<T> {
 impl<T: Float> TransformScratch<T> {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        TransformScratch { workers: PerWorker::new(0, || unreachable!()), max_dim: 0 }
+        TransformScratch { workers: Slots::new(0, || unreachable!()), max_dim: 0 }
     }
 
     /// Grows the scratch to serve `workers` concurrent jobs on axes up to
@@ -164,7 +58,7 @@ impl<T: Float> TransformScratch<T> {
         let workers = workers.max(1);
         if workers > self.workers.len() || max_dim > self.max_dim {
             let dim = max_dim.max(self.max_dim);
-            self.workers = PerWorker::new(workers.max(self.workers.len()), || WorkerScratch {
+            self.workers = Slots::new(workers.max(self.workers.len()), || WorkerScratch {
                 panel: vec![T::ZERO; PANEL_W * dim],
                 line: vec![T::ZERO; dim],
             });
@@ -186,6 +80,7 @@ mod tests {
 
     #[test]
     fn serial_runs_every_job_once() {
+        use sperr_exec::{Exec, Serial};
         let hits: Vec<std::sync::atomic::AtomicUsize> =
             (0..17).map(|_| std::sync::atomic::AtomicUsize::new(0)).collect();
         Serial.run(17, &|j, w| {
@@ -200,13 +95,9 @@ mod tests {
         let mut s = TransformScratch::<f64>::new();
         s.ensure(16, 1);
         s.ensure(8, 4); // more workers, smaller dim: keeps the larger dim
-        unsafe {
-            assert_eq!(s.workers.get(3).panel.len(), PANEL_W * 16);
-            assert_eq!(s.workers.get(0).line.len(), 16);
-        }
+        assert_eq!(s.workers.lock(3).panel.len(), PANEL_W * 16);
+        assert_eq!(s.workers.lock(0).line.len(), 16);
         s.ensure(64, 2); // grows dim, keeps 4 workers
-        unsafe {
-            assert_eq!(s.workers.get(3).panel.len(), PANEL_W * 64);
-        }
+        assert_eq!(s.workers.lock(3).panel.len(), PANEL_W * 64);
     }
 }

@@ -50,7 +50,7 @@ mod support;
 mod support_tests;
 mod transform;
 
-pub use exec::{stress, LineExecutor, Serial, TransformScratch, PANEL_W};
+pub use exec::{TransformScratch, PANEL_W};
 pub use kernels::Kernel;
 pub use support::{Region, Support};
 pub use transform::reference;

@@ -16,14 +16,15 @@
 //! panel are adjacent along x, the gather/scatter reads and writes
 //! `PANEL_W` *contiguous* doubles per touched row — every fetched cache
 //! line is fully used, amortizing the strided walk across the panel.
-//! Panels are independent, so passes parallelize through
-//! [`LineExecutor`]; per-line arithmetic is exactly the reference path's,
+//! Panels are independent, so passes parallelize through an
+//! [`Exec`]; per-line arithmetic is exactly the reference path's,
 //! so output is bit-identical to [`reference`] for any executor (enforced
 //! by proptests).
 
-use crate::exec::{LineExecutor, Serial, TransformScratch, WorkerScratch, PANEL_W};
+use crate::exec::{TransformScratch, WorkerScratch, PANEL_W};
 use crate::kernels::Kernel;
 use crate::support::Support;
+use sperr_exec::{Exec, Serial};
 use sperr_simd::Float;
 use std::ops::Range;
 
@@ -129,7 +130,7 @@ pub fn forward_3d_with<T: Float>(
     dims: [usize; 3],
     levels: [usize; 3],
     kernel: Kernel,
-    exec: &dyn LineExecutor,
+    exec: &dyn Exec,
     scratch: &mut TransformScratch<T>,
 ) {
     assert_eq!(data.len(), dims[0] * dims[1] * dims[2], "data/dims mismatch");
@@ -160,7 +161,7 @@ pub fn inverse_3d_with<T: Float>(
     dims: [usize; 3],
     levels: [usize; 3],
     kernel: Kernel,
-    exec: &dyn LineExecutor,
+    exec: &dyn Exec,
     scratch: &mut TransformScratch<T>,
 ) {
     inverse_3d_partial_with(data, &Support::new(dims, levels, 0, None), kernel, exec, scratch);
@@ -197,7 +198,7 @@ pub fn inverse_3d_partial_with<T: Float>(
     data: &mut [T],
     support: &Support,
     kernel: Kernel,
-    exec: &dyn LineExecutor,
+    exec: &dyn Exec,
     scratch: &mut TransformScratch<T>,
 ) {
     let dims = support.dims();
@@ -280,7 +281,7 @@ fn apply_axis_blocked<T: Float>(
     lines: &[Range<usize>; 3],
     kernel: Kernel,
     forward: bool,
-    exec: &dyn LineExecutor,
+    exec: &dyn Exec,
     scratch: &TransformScratch<T>,
 ) {
     // The raw-pointer writes below stay inside `data` only because every
@@ -300,8 +301,7 @@ fn apply_axis_blocked<T: Float>(
         let n_lines = ys.len() * zs.len();
         let n_jobs = n_lines.div_ceil(X_LINES_PER_JOB);
         exec.run(n_jobs, &|job, worker| {
-            // SAFETY: one live &mut per worker slot (executor contract).
-            let ws: &mut WorkerScratch<T> = unsafe { workers.get(worker) };
+            let ws = &mut *workers.lock(worker);
             let start = job * X_LINES_PER_JOB;
             for li in start..(start + X_LINES_PER_JOB).min(n_lines) {
                 let (jy, jz) = (ys.start + li % ys.len(), zs.start + li / ys.len());
@@ -329,8 +329,7 @@ fn apply_axis_blocked<T: Float>(
     let panels_per_row = xs.len().div_ceil(PANEL_W);
     let n_jobs = bs.len() * panels_per_row;
     exec.run(n_jobs, &|job, worker| {
-        // SAFETY: one live &mut per worker slot (executor contract).
-        let ws: &mut WorkerScratch<T> = unsafe { workers.get(worker) };
+        let ws = &mut *workers.lock(worker);
         let WorkerScratch { panel, line } = ws;
         let jb = bs.start + job / panels_per_row;
         let x0 = xs.start + (job % panels_per_row) * PANEL_W;

@@ -2,11 +2,11 @@
 //! energy behaviour for arbitrary shapes, level counts and kernels.
 
 use proptest::prelude::*;
+use sperr_exec::stress::{ReverseOrder, StripedWorkers};
 use sperr_wavelet::{
     coarse_dims, forward_1d, forward_1d_with, forward_3d, forward_3d_with, inverse_1d,
     inverse_1d_with, inverse_3d, inverse_3d_partial, inverse_3d_partial_with, inverse_3d_with,
-    levels_for_dims, num_levels, reference, stress::ReverseOrder, stress::StripedWorkers, Kernel,
-    Support, TransformScratch, PANEL_W,
+    levels_for_dims, num_levels, reference, Kernel, Support, TransformScratch, PANEL_W,
 };
 
 fn kernel_strategy() -> impl Strategy<Value = Kernel> {
@@ -174,6 +174,13 @@ proptest! {
         let mut scratch = TransformScratch::new();
         forward_3d_with(&mut striped, dims, levels, kernel, &StripedWorkers(3), &mut scratch);
         prop_assert_eq!(&serial, &striped, "worker keying changed output");
+
+        let pooled = sperr_exec::WorkerPool::scoped(3, |pool| {
+            let mut pooled = data.clone();
+            forward_3d_with(&mut pooled, dims, levels, kernel, pool, &mut TransformScratch::new());
+            pooled
+        });
+        prop_assert_eq!(&serial, &pooled, "real threads changed output");
 
         // Same for the inverse, reusing the (already grown) scratch.
         let mut inv_serial = serial.clone();

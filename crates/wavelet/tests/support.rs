@@ -11,10 +11,11 @@
 //! debug build caps the extents so the workspace step stays quick.
 
 use proptest::prelude::*;
+use sperr_exec::{stress::StripedWorkers, Serial};
 use sperr_simd::Float;
 use sperr_wavelet::{
-    coarse_dims, forward_3d, inverse_3d_partial, inverse_3d_partial_with, levels_for_dims,
-    stress::StripedWorkers, Kernel, Region, Serial, Support, TransformScratch,
+    coarse_dims, forward_3d, inverse_3d_partial, inverse_3d_partial_with, levels_for_dims, Kernel,
+    Region, Support, TransformScratch,
 };
 
 const PRIMES: [usize; 10] = [2, 3, 5, 7, 11, 13, 17, 31, 61, 67];

@@ -9,6 +9,7 @@ use crate::block::{
 use crate::codec::{decode_ints, encode_ints};
 use sperr_bitstream::{BitReader, BitWriter, ByteReader, ByteWriter};
 use sperr_compress_api::{Bound, CompressError, Field, LossyCompressor, Precision};
+use sperr_exec::{Slots, WorkerPool};
 
 const MAGIC: &[u8; 4] = b"ZFPL";
 /// Bias applied to the per-block exponent when stored in 14 bits.
@@ -215,36 +216,28 @@ impl ZfpLike {
         // producing an independent bitstream.
         let threads = self.threads(grid[2]);
         let slab_bounds: Vec<(usize, usize)> = split_ranges(grid[2], threads);
-        let dims = field.dims;
-        let data = &field.data;
-        let slabs: Vec<Vec<u8>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = slab_bounds
-                .iter()
-                .map(|&(z0, z1)| {
-                    scope.spawn(move || {
-                        // Size hint: exact for fixed-rate; a mid-range
-                        // per-block guess otherwise (grows if exceeded).
-                        let blocks = (z1 - z0) * grid[1] * grid[0];
-                        let per_block = match mode {
-                            Mode::Rate(bpp) => {
-                                ((bpp * BLOCK_SIZE as f64) as usize).max(HEADER_BITS)
-                            }
-                            _ => HEADER_BITS + BLOCK_SIZE * 8,
-                        };
-                        let mut w = BitWriter::with_capacity_bits(blocks * per_block);
-                        for bz in z0..z1 {
-                            for by in 0..grid[1] {
-                                for bx in 0..grid[0] {
-                                    let block = gather(data, dims, bx, by, bz);
-                                    encode_block(&block, mode, &perm, &mut w);
-                                }
-                            }
+        let (dims, data) = (field.dims, &field.data);
+        let slabs: Vec<Vec<u8>> = WorkerPool::scoped(threads, |pool| {
+            pool.map(slab_bounds.len(), |slab, _| {
+                let (z0, z1) = slab_bounds[slab];
+                // Size hint: exact for fixed-rate; a mid-range per-block
+                // guess otherwise (grows if exceeded).
+                let blocks = (z1 - z0) * grid[1] * grid[0];
+                let per_block = match mode {
+                    Mode::Rate(bpp) => ((bpp * BLOCK_SIZE as f64) as usize).max(HEADER_BITS),
+                    _ => HEADER_BITS + BLOCK_SIZE * 8,
+                };
+                let mut w = BitWriter::with_capacity_bits(blocks * per_block);
+                for bz in z0..z1 {
+                    for by in 0..grid[1] {
+                        for bx in 0..grid[0] {
+                            let block = gather(data, dims, bx, by, bz);
+                            encode_block(&block, mode, &perm, &mut w);
                         }
-                        w.into_bytes()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("slab worker panicked")).collect()
+                    }
+                }
+                w.into_bytes()
+            })
         });
 
         let mut out = ByteWriter::new();
@@ -362,48 +355,39 @@ impl LossyCompressor for ZfpLike {
         }
         let perm = sequency_permutation();
 
-        let results: Vec<Result<(usize, usize, Vec<f64>), CompressError>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = slab_bounds
-                    .iter()
-                    .zip(&slab_data)
-                    .map(|(&(z0, z1), bytes)| {
-                        scope.spawn(move || {
-                            // Decode into a slab-local buffer covering
-                            // z rows [z0*4, min(z1*4, nz)).
-                            let z_lo = z0 * BLOCK_EDGE;
-                            let z_hi = (z1 * BLOCK_EDGE).min(dims[2]);
-                            let slab_dims = [dims[0], dims[1], z_hi - z_lo];
-                            let mut slab = vec![0.0f64; slab_dims.iter().product()];
-                            let mut input = BitReader::new(bytes);
-                            for bz in z0..z1 {
-                                for by in 0..grid[1] {
-                                    for bx in 0..grid[0] {
-                                        let block = decode_block(&mut input, mode, &perm)?;
-                                        scatter(
-                                            &mut slab,
-                                            slab_dims,
-                                            bx,
-                                            by,
-                                            bz - z0,
-                                            &block,
-                                        );
-                                    }
-                                }
-                            }
-                            Ok((z_lo, z_hi, slab))
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("slab worker panicked")).collect()
-            });
-
+        // Each slab decodes straight into its z rows [z0*4, min(z1*4, nz))
+        // of the output, on at most `num_threads` workers however many
+        // slabs the stream declares.
         let mut out = vec![0.0f64; dims.iter().product()];
         let plane = dims[0] * dims[1];
-        for res in results {
-            let (z_lo, z_hi, slab) = res?;
-            out[z_lo * plane..z_hi * plane].copy_from_slice(&slab);
-        }
+        let mut rest = &mut out[..];
+        let parts: Slots<&mut [f64]> = slab_bounds
+            .iter()
+            .map(|&(z0, z1)| {
+                let rows = (z1 * BLOCK_EDGE).min(dims[2]) - z0 * BLOCK_EDGE;
+                let (part, tail) = std::mem::take(&mut rest).split_at_mut(rows * plane);
+                rest = tail;
+                part
+            })
+            .collect();
+        let results = WorkerPool::scoped(self.threads(n_slabs), |pool| {
+            pool.map(n_slabs, |slab, _| {
+                let (z0, z1) = slab_bounds[slab];
+                let part = &mut *parts.lock(slab);
+                let part_dims = [dims[0], dims[1], part.len() / plane];
+                let mut input = BitReader::new(slab_data[slab]);
+                for bz in z0..z1 {
+                    for by in 0..grid[1] {
+                        for bx in 0..grid[0] {
+                            let block = decode_block(&mut input, mode, &perm)?;
+                            scatter(part, part_dims, bx, by, bz - z0, &block);
+                        }
+                    }
+                }
+                Ok(())
+            })
+        });
+        results.into_iter().collect::<Result<(), CompressError>>()?;
         Ok(Field::new(dims, out).with_precision(precision))
     }
 }

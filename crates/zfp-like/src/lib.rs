@@ -96,17 +96,22 @@ mod tests {
 
     #[test]
     fn multithreaded_matches_single_thread() {
-        let field = smooth_field([24, 24, 24]);
-        let one = ZfpLike { num_threads: 1 };
-        let four = ZfpLike { num_threads: 4 };
-        let t = 1e-4;
-        let a = one.compress(&field, Bound::Pwe(t)).unwrap();
-        let b = four.compress(&field, Bound::Pwe(t)).unwrap();
-        // Streams may differ in slab structure; decoded output must agree.
-        assert_eq!(
-            one.decompress(&a).unwrap().data,
-            four.decompress(&b).unwrap().data
-        );
+        // A stream has one slab per compress thread; decoding runs the
+        // slabs on the decoder's own `num_threads`, with the same bits for
+        // every pairing.
+        let field = smooth_field([20, 12, 36]);
+        let at = |threads| ZfpLike { num_threads: threads };
+        let bits = |f: &Field| f.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let stream_at = |threads| at(threads).compress(&field, Bound::Pwe(1e-4)).unwrap();
+        let want = bits(&at(1).decompress(&stream_at(1)).unwrap());
+        for compress_threads in [1, 2, 4, 8] {
+            let stream = stream_at(compress_threads);
+            for decode_threads in [1, 2, 4, 8] {
+                let got = bits(&at(decode_threads).decompress(&stream).unwrap());
+                let what = format!("compressed at {compress_threads}, decoded at {decode_threads}");
+                assert!(got == want, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -255,13 +255,13 @@ rm -f /tmp/ci_metrics_input.f64 /tmp/ci_metrics_out.sperr \
     /tmp/ci_metrics.prom /tmp/ci_metrics.json /tmp/ci_metrics_rt.f64
 
 echo "==> ThreadSanitizer: pool, streaming and one-chunk read tests"
-# The worker pool is the one place in sperr-core that synchronises threads
-# by hand (the published batch slot, its condvars, the lifetime-erased job
-# pointer); the streaming drivers are the heaviest users of it, running one
-# pool batch per z-layer batch with nested fan-out and per-chunk panic
+# The worker pool (sperr-exec) is the one place in the workspace that
+# synchronises threads by hand (the published batch slot, its condvars,
+# the lifetime-erased job pointer); streaming is its heaviest user, running
+# one pool batch per z-layer batch with nested fan-out and per-chunk panic
 # guards, and a one-chunk read splits its inflate, outlier decode and
-# SPECK assembly over it. So run the pool, streaming and one-chunk read
-# tests under TSan. Needs nightly with the rust-src component
+# SPECK assembly over it. So run the pool, executor-contract, streaming and
+# one-chunk read tests under TSan. Needs nightly with the rust-src component
 # (-Zbuild-std rebuilds std with the sanitizer); CI must never install
 # toolchain pieces, so skip gracefully —
 # loudly — when absent.
@@ -273,7 +273,7 @@ if command -v rustup >/dev/null 2>&1 \
     echo "tsan: nightly + rust-src present, target ${TSAN_TARGET}"
     RUSTFLAGS="-Zsanitizer=thread" RUST_TEST_THREADS=1 \
         cargo +nightly test -Zbuild-std --target "${TSAN_TARGET}" \
-        -p sperr-core --quiet pool:: stream:: one_chunk
+        -p sperr-exec -p sperr-core --quiet pool:: contract stream:: one_chunk
 else
     echo "tsan: SKIPPED (nightly toolchain with rust-src not installed;"
     echo "      install is forbidden in this environment — run locally with"
