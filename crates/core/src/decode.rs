@@ -35,7 +35,7 @@ use crate::compressor::{preview_budget_bytes, validate_bound, Sperr};
 use crate::container::{read_container, ChunkEntry, ChunkIndexEntry, Header, Mode, Parsed};
 use crate::crc32::crc32;
 use crate::outer::{unwrap_outer, Fetched, Framed};
-use crate::pipeline::ScratchArena;
+use crate::pipeline::{phase, ScratchArena};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use sperr_compress_api::{Bound, CompressError, FieldOf};
 use sperr_exec::{Slots, WorkerPool};
@@ -47,7 +47,7 @@ use sperr_wavelet::{
 use std::any::Any;
 use std::borrow::Cow;
 use std::ops::{Deref, Range};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// One worker's decode scratch at both sample widths, for the drivers
 /// that learn a stream's width from its header (a stream decodes at one
@@ -195,17 +195,6 @@ pub(crate) fn decode_chunk<T: Float>(
     sperr_telemetry::record_ns(stage_labels::SPECK_DECODE, times.speck.as_nanos() as u64);
     sperr_telemetry::record_ns(stage_labels::OUTLIER_APPLY, times.outlier_coding.as_nanos() as u64);
     Ok((coeffs, times))
-}
-
-/// Runs `f` under `label`'s span and returns its wall time. A chunk's
-/// SPECK and outlier stages each run in two phases, possibly on two
-/// workers, so [`decode_chunk`] records each stage's histogram sample
-/// once, from the sum, where [`timed`] would record one per phase.
-fn phase<R>(label: &'static str, f: impl FnOnce() -> R) -> (R, Duration) {
-    let _span = sperr_telemetry::span!(label);
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed())
 }
 
 /// SPECK's sorting pass over the chunk's stream, masked to `support`

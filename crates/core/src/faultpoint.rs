@@ -12,6 +12,8 @@
 //! live in the production crate so the hooks can sit inside private
 //! functions.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
@@ -96,6 +98,32 @@ pub fn is_armed() -> bool {
 /// Last stage label recorded on the calling thread.
 pub fn last_stage() -> &'static str {
     LAST_STAGE.with(|c| c.get())
+}
+
+/// A panic caught in a pool job ([`carry`]), with the stage its thread
+/// had entered last.
+pub(crate) struct Caught {
+    stage: &'static str,
+    payload: Box<dyn Any + Send>,
+}
+
+impl Caught {
+    /// Raises the panic again on the calling thread, with its own payload,
+    /// after recording its stage there: whoever catches it reads the
+    /// stage the job died in, not the one this thread was in.
+    pub(crate) fn resume<R>(self) -> R {
+        LAST_STAGE.with(|c| c.set(self.stage));
+        resume_unwind(self.payload)
+    }
+}
+
+/// Runs `f` — a pool job of the stage `label`, which the issuing thread
+/// has entered through [`stage`] — on whichever thread the pool gives it,
+/// and catches its panic with the stage that thread was in. `label` is
+/// recorded, not checked against the plan: one stage, one hit.
+pub(crate) fn carry<R>(label: &'static str, f: impl FnOnce() -> R) -> Result<R, Caught> {
+    LAST_STAGE.with(|c| c.set(label));
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| Caught { stage: last_stage(), payload })
 }
 
 #[cfg(test)]

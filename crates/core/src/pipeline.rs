@@ -9,7 +9,8 @@
 //! SPECK, the mid-riser reconstruction and the inverse transform of the
 //! outlier locate all run in place there, and the outlier scan compares
 //! against the volume's rows. The elementwise sweeps and the wavelet
-//! panels run on the [`WorkerPool`].
+//! panels run on the [`WorkerPool`]; so, when the pool has a worker to
+//! spare, does the outlier locate, beside SPECK's sorting passes.
 //!
 //! # Determinism
 //!
@@ -20,8 +21,10 @@
 //! value, and identical to the serial reference path.
 
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
 use crate::chunk::ChunkSpec;
+use crate::faultpoint::Caught;
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
 use sperr_exec::{Slots, WorkerPool};
@@ -373,6 +376,16 @@ fn scan_outliers<T: Float>(
 /// panels and elementwise sweeps run on `pool`, bit-identically for any
 /// thread count. A dense chunk is the volume whose extent is the chunk's.
 ///
+/// SPECK runs in its two phases ([`sperr_speck::quantize`], then
+/// [`sperr_speck::Quantized::encode`]). When the second needs nothing of
+/// the coefficients — every magnitude fits 32 bits, no bit budget — the
+/// mode's work on them (the locate, or the RMSE error sum) runs beside it
+/// through [`WorkerPool::join`]: on a second worker when the pool [fans
+/// out](WorkerPool::fans_out), after it on this one otherwise. Otherwise
+/// it runs after the sorting passes. Either way the bytes, the refusal
+/// and a panic's stage are those of the serial order; the outlier encode
+/// always runs last, on this thread.
+///
 /// Refuses the chunk's first sample that is not finite, a chunk whose
 /// transform or reconstruction overflows, and a bound whose quantization
 /// step is not a finite normal number of the sample width ([`Refusal`]).
@@ -433,10 +446,59 @@ pub fn compress_chunk<T: Float>(
         return Err(Refusal::Step { q });
     }
 
-    // Stage 2: SPECK coding of the coefficients.
+    // Stage 2: SPECK, in its two phases. The first quantizes the
+    // coefficients into layout order; the second (the sorting passes)
+    // needs them again only when it cannot hold every magnitude in 32
+    // bits, or under a bit budget.
     crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
-    let (enc, speck_time) =
-        timed(stage_labels::SPECK_ENCODE, || sperr_speck::encode(coeffs, dims, q, termination));
+    let (quantized, quantize_time) = phase(stage_labels::SPECK_ENCODE, || {
+        sperr_speck::quantize(coeffs.as_slice(), dims, q, termination)
+    });
+    let sort = |quantized: sperr_speck::Quantized<'_, T, 3>| {
+        phase(stage_labels::SPECK_ENCODE, || quantized.encode())
+    };
+    // What the mode reads of the coefficients besides SPECK: the outlier
+    // locate (PWE) reconstructs and inverse-transforms them in place and
+    // compares the result with the chunk's rows of the volume; RMSE sums
+    // their quantization error.
+    let beside = |coeffs: &mut [T], wavelet: &mut TransformScratch<T>| match mode {
+        ChunkMode::Pwe { t, .. } => {
+            crate::faultpoint::stage(stage_labels::OUTLIER_LOCATE);
+            let (located, time) = timed(stage_labels::OUTLIER_LOCATE, || {
+                reconstruct_in_place(coeffs, q, pool);
+                inverse_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
+                scan_outliers(&chunk, coeffs, t, pool)
+            });
+            located.map(|(outliers, coeff_sq_error, max_in_tol)| Beside::Located {
+                t,
+                outliers,
+                coeff_sq_error,
+                max_in_tol,
+                time,
+            })
+        }
+        ChunkMode::Rmse { .. } => Ok(Beside::SqError(quantization_sq_error(coeffs, q, pool))),
+        ChunkMode::Bpp { .. } => Ok(Beside::Nothing),
+    };
+    let ((enc, sort_time), beside) = match quantized.release() {
+        // The second phase reads only what the first left, so the mode's
+        // work on the coefficients runs beside it: on the other worker
+        // when the pool fans out, after it otherwise. A panic on either
+        // side is raised here, in that order, with its own stage.
+        Ok(quantized) => {
+            let (enc, beside) = pool.join(
+                || crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || sort(quantized)),
+                || crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || beside(coeffs, wavelet)),
+            );
+            (enc.unwrap_or_else(Caught::resume), beside.unwrap_or_else(Caught::resume))
+        }
+        Err(quantized) => {
+            let enc = sort(quantized);
+            (enc, beside(coeffs, wavelet))
+        }
+    };
+    let speck_time = quantize_time + sort_time;
+    sperr_telemetry::record_ns(stage_labels::SPECK_ENCODE, speck_time.as_nanos() as u64);
     let mut out = ChunkEncoding {
         speck_stream: enc.stream,
         outlier_stream: Vec::new(),
@@ -451,51 +513,22 @@ pub fn compress_chunk<T: Float>(
         max_err: f64::NAN,
     };
 
-    match mode {
-        ChunkMode::Pwe { t, .. } => {
+    match beside? {
+        Beside::Located { t, outliers, coeff_sq_error, max_in_tol, time: locate_time } => {
             sperr_telemetry::counter!("speck.sets_split", enc.sets_split);
             sperr_telemetry::counter!("speck.zero_runs", enc.zero_runs);
             sperr_telemetry::counter!("speck.significance_bits", enc.significance_bits);
             sperr_telemetry::counter!("speck.sign_bits", enc.sign_bits);
             sperr_telemetry::counter!("speck.refinement_bits", enc.refinement_bits);
-
-            // Stage 3: locate outliers. SPECK is done with the coefficients,
-            // so they are reconstructed and inverse-transformed in place,
-            // then compared with the chunk's rows of the volume.
-            crate::faultpoint::stage(stage_labels::OUTLIER_LOCATE);
-            let (located, locate_time) = timed(stage_labels::OUTLIER_LOCATE, || {
-                reconstruct_in_place(coeffs, q, pool);
-                inverse_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
-                scan_outliers(&chunk, coeffs, t, pool)
-            });
-            let (outliers, coeff_sq_error, max_in_tol) = located?;
             sperr_telemetry::counter!("outlier.count", outliers.len());
 
-            // Stage 4: encode the outliers.
+            // Stage 4: encode the outliers. The coder reports how far its
+            // quantized corrections land from the true ones; with the
+            // in-tolerance residuals that is the chunk's exact
+            // post-correction max error, for the v3 chunk index.
             crate::faultpoint::stage(stage_labels::OUTLIER_ENCODE);
-            let ((out_enc, max_err), outlier_time) = timed(stage_labels::OUTLIER_ENCODE, || {
-                let out_enc = sperr_outlier::encode(&outliers, spec.len(), t);
-                // Exact post-correction max error for the v3 chunk index:
-                // the in-tolerance residuals stay as-is, and the corrected
-                // points end at the residual the *quantized* correction
-                // leaves behind — measured by decoding the stream just
-                // written (cheap: outliers are sparse by construction).
-                let mut max_err = max_in_tol;
-                if !outliers.is_empty() {
-                    // Decode returns corrections in bit-plane discovery
-                    // order, not position order — sort before pairing with
-                    // the scan output (which is ascending by construction).
-                    let mut corrections =
-                        sperr_outlier::decode(&out_enc.stream, spec.len(), t, out_enc.max_n)
-                            .expect("freshly encoded outlier stream must decode");
-                    corrections.sort_by_key(|c| c.pos);
-                    debug_assert_eq!(corrections.len(), outliers.len());
-                    for (o, c) in outliers.iter().zip(&corrections) {
-                        debug_assert_eq!(o.pos, c.pos);
-                        max_err = max_err.max((o.corr - c.corr).abs());
-                    }
-                }
-                (out_enc, max_err)
+            let (out_enc, outlier_time) = timed(stage_labels::OUTLIER_ENCODE, || {
+                sperr_outlier::encode(&outliers, spec.len(), t)
             });
             sperr_telemetry::counter!("outlier.correction_bits", out_enc.bits_used);
 
@@ -506,14 +539,44 @@ pub fn compress_chunk<T: Float>(
             out.times.locate_outliers = locate_time;
             out.times.outlier_coding = outlier_time;
             out.coeff_sq_error = coeff_sq_error;
-            out.max_err = max_err;
+            out.max_err = max_in_tol.max(out_enc.max_err);
         }
         // Wavelet-domain quantization error ~ reconstruction error (§III-A).
-        ChunkMode::Rmse { .. } => out.coeff_sq_error = quantization_sq_error(coeffs, q, pool),
+        Beside::SqError(sq) => out.coeff_sq_error = sq,
         // Budget truncation: the error is not tracked.
-        ChunkMode::Bpp { .. } => {}
+        Beside::Nothing => {}
     }
     Ok(out)
+}
+
+/// What a chunk's mode took from its coefficients besides SPECK.
+enum Beside {
+    /// PWE: the located outliers of tolerance `t`.
+    Located {
+        t: f64,
+        /// Positions ascending.
+        outliers: Vec<Outlier>,
+        /// Sum of the squared residuals.
+        coeff_sq_error: f64,
+        /// The largest residual within the tolerance.
+        max_in_tol: f64,
+        /// The locate's wall time.
+        time: Duration,
+    },
+    /// RMSE: the wavelet-domain quantization error.
+    SqError(f64),
+    /// BPP: nothing.
+    Nothing,
+}
+
+/// Runs `f` under `label`'s span and returns its wall time. A stage that
+/// runs in two phases, possibly on two workers, records its histogram
+/// sample once, from the sum, where [`timed`] would record one per phase.
+pub(crate) fn phase<R>(label: &'static str, f: impl FnOnce() -> R) -> (R, Duration) {
+    let _span = sperr_telemetry::span!(label);
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed())
 }
 
 #[cfg(test)]

@@ -19,10 +19,14 @@
 //! the call tree (e.g. the wavelet passes of a single-chunk volume) still
 //! fans out.
 //!
-//! A job of one pool must not issue a batch on a second pool while that
+//! A job of one pool cannot issue a batch on a second pool while that
 //! second pool's own batch waits on the job: the batch would queue behind
-//! the one waiting for it. No compress or read path calls back into an
-//! outer pool.
+//! the one waiting for it. On the thread of the waiting job that is the
+//! inline case above; on another pool's worker it would block forever,
+//! so `run` panics there instead, naming the cause. Each batch carries
+//! the pools its issuer is inside, and a worker running it inherits them.
+//! Trivial batches still run inline. No compress or read path calls back
+//! into an outer pool.
 //!
 //! # Determinism
 //!
@@ -41,6 +45,10 @@ thread_local! {
     /// `(pool id, worker slot)`. A batch of a pool listed here inlines on
     /// that slot.
     static JOBS: RefCell<Vec<(usize, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The pools whose batches wait on the batch this worker thread runs,
+    /// without this thread being inside one of their jobs: what the batch's
+    /// issuer was inside.
+    static WAITING: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Source of [`WorkerPool`] ids, which key [`JOBS`].
@@ -84,6 +92,9 @@ struct BatchState {
     /// First panic message captured by [`execute_batch`] (first writer
     /// wins; later panics in the same batch are dropped).
     panic_msg: Mutex<Option<String>>,
+    /// The pools the issuing thread was inside (its jobs' pools and those
+    /// waiting on them), which wait on this batch in turn.
+    inside: Vec<usize>,
 }
 
 /// One in-flight batch of jobs, published to the workers. Only the job
@@ -197,6 +208,16 @@ impl WorkerPool {
             (0..n).for_each(|i| f(i, 0));
             return;
         }
+        let inside: Vec<usize> = JOBS.with(|jobs| {
+            let waiting = WAITING.with(|waiting| waiting.borrow().clone());
+            jobs.borrow().iter().map(|job| job.0).chain(waiting).collect()
+        });
+        assert!(
+            !inside.contains(&self.id),
+            "worker-pool batch issued from another pool's worker while this pool's own \
+             batch waits on that worker's job: it would queue behind the batch that waits \
+             for it and never run"
+        );
 
         let state = Arc::new(BatchState {
             n,
@@ -204,6 +225,7 @@ impl WorkerPool {
             finished: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
+            inside,
         });
         let batch = Batch {
             // SAFETY (lifetime erasure): workers dereference `f` only
@@ -359,7 +381,9 @@ fn worker_loop(shared: &Shared, pool: usize, slot: usize) {
                 st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
+        WAITING.with(|waiting| waiting.borrow_mut().extend_from_slice(&batch.state.inside));
         execute_batch(&batch, pool, slot);
+        WAITING.with(|waiting| waiting.borrow_mut().clear());
         // Wake the caller (and any queued caller) once the batch drains.
         // The lock round-trip orders the notify after the caller's
         // check-then-wait, avoiding a lost wakeup. The counters are held
@@ -737,6 +761,47 @@ mod tests {
                 assert!(!outer.fans_out());
             });
         });
+    }
+
+    #[test]
+    fn a_batch_on_a_pool_waiting_on_the_issuer_panics_instead_of_hanging() {
+        // Pool A's job starts pool B, and B's worker thread issues a batch
+        // on A, whose own batch waits on that job: it would never run. The
+        // meeting point makes both of B's threads take one job each, so
+        // one of them is B's worker. Trivial batches on A and a batch on B
+        // itself still run inline there; the caller's side (inside A's
+        // job) runs A's batch inline as before.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let inline = AtomicUsize::new(0);
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                WorkerPool::scoped(2, |a| {
+                    a.run(2, &|_, _| {
+                        WorkerPool::scoped(2, |b| {
+                            let started = AtomicUsize::new(0);
+                            b.run(2, &|_, _| {
+                                started.fetch_add(1, Ordering::SeqCst);
+                                while started.load(Ordering::SeqCst) < 2 {
+                                    std::thread::yield_now();
+                                }
+                                a.run(1, &|_, _| _ = inline.fetch_add(1, Ordering::SeqCst));
+                                b.run(2, &|_, _| _ = inline.fetch_add(1, Ordering::SeqCst));
+                                a.run(2, &|_, _| {});
+                            });
+                        });
+                    });
+                });
+            }));
+            let message = result.err().map(|p| panic_payload_message(p.as_ref()));
+            _ = tx.send((message, inline.load(Ordering::SeqCst)));
+        });
+        let (message, inline) = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("a batch on a pool that waits on its issuer hung");
+        let message = message.expect("the batch that cannot run did not panic");
+        assert!(message.contains("this pool's own batch waits on"), "{message}");
+        // Both jobs of both B pools ran their trivial and same-pool batches.
+        assert_eq!(inline, 2 * 2 * 3);
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Encoder/decoder implementing Listings 1–3 of the paper.
 
-use crate::rangemax::SparseMax;
 use sperr_bitstream::BitWriter;
 
 /// One outlier: its position in the linearized array and the correction
@@ -26,34 +25,40 @@ pub struct EncodedOutliers {
     pub bits_used: usize,
     /// Number of outliers encoded (for cost accounting, §V-A).
     pub num_outliers: usize,
+    /// The largest `|corr − decoded|` over the outliers: how far the
+    /// corrections [`decode`](crate::decode) returns from this stream miss
+    /// their true values, bit for bit (the encoder tracks each decoded
+    /// value with the decoder's own float operations). 0 with no outliers.
+    pub max_err: f64,
 }
 
-
-/// An insignificant set: a half-open position range plus (encoder only)
-/// the index range of outliers it contains in the position-sorted arrays.
+/// An insignificant set: a half-open position range, the index range of
+/// the outliers it contains in the position-sorted arrays, and their
+/// largest magnitude. Its level is the LIS bucket it sits in, as in the
+/// decoder's `Span`; positions fit `u32` ([`encode`] asserts it).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct SetR {
-    pub(crate) start: usize,
-    pub(crate) len: usize,
-    /// Outlier index range `[olo, ohi)`; decoder carries `0, 0`.
-    pub(crate) olo: u32,
-    pub(crate) ohi: u32,
-    pub(crate) level: u16,
-    /// Encoder-side cache of the set's max outlier magnitude
-    /// (`NEG_INFINITY` for an empty outlier range), computed once at
-    /// creation so each plane's significance test is a float compare
-    /// instead of a sparse-table query. Decoder carries `0.0` (unused).
-    pub(crate) max_mag: f64,
+struct SetR {
+    start: u32,
+    len: u32,
+    /// Outlier index range `[olo, ohi)`.
+    olo: u32,
+    ohi: u32,
+    /// The largest outlier magnitude in `[olo, ohi)` (`NEG_INFINITY` for
+    /// an empty range), computed once at creation so each plane's
+    /// significance test is a float compare.
+    max_mag: f64,
 }
 
 // ---------------------------------------------------------------- encoder
 
 struct Encoder<'a> {
-    pos: &'a [usize],
+    pos: &'a [u32],
     mag: &'a [f64],
     negative: &'a [bool],
     residual: Vec<f64>,
-    sparse: SparseMax,
+    /// What the decoder holds for each significant outlier: `1.5·thrd` at
+    /// discovery, then `±thrd/2` per refinement bit.
+    recon: Vec<f64>,
     lis: Vec<Vec<SetR>>,
     lsp: Vec<u32>,
     lnsp: Vec<u32>,
@@ -61,8 +66,7 @@ struct Encoder<'a> {
 }
 
 impl<'a> Encoder<'a> {
-    fn push_lis(&mut self, set: SetR) {
-        let lvl = set.level as usize;
+    fn push_lis(&mut self, set: SetR, lvl: usize) {
         if self.lis.len() <= lvl {
             self.lis.resize_with(lvl + 1, Vec::new);
         }
@@ -95,61 +99,51 @@ impl<'a> Encoder<'a> {
                 }
                 self.out.put_zeros(std::mem::take(&mut run));
                 self.out.put_bit(true);
-                if set.len == 1 {
-                    debug_assert_eq!(set.ohi - set.olo, 1);
-                    let idx = set.olo;
-                    self.out.put_bit(self.negative[idx as usize]);
-                    self.lnsp.push(idx);
-                } else {
-                    self.code(set, thrd);
-                }
+                self.significant(set, lvl, thrd);
             }
             self.out.put_zeros(run);
             self.lis[lvl].truncate(write);
         }
     }
 
-    fn process(&mut self, set: SetR, thrd: f64) {
+    /// A set whose significance bit (a 1) was just emitted: a single
+    /// position emits its sign and joins the newly-significant list, a
+    /// longer range splits.
+    fn significant(&mut self, set: SetR, lvl: usize, thrd: f64) {
+        if set.len == 1 {
+            debug_assert_eq!(set.ohi - set.olo, 1);
+            let idx = set.olo;
+            self.out.put_bit(self.negative[idx as usize]);
+            self.lnsp.push(idx);
+        } else {
+            self.code(set, lvl, thrd);
+        }
+    }
+
+    fn process(&mut self, set: SetR, lvl: usize, thrd: f64) {
         let sig = set.max_mag > thrd;
         self.out.put_bit(sig);
         if sig {
-            if set.len == 1 {
-                debug_assert_eq!(set.ohi - set.olo, 1);
-                let idx = set.olo;
-                self.out.put_bit(self.negative[idx as usize]);
-                self.lnsp.push(idx);
-            } else {
-                self.code(set, thrd);
-            }
+            self.significant(set, lvl, thrd);
         } else {
-            self.push_lis(set);
+            self.push_lis(set, lvl);
         }
     }
 
     /// Listing 2's `Code(S)`: equally divide into two disjoint subsets and
-    /// process both immediately. Each child's `max_mag` cache is computed
-    /// here, once in its lifetime, from the sparse range-max table.
-    fn code(&mut self, set: SetR, thrd: f64) {
-        let (mut a, mut b) = split(set, self.pos);
-        a.max_mag = self.cached_max(&a);
-        b.max_mag = self.cached_max(&b);
-        self.process(a, thrd);
-        self.process(b, thrd);
-    }
-
-    fn cached_max(&self, set: &SetR) -> f64 {
-        if set.olo < set.ohi {
-            self.sparse.query(set.olo as usize, set.ohi as usize)
-        } else {
-            f64::NEG_INFINITY
-        }
+    /// process both immediately, one level deeper.
+    fn code(&mut self, set: SetR, lvl: usize, thrd: f64) {
+        let (a, b) = split(set, self.pos, self.mag);
+        self.process(a, lvl + 1, thrd);
+        self.process(b, lvl + 1, thrd);
     }
 
     /// Listing 3: refine previously significant points by one bit, then
     /// quantize the newly found ones (no bits — their value is implied by
     /// the discovery threshold) and merge them into the LSP. Refinement
     /// bits are gathered 64 at a time into a word and emitted with one
-    /// bulk write, mirroring the SPECK refinement pass.
+    /// bulk write, mirroring the SPECK refinement pass. `recon` follows
+    /// each bit as the decoder applies it.
     fn refinement_pass(&mut self, thrd: f64) {
         let len = self.lsp.len();
         let mut i = 0usize;
@@ -160,7 +154,10 @@ impl<'a> Encoder<'a> {
                 let idx = self.lsp[i + j] as usize;
                 if self.residual[idx] > thrd {
                     self.residual[idx] -= thrd;
+                    self.recon[idx] += thrd / 2.0;
                     word |= 1u64 << j;
+                } else {
+                    self.recon[idx] -= thrd / 2.0;
                 }
             }
             self.out.put_bits(word, w as u32);
@@ -169,6 +166,7 @@ impl<'a> Encoder<'a> {
         for i in 0..self.lnsp.len() {
             let idx = self.lnsp[i] as usize;
             self.residual[idx] -= thrd;
+            self.recon[idx] = 1.5 * thrd;
         }
         let new = std::mem::take(&mut self.lnsp);
         self.lsp.extend(new);
@@ -176,33 +174,28 @@ impl<'a> Encoder<'a> {
 }
 
 /// Splits a set into two halves, the first taking `len - len/2` positions,
-/// and partitions its outlier index range at the position boundary.
-/// `max_mag` is left for the caller ([`Encoder::code`]) to fill in — the
-/// decoder-side split in `decoder.rs` has no magnitudes to consult.
-fn split(set: SetR, pos: &[usize]) -> (SetR, SetR) {
+/// partitions its outlier index range at the position boundary, and gives
+/// each half the largest magnitude in its range — one scan of the parent's
+/// range, so a whole encode scans each outlier at most once per level.
+fn split(set: SetR, pos: &[u32], mag: &[f64]) -> (SetR, SetR) {
     let second = set.len / 2;
     let first = set.len - second;
     let mid = set.start + first;
     // First index in [olo, ohi) whose position is >= mid.
-    let cut = set.olo
-        + pos[set.olo as usize..set.ohi as usize].partition_point(|&p| p < mid) as u32;
+    let cut =
+        set.olo + pos[set.olo as usize..set.ohi as usize].partition_point(|&p| p < mid) as u32;
+    let max_of = |lo: u32, hi: u32| {
+        mag[lo as usize..hi as usize].iter().copied().fold(f64::NEG_INFINITY, f64::max)
+    };
     (
         SetR {
             start: set.start,
             len: first,
             olo: set.olo,
             ohi: cut,
-            level: set.level + 1,
-            max_mag: 0.0,
+            max_mag: max_of(set.olo, cut),
         },
-        SetR {
-            start: mid,
-            len: second,
-            olo: cut,
-            ohi: set.ohi,
-            level: set.level + 1,
-            max_mag: 0.0,
-        },
+        SetR { start: mid, len: second, olo: cut, ohi: set.ohi, max_mag: max_of(cut, set.ohi) },
     )
 }
 
@@ -228,12 +221,20 @@ fn starting_exponent(t: f64, max_mag: f64) -> u8 {
 /// # Panics
 ///
 /// On caller bugs: positions out of range or duplicated, magnitudes not
-/// strictly above `t`, or a non-positive tolerance.
+/// strictly above `t`, a non-positive tolerance, or an array longer than
+/// `u32::MAX` (SPECK's chunk-domain bound).
 pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers {
     let _span = sperr_telemetry::span!("outlier.encode", outliers.len());
     assert!(t > 0.0 && t.is_finite(), "tolerance must be positive and finite");
+    assert!(array_len <= u32::MAX as usize, "domain too large for u32 positions");
     if outliers.is_empty() {
-        return EncodedOutliers { stream: Vec::new(), max_n: 0, bits_used: 0, num_outliers: 0 };
+        return EncodedOutliers {
+            stream: Vec::new(),
+            max_n: 0,
+            bits_used: 0,
+            num_outliers: 0,
+            max_err: 0.0,
+        };
     }
 
     // Sort by position; validate.
@@ -253,7 +254,7 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
             o.corr.abs(),
             t
         );
-        pos.push(o.pos);
+        pos.push(o.pos as u32);
         mag.push(o.corr.abs());
         negative.push(o.corr < 0.0);
     }
@@ -266,13 +267,12 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
         mag: &mag,
         negative: &negative,
         residual: mag.clone(),
-        sparse: SparseMax::build(&mag),
+        recon: vec![0.0; mag.len()],
         lis: vec![vec![SetR {
             start: 0,
-            len: array_len,
+            len: array_len as u32,
             olo: 0,
             ohi: pos.len() as u32,
-            level: 0,
             max_mag,
         }]],
         lsp: Vec::new(),
@@ -282,7 +282,6 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
         // practice; the writer grows if a pathological set exceeds this.
         out: BitWriter::with_capacity_bits(64 + pos.len() * 48),
     };
-    let _ = enc.mag; // magnitudes are owned by the sparse table path
 
     for n in (0..=max_n as i64).rev() {
         let thrd = f64::exp2(n as f64) * t;
@@ -290,11 +289,15 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
         enc.refinement_pass(thrd);
     }
 
+    // The last threshold is `t`, below every magnitude: each outlier was
+    // found, and `recon` is what the decoder returns for it.
+    let max_err = mag.iter().zip(&enc.recon).fold(0.0f64, |m, (&mag, &r)| m.max((mag - r).abs()));
     let bits_used = enc.out.len_bits();
     EncodedOutliers {
         stream: enc.out.into_bytes(),
         max_n,
         bits_used,
         num_outliers: outliers.len(),
+        max_err,
     }
 }

@@ -46,7 +46,6 @@
 pub mod alternatives;
 mod coder;
 mod decoder;
-mod rangemax;
 
 pub use coder::{encode, EncodedOutliers, Outlier};
 pub use decoder::{decode, DecodeError};

@@ -63,6 +63,20 @@ proptest! {
     }
 
     #[test]
+    fn max_err_is_the_decoded_error_bit_for_bit((outliers, n, t) in outlier_set()) {
+        // What the encoder reports without decoding equals what pairing
+        // the decoded corrections with the inputs measures, to the bit.
+        let enc = encode(&outliers, n, t);
+        let mut dec = decode(&enc.stream, n, t, enc.max_n).unwrap();
+        dec.sort_by_key(|o| o.pos);
+        let mut orig = outliers.clone();
+        orig.sort_by_key(|o| o.pos);
+        let paired = orig.iter().zip(&dec).fold(0.0f64, |m, (o, d)| m.max((o.corr - d.corr).abs()));
+        prop_assert_eq!(enc.max_err.to_bits(), paired.to_bits(),
+                        "encoder {} vs decoded {}", enc.max_err, paired);
+    }
+
+    #[test]
     fn truncation_at_every_byte_boundary_never_panics((outliers, n, t) in outlier_set()) {
         // Exhaustive sweep: every proper prefix decodes to a valid subset
         // (the coder is embedded) and never panics.

@@ -1,11 +1,13 @@
 //! The SPECK encoder: quantization, sorting passes, the deferred
 //! refinement pass, and mid-riser reconstruction. One word-granular body
-//! ([`encode_on`]) serves every shape; what a shape decides is only the
-//! [`Geometry`] it runs on (DESIGN.md §13). The pre-overhaul
+//! serves every shape, in the two phases the decoder has too: [`quantize`]
+//! ([`gather_on`]) and [`Quantized::encode`] ([`sort_on`]). What a shape
+//! decides is only the [`Geometry`] it runs on (DESIGN.md §13). The pre-overhaul
 //! bit-at-a-time encoder lives on in [`crate::reference`] as a
 //! differential oracle; both must produce byte-identical streams (see
 //! DESIGN.md §10 for the invariants that make this stream-neutral).
 
+use crate::decoder::Shape;
 use crate::layout::Geometry;
 use crate::lsp_decode::low_mask;
 use crate::morton::Dyadic;
@@ -561,23 +563,25 @@ fn fill_refinement(
     }
 }
 
-/// The one encoder body: quantize into layout order, cache every cell's
-/// significance byte, run the sorting passes with each plane's refinement
-/// span reserved, then fill the spans.
-fn encode_on<T: Float, G: Geometry, const CHECKED: bool>(
+/// The encoder's first phase on `geom`: quantize into layout order —
+/// with the magnitudes too when phase 2 will want all of them and 32 bits
+/// hold them — and cache every cell's significance byte. Returns the
+/// levels, the magnitudes (empty when phase 2 re-quantizes from the
+/// coefficients) and the plane count.
+fn gather_on<T: Float, G: Geometry>(
     geom: &G,
     coeffs: &[T],
-    q: f64,
-    budget: usize,
-) -> EncodedSpeck {
-    let inv_q = T::ONE / T::from_f64(q);
+    inv_q: T,
+    term: Termination,
+) -> (Levels, Vec<u32>, u8) {
     let k = geom.depth();
     let mut levels = Levels::new(geom);
     // Quality mode finds every coefficient outside the dead zone, so all
     // their magnitudes are needed and are quantized once, with `meta`. A
     // budget may stop long before that: those magnitudes are quantized
     // for the refined pixels only, at the end.
-    let mut mags = vec![0u32; if CHECKED { 0 } else { coeffs.len() }];
+    let quality = term == Termination::Quality;
+    let mut mags = vec![0u32; if quality { coeffs.len() } else { 0 }];
     gather_quantized(geom, coeffs, inv_q, &mut levels.bytes[..coeffs.len()], &mut mags);
     {
         let _span = sperr_telemetry::span!("speck.encode.levels", k);
@@ -585,27 +589,34 @@ fn encode_on<T: Float, G: Geometry, const CHECKED: bool>(
     }
     sperr_telemetry::counter!("speck.layout.cells", coeffs.len());
     sperr_telemetry::counter!("speck.layout.levels", k + 1);
-
-    let root = levels.level(0)[0];
-    let num_planes = root >> 1; // the largest magnitude's plane count
-    if num_planes == 0 {
-        return EncodedSpeck::default();
-    }
-    let narrow = num_planes <= 32;
-    if !narrow {
+    let num_planes = levels.level(0)[0] >> 1; // the largest magnitude's plane count
+    if num_planes > 32 {
         mags = Vec::new(); // 32 bits were not enough
     }
+    (levels, mags, num_planes)
+}
 
+/// The encoder's second phase on `geom`: the sorting passes, each plane's
+/// refinement span reserved, then the spans filled — from what phase 1
+/// left, plus the coefficients when it left no magnitudes.
+fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
+    geom: &G,
+    phase1: &Quantized<'_, T, D>,
+    budget: usize,
+) -> EncodedSpeck {
+    let Quantized { levels, mags, coeffs, inv_q, num_planes, len, .. } = phase1;
+    let (num_planes, inv_q) = (*num_planes, *inv_q);
+    let k = geom.depth();
     let mut sorter = Sorter::<'_, G, CHECKED> {
         geom,
-        levels: &levels,
+        levels,
         buckets: (0..=k).map(|_| Bucket { cells: Vec::new(), mb: Vec::new() }).collect(),
         found: Vec::new(),
-        sink: BitSink::new(budget, coeffs.len() / 2),
+        sink: BitSink::new(budget, len / 2),
         sets_split: 0,
     };
     sorter.buckets[0].cells.push(0);
-    sorter.buckets[0].mb.push(root);
+    sorter.buckets[0].mb.push(levels.level(0)[0]);
     let mut spans = Vec::with_capacity(num_planes as usize);
     for n in (0..num_planes as u32).rev() {
         let _plane = sperr_telemetry::span!("speck.encode.plane", n);
@@ -633,6 +644,7 @@ fn encode_on<T: Float, G: Geometry, const CHECKED: bool>(
         zero_runs: sink.zero_runs,
         stream: sink.out.into_bytes(),
     };
+    let narrow = num_planes <= 32;
     if mags.is_empty() {
         fill_refinement(&mut enc.stream, &spans, &found, narrow, |pixel| {
             let c = geom.to_row_major(pixel).map_or(T::ZERO, |i| coeffs[i as usize]);
@@ -646,42 +658,112 @@ fn encode_on<T: Float, G: Geometry, const CHECKED: bool>(
     enc
 }
 
+/// An encode after its first phase ([`quantize`]): every coefficient
+/// quantized into the partition's layout order and every cell's
+/// significance byte cached. [`Quantized::encode`] is the second phase —
+/// the sorting passes and the refinement — and reads only what this
+/// holds, plus the coefficients when it holds no magnitudes: under a bit
+/// budget, or when a magnitude needs more than 32 bits. Otherwise
+/// [`Quantized::release`] gives the borrow of the coefficients back, so
+/// the caller may overwrite them while phase 2 runs.
+pub struct Quantized<'a, T: Float, const D: usize> {
+    /// `None` for an empty domain.
+    shape: Option<Shape<D>>,
+    levels: Levels,
+    /// The low 32 bits of every magnitude, in layout order, when they are
+    /// all phase 2 needs; else empty.
+    mags: Vec<u32>,
+    /// The coefficients while phase 2 re-quantizes from them (`mags` is
+    /// empty and there are planes to code); an empty slice otherwise.
+    coeffs: &'a [T],
+    inv_q: T,
+    num_planes: u8,
+    /// Coefficients in the domain.
+    len: usize,
+    term: Termination,
+}
+
+impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
+    /// Phase 1 of `coeffs` on `shape` (parameters already checked).
+    pub(crate) fn new(shape: Option<Shape<D>>, coeffs: &'a [T], q: f64, term: Termination) -> Self {
+        let inv_q = T::ONE / T::from_f64(q);
+        let (levels, mags, num_planes) = match &shape {
+            None => (Levels { bytes: Vec::new(), at: Vec::new() }, Vec::new(), 0),
+            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, inv_q, term),
+            Some(Shape::Table(tables)) => gather_on(&**tables, coeffs, inv_q, term),
+        };
+        let len = coeffs.len();
+        let coeffs = if mags.is_empty() && num_planes > 0 { coeffs } else { &[] };
+        Quantized { shape, levels, mags, coeffs, inv_q, num_planes, len, term }
+    }
+
+    /// This phase 1 without its borrow of the coefficients, or `Err(self)`
+    /// when phase 2 still reads them.
+    #[allow(clippy::result_large_err)] // the error is `self`, moved back once
+    pub fn release(self) -> Result<Quantized<'static, T, D>, Self> {
+        if !self.coeffs.is_empty() {
+            return Err(self);
+        }
+        let Quantized { shape, levels, mags, inv_q, num_planes, len, term, .. } = self;
+        Ok(Quantized { shape, levels, mags, coeffs: &[], inv_q, num_planes, len, term })
+    }
+
+    /// The encoder's second phase: the sorting passes, with each plane's
+    /// refinement span reserved, then the spans filled.
+    pub fn encode(self) -> EncodedSpeck {
+        let Some(shape) = self.shape.as_ref().filter(|_| self.num_planes > 0) else {
+            return EncodedSpeck::default();
+        };
+        match (shape, self.term) {
+            (Shape::Dyadic(geom), Termination::Quality) => {
+                sort_on::<T, _, false, D>(geom, &self, usize::MAX)
+            }
+            (Shape::Dyadic(geom), Termination::BitBudget(b)) => {
+                sort_on::<T, _, true, D>(geom, &self, b)
+            }
+            (Shape::Table(tables), Termination::Quality) => {
+                sort_on::<T, _, false, D>(&**tables, &self, usize::MAX)
+            }
+            (Shape::Table(tables), Termination::BitBudget(b)) => {
+                sort_on::<T, _, true, D>(&**tables, &self, b)
+            }
+        }
+    }
+}
+
+/// The encoder's first phase: checks the parameters, then quantizes
+/// `coeffs` (shape `dims`, row-major with axis 0 fastest, finest step
+/// `q > 0`) into the partition's layout order. [`encode`] is this, then
+/// [`Quantized::encode`].
+pub fn quantize<T: Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    q: f64,
+    term: Termination,
+) -> Quantized<'_, T, D> {
+    assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
+    let n_total: usize = dims.iter().product();
+    assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
+    assert!(n_total as u64 <= u32::MAX as u64, "domain too large for u32 indices");
+    let shape = if n_total == 0 {
+        None
+    } else if crate::morton::applicable(dims) {
+        Some(Shape::Dyadic(Dyadic::new(dims)))
+    } else {
+        let tables = crate::layout::shared(crate::layout::pad(dims))
+            .expect("out of memory building the SPECK layout tables");
+        Some(Shape::Table(tables))
+    };
+    Quantized::new(shape, coeffs, q, term)
+}
+
 /// Encodes `coeffs` (shape `dims`, row-major with axis 0 fastest) with
-/// finest quantization step `q > 0`.
+/// finest quantization step `q > 0`: both phases back to back.
 pub fn encode<T: Float, const D: usize>(
     coeffs: &[T],
     dims: [usize; D],
     q: f64,
     term: Termination,
 ) -> EncodedSpeck {
-    assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
-    let n_total: usize = dims.iter().product();
-    assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
-    assert!(n_total as u64 <= u32::MAX as u64, "domain too large for u32 indices");
-    if n_total == 0 {
-        return EncodedSpeck::default();
-    }
-    // The geometry is the only thing the shape decides; the coder body
-    // is the same on both.
-    if crate::morton::applicable(dims) {
-        encode_in(&Dyadic::new(dims), coeffs, q, term)
-    } else {
-        let layout = crate::layout::shared(crate::layout::pad(dims))
-            .expect("out of memory building the SPECK layout tables");
-        encode_in(&*layout, coeffs, q, term)
-    }
-}
-
-/// [`encode`] on a geometry of the caller's choice (the tests run cubes on
-/// the tables too).
-pub(crate) fn encode_in<T: Float, G: Geometry>(
-    geom: &G,
-    coeffs: &[T],
-    q: f64,
-    term: Termination,
-) -> EncodedSpeck {
-    match term {
-        Termination::Quality => encode_on::<T, G, false>(geom, coeffs, q, usize::MAX),
-        Termination::BitBudget(b) => encode_on::<T, G, true>(geom, coeffs, q, b),
-    }
+    quantize(coeffs, dims, q, term).encode()
 }

@@ -4,7 +4,7 @@
 //! the reference coders, and the shared table cache. (They live outside
 //! `layout.rs` because that file is scanned by `tests/panic_audit.rs`.)
 
-use crate::coder::encode_in;
+use crate::coder::Quantized;
 use crate::decoder::{Shape, Sorted};
 use crate::layout::{self, Geometry, Layout, MAX_CACHED_BYTES, MAX_CACHED_SHAPES};
 use crate::morton::{applicable, Dyadic};
@@ -183,7 +183,9 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
     let full = reference::encode(&field, dims, q, Termination::Quality);
     for term in [Termination::Quality, Termination::BitBudget(full.bits_used * 2 / 3)] {
         let want = reference::encode(&field, dims, q, term);
-        for got in [encode(&field, dims, q, term), encode_in(&*tables, &field, q, term)] {
+        let tabled = Quantized::new(Some(Shape::<D>::Table(tables.clone())), &field, q, term);
+        let tabled = tabled.encode();
+        for got in [encode(&field, dims, q, term), tabled] {
             assert_eq!(got.stream, want.stream, "{dims:?} {term:?}");
             assert_eq!(
                 (got.bits_used, got.significance_bits, got.sign_bits, got.refinement_bits),

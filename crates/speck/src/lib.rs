@@ -55,7 +55,8 @@ pub mod reference;
 mod set;
 
 pub use coder::{
-    encode, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck, Termination,
+    encode, quantize, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck, Quantized,
+    Termination,
 };
 pub use decoder::{decode, decode_masked, sorting_pass, DecodeError, Sorted, MAX_DECODE_ELEMENTS};
 
@@ -132,6 +133,36 @@ mod tests {
                 assert!((c - r).abs() <= q / 2.0 + 1e-12, "c={c} r={r}");
             }
         }
+    }
+
+    #[test]
+    fn phase_one_gives_the_coefficients_back_only_when_phase_two_reads_none() {
+        // Quality mode with every magnitude in 32 bits releases the
+        // borrow; more planes, or a bit budget, keep it. Either way the
+        // two phases are `encode`. A cube takes the Morton geometry, the
+        // cuboid the tables.
+        fn check<const D: usize>(dims: [usize; D]) {
+            let n = dims.iter().product();
+            let coeffs: Vec<f64> = (0..n).map(|i| (i as f64 * 1.7).sin() * 100.0).collect();
+            let rows = [
+                (0.1, Termination::Quality, true),
+                (1e-9, Termination::Quality, false),
+                (0.1, Termination::BitBudget(300), false),
+            ];
+            for (q, term, releases) in rows {
+                let want = encode(&coeffs, dims, q, term);
+                let (got, released) = match quantize(&coeffs, dims, q, term).release() {
+                    Ok(phase1) => (phase1.encode(), true),
+                    Err(phase1) => (phase1.encode(), false),
+                };
+                assert_eq!(released, releases, "{dims:?} q={q} {term:?}");
+                assert_eq!((want.num_planes > 32), q < 1e-6, "{dims:?} q={q}");
+                assert_eq!(got.stream, want.stream, "{dims:?} q={q} {term:?}");
+                assert_eq!(got.bits_used, want.bits_used);
+            }
+        }
+        check([8usize, 8, 8]);
+        check([9usize, 7, 5]);
     }
 
     #[test]

@@ -254,14 +254,15 @@ target/release/sperr metrics --input /tmp/ci_metrics_out.sperr \
 rm -f /tmp/ci_metrics_input.f64 /tmp/ci_metrics_out.sperr \
     /tmp/ci_metrics.prom /tmp/ci_metrics.json /tmp/ci_metrics_rt.f64
 
-echo "==> ThreadSanitizer: pool, streaming and one-chunk read tests"
+echo "==> ThreadSanitizer: pool, streaming and one-chunk read and compress tests"
 # The worker pool (sperr-exec) is the one place in the workspace that
 # synchronises threads by hand (the published batch slot, its condvars,
 # the lifetime-erased job pointer); streaming is its heaviest user, running
 # one pool batch per z-layer batch with nested fan-out and per-chunk panic
-# guards, and a one-chunk read splits its inflate, outlier decode and
-# SPECK assembly over it. So run the pool, executor-contract, streaming and
-# one-chunk read tests under TSan. Needs nightly with the rust-src component
+# guards, a one-chunk read splits its inflate, outlier decode and SPECK
+# assembly over it, and a one-chunk compress runs its outlier locate
+# beside SPECK's sorting passes. So run the pool, executor-contract,
+# streaming and one-chunk read and compress tests under TSan. Needs nightly with the rust-src component
 # (-Zbuild-std rebuilds std with the sanitizer); CI must never install
 # toolchain pieces, so skip gracefully —
 # loudly — when absent.

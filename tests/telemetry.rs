@@ -280,6 +280,44 @@ fn one_chunk_read_uses_both_workers() {
 }
 
 #[test]
+fn one_chunk_compress_uses_both_workers() {
+    // A PWE compress of a one-chunk volume on a 2-thread pool: once SPECK
+    // has quantized the coefficients, the outlier locate runs on one
+    // worker while the sorting passes walk their planes on the other.
+    // Which slot takes which job is a race; a host that leaves one worker
+    // asleep through the whole locate is given a few more compresses
+    // before this fails.
+    let _guard = session_lock();
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate([64, 64, 64], 3);
+    let sperr = Sperr::new(SperrConfig { num_threads: 2, ..SperrConfig::default() });
+    let bound = Bound::Pwe(field.tolerance_for_idx(16));
+    let on_slot = |report: &sperr_telemetry::Report, slot: usize, label: &str| -> Vec<(u64, u64)> {
+        let tracks = report.tracks.iter().filter(|t| t.worker == Some(slot));
+        let spans = tracks.flat_map(|t| &t.spans).filter(|s| s.label == label);
+        spans.map(|s| (s.start_ns, s.start_ns + s.dur_ns)).collect()
+    };
+    let overlap = |a: &[(u64, u64)], b: &[(u64, u64)]| {
+        a.iter().any(|&(s0, e0)| b.iter().any(|&(s1, e1)| s0 < e1 && s1 < e0))
+    };
+    for _ in 0..5 {
+        sperr_telemetry::start();
+        let stream = sperr.compress(&field, bound).unwrap();
+        let report = sperr_telemetry::stop();
+        assert!(sperr.inspect(&stream).unwrap().outlier_bytes > 0, "no outliers located");
+        let beside = [(0, 1), (1, 0)].iter().any(|&(a, b)| {
+            overlap(
+                &on_slot(&report, a, stage_labels::OUTLIER_LOCATE),
+                &on_slot(&report, b, "speck.encode.plane"),
+            )
+        });
+        if beside {
+            return;
+        }
+    }
+    panic!("the outlier locate never ran beside SPECK's sorting passes over five compresses");
+}
+
+#[test]
 fn trace_covers_all_stages_and_worker_tracks() {
     let _guard = session_lock();
     let dims = [32usize, 32, 32];
