@@ -16,8 +16,8 @@ mod rawio;
 use args::{parse_type, Args, ScalarType};
 use sperr_compress_api::{Bound, CompressError, FieldOf, Precision};
 use sperr_core::{
-    ChunkStatus, CompressionStats, Float, OnDamage, ReadOutput, ReadReport, ReadRequest, Sperr,
-    SperrConfig, SperrError, StreamReport,
+    CompressionStats, Float, OnDamage, ReadOutput, ReadReport, ReadRequest, Sperr, SperrConfig,
+    SperrError, StreamReport,
 };
 use sperr_datagen::SyntheticField;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -699,11 +699,9 @@ fn cmd_decompress(args: &Args) -> Result<(), CliError> {
                 if !resilient {
                     return Ok(sperr.decompress_stream(reader, out, precision)?);
                 }
-                let res = sperr.decompress_stream_resilient(reader, out, precision)?;
-                let bad = res.statuses.iter().enumerate();
-                let bad = bad.filter(|(_, s)| !matches!(s, ChunkStatus::Ok)).map(|(i, _)| i);
-                warn_zero_filled(&bad.collect::<Vec<_>>(), res.report.n_chunks);
-                Ok(res.report)
+                let (report, read) = sperr.decompress_stream_resilient(reader, out, precision)?;
+                warn_zero_filled(&read);
+                Ok(report)
             })?;
             let note = format!(
                 "{} chunks, in-flight peak {}/{}",
@@ -768,23 +766,23 @@ fn read_to<T: Float>(
     let zero_fill = resilient || matches!(what, ReadRequest::Region { .. });
     let on_damage = if zero_fill { OnDamage::ZeroFill } else { OnDamage::Fail };
     let ReadOutput { field, report, .. } = sperr.read::<T>(stream, what, on_damage)?;
-    let bad = report.failed_chunks();
-    if !bad.is_empty() {
-        if !resilient {
-            return Err(CliError::Compress(CompressError::Corrupt(format!(
-                "region decode hit damaged chunks {bad:?}"
-            ))));
-        }
-        warn_zero_filled(&bad, report.chunk_ids.len());
+    if !resilient && !report.all_ok() {
+        return Err(CliError::Compress(CompressError::Corrupt(format!(
+            "region decode hit damaged chunks {:?}",
+            report.failed_chunks()
+        ))));
     }
+    warn_zero_filled(&report);
     write_output(output, |out| Ok(rawio::write_field(out, &field, ty)?))?;
     Ok((report, (field.len() * ty.bytes()) as u64))
 }
 
-/// The `--resilient` warning: which of the `n` chunks read were damaged
-/// and zero-filled.
-fn warn_zero_filled(bad: &[usize], n: usize) {
+/// The `--resilient` warning: which of the chunks the read touched were
+/// damaged and zero-filled.
+fn warn_zero_filled(report: &ReadReport) {
+    let bad = report.failed_chunks();
     if !bad.is_empty() {
+        let n = report.chunk_ids.len();
         eprintln!("warning: {} of {n} chunks corrupt, zero-filled: {bad:?}", bad.len());
     }
 }
@@ -1160,6 +1158,52 @@ mod tests {
             listed.sort();
             assert_eq!(accepted, listed, "sperr {name}");
         }
+    }
+
+    /// Parses every `sperr <subcommand> …` command in the `sh` blocks of
+    /// `readme` — continuation lines joined, pipelines split, trailing
+    /// comments dropped — against the `COMMANDS` table, and returns how many
+    /// it checked, or the first command that names an unknown subcommand,
+    /// an option its subcommand does not take, or a stray argument.
+    fn check_readme_commands(readme: &str) -> Result<usize, String> {
+        let mut checked = 0;
+        for block in readme.split("```sh\n").skip(1) {
+            let block = block.split("```").next().unwrap_or("").replace("\\\n", " ");
+            for line in block.lines() {
+                let line = line.split(" #").next().unwrap_or("");
+                for command in line.split('|') {
+                    let words: Vec<String> = command.split_whitespace().map(String::from).collect();
+                    let Some((program, rest)) = words.split_first() else { continue };
+                    if !program.ends_with("sperr") {
+                        continue;
+                    }
+                    let known = rest.split_first().and_then(|(name, rest)| {
+                        Some((COMMANDS.iter().find(|c| c.name == name.as_str())?, rest))
+                    });
+                    let Some((sub, rest)) = known else {
+                        return Err(format!("unknown subcommand: {command}"));
+                    };
+                    let args = Args::parse(rest, sub.options, sub.flags)
+                        .map_err(|e| format!("{e}: {command}"))?;
+                    if !args.positional().is_empty() {
+                        return Err(format!("stray argument: {command}"));
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        Ok(checked)
+    }
+
+    #[test]
+    fn readme_command_lines_name_only_what_the_cli_accepts() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(path).unwrap();
+        let checked = check_readme_commands(&readme).unwrap();
+        assert!(checked >= 10, "only {checked} `sperr` commands found in README.md");
+        // The guard bites: a misspelled option, a removed subcommand.
+        assert!(check_readme_commands(&readme.replace("--in-flight", "--inflight")).is_err());
+        assert!(check_readme_commands(&readme.replace("sperr eval", "sperr evaluate")).is_err());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::time::Duration;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sperr_compress_api::{Bound, Field, LossyCompressor, Precision};
 use sperr_core::{
-    faultpoint, stage_labels, ChunkStatus, OnDamage, ReadOutput, ReadRequest, Sperr, SperrConfig,
+    faultpoint, stage_labels, OnDamage, ReadOutput, ReadRequest, Sperr, SperrConfig,
     SperrError, STAGE_CONTAINER, STAGE_EMIT, STAGE_INGEST,
 };
 
@@ -690,7 +690,7 @@ fn resilient_stream_salvages_corruption(field: &Field) -> CheckResult {
     })?;
     let ReadOutput { field: ref_field, report: ref_report, .. } = resilient;
     let mut out = Vec::new();
-    let res = sperr
+    let (_, res) = sperr
         .decompress_stream_resilient(FaultyReader::new(&bad), &mut out, None)
         .map_err(|e| CheckFailure {
             check: "fault-resilient",
@@ -705,7 +705,7 @@ fn resilient_stream_salvages_corruption(field: &Field) -> CheckResult {
             ),
         );
     }
-    if res.statuses.iter().all(|s| matches!(s, ChunkStatus::Ok)) {
+    if res.all_ok() {
         return fail("fault-resilient", "corruption went undetected".into());
     }
     let mut want = Vec::with_capacity(ref_field.data.len() * 8);

@@ -437,7 +437,7 @@ impl Sperr {
     /// v1 streams carry no checksums — the report says so via
     /// [`VerifyReport::checksummed`] and trivially lists no corruption.
     pub fn verify(&self, stream: &[u8]) -> Result<VerifyReport, CompressError> {
-        let opened = Opened::whole(stream, &WorkerPool::inline())?;
+        let opened = Opened::whole(stream, OnDamage::ZeroFill, &WorkerPool::inline())?;
         Ok(VerifyReport {
             version: opened.version,
             checksummed: opened.checksummed(),
@@ -480,7 +480,7 @@ impl Sperr {
     /// is a size-bounded stream with no error guarantee.
     pub fn transcode_to_bpp(&self, stream: &[u8], bpp: f64) -> Result<Vec<u8>, CompressError> {
         validate_bound(Bound::Bpp(bpp))?;
-        let opened = Opened::strict(stream, &WorkerPool::inline())?;
+        let opened = Opened::whole(stream, OnDamage::Fail, &WorkerPool::inline())?;
         let cut = |chunk| {
             let budget = preview_budget_bytes(bpp, &opened.grid[chunk]);
             stored_chunk(&opened, chunk, budget, false)
@@ -549,7 +549,7 @@ fn stored_chunk(
 /// Re-frames `stream` as a container of `version` with byte-identical
 /// chunk payloads, preserving the outer lossless framing.
 fn reframe(stream: &[u8], version: u8) -> Result<Vec<u8>, CompressError> {
-    let opened = Opened::strict(stream, &WorkerPool::inline())?;
+    let opened = Opened::whole(stream, OnDamage::Fail, &WorkerPool::inline())?;
     let chunks = (0..opened.grid.len())
         .map(|chunk| stored_chunk(&opened, chunk, usize::MAX, true))
         .collect::<Result<Vec<_>, _>>()?;

@@ -1,30 +1,29 @@
 //! The decode plan: every read this crate offers — full, f32-native,
 //! resilient, multi-resolution, region, preview, streaming — is the same
-//! three steps, because the paper's chunks are independent by construction
-//! (§III-D). This module owns those steps, and [`Sperr::read`], the one
-//! in-memory entry point that runs them for a [`ReadRequest`].
+//! steps, because the paper's chunks are independent by construction
+//! (§III-D). This module owns those steps, the one read loop that runs
+//! them, and [`Sperr::read`], the in-memory read built on that loop.
 //!
 //! 1. **Open** ([`Opened`]): outer flag → container head → chunk grid
 //!    cross-checked against the chunk table → each payload's offset (from
 //!    the v3 index, or a walk of the table) → tolerance. Payload bytes sit
 //!    behind one accessor, [`Opened::payload`], backed either by the
-//!    wholly inflated container ([`Opened::whole`], [`Opened::strict`]) or
-//!    by the SLZ1 blocks under the wanted chunks ([`Opened::sparse`]).
+//!    wholly inflated container ([`Opened::whole`]) or by the SLZ1 blocks
+//!    under the wanted chunks ([`Opened::sparse`]).
 //! 2. **Plan** ([`Head::plan`]): a list of [`ChunkTask`]s — which chunk,
 //!    what of it to keep, how much of its SPECK stream to read, whether
 //!    corrections apply, at which resolution.
-//! 3. **Execute** ([`Opened::run_on`]): task `j` runs on the pool with its
-//!    worker's arenas through [`Opened::decode_task`] — CRC, split, the
-//!    one [`decode_chunk`] — and yields `(samples, status, stage times)`
-//!    in task order. The in-memory reads run every task at once
-//!    ([`Opened::run`]); streaming runs one batch of whole z-layers at a
-//!    time on the same executor.
-//!
-//! What remains is a **fold** of the results: under [`OnDamage::Fail`] the
-//! first task that did not decode fails the read ([`strict`]); under
-//! [`OnDamage::ZeroFill`] the statuses are kept and failed boxes stay
-//! zero; either way the kept boxes are placed with the one box copy
-//! ([`Opened::assemble`]).
+//! 3. **Loop** ([`Opened::read_into`]): the decode width is chosen once
+//!    ([`Head::decodes_f32`]); then, batch by batch, [`Opened::run_on`]
+//!    decodes the batch's tasks on the pool through
+//!    [`Opened::decode_task`] — CRC, split, the one [`decode_chunk`] — and
+//!    settles each on its worker under the [`OnDamage`] fold: under `Fail`
+//!    the first task that did not decode stops the read ([`Stop`]), under
+//!    `ZeroFill` its status is kept and its box left zero. The loop sums
+//!    the stage times (the open's included) and hands each batch to a
+//!    [`Sink`]: the in-memory read places the boxes into the volume
+//!    ([`Volume`]) in one batch of every task; the streaming read writes a
+//!    batch's z-layers.
 //!
 //! Everything here walks untrusted chunk tables and decodes untrusted
 //! payloads, so the file is listed in `tests/panic_audit.rs`: no panicking
@@ -34,6 +33,7 @@ use crate::chunk::{chunk_grid, copy_box, ChunkSpec};
 use crate::compressor::{preview_budget_bytes, validate_bound, Sperr};
 use crate::container::{read_container, ChunkEntry, ChunkIndexEntry, Header, Mode, Parsed};
 use crate::crc32::crc32;
+use crate::faultpoint::{self, Caught};
 use crate::outer::{unwrap_outer, Fetched, Framed};
 use crate::pipeline::{phase, ScratchArena};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
@@ -48,27 +48,6 @@ use std::any::Any;
 use std::borrow::Cow;
 use std::ops::{Deref, Range};
 use std::time::Instant;
-
-/// One worker's decode scratch at both sample widths, for the drivers
-/// that learn a stream's width from its header (a stream decodes at one
-/// width only, and an arena costs nothing until it is used).
-#[derive(Default)]
-pub(crate) struct DecodeArenas {
-    pub(crate) wide: ScratchArena<f64>,
-    pub(crate) narrow: ScratchArena<f32>,
-}
-
-impl DecodeArenas {
-    /// Records the footprint of the arena(s) this worker decoded with.
-    pub(crate) fn record_footprint(&self) {
-        if self.narrow.bytes() > 0 {
-            self.narrow.record_footprint();
-        }
-        if self.wide.bytes() > 0 {
-            self.wide.record_footprint();
-        }
-    }
-}
 
 /// One chunk's decode, as the container's chunk table and the read at
 /// hand describe it.
@@ -278,46 +257,45 @@ impl ChunkTask {
     }
 }
 
-/// One chunk's decoded samples, at the width they were decoded at.
-pub(crate) enum Samples {
-    /// From the f64 pipeline.
-    Wide(Vec<f64>),
-    /// From the f32-native pipeline (precision tag 2).
-    Narrow(Vec<f32>),
+/// What one task leaves for the [`Sink`], at the read's decode width: the
+/// chunk's samples, or `None` for a damaged chunk, whose box stays zero.
+pub(crate) type Decoded<S> = Option<Vec<S>>;
+
+/// One task, settled on its worker: its box, status and stage times, or
+/// the [`Stop`] that ends the read.
+type Settled<S> = Result<(Decoded<S>, ChunkStatus, StageTimes), Stop>;
+
+/// Why a read stopped before its sink saw every batch.
+pub(crate) enum Stop {
+    /// `chunk` did not decode under [`OnDamage::Fail`]; `stage` is the
+    /// last its worker entered.
+    Failed { chunk: usize, stage: &'static str, source: CompressError },
+    /// The worker decoding `chunk` panicked.
+    Panicked { chunk: usize, caught: Caught },
 }
 
-impl Samples {
-    /// [`copy_box`] out of these samples, widening on the way when the
-    /// destination is wider (exact).
-    pub(crate) fn copy_box<D: Float>(
-        &self,
-        src_dims: [usize; 3],
-        src_lo: [usize; 3],
-        extent: [usize; 3],
-        dst: &mut [D],
-        dst_dims: [usize; 3],
-        dst_lo: [usize; 3],
-    ) {
+impl Stop {
+    /// What an in-memory read does with it: a failure is the read's error;
+    /// a panic resumes on the caller, as a pool batch's own panics do.
+    fn into_read_error(self) -> CompressError {
         match self {
-            Samples::Wide(v) => copy_box(v, src_dims, src_lo, extent, dst, dst_dims, dst_lo),
-            Samples::Narrow(v) => copy_box(v, src_dims, src_lo, extent, dst, dst_dims, dst_lo),
+            Stop::Failed { source, .. } => source,
+            Stop::Panicked { caught, .. } => caught.resume(),
         }
     }
-
-    /// The samples themselves, leaving these empty, when they are at
-    /// width `D`.
-    fn take<D: Float>(&mut self) -> Option<Vec<D>> {
-        let held: &mut dyn Any = match self {
-            Samples::Wide(v) => v,
-            Samples::Narrow(v) => v,
-        };
-        held.downcast_mut::<Vec<D>>().map(std::mem::take)
-    }
 }
 
-/// What one task yields: the samples (empty unless the status is
-/// [`ChunkStatus::Ok`]), the outcome, and the per-stage wall times.
-pub(crate) type TaskResult = (Samples, ChunkStatus, StageTimes);
+/// Where [`Opened::read_into`] hands each decoded batch: the volume of an
+/// in-memory read ([`Volume`]), or the writer of a streaming one.
+pub(crate) trait Sink {
+    /// What stops the read: a [`Stop`], or the sink's own failure.
+    type Error: From<Stop>;
+
+    /// Takes the boxes of the tasks `batch` (task indices), in task order,
+    /// at the decode width `S` the read chose.
+    fn batch<S: Float>(&mut self, batch: Range<usize>, boxes: Vec<Decoded<S>>)
+        -> Result<(), Self::Error>;
+}
 
 /// Where the payloads lie in the container.
 enum Offsets {
@@ -341,7 +319,7 @@ pub(crate) struct Head {
     /// Where each chunk's payload lies.
     offsets: Offsets,
     /// Per-chunk payload CRCs still to be checked (v2+ streams; `None`
-    /// for v1, and after [`Opened::verify_crcs`] has checked them all).
+    /// for v1, and after a strict [`Opened::whole`] has checked them all).
     crcs: Option<Vec<u32>>,
 }
 
@@ -391,6 +369,14 @@ impl Head {
             Offsets::Walked(offsets) => offsets[chunk],
         };
         start..start + e.speck_len + e.outlier_len
+    }
+
+    /// The decode width of a read of `what`, chosen once for the read:
+    /// f32 for an f32-native stream (its native width, with no f64 on the
+    /// chunk path), except at a coarse level, which has always been
+    /// reconstructed at f64; f64 otherwise.
+    pub(crate) fn decodes_f32(&self, what: ReadRequest<'_>) -> bool {
+        self.header.native_f32 && !matches!(what, ReadRequest::Level(l) if l > 0)
     }
 
     /// The plan of a full decode: every chunk, whole.
@@ -532,23 +518,14 @@ impl Deref for Opened<'_> {
 }
 
 impl<'a> Opened<'a> {
-    /// Opens `stream` for a read that needs every payload and leaves
-    /// checksum failures to the tasks ([`OnDamage::ZeroFill`], `verify`):
-    /// the container is inflated whole, its SLZ1 blocks on `pool`.
-    pub(crate) fn whole(stream: &'a [u8], pool: &WorkerPool) -> Result<Self, CompressError> {
-        Self::open_whole(stream, false, pool)
-    }
-
-    /// [`Opened::whole`] for [`OnDamage::Fail`]: every payload checksum is
-    /// verified before anything decodes ([`Opened::verify_crcs`]), so a
-    /// damaged stream fails fast, naming its lowest damaged chunk.
-    pub(crate) fn strict(stream: &'a [u8], pool: &WorkerPool) -> Result<Self, CompressError> {
-        Self::open_whole(stream, true, pool)
-    }
-
-    fn open_whole(
+    /// Opens `stream` for a read that needs every payload: the container
+    /// is inflated whole, its SLZ1 blocks on `pool`. Under
+    /// [`OnDamage::Fail`] every payload checksum is verified now, so a
+    /// damaged stream fails before anything decodes, naming its lowest
+    /// damaged chunk; under `ZeroFill` the checks are left to the tasks.
+    pub(crate) fn whole(
         stream: &'a [u8],
-        verify: bool,
+        on_damage: OnDamage,
         pool: &WorkerPool,
     ) -> Result<Self, CompressError> {
         let (unwrapped, lossless_time) =
@@ -563,8 +540,12 @@ impl<'a> Opened<'a> {
                 bytes: Bytes::Whole(container),
                 open_times: StageTimes::default(),
             };
-            if verify {
-                opened.verify_crcs()?;
+            if on_damage == OnDamage::Fail {
+                if let Some(chunk) = opened.corrupt_chunks().next() {
+                    ChunkStatus::ChecksumMismatch.to_result(chunk)?;
+                }
+                // Every checksum passed: tasks need not check them again.
+                opened.head.crcs = None;
             }
             Ok::<_, CompressError>(opened)
         });
@@ -621,35 +602,21 @@ impl<'a> Opened<'a> {
         crcs.iter().enumerate().filter(bad).map(|(chunk, _)| chunk)
     }
 
-    /// Checks every payload checksum now, failing on the lowest damaged
-    /// chunk. Having passed, the table is dropped, so tasks do not check
-    /// each payload a second time.
-    pub(crate) fn verify_crcs(&mut self) -> Result<(), CompressError> {
-        if let Some(chunk) = self.corrupt_chunks().next() {
-            return ChunkStatus::ChecksumMismatch.to_result(chunk);
-        }
-        self.head.crcs = None;
-        Ok(())
-    }
-
-    /// Runs one task: checksum, split, decode at the stream's width. The
-    /// one place a chunk gets decoded, for every read.
-    fn decode_task(
+    /// Runs one task: checksum, split, decode at width `S`. The one place
+    /// a chunk gets decoded, for every read; a chunk that does not decode
+    /// yields its status.
+    fn decode_task<S: Float>(
         &self,
         task: &ChunkTask,
         pool: &WorkerPool,
-        arenas: &mut DecodeArenas,
-    ) -> TaskResult {
-        let failed = |status| (Samples::Wide(Vec::new()), status, StageTimes::default());
-        let payload = match self.payload(task.chunk) {
-            Ok(payload) => payload,
-            // The payload's SLZ1 block did not inflate.
-            Err(e) => return failed(ChunkStatus::DecodeFailed(e)),
-        };
+        arena: &mut ScratchArena<S>,
+    ) -> Result<(Vec<S>, StageTimes), ChunkStatus> {
+        // An error here: the payload's SLZ1 block did not inflate.
+        let payload = self.payload(task.chunk).map_err(ChunkStatus::DecodeFailed)?;
         if let Some(crcs) = &self.crcs {
             if crc32(payload) != crcs[task.chunk] {
                 // Known-bad payload: don't even hand it to the coders.
-                return failed(ChunkStatus::ChecksumMismatch);
+                return Err(ChunkStatus::ChecksumMismatch);
             }
         }
         let e = &self.entries[task.chunk];
@@ -669,70 +636,99 @@ impl<'a> Opened<'a> {
             keep: task.keep,
             level: task.level,
         };
-        // f32-native payloads decode at their native width; every f64
-        // surface widens them exactly on assembly. Coarse levels have
-        // always been reconstructed at f64, whatever the payload's width.
-        let decoded = if self.header.native_f32 && task.level == 0 {
-            decode_chunk(&job, pool, &mut arenas.narrow).map(|(v, t)| (Samples::Narrow(v), t))
-        } else {
-            decode_chunk(&job, pool, &mut arenas.wide).map(|(v, t)| (Samples::Wide(v), t))
-        };
-        match decoded {
-            Ok((samples, times)) => (samples, ChunkStatus::Ok, times),
-            Err(e) => failed(ChunkStatus::DecodeFailed(e)),
-        }
+        decode_chunk(&job, pool, arena).map_err(ChunkStatus::DecodeFailed)
     }
 
-    /// The executor: task `j` runs as `guard(j, decode)` on the `pool`
-    /// worker that claims it, with that worker's arenas (kept across calls),
-    /// results in task order. Scheduling does not depend on the width or the
-    /// kind of read, so every surface is thread-count deterministic alike.
-    pub(crate) fn run_on<R: Send>(
+    /// The executor: task `j` runs on the `pool` worker that claims it,
+    /// with that worker's arena (kept across batches), and is settled there
+    /// under `on_damage` — so a failure or a panic names the stage that
+    /// worker was in. Results in task order. Scheduling depends on neither
+    /// the width nor the kind of read, so every read is thread-count
+    /// deterministic alike.
+    fn run_on<S: Float>(
         &self,
         pool: &WorkerPool,
         tasks: &[ChunkTask],
-        arenas: &mut Vec<DecodeArenas>,
-        guard: impl Fn(usize, &mut dyn FnMut() -> TaskResult) -> R + Sync,
-    ) -> Vec<R> {
-        pool.map_with_state(tasks.len(), arenas, |j, arenas| {
-            guard(j, &mut || self.decode_task(&tasks[j], pool, arenas))
+        arenas: &mut Vec<ScratchArena<S>>,
+        on_damage: OnDamage,
+    ) -> Vec<Settled<S>> {
+        pool.map_with_state(tasks.len(), arenas, |j, arena| {
+            let chunk = tasks[j].chunk;
+            let decoded = faultpoint::catch(|| self.decode_task(&tasks[j], pool, arena))
+                .map_err(|caught| Stop::Panicked { chunk, caught })?;
+            let (samples, status, times) = match decoded {
+                Ok((samples, times)) => (Some(samples), ChunkStatus::Ok, times),
+                Err(status) => (None, status, StageTimes::default()),
+            };
+            if on_damage == OnDamage::Fail {
+                if let Err(source) = status.to_result(chunk) {
+                    return Err(Stop::Failed { chunk, stage: faultpoint::last_stage(), source });
+                }
+            }
+            Ok((samples, status, times))
         })
     }
 
-    /// Places every decoded task's kept box into a zero-filled volume of
-    /// `out_dims` whose origin sits at `origin` of the full (at a coarse
-    /// level: the coarsened) volume. Boxes of failed tasks stay zero. When
-    /// the one task's kept box is that whole volume at width `D` — a full
-    /// read of a one-chunk stream — its buffer is the volume, taken from
-    /// `results` instead of copied.
-    pub(crate) fn assemble<D: Float>(
+    /// The one read loop, behind [`Sperr::read`] and the streaming read:
+    /// decodes `tasks` in `batches` (ranges of task indices, in order) at
+    /// the width [`Head::decodes_f32`] chooses for `what`, and hands each
+    /// batch to `sink`. Every task of a batch runs to completion; a
+    /// [`Stop`] then ends the read at its first stopped task, before the
+    /// sink sees that batch. Returns each task's status and the read's
+    /// stats: the chunk count, the container's size, and the stage times,
+    /// the open's included.
+    pub(crate) fn read_into<K: Sink>(
         &self,
+        pool: &WorkerPool,
         tasks: &[ChunkTask],
-        results: &mut [TaskResult],
-        origin: [usize; 3],
-        out_dims: [usize; 3],
-    ) -> Vec<D> {
-        let placed = |task: &ChunkTask| {
-            let spec = &self.grid[task.chunk];
-            let (src_lo, extent) = self.kept_box(task);
-            let dst_lo = [0, 1, 2].map(|d| (spec.offset[d] >> task.level) + src_lo[d] - origin[d]);
-            (spec.dims, src_lo, extent, dst_lo)
+        batches: impl Iterator<Item = Range<usize>>,
+        what: ReadRequest<'_>,
+        on_damage: OnDamage,
+        sink: &mut K,
+    ) -> Result<(ReadReport, CompressionStats), K::Error> {
+        if self.decodes_f32(what) {
+            self.read_at::<f32, K>(pool, tasks, batches, on_damage, sink)
+        } else {
+            self.read_at::<f64, K>(pool, tasks, batches, on_damage, sink)
+        }
+    }
+
+    /// [`Opened::read_into`] at decode width `S`.
+    fn read_at<S: Float, K: Sink>(
+        &self,
+        pool: &WorkerPool,
+        tasks: &[ChunkTask],
+        batches: impl Iterator<Item = Range<usize>>,
+        on_damage: OnDamage,
+        sink: &mut K,
+    ) -> Result<(ReadReport, CompressionStats), K::Error> {
+        let mut statuses = Vec::with_capacity(tasks.len());
+        let mut stage_times = self.open_times;
+        let mut arenas = Vec::<ScratchArena<S>>::new();
+        for batch in batches {
+            let settled = self.run_on(pool, &tasks[batch.clone()], &mut arenas, on_damage);
+            let mut boxes = Vec::with_capacity(settled.len());
+            for task in settled {
+                let (samples, status, times) = task?;
+                stage_times.accumulate(&times);
+                statuses.push(status);
+                boxes.push(samples);
+            }
+            sink.batch(batch, boxes)?;
+        }
+        arenas.iter().filter(|a| a.bytes() > 0).for_each(ScratchArena::record_footprint);
+        let report = ReadReport {
+            chunk_ids: tasks.iter().map(|t| t.chunk).collect(),
+            statuses,
+            used_index: self.used_index(),
         };
-        if let ([task], [(samples, ChunkStatus::Ok, _)]) = (tasks, &mut *results) {
-            if placed(task) == (out_dims, [0; 3], out_dims, [0; 3]) {
-                if let Some(volume) = samples.take::<D>() {
-                    return volume;
-                }
-            }
-        }
-        let mut out = vec![D::ZERO; out_dims.iter().product()];
-        for (task, (samples, status, _)) in tasks.iter().zip(results.iter()) {
-            if matches!(status, ChunkStatus::Ok) {
-                let (src_dims, src_lo, extent, dst_lo) = placed(task);
-                samples.copy_box(src_dims, src_lo, extent, &mut out, out_dims, dst_lo);
-            }
-        }
-        out
+        let stats = CompressionStats {
+            num_chunks: tasks.len(),
+            container_bytes: self.container_len,
+            stage_times,
+            ..CompressionStats::default()
+        };
+        Ok((report, stats))
     }
 
     /// Runs `tasks` on `pool` and folds their results into what
@@ -746,9 +742,8 @@ impl<'a> Opened<'a> {
         what: ReadRequest<'_>,
         on_damage: OnDamage,
     ) -> Result<ReadOutput<T>, CompressError> {
-        let native = self.header.native_f32;
-        if T::BYTES == 4 && (!native || matches!(what, ReadRequest::Level(_))) {
-            return Err(CompressError::Invalid(if native {
+        if T::BYTES == 4 && !self.decodes_f32(what) {
+            return Err(CompressError::Invalid(if self.header.native_f32 {
                 "coarse levels are reconstructed at f64; read them as f64".into()
             } else {
                 "stream is not f32-native; decode it with decompress() and narrow explicitly".into()
@@ -770,41 +765,66 @@ impl<'a> Opened<'a> {
             ReadRequest::Full | ReadRequest::Level(_) => {}
         }
 
-        let mut arenas = Vec::new();
-        let mut results = self.run_on(pool, tasks, &mut arenas, |_, decode| decode());
-        arenas.iter().for_each(DecodeArenas::record_footprint);
-        if on_damage == OnDamage::Fail {
-            strict(tasks, &results)?;
-        }
         let origin = match what {
             ReadRequest::Region { lo, .. } => lo,
             _ => [0; 3],
         };
-        let volume = self.assemble(tasks, &mut results, origin, out_dims);
-        let mut stage_times = self.open_times;
-        results.iter().for_each(|(_, _, times)| stage_times.accumulate(times));
-        let stats = CompressionStats {
-            num_points: volume.len(),
-            num_chunks: tasks.len(),
-            container_bytes: self.container_len,
-            stage_times,
-            ..CompressionStats::default()
-        };
-        let report = ReadReport {
-            chunk_ids: tasks.iter().map(|t| t.chunk).collect(),
-            statuses: results.into_iter().map(|(_, status, _)| status).collect(),
-            used_index,
-        };
-        let field = FieldOf::new(out_dims, volume).with_precision(self.header.precision);
+        let mut volume = Volume { opened: self, tasks, origin, out_dims, data: Vec::new() };
+        let every_task = std::iter::once(0..tasks.len());
+        let (report, mut stats) = self
+            .read_into(pool, tasks, every_task, what, on_damage, &mut volume)
+            .map_err(Stop::into_read_error)?;
+        stats.num_points = volume.data.len();
+        let field = FieldOf::new(out_dims, volume.data).with_precision(self.header.precision);
         Ok(ReadOutput { field, report, stats })
     }
 }
 
-/// The strict fold: the first task, in task order, that did not decode
-/// fails the read. (The strict whole-container reads verify every checksum
-/// on opening, so for them this is the lowest-index decode failure.)
-pub(crate) fn strict(tasks: &[ChunkTask], results: &[TaskResult]) -> Result<(), CompressError> {
-    tasks.iter().zip(results).try_for_each(|(task, (_, status, _))| status.to_result(task.chunk))
+/// The sink of an in-memory read, which runs every task in one batch: the
+/// kept boxes placed into a zero-filled volume of `out_dims` whose origin
+/// sits at `origin` of the full (at a coarse level: the coarsened) volume.
+/// Boxes of damaged chunks stay zero. When the one task's kept box is that
+/// whole volume at width `D` — a full read of a one-chunk stream — its
+/// buffer is the volume, taken instead of copied.
+struct Volume<'r, 'a, D> {
+    opened: &'r Opened<'a>,
+    tasks: &'r [ChunkTask],
+    origin: [usize; 3],
+    out_dims: [usize; 3],
+    data: Vec<D>,
+}
+
+impl<D: Float> Sink for Volume<'_, '_, D> {
+    type Error = Stop;
+
+    fn batch<S: Float>(&mut self, _: Range<usize>, mut boxes: Vec<Decoded<S>>) -> Result<(), Stop> {
+        let placed = |task: &ChunkTask| {
+            let spec = &self.opened.grid[task.chunk];
+            let (src_lo, extent) = self.opened.kept_box(task);
+            let dst_lo =
+                [0, 1, 2].map(|d| (spec.offset[d] >> task.level) + src_lo[d] - self.origin[d]);
+            (spec.dims, src_lo, extent, dst_lo)
+        };
+        let out_dims = self.out_dims;
+        if let ([task], [Some(samples)]) = (self.tasks, boxes.as_mut_slice()) {
+            if placed(task) == (out_dims, [0; 3], out_dims, [0; 3]) {
+                let same_width: &mut dyn Any = samples;
+                if let Some(volume) = same_width.downcast_mut::<Vec<D>>() {
+                    self.data = std::mem::take(volume);
+                    return Ok(());
+                }
+            }
+        }
+        let mut out = vec![D::ZERO; out_dims.iter().product()];
+        for (task, samples) in self.tasks.iter().zip(&boxes) {
+            if let Some(samples) = samples {
+                let (src_dims, src_lo, extent, dst_lo) = placed(task);
+                copy_box(samples, src_dims, src_lo, extent, &mut out, out_dims, dst_lo);
+            }
+        }
+        self.data = out;
+        Ok(())
+    }
 }
 
 /// What [`Sperr::read`] reconstructs of a stream. The paper's §VII read
@@ -985,10 +1005,7 @@ impl Sperr {
             // The container inflates on the read's pool, so the pool is
             // sized before it opens.
             WorkerPool::scoped(self.whole_read_threads(stream), |pool| {
-                let opened = match on_damage {
-                    OnDamage::Fail => Opened::strict(stream, pool)?,
-                    OnDamage::ZeroFill => Opened::whole(stream, pool)?,
-                };
+                let opened = Opened::whole(stream, on_damage, pool)?;
                 let (tasks, out_dims) = opened.plan(what)?;
                 let out = opened.read_on(pool, &tasks, out_dims, what, on_damage)?;
                 Ok::<_, CompressError>((out, opened.header.native_f32))

@@ -100,11 +100,11 @@ pub fn last_stage() -> &'static str {
     LAST_STAGE.with(|c| c.get())
 }
 
-/// A panic caught in a pool job ([`carry`]), with the stage its thread
-/// had entered last.
+/// A panic caught by [`catch`] or [`carry`], with the stage its thread had
+/// entered last.
 pub(crate) struct Caught {
-    stage: &'static str,
-    payload: Box<dyn Any + Send>,
+    pub(crate) stage: &'static str,
+    pub(crate) payload: Box<dyn Any + Send>,
 }
 
 impl Caught {
@@ -123,6 +123,11 @@ impl Caught {
 /// recorded, not checked against the plan: one stage, one hit.
 pub(crate) fn carry<R>(label: &'static str, f: impl FnOnce() -> R) -> Result<R, Caught> {
     LAST_STAGE.with(|c| c.set(label));
+    catch(f)
+}
+
+/// Runs `f` and catches its panic with the stage this thread was in.
+pub(crate) fn catch<R>(f: impl FnOnce() -> R) -> Result<R, Caught> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| Caught { stage: last_stage(), payload })
 }
 

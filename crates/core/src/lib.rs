@@ -80,9 +80,7 @@ pub use sperr_exec::WorkerPool;
 /// re-exported so downstream crates need not depend on `sperr-simd`.
 pub use sperr_simd::Float;
 pub use stats::{CompressionStats, StageTimes};
-pub use stream::{
-    SperrError, StreamReport, StreamResilientReport, STAGE_CONTAINER, STAGE_EMIT, STAGE_INGEST,
-};
+pub use stream::{SperrError, StreamReport, STAGE_CONTAINER, STAGE_EMIT, STAGE_INGEST};
 
 #[cfg(test)]
 mod tests {

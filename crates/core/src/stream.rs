@@ -13,8 +13,9 @@
 //!   batch's chunks, each coder reading its rows straight from the slab;
 //!   after the last batch the container is sealed and emitted as in
 //!   memory.
-//! * decompress: `Opened::run_on`, the executor of every in-memory read,
-//!   decodes a batch, and the caller writes its z-planes out row by row.
+//! * decompress: `Opened::read_into`, the read loop behind
+//!   [`Sperr::read`] too, decodes a batch at the stream's width, and its
+//!   sink writes the batch's z-planes out row by row.
 //!
 //! At most `budget` chunks' worth of samples are in flight, never fewer
 //! than one layer (a row-major stream completes no chunk before its whole
@@ -30,15 +31,14 @@
 
 use std::io::{Read, Write};
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::chunk::{chunk_grid, ChunkSpec};
 use crate::compressor::Sperr;
-use crate::decode::{DecodeArenas, Opened, Samples, TaskResult};
-use crate::faultpoint;
+use crate::decode::{Decoded, Opened, Sink, Stop};
+use crate::faultpoint::{self, Caught};
 use crate::pipeline::ScratchArena;
-use crate::stats::{metric_labels, CompressionStats};
-use crate::ChunkStatus;
+use crate::stats::metric_labels;
+use crate::{CompressionStats, OnDamage, ReadReport, ReadRequest};
 use sperr_compress_api::{Bound, CompressError, Precision};
 use sperr_exec::{panic_payload_message, Exec, WorkerPool};
 use sperr_simd::Float;
@@ -98,11 +98,19 @@ impl SperrError {
 
     /// A caught panic, attributed to the last stage the panicking thread
     /// entered.
-    fn caught(chunk: Option<usize>, payload: &(dyn std::any::Any + Send)) -> Self {
-        SperrError::Panic {
-            stage: faultpoint::last_stage(),
-            chunk,
-            message: panic_payload_message(payload),
+    fn caught(chunk: Option<usize>, caught: Caught) -> Self {
+        let message = panic_payload_message(caught.payload.as_ref());
+        SperrError::Panic { stage: caught.stage, chunk, message }
+    }
+}
+
+impl From<Stop> for SperrError {
+    fn from(stop: Stop) -> Self {
+        match stop {
+            Stop::Failed { chunk, stage, source } => {
+                SperrError::Codec { stage, chunk: Some(chunk), source }
+            }
+            Stop::Panicked { chunk, caught } => SperrError::caught(Some(chunk), caught),
         }
     }
 }
@@ -148,23 +156,6 @@ pub struct StreamReport {
     pub peak_in_flight: usize,
     /// Codec statistics (same accounting as the non-streaming path).
     pub stats: CompressionStats,
-}
-
-/// Report of a resilient streaming decompression: the usual accounting
-/// plus one [`ChunkStatus`] per chunk, in chunk order.
-#[derive(Debug, Clone)]
-pub struct StreamResilientReport {
-    /// Run accounting.
-    pub report: StreamReport,
-    /// Per-chunk outcome, in chunk-grid order.
-    pub statuses: Vec<ChunkStatus>,
-}
-
-impl StreamResilientReport {
-    /// True when every chunk decoded cleanly.
-    pub fn all_ok(&self) -> bool {
-        self.statuses.iter().all(|s| matches!(s, ChunkStatus::Ok))
-    }
 }
 
 /// The chunk grid as the streaming drivers see it: a raw volume streams
@@ -247,33 +238,48 @@ impl<R: Read, T: Float> ScalarReader<R, T> {
     }
 }
 
-/// Writes `f64` rows as raw little-endian scalars, matching the CLI's
-/// file writer byte for byte.
+/// Writes rows of samples as raw little-endian scalars, matching the
+/// CLI's file writer byte for byte: a row is pushed a piece at a time at
+/// the decode width, then written whole.
 struct ScalarWriter<W: Write> {
     inner: W,
     precision: Precision,
-    buf: Vec<u8>,
+    row: Vec<u8>,
     bytes_out: u64,
 }
 
 impl<W: Write> ScalarWriter<W> {
     fn new(inner: W, precision: Precision) -> Self {
-        ScalarWriter { inner, precision, buf: Vec::new(), bytes_out: 0 }
+        ScalarWriter { inner, precision, row: Vec::new(), bytes_out: 0 }
     }
 
-    fn write_row(&mut self, row: &[f64]) -> Result<(), SperrError> {
-        self.buf.clear();
-        let precision = self.precision;
-        for &v in row {
-            match precision {
-                Precision::Single => self.buf.extend_from_slice(&(v as f32).to_le_bytes()),
-                Precision::Double => self.buf.extend_from_slice(&v.to_le_bytes()),
+    /// Appends `samples` to the row: exact for f32 samples at either width.
+    fn push<S: Float>(&mut self, samples: &[S]) {
+        for &v in samples {
+            match self.precision {
+                Precision::Single => self.row.extend_from_slice(&(v.to_f64() as f32).to_le_bytes()),
+                Precision::Double => self.row.extend_from_slice(&v.to_f64().to_le_bytes()),
             }
         }
+    }
+
+    /// Appends `n` zero samples to the row (`+0.0` is all zero bytes at
+    /// either width).
+    fn push_zeros(&mut self, n: usize) {
+        let scalar = match self.precision {
+            Precision::Single => 4,
+            Precision::Double => 8,
+        };
+        self.row.resize(self.row.len() + n * scalar, 0);
+    }
+
+    /// Writes the row and starts the next.
+    fn end_row(&mut self) -> Result<(), SperrError> {
         self.inner
-            .write_all(&self.buf)
+            .write_all(&self.row)
             .map_err(|e| SperrError::io(STAGE_EMIT, None, &e))?;
-        self.bytes_out += self.buf.len() as u64;
+        self.bytes_out += self.row.len() as u64;
+        self.row.clear();
         Ok(())
     }
 
@@ -303,37 +309,53 @@ fn ingest_planes<R: Read, T: Float>(
     Ok(())
 }
 
-/// Writes the z-planes of a batch row by row from `chunks`, one decoded
-/// chunk per chunk of `specs` (whole layers of the chunk grid, in grid
-/// order). f32-native chunks widen exactly on the way into the row, and a
-/// Single output narrows them back losslessly.
-fn emit_layers<W: Write>(
-    wr: &mut ScalarWriter<W>,
-    geo: &LayerGeometry,
-    specs: &[ChunkSpec],
-    chunks: &[Samples],
-    row: &mut [f64],
-) -> Result<(), SperrError> {
-    for (layer, layer_chunks) in specs.chunks(geo.layer_len).zip(chunks.chunks(geo.layer_len)) {
-        let [_, _, z_lo] = layer[0].offset;
-        for z in z_lo..z_lo + layer[0].dims[2] {
-            faultpoint::stage(STAGE_EMIT);
-            // One run of `nx` chunks side by side in x per chunk row.
-            for (run, run_chunks) in layer.chunks(geo.nx).zip(layer_chunks.chunks(geo.nx)) {
-                let [_, y_lo, _] = run[0].offset;
-                for y in y_lo..y_lo + run[0].dims[1] {
-                    for (chunk, spec) in run_chunks.iter().zip(run) {
-                        let src_lo = [0, y - y_lo, z - z_lo];
-                        let (extent, row_dims) = ([spec.dims[0], 1, 1], [row.len(), 1, 1]);
-                        let dst_lo = [spec.offset[0], 0, 0];
-                        chunk.copy_box(spec.dims, src_lo, extent, row, row_dims, dst_lo);
+/// The sink of a streaming read: each batch (whole layers of the chunk
+/// grid, in grid order) written out z-plane by z-plane, row by row, at the
+/// decode width; a damaged chunk's rows are written as zeros.
+struct Layers<'g, W: Write> {
+    wr: ScalarWriter<W>,
+    geo: LayerGeometry,
+    grid: &'g [ChunkSpec],
+    peak_in_flight: usize,
+}
+
+impl<W: Write> Sink for Layers<'_, W> {
+    type Error = SperrError;
+
+    fn batch<S: Float>(
+        &mut self,
+        chunks: Range<usize>,
+        boxes: Vec<Decoded<S>>,
+    ) -> Result<(), SperrError> {
+        self.peak_in_flight = self.peak_in_flight.max(boxes.len());
+        sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, boxes.len() as u64);
+        let layers = self.grid[chunks].chunks(self.geo.layer_len);
+        for (layer, layer_boxes) in layers.zip(boxes.chunks(self.geo.layer_len)) {
+            let [_, _, z_lo] = layer[0].offset;
+            for z in z_lo..z_lo + layer[0].dims[2] {
+                faultpoint::stage(STAGE_EMIT);
+                // One run of `nx` chunks side by side in x per chunk row.
+                let runs = layer.chunks(self.geo.nx).zip(layer_boxes.chunks(self.geo.nx));
+                for (run, run_boxes) in runs {
+                    let [_, y_lo, _] = run[0].offset;
+                    for y in y_lo..y_lo + run[0].dims[1] {
+                        for (samples, spec) in run_boxes.iter().zip(run) {
+                            let [nx, ny, _] = spec.dims;
+                            match samples {
+                                Some(samples) => {
+                                    let at = nx * ((y - y_lo) + ny * (z - z_lo));
+                                    self.wr.push(&samples[at..at + nx]);
+                                }
+                                None => self.wr.push_zeros(nx),
+                            }
+                        }
+                        self.wr.end_row()?;
                     }
-                    wr.write_row(row)?;
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Runs `body`, turning an unwind out of it into the typed [`SperrError::Panic`]
@@ -342,8 +364,7 @@ fn guarded<R>(
     chunk: Option<usize>,
     body: impl FnOnce() -> Result<R, SperrError>,
 ) -> Result<R, SperrError> {
-    catch_unwind(AssertUnwindSafe(body))
-        .unwrap_or_else(|p| Err(SperrError::caught(chunk, p.as_ref())))
+    faultpoint::catch(body).unwrap_or_else(|caught| Err(SperrError::caught(chunk, caught)))
 }
 
 impl Sperr {
@@ -496,22 +517,26 @@ impl Sperr {
         out_precision: Option<Precision>,
     ) -> Result<StreamReport, SperrError> {
         // Outer guard: see `compress_stream`.
-        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, false))
-            .map(|r| r.report)
+        guarded(None, || {
+            self.decompress_stream_inner(reader, writer, out_precision, OnDamage::Fail)
+        })
+        .map(|(report, _)| report)
     }
 
     /// Streaming resilient decompression: like
-    /// [`Sperr::decompress_stream`], but a corrupt chunk yields its
-    /// [`ChunkStatus`] and a neutral zero-filled region while the stream
-    /// continues — the streaming form of [`Sperr::read`] under
-    /// [`crate::OnDamage::ZeroFill`].
+    /// [`Sperr::decompress_stream`], but a corrupt chunk is written as
+    /// zeros while the stream continues, and its status is reported in the
+    /// [`ReadReport`] — the streaming form of [`Sperr::read`] under
+    /// [`OnDamage::ZeroFill`], with the same per-chunk report.
     pub fn decompress_stream_resilient<R: Read, W: Write>(
         &self,
         reader: R,
         writer: W,
         out_precision: Option<Precision>,
-    ) -> Result<StreamResilientReport, SperrError> {
-        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, true))
+    ) -> Result<(StreamReport, ReadReport), SperrError> {
+        guarded(None, || {
+            self.decompress_stream_inner(reader, writer, out_precision, OnDamage::ZeroFill)
+        })
     }
 
     fn decompress_stream_inner<R: Read, W: Write>(
@@ -519,98 +544,50 @@ impl Sperr {
         mut reader: R,
         writer: W,
         out_precision: Option<Precision>,
-        resilient: bool,
-    ) -> Result<StreamResilientReport, SperrError> {
+        on_damage: OnDamage,
+    ) -> Result<(StreamReport, ReadReport), SperrError> {
         // The container's head precedes the payloads and the lossless pass
         // spans everything, so the compressed input is held whole; what
         // stays bounded is the *decoded* side.
         let mut stream = Vec::new();
         faultpoint::stage(STAGE_INGEST);
         reader.read_to_end(&mut stream).map_err(|e| SperrError::io(STAGE_INGEST, None, &e))?;
-        let bytes_in = stream.len() as u64;
         let _run = sperr_telemetry::span!("sperr.decompress_stream", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_STREAM);
 
         // The container inflates on the run's pool, so the pool is sized
         // (from the head alone) before it opens.
         WorkerPool::scoped(self.whole_read_threads(&stream), |pool| {
-            // Strict mode verifies every payload checksum before anything is
-            // decoded or emitted; resilient mode leaves them to the tasks.
+            // A strict read verifies every payload checksum here, before
+            // anything is decoded or emitted.
             faultpoint::stage(STAGE_CONTAINER);
-            let opened = if resilient {
-                Opened::whole(&stream, pool)
-            } else {
-                Opened::strict(&stream, pool)
-            }
-            .map_err(|source| SperrError::Codec {
-                stage: STAGE_CONTAINER,
-                chunk: None,
-                source,
+            let opened = Opened::whole(&stream, on_damage, pool).map_err(|source| {
+                SperrError::Codec { stage: STAGE_CONTAINER, chunk: None, source }
             })?;
-            let (header, grid) = (&opened.header, &opened.grid);
-            let tasks = opened.all_tasks();
+            let header = &opened.header;
             let geo = LayerGeometry::new(header.dims, header.chunk_dims);
             let budget = self.resolve_budget(pool.width(), geo.layer_len);
             sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
-
-            // Chunk i's outcome, settled on the worker that decoded it (a
-            // strict failure names that thread's stage): a failed chunk is
-            // zero-filled when resilient and fails the run when strict.
-            let settle = |i: usize, (data, status, times): TaskResult| match status.to_result(i) {
-                Ok(()) => Ok((data, status, times)),
-                Err(_) if resilient => Ok((Samples::Wide(vec![0.0; grid[i].len()]), status, times)),
-                Err(source) => Err(SperrError::Codec {
-                    stage: faultpoint::last_stage(),
-                    chunk: Some(i),
-                    source,
-                }),
-            };
-
-            let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
-            let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(grid.len());
-            let mut stats = CompressionStats {
-                num_points: header.dims.iter().product(),
-                num_chunks: grid.len(),
-                container_bytes: opened.container_len,
-                output_bytes: stream.len(),
-                ..CompressionStats::default()
-            };
-            let mut row = vec![0.0f64; header.dims[0]];
-            let mut peak_in_flight = 0;
-            let mut arenas = Vec::new();
-            for chunks in geo.batches(budget) {
-                let results =
-                    opened.run_on(pool, &tasks[chunks.clone()], &mut arenas, |j, decode| {
-                        guarded(Some(chunks.start + j), || settle(chunks.start + j, decode()))
-                    });
-                let mut decoded = Vec::with_capacity(chunks.len());
-                for result in results {
-                    let (data, status, times) = result?;
-                    stats.stage_times.accumulate(&times);
-                    statuses.push(status);
-                    decoded.push(data);
-                }
-                peak_in_flight = peak_in_flight.max(decoded.len());
-                sperr_telemetry::record_units(
-                    metric_labels::STREAM_IN_FLIGHT,
-                    decoded.len() as u64,
-                );
-                emit_layers(&mut wr, &geo, &grid[chunks], &decoded, &mut row)?;
-            }
-            arenas.iter().for_each(DecodeArenas::record_footprint);
-
-            wr.flush()?;
-            Ok(StreamResilientReport {
-                report: StreamReport {
-                    bytes_in,
-                    bytes_out: wr.bytes_out,
-                    n_chunks: grid.len(),
-                    in_flight_budget: budget,
-                    peak_in_flight,
-                    stats,
+            let batches = geo.batches(budget);
+            let wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
+            let mut layers = Layers { wr, geo, grid: &opened.grid, peak_in_flight: 0 };
+            let tasks = opened.all_tasks();
+            let (report, stats) =
+                opened.read_into(pool, &tasks, batches, ReadRequest::Full, on_damage, &mut layers)?;
+            layers.wr.flush()?;
+            let stream_report = StreamReport {
+                bytes_in: stream.len() as u64,
+                bytes_out: layers.wr.bytes_out,
+                n_chunks: tasks.len(),
+                in_flight_budget: budget,
+                peak_in_flight: layers.peak_in_flight,
+                stats: CompressionStats {
+                    num_points: header.dims.iter().product(),
+                    output_bytes: stream.len(),
+                    ..stats
                 },
-                statuses,
-            })
+            };
+            Ok((stream_report, report))
         })
     }
 }
@@ -747,11 +724,11 @@ mod tests {
             let mut round = Vec::new();
             let strict = sperr.decompress_stream(&reference[..], &mut round, None).unwrap();
             let mut salvaged = Vec::new();
-            let resilient =
+            let (resilient, statuses) =
                 sperr.decompress_stream_resilient(&reference[..], &mut salvaged, None).unwrap();
-            assert!(resilient.all_ok());
+            assert!(statuses.all_ok());
             for (what, report) in
-                [("compress", &report), ("decompress", &strict), ("resilient", &resilient.report)]
+                [("compress", &report), ("decompress", &strict), ("resilient", &resilient)]
             {
                 assert_eq!(report.n_chunks, 8, "{what} t{threads}");
                 assert_eq!(report.in_flight_budget, 2, "{what} t{threads}");
@@ -880,6 +857,90 @@ mod tests {
             err,
             SperrError::Codec { source: CompressError::Unsupported(_), .. }
         ));
+    }
+
+    #[test]
+    fn streamed_stage_times_include_the_open() {
+        // A lossless multi-chunk stream: the inflate and the container parse
+        // are stages of the streaming read as of the in-memory one.
+        let sperr = Sperr::new(cfg(2));
+        let stream = sperr.compress(&wavy([40, 28, 20]), Bound::Pwe(1e-3)).unwrap();
+        assert!(sperr.inspect(&stream).unwrap().lossless);
+        let report = sperr.decompress_stream(&stream[..], std::io::sink(), None).unwrap();
+        let times = report.stats.stage_times;
+        assert!(!times.container.is_zero() && !times.lossless.is_zero(), "{times:?}");
+    }
+
+    /// A 40×28×20 volume in 16³ chunks, without the lossless pass (payloads
+    /// at literal offsets): 3 × 2 chunks per z-layer, two layers. Returns an
+    /// f64 stream and an f32-native one.
+    fn two_layer_streams() -> [Vec<u8>; 2] {
+        let field = wavy([40, 28, 20]);
+        let sperr = Sperr::new(SperrConfig { lossless: false, ..cfg(1) });
+        let wide = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
+        let narrow = sperr.compress_f32(&field.narrow_lossy(), Bound::Pwe(1e-3)).unwrap();
+        [wide, narrow]
+    }
+
+    #[test]
+    fn streamed_damage_matches_the_in_memory_read_across_batches() {
+        // Chunks 1 and 10 lie in different z-layers; at an in-flight budget
+        // of 1 each batch is one layer, so each batch holds one of them.
+        for stream in two_layer_streams() {
+            let info = Sperr::new(cfg(1)).inspect(&stream).unwrap();
+            let mut bad = stream.clone();
+            for chunk in [1, 10] {
+                let start: usize = info.chunk_payload_sizes[..chunk].iter().sum();
+                bad[1 + info.payload_offset + start + 3] ^= 0x5A;
+            }
+            for threads in [1, 2, 4] {
+                let s = Sperr::new(SperrConfig { in_flight_chunks: 1, ..cfg(threads) });
+                let want = s.read::<f64>(&bad, ReadRequest::Full, OnDamage::ZeroFill).unwrap();
+                assert_eq!(want.report.failed_chunks(), [1, 10]);
+                for precision in [None, Some(Precision::Single), Some(Precision::Double)] {
+                    let case = format!("native {} t{threads} {precision:?}", info.native_f32);
+                    let mut out = Vec::new();
+                    let (streamed, report) =
+                        s.decompress_stream_resilient(&bad[..], &mut out, precision).unwrap();
+                    let raw = raw_bytes(&want.field, precision.unwrap_or(want.field.precision));
+                    assert!(out == raw, "{case}");
+                    assert_eq!(report.chunk_ids, want.report.chunk_ids, "{case}");
+                    assert_eq!(report.statuses, want.report.statuses, "{case}");
+                    assert_eq!(streamed.n_chunks, 12, "{case}");
+                    assert!(streamed.peak_in_flight <= 6, "{case}");
+
+                    let strict = s.decompress_stream(&bad[..], Vec::new(), precision);
+                    let source = CompressError::Corrupt("chunk 1 payload checksum mismatch".into());
+                    let (stage, chunk) = (STAGE_CONTAINER, None);
+                    let checksum = SperrError::Codec { stage, chunk, source };
+                    assert_eq!(strict.unwrap_err(), checksum, "{case}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_strict_streamed_decode_failure_names_its_chunk_and_stage() {
+        // A checksum-free (v1) stream: payload bytes that are flipped still
+        // decode (to other values), so chunk 10's bitplane count in the
+        // chunk table is raised past what SPECK accepts.
+        for stream in two_layer_streams() {
+            let mut bad = Sperr::new(cfg(1)).downgrade_to_v1(&stream).unwrap();
+            bad[1 + 44 + 22 * 10 + 8] = 200;
+            let planes = "corrupt SPECK stream: num_planes exceeds 64";
+            let source = CompressError::Corrupt(planes.into());
+            for threads in [1, 2, 4] {
+                let s = Sperr::new(SperrConfig { in_flight_chunks: 1, ..cfg(threads) });
+                let err = s.decompress_stream(&bad[..], Vec::new(), None).unwrap_err();
+                let stage = crate::stage_labels::SPECK_DECODE;
+                let want = SperrError::Codec { stage, chunk: Some(10), source: source.clone() };
+                assert_eq!(err, want, "t{threads}");
+                let read = s.read::<f64>(&bad, ReadRequest::Full, OnDamage::Fail);
+                assert_eq!(read.unwrap_err(), source, "t{threads}");
+                let resilient = s.decompress_stream_resilient(&bad[..], Vec::new(), None);
+                assert_eq!(resilient.unwrap().1.failed_chunks(), [10], "t{threads}");
+            }
+        }
     }
 
     #[test]

@@ -187,7 +187,7 @@ fn check_row(
     s.decompress_stream(stream, &mut streamed, None).unwrap();
     assert_eq!(streamed, raw_bytes(&reference), "{row}: decompress_stream");
     let mut streamed = Vec::new();
-    let report = s.decompress_stream_resilient(stream, &mut streamed, None).unwrap();
+    let (_, report) = s.decompress_stream_resilient(stream, &mut streamed, None).unwrap();
     assert_eq!(streamed, raw_bytes(&reference), "{row}: decompress_stream_resilient");
     assert_eq!(report.statuses, vec![ChunkStatus::Ok; N_CHUNKS], "{row}");
 
@@ -361,7 +361,7 @@ fn two_damaged_chunks_strict_names_the_lower_resilient_keeps_the_rest() {
     assert_eq!(report.statuses, statuses);
     assert_eq!(bits(&region.data), bits(&resilient.data));
     let mut out = Vec::new();
-    let report = s.decompress_stream_resilient(&bad[..], &mut out, None).unwrap();
+    let (_, report) = s.decompress_stream_resilient(&bad[..], &mut out, None).unwrap();
     assert_eq!(report.statuses, statuses);
     assert_eq!(out, raw_bytes(&resilient));
 
