@@ -9,8 +9,9 @@
 //! SPECK, the mid-riser reconstruction and the inverse transform of the
 //! outlier locate all run in place there, and the outlier scan compares
 //! against the volume's rows. The elementwise sweeps and the wavelet
-//! panels run on the [`WorkerPool`]; so, when the pool has a worker to
-//! spare, does the outlier locate, beside SPECK's sorting passes.
+//! panels run on the [`WorkerPool`], and so does SPECK's first phase;
+//! when the pool has a worker to spare, the outlier locate and encode run
+//! beside SPECK's sorting passes.
 //!
 //! # Determinism
 //!
@@ -376,15 +377,15 @@ fn scan_outliers<T: Float>(
 /// panels and elementwise sweeps run on `pool`, bit-identically for any
 /// thread count. A dense chunk is the volume whose extent is the chunk's.
 ///
-/// SPECK runs in its two phases ([`sperr_speck::quantize`], then
-/// [`sperr_speck::Quantized::encode`]). When the second needs nothing of
-/// the coefficients — every magnitude fits 32 bits, no bit budget — the
-/// mode's work on them (the locate, or the RMSE error sum) runs beside it
-/// through [`WorkerPool::join`]: on a second worker when the pool [fans
-/// out](WorkerPool::fans_out), after it on this one otherwise. Otherwise
-/// it runs after the sorting passes. Either way the bytes, the refusal
-/// and a panic's stage are those of the serial order; the outlier encode
-/// always runs last, on this thread.
+/// SPECK runs in its two phases ([`sperr_speck::quantize`], its pieces on
+/// `pool`, then [`sperr_speck::Quantized::encode`]). When the second needs
+/// nothing of the coefficients — every magnitude fits 32 bits, no bit
+/// budget — the mode's work on them (the locate and the outlier encode,
+/// or the RMSE error sum) runs beside it through [`WorkerPool::join`]: on
+/// a second worker when the pool [fans out](WorkerPool::fans_out), after
+/// it on this one otherwise. Otherwise it runs after the sorting passes.
+/// Either way the bytes, the refusal and a panic's stage are those of the
+/// serial order.
 ///
 /// Refuses the chunk's first sample that is not finite, a chunk whose
 /// transform or reconstruction overflows, and a bound whose quantization
@@ -452,29 +453,39 @@ pub fn compress_chunk<T: Float>(
     // bits, or under a bit budget.
     crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
     let (quantized, quantize_time) = phase(stage_labels::SPECK_ENCODE, || {
-        sperr_speck::quantize(coeffs.as_slice(), dims, q, termination)
+        sperr_speck::quantize(coeffs.as_slice(), dims, q, termination, pool)
     });
     let sort = |quantized: sperr_speck::Quantized<'_, T, 3>| {
         phase(stage_labels::SPECK_ENCODE, || quantized.encode())
     };
-    // What the mode reads of the coefficients besides SPECK: the outlier
+    // What the mode does with the coefficients besides SPECK: the outlier
     // locate (PWE) reconstructs and inverse-transforms them in place and
-    // compares the result with the chunk's rows of the volume; RMSE sums
-    // their quantization error.
+    // compares the result with the chunk's rows of the volume, and the
+    // outliers it finds are encoded; RMSE sums their quantization error.
     let beside = |coeffs: &mut [T], wavelet: &mut TransformScratch<T>| match mode {
         ChunkMode::Pwe { t, .. } => {
             crate::faultpoint::stage(stage_labels::OUTLIER_LOCATE);
-            let (located, time) = timed(stage_labels::OUTLIER_LOCATE, || {
+            let (located, locate_time) = timed(stage_labels::OUTLIER_LOCATE, || {
                 reconstruct_in_place(coeffs, q, pool);
                 inverse_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
                 scan_outliers(&chunk, coeffs, t, pool)
             });
-            located.map(|(outliers, coeff_sq_error, max_in_tol)| Beside::Located {
-                t,
-                outliers,
+            let (outliers, coeff_sq_error, max_in_tol) = located?;
+            // Stage 4: encode the outliers. The coder reports how far its
+            // quantized corrections land from the true ones; with the
+            // in-tolerance residuals that is the chunk's exact
+            // post-correction max error, for the v3 chunk index.
+            crate::faultpoint::stage(stage_labels::OUTLIER_ENCODE);
+            let (encoded, encode_time) = timed(stage_labels::OUTLIER_ENCODE, || {
+                sperr_outlier::encode(&outliers, spec.len(), t)
+            });
+            Ok(Beside::Located {
+                count: outliers.len(),
+                encoded,
                 coeff_sq_error,
                 max_in_tol,
-                time,
+                locate_time,
+                encode_time,
             })
         }
         ChunkMode::Rmse { .. } => Ok(Beside::SqError(quantization_sq_error(coeffs, q, pool))),
@@ -484,7 +495,8 @@ pub fn compress_chunk<T: Float>(
         // The second phase reads only what the first left, so the mode's
         // work on the coefficients runs beside it: on the other worker
         // when the pool fans out, after it otherwise. A panic on either
-        // side is raised here, in that order, with its own stage.
+        // side is raised here, in that order, with its own stage (the
+        // locate's or the outlier encode's on the second side).
         Ok(quantized) => {
             let (enc, beside) = pool.join(
                 || crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || sort(quantized)),
@@ -514,32 +526,30 @@ pub fn compress_chunk<T: Float>(
     };
 
     match beside? {
-        Beside::Located { t, outliers, coeff_sq_error, max_in_tol, time: locate_time } => {
+        Beside::Located {
+            count,
+            encoded,
+            coeff_sq_error,
+            max_in_tol,
+            locate_time,
+            encode_time,
+        } => {
             sperr_telemetry::counter!("speck.sets_split", enc.sets_split);
             sperr_telemetry::counter!("speck.zero_runs", enc.zero_runs);
             sperr_telemetry::counter!("speck.significance_bits", enc.significance_bits);
             sperr_telemetry::counter!("speck.sign_bits", enc.sign_bits);
             sperr_telemetry::counter!("speck.refinement_bits", enc.refinement_bits);
-            sperr_telemetry::counter!("outlier.count", outliers.len());
+            sperr_telemetry::counter!("outlier.count", count);
+            sperr_telemetry::counter!("outlier.correction_bits", encoded.bits_used);
 
-            // Stage 4: encode the outliers. The coder reports how far its
-            // quantized corrections land from the true ones; with the
-            // in-tolerance residuals that is the chunk's exact
-            // post-correction max error, for the v3 chunk index.
-            crate::faultpoint::stage(stage_labels::OUTLIER_ENCODE);
-            let (out_enc, outlier_time) = timed(stage_labels::OUTLIER_ENCODE, || {
-                sperr_outlier::encode(&outliers, spec.len(), t)
-            });
-            sperr_telemetry::counter!("outlier.correction_bits", out_enc.bits_used);
-
-            out.outlier_stream = out_enc.stream;
-            out.max_n = out_enc.max_n;
-            out.num_outliers = outliers.len() as u32;
-            out.outlier_bits = out_enc.bits_used;
+            out.max_n = encoded.max_n;
+            out.num_outliers = count as u32;
+            out.outlier_bits = encoded.bits_used;
             out.times.locate_outliers = locate_time;
-            out.times.outlier_coding = outlier_time;
+            out.times.outlier_coding = encode_time;
             out.coeff_sq_error = coeff_sq_error;
-            out.max_err = max_in_tol.max(out_enc.max_err);
+            out.max_err = max_in_tol.max(encoded.max_err);
+            out.outlier_stream = encoded.stream;
         }
         // Wavelet-domain quantization error ~ reconstruction error (§III-A).
         Beside::SqError(sq) => out.coeff_sq_error = sq,
@@ -551,17 +561,18 @@ pub fn compress_chunk<T: Float>(
 
 /// What a chunk's mode took from its coefficients besides SPECK.
 enum Beside {
-    /// PWE: the located outliers of tolerance `t`.
+    /// PWE: the located outliers, encoded.
     Located {
-        t: f64,
-        /// Positions ascending.
-        outliers: Vec<Outlier>,
+        /// How many outliers were located.
+        count: usize,
+        encoded: sperr_outlier::EncodedOutliers,
         /// Sum of the squared residuals.
         coeff_sq_error: f64,
         /// The largest residual within the tolerance.
         max_in_tol: f64,
-        /// The locate's wall time.
-        time: Duration,
+        /// The locate's and the outlier encode's wall times.
+        locate_time: Duration,
+        encode_time: Duration,
     },
     /// RMSE: the wavelet-domain quantization error.
     SqError(f64),

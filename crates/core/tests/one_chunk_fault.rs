@@ -8,31 +8,35 @@ use sperr_core::{faultpoint, stage_labels, Sperr, SperrConfig, SperrError};
 
 #[test]
 fn one_chunk_compress_panic_keeps_its_stage_at_every_thread_count() {
-    // From 2 threads on, the outlier locate of a one-chunk compress runs
-    // on the second worker, beside SPECK's sorting passes on the caller.
-    // A panic there must come back as at 1 thread: with the locate's
-    // stage and its own message, not the stage the caller was in.
+    // From 2 threads on, the outlier locate of a one-chunk compress and
+    // then the outlier encode run on the second worker, beside SPECK's
+    // sorting passes on the caller. A panic in either must come back as
+    // at 1 thread: with its own stage and message, not the stage the
+    // caller was in.
     let dims = [32usize; 3];
     let field = Field::from_fn(dims, |x, y, z| {
         (x as f64 * 0.29).sin() * 30.0 + (y as f64 * 0.15).cos() * 12.0 + z as f64 * 0.4
     });
     let raw: Vec<u8> = field.data.iter().flat_map(|v| v.to_le_bytes()).collect();
-    for threads in [1usize, 2, 4] {
-        faultpoint::arm(stage_labels::OUTLIER_LOCATE, 0);
-        let sperr = Sperr::new(SperrConfig { num_threads: threads, ..SperrConfig::default() });
-        let mut out = Vec::new();
-        let err = sperr
-            .compress_stream(&raw[..], &mut out, dims, Precision::Double, Bound::Pwe(1e-3))
-            .unwrap_err();
-        assert!(!faultpoint::is_armed(), "threads={threads}: the fault never fired");
-        faultpoint::disarm();
-        match err {
-            SperrError::Panic { stage, chunk, message } => {
-                assert_eq!(stage, stage_labels::OUTLIER_LOCATE, "threads={threads}");
-                assert_eq!(chunk, Some(0), "threads={threads}");
-                assert_eq!(message, "injected fault at stage.outlier.locate", "threads={threads}");
+    for label in [stage_labels::OUTLIER_LOCATE, stage_labels::OUTLIER_ENCODE] {
+        for threads in [1usize, 2, 4] {
+            let what = format!("{label}, threads={threads}");
+            faultpoint::arm(label, 0);
+            let sperr = Sperr::new(SperrConfig { num_threads: threads, ..SperrConfig::default() });
+            let mut out = Vec::new();
+            let err = sperr
+                .compress_stream(&raw[..], &mut out, dims, Precision::Double, Bound::Pwe(1e-3))
+                .unwrap_err();
+            assert!(!faultpoint::is_armed(), "{what}: the fault never fired");
+            faultpoint::disarm();
+            match err {
+                SperrError::Panic { stage, chunk, message } => {
+                    assert_eq!(stage, label, "{what}");
+                    assert_eq!(chunk, Some(0), "{what}");
+                    assert_eq!(message, format!("injected fault at {label}"), "{what}");
+                }
+                other => panic!("{what}: expected Panic, got {other:?}"),
             }
-            other => panic!("threads={threads}: expected Panic, got {other:?}"),
         }
     }
 }

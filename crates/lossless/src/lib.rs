@@ -60,7 +60,8 @@ const FLAG_CODED: u8 = 0b01;
 const FLAG_LAST: u8 = 0b10;
 
 /// Compresses `data`; never fails. Incompressible blocks are stored
-/// verbatim, so expansion is bounded by a few bytes per 128 KiB block.
+/// verbatim, so expansion is bounded by a few bytes per 128 KiB block;
+/// most are found so before any parse (DESIGN.md §5, sperr-lossless).
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut packed = Vec::new();
     compress_with(data, &Serial, &mut packed);
@@ -101,6 +102,8 @@ pub fn compress_with(data: &[u8], exec: &dyn Exec, out: &mut Vec<u8>) {
         let mut slot = slots.lock(i);
         slot.1 = encoder.encode(block, i + 1 == n_blocks, slot.0);
     });
+    let unparsed: usize = encoders.into_values().map(|e| e.stored_unparsed).sum();
+    sperr_telemetry::counter!("lossless.blocks_stored_unparsed", unparsed);
     let lens: Vec<usize> = slots.into_values().map(|slot| slot.1).collect();
     let mut end = body_start;
     for (i, len) in lens.into_iter().enumerate() {

@@ -17,6 +17,12 @@ pub(crate) const EOB: u32 = 256;
 const HASH_BITS: u32 = 15;
 const MAX_CHAIN: usize = 48;
 const FILTER_BITS: u32 = 18;
+/// Word positions per window of the store probe ([`BlockEncoder::probe`]),
+/// and its table's size.
+const PROBE_WINDOW: usize = 32;
+const PROBE_BITS: u32 = 14;
+/// Fraction bits of [`log2_fixed`].
+const LOG_FRAC: u32 = 16;
 
 /// First length symbol; symbol `LENGTH_BASE + i` is length bucket `i`.
 pub(crate) const LENGTH_BASE: u32 = 257;
@@ -132,10 +138,74 @@ fn filter_hash(word: u32) -> usize {
     (word.wrapping_mul(0x85EB_CA6B) >> (32 - FILTER_BITS)) as usize
 }
 
+/// The four bytes of `block` from `i` on, little-endian (0 past the end).
+#[inline]
+fn word_at(block: &[u8], i: usize) -> u32 {
+    block[i..].first_chunk::<4>().map_or(0, |w| u32::from_le_bytes(*w))
+}
+
+/// `log2(x)` in units of `2^-LOG_FRAC`, rounded down, for `x >= 1`: the
+/// integer part is the bit length, each fraction bit one squaring of the
+/// mantissa. Truncating the squares only lowers the result, which lies
+/// within two units below the true value.
+fn log2_fixed(x: u32) -> u64 {
+    debug_assert!(x > 0);
+    let int = 31 - x.leading_zeros();
+    // The mantissa `x / 2^int`, in [1, 2), with 31 fraction bits.
+    let mut m = u64::from(x) << (31 - int);
+    let mut frac = 0u64;
+    for _ in 0..LOG_FRAC {
+        m = (m * m) >> 31;
+        frac <<= 1;
+        if m >> 32 != 0 {
+            m >>= 1;
+            frac |= 1;
+        }
+    }
+    u64::from(int) << LOG_FRAC | frac
+}
+
+/// Whether a coded `block` would be stored even if its parse found no
+/// match: an integer lower bound on its order-0 entropy `n·H0` proves
+/// that literal codes and tables take at least `8·(n − 4)` bits, what the
+/// stored frame costs. Any prefix code spends at least `n·H0` bits on the
+/// bytes (Kraft and Gibbs), so the payload with no match is at least
+/// [`TABLE_BITS`]` + n·H0` bits. Integers only, so every target decides
+/// alike.
+pub(crate) fn literals_cannot_pay(block: &[u8]) -> bool {
+    let n = block.len();
+    if n <= MIN_MATCH {
+        return true;
+    }
+    // Four histograms, so that a run of one byte does not chain its
+    // increments through one counter.
+    let mut freq = [[0u32; 256]; 4];
+    let quads = block.chunks_exact(4);
+    for &b in quads.remainder() {
+        freq[0][usize::from(b)] += 1;
+    }
+    for q in quads {
+        for (f, &b) in freq.iter_mut().zip(q) {
+            f[usize::from(b)] += 1;
+        }
+    }
+    // n·log2(n) from below, Σ f·log2(f) from above: 2 units covers the
+    // rounding of each `log2_fixed`. A sum that would go below zero stops
+    // at zero, still a lower bound of `n·H0`.
+    let mut bound = n as u64 * log2_fixed(n as u32);
+    for b in 0..256 {
+        let f = freq.iter().map(|f| f[b]).sum::<u32>();
+        if f > 0 {
+            bound = bound.saturating_sub(u64::from(f) * (log2_fixed(f) + 2));
+        }
+    }
+    ((TABLE_BITS as u64) << LOG_FRAC) + bound >= (8 * (n - MIN_MATCH) as u64) << LOG_FRAC
+}
+
 /// One worker's reusable state for encoding blocks: the hash-chain tables
-/// of the LZ77 parse and its match list (≈ 1.6 MiB). Every
-/// block starts from a reset state, so a block's bytes do not depend on
-/// which encoder ran it or what that encoder saw before.
+/// of the LZ77 parse and its match list (≈ 1.6 MiB), and the table of the
+/// store probe. Every block starts from a reset state, so a block's bytes
+/// do not depend on which encoder ran it or what that encoder saw before.
 pub(crate) struct BlockEncoder {
     /// Most recent position per hash bucket.
     head: Vec<u32>,
@@ -148,6 +218,11 @@ pub(crate) struct BlockEncoder {
     dist_freq: [u64; DIST_ALPHABET],
     /// Σ extra bits over the match tokens of the current block.
     extra_bits: usize,
+    /// The store probe's samples: `hash << 32 | end + 1`, `end` the last
+    /// position of the first window the word was least of (0: none).
+    probe: Vec<u64>,
+    /// Blocks stored without a parse since this encoder was made.
+    pub(crate) stored_unparsed: usize,
 }
 
 impl BlockEncoder {
@@ -161,7 +236,88 @@ impl BlockEncoder {
             lit_freq: [0; LITLEN_ALPHABET],
             dist_freq: [0; DIST_ALPHABET],
             extra_bits: 0,
+            probe: vec![0; 1 << PROBE_BITS],
+            stored_unparsed: 0,
         }
+    }
+
+    /// Whether a content-defined sample of `block`'s 4-byte words holds
+    /// one word twice, about [`MAX_DIST`] or less apart: what the parse
+    /// would need to find a match worth having.
+    ///
+    /// The sample is winnowing: each window of [`PROBE_WINDOW`]
+    /// consecutive word positions gives its least hash. The hash is a
+    /// bijection of the word, so equal hashes are equal words, and which
+    /// word a window gives depends on its bytes alone: two copies of a
+    /// run of `PROBE_WINDOW + 3` bytes or more give the same word, and a
+    /// window that takes in a word equal to the previous window's least
+    /// holds it twice — every pattern shorter than the window, a run of
+    /// one byte included. A word is entered once per stretch of windows
+    /// it is least of, about one position in 16 where nothing repeats.
+    ///
+    /// Window minima come a window-sized step at a time, from the
+    /// previous step's suffix minima and this step's prefix minima, and
+    /// are compared in bulk; only a step where the least word changes
+    /// goes to the table. Positions past the last whole step are not
+    /// sampled.
+    fn probe(&mut self, block: &[u8]) -> bool {
+        const W: usize = PROBE_WINDOW;
+        let steps = block.len().saturating_sub(MIN_MATCH - 1) / W;
+        if steps == 0 {
+            return false;
+        }
+        self.probe.fill(0);
+        // `suffix[j]`: the least hash of the previous step from offset
+        // `j` on; `suffix[W]` stands for nothing.
+        let (mut suffix, mut next) = ([u32::MAX; W + 1], [u32::MAX; W + 1]);
+        let (mut hashes, mut least) = ([0u32; W], [0u32; W]);
+        // The least hash of the window before this step's first.
+        let mut before = u32::MAX;
+        for step in 0..steps {
+            let base = step * W;
+            let Some(bytes) = block[base..].first_chunk::<{ W + MIN_MATCH - 1 }>() else { break };
+            for (j, h) in hashes.iter_mut().enumerate() {
+                let word = [bytes[j], bytes[j + 1], bytes[j + 2], bytes[j + 3]];
+                *h = u32::from_le_bytes(word).wrapping_mul(0x9E37_79B1);
+            }
+            // `least[j]`: the least hash of the window that ends at
+            // `base + j`, from this step's prefix and the previous step's
+            // suffix; this step's suffix minima come in the same loop.
+            let (mut prefix, mut tail) = (u32::MAX, u32::MAX);
+            for j in 0..W {
+                prefix = prefix.min(hashes[j]);
+                least[j] = prefix.min(suffix[j + 1]);
+                tail = tail.min(hashes[W - 1 - j]);
+                next[W - 1 - j] = tail;
+            }
+            std::mem::swap(&mut suffix, &mut next);
+            // A hash equal to the window before's least is a repeat within
+            // the window (the very first has no window before it); where
+            // the least changes, a word is sampled.
+            let (mut repeat, mut changed, mut prev) = (false, 0u32, before);
+            for (j, (&h, &l)) in hashes.iter().zip(&least).enumerate() {
+                repeat |= h == prev && base + j > 0;
+                changed |= u32::from(l != prev) << j;
+                prev = l;
+            }
+            if repeat {
+                return true;
+            }
+            before = prev;
+            while changed != 0 {
+                let j = changed.trailing_zeros() as usize;
+                changed &= changed - 1;
+                let (min, at) = (least[j], base + j + 1);
+                let slot = (min.wrapping_mul(0x85EB_CA6B) >> (32 - PROBE_BITS)) as usize;
+                let entry = &mut self.probe[slot];
+                let seen = *entry as u32 as usize;
+                if seen != 0 && *entry >> 32 == u64::from(min) && at - seen <= MAX_DIST {
+                    return true;
+                }
+                *entry = u64::from(min) << 32 | at as u64;
+            }
+        }
+        false
     }
 
     #[inline]
@@ -217,7 +373,7 @@ impl BlockEncoder {
             self.head.fill(NONE);
             self.seen.fill(NONE);
         }
-        let word = |i: usize| block[i..].first_chunk::<4>().map_or(0, |w| u32::from_le_bytes(*w));
+        let word = |i: usize| word_at(block, i);
         let mut i = 0usize;
         while i < n {
             let mut best_len = 0usize;
@@ -275,11 +431,26 @@ impl BlockEncoder {
     /// Writes `block` to the front of `out` (at least
     /// [`MAX_FRAMED_BLOCK`] bytes) framed as one SLZ1 block — flags, raw
     /// length, then either the coded payload (length-prefixed) or the raw
-    /// bytes — and returns the bytes written. Coded wins only when it
-    /// saves more than its 4-byte length field; the payload size is exact
-    /// from the histograms (tables + Σ freq·code-length + extra bits), so
-    /// a block that ends up stored never pays for the emit.
+    /// bytes — and returns the bytes written.
+    ///
+    /// A block is stored without a parse when no literal-only code can
+    /// pay for it ([`literals_cannot_pay`]) and the probe finds no word it
+    /// could match ([`BlockEncoder::probe`]): dense coder output, where
+    /// the parse would find next to nothing and store the block anyway.
+    /// Every other block takes [`BlockEncoder::encode_parsed`].
     pub(crate) fn encode(&mut self, block: &[u8], last: bool, out: &mut [u8]) -> usize {
+        if literals_cannot_pay(block) && !self.probe(block) {
+            self.stored_unparsed += 1;
+            return store(block, last, out);
+        }
+        self.encode_parsed(block, last, out)
+    }
+
+    /// [`BlockEncoder::encode`] after the full parse. Coded wins only when
+    /// it saves more than its 4-byte length field; the payload size is
+    /// exact from the histograms (tables + Σ freq·code-length + extra
+    /// bits), so a block that ends up stored never pays for the emit.
+    pub(crate) fn encode_parsed(&mut self, block: &[u8], last: bool, out: &mut [u8]) -> usize {
         self.parse(block);
         self.lit_freq[EOB as usize] += 1;
         let lit_code = CanonicalCode::from_freqs(&self.lit_freq);
@@ -292,12 +463,8 @@ impl BlockEncoder {
             + coded_bits(&self.dist_freq, &dist_code)
             + self.extra_bits;
         let payload_len = payload_bits.div_ceil(8);
-        let flags = if last { FLAG_LAST } else { 0 };
-        out[1..5].copy_from_slice(&(block.len() as u32).to_le_bytes());
         if payload_len + 4 >= block.len() {
-            out[0] = flags;
-            out[5..5 + block.len()].copy_from_slice(block);
-            return 5 + block.len();
+            return store(block, last, out);
         }
 
         let mut w = BitWriter::with_capacity_bits(payload_bits);
@@ -333,11 +500,21 @@ impl BlockEncoder {
         lit_code.encode_symbol(EOB, &mut w);
         let payload = w.into_bytes();
         debug_assert_eq!(payload.len(), payload_len);
-        out[0] = flags | FLAG_CODED;
+        out[0] = if last { FLAG_LAST | FLAG_CODED } else { FLAG_CODED };
+        out[1..5].copy_from_slice(&(block.len() as u32).to_le_bytes());
         out[5..9].copy_from_slice(&(payload_len as u32).to_le_bytes());
         out[9..9 + payload_len].copy_from_slice(&payload);
         9 + payload_len
     }
+}
+
+/// Writes `block` to the front of `out` as one stored SLZ1 block and
+/// returns the bytes written.
+fn store(block: &[u8], last: bool, out: &mut [u8]) -> usize {
+    out[0] = if last { FLAG_LAST } else { 0 };
+    out[1..5].copy_from_slice(&(block.len() as u32).to_le_bytes());
+    out[5..5 + block.len()].copy_from_slice(block);
+    5 + block.len()
 }
 
 /// Length of the common prefix of two equally long slices, eight bytes
@@ -358,6 +535,66 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Deterministic xorshift bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn log2_fixed_is_a_lower_bound_within_two_units() {
+        // Pinned values: the store decision is made from these integers,
+        // so they are the same on every target.
+        let pinned = [(1u32, 0u64), (2, 65_536), (3, 103_872), (10, 217_705), (131_072, 1_114_112)];
+        for (x, want) in pinned {
+            assert_eq!(log2_fixed(x), want, "log2({x})");
+        }
+        for x in (1..5000u32).chain((5000..=BLOCK_SIZE as u32).step_by(97)) {
+            let exact = f64::from(x).log2() * f64::from(1u32 << LOG_FRAC);
+            let got = log2_fixed(x) as f64;
+            assert!(got <= exact + 1e-6 && exact - got < 2.0, "log2({x}): {got} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn the_store_decision_is_pinned_on_fixed_inputs() {
+        // Noise of a full block clears the literal bound and has nothing for
+        // the probe, so it is stored unparsed; the same noise with a zero
+        // run of 64 bytes, a copy of 48 of its bytes 20 000 further on, or
+        // one byte in a hundred replaced by 0x55 is not. Blocks too short
+        // to hold a payload's tables always clear the bound.
+        let random = noise(BLOCK_SIZE, 7);
+        let mut zeros = random.clone();
+        zeros[70_000..70_064].fill(0);
+        let mut copied = random.clone();
+        copied.copy_within(1_000..1_048, 21_000);
+        let skewed: Vec<u8> =
+            random.iter().enumerate().map(|(i, &b)| if i % 100 == 0 { 0x55 } else { b }).collect();
+        let mut enc = BlockEncoder::new();
+        let decide =
+            |enc: &mut BlockEncoder, block: &[u8]| (literals_cannot_pay(block), enc.probe(block));
+        assert_eq!(decide(&mut enc, &random), (true, false));
+        assert_eq!(decide(&mut enc, &zeros), (true, true));
+        assert_eq!(decide(&mut enc, &copied), (true, true));
+        assert!(!decide(&mut enc, &skewed).0);
+        for len in [0, 1, 4, 5, 100, 161] {
+            assert!(literals_cannot_pay(&vec![0u8; len]), "{len} zero bytes");
+        }
+        assert!(!literals_cannot_pay(&[0u8; 162]));
+        let mut out = vec![0u8; MAX_FRAMED_BLOCK];
+        assert_eq!(enc.encode(&random, true, &mut out), BLOCK_SIZE + 5);
+        assert_eq!((out[0], enc.stored_unparsed), (FLAG_LAST, 1));
+        enc.encode(&zeros, false, &mut out);
+        assert_eq!(enc.stored_unparsed, 1, "a block the probe flags is parsed");
+    }
 
     #[test]
     fn bucket_tables_cover_ranges() {

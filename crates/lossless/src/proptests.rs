@@ -6,6 +6,7 @@
 use crate::decode::INFLATE_BATCH;
 use crate::huffman::{self, CanonicalCode};
 use crate::inflate::inflate_block;
+use crate::lz77::{BlockEncoder, MAX_FRAMED_BLOCK};
 use crate::oracle::{self, OracleCode};
 use crate::{
     compress, compress_with, decompress, decompress_with, BlockDirectory, BLOCK_SIZE, FLAG_CODED,
@@ -255,6 +256,97 @@ proptest! {
             prop_assert!(sparse.get(r.clone()) == Ok(&data[r.clone()]), "range {:?}", r);
         }
         prop_assert!(dir.inflate_range(0..data.len() + 1).is_err());
+    }
+}
+
+/// One block of the shapes the store decision must get right: 0 uniform
+/// noise, 1 SPECK-like output (noise broken by sparse-bit stretches, as a
+/// sorting pass writes them), 2 a random pattern repeated at a period from
+/// 1 B to 64 KiB, over the block or over a stretch of noise, 3 noise with
+/// sparse copies of 8–64-byte snippets, 4 noise with zero runs.
+fn store_probe_input(kind: usize, len: usize, seed: u64) -> Vec<u8> {
+    let mut rng = Rng::new(seed);
+    let mut data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+    match kind % 5 {
+        0 => {}
+        1 => {
+            let mut at = rng.below(2000);
+            while at < len {
+                let run = (1 + rng.below(600)).min(len - at);
+                let density = 1 + rng.below(24);
+                for byte in &mut data[at..at + run] {
+                    *byte = (0..8).fold(0u8, |b, bit| b | u8::from(rng.below(64) < density) << bit);
+                }
+                at += run + rng.below(6000);
+            }
+        }
+        2 => {
+            let scale = 1 << (1 + rng.below(16));
+            let period = 1 + rng.below(scale).min(65_535);
+            let pattern: Vec<u8> = (0..period).map(|_| rng.next() as u8).collect();
+            let (start, end) = if rng.below(2) == 0 {
+                (0, len)
+            } else {
+                let start = rng.below(len.max(1));
+                (start, start + rng.below(len - start + 1))
+            };
+            for (i, byte) in data[start..end].iter_mut().enumerate() {
+                *byte = pattern[i % period];
+            }
+        }
+        3 => {
+            for _ in 0..1 + rng.below(4) {
+                let snippet: Vec<u8> = (0..8 + rng.below(57)).map(|_| rng.next() as u8).collect();
+                for _ in 0..1 + rng.below(6) {
+                    if len > snippet.len() {
+                        let at = rng.below(len - snippet.len());
+                        data[at..at + snippet.len()].copy_from_slice(&snippet);
+                    }
+                }
+            }
+        }
+        _ => {
+            for _ in 0..1 + rng.below(8) {
+                let at = rng.below(len.max(1));
+                let scale = 1 << (1 + rng.below(12));
+                let run = (1 + rng.below(scale)).min(len - at);
+                data[at..at + run].fill(0);
+            }
+        }
+    }
+    data
+}
+
+/// Block lengths: full blocks mostly, and short and partial last blocks.
+fn store_probe_len() -> impl Strategy<Value = usize> {
+    prop_oneof![Just(BLOCK_SIZE), Just(BLOCK_SIZE), 0usize..200, 200usize..BLOCK_SIZE]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn store_decision_agrees_with_the_full_parse(
+        kind in 0usize..5, len in store_probe_len(), seed in any::<u64>(), last in any::<bool>()
+    ) {
+        // The decision against the full parse of the same block: the same
+        // bytes whenever the parse stores it, and a store without a parse
+        // only where the parse would save at most 0.5 % of the block.
+        let block = store_probe_input(kind, len, seed);
+        let mut encoder = BlockEncoder::new();
+        let (mut decided, mut parsed) = (vec![0u8; MAX_FRAMED_BLOCK], vec![0u8; MAX_FRAMED_BLOCK]);
+        let n = encoder.encode(&block, last, &mut decided);
+        let unparsed = encoder.stored_unparsed == 1;
+        let m = encoder.encode_parsed(&block, last, &mut parsed);
+        let stored = m == len + 5 && parsed[0] & FLAG_CODED == 0;
+        if stored || !unparsed {
+            prop_assert!(decided[..n] == parsed[..m], "kind {} len {}: bytes differ", kind, len);
+        }
+        if unparsed {
+            prop_assert_eq!(n, len + 5);
+            let saved = len + 5 - m;
+            prop_assert!(saved * 200 <= len, "kind {} len {}: the parse saves {} bytes", kind, len, saved);
+        }
     }
 }
 

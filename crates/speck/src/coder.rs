@@ -12,6 +12,7 @@ use crate::layout::Geometry;
 use crate::lsp_decode::low_mask;
 use crate::morton::Dyadic;
 use sperr_bitstream::BitWriter;
+use sperr_exec::{Exec, Serial, Slots};
 use sperr_simd::Float;
 
 /// When the encoder stops producing bits.
@@ -248,47 +249,71 @@ impl Levels {
     }
 
     /// Fills every level above the pixels bottom-up: a contiguous
-    /// segment max per cell.
-    fn coarsen(&mut self, geom: &impl Geometry) {
+    /// segment max per cell. A level of more than [`PIECE`] cells is
+    /// split into ranges of that many, one job each on `exec`; a smaller
+    /// one takes no batch and no allocation.
+    fn coarsen(&mut self, geom: &(impl Geometry + Sync), exec: &dyn Exec) {
         for level in (0..geom.depth()).rev() {
             let (finer, coarser) = self.bytes.split_at_mut(self.at[level].start);
-            let cells = self.at[level].len();
-            geom.coarsen(level, &finer[self.at[level + 1].clone()], &mut coarser[..cells]);
+            let fine = &finer[self.at[level + 1].clone()];
+            let coarse = &mut coarser[..self.at[level].len()];
+            if coarse.len() <= PIECE {
+                geom.coarsen(level, 0..coarse.len(), fine, coarse);
+                continue;
+            }
+            let pieces: Slots<&mut [u8]> = coarse.chunks_mut(PIECE).collect();
+            exec.run(pieces.len(), &|p, _| {
+                let mut piece = pieces.lock(p);
+                let first = p * PIECE;
+                geom.coarsen(level, first..first + piece.len(), fine, &mut piece);
+            });
         }
     }
 }
+
+/// Cells of one phase-1 job: a range of whole 64-pixel gather blocks, or
+/// of one level's cells in [`Levels::coarsen`].
+const PIECE: usize = 64 * 64;
 
 /// Quantizes the coefficients into layout order, fused with the gather:
 /// position `pos` of level `k` receives `meta = planes_of(k) << 1 | sign`
 /// (`planes_of(k) <= 63` since magnitudes saturate at `2^62`) and, when
 /// `mags` is not empty, the low 32 bits of the magnitude `k` itself.
-/// Sequential writes, gathered reads, 64 pixels at a time. Shares
-/// [`sperr_simd::quantize_magnitude`] with [`quantize_all`] so the
-/// production and reference paths cannot drift in their dead-zone
-/// handling.
+/// Sequential writes, gathered reads, 64 pixels at a time; each
+/// [`PIECE`] of positions is one job on `exec`, and writes only its own
+/// range of `meta` and `mags`. Shares [`sperr_simd::quantize_magnitude`]
+/// with [`quantize_all`] so the production and reference paths cannot
+/// drift in their dead-zone handling.
 fn gather_quantized<T: Float>(
-    geom: &impl Geometry,
+    geom: &(impl Geometry + Sync),
     coeffs: &[T],
     inv_q: T,
     meta: &mut [u8],
     mags: &mut [u32],
+    exec: &dyn Exec,
 ) {
     let _span = sperr_telemetry::span!("speck.encode.gather", coeffs.len());
-    let mut at = [0u32; 64];
-    let mut mags = mags.chunks_mut(64);
-    for (block, meta) in meta.chunks_mut(64).enumerate() {
-        let at = &mut at[..meta.len()];
-        geom.row_major_run(block as u32 * 64, at);
-        let mags = mags.next().unwrap_or_default();
-        for (lane, (m, &i)) in meta.iter_mut().zip(at.iter()).enumerate() {
-            let c = coeffs[i as usize];
-            let k = sperr_simd::quantize_magnitude(c, inv_q);
-            *m = ((64 - k.leading_zeros()) as u8) << 1 | (c < T::ZERO) as u8;
-            if let Some(mag) = mags.get_mut(lane) {
-                *mag = k as u32;
+    let mut mags = mags.chunks_mut(PIECE);
+    let pieces: Slots<(&mut [u8], &mut [u32])> =
+        meta.chunks_mut(PIECE).map(|meta| (meta, mags.next().unwrap_or_default())).collect();
+    exec.run(pieces.len(), &|p, _| {
+        let (meta, mags) = &mut *pieces.lock(p);
+        let mut at = [0u32; 64];
+        let mut mags = mags.chunks_mut(64);
+        for (block, meta) in (p * PIECE / 64..).zip(meta.chunks_mut(64)) {
+            let at = &mut at[..meta.len()];
+            geom.row_major_run(block as u32 * 64, at);
+            let mags = mags.next().unwrap_or_default();
+            for (lane, (m, &i)) in meta.iter_mut().zip(at.iter()).enumerate() {
+                let c = coeffs[i as usize];
+                let k = sperr_simd::quantize_magnitude(c, inv_q);
+                *m = ((64 - k.leading_zeros()) as u8) << 1 | (c < T::ZERO) as u8;
+                if let Some(mag) = mags.get_mut(lane) {
+                    *mag = k as u32;
+                }
             }
         }
-    }
+    });
 }
 
 /// Pixel-bucket entries one window codes: at most two bits each, so a
@@ -565,14 +590,15 @@ fn fill_refinement(
 
 /// The encoder's first phase on `geom`: quantize into layout order —
 /// with the magnitudes too when phase 2 will want all of them and 32 bits
-/// hold them — and cache every cell's significance byte. Returns the
-/// levels, the magnitudes (empty when phase 2 re-quantizes from the
-/// coefficients) and the plane count.
-fn gather_on<T: Float, G: Geometry>(
+/// hold them — and cache every cell's significance byte, both in
+/// contiguous ranges on `exec`. Returns the levels, the magnitudes (empty
+/// when phase 2 re-quantizes from the coefficients) and the plane count.
+fn gather_on<T: Float, G: Geometry + Sync>(
     geom: &G,
     coeffs: &[T],
     inv_q: T,
     term: Termination,
+    exec: &dyn Exec,
 ) -> (Levels, Vec<u32>, u8) {
     let k = geom.depth();
     let mut levels = Levels::new(geom);
@@ -582,10 +608,10 @@ fn gather_on<T: Float, G: Geometry>(
     // for the refined pixels only, at the end.
     let quality = term == Termination::Quality;
     let mut mags = vec![0u32; if quality { coeffs.len() } else { 0 }];
-    gather_quantized(geom, coeffs, inv_q, &mut levels.bytes[..coeffs.len()], &mut mags);
+    gather_quantized(geom, coeffs, inv_q, &mut levels.bytes[..coeffs.len()], &mut mags, exec);
     {
         let _span = sperr_telemetry::span!("speck.encode.levels", k);
-        levels.coarsen(geom);
+        levels.coarsen(geom, exec);
     }
     sperr_telemetry::counter!("speck.layout.cells", coeffs.len());
     sperr_telemetry::counter!("speck.layout.levels", k + 1);
@@ -684,13 +710,20 @@ pub struct Quantized<'a, T: Float, const D: usize> {
 }
 
 impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
-    /// Phase 1 of `coeffs` on `shape` (parameters already checked).
-    pub(crate) fn new(shape: Option<Shape<D>>, coeffs: &'a [T], q: f64, term: Termination) -> Self {
+    /// Phase 1 of `coeffs` on `shape` (parameters already checked), its
+    /// pieces run on `exec`.
+    pub(crate) fn new(
+        shape: Option<Shape<D>>,
+        coeffs: &'a [T],
+        q: f64,
+        term: Termination,
+        exec: &dyn Exec,
+    ) -> Self {
         let inv_q = T::ONE / T::from_f64(q);
         let (levels, mags, num_planes) = match &shape {
             None => (Levels { bytes: Vec::new(), at: Vec::new() }, Vec::new(), 0),
-            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, inv_q, term),
-            Some(Shape::Table(tables)) => gather_on(&**tables, coeffs, inv_q, term),
+            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, inv_q, term, exec),
+            Some(Shape::Table(tables)) => gather_on(&**tables, coeffs, inv_q, term, exec),
         };
         let len = coeffs.len();
         let coeffs = if mags.is_empty() && num_planes > 0 { coeffs } else { &[] };
@@ -733,14 +766,16 @@ impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
 
 /// The encoder's first phase: checks the parameters, then quantizes
 /// `coeffs` (shape `dims`, row-major with axis 0 fastest, finest step
-/// `q > 0`) into the partition's layout order. [`encode`] is this, then
-/// [`Quantized::encode`].
-pub fn quantize<T: Float, const D: usize>(
-    coeffs: &[T],
+/// `q > 0`) into the partition's layout order, in contiguous ranges run as
+/// jobs on `exec` — the same result on any executor. [`encode`] is this
+/// on [`Serial`], then [`Quantized::encode`].
+pub fn quantize<'a, T: Float, const D: usize>(
+    coeffs: &'a [T],
     dims: [usize; D],
     q: f64,
     term: Termination,
-) -> Quantized<'_, T, D> {
+    exec: &dyn Exec,
+) -> Quantized<'a, T, D> {
     assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
     let n_total: usize = dims.iter().product();
     assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
@@ -754,7 +789,7 @@ pub fn quantize<T: Float, const D: usize>(
             .expect("out of memory building the SPECK layout tables");
         Some(Shape::Table(tables))
     };
-    Quantized::new(shape, coeffs, q, term)
+    Quantized::new(shape, coeffs, q, term, exec)
 }
 
 /// Encodes `coeffs` (shape `dims`, row-major with axis 0 fastest) with
@@ -765,5 +800,66 @@ pub fn encode<T: Float, const D: usize>(
     q: f64,
     term: Termination,
 ) -> EncodedSpeck {
-    quantize(coeffs, dims, q, term).encode()
+    quantize(coeffs, dims, q, term, &Serial).encode()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sperr_exec::stress::{ReverseOrder, StripedWorkers};
+    use sperr_exec::WorkerPool;
+
+    /// Phase 1 on `exec` against phase 1 on [`Serial`]: the same levels,
+    /// magnitudes and plane count, then the same stream and counters.
+    fn same_as_serial<T: Float, const D: usize>(
+        coeffs: &[T],
+        dims: [usize; D],
+        q: f64,
+        term: Termination,
+        exec: &dyn Exec,
+        what: &str,
+    ) {
+        let want = quantize(coeffs, dims, q, term, &Serial);
+        let got = quantize(coeffs, dims, q, term, exec);
+        assert_eq!(got.levels.at, want.levels.at, "{what}");
+        assert!(got.levels.bytes == want.levels.bytes, "{what}: levels differ");
+        assert!(got.mags == want.mags, "{what}: magnitudes differ");
+        assert_eq!(got.num_planes, want.num_planes, "{what}");
+        let (got, want) = (got.encode(), want.encode());
+        assert!(got.stream == want.stream, "{what}: streams differ");
+        let counters = |e: &EncodedSpeck| {
+            let bits = [e.bits_used, e.significance_bits, e.sign_bits, e.refinement_bits];
+            (e.num_planes, bits, e.sets_split, e.zero_runs)
+        };
+        assert_eq!(counters(&got), counters(&want), "{what}");
+    }
+
+    #[test]
+    fn phase_one_is_the_same_on_every_executor() {
+        // A 64³ cube takes the Morton geometry, the box the tables. Both
+        // gather in more than one piece, and the cube's finest level
+        // coarsens in more than one. Quality mode keeps the magnitudes, a
+        // bit budget does not.
+        fn check(exec: &dyn Exec, name: &str) {
+            for dims in [[64usize, 64, 64], [24, 20, 18]] {
+                let n: usize = dims.iter().product();
+                assert!(n > PIECE, "{dims:?}: one piece only");
+                let wide: Vec<f64> = (0..n)
+                    .map(|i| (i as f64 * 0.37).sin() * 90.0 + ((i * 7919) % 101) as f64 * 0.01)
+                    .collect();
+                let narrow: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
+                for term in [Termination::Quality, Termination::BitBudget(n * 3)] {
+                    let what = format!("{name}, {dims:?}, {term:?}");
+                    same_as_serial(&wide, dims, 0.01, term, exec, &format!("{what}, f64"));
+                    same_as_serial(&narrow, dims, 0.01, term, exec, &format!("{what}, f32"));
+                }
+            }
+        }
+        check(&Serial, "Serial");
+        check(&ReverseOrder, "ReverseOrder");
+        check(&StripedWorkers(3), "StripedWorkers(3)");
+        for threads in [1usize, 2, 4] {
+            WorkerPool::scoped(threads, |pool| check(pool, &format!("{threads}-thread pool")));
+        }
+    }
 }

@@ -31,6 +31,7 @@
 //! reserved fallibly.
 
 use std::collections::TryReserveError;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What the coders need to know about a shape's partition.
@@ -51,9 +52,10 @@ pub(crate) trait Geometry {
     /// (which must not run past the level): what the encoder's gather
     /// walks, a block at a time.
     fn row_major_run(&self, first: u32, out: &mut [u32]);
-    /// Fills `coarse` (level `level`) with the maximum over each cell's
-    /// children in `fine` (level `level + 1`).
-    fn coarsen(&self, level: usize, fine: &[u8], coarse: &mut [u8]);
+    /// Fills `coarse` (the cells `cells` of level `level`) with the
+    /// maximum over each cell's children in `fine` (all of level
+    /// `level + 1`).
+    fn coarsen(&self, level: usize, cells: Range<usize>, fine: &[u8], coarse: &mut [u8]);
     /// ORs into `out` the row-major bitmap `row_major` (bit `i` of it:
     /// coefficient `i`) re-indexed by position on level `k`: bit `pos` is
     /// set when bit `to_row_major(pos)` is. Bits past either end are
@@ -191,8 +193,10 @@ impl Geometry for Layout {
         }
     }
 
-    fn coarsen(&self, level: usize, fine: &[u8], coarse: &mut [u8]) {
-        let Some(table) = self.child0.get(level) else { return };
+    fn coarsen(&self, level: usize, cells: Range<usize>, fine: &[u8], coarse: &mut [u8]) {
+        let Some(table) = self.child0.get(level).and_then(|t| t.get(cells.start..)) else {
+            return;
+        };
         for (out, span) in coarse.iter_mut().zip(table.windows(2)) {
             let children = fine.get(span[0] as usize..span[1] as usize).unwrap_or(&[]);
             *out = children.iter().copied().max().unwrap_or(0);

@@ -138,11 +138,20 @@ fn check_dyadic<const D: usize>(side: usize) {
     for level in 0..k {
         let fine: Vec<u8> =
             (0..tables.cells(level + 1)).map(|i| (i.wrapping_mul(2654435761) >> 7) as u8).collect();
-        let mut got = vec![0u8; tables.cells(level)];
+        let cells = tables.cells(level);
+        let mut got = vec![0u8; cells];
         let mut want = got.clone();
-        dyadic.coarsen(level, &fine, &mut got);
-        tables.coarsen(level, &fine, &mut want);
+        dyadic.coarsen(level, 0..cells, &fine, &mut got);
+        tables.coarsen(level, 0..cells, &fine, &mut want);
         assert_eq!(got, want, "level {level}");
+        // Any range of cells on its own gives the same bytes.
+        for (start, len) in [(0, 1), (cells / 3, cells / 2), (cells - 1, 1), (1, cells - 1)] {
+            let mut part = vec![0u8; len];
+            dyadic.coarsen(level, start..start + len, &fine, &mut part);
+            assert_eq!(part, want[start..start + len], "level {level}, cells {start}+{len}");
+            tables.coarsen(level, start..start + len, &fine, &mut part);
+            assert_eq!(part, want[start..start + len], "level {level}, cells {start}+{len}");
+        }
     }
 }
 
@@ -183,7 +192,8 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
     let full = reference::encode(&field, dims, q, Termination::Quality);
     for term in [Termination::Quality, Termination::BitBudget(full.bits_used * 2 / 3)] {
         let want = reference::encode(&field, dims, q, term);
-        let tabled = Quantized::new(Some(Shape::<D>::Table(tables.clone())), &field, q, term);
+        let table = Some(Shape::<D>::Table(tables.clone()));
+        let tabled = Quantized::new(table, &field, q, term, &sperr_exec::Serial);
         let tabled = tabled.encode();
         for got in [encode(&field, dims, q, term), tabled] {
             assert_eq!(got.stream, want.stream, "{dims:?} {term:?}");

@@ -151,7 +151,7 @@ mod tests {
             ];
             for (q, term, releases) in rows {
                 let want = encode(&coeffs, dims, q, term);
-                let (got, released) = match quantize(&coeffs, dims, q, term).release() {
+                let (got, released) = match quantize(&coeffs, dims, q, term, &sperr_exec::Serial).release() {
                     Ok(phase1) => (phase1.encode(), true),
                     Err(phase1) => (phase1.encode(), false),
                 };

@@ -20,6 +20,7 @@
 //! arithmetic equal to the tables built for the same cube.
 
 use crate::layout::{set_bit, Geometry};
+use std::ops::Range;
 
 /// True when `dims` is a power-of-two cube [`Dyadic`] describes (side >=
 /// 2; a 1-cube is a bare pixel the tables cover).
@@ -134,18 +135,26 @@ impl<const D: usize> Geometry for Dyadic<D> {
         }
     }
 
-    fn coarsen(&self, _level: usize, fine: &[u8], coarse: &mut [u8]) {
-        if D == 1 {
-            return sperr_simd::pairwise_max_into(fine, coarse);
+    /// Three (two, one) pairwise halvings, 64 cells at a time through
+    /// stack buffers.
+    fn coarsen(&self, _level: usize, cells: Range<usize>, fine: &[u8], coarse: &mut [u8]) {
+        let fine = &fine[cells.start << D..cells.end << D];
+        let (mut half, mut quarter) = ([0u8; 64 << 2], [0u8; 64 << 1]);
+        for (coarse, fine) in coarse.chunks_mut(64).zip(fine.chunks(64 << D)) {
+            let (half, quarter) = (&mut half[..fine.len() / 2], &mut quarter[..fine.len() / 4]);
+            match D {
+                1 => sperr_simd::pairwise_max_into(fine, coarse),
+                2 => {
+                    sperr_simd::pairwise_max_into(fine, half);
+                    sperr_simd::pairwise_max_into(half, coarse);
+                }
+                _ => {
+                    sperr_simd::pairwise_max_into(fine, half);
+                    sperr_simd::pairwise_max_into(half, quarter);
+                    sperr_simd::pairwise_max_into(quarter, coarse);
+                }
+            }
         }
-        let mut half = vec![0u8; fine.len() / 2];
-        sperr_simd::pairwise_max_into(fine, &mut half);
-        if D == 3 {
-            let mut quarter = vec![0u8; half.len() / 2];
-            sperr_simd::pairwise_max_into(&half, &mut quarter);
-            half = quarter;
-        }
-        sperr_simd::pairwise_max_into(&half, coarse);
     }
 
     /// Morton-numbers each kept coefficient: per axis, a table spreads a

@@ -199,9 +199,10 @@ fn lossless_spans_and_counters_fire_once_per_call_not_per_block() {
     // The lossless pass encodes block by block on the pool and region
     // reads inflate block by block, but the dashboards built on these
     // labels count *calls*: one `lossless.compress` span and one
-    // `bytes_in`/`bytes_out` pair per compress, one `lossless.decompress`
-    // span per full inflate — however many SLZ1 blocks the container
-    // spans (four here) and however many workers encode them.
+    // `bytes_in`/`bytes_out`/`blocks_stored_unparsed` triple per
+    // compress, one `lossless.decompress` span per full inflate —
+    // however many SLZ1 blocks the container spans (four here) and
+    // however many workers encode them.
     let _guard = session_lock();
     let field = sperr_datagen::SyntheticField::MirandaPressure.generate([64, 64, 64], 5);
     let sperr = Sperr::new(SperrConfig {
@@ -228,6 +229,26 @@ fn lossless_spans_and_counters_fire_once_per_call_not_per_block() {
     };
     assert_eq!(counter("lossless.bytes_in"), [container_bytes as u64]);
     assert_eq!(counter("lossless.bytes_out"), [stream.len() as u64 - 1]);
+    // Blocks stored without a parse are some of the stored ones: walk the
+    // SLZ1 frames (after the stream's one-byte tag, the magic and the raw
+    // length) and count those without the coded flag.
+    let (mut at, mut stored) = (1 + 4 + 8, 0u64);
+    while at < stream.len() {
+        let raw = u32::from_le_bytes(stream[at + 1..at + 5].try_into().unwrap()) as usize;
+        let coded = stream[at] & 1 == 1;
+        let payload = if coded {
+            4 + u32::from_le_bytes(stream[at + 5..at + 9].try_into().unwrap()) as usize
+        } else {
+            raw
+        };
+        stored += u64::from(!coded);
+        at += 5 + payload;
+    }
+    // This container has one such block, and its coder output is dense
+    // enough that the parse is skipped.
+    let unparsed = counter("lossless.blocks_stored_unparsed");
+    assert_eq!(unparsed.len(), 1, "one count per call: {unparsed:?}");
+    assert!((1..=stored).contains(&unparsed[0]), "{unparsed:?} unparsed of {stored} stored");
 
     // A region read inflates sparsely: its own span, no full inflate.
     sperr_telemetry::start();
@@ -282,15 +303,18 @@ fn one_chunk_read_uses_both_workers() {
 #[test]
 fn one_chunk_compress_uses_both_workers() {
     // A PWE compress of a one-chunk volume on a 2-thread pool: once SPECK
-    // has quantized the coefficients, the outlier locate runs on one
-    // worker while the sorting passes walk their planes on the other.
-    // Which slot takes which job is a race; a host that leaves one worker
-    // asleep through the whole locate is given a few more compresses
-    // before this fails.
+    // has quantized the coefficients, the outlier locate and then the
+    // outlier encode run on one worker while the sorting passes walk
+    // their planes on the other. The volume is 128³ at idx 20, where the
+    // planes outlast the locate: at 64³ the two take about as long, and
+    // the encode often began only during the refinement. Which slot takes
+    // which job is a race; a host that leaves one worker asleep through
+    // the whole locate or encode is given a few more compresses before
+    // this fails.
     let _guard = session_lock();
-    let field = sperr_datagen::SyntheticField::MirandaPressure.generate([64, 64, 64], 3);
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate([128, 128, 128], 3);
     let sperr = Sperr::new(SperrConfig { num_threads: 2, ..SperrConfig::default() });
-    let bound = Bound::Pwe(field.tolerance_for_idx(16));
+    let bound = Bound::Pwe(field.tolerance_for_idx(20));
     let on_slot = |report: &sperr_telemetry::Report, slot: usize, label: &str| -> Vec<(u64, u64)> {
         let tracks = report.tracks.iter().filter(|t| t.worker == Some(slot));
         let spans = tracks.flat_map(|t| &t.spans).filter(|s| s.label == label);
@@ -299,22 +323,27 @@ fn one_chunk_compress_uses_both_workers() {
     let overlap = |a: &[(u64, u64)], b: &[(u64, u64)]| {
         a.iter().any(|&(s0, e0)| b.iter().any(|&(s1, e1)| s0 < e1 && s1 < e0))
     };
+    let mut misses = Vec::new();
     for _ in 0..5 {
         sperr_telemetry::start();
         let stream = sperr.compress(&field, bound).unwrap();
         let report = sperr_telemetry::stop();
         assert!(sperr.inspect(&stream).unwrap().outlier_bytes > 0, "no outliers located");
-        let beside = [(0, 1), (1, 0)].iter().any(|&(a, b)| {
-            overlap(
-                &on_slot(&report, a, stage_labels::OUTLIER_LOCATE),
-                &on_slot(&report, b, "speck.encode.plane"),
-            )
-        });
-        if beside {
+        let beside = |label: &str| {
+            [(0, 1), (1, 0)].iter().any(|&(a, b)| {
+                overlap(&on_slot(&report, a, label), &on_slot(&report, b, "speck.encode.plane"))
+            })
+        };
+        let seen = [stage_labels::OUTLIER_LOCATE, stage_labels::OUTLIER_ENCODE].map(beside);
+        if seen == [true, true] {
             return;
         }
+        misses.push(seen);
     }
-    panic!("the outlier locate never ran beside SPECK's sorting passes over five compresses");
+    panic!(
+        "(outlier locate, outlier encode) beside SPECK's sorting passes over five compresses: \
+         {misses:?}"
+    );
 }
 
 #[test]
