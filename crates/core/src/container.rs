@@ -39,9 +39,9 @@ pub(crate) const MAGIC: &[u8; 4] = b"SPRR";
 pub const VERSION: u8 = 3;
 /// Checksummed but index-free version, still written by
 /// [`crate::Sperr::downgrade_to_v2`] and always accepted by
-/// [`read_container`].
+/// [`read_container_head`].
 pub(crate) const VERSION_V2: u8 = 2;
-/// Legacy checksum-free version, still accepted by [`read_container`].
+/// Legacy checksum-free version, still accepted by [`read_container_head`].
 pub(crate) const VERSION_V1: u8 = 1;
 
 /// Serialized size of one chunk-table entry: f64 q, u8 num_planes,
@@ -139,7 +139,7 @@ impl ChunkIndexEntry {
     }
 }
 
-/// Everything [`read_container`] extracts from a stream.
+/// Everything [`read_container_head`] extracts from a stream.
 #[derive(Debug, Clone)]
 pub(crate) struct Parsed {
     pub version: u8,
@@ -339,11 +339,6 @@ pub(crate) fn head_len(prefix: &[u8]) -> Result<usize, CompressError> {
     Ok(FIXED_HEADER_BYTES + header.n_chunks * per_chunk + if version >= VERSION_V2 { 4 } else { 0 })
 }
 
-/// Parses a whole container; see [`read_container_head`].
-pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
-    read_container_head(bytes, bytes.len())
-}
-
 /// Parses a container (v1, v2 or v3) from its head — `head` must reach at
 /// least to the first payload byte ([`head_len`]) and may run on past it;
 /// `container_len` is the length of the whole container, payloads
@@ -453,6 +448,14 @@ pub(crate) fn read_container_head(
         chunk_crcs,
         index,
     })
+}
+
+/// Parses a whole container; see [`read_container_head`]. Reads go
+/// through the framing (`outer::Framed::read_head`), which fetches only the
+/// head; this parses a container already in hand, for tests.
+#[cfg(test)]
+pub(crate) fn read_container(bytes: &[u8]) -> Result<Parsed, CompressError> {
+    read_container_head(bytes, bytes.len())
 }
 
 #[cfg(test)]

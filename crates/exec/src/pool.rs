@@ -219,9 +219,12 @@ impl WorkerPool {
              for it and never run"
         );
 
+        // Job 0 is the caller's before any worker can see the batch: a
+        // worker woken onto the caller's core could otherwise preempt it
+        // and claim every job of a short batch, leaving the caller idle.
         let state = Arc::new(BatchState {
             n,
-            next: AtomicUsize::new(0),
+            next: AtomicUsize::new(1),
             finished: AtomicUsize::new(0),
             panicked: AtomicBool::new(false),
             panic_msg: Mutex::new(None),
@@ -253,8 +256,8 @@ impl WorkerPool {
         }
         self.shared.work.notify_all();
 
-        // The caller participates as worker 0.
-        execute_batch(&batch, self.id, 0);
+        // The caller participates as worker 0, starting with job 0.
+        execute_batch(&batch, self.id, 0, Some(0));
 
         // Wait for stragglers, then free the batch slot. Workers that
         // copied the batch but have not run yet keep their own Arc and
@@ -286,9 +289,9 @@ impl WorkerPool {
 
     /// Runs `a` and `b` as one batch of two jobs — side by side when the
     /// pool [`fans_out`](Self::fans_out), one after the other otherwise —
-    /// and returns both results. The caller's slot takes `a` unless a
-    /// worker got to the batch first, so what `a` allocates comes from the
-    /// caller thread's heap.
+    /// and returns both results. The caller's slot takes `a` (it claims
+    /// job 0 before publishing the batch), so what `a` allocates comes from
+    /// the caller thread's heap.
     pub fn join<A: Send, B: Send>(
         &self,
         a: impl FnOnce() -> A + Send,
@@ -330,17 +333,17 @@ impl WorkerPool {
     }
 }
 
-/// Claims and executes jobs of `batch` until its counter drains; enters
-/// the job context of pool `pool` so nested `run`s on it inline onto
-/// `slot`.
-fn execute_batch(batch: &Batch, pool: usize, slot: usize) {
+/// Executes job `claimed`, if given, then claims and executes jobs of
+/// `batch` until its counter drains; enters the job context of pool `pool`
+/// so nested `run`s on it inline onto `slot`.
+fn execute_batch(batch: &Batch, pool: usize, slot: usize, mut claimed: Option<usize>) {
     // One span per batch per participating worker: the gaps between
     // these spans on a worker's track are its idle time.
     let _busy = sperr_telemetry::span!("pool.batch");
     let st = &*batch.state;
     JOBS.with(|jobs| jobs.borrow_mut().push((pool, slot)));
     loop {
-        let i = st.next.fetch_add(1, Ordering::Relaxed);
+        let i = claimed.take().unwrap_or_else(|| st.next.fetch_add(1, Ordering::Relaxed));
         if i >= st.n {
             break;
         }
@@ -382,7 +385,7 @@ fn worker_loop(shared: &Shared, pool: usize, slot: usize) {
             }
         };
         WAITING.with(|waiting| waiting.borrow_mut().extend_from_slice(&batch.state.inside));
-        execute_batch(&batch, pool, slot);
+        execute_batch(&batch, pool, slot, None);
         WAITING.with(|waiting| waiting.borrow_mut().clear());
         // Wake the caller (and any queued caller) once the batch drains.
         // The lock round-trip orders the notify after the caller's

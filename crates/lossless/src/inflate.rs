@@ -35,35 +35,27 @@ fn read_lengths<const N: usize>(r: &mut BitReader<'_>) -> Result<CanonicalCode, 
 
 const OVERRUN: Error = Error::Corrupt("block overruns declared length");
 
-/// Appends the first `want` bytes (`want <= raw_len`) of the block coded
-/// in `payload` to `out`; on error `out` is left as it was. With
-/// `want == raw_len` the block is decoded to its end-of-block symbol and
-/// must produce exactly `raw_len` bytes; with less, decoding stops at the
-/// first token boundary at or past `want` and the rest of the payload
-/// goes unread (and unchecked).
-pub(crate) fn inflate_block(
+/// Bytes of output window the first `want` bytes of a block of `raw_len`
+/// need: a partial decode stops at the first token boundary at or past
+/// `want`, within one match of it.
+pub(crate) fn window(raw_len: usize, want: usize) -> usize {
+    raw_len.min(want.saturating_add(MAX_MATCH))
+}
+
+/// Decodes the first `want` bytes (`want <= raw_len`) of the block of
+/// `raw_len` bytes coded in `payload` into `dst`, which holds
+/// [`window`]`(raw_len, want)` bytes; on error `dst` holds whatever was
+/// decoded. With `want == raw_len` the block is decoded to its
+/// end-of-block symbol and must produce exactly `raw_len` bytes; with
+/// less, decoding stops at the first token boundary at or past `want` and
+/// the rest of the payload goes unread (and unchecked).
+pub(crate) fn inflate_block_into(
     payload: &[u8],
     raw_len: usize,
     want: usize,
-    out: &mut Vec<u8>,
+    dst: &mut [u8],
 ) -> Result<(), Error> {
-    let want = want.min(raw_len);
-    // A partial decode stops within one match of `want`.
-    let window = raw_len.min(want.saturating_add(MAX_MATCH));
-    let base = out.len();
-    out.resize(base + window, 0);
-    let result = match out.get_mut(base..) {
-        Some(dst) => inflate_tokens(payload, raw_len, want, dst),
-        None => Err(OVERRUN),
-    };
-    out.truncate(base + if result.is_ok() { want } else { 0 });
-    result
-}
-
-/// Decodes the whole block coded in `payload` into `dst`, which holds
-/// exactly its raw bytes; on error `dst` holds whatever was decoded.
-pub(crate) fn inflate_block_into(payload: &[u8], dst: &mut [u8]) -> Result<(), Error> {
-    inflate_tokens(payload, dst.len(), dst.len(), dst)
+    inflate_tokens(payload, raw_len, want.min(raw_len), dst)
 }
 
 /// Decodes tokens into `dst`, the block's own output window, until `want`
@@ -74,8 +66,8 @@ pub(crate) fn inflate_block_into(payload: &[u8], dst: &mut [u8]) -> Result<(), E
 /// `dst` starts at the block start, so a distance reaching before it is
 /// corrupt no matter what the caller's buffer holds in front.
 ///
-/// Inlined into both of its callers: as a shared out-of-line function the
-/// token loop measured about a quarter slower.
+/// Inlined into its caller: as a shared out-of-line function the token
+/// loop measured about a quarter slower.
 #[inline(always)]
 fn inflate_tokens(
     payload: &[u8],
@@ -175,4 +167,24 @@ fn take(bits: &mut u64, left: &mut u32, n: u8) -> Result<u32, Error> {
     *bits >>= n;
     *left -= n;
     Ok(v as u32)
+}
+
+/// [`inflate_block_into`] appending to `out`, which is left as it was on
+/// error.
+#[cfg(test)]
+pub(crate) fn inflate_block(
+    payload: &[u8],
+    raw_len: usize,
+    want: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), Error> {
+    let want = want.min(raw_len);
+    let base = out.len();
+    out.resize(base + window(raw_len, want), 0);
+    let result = match out.get_mut(base..) {
+        Some(dst) => inflate_block_into(payload, raw_len, want, dst),
+        None => Err(OVERRUN),
+    };
+    out.truncate(base + if result.is_ok() { want } else { 0 });
+    result
 }

@@ -254,16 +254,18 @@ target/release/sperr metrics --input /tmp/ci_metrics_out.sperr \
 rm -f /tmp/ci_metrics_input.f64 /tmp/ci_metrics_out.sperr \
     /tmp/ci_metrics.prom /tmp/ci_metrics.json /tmp/ci_metrics_rt.f64
 
-echo "==> ThreadSanitizer: pool, streaming, SPECK phase-1 and one-chunk read and compress tests"
+echo "==> ThreadSanitizer: pool, streaming, SLZ1 inflate, region-read, SPECK phase-1 and one-chunk tests"
 # The worker pool (sperr-exec) is the one place in the workspace that
 # synchronises threads by hand (the published batch slot, its condvars,
 # the lifetime-erased job pointer); streaming is its heaviest user, running
 # one pool batch per z-layer batch with nested fan-out and per-chunk panic
-# guards, a one-chunk read splits its inflate, outlier decode and SPECK
-# assembly over it, and a one-chunk compress gathers SPECK's first phase
-# on it and runs its outlier locate and encode beside SPECK's sorting
-# passes. So run the pool, executor-contract, streaming, SPECK phase-1
-# and one-chunk read and compress tests under TSan. Needs nightly with the rust-src component
+# guards; every read inflates the SLZ1 blocks under its planned payloads
+# on it (region reads included); a one-chunk read splits its outlier
+# decode and SPECK assembly over it, and a one-chunk compress gathers
+# SPECK's first phase on it and runs its outlier locate and encode beside
+# SPECK's sorting passes. So run the pool, executor-contract, streaming,
+# SLZ1 inflate, region-read, SPECK phase-1 and one-chunk read and compress
+# tests under TSan. Needs nightly with the rust-src component
 # (-Zbuild-std rebuilds std with the sanitizer); CI must never install
 # toolchain pieces, so skip gracefully —
 # loudly — when absent.
@@ -275,8 +277,10 @@ if command -v rustup >/dev/null 2>&1 \
     echo "tsan: nightly + rust-src present, target ${TSAN_TARGET}"
     RUSTFLAGS="-Zsanitizer=thread" RUST_TEST_THREADS=1 \
         cargo +nightly test -Zbuild-std --target "${TSAN_TARGET}" \
-        -p sperr-exec -p sperr-core -p sperr-speck --quiet -- pool:: contract stream:: one_chunk \
-        phase_one_is_the_same_on_every_executor
+        -p sperr-exec -p sperr-core -p sperr-speck -p sperr-lossless --quiet -- pool:: contract \
+        stream:: one_chunk phase_one_is_the_same_on_every_executor \
+        inflate_ranges_is_executor_independent decompress_with_is_executor_independent region \
+        every_surface_agrees
 else
     echo "tsan: SKIPPED (nightly toolchain with rust-src not installed;"
     echo "      install is forbidden in this environment — run locally with"

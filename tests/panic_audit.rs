@@ -33,6 +33,10 @@ const AUDITED_FILES: &[&str] = &[
     // chunk table or decodes an untrusted payload — open, plan builders,
     // per-task decode, the chunk decode itself, folds.
     "crates/core/src/decode.rs",
+    // The outer framing: the one parse of an untrusted stream's flag byte
+    // and SLZ1 block directory that every read goes through, and the
+    // fetch of the head and of the planned payloads behind it.
+    "crates/core/src/outer.rs",
 ];
 
 /// The only files in the workspace that may say `unsafe` (paths relative
