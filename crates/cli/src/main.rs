@@ -867,22 +867,25 @@ fn cmd_info(args: &Args) -> Result<(), CliError> {
     }
     if args.flag("verify") {
         let report = sperr.verify(&stream)?;
-        if !report.checksummed {
-            println!("verify:      no checksums (v1 stream) — nothing to check");
-        } else if report.is_ok() {
-            println!("verify:      all {} chunk checksums OK", report.n_chunks);
-        } else {
+        if !report.is_ok() {
+            // A v1 stream has no checksums, but a chunk under an SLZ1
+            // block that does not inflate still fails.
+            let what = if report.checksummed { "checksums" } else { "payloads (v1 stream)" };
             println!(
-                "verify:      {}/{} chunk checksums FAILED (chunks {:?})",
+                "verify:      {}/{} chunk {what} FAILED (chunks {:?})",
                 report.corrupt_chunks.len(),
                 report.n_chunks,
                 report.corrupt_chunks
             );
             return Err(CliError::Compress(CompressError::Corrupt(format!(
-                "{} of {} chunk payloads failed checksum verification",
+                "{} of {} chunk payloads failed verification",
                 report.corrupt_chunks.len(),
                 report.n_chunks
             ))));
+        } else if report.checksummed {
+            println!("verify:      all {} chunk checksums OK", report.n_chunks);
+        } else {
+            println!("verify:      no checksums (v1 stream) — nothing to check");
         }
     }
     Ok(())

@@ -29,7 +29,7 @@
 //! [`BlockDirectory`], so a reader can inflate just the blocks under the
 //! bytes it needs ([`BlockDirectory::inflate_ranges`]), and a writer or
 //! reader can code blocks on any [`sperr_exec::Exec`] ([`compress_with`],
-//! [`decompress_with`]) and get the same bytes. See DESIGN.md §3.
+//! `inflate_ranges`) and get the same bytes. See DESIGN.md §3.
 //!
 //! # Example
 //!
@@ -50,7 +50,7 @@ mod oracle;
 #[cfg(test)]
 mod proptests;
 
-pub use decode::{decompress, decompress_with, BlockDirectory, DecodeError, SparseBytes};
+pub use decode::{decompress, BlockDirectory, DecodeError, SparseBytes};
 
 use sperr_exec::{Exec, Serial, Slots};
 
