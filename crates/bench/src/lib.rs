@@ -10,7 +10,6 @@
 use sperr_compress_api::Field;
 use sperr_datagen::SyntheticField;
 use sperr_outlier::Outlier;
-use sperr_speck::Termination;
 use sperr_wavelet::{forward_3d, inverse_3d, levels_for_dims, Kernel};
 
 /// Scale factor applied to the standard bench dims, from the
@@ -75,14 +74,6 @@ pub fn intercept_outliers(field: &Field, t: f64, q_factor: f64) -> Vec<Outlier> 
             (corr.abs() > t).then_some(Outlier { pos, corr })
         })
         .collect()
-}
-
-/// SPECK coefficient-coding cost (bits) at `q = q_factor·t`, full quality.
-pub fn speck_cost_bits(field: &Field, t: f64, q_factor: f64) -> usize {
-    let dims = field.dims;
-    let mut coeffs = field.data.clone();
-    forward_3d(&mut coeffs, dims, levels_for_dims(dims), Kernel::Cdf97);
-    sperr_speck::encode(&coeffs, dims, q_factor * t, Termination::Quality).bits_used
 }
 
 /// The Table II experiment matrix: (field, idx) pairs with abbreviations.

@@ -227,26 +227,6 @@ pub fn encoder_matches_reference(
     Ok(())
 }
 
-/// Two independently produced streams that claim to be the same encoding
-/// must be the same bytes. `label` names the pair in the failure (e.g.
-/// `"pre-PR vs pooled"`); callers that already hold both streams (the
-/// bench binary times its own compressions) assert through this instead
-/// of an ad-hoc `assert_eq!`.
-pub fn streams_bit_identical(label: &str, a: &[u8], b: &[u8]) -> CheckResult {
-    if a == b {
-        return Ok(());
-    }
-    let first = a.iter().zip(b.iter()).position(|(x, y)| x != y).unwrap_or(a.len().min(b.len()));
-    fail(
-        "stream-identity",
-        format!(
-            "{label}: streams diverge ({} vs {} bytes, first difference at byte {first})",
-            a.len(),
-            b.len()
-        ),
-    )
-}
-
 // ---------------------------------------------------------------------
 // Oracle 3: thread-count bit identity of the full container.
 // ---------------------------------------------------------------------

@@ -41,7 +41,7 @@ use sperr_wavelet::{forward_3d_with, inverse_3d_with, levels_for_dims, Kernel, T
 const ELEM_BLOCK: usize = 1 << 16;
 
 /// Samples per L1-sized block: the load copies and checks one block of a
-/// row at a time, and the reconstruction stages one block at a time.
+/// row at a time.
 const L1_BLOCK: usize = 1024;
 
 /// Reusable per-worker scratch: the coefficient buffer and the wavelet
@@ -277,39 +277,26 @@ fn max_magnitude<T: Float>(coeffs: &[T], pool: &WorkerPool) -> Option<f64> {
 }
 
 /// Mid-riser reconstruction of `coeffs` in place, block-parallel over the
-/// pool: each L1-sized block is staged and reconstructed back over itself.
-/// Bit-identical to reconstructing into a second buffer.
+/// pool.
 fn reconstruct_in_place<T: Float>(coeffs: &mut [T], q: f64, pool: &WorkerPool) {
+    let centre = sperr_speck::mid_riser(q);
     let n_blocks = coeffs.len().div_ceil(ELEM_BLOCK);
     let blocks: Slots<&mut [T]> = coeffs.chunks_mut(ELEM_BLOCK).collect();
-    pool.run(n_blocks, &|b, _| {
-        let mut stage = [T::ZERO; L1_BLOCK];
-        for run in blocks.lock(b).chunks_mut(L1_BLOCK) {
-            let stage = &mut stage[..run.len()];
-            stage.copy_from_slice(run);
-            sperr_speck::reconstruct_quantized_into(stage, q, run);
-        }
-    });
+    pool.run(n_blocks, &|b, _| blocks.lock(b).iter_mut().for_each(|c| *c = centre(*c)));
 }
 
 /// Sum of squared differences between `coeffs` and their mid-riser
-/// reconstruction, one staged L1-sized block at a time, summed in
-/// position order within each fixed block and in block order across them.
+/// reconstruction, summed in position order within each fixed block and
+/// in block order across them.
 fn quantization_sq_error<T: Float>(coeffs: &[T], q: f64, pool: &WorkerPool) -> f64 {
+    let centre = sperr_speck::mid_riser(q);
     let len = coeffs.len();
     let per_block = pool.map(len.div_ceil(ELEM_BLOCK).max(1), |b, _| {
         let block = &coeffs[(b * ELEM_BLOCK).min(len)..((b + 1) * ELEM_BLOCK).min(len)];
-        let mut stage = [T::ZERO; L1_BLOCK];
-        let mut sq = 0.0;
-        for run in block.chunks(L1_BLOCK) {
-            let recon = &mut stage[..run.len()];
-            sperr_speck::reconstruct_quantized_into(run, q, recon);
-            for (&c, &r) in run.iter().zip(recon.iter()) {
-                let d = (c - r).to_f64();
-                sq += d * d;
-            }
-        }
-        sq
+        block.iter().fold(0.0, |sq, &c| {
+            let d = (c - centre(c)).to_f64();
+            sq + d * d
+        })
     });
     per_block.into_iter().sum()
 }

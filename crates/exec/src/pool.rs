@@ -367,6 +367,11 @@ fn execute_batch(batch: &Batch, pool: usize, slot: usize, mut claimed: Option<us
 
 fn worker_loop(shared: &Shared, pool: usize, slot: usize) {
     sperr_telemetry::set_worker(slot);
+    // A worker's timeline track exists from its first event. Record one
+    // at spawn: with more slots than cores, the caller and the other
+    // workers can drain every batch of a short run before this thread is
+    // first scheduled, and it would otherwise leave no track at all.
+    sperr_telemetry::counter!("pool.workers", 1);
     let mut seen_generation = 0u64;
     loop {
         let batch = {

@@ -23,8 +23,7 @@ fn swap_stage<const N: usize>(m: &mut [u64; N], j: usize, mask: u64) {
 /// refinement window per bitplane (row = plane, column = LSP entry) and
 /// reads back one magnitude per entry; the encoder feeds it magnitudes
 /// and reads back the plane words. Six block-swap stages of 32 row
-/// pairs each (Hacker's Delight §7-3, LSB-first). Scalar twin:
-/// [`scalar_transpose_64x64`].
+/// pairs each (Hacker's Delight §7-3, LSB-first).
 pub fn transpose_64x64(m: &mut [u64; 64]) {
     swap_stage(m, 32, 0x0000_0000_ffff_ffff);
     swap_stage(m, 16, 0x0000_ffff_0000_ffff);
@@ -34,41 +33,18 @@ pub fn transpose_64x64(m: &mut [u64; 64]) {
     swap_stage(m, 1, 0x5555_5555_5555_5555);
 }
 
-/// Scalar reference for [`transpose_64x64`]: one bit at a time.
-pub fn scalar_transpose_64x64(m: &mut [u64; 64]) {
-    let src = *m;
-    for (c, out) in m.iter_mut().enumerate() {
-        *out = 0;
-        for (r, &row) in src.iter().enumerate() {
-            *out |= ((row >> c) & 1) << r;
-        }
-    }
-}
-
 /// Transposes a 32-row × 64-column bit matrix in place, as two 32×32
 /// transposes run side by side in the halves of each word: afterwards
 /// the low half of `m[c]` holds column `c` and the high half column
 /// `c + 32` (bit `r` of a half = what bit `c` / `c + 32` of `m[r]` was).
 /// Five stages of 16 row pairs — 2.4× less work than [`transpose_64x64`]
-/// for the common `num_planes <= 32` decode. Scalar twin:
-/// [`scalar_transpose_32x64`].
+/// for the common `num_planes <= 32` decode.
 pub fn transpose_32x64(m: &mut [u64; 32]) {
     swap_stage(m, 16, 0x0000_ffff_0000_ffff);
     swap_stage(m, 8, 0x00ff_00ff_00ff_00ff);
     swap_stage(m, 4, 0x0f0f_0f0f_0f0f_0f0f);
     swap_stage(m, 2, 0x3333_3333_3333_3333);
     swap_stage(m, 1, 0x5555_5555_5555_5555);
-}
-
-/// Scalar reference for [`transpose_32x64`]: one bit at a time.
-pub fn scalar_transpose_32x64(m: &mut [u64; 32]) {
-    let src = *m;
-    for (c, out) in m.iter_mut().enumerate() {
-        *out = 0;
-        for (r, &row) in src.iter().enumerate() {
-            *out |= ((row >> c) & 1) << r | ((row >> (c + 32)) & 1) << (r + 32);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -90,10 +66,8 @@ mod tests {
     fn transpose_64x64_matches_scalar_and_bit_loop() {
         for seed in [1u64, 0xdead_beef, u64::MAX, 42] {
             let src: [u64; 64] = mixed_rows(seed);
-            let (mut fast, mut slow) = (src, src);
+            let mut fast = src;
             transpose_64x64(&mut fast);
-            scalar_transpose_64x64(&mut slow);
-            assert_eq!(fast, slow, "seed {seed}");
             for r in 0..64 {
                 for c in 0..64 {
                     assert_eq!((fast[c] >> r) & 1, (src[r] >> c) & 1, "seed {seed} r={r} c={c}");
@@ -109,10 +83,8 @@ mod tests {
     fn transpose_32x64_matches_scalar_and_bit_loop() {
         for seed in [3u64, 0x1234_5678_9abc_def0, u64::MAX, 77] {
             let src: [u64; 32] = mixed_rows(seed);
-            let (mut fast, mut slow) = (src, src);
+            let mut fast = src;
             transpose_32x64(&mut fast);
-            scalar_transpose_32x64(&mut slow);
-            assert_eq!(fast, slow, "seed {seed}");
             for r in 0..32 {
                 for c in 0..64 {
                     let got = (fast[c % 32] >> (r + 32 * (c / 32))) & 1;

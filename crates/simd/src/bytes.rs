@@ -1,66 +1,12 @@
-//! Byte-lane kernels: horizontal/elementwise/pairwise maxima for the
-//! significance pyramid, and the SWAR movemask-style run scan that feeds
-//! SPECK's run-coalesced zero emission.
-
-use crate::Lane;
-
-/// Block width for the generic integer max kernels. 16 lanes is one SSE2
-/// register of `u8`, two of `u32`, four of `u64`; LLVM splits or fuses as
-/// the lane width dictates.
-const W: usize = 16;
-
-/// Horizontal maximum of a slice (`T::default()` for an empty one).
-///
-/// Scalar twin: [`scalar_max_elem`].
-pub fn max_elem<T: Lane>(a: &[T]) -> T {
-    let mut chunks = a.chunks_exact(W);
-    let mut acc = [T::default(); W];
-    for c in chunks.by_ref() {
-        // One independent max tree per lane: vectorizes to a pmaxu-
-        // style op per block, horizontal reduction only at the end.
-        for (l, &v) in acc.iter_mut().zip(c) {
-            *l = (*l).max(v);
-        }
-    }
-    let mut m = T::default();
-    for &v in &acc {
-        m = m.max(v);
-    }
-    for &v in chunks.remainder() {
-        m = m.max(v);
-    }
-    m
-}
-
-/// Scalar reference for [`max_elem`].
-pub fn scalar_max_elem<T: Lane>(a: &[T]) -> T {
-    a.iter().copied().fold(T::default(), T::max)
-}
-
-/// Elementwise `dst[i] = max(dst[i], src[i])`. Slices must be equal
-/// length. Scalar twin: [`scalar_max_assign`].
-pub fn max_assign<T: Lane>(dst: &mut [T], src: &[T]) {
-    assert_eq!(dst.len(), src.len());
-    // Straight-line elementwise loop over equal-length slices: the
-    // assert above lets LLVM drop the bounds checks and vectorize.
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(s);
-    }
-}
-
-/// Scalar reference for [`max_assign`].
-pub fn scalar_max_assign<T: Lane>(dst: &mut [T], src: &[T]) {
-    assert_eq!(dst.len(), src.len());
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(s);
-    }
-}
+//! Byte-lane kernels: the pairwise maximum that coarsens SPECK's
+//! significance bytes one partition level at a time, and the SWAR
+//! movemask-style run scan that feeds its run-coalesced zero emission.
 
 /// Pairwise horizontal maximum: `dst[i] = max(src[2i], src[2i+1])`, with
 /// an odd trailing element passing through unchanged. `dst` must hold
-/// `ceil(src.len() / 2)` elements. This is one axis-0 halving step of the
-/// max pyramid. Scalar twin: [`scalar_pairwise_max_into`].
-pub fn pairwise_max_into<T: Lane>(src: &[T], dst: &mut [T]) {
+/// `ceil(src.len() / 2)` elements. This is one halving step of the
+/// dyadic geometry's significance bytes.
+pub fn pairwise_max_into(src: &[u8], dst: &mut [u8]) {
     assert_eq!(dst.len(), src.len().div_ceil(2));
     let pairs = src.len() / 2;
     let (dst_pairs, dst_tail) = dst.split_at_mut(pairs);
@@ -74,18 +20,6 @@ pub fn pairwise_max_into<T: Lane>(src: &[T], dst: &mut [T]) {
     }
 }
 
-/// Scalar reference for [`pairwise_max_into`].
-pub fn scalar_pairwise_max_into<T: Lane>(src: &[T], dst: &mut [T]) {
-    assert_eq!(dst.len(), src.len().div_ceil(2));
-    for (i, d) in dst.iter_mut().enumerate() {
-        let a = src[2 * i];
-        *d = match src.get(2 * i + 1) {
-            Some(&b) => a.max(b),
-            None => a,
-        };
-    }
-}
-
 /// Length of the longest prefix of `bytes` in which every byte is
 /// `<= t`. Requires `t < 128` and every byte `< 128` (SPECK's packed
 /// `msb_plus1` values are at most 64, bitplane indices at most 63).
@@ -95,7 +29,6 @@ pub fn scalar_pairwise_max_into<T: Lane>(src: &[T], dst: &mut [T]) {
 /// `b + (127 - t)` exactly when `b, t < 128` — and the first significant
 /// lane is located with a trailing-zeros count. The returned run length
 /// feeds the coder's bulk zero emission and `copy_within` retention.
-/// Scalar twin: [`scalar_run_le`].
 pub fn run_le(bytes: &[u8], t: u8) -> usize {
     debug_assert!(t < 128);
     const HI: u64 = 0x8080_8080_8080_8080;
@@ -121,11 +54,6 @@ pub fn run_le(bytes: &[u8], t: u8) -> usize {
     run
 }
 
-/// Scalar reference for [`run_le`].
-pub fn scalar_run_le(bytes: &[u8], t: u8) -> usize {
-    bytes.iter().take_while(|&&b| b <= t).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,24 +75,5 @@ mod tests {
         let mut dst = [0u8; 3];
         pairwise_max_into(&src, &mut dst);
         assert_eq!(dst, [3, 4, 5]);
-    }
-
-    #[test]
-    fn max_kernels_match_scalar_u64() {
-        let v: Vec<u64> = (0..37).map(|i| (i * 2654435761u64) >> 13).collect();
-        assert_eq!(max_elem(&v), scalar_max_elem(&v));
-        let mut a = v.clone();
-        let mut b = v.clone();
-        a.reverse();
-        let mut a2 = a.clone();
-        max_assign(&mut a, &v);
-        scalar_max_assign(&mut a2, &v);
-        assert_eq!(a, a2);
-        b.rotate_left(5);
-        let mut d1 = vec![0u64; b.len().div_ceil(2)];
-        let mut d2 = d1.clone();
-        pairwise_max_into(&b, &mut d1);
-        scalar_pairwise_max_into(&b, &mut d2);
-        assert_eq!(d1, d2);
     }
 }

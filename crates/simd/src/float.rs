@@ -1,12 +1,12 @@
 //! The `Float` sample-type abstraction the generic hot path is built on.
 //!
 //! Every float-touching stage — wavelet lifting, SPECK quantization, the
-//! outlier residual scan, the blocked kernels in this crate — is generic
-//! over `T: Float` with exactly two instantiations: `f64` (the historical
+//! outlier residual scan, the kernels in this crate — is generic over
+//! `T: Float` with exactly two instantiations: `f64` (the historical
 //! path, bit-identical to the pre-generic code because monomorphization
 //! preserves expression and operand order) and `f32` (the native
 //! single-precision path: half the memory traffic, twice the lanes per
-//! blocked window).
+//! vector register).
 //!
 //! The trait lives in `sperr-simd` because this crate sits at the bottom
 //! of the workspace dependency graph; `sperr-core` re-exports it as part
@@ -53,9 +53,6 @@ pub trait Float:
     /// Quantizer saturation threshold, `2^62` (exactly representable at
     /// both widths; keeps downstream bitplane shifts in range).
     const CAP: Self;
-    /// Lanes per blocked-kernel window: 4 for `f64`, 8 for `f32` — one
-    /// 256-bit-class vector register either way.
-    const LANES: usize;
     /// Wire width in bytes (4 or 8); little-endian in every container
     /// and raw-file format.
     const BYTES: usize;
@@ -67,12 +64,10 @@ pub trait Float:
     fn from_f64(v: f64) -> Self;
     /// Exact widening to `f64`.
     fn to_f64(self) -> f64;
-    /// `k as Self` — the quantization cell index as a sample, used by
-    /// the mid-riser reconstruction. Rounds when `k` exceeds the
+    /// `k as Self` — a decoded cell index as a sample, used by the SPECK
+    /// decoders' mid-riser placement. Rounds when `k` exceeds the
     /// mantissa, exactly as the historical `k as f64` cast did.
     fn from_u64_lossy(k: u64) -> Self;
-    /// Saturating `self as u64` cast (NaN maps to 0).
-    fn to_u64_saturating(self) -> u64;
     /// `|self|`.
     fn abs(self) -> Self;
     /// IEEE maximum as implemented by `f32::max`/`f64::max`.
@@ -90,7 +85,6 @@ impl Float for f64 {
     const HALF: Self = 0.5;
     const ONE: Self = 1.0;
     const CAP: Self = (1u64 << 62) as f64;
-    const LANES: usize = 4;
     const BYTES: usize = 8;
     const NAME: &'static str = "f64";
 
@@ -105,10 +99,6 @@ impl Float for f64 {
     #[inline(always)]
     fn from_u64_lossy(k: u64) -> Self {
         k as f64
-    }
-    #[inline(always)]
-    fn to_u64_saturating(self) -> u64 {
-        self as u64
     }
     #[inline(always)]
     fn abs(self) -> Self {
@@ -139,7 +129,6 @@ impl Float for f32 {
     const HALF: Self = 0.5;
     const ONE: Self = 1.0;
     const CAP: Self = (1u64 << 62) as f32;
-    const LANES: usize = 8;
     const BYTES: usize = 4;
     const NAME: &'static str = "f32";
 
@@ -154,10 +143,6 @@ impl Float for f32 {
     #[inline(always)]
     fn from_u64_lossy(k: u64) -> Self {
         k as f32
-    }
-    #[inline(always)]
-    fn to_u64_saturating(self) -> u64 {
-        self as u64
     }
     #[inline(always)]
     fn abs(self) -> Self {
@@ -189,8 +174,6 @@ mod tests {
 
     #[test]
     fn widths_and_consts() {
-        assert_eq!(<f64 as Float>::LANES, 4);
-        assert_eq!(<f32 as Float>::LANES, 8);
         assert_eq!(<f64 as Float>::BYTES, 8);
         assert_eq!(<f32 as Float>::BYTES, 4);
         assert_eq!(<f64 as Float>::CAP, (1u64 << 62) as f64);
@@ -204,8 +187,6 @@ mod tests {
         assert_eq!(Float::to_f64(0.1f32), 0.1f32 as f64);
         assert_eq!(f64::from_u64_lossy(7), 7.0);
         assert_eq!(f32::from_u64_lossy(7), 7.0f32);
-        assert_eq!(Float::to_u64_saturating(2.9f32), 2);
-        assert_eq!(Float::to_u64_saturating(f64::NAN), 0);
     }
 
     #[test]

@@ -1,29 +1,30 @@
-//! Portable explicit-width SIMD kernels for the SPERR hot loops.
+//! The SPERR hot-loop kernels, one body each.
 //!
-//! Every kernel here is written as an *autovectorization-friendly chunked
-//! loop*: a fixed-width block body over `[T; W]`-shaped windows (so LLVM
-//! can turn it into `f64x2`/`u8x16`-class vector code on any target, at
-//! the baseline feature level) plus an explicit scalar tail. There is no
-//! `core::simd` dependency, no nightly feature, no `std::arch` intrinsic
-//! and no `unsafe`: the blocked code is ordinary safe Rust shaped so the
-//! LLVM loop/SLP vectorizers reliably fire, and it cross-compiles
-//! unchanged to non-x86 targets (CI checks aarch64).
+//! A kernel's body is the plain loop — the obvious one-element-at-a-time
+//! iterator code — unless a hand-blocked body was measured faster than it
+//! at both sample widths on the shipped baseline x86-64 build (SSE2).
+//! Four families keep a blocked body for that reason: the even/odd band
+//! split and merge, the pairwise byte max, the SWAR run scan and the
+//! bit-matrix transposes. Lifting, scaling and the quantizer are plain
+//! loops: no blocked body beat them at both widths (DESIGN.md §13 has
+//! the measurements). There is no `core::simd` dependency, no nightly
+//! feature, no `std::arch` intrinsic and no `unsafe`, and the crate
+//! cross-compiles unchanged to non-x86 targets (CI checks aarch64).
 //!
 //! # Bit-identity rule
 //!
-//! Every kernel computes the **same per-element expression, with the same
-//! operand order**, as its scalar reference (the `scalar_*` twins in this
-//! crate). Integer kernels are trivially exact; the floating-point
-//! kernels never reassociate across elements — each output lane is an
-//! independent expression — so vector and scalar evaluation produce
-//! bit-identical results. The SPECK and wavelet conformance goldens rely
-//! on this: a blocked kernel may not change a single stream byte.
+//! A blocked body computes the same per-element expression, with the same
+//! operand order, as the plain loop it replaces; every output element is
+//! an independent expression, so no float result depends on how the loop
+//! is blocked. Rust never contracts a multiply and an add into a fused
+//! one on its own, and kernel code never asks it to (`mul_add` and the
+//! fast-math intrinsics are rejected by a tier-1 source scan). The SPECK
+//! and wavelet conformance goldens rely on this.
 //!
-//! # Scalar twins
+//! # Oracles
 //!
-//! The twins are test oracles, not a build configuration: the proptests
-//! in this crate diff blocked vs scalar at f32 and f64 on every shape
-//! and tail, which is what proves the rule above.
+//! Each blocked body is diffed against a plain-loop oracle, which lives
+//! in `tests/proptests.rs` beside the property tests that use it.
 
 mod bitplane;
 mod bytes;
@@ -32,33 +33,10 @@ mod lift;
 mod quant;
 
 pub use bitplane::{transpose_32x64, transpose_64x64};
-pub use bytes::{max_assign, max_elem, pairwise_max_into, run_le};
+pub use bytes::{pairwise_max_into, run_le};
 pub use float::Float;
 pub use lift::{lift_pairs, merge_even_odd, scale_in_place, split_even_odd};
-pub use quant::{quantize_magnitude, reconstruct_mid_riser_into};
-
-/// The scalar reference implementations (the `scalar_*` twins), exported
-/// for differential tests: proptests diff every blocked kernel against
-/// its twin across shapes, tails, and alignments.
-pub mod scalar {
-    pub use crate::bitplane::{scalar_transpose_32x64, scalar_transpose_64x64};
-    pub use crate::bytes::{
-        scalar_max_assign, scalar_max_elem, scalar_pairwise_max_into, scalar_run_le,
-    };
-    pub use crate::lift::{
-        scalar_lift_pairs, scalar_merge_even_odd, scalar_scale_in_place, scalar_split_even_odd,
-    };
-    pub use crate::quant::scalar_reconstruct_mid_riser_into;
-}
-
-/// Primitive unsigned lane types the integer kernels are generic over.
-/// Sealed by construction: implemented only for the widths the pyramid
-/// and coder actually use.
-pub trait Lane: Copy + Ord + Default {}
-impl Lane for u8 {}
-impl Lane for u16 {}
-impl Lane for u32 {}
-impl Lane for u64 {}
+pub use quant::{quantize_magnitude, reconstruct_mid_riser};
 
 #[cfg(test)]
 mod tests {
@@ -66,7 +44,9 @@ mod tests {
     fn public_surface_links() {
         // Smoke-link every re-export once so a broken cfg combination
         // fails the plain test build, not just downstream crates.
-        assert_eq!(crate::max_elem(&[3u8, 9, 1]), 9);
+        let mut half = [0u8; 2];
+        crate::pairwise_max_into(&[3, 9, 1], &mut half);
+        assert_eq!(half, [9, 1]);
         assert_eq!(crate::run_le(&[1u8, 2, 3], 2), 2);
         let mut rows = [0u64; 32];
         rows[1] = 1;
@@ -76,5 +56,6 @@ mod tests {
         crate::scale_in_place(&mut x, 2.0);
         assert_eq!(x, [2.0, 4.0]);
         assert_eq!(crate::quantize_magnitude(2.5, 1.0), 2);
+        assert_eq!(crate::reconstruct_mid_riser(-2.5, 1.0, 1.0), -2.5);
     }
 }

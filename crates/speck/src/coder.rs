@@ -82,10 +82,21 @@ pub fn reconstruct_quantized<T: Float>(coeffs: &[T], q: f64) -> Vec<T> {
 /// Allocation-free variant of [`reconstruct_quantized`]: writes into a
 /// caller-provided slice of the same length (hot-path buffer reuse).
 pub fn reconstruct_quantized_into<T: Float>(coeffs: &[T], q: f64, out: &mut [T]) {
-    assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
     assert_eq!(coeffs.len(), out.len());
+    let centre = mid_riser(q);
+    for (o, &c) in out.iter_mut().zip(coeffs) {
+        *o = centre(c);
+    }
+}
+
+/// What [`reconstruct_quantized`] makes of one coefficient at step `q`:
+/// its mid-riser reconstruction ([`sperr_simd::reconstruct_mid_riser`]),
+/// for callers that reconstruct in place or fold over the result.
+pub fn mid_riser<T: Float>(q: f64) -> impl Fn(T) -> T + Sync {
+    assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
     let qt = T::from_f64(q);
-    sperr_simd::reconstruct_mid_riser_into(coeffs, qt, T::ONE / qt, out);
+    let inv_q = T::ONE / qt;
+    move |c| sperr_simd::reconstruct_mid_riser(c, qt, inv_q)
 }
 
 /// Signals that the bit budget has been exhausted (encoder) or the stream

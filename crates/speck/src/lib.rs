@@ -55,8 +55,8 @@ pub mod reference;
 mod set;
 
 pub use coder::{
-    encode, quantize, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck, Quantized,
-    Termination,
+    encode, mid_riser, quantize, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck,
+    Quantized, Termination,
 };
 pub use decoder::{decode, decode_masked, sorting_pass, DecodeError, Sorted, MAX_DECODE_ELEMENTS};
 

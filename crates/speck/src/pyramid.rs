@@ -7,18 +7,10 @@
 //! block decomposition — O(1) for aligned sets, O(boundary · levels) worst
 //! case.
 
-use sperr_simd::Lane;
-
 /// Mip pyramid of running maxima over `2^level`-sized blocks of a
-/// `D`-dimensional row-major array.
-///
-/// Generic over the cell type: the reference encoder builds it over raw
-/// `u64` magnitudes, the production encoder over per-coefficient
-/// `msb_plus1` values (`u8`) — `planes_of` is monotone, so the max of the
-/// mapped values equals the mapped max and the two answer the same
-/// significance predicate, but the `u8` pyramid touches 8× less memory
-/// per build and per query. `T::default()` must be the minimum value
-/// (zero for the unsigned integers used here).
+/// `D`-dimensional row-major array of quantized magnitudes. Only the
+/// reference encoder ([`crate::reference`]) builds one; the production
+/// coder answers the same queries from its own significance bytes.
 ///
 /// Memory: the base level (the coefficients themselves) is **borrowed**,
 /// not copied — only the coarser levels are owned, which together cost
@@ -28,35 +20,34 @@ use sperr_simd::Lane;
 /// directly, so the copy bought nothing.
 ///
 /// Construction is row-based rather than cell-based: each output row
-/// folds its up-to-`2^(D-1)` source rows with an elementwise max
-/// ([`sperr_simd::max_assign`]) and then halves along axis 0 with a
-/// pairwise max ([`sperr_simd::pairwise_max_into`]) — both chunked
-/// vector kernels — instead of paying a full odometer decomposition
-/// (div/mod per axis) per *cell* as the original builder did.
+/// folds its up-to-`2^(D-1)` source rows with an elementwise max and then
+/// halves along axis 0 with a pairwise max, instead of paying a full
+/// odometer decomposition (div/mod per axis) per *cell* as the original
+/// builder did.
 #[derive(Debug)]
-pub struct MaxPyramid<'a, T, const D: usize> {
+pub struct MaxPyramid<'a, const D: usize> {
     /// Level 0: the input magnitudes, borrowed.
-    base: &'a [T],
+    base: &'a [u64],
     base_dims: [usize; D],
     /// `levels[i]` is pyramid level `i + 1`; each level halves every axis
     /// (ceil). The last entry is a single cell holding the global max.
     /// Empty when the domain is a single cell per axis.
-    levels: Vec<(Vec<T>, [usize; D])>,
+    levels: Vec<(Vec<u64>, [usize; D])>,
 }
 
-impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
+impl<'a, const D: usize> MaxPyramid<'a, D> {
     /// Builds the pyramid over quantized magnitudes `values` with shape
     /// `dims` (row-major, axis 0 fastest). `values` is borrowed for the
     /// pyramid's lifetime.
-    pub fn build(values: &'a [T], dims: [usize; D]) -> Self {
+    pub fn build(values: &'a [u64], dims: [usize; D]) -> Self {
         assert_eq!(values.len(), dims.iter().product::<usize>());
-        let mut levels: Vec<(Vec<T>, [usize; D])> = Vec::new();
+        let mut levels: Vec<(Vec<u64>, [usize; D])> = Vec::new();
         // Row scratch: the elementwise fold of one output row's source
         // rows, before the axis-0 pairwise halving. Sized for the finest
         // level, reused throughout.
-        let mut folded: Vec<T> = vec![T::default(); dims[0]];
+        let mut folded = vec![0u64; dims[0]];
         loop {
-            let (prev, pdims): (&[T], [usize; D]) = match levels.last() {
+            let (prev, pdims): (&[u64], [usize; D]) = match levels.last() {
                 None => (values, dims),
                 Some((v, d)) => (v, *d),
             };
@@ -67,7 +58,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
             for d in 0..D {
                 ndims[d] = pdims[d].div_ceil(2);
             }
-            let mut next = vec![T::default(); ndims.iter().product()];
+            let mut next = vec![0u64; ndims.iter().product()];
 
             // Strides of the source level, and the number of output rows
             // (the product of the output dims over axes 1..D).
@@ -101,12 +92,16 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
                         folded[..row_len].copy_from_slice(src);
                         first = false;
                     } else {
-                        sperr_simd::max_assign(&mut folded[..row_len], src);
+                        for (f, &v) in folded.iter_mut().zip(src) {
+                            *f = (*f).max(v);
+                        }
                     }
                 }
                 debug_assert!(!first, "every output row has at least one source row");
-                // Halve along axis 0.
-                sperr_simd::pairwise_max_into(&folded[..row_len], out_row);
+                // Halve along axis 0; an odd trailing cell passes through.
+                for (o, pair) in out_row.iter_mut().zip(folded[..row_len].chunks(2)) {
+                    *o = pair.iter().copied().fold(0, u64::max);
+                }
                 // Advance the output-row odometer (axes 1..D).
                 for d in 1..D {
                     coord[d] += 1;
@@ -123,7 +118,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
 
     /// Data and dims of pyramid level `level` (0 = the borrowed base).
     #[inline]
-    fn level(&self, level: usize) -> (&[T], &[usize; D]) {
+    fn level(&self, level: usize) -> (&[u64], &[usize; D]) {
         if level == 0 {
             (self.base, &self.base_dims)
         } else {
@@ -133,9 +128,9 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
     }
 
     /// Maximum magnitude stored anywhere (top of the pyramid).
-    pub fn global_max(&self) -> T {
+    pub fn global_max(&self) -> u64 {
         let (top, _) = self.level(self.levels.len());
-        sperr_simd::max_elem(top)
+        top.iter().copied().fold(0, u64::max)
     }
 
     /// Maximum over the half-open cuboid `[lo[d], lo[d]+len[d])`.
@@ -150,7 +145,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
     /// irregular regions start the recursive decomposition at the level
     /// whose cells match the region scale (at most 2 cells per axis)
     /// instead of walking down from the apex every time.
-    pub fn region_max(&self, lo: [u32; D], len: [u32; D]) -> T {
+    pub fn region_max(&self, lo: [u32; D], len: [u32; D]) -> u64 {
         let mut hi = [0usize; D];
         let mut lo_us = [0usize; D];
         let mut volume = 1usize;
@@ -162,7 +157,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
             max_len = max_len.max(len[d] as usize);
         }
         if volume == 0 {
-            return T::default();
+            return 0;
         }
         // Aligned power-of-two cube: level-L cells have extent 2^L per
         // axis, so the cell at `lo >> L` covers exactly this region (the
@@ -195,7 +190,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
         for d in 0..D {
             cell[d] = lo_us[d] >> level;
         }
-        let mut m = T::default();
+        let mut m = 0u64;
         loop {
             m = m.max(self.recurse(level, cell, &lo_us, &hi));
             let mut d = 0;
@@ -215,10 +210,10 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
 
     /// Direct max over a small region of the base: row-at-a-time along
     /// axis 0 (contiguous memory), odometer over the remaining axes.
-    fn scan_base(&self, lo: &[usize; D], hi: &[usize; D]) -> T {
+    fn scan_base(&self, lo: &[usize; D], hi: &[usize; D]) -> u64 {
         let row = hi[0] - lo[0];
         let mut coord = *lo;
-        let mut m = T::default();
+        let mut m = 0u64;
         loop {
             let mut idx = 0usize;
             let mut stride = 1usize;
@@ -226,7 +221,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
                 idx += coord[d] * stride;
                 stride *= self.base_dims[d];
             }
-            m = m.max(sperr_simd::max_elem(&self.base[idx..idx + row]));
+            m = self.base[idx..idx + row].iter().copied().fold(m, u64::max);
             let mut d = 1;
             loop {
                 if d >= D {
@@ -242,7 +237,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
         }
     }
 
-    fn recurse(&self, level: usize, cell: [usize; D], lo: &[usize; D], hi: &[usize; D]) -> T {
+    fn recurse(&self, level: usize, cell: [usize; D], lo: &[usize; D], hi: &[usize; D]) -> u64 {
         let (data, dims) = self.level(level);
         // Extent of this cell in level-0 coordinates.
         let mut c_lo = [0usize; D];
@@ -252,7 +247,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
             c_hi[d] = ((cell[d] + 1) << level).min(self.base_dims[d]);
             // Disjoint?
             if c_lo[d] >= hi[d] || c_hi[d] <= lo[d] {
-                return T::default();
+                return 0;
             }
         }
         // Fully contained?
@@ -269,7 +264,7 @@ impl<'a, T: Lane, const D: usize> MaxPyramid<'a, T, D> {
         // Partial overlap: descend into children.
         let (_, child_dims) = self.level(level - 1);
         let child_dims = *child_dims;
-        let mut m = T::default();
+        let mut m = 0u64;
         let combos = 1usize << D;
         'combo: for c in 0..combos {
             let mut child = [0usize; D];

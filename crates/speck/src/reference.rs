@@ -27,7 +27,7 @@ struct Encoder<'a, const D: usize> {
     dims: [usize; D],
     k: &'a [u64],
     negative: &'a [bool],
-    pyramid: &'a MaxPyramid<'a, u64, D>,
+    pyramid: &'a MaxPyramid<'a, D>,
     lis: Vec<Vec<SetS<D>>>,
     lsp: Vec<u32>,
     lsp_new: Vec<u32>,

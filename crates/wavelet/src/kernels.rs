@@ -4,14 +4,14 @@
 //! All kernels split a line into its even/odd bands *first*
 //! ([`sperr_simd::split_even_odd`]) and then run every lifting step as a
 //! contiguous elementwise pass over the bands
-//! ([`sperr_simd::lift_pairs`]): the historical stride-2 loops over the
-//! interleaved signal `[s0 d0 s1 d1 ...]` defeated vectorization, while
-//! `d[i] += c * (s[i] + s[i+1])` over contiguous halves is a textbook
-//! vector loop. Each output element computes the *same expression with
-//! the same operand order* as the strided original, so the results are
-//! bit-identical (the SPECK conformance goldens depend on this). A
-//! pleasant side effect: the forward de-interleave into the dyadic
-//! `[approx... | detail...]` packing is now free — the bands are built
+//! ([`sperr_simd::lift_pairs`], a plain zip loop): `d[i] += c * (s[i] +
+//! s[i+1])` over contiguous halves rather than a stride-2 loop over the
+//! interleaved signal `[s0 d0 s1 d1 ...]`. Each output element computes
+//! the *same expression with the same operand order* as the strided
+//! original, so the results are bit-identical (the SPECK conformance
+//! goldens depend on this, and the tests below check it against the
+//! strided form directly). The forward de-interleave into the dyadic
+//! `[approx... | detail...]` packing is free — the bands are built
 //! directly in that layout.
 //!
 //! Boundary handling is whole-sample symmetric extension: index `-i`
@@ -211,6 +211,137 @@ mod tests {
             kernel.inverse_line(&mut x, 2, &mut scratch);
             assert!((x[0] - 1.0).abs() < 1e-12 && (x[1] + 2.0).abs() < 1e-12);
         }
+    }
+
+    use std::f64::consts::{FRAC_1_SQRT_2, SQRT_2};
+
+    /// One lifting step of the strided form on the interleaved line:
+    /// `x[i] += c·(x[i-1] + x[i+1])` for every `i` of the given parity,
+    /// with whole-sample symmetric reflection at both ends.
+    fn strided_step<T: Float>(x: &mut [T], first: usize, c: T) {
+        let n = x.len();
+        let reflect = |i: usize| if i >= n { 2 * (n - 1) - i } else { i };
+        for i in (first..n).step_by(2) {
+            let left = if i == 0 { x[1] } else { x[i - 1] };
+            let lift = c * (left + x[reflect(i + 1)]);
+            x[i] += lift;
+        }
+    }
+
+    /// Scales the even samples by `even` and the odd ones by `odd`.
+    fn strided_scale<T: Float>(x: &mut [T], even: f64, odd: f64) {
+        let (even, odd) = (T::from_f64(even), T::from_f64(odd));
+        for (i, v) in x.iter_mut().enumerate() {
+            *v *= if i % 2 == 0 { even } else { odd };
+        }
+    }
+
+    /// The Haar butterfly over each even/odd pair.
+    fn strided_haar<T: Float>(x: &mut [T]) {
+        let c = T::from_f64(FRAC_1_SQRT_2);
+        for pair in x.chunks_exact_mut(2) {
+            let (a, b) = (pair[0], pair[1]);
+            pair[0] = (a + b) * c;
+            pair[1] = (a - b) * c;
+        }
+    }
+
+    /// The forward level in the strided form, then the de-interleave into
+    /// `[approx | detail]`.
+    fn strided_forward<T: Float>(kernel: Kernel, x: &[T]) -> Vec<T> {
+        let mut x = x.to_vec();
+        let t = T::from_f64;
+        match kernel {
+            Kernel::Cdf97 => {
+                strided_step(&mut x, 1, t(ALPHA));
+                strided_step(&mut x, 0, t(BETA));
+                strided_step(&mut x, 1, t(GAMMA));
+                strided_step(&mut x, 0, t(DELTA));
+                strided_scale(&mut x, ZETA, INV_ZETA);
+            }
+            Kernel::Cdf53 => {
+                strided_step(&mut x, 1, t(-0.5));
+                strided_step(&mut x, 0, t(0.25));
+                strided_scale(&mut x, SQRT_2, FRAC_1_SQRT_2);
+            }
+            Kernel::Haar => strided_haar(&mut x),
+        }
+        x.iter()
+            .step_by(2)
+            .chain(x.iter().skip(1).step_by(2))
+            .copied()
+            .collect()
+    }
+
+    /// The interleave of `[approx | detail]`, then the inverse level in
+    /// the strided form.
+    fn strided_inverse<T: Float>(kernel: Kernel, bands: &[T]) -> Vec<T> {
+        let half = bands.len().div_ceil(2);
+        let band = |i: usize| {
+            if i.is_multiple_of(2) {
+                i / 2
+            } else {
+                half + i / 2
+            }
+        };
+        let mut x: Vec<T> = (0..bands.len()).map(|i| bands[band(i)]).collect();
+        let t = T::from_f64;
+        match kernel {
+            Kernel::Cdf97 => {
+                strided_scale(&mut x, INV_ZETA, ZETA);
+                strided_step(&mut x, 0, t(-DELTA));
+                strided_step(&mut x, 1, t(-GAMMA));
+                strided_step(&mut x, 0, t(-BETA));
+                strided_step(&mut x, 1, t(-ALPHA));
+            }
+            Kernel::Cdf53 => {
+                strided_scale(&mut x, FRAC_1_SQRT_2, SQRT_2);
+                strided_step(&mut x, 0, t(-0.25));
+                strided_step(&mut x, 1, t(0.5));
+            }
+            Kernel::Haar => strided_haar(&mut x),
+        }
+        x
+    }
+
+    /// Every kernel's band-split line transform against the strided form,
+    /// in both directions, at every length from 2 to 40 (odd and even),
+    /// compared bit for bit: the lifting arithmetic checked without going
+    /// through `forward_line`/`inverse_line` themselves.
+    fn lines_match_the_strided_form<T: Float>() {
+        let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+        for kernel in [Kernel::Cdf97, Kernel::Cdf53, Kernel::Haar] {
+            for n in 2..=40usize {
+                let x: Vec<T> = (0..n)
+                    .map(|i| T::from_f64((i as f64 * 0.7).sin() * 9.5 - 1.25))
+                    .collect();
+                let mut scratch = vec![T::ZERO; n];
+                let mut got = x.clone();
+                kernel.forward_line(&mut got, n, &mut scratch);
+                assert_eq!(
+                    bits(&got),
+                    bits(&strided_forward(kernel, &x)),
+                    "{kernel:?} fwd n={n}"
+                );
+                let mut back = x.clone();
+                kernel.inverse_line(&mut back, n, &mut scratch);
+                assert_eq!(
+                    bits(&back),
+                    bits(&strided_inverse(kernel, &x)),
+                    "{kernel:?} inv n={n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lines_match_the_strided_form_f64() {
+        lines_match_the_strided_form::<f64>();
+    }
+
+    #[test]
+    fn lines_match_the_strided_form_f32() {
+        lines_match_the_strided_form::<f32>();
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! Static panic audit of the decoder-side code paths.
+//! Static source audits: panicking constructs on the decoder-side code
+//! paths, `unsafe` outside its allowlist, and float contraction in the
+//! kernel crates.
 //!
 //! The corruption-resilience contract is that decoding untrusted bytes
 //! never panics: every failure surfaces as a typed error. The decode
@@ -203,6 +205,59 @@ fn workspace_unsafe_is_confined_to_the_allowlist() {
     );
 }
 
+/// The crates whose float arithmetic the golden streams pin: the
+/// kernels, the transform, both coders and the pipeline.
+const KERNEL_DIRS: &[&str] = &[
+    "crates/simd/src",
+    "crates/wavelet/src",
+    "crates/speck/src",
+    "crates/outlier/src",
+    "crates/core/src",
+];
+
+/// Float operations that may round differently from the plain expression:
+/// a fused multiply-add rounds once where `a * b + c` rounds twice, and
+/// the fast-math intrinsics let LLVM reassociate and contract.
+const CONTRACTING: &[&str] =
+    &["mul_add", "fadd_fast", "fsub_fast", "fmul_fast", "fdiv_fast", "frem_fast", "intrinsics"];
+
+/// Lines of `code` (comments stripped) that name a [`CONTRACTING`] word.
+fn contracting_lines(code: &str) -> Vec<usize> {
+    let contracts = |line: &str| {
+        let mut words = line.split(|c: char| !c.is_alphanumeric() && c != '_');
+        words.any(|word| CONTRACTING.contains(&word))
+    };
+    code.lines().enumerate().filter(|(_, l)| contracts(l)).map(|(i, _)| i + 1).collect()
+}
+
+#[test]
+fn kernel_code_never_contracts_float_arithmetic() {
+    // Every kernel is bit-identical to the plain per-element expression
+    // only because Rust never fuses a multiply and an add on its own:
+    // one `mul_add` or fast-math intrinsic in these crates would move
+    // stream bytes on every ISA that has an FMA unit.
+    let root = workspace_root();
+    let mut files = Vec::new();
+    for dir in KERNEL_DIRS {
+        rust_files(&root.join(dir), &mut files);
+    }
+    assert!(files.len() >= KERNEL_DIRS.len(), "kernel sources not found under {root:?}");
+    let violations: Vec<String> = files
+        .iter()
+        .flat_map(|path| {
+            let code = strip_comments(&std::fs::read_to_string(path).unwrap());
+            let rel = path.strip_prefix(&root).unwrap().to_string_lossy().into_owned();
+            contracting_lines(&code).into_iter().map(move |line| format!("{rel}:{line}"))
+        })
+        .collect();
+    assert!(
+        violations.is_empty(),
+        "fused or fast-math float operations in kernel code (they change the \
+         rounding, so the streams would no longer match the goldens):\n{}",
+        violations.join("\n")
+    );
+}
+
 #[test]
 fn audit_catches_violations_and_ignores_comments() {
     // Self-test of the scanner: live tokens are caught...
@@ -223,4 +278,10 @@ fn audit_catches_violations_and_ignores_comments() {
     let code = "let a = unsafe { p.get(w) };\nunsafe impl Sync for P {}\n\
                 // unsafe\nlet unsafe_count = 0;\n";
     assert_eq!(unsafe_lines(&strip_comments(code)), [1, 2]);
+    // The contraction scan sees method calls, paths and intrinsics — not
+    // comments, not identifiers that merely contain a banned word.
+    let code = "let y = a.mul_add(b, c);\nlet z = f64::mul_add(a, b, c);\n\
+                use core::intrinsics::fadd_fast;\n// a.mul_add(b, c)\n\
+                let mul_add_count = 0;\nlet w = fmul_fast(a, b);\n";
+    assert_eq!(contracting_lines(&strip_comments(code)), [1, 2, 3, 6]);
 }
