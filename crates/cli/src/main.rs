@@ -395,7 +395,7 @@ impl TelemetryScope {
                 .ok();
         }
         if let Some(path) = &self.metrics {
-            let snap = sperr_telemetry::MetricsRegistry::global().snapshot();
+            let snap = &report.metrics;
             let text = if path.extension().is_some_and(|e| e == "json") {
                 snap.render_json()
             } else {
@@ -459,7 +459,7 @@ fn print_telemetry_stats_to(out: &mut dyn Write, report: &sperr_telemetry::Repor
         .ok();
     }
     if report.dropped > 0 {
-        writeln!(out, "  dropped events: {} (ring buffers filled)", report.dropped).ok();
+        writeln!(out, "  dropped events: {} (event buffers filled)", report.dropped).ok();
     }
 }
 
@@ -907,10 +907,8 @@ fn cmd_metrics(args: &Args) -> Result<(), CliError> {
     let sperr = build_sperr(args)?;
     sperr_telemetry::start();
     let decode = sperr.read::<f64>(&stream, ReadRequest::Full, OnDamage::Fail);
-    let _ = sperr_telemetry::stop();
+    let snap = sperr_telemetry::stop().metrics;
     decode?;
-    // Snapshots survive stop(); shards are cleared by the next start().
-    let snap = sperr_telemetry::MetricsRegistry::global().snapshot();
     let text =
         if args.flag("json") { snap.render_json() } else { snap.render_prometheus() };
     print!("{text}");

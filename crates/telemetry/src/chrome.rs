@@ -373,7 +373,7 @@ mod tests {
 
     fn one_track(name: &str, spans: Vec<Span>, counters: Vec<CounterEvent>) -> Report {
         let track = Track { name: name.to_string(), worker: Some(0), spans, counters };
-        Report { t0_ns: 1_000, t1_ns: 100_000, tracks: vec![track], dropped: 0 }
+        Report { t0_ns: 1_000, t1_ns: 100_000, tracks: vec![track], ..Default::default() }
     }
 
     #[test]

@@ -3,18 +3,20 @@
 //! The whole crate is built around one switch: the `enabled` Cargo
 //! feature. With the feature **off** (the default) every entry point
 //! here compiles to nothing — [`SpanGuard`] is a zero-sized type with no
-//! `Drop` impl, [`add_counter`] is an empty `#[inline(always)]`
-//! function, and [`stop`] returns an empty [`Report`]. Instrumented hot
-//! loops therefore carry no branches, no atomics, and no code size for
-//! production builds. With the feature **on**, events are recorded into
-//! per-thread lock-free ring buffers (owner-only writer, bounded
-//! capacity, overflow counted rather than blocking) and drained into a
-//! [`Report`] when [`stop`] is called.
+//! `Drop` impl, [`add_counter`] and [`record_ns`] are empty
+//! `#[inline(always)]` functions, and [`stop`] returns an empty
+//! [`Report`]. Instrumented hot loops therefore carry no branches, no
+//! atomics, and no code size for production builds. With the feature
+//! **on**, each thread records into one recorder behind an uncontended
+//! lock: spans and counters into a bounded event buffer (overflow counted
+//! rather than blocking or allocating), histogram samples beside it.
+//! [`stop`] drains every recorder into a [`Report`], whose
+//! [`Report::metrics`] holds the merged histograms.
 //!
 //! Recording is further gated at runtime by [`start`]/[`stop`]: even in
 //! an `enabled` build, nothing is recorded until `start()` flips one
 //! relaxed `AtomicBool`, so an instrumented binary run without
-//! `--stats`/`--trace` pays only that load per event site.
+//! `--stats`/`--trace`/`--metrics` pays only that load per event site.
 //!
 //! Threads identify themselves as workers via [`set_worker`] (the
 //! `WorkerPool` calls this with the worker slot); each worker becomes
@@ -24,6 +26,8 @@
 //! let _span = sperr_telemetry::span!("stage.wavelet.forward");
 //! sperr_telemetry::counter!("speck.refinement_bits", enc.refinement_bits);
 //! ```
+
+#![forbid(unsafe_code)]
 
 mod chrome;
 pub mod metrics;
@@ -39,8 +43,6 @@ pub const fn is_enabled() -> bool {
     cfg!(feature = "enabled")
 }
 
-#[cfg(feature = "enabled")]
-mod metrics_runtime;
 #[cfg(feature = "enabled")]
 mod runtime;
 
@@ -92,7 +94,7 @@ pub use disabled::{add_counter, is_recording, set_worker, start, stop, SpanGuard
 #[inline(always)]
 pub fn record_ns(label: &'static str, ns: u64) {
     #[cfg(feature = "enabled")]
-    metrics_runtime::record(label, metrics::Unit::Nanos, ns);
+    runtime::record(label, Unit::Nanos, ns);
     #[cfg(not(feature = "enabled"))]
     let _ = (label, ns);
 }
@@ -102,7 +104,7 @@ pub fn record_ns(label: &'static str, ns: u64) {
 #[inline(always)]
 pub fn record_bytes(label: &'static str, bytes: u64) {
     #[cfg(feature = "enabled")]
-    metrics_runtime::record(label, metrics::Unit::Bytes, bytes);
+    runtime::record(label, Unit::Bytes, bytes);
     #[cfg(not(feature = "enabled"))]
     let _ = (label, bytes);
 }
@@ -111,35 +113,9 @@ pub fn record_bytes(label: &'static str, bytes: u64) {
 #[inline(always)]
 pub fn record_units(label: &'static str, value: u64) {
     #[cfg(feature = "enabled")]
-    metrics_runtime::record(label, metrics::Unit::Units, value);
+    runtime::record(label, Unit::Units, value);
     #[cfg(not(feature = "enabled"))]
     let _ = (label, value);
-}
-
-/// Handle over the process-wide metric shards. [`snapshot`] merges every
-/// thread's histograms into one [`MetricsSnapshot`] (always empty
-/// without the `enabled` feature); snapshots survive [`stop`] — shards
-/// are only cleared by the next [`start`] — so exporters run after the
-/// session closes.
-///
-/// [`snapshot`]: MetricsRegistry::snapshot
-pub struct MetricsRegistry;
-
-impl MetricsRegistry {
-    /// The process-wide registry.
-    pub fn global() -> MetricsRegistry {
-        MetricsRegistry
-    }
-
-    /// Merges all per-thread shards into a snapshot, sorted by label.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        #[cfg(feature = "enabled")]
-        {
-            metrics_runtime::snapshot()
-        }
-        #[cfg(not(feature = "enabled"))]
-        MetricsSnapshot::default()
-    }
 }
 
 /// Guard that records the wall time from construction to drop into the
@@ -251,12 +227,10 @@ mod tests {
         record_units("never.counted", 3);
         let _t = OpTimer::new("never.op");
         drop(_t);
-        let snap = MetricsRegistry::global().snapshot();
+        let snap = stop().metrics;
         assert!(snap.is_empty());
-        assert_eq!(snap.dropped, 0);
-        let _ = stop();
         // Renderers stay usable on the empty snapshot.
-        assert!(snap.render_prometheus().contains("sperr_metrics_dropped_samples 0"));
+        assert!(snap.render_prometheus().is_empty());
         assert!(snap.render_json().contains("sperr-metrics/v1"));
     }
 }

@@ -2,7 +2,8 @@
 //! JSON / Prometheus text-exposition renderers. Everything here compiles
 //! whether or not the `enabled` feature is on (like [`crate::Report`]),
 //! so the CLI and bench exporters need no `cfg` of their own; only the
-//! per-thread recording shards live behind the feature gate.
+//! per-thread recorders that fill the histograms live behind the feature
+//! gate.
 //!
 //! # Bucket scheme
 //!
@@ -18,7 +19,7 @@
 //! 16 exact buckets + 60 octaves × 16 sub-buckets = 976 buckets ≈ 7.8 KiB
 //! of counts per histogram — small enough to keep one histogram per
 //! (label × thread) without blowing the per-thread footprint past the
-//! event rings'.
+//! event buffers'.
 
 /// Linear sub-bucket resolution: 2^SUB_BITS sub-buckets per octave.
 pub const SUB_BITS: u32 = 4;
@@ -141,7 +142,7 @@ impl Histogram {
 
     /// Merges another histogram into this one. Bucket-wise addition, so
     /// the operation is associative and commutative (pinned by proptest)
-    /// — per-thread shards can be merged in any order at snapshot time.
+    /// — per-thread histograms can be merged in any order at `stop()`.
     pub fn merge_from(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += *b;
@@ -155,14 +156,6 @@ impl Histogram {
     /// Raw bucket counts (index via [`bucket_index`]).
     pub fn bucket_counts(&self) -> &[u64; NUM_BUCKETS] {
         &self.counts
-    }
-
-    /// Adds `n` pre-bucketed samples to bucket `i` without touching the
-    /// count/sum/min/max sidecars — the shard drain sets those from its
-    /// own exact atomics.
-    #[cfg_attr(not(feature = "enabled"), allow(dead_code))]
-    pub(crate) fn add_bucket_count(&mut self, i: usize, n: u64) {
-        self.counts[i] += n;
     }
 
     /// Quantile estimate: the upper edge of the bucket holding the
@@ -206,15 +199,13 @@ impl MetricEntry {
     }
 }
 
-/// A point-in-time merge of every thread's metric shards. Obtained from
-/// [`crate::MetricsRegistry::snapshot`]; always empty without the
-/// `enabled` feature.
+/// Every thread's histograms of one session, merged. Obtained from
+/// [`crate::Report::metrics`]; always empty without the `enabled`
+/// feature.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// Entries sorted by name.
     pub entries: Vec<MetricEntry>,
-    /// Samples discarded because a thread exhausted its shard slots.
-    pub dropped: u64,
 }
 
 impl MetricsSnapshot {
@@ -234,7 +225,6 @@ impl MetricsSnapshot {
     pub fn render_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.entries.len() * 160);
         out.push_str("{\n  \"schema\": \"sperr-metrics/v1\",\n");
-        out.push_str(&format!("  \"dropped\": {},\n", self.dropped));
         out.push_str("  \"metrics\": {");
         for (i, e) in self.entries.iter().enumerate() {
             if i > 0 {
@@ -292,12 +282,6 @@ impl MetricsSnapshot {
             out.push_str(&format!("# TYPE {name}_max gauge\n"));
             out.push_str(&format!("{name}_max {}\n", fmt_value(e.hist.max as f64 * scale)));
         }
-        out.push_str(&format!(
-            "# HELP sperr_metrics_dropped_samples Samples discarded on shard overflow.\n\
-             # TYPE sperr_metrics_dropped_samples counter\n\
-             sperr_metrics_dropped_samples {}\n",
-            self.dropped
-        ));
         out
     }
 }
@@ -427,7 +411,6 @@ mod tests {
                 MetricEntry { name: "op.compress.f64".into(), unit: Unit::Nanos, hist: h.clone() },
                 MetricEntry { name: "mem.arena".into(), unit: Unit::Bytes, hist: h },
             ],
-            dropped: 0,
         };
         let text = snap.render_prometheus();
         assert!(text.ends_with('\n'));
@@ -457,12 +440,10 @@ mod tests {
                 unit: Unit::Units,
                 hist: h,
             }],
-            dropped: 2,
         };
         let json = snap.render_json();
         assert!(json.contains("\"sperr-metrics/v1\""));
         assert!(json.contains("\"stream.in_flight\""));
-        assert!(json.contains("\"dropped\": 2"));
         assert!(json.contains("\"p999\""));
     }
 }

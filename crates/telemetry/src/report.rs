@@ -5,6 +5,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::metrics::MetricsSnapshot;
+
 /// Everything recorded in one `start()`..`stop()` session.
 #[derive(Debug, Clone, Default)]
 pub struct Report {
@@ -14,8 +16,10 @@ pub struct Report {
     pub t1_ns: u64,
     /// One timeline track per recorded thread, workers first.
     pub tracks: Vec<Track>,
-    /// Events discarded because some ring filled up.
+    /// Events discarded because some thread's event buffer filled up.
     pub dropped: u64,
+    /// Every thread's histograms, merged and sorted by label.
+    pub metrics: MetricsSnapshot,
 }
 
 /// One thread's timeline.
@@ -198,7 +202,7 @@ mod tests {
                 track("worker 0", Some(0), vec![span("stage.speck.encode", 10, 50, 0)]),
                 track("worker 1", Some(1), vec![span("stage.speck.encode", 10, 50, 0)]),
             ],
-            dropped: 0,
+            ..Default::default()
         };
         let summary = report.span_summary();
         assert_eq!(summary.len(), 1);
@@ -217,7 +221,7 @@ mod tests {
                 Some(0),
                 vec![span("pool.batch", 0, 40, 0), span("wavelet.fwd.x", 5, 10, 1)],
             )],
-            dropped: 0,
+            ..Default::default()
         };
         assert_eq!(report.track_busy_ns(), vec![("worker 0".to_string(), 40)]);
     }

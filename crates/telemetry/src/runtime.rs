@@ -1,25 +1,28 @@
-//! The recording runtime behind the `enabled` feature: per-thread
-//! bounded ring buffers, a global registry, and the start/stop session
-//! machinery that drains rings into a [`Report`].
+//! The recording runtime behind the `enabled` feature: one [`Recorder`]
+//! per thread, one global registry of them, and the start/stop session
+//! machinery that drains every recorder into a [`Report`].
 //!
-//! Concurrency model: each ring has exactly one writer (its owning
-//! thread). `len` is the publication point — the writer stores a slot
-//! and then bumps `len` with `Release`; the drain loads `len` with
-//! `Acquire` and only reads slots below it, so a slot is never read
-//! while it is being written. When a ring fills up, further events are
-//! dropped and counted ([`Report::dropped`]) instead of blocking or
-//! allocating; a drop can orphan a span's exit event, in which case the
-//! span is closed at session end during pairing. There is a benign race
-//! at session boundaries (a thread that loaded the recording flag just
-//! before `stop()` may land one more event); since sessions bracket
-//! whole pipeline runs and `start()` resets every ring, this cannot leak
-//! events across sessions in practice.
+//! Concurrency model: a recorder is written by its owning thread and read
+//! by `start()`/`stop()`, each access under the recorder's own `Mutex`.
+//! Outside those two calls the lock is uncontended. A recorder holds the
+//! thread's event buffer and, beside it, the thread's histograms, so a
+//! full buffer never costs a histogram sample. The buffer's capacity is
+//! reserved when the recorder is made, at the thread's first recorded
+//! event or sample; when it is full, further events are dropped and
+//! counted ([`Report::dropped`]) instead of allocating. A drop can orphan
+//! a span's exit event, in which case the span is closed at session end
+//! during pairing. There is a benign race at session boundaries (a thread
+//! that loaded the recording flag just before `stop()` may land one more
+//! event); since sessions bracket whole pipeline runs and `start()`
+//! resets every recorder, this cannot leak events across sessions.
 
-use std::cell::{Cell, OnceCell, UnsafeCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::cell::{Cell, OnceCell};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
+use crate::metrics::{Histogram, MetricEntry, MetricsSnapshot, Unit};
 use crate::report::{CounterEvent, Report, Span, Track};
 
 /// Events per thread before overflow. 64 Ki events × 40 B ≈ 2.5 MiB per
@@ -42,59 +45,37 @@ struct Event {
     kind: u8,
 }
 
-struct Ring {
-    slots: Box<[UnsafeCell<Event>]>,
-    /// Number of published slots. Written only by the owning thread.
-    len: AtomicUsize,
-    /// Events discarded because the ring was full.
-    dropped: AtomicUsize,
+/// One thread's recording: its events, its worker slot and its
+/// histograms.
+struct Recorder {
+    /// At most [`RING_CAPACITY`] events, all of it reserved up front.
+    events: Vec<Event>,
+    /// Events discarded because `events` was full.
+    dropped: u64,
     /// Worker slot + 1 as reported via [`set_worker`]; 0 = unnamed.
-    worker: AtomicUsize,
+    worker: usize,
+    hists: BTreeMap<&'static str, (Unit, Histogram)>,
 }
 
-// SAFETY: slots are written only by the owning thread and read by the
-// drain strictly below the Acquire-loaded `len`, which the writer bumps
-// with Release only after the slot write completes.
-unsafe impl Send for Ring {}
-unsafe impl Sync for Ring {}
-
-impl Ring {
-    fn new(worker: usize) -> Ring {
-        let blank = Event { t_ns: 0, value: 0, label: "", kind: K_COUNTER };
-        let slots: Vec<UnsafeCell<Event>> =
-            (0..RING_CAPACITY).map(|_| UnsafeCell::new(blank)).collect();
-        Ring {
-            slots: slots.into_boxed_slice(),
-            len: AtomicUsize::new(0),
-            dropped: AtomicUsize::new(0),
-            worker: AtomicUsize::new(worker),
+impl Recorder {
+    #[inline]
+    fn push(&mut self, ev: Event) {
+        if self.events.len() < RING_CAPACITY {
+            self.events.push(ev);
+        } else {
+            self.dropped += 1;
         }
     }
 
     #[inline]
-    fn push(&self, ev: Event) {
-        let i = self.len.load(Ordering::Relaxed);
-        if i >= RING_CAPACITY {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        // SAFETY: only the owning thread writes, and slot `i` is not yet
-        // published (len is still `i`).
-        unsafe { *self.slots[i].get() = ev };
-        self.len.store(i + 1, Ordering::Release);
-    }
-
-    fn snapshot(&self) -> (Vec<Event>, usize, usize) {
-        let n = self.len.load(Ordering::Acquire).min(RING_CAPACITY);
-        // SAFETY: slots below the Acquire-loaded `len` are fully written.
-        let events = (0..n).map(|i| unsafe { *self.slots[i].get() }).collect();
-        (events, self.dropped.load(Ordering::Relaxed), self.worker.load(Ordering::Relaxed))
+    fn record(&mut self, label: &'static str, unit: Unit, value: u64) {
+        self.hists.entry(label).or_insert_with(|| (unit, Histogram::new())).1.record(value);
     }
 }
 
 static RECORDING: AtomicBool = AtomicBool::new(false);
 static SESSION_T0: AtomicU64 = AtomicU64::new(0);
-static REGISTRY: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
+static REGISTRY: Mutex<Vec<Arc<Mutex<Recorder>>>> = Mutex::new(Vec::new());
 static ANCHOR: OnceLock<Instant> = OnceLock::new();
 
 #[inline]
@@ -102,34 +83,53 @@ fn now_ns() -> u64 {
     ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-fn lock_registry() -> MutexGuard<'static, Vec<Arc<Ring>>> {
-    REGISTRY.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Nothing panics while a recorder or the registry is locked, and every
+/// update leaves either valid, so a poisoned lock is taken as it is.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 thread_local! {
-    /// Worker slot + 1 announced before the thread's ring exists (the
-    /// pool names its threads up front; the ring is only allocated on
-    /// the first recorded event, so an instrumented build that never
-    /// records never allocates).
+    /// Worker slot + 1 announced before the thread's recorder exists (the
+    /// pool names its threads up front; the recorder is only made at the
+    /// first recorded event, so an instrumented build that never records
+    /// never allocates).
     static WORKER_HINT: Cell<usize> = const { Cell::new(0) };
-    static RING: OnceCell<Arc<Ring>> = const { OnceCell::new() };
+    static RECORDER: OnceCell<Arc<Mutex<Recorder>>> = const { OnceCell::new() };
 }
 
-fn register_ring() -> Arc<Ring> {
-    let ring = Arc::new(Ring::new(WORKER_HINT.with(|c| c.get())));
-    lock_registry().push(Arc::clone(&ring));
-    ring
+fn register() -> Arc<Mutex<Recorder>> {
+    let recorder = Arc::new(Mutex::new(Recorder {
+        events: Vec::with_capacity(RING_CAPACITY),
+        dropped: 0,
+        worker: WORKER_HINT.with(Cell::get),
+        hists: BTreeMap::new(),
+    }));
+    lock(&REGISTRY).push(Arc::clone(&recorder));
+    recorder
+}
+
+/// Runs `f` on the calling thread's recorder, making it on first use.
+#[inline]
+fn with_recorder(f: impl FnOnce(&mut Recorder)) {
+    RECORDER.with(|cell| f(&mut lock(cell.get_or_init(register))));
 }
 
 #[inline]
 fn push_event(kind: u8, label: &'static str, value: u64) {
-    if !RECORDING.load(Ordering::Relaxed) {
+    if !is_recording() {
         return;
     }
     let t_ns = now_ns();
-    RING.with(|cell| {
-        cell.get_or_init(register_ring).push(Event { t_ns, value, label, kind });
-    });
+    with_recorder(|r| r.push(Event { t_ns, value, label, kind }));
+}
+
+/// Records one histogram sample under `label` on the calling thread.
+#[inline]
+pub(crate) fn record(label: &'static str, unit: Unit, value: u64) {
+    if is_recording() {
+        with_recorder(|r| r.record(label, unit, value));
+    }
 }
 
 /// Scoped span handle: records an enter event at construction and an
@@ -169,9 +169,9 @@ pub fn add_counter(label: &'static str, value: u64) {
 /// Cheap and callable whether or not a session is active.
 pub fn set_worker(slot: usize) {
     WORKER_HINT.with(|c| c.set(slot + 1));
-    RING.with(|cell| {
-        if let Some(ring) = cell.get() {
-            ring.worker.store(slot + 1, Ordering::Relaxed);
+    RECORDER.with(|cell| {
+        if let Some(recorder) = cell.get() {
+            lock(recorder).worker = slot + 1;
         }
     });
 }
@@ -182,43 +182,50 @@ pub fn is_recording() -> bool {
     RECORDING.load(Ordering::Relaxed)
 }
 
-/// Begins a recording session: prunes rings whose threads have exited,
-/// resets the survivors (and the metric shards), and opens the gate.
+/// Begins a recording session: prunes recorders whose threads have
+/// exited, empties the survivors' events and histograms, and opens the
+/// gate.
 pub fn start() {
-    let mut registry = lock_registry();
-    // A ring whose owning thread is gone has strong_count == 1 (the
+    let mut registry = lock(&REGISTRY);
+    // A recorder whose owning thread is gone has strong_count == 1 (the
     // registry's own reference); keeping it would only accumulate dead
     // tracks and memory across sessions.
-    registry.retain(|ring| Arc::strong_count(ring) > 1);
-    for ring in registry.iter() {
-        ring.dropped.store(0, Ordering::Relaxed);
-        ring.len.store(0, Ordering::Release);
+    registry.retain(|recorder| Arc::strong_count(recorder) > 1);
+    for recorder in registry.iter() {
+        let mut r = lock(recorder);
+        r.events.clear();
+        r.dropped = 0;
+        r.hists.clear();
     }
-    crate::metrics_runtime::reset();
     SESSION_T0.store(now_ns(), Ordering::Relaxed);
     RECORDING.store(true, Ordering::Release);
 }
 
-/// Ends the session and drains every ring into a [`Report`]. Tracks are
-/// ordered workers-first (by slot), then unnamed threads.
+/// Ends the session and drains every recorder into a [`Report`]: events
+/// into tracks, ordered workers-first (by slot), then unnamed threads;
+/// histograms merged across threads into [`Report::metrics`], sorted by
+/// label.
 pub fn stop() -> Report {
     RECORDING.store(false, Ordering::Release);
     let t1_ns = now_ns();
     let t0_ns = SESSION_T0.load(Ordering::Relaxed);
-    let registry = lock_registry();
 
     let mut tracks = Vec::new();
     let mut dropped = 0u64;
     let mut unnamed = 0usize;
-    for ring in registry.iter() {
-        let (events, drops, worker) = ring.snapshot();
-        dropped += drops as u64;
-        if events.is_empty() {
+    let mut merged: BTreeMap<&'static str, (Unit, Histogram)> = BTreeMap::new();
+    for recorder in lock(&REGISTRY).iter() {
+        let r = lock(recorder);
+        dropped += r.dropped;
+        for (&label, (unit, hist)) in &r.hists {
+            merged.entry(label).or_insert_with(|| (*unit, Histogram::new())).1.merge_from(hist);
+        }
+        if r.events.is_empty() {
             continue;
         }
-        let (spans, counters) = pair_events(&events, t1_ns);
-        let (name, worker_slot) = if worker > 0 {
-            (format!("worker {}", worker - 1), Some(worker - 1))
+        let (spans, counters) = pair_events(&r.events, t1_ns);
+        let (name, worker_slot) = if r.worker > 0 {
+            (format!("worker {}", r.worker - 1), Some(r.worker - 1))
         } else {
             unnamed += 1;
             (format!("thread {unnamed}"), None)
@@ -226,7 +233,13 @@ pub fn stop() -> Report {
         tracks.push(Track { name, worker: worker_slot, spans, counters });
     }
     tracks.sort_by_key(|t| (t.worker.is_none(), t.worker, t.name.clone()));
-    Report { t0_ns, t1_ns, tracks, dropped }
+    // `start()` empties the histograms, so every entry holds a sample of
+    // this session: no export carries an empty series.
+    let entries = merged
+        .into_iter()
+        .map(|(name, (unit, hist))| MetricEntry { name: name.to_string(), unit, hist })
+        .collect();
+    Report { t0_ns, t1_ns, tracks, dropped, metrics: MetricsSnapshot { entries } }
 }
 
 /// Folds a thread's raw event list into completed spans (via a nesting
@@ -268,20 +281,14 @@ fn pair_events(events: &[Event], t_end: u64) -> (Vec<Span>, Vec<CounterEvent>) {
     (spans, counters)
 }
 
-/// Sessions are global; tests (here and in `metrics_runtime`) that
-/// record must not interleave.
-#[cfg(test)]
-pub(crate) fn tests_session_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Sessions are global; tests that record must not interleave.
     fn session_lock() -> MutexGuard<'static, ()> {
-        tests_session_lock()
+        static LOCK: Mutex<()> = Mutex::new(());
+        lock(&LOCK)
     }
 
     #[test]
@@ -313,18 +320,20 @@ mod tests {
     #[test]
     fn nothing_recorded_outside_sessions() {
         let _serial = session_lock();
-        // Make sure no session is active, emit events, then check the
-        // next session starts empty.
+        // Make sure no session is active, record, then check the next
+        // session starts empty.
         let _ = stop();
         {
             let _g = crate::span!("ghost");
             crate::counter!("ghost.counter", 1);
+            crate::record_units("test.gated", 5);
         }
         start();
         let report = stop();
         let total_events: usize =
             report.tracks.iter().map(|t| t.spans.len() + t.counters.len()).sum();
         assert_eq!(total_events, 0);
+        assert!(report.metrics.get("test.gated").is_none());
     }
 
     #[test]
@@ -357,9 +366,11 @@ mod tests {
         start();
         {
             let _g = crate::span!("first.session");
+            crate::record_bytes("test.reset", 42);
         }
         let first = stop();
         assert!(first.has_span("first.session"));
+        assert_eq!(first.metrics.get("test.reset").unwrap().hist.count, 1);
         start();
         {
             let _g = crate::span!("second.session");
@@ -367,6 +378,7 @@ mod tests {
         let second = stop();
         assert!(second.has_span("second.session"));
         assert!(!second.has_span("first.session"));
+        assert!(second.metrics.get("test.reset").is_none());
     }
 
     #[test]
@@ -380,5 +392,47 @@ mod tests {
         let track = &report.tracks[0];
         let span = track.spans.iter().find(|s| s.label == "left.open").unwrap();
         assert!(span.start_ns + span.dur_ns <= report.t1_ns);
+    }
+
+    #[test]
+    fn histograms_merge_across_threads() {
+        let _serial = session_lock();
+        start();
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    for v in [1_000u64, 2_000, 4_000] {
+                        crate::record_ns("test.latency", v);
+                    }
+                });
+            }
+        });
+        crate::record_ns("test.latency", 8_000);
+        let snap = stop().metrics;
+        let e = snap.get("test.latency").expect("metric recorded");
+        assert_eq!(e.hist.count, 10);
+        assert_eq!(e.hist.min, 1_000);
+        assert_eq!(e.hist.max, 8_000);
+        assert_eq!(e.unit, Unit::Nanos);
+    }
+
+    #[test]
+    fn a_full_event_buffer_costs_no_histogram_sample() {
+        // Op latencies are recorded last, when the buffer is fullest.
+        let _serial = session_lock();
+        const EXTRA: usize = 5;
+        start();
+        for _ in 0..RING_CAPACITY + EXTRA {
+            crate::counter!("test.flood", 1);
+        }
+        for v in 1..=3u64 {
+            crate::record_ns("test.after_flood", v * 1_000);
+        }
+        let report = stop();
+        assert_eq!(report.dropped, EXTRA as u64);
+        assert_eq!(report.event_count(), RING_CAPACITY);
+        let e = report.metrics.get("test.after_flood").expect("samples kept");
+        assert_eq!(e.hist.count, 3);
+        assert_eq!((e.hist.min, e.hist.max, e.hist.sum), (1_000, 3_000, 6_000));
     }
 }

@@ -208,7 +208,7 @@ echo "==> telemetry on: goldens stay byte-identical"
 # golden streams — instrumenting the pipeline may not perturb output.
 target/release/sperr-conformance check
 
-echo "==> telemetry on: identity, overhead and trace-coverage tests"
+echo "==> telemetry on: identity, event-count and trace-coverage tests"
 # Also pins the meaning of the lossless labels PR 10's dashboards read:
 # `lossless.compress` / `lossless.decompress` spans and the
 # `lossless.bytes_in/out` counters fire once per call, not once per SLZ1
@@ -222,12 +222,18 @@ echo "==> telemetry on: streaming worker timelines overlap"
 # streaming decompression.
 cargo test --quiet --features telemetry --test streaming
 
-echo "==> telemetry on: a traced CLI compress emits a valid Chrome trace"
-# End-to-end acceptance: `sperr compress --stats --trace` on a multi-chunk
-# volume writes trace JSON that passes the exporter's own schema check
-# (`sperr_telemetry::validate_chrome_trace`) with a span for every
-# compress stage and per-worker timeline tracks.
-cargo test --quiet -p sperr-cli --features telemetry traced_compress_writes_a_valid_chrome_trace
+echo "==> telemetry on: the recorder's own tests"
+# The per-thread recorder (events and, beside them, histograms) and its
+# unit tests compile only with recording compiled in.
+cargo test --quiet -p sperr-telemetry --features enabled
+
+echo "==> telemetry on: the whole CLI suite"
+# Includes the end-to-end acceptance: `sperr compress --stats --trace` on
+# a multi-chunk volume writes trace JSON that passes the exporter's own
+# schema check (`sperr_telemetry::validate_chrome_trace`) with a span for
+# every compress stage and per-worker timeline tracks; and the feature
+# branch of the `--metrics` / `metrics` export test.
+cargo test --quiet -p sperr-cli --features telemetry
 
 echo "==> telemetry on: --metrics exports + metrics subcommand"
 # The PR 10 metrics layer end-to-end: a compress run exports Prometheus

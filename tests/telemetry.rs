@@ -123,8 +123,7 @@ fn recording_does_a_bounded_number_of_operations_per_chunk() {
             STAGE_AND_PHASE_SPANS + COUNTERS + planes + passes,
             "{edge}³: events recorded beyond the per-chunk operations"
         );
-        let snap = sperr_telemetry::MetricsRegistry::global().snapshot();
-        let samples: u64 = snap.entries.iter().map(|e| e.hist.count).sum();
+        let samples: u64 = report.metrics.entries.iter().map(|e| e.hist.count).sum();
         assert_eq!(samples, HISTOGRAM_SAMPLES, "{edge}³: histogram samples");
     }
 }
@@ -148,9 +147,7 @@ fn metrics_snapshot_covers_ops_stages_and_memory() {
     sperr.decompress_f32(&stream32).unwrap();
     sperr.decode_region(&stream, [0; 3], [8, 8, 8]).unwrap();
     sperr.decode_at_bpp(&stream, 1.0).unwrap();
-    sperr_telemetry::stop();
-
-    let snap = sperr_telemetry::MetricsRegistry::global().snapshot();
+    let snap = sperr_telemetry::stop().metrics;
     // One latency histogram per exercised top-level operation…
     use sperr_core::metric_labels as m;
     for label in [
@@ -174,7 +171,6 @@ fn metrics_snapshot_covers_ops_stages_and_memory() {
         let e = snap.get(label).unwrap_or_else(|| panic!("no metric for {label}"));
         assert!(e.hist.max > 0, "{label} peak is zero");
     }
-    assert_eq!(snap.dropped, 0, "shard slots overflowed on a small session");
 
     // Both exports render: the Prometheus text carries a summary with
     // quantile series per entry, the JSON names the schema.
@@ -187,11 +183,7 @@ fn metrics_snapshot_covers_ops_stages_and_memory() {
     // Snapshots are session-scoped: a fresh session resets them, so two
     // CLI runs in one process cannot bleed into each other.
     sperr_telemetry::start();
-    sperr_telemetry::stop();
-    assert!(
-        sperr_telemetry::MetricsRegistry::global().snapshot().is_empty(),
-        "metrics survived a session reset"
-    );
+    assert!(sperr_telemetry::stop().metrics.is_empty(), "metrics survived a session reset");
 }
 
 #[test]
