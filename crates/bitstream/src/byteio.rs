@@ -12,6 +12,15 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// An empty writer in the memory of `buf` (its contents dropped), with
+    /// room for at least `bytes` bytes: a caller that writes repeatedly
+    /// hands back what [`ByteWriter::into_bytes`] gave it.
+    pub fn reusing(mut buf: Vec<u8>, bytes: usize) -> Self {
+        buf.clear();
+        buf.reserve(bytes);
+        ByteWriter { buf }
+    }
+
     /// Appends a `u8`.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);

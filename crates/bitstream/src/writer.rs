@@ -28,6 +28,19 @@ impl BitWriter {
         }
     }
 
+    /// A writer in the memory of `bytes`, whose contents are dropped: a
+    /// caller that encodes repeatedly hands back the buffer
+    /// [`BitWriter::into_bytes`] gave it and allocates nothing once the
+    /// buffer has grown to its largest stream. Memory that holds nothing
+    /// yet is [`BitWriter::with_capacity_bits`]`(bits)`.
+    pub fn reusing(mut bytes: Vec<u8>, bits: usize) -> Self {
+        if bytes.capacity() == 0 {
+            return Self::with_capacity_bits(bits);
+        }
+        bytes.clear();
+        Self { bytes, acc: 0, acc_len: 0 }
+    }
+
     /// Appends a single bit.
     #[inline]
     pub fn put_bit(&mut self, bit: bool) {

@@ -6,12 +6,14 @@
 
 use crate::chunk::{chunk_grid, ChunkSpec};
 use crate::container::{
-    write_container, ChunkIndexEntry, Header, Mode, VERSION, VERSION_V1, VERSION_V2,
+    write_container, write_container_into, ChunkIndexEntry, Header, Mode, VERSION, VERSION_V1,
+    VERSION_V2,
 };
 use crate::decode::{Opened, OnDamage, ReadReport, ReadRequest};
 use crate::outer::{wrap_outer, Framed};
 use crate::pipeline::{compress_chunk, ChunkEncoding, ChunkMode, Refusal, ScratchArena};
 use crate::stats::{metric_labels, stage_labels, CompressionStats};
+use crate::warm::{Warm, WorkingSet};
 use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, Precision};
 use sperr_exec::WorkerPool;
 use sperr_simd::Float;
@@ -88,9 +90,20 @@ impl Default for SperrConfig {
 }
 
 /// The SPERR compressor. See the crate docs for the pipeline description.
+///
+/// Between calls a `Sperr` retains up to one chunk's working set per
+/// worker — the largest chunk's coefficient, wavelet, SPECK and outlier
+/// buffers — plus the last compress's container buffer and lossless
+/// parse tables, so a caller that compresses repeatedly through one
+/// `Sperr` allocates them once; its reads decode in the same memory. The
+/// memory goes with the `Sperr`; a clone or a default starts without it.
+/// Calls on one `Sperr` from several threads stay correct and never wait
+/// on each other: a call that finds the set in use works in fresh memory.
+/// No byte of any stream or sample depends on what is retained.
 #[derive(Debug, Clone, Default)]
 pub struct Sperr {
     config: SperrConfig,
+    warm: Warm,
 }
 
 /// One chunk's encode: its encoding, or why the coder refused it.
@@ -180,8 +193,8 @@ impl CompressRun<'_> {
     /// Seals the encoded chunks of the run's volume into the final stream:
     /// folds their accounting into the run's statistics, writes the
     /// container and frames it, the lossless pass (when on) running its
-    /// blocks on `pool`. The sample type `T` the chunks were encoded from
-    /// selects the payload-width tag.
+    /// blocks on `pool` — both in the memory of `set`. The sample type `T`
+    /// the chunks were encoded from selects the payload-width tag.
     ///
     /// Refuses — naming the chunk — when a PWE-bounded f64 chunk knows it
     /// missed the bound: `ChunkEncoding::max_err` is the exact error a
@@ -195,6 +208,7 @@ impl CompressRun<'_> {
         precision: Precision,
         encoded: &[ChunkEncoding],
         pool: &WorkerPool,
+        set: &mut WorkingSet<T>,
     ) -> Result<(Vec<u8>, CompressionStats), (usize, CompressError)> {
         let cfg = self.config;
         if let (Mode::Pwe, 8) = (self.mode, T::BYTES) {
@@ -237,19 +251,24 @@ impl CompressRun<'_> {
             bound_value: self.bound_value,
             n_chunks: encoded.len(),
         };
-        let (container, container_time) =
-            timed(stage_labels::CONTAINER_WRITE, || write_container(&header, encoded, VERSION));
+        let memory = std::mem::take(&mut set.container);
+        let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
+            write_container_into(&header, encoded, VERSION, memory)
+        });
         stats.container_bytes = container.len();
         stats.stage_times.container = container_time;
 
+        let encoders = &mut set.lossless;
         let out = if cfg.lossless {
-            let (out, lossless_time) =
-                timed(stage_labels::LOSSLESS_COMPRESS, || wrap_outer(&container, true, pool));
+            let (out, lossless_time) = timed(stage_labels::LOSSLESS_COMPRESS, || {
+                wrap_outer(&container, true, pool, encoders)
+            });
             stats.stage_times.lossless = lossless_time;
             out
         } else {
-            wrap_outer(&container, false, pool)
+            wrap_outer(&container, false, pool, encoders)
         };
+        set.container = container;
         stats.output_bytes = out.len();
         sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
         Ok((out, stats))
@@ -264,12 +283,17 @@ impl Sperr {
             "q_factor must be finite and positive"
         );
         assert!(config.chunk_dims.iter().all(|&d| d > 0), "chunk dims must be positive");
-        Sperr { config }
+        Sperr { config, warm: Warm::default() }
     }
 
     /// The active configuration.
     pub fn config(&self) -> &SperrConfig {
         &self.config
+    }
+
+    /// The working set kept between calls.
+    pub(crate) fn warm(&self) -> &Warm {
+        &self.warm
     }
 
     /// Worker count for the pool, clamped to the parallelism actually
@@ -356,28 +380,25 @@ impl Sperr {
         }
         let grid = chunk_grid(field.dims, self.config.chunk_dims);
         // One pool for the whole call: the chunk encodes, then the blocks
-        // of the lossless pass over the assembled container.
-        WorkerPool::scoped(self.effective_threads(&grid), |pool| {
-            let mut scratch = Vec::new();
+        // of the lossless pass over the assembled container, all in the
+        // working set this `Sperr` keeps.
+        let mut set = self.warm.take::<T>();
+        let sealed = WorkerPool::scoped(self.effective_threads(&grid), |pool| {
             let encoded = run.encode_batch(
                 &grid,
                 &field.data,
                 pool,
-                &mut scratch,
+                &mut set.arenas,
                 |_, encode| Ok(encode()),
                 |chunk, refusal| refusal.into_error(chunk),
             )?;
             let precision = if native_f32 { Precision::Single } else { field.precision };
-            let sealed = run.seal_container::<T>(precision, &encoded, pool);
-            // Release order matters to the allocator: the encoded chunks,
-            // then the scratch, both only after sealing. Freed first, the
-            // scratch's chunk-sized buffers hand the top of the heap back to
-            // the OS just before the container and lossless buffers need it
-            // (2–3 × the page faults per call on a one-chunk volume).
-            drop(encoded);
-            scratch.iter().for_each(ScratchArena::record_footprint);
+            let sealed = run.seal_container(precision, &encoded, pool, &mut set);
+            set.reclaim(encoded);
             sealed.map_err(|(_, refused)| refused)
-        })
+        });
+        self.warm.give_back(set);
+        sealed
     }
 
     /// `compress_with_stats(field, bound)` without the statistics. Kept
@@ -492,7 +513,7 @@ impl Sperr {
             // at v2: the writer no longer emits v1 except via
             // `downgrade_to_v1`).
             let container = write_container(&header, &chunks, opened.version.max(VERSION_V2));
-            Ok(wrap_outer(&container, opened.lossless, pool))
+            Ok(wrap_outer(&container, opened.lossless, pool, &mut Default::default()))
         })?
     }
 
@@ -526,7 +547,7 @@ impl Sperr {
                 .map(|chunk| stored_chunk(opened, chunk, usize::MAX, true))
                 .collect::<Result<Vec<_>, _>>()?;
             let container = write_container(&opened.header, &chunks, version);
-            Ok(wrap_outer(&container, opened.lossless, pool))
+            Ok(wrap_outer(&container, opened.lossless, pool, &mut Default::default()))
         })?
     }
 

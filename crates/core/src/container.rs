@@ -26,7 +26,7 @@
 //! three versions (v1 streams have no checksums, so `chunk_crcs` parses
 //! as `None`; v1/v2 streams have no index, so `index` parses as `None`).
 
-use crate::crc32::crc32;
+use crate::crc32::{crc32, crc32_of};
 use crate::pipeline::ChunkEncoding;
 use sperr_bitstream::{ByteReader, ByteWriter};
 use sperr_compress_api::{CompressError, Precision};
@@ -177,8 +177,21 @@ fn kernel_from_tag(tag: u8) -> Result<Kernel, CompressError> {
 /// — the only writer of the legacy v1 layout, which every reader must keep
 /// accepting.
 pub(crate) fn write_container(header: &Header, chunks: &[ChunkEncoding], version: u8) -> Vec<u8> {
+    write_container_into(header, chunks, version, Vec::new())
+}
+
+/// [`write_container`] in the memory of `buf`, whose contents are dropped.
+pub(crate) fn write_container_into(
+    header: &Header,
+    chunks: &[ChunkEncoding],
+    version: u8,
+    buf: Vec<u8>,
+) -> Vec<u8> {
     debug_assert!((VERSION_V1..=VERSION).contains(&version));
-    let mut w = ByteWriter::new();
+    // Room for the payloads and a head of at most 64 bytes a chunk.
+    let payloads = chunks.iter().map(|c| c.speck_stream.len() + c.outlier_stream.len());
+    let mut w =
+        ByteWriter::reusing(buf, FIXED_HEADER_BYTES + 64 * chunks.len() + payloads.sum::<usize>());
     // Fixed 20-byte header.
     w.put_bytes(MAGIC);
     w.put_u8(version);
@@ -243,10 +256,7 @@ pub(crate) fn write_container(header: &Header, chunks: &[ChunkEncoding], version
         // One CRC per chunk, over the chunk's concatenated payload bytes
         // (SPECK stream then outlier stream).
         for c in chunks {
-            let mut crc_input = Vec::with_capacity(c.speck_stream.len() + c.outlier_stream.len());
-            crc_input.extend_from_slice(&c.speck_stream);
-            crc_input.extend_from_slice(&c.outlier_stream);
-            w.put_u32(crc32(&crc_input));
+            w.put_u32(crc32_of(&[&c.speck_stream, &c.outlier_stream]));
         }
         // Header CRC over every byte written so far (fixed + extended
         // headers, chunk table, v3 index when present, chunk CRCs).

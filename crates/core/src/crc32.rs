@@ -52,7 +52,16 @@ fn update_bytewise(mut crc: u32, data: &[u8]) -> u32 {
 /// checksum: the container uses it for integrity, and external integrity
 /// tooling (the conformance golden-stream manifest) uses it for digests.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    crc32_of(&[data])
+}
+
+/// [`crc32`] of the concatenation of `parts`, without concatenating them.
+pub(crate) fn crc32_of(parts: &[&[u8]]) -> u32 {
+    !parts.iter().fold(!0u32, |crc, part| update(crc, part))
+}
+
+/// Advances the register over `data`, eight bytes a step.
+fn update(mut crc: u32, data: &[u8]) -> u32 {
     let mut words = data.chunks_exact(8);
     for w in words.by_ref() {
         let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ crc;
@@ -66,7 +75,7 @@ pub fn crc32(data: &[u8]) -> u32 {
             ^ TABLES[1][((hi >> 16) & 0xFF) as usize]
             ^ TABLES[0][(hi >> 24) as usize];
     }
-    !update_bytewise(crc, words.remainder())
+    update_bytewise(crc, words.remainder())
 }
 
 #[cfg(test)]
@@ -97,6 +106,9 @@ mod tests {
                 let len = len.min(4100);
                 let data = &buf[off..off + len];
                 proptest::prop_assert_eq!(crc32(data), !update_bytewise(!0, data));
+                // Split anywhere, the parts give the whole's checksum.
+                let (a, b) = data.split_at(off.min(len));
+                proptest::prop_assert_eq!(crc32_of(&[a, b]), crc32(data));
             }
         }
     }

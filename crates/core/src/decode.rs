@@ -39,6 +39,7 @@ use crate::faultpoint::{self, Caught};
 use crate::outer::{Fetched, Framed};
 use crate::pipeline::{phase, ScratchArena};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
+use crate::warm::Warm;
 use sperr_compress_api::{Bound, CompressError, FieldOf};
 use sperr_exec::{Slots, WorkerPool};
 use sperr_simd::Float;
@@ -83,9 +84,11 @@ pub(crate) struct ChunkJob<'a> {
     pub level: usize,
 }
 
-/// Decompresses one chunk: SPECK decode, inverse wavelet transform on
-/// `pool` with `arena`'s panel scratch, outlier corrections. Also reports
-/// per-stage wall times for `info --verbose`.
+/// Decompresses one chunk: SPECK decode in `arena`'s SPECK scratch,
+/// inverse wavelet transform on `pool` with `arena`'s panel scratch,
+/// outlier corrections — all into `arena`'s coefficient buffer, which
+/// leaves as the result. Also reports per-stage wall times for
+/// `info --verbose`.
 ///
 /// The read decodes what it returns and no more: the [`Support`] of the
 /// kept box — `keep`, or at `level > 0` the coarse corner — names the
@@ -115,13 +118,24 @@ pub(crate) fn decode_chunk<T: Float>(
     let keep = if job.level > 0 { None } else { job.keep };
     let support = Support::new(dims, levels, job.level, keep);
     crate::faultpoint::stage(stage_labels::SPECK_DECODE);
+    let scratch = std::mem::take(&mut arena.speck);
     let ((sorted, sort_time), (corrections, list_time)) = pool.join(
-        || phase(stage_labels::SPECK_DECODE, || sorting_pass(job, &support)),
+        || phase(stage_labels::SPECK_DECODE, || sorting_pass(job, &support, scratch)),
         || phase(stage_labels::OUTLIER_APPLY, || outlier_list(job)),
     );
     let sorted = sorted?;
     let corrections = corrections?;
-    let mut coeffs = vec![T::ZERO; sorted.len()];
+    // The chunk decodes into the arena's coefficient buffer, which leaves
+    // with the result; the read hands it back once the sink is done. New
+    // memory comes zeroed from the allocator, untouched where a region's
+    // support does not reach.
+    let mut coeffs = std::mem::take(&mut arena.coeffs);
+    coeffs.clear();
+    if coeffs.capacity() == 0 {
+        coeffs = vec![T::ZERO; sorted.len()];
+    } else {
+        coeffs.resize(sorted.len(), T::ZERO);
+    }
     let ((), assembly_time) = phase(stage_labels::SPECK_DECODE, || {
         let whole = std::iter::once(0..sorted.len());
         let slabs = if pool.fans_out() { sorted.slabs() } else { whole.collect() };
@@ -141,7 +155,7 @@ pub(crate) fn decode_chunk<T: Float>(
             sorted.assemble(slab.clone(), out);
         });
     });
-    drop(sorted);
+    arena.speck = sorted.into_scratch();
 
     crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
     let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
@@ -178,10 +192,11 @@ pub(crate) fn decode_chunk<T: Float>(
 }
 
 /// SPECK's sorting pass over the chunk's stream, masked to `support`
-/// unless that is the whole chunk.
+/// unless that is the whole chunk, in the memory of `scratch`.
 fn sorting_pass<'a>(
     job: &ChunkJob<'a>,
     support: &Support,
+    scratch: sperr_speck::Scratch,
 ) -> Result<sperr_speck::Sorted<'a, 3>, CompressError> {
     let keep = if support.is_everything() {
         None
@@ -190,9 +205,8 @@ fn sorting_pass<'a>(
             sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
         })?)
     };
-    let sorted =
-        sperr_speck::sorting_pass(job.speck, job.dims, job.q, job.num_planes, keep.as_deref());
-    Ok(sorted?)
+    let (speck, dims, q, planes) = (job.speck, job.dims, job.q, job.num_planes);
+    Ok(sperr_speck::sorting_pass(speck, dims, q, planes, keep.as_deref(), scratch)?)
 }
 
 /// The chunk's outlier corrections, decoded (none when the read does not
@@ -293,9 +307,13 @@ pub(crate) trait Sink {
     type Error: From<Stop>;
 
     /// Takes the boxes of the tasks `batch` (task indices), in task order,
-    /// at the decode width `S` the read chose.
-    fn batch<S: Float>(&mut self, batch: Range<usize>, boxes: Vec<Decoded<S>>)
-        -> Result<(), Self::Error>;
+    /// at the decode width `S` the read chose. What it leaves of them the
+    /// read keeps for its next batch.
+    fn batch<S: Float>(
+        &mut self,
+        batch: Range<usize>,
+        boxes: &mut [Decoded<S>],
+    ) -> Result<(), Self::Error>;
 }
 
 /// Where the payloads lie in the container.
@@ -501,6 +519,9 @@ pub(crate) struct Opened<'a> {
     /// and of the head's parse and plan plus any up-front checks
     /// (`container`).
     pub open_times: StageTimes,
+    /// The working set of the `Sperr` that opened the stream, which the
+    /// read decodes in.
+    warm: &'a Warm,
 }
 
 impl Deref for Opened<'_> {
@@ -559,6 +580,7 @@ impl Sperr {
                 lossless: framed.lossless(),
                 container_len: framed.container_len(),
                 open_times: StageTimes::default(),
+                warm: self.warm(),
             };
             let (checked, check_time) =
                 phase(stage_labels::CONTAINER_READ, || opened.check_up_front(on_damage));
@@ -708,19 +730,27 @@ impl Opened<'_> {
         let tasks = &self.tasks;
         let mut statuses = Vec::with_capacity(tasks.len());
         let mut stage_times = self.open_times;
-        let mut arenas = Vec::<ScratchArena<S>>::new();
-        for batch in batches {
-            let settled = self.run_on(pool, &tasks[batch.clone()], &mut arenas, on_damage);
-            let mut boxes = Vec::with_capacity(settled.len());
-            for task in settled {
-                let (samples, status, times) = task?;
-                stage_times.accumulate(&times);
-                statuses.push(status);
-                boxes.push(samples);
+        // The batches decode in the `Sperr`'s working set, given back
+        // however the read returns.
+        let mut set = self.warm.take::<S>();
+        let read = || {
+            for batch in batches {
+                let settled = self.run_on(pool, &tasks[batch.clone()], &mut set.arenas, on_damage);
+                let mut boxes = Vec::with_capacity(settled.len());
+                for task in settled {
+                    let (samples, status, times) = task?;
+                    stage_times.accumulate(&times);
+                    statuses.push(status);
+                    boxes.push(samples);
+                }
+                sink.batch(batch, &mut boxes)?;
+                set.take_back(boxes);
             }
-            sink.batch(batch, boxes)?;
-        }
-        arenas.iter().filter(|a| a.bytes() > 0).for_each(ScratchArena::record_footprint);
+            Ok::<(), K::Error>(())
+        };
+        let read = read();
+        self.warm.give_back(set);
+        read?;
         let report = ReadReport {
             chunk_ids: tasks.iter().map(|t| t.chunk).collect(),
             statuses,
@@ -798,7 +828,7 @@ struct Volume<'r, 'a, D> {
 impl<D: Float> Sink for Volume<'_, '_, D> {
     type Error = Stop;
 
-    fn batch<S: Float>(&mut self, _: Range<usize>, mut boxes: Vec<Decoded<S>>) -> Result<(), Stop> {
+    fn batch<S: Float>(&mut self, _: Range<usize>, boxes: &mut [Decoded<S>]) -> Result<(), Stop> {
         let placed = |task: &ChunkTask| {
             let spec = &self.opened.grid[task.chunk];
             let (src_lo, extent) = self.opened.kept_box(task);
@@ -807,7 +837,7 @@ impl<D: Float> Sink for Volume<'_, '_, D> {
             (spec.dims, src_lo, extent, dst_lo)
         };
         let (tasks, out_dims) = (&self.opened.tasks, self.opened.out_dims);
-        if let ([task], [Some(samples)]) = (tasks.as_slice(), boxes.as_mut_slice()) {
+        if let ([task], [Some(samples)]) = (tasks.as_slice(), &mut *boxes) {
             if placed(task) == (out_dims, [0; 3], out_dims, [0; 3]) {
                 let same_width: &mut dyn Any = samples;
                 if let Some(volume) = same_width.downcast_mut::<Vec<D>>() {
@@ -817,7 +847,7 @@ impl<D: Float> Sink for Volume<'_, '_, D> {
             }
         }
         let mut out = vec![D::ZERO; out_dims.iter().product()];
-        for (task, samples) in tasks.iter().zip(&boxes) {
+        for (task, samples) in tasks.iter().zip(&*boxes) {
             if let Some(samples) = samples {
                 let (src_dims, src_lo, extent, dst_lo) = placed(task);
                 copy_box(samples, src_dims, src_lo, extent, &mut out, out_dims, dst_lo);

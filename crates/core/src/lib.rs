@@ -66,6 +66,7 @@ pub mod faultpoint;
 mod pipeline;
 mod stats;
 mod stream;
+mod warm;
 pub use stats::{metric_labels, stage_labels};
 
 pub use chunk::{chunk_grid, extract_chunk, extract_chunk_into, ChunkSpec};

@@ -12,19 +12,25 @@
 use crate::container::{head_len, read_container_head, Parsed, FIXED_HEADER_BYTES};
 use sperr_compress_api::CompressError;
 use sperr_exec::{Exec, Serial, WorkerPool};
-use sperr_lossless::{BlockDirectory, SparseBytes};
+use sperr_lossless::{BlockDirectory, Encoders, SparseBytes};
 use std::ops::Range;
 
 pub(crate) const OUTER_RAW: u8 = 0;
 pub(crate) const OUTER_LOSSLESS: u8 = 1;
 
-/// Frames `container`. The lossless pass encodes its blocks on `pool`;
-/// the bytes do not depend on how many workers that is.
-pub(crate) fn wrap_outer(container: &[u8], lossless: bool, pool: &WorkerPool) -> Vec<u8> {
+/// Frames `container`. The lossless pass encodes its blocks on `pool`
+/// with `encoders`' parse tables; the bytes do not depend on how many
+/// workers that is.
+pub(crate) fn wrap_outer(
+    container: &[u8],
+    lossless: bool,
+    pool: &WorkerPool,
+    encoders: &mut Encoders,
+) -> Vec<u8> {
     let mut out = Vec::new();
     if lossless {
         out.push(OUTER_LOSSLESS);
-        sperr_lossless::compress_with(container, pool, &mut out);
+        sperr_lossless::compress_with(container, pool, encoders, &mut out);
     } else {
         out.reserve_exact(container.len() + 1);
         out.push(OUTER_RAW);

@@ -33,12 +33,14 @@ fn lossless_pass_is_byte_identical_under_any_executor_and_pool_width() {
     let executors: [&dyn Exec; 3] = [&ReverseOrder, &StripedWorkers(3), &StripedWorkers(7)];
     for exec in executors {
         let mut packed = Vec::new();
-        sperr_lossless::compress_with(&data, exec, &mut packed);
+        sperr_lossless::compress_with(&data, exec, &mut Default::default(), &mut packed);
         assert!(packed == serial, "executor of width {}", exec.width());
     }
     // The real pool, as the compress drivers use it.
     for threads in [1usize, 2, 7] {
-        let framed = WorkerPool::scoped(threads, |pool| wrap_outer(&data, true, pool));
+        let framed = WorkerPool::scoped(threads, |pool| {
+            wrap_outer(&data, true, pool, &mut Default::default())
+        });
         assert_eq!(framed[0], OUTER_LOSSLESS);
         assert!(framed[1..] == serial[..], "{threads} threads");
     }

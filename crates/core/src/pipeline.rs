@@ -44,20 +44,50 @@ const ELEM_BLOCK: usize = 1 << 16;
 /// row at a time.
 const L1_BLOCK: usize = 1024;
 
-/// Reusable per-worker scratch: the coefficient buffer and the wavelet
-/// transform's panel/line scratch. Buffers grow to the largest chunk seen
-/// and are never shrunk; a driver keeps one arena per worker slot so that
-/// a multi-gigabyte run allocates a bounded, chunk-count-independent
-/// amount. Generic over the sample type: the f32 pipeline keeps all of its
-/// scratch at half width (the type parameter defaults to `f64`).
+/// Reusable per-worker scratch — one chunk's working set: the coefficient
+/// buffer, the wavelet transform's panel/line scratch, SPECK's
+/// ([`sperr_speck::Scratch`]: its phase-1 levels and magnitudes,
+/// its found list and buckets, and a buffer for the next SPECK stream),
+/// and the outlier locate's lists and coder's scratch
+/// ([`sperr_outlier::EncodeScratch`]).
+/// Buffers grow to the largest chunk seen and are never shrunk; a driver
+/// keeps one arena per worker slot so that a multi-gigabyte run allocates
+/// a bounded, chunk-count-independent amount, and a [`crate::Sperr`]
+/// keeps its drivers' arenas between calls. Generic over the sample type:
+/// the f32 pipeline keeps its float scratch at half width (the type
+/// parameter defaults to `f64`).
 pub struct ScratchArena<T: Float = f64> {
-    coeffs: Vec<T>,
+    pub(crate) coeffs: Vec<T>,
     pub(crate) wavelet: TransformScratch<T>,
+    pub(crate) speck: sperr_speck::Scratch,
+    pub(crate) outliers: OutlierScratch,
+}
+
+/// The outlier locate's and coder's share of an arena.
+#[derive(Default)]
+pub(crate) struct OutlierScratch {
+    /// Per [`ELEM_BLOCK`] of the scan, the outliers it found.
+    found: Vec<Vec<Outlier>>,
+    /// All of them, in position order.
+    list: Vec<Outlier>,
+    pub(crate) coder: sperr_outlier::EncodeScratch,
+}
+
+impl OutlierScratch {
+    fn bytes(&self) -> usize {
+        let lists = self.found.iter().chain([&self.list]).map(Vec::capacity).sum::<usize>();
+        lists * std::mem::size_of::<Outlier>() + self.coder.bytes()
+    }
 }
 
 impl<T: Float> Default for ScratchArena<T> {
     fn default() -> Self {
-        ScratchArena { coeffs: Vec::new(), wavelet: TransformScratch::new() }
+        ScratchArena {
+            coeffs: Vec::new(),
+            wavelet: TransformScratch::new(),
+            speck: sperr_speck::Scratch::default(),
+            outliers: OutlierScratch::default(),
+        }
     }
 }
 
@@ -67,23 +97,14 @@ impl<T: Float> ScratchArena<T> {
         Self::default()
     }
 
-    /// Bytes currently held by this arena's buffers, wavelet panel/line
-    /// scratch included. Buffers never shrink, so after a run this *is*
+    /// Bytes currently held by this arena's buffers, the wavelet's, SPECK's
+    /// and the outlier coder's scratch included. Buffers never shrink, so after a run this *is*
     /// the arena's high-water mark.
     pub fn bytes(&self) -> usize {
-        self.coeffs.capacity() * std::mem::size_of::<T>() + self.wavelet.bytes()
-    }
-
-    /// Records the current footprint into the width-matched memory
-    /// histogram (whose max the exporters surface as the high-water
-    /// mark). The drivers call this once per worker arena per run.
-    pub(crate) fn record_footprint(&self) {
-        let label = if std::mem::size_of::<T>() == 4 {
-            crate::stats::metric_labels::MEM_ARENA_F32
-        } else {
-            crate::stats::metric_labels::MEM_ARENA_F64
-        };
-        sperr_telemetry::record_bytes(label, self.bytes() as u64);
+        self.coeffs.capacity() * std::mem::size_of::<T>()
+            + self.wavelet.bytes()
+            + self.speck.bytes()
+            + self.outliers.bytes()
     }
 }
 
@@ -301,25 +322,31 @@ fn quantization_sq_error<T: Float>(coeffs: &[T], q: f64, pool: &WorkerPool) -> f
     per_block.into_iter().sum()
 }
 
-/// Compares the chunk's samples with `recon` block-parallel, returning the
-/// outliers (positions ascending), the total squared error, and the max
-/// residual over the *in-tolerance* points (the part of the final max
-/// error that outlier correction won't touch). Fixed blocks + block-order
-/// reduction keep all three deterministic across thread counts (max is
-/// also order-independent). A residual that is not finite — the inverse
-/// transform overflowed — refuses the chunk.
+/// Compares the chunk's samples with `recon` block-parallel, leaving the
+/// outliers (positions ascending) in `scratch.list` and returning the
+/// total squared error and the max residual over the *in-tolerance*
+/// points (the part of the final max error that outlier correction won't
+/// touch). Fixed blocks + block-order reduction keep all three
+/// deterministic across thread counts (max is also order-independent). A
+/// residual that is not finite — the inverse transform overflowed —
+/// refuses the chunk.
 fn scan_outliers<T: Float>(
     chunk: &Rows<'_, T>,
     recon: &[T],
     t: f64,
     pool: &WorkerPool,
-) -> Result<(Vec<Outlier>, f64, f64), Refusal> {
+    scratch: &mut OutlierScratch,
+) -> Result<(f64, f64), Refusal> {
     let len = recon.len();
-    let per_block = pool.map(len.div_ceil(ELEM_BLOCK).max(1), |b, _| {
+    let n_blocks = len.div_ceil(ELEM_BLOCK).max(1);
+    scratch.found.resize_with(n_blocks.max(scratch.found.len()), Vec::new);
+    let lists: Slots<&mut Vec<Outlier>> = scratch.found.iter_mut().collect();
+    let per_block = pool.map(n_blocks, |b, _| {
         let block = (b * ELEM_BLOCK).min(len)..((b + 1) * ELEM_BLOCK).min(len);
         let mut sq = 0.0;
         let mut max_in_tol = 0.0f64;
-        let mut found = Vec::new();
+        let mut found = lists.lock(b);
+        found.clear();
         for (first, samples) in chunk.runs(block.clone()) {
             let recon = &recon[first..first + samples.len()];
             for (pos, (&x, &r)) in (first..).zip(samples.iter().zip(recon)) {
@@ -341,20 +368,21 @@ fn scan_outliers<T: Float>(
                 let recon = &recon[first..];
                 samples.iter().zip(recon).all(|(&x, &r)| (x - r).to_f64().is_finite())
             });
-        (found, sq, max_in_tol, finite)
+        (sq, max_in_tol, finite)
     });
-    let mut outliers = Vec::new();
+    drop(lists);
+    scratch.list.clear();
     let mut coeff_sq_error = 0.0;
     let mut max_in_tol = 0.0f64;
-    for (found, sq, m, finite) in per_block {
+    for ((sq, m, finite), found) in per_block.into_iter().zip(&scratch.found) {
         if !finite {
             return Err(Refusal::Overflow);
         }
-        outliers.extend(found);
+        scratch.list.extend_from_slice(found);
         coeff_sq_error += sq;
         max_in_tol = max_in_tol.max(m);
     }
-    Ok((outliers, coeff_sq_error, max_in_tol))
+    Ok((coeff_sq_error, max_in_tol))
 }
 
 /// Compresses the chunk `spec` of the row-major `volume` (of extent
@@ -396,7 +424,7 @@ pub fn compress_chunk<T: Float>(
     let chunk = Rows { volume, volume_dims, spec };
     let dims = spec.dims;
     let levels = levels_for_dims(dims);
-    let ScratchArena { coeffs, wavelet } = arena;
+    let ScratchArena { coeffs, wavelet, speck, outliers } = arena;
 
     // Stage 1: forward wavelet transform of the chunk's samples. The
     // largest coefficient magnitude is the size-bounded mode's scale and
@@ -440,7 +468,8 @@ pub fn compress_chunk<T: Float>(
     // bits, or under a bit budget.
     crate::faultpoint::stage(stage_labels::SPECK_ENCODE);
     let (quantized, quantize_time) = phase(stage_labels::SPECK_ENCODE, || {
-        sperr_speck::quantize(coeffs.as_slice(), dims, q, termination, pool)
+        let scratch = std::mem::take(speck);
+        sperr_speck::quantize(coeffs.as_slice(), dims, q, termination, pool, scratch)
     });
     let sort = |quantized: sperr_speck::Quantized<'_, T, 3>| {
         phase(stage_labels::SPECK_ENCODE, || quantized.encode())
@@ -449,22 +478,25 @@ pub fn compress_chunk<T: Float>(
     // locate (PWE) reconstructs and inverse-transforms them in place and
     // compares the result with the chunk's rows of the volume, and the
     // outliers it finds are encoded; RMSE sums their quantization error.
-    let beside = |coeffs: &mut [T], wavelet: &mut TransformScratch<T>| match mode {
+    let beside = |coeffs: &mut [T],
+                  wavelet: &mut TransformScratch<T>,
+                  scratch: &mut OutlierScratch| match mode {
         ChunkMode::Pwe { t, .. } => {
             crate::faultpoint::stage(stage_labels::OUTLIER_LOCATE);
             let (located, locate_time) = timed(stage_labels::OUTLIER_LOCATE, || {
                 reconstruct_in_place(coeffs, q, pool);
                 inverse_3d_with(coeffs, dims, levels, kernel, pool, wavelet);
-                scan_outliers(&chunk, coeffs, t, pool)
+                scan_outliers(&chunk, coeffs, t, pool, scratch)
             });
-            let (outliers, coeff_sq_error, max_in_tol) = located?;
+            let (coeff_sq_error, max_in_tol) = located?;
+            let OutlierScratch { list: outliers, coder, .. } = scratch;
             // Stage 4: encode the outliers. The coder reports how far its
             // quantized corrections land from the true ones; with the
             // in-tolerance residuals that is the chunk's exact
             // post-correction max error, for the v3 chunk index.
             crate::faultpoint::stage(stage_labels::OUTLIER_ENCODE);
             let (encoded, encode_time) = timed(stage_labels::OUTLIER_ENCODE, || {
-                sperr_outlier::encode(&outliers, spec.len(), t)
+                sperr_outlier::encode_with(outliers, spec.len(), t, coder)
             });
             Ok(Beside::Located {
                 count: outliers.len(),
@@ -478,7 +510,7 @@ pub fn compress_chunk<T: Float>(
         ChunkMode::Rmse { .. } => Ok(Beside::SqError(quantization_sq_error(coeffs, q, pool))),
         ChunkMode::Bpp { .. } => Ok(Beside::Nothing),
     };
-    let ((enc, sort_time), beside) = match quantized.release() {
+    let ((mut enc, sort_time), beside) = match quantized.release() {
         // The second phase reads only what the first left, so the mode's
         // work on the coefficients runs beside it: on the other worker
         // when the pool fans out, after it otherwise. A panic on either
@@ -487,15 +519,20 @@ pub fn compress_chunk<T: Float>(
         Ok(quantized) => {
             let (enc, beside) = pool.join(
                 || crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || sort(quantized)),
-                || crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || beside(coeffs, wavelet)),
+                || {
+                    crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || {
+                        beside(coeffs, wavelet, outliers)
+                    })
+                },
             );
             (enc.unwrap_or_else(Caught::resume), beside.unwrap_or_else(Caught::resume))
         }
         Err(quantized) => {
             let enc = sort(quantized);
-            (enc, beside(coeffs, wavelet))
+            (enc, beside(coeffs, wavelet, outliers))
         }
     };
+    *speck = std::mem::take(&mut enc.scratch);
     let speck_time = quantize_time + sort_time;
     sperr_telemetry::record_ns(stage_labels::SPECK_ENCODE, speck_time.as_nanos() as u64);
     let mut out = ChunkEncoding {
@@ -732,8 +769,10 @@ mod tests {
     #[test]
     fn the_arena_is_the_only_chunk_sized_buffer() {
         // Coefficients, reconstruction and inverse transform share one
-        // buffer: after a one-chunk 32³ compress the arena holds the chunk
-        // once (plus panel scratch), never a second chunk-sized buffer.
+        // buffer: after a one-chunk 32³ compress the arena's float buffers
+        // hold the chunk once (plus panel scratch), never a second
+        // chunk-sized buffer. (SPECK's and the outlier coder's scratch,
+        // which the arena keeps too, hold no sample.)
         fn check<T: Float>() {
             let dims = [32usize; 3];
             let data: Vec<T> = test_data(dims).iter().map(|&v| T::from_f64(v)).collect();
@@ -750,7 +789,8 @@ mod tests {
                         compress_chunk(&data, dims, &whole(dims), mode, k, pool, &mut arena)
                             .unwrap();
                     });
-                    let bytes = arena.bytes();
+                    let floats = arena.coeffs.capacity() * std::mem::size_of::<T>();
+                    let bytes = floats + arena.wavelet.bytes();
                     assert!(
                         bytes < 2 * chunk_bytes,
                         "{mode:?} t{threads}: arena {bytes} B for a {chunk_bytes} B chunk"

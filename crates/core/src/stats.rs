@@ -76,10 +76,12 @@ pub mod metric_labels {
     /// SPECK payload bytes per encoded chunk.
     pub const SIZE_CHUNK_SPECK: &str = "size.chunk.speck";
 
-    /// Scratch-arena bytes per worker on the f64 path; the histogram max
-    /// is the high-water mark.
+    /// Working memory on the f64 path: per compress, what the `Sperr`
+    /// keeps between calls (every worker's arena, the container buffer and
+    /// the lossless tables); per read, each worker's decode arena. The
+    /// histogram max is the high-water mark.
     pub const MEM_ARENA_F64: &str = "mem.arena.f64";
-    /// Scratch-arena bytes per worker on the f32-native path.
+    /// [`MEM_ARENA_F64`] on the f32-native path.
     pub const MEM_ARENA_F32: &str = "mem.arena.f32";
 
     /// Streaming pipeline in-flight chunk occupancy, sampled at every
@@ -99,6 +101,18 @@ pub mod metric_labels {
         OP_COMPRESS_STREAM,
         OP_DECOMPRESS_STREAM,
     ];
+}
+
+/// Records `bytes` of working memory at sample width `T` into the
+/// width-matched memory histogram ([`metric_labels::MEM_ARENA_F64`] /
+/// [`metric_labels::MEM_ARENA_F32`]), whose max the exporters surface as
+/// the high-water mark.
+pub(crate) fn record_memory<T: sperr_simd::Float>(bytes: usize) {
+    let label = match T::BYTES {
+        4 => metric_labels::MEM_ARENA_F32,
+        _ => metric_labels::MEM_ARENA_F64,
+    };
+    sperr_telemetry::record_bytes(label, bytes as u64);
 }
 
 /// Wall time spent in each pipeline stage (§V-C's four major steps, plus

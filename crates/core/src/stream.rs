@@ -36,7 +36,6 @@ use crate::chunk::{chunk_grid, ChunkSpec};
 use crate::compressor::Sperr;
 use crate::decode::{Decoded, Opened, Sink, Stop};
 use crate::faultpoint::{self, Caught};
-use crate::pipeline::ScratchArena;
 use crate::stats::metric_labels;
 use crate::{CompressionStats, OnDamage, ReadReport, ReadRequest};
 use sperr_compress_api::{Bound, CompressError, Precision};
@@ -325,7 +324,7 @@ impl<W: Write> Sink for Layers<'_, W> {
     fn batch<S: Float>(
         &mut self,
         chunks: Range<usize>,
-        boxes: Vec<Decoded<S>>,
+        boxes: &mut [Decoded<S>],
     ) -> Result<(), SperrError> {
         self.peak_in_flight = self.peak_in_flight.max(boxes.len());
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, boxes.len() as u64);
@@ -454,9 +453,11 @@ impl Sperr {
         let mut rd = ScalarReader::<R, T>::new(reader, precision, dims[0]);
 
         // One pool for the whole call: the batches, then the blocks of the
-        // lossless pass over the assembled container.
-        WorkerPool::scoped(threads, |pool| {
-            let (mut slab, mut scratch) = (Vec::new(), Vec::new());
+        // lossless pass over the assembled container, all in the working
+        // set this `Sperr` keeps (given back however the call returns).
+        let mut set = self.warm().take::<T>();
+        let done = WorkerPool::scoped(threads, |pool| {
+            let mut slab = Vec::new();
             let mut encoded = Vec::with_capacity(grid.len());
             let mut peak_in_flight = 0;
             for chunks in geo.batches(budget) {
@@ -468,7 +469,7 @@ impl Sperr {
                     specs,
                     &slab,
                     pool,
-                    &mut scratch,
+                    &mut set.arenas,
                     |j, encode| guarded(Some(chunks.start + j), || Ok(encode())),
                     |j, refusal| {
                         let chunk = chunks.start + j;
@@ -477,12 +478,12 @@ impl Sperr {
                     },
                 )?);
             }
-            scratch.iter().for_each(ScratchArena::record_footprint);
 
             // Every chunk encoded: seal and emit the container exactly like
             // the in-memory driver.
             faultpoint::stage(STAGE_CONTAINER);
-            let sealed = run.seal_container::<T>(precision, &encoded, pool);
+            let sealed = run.seal_container(precision, &encoded, pool, &mut set);
+            set.reclaim(encoded);
             let (out, stats) = sealed.map_err(|(chunk, source)| {
                 SperrError::Codec { stage: STAGE_CONTAINER, chunk: Some(chunk), source }
             })?;
@@ -499,7 +500,9 @@ impl Sperr {
                 peak_in_flight,
                 stats,
             })
-        })
+        });
+        self.warm().give_back(set);
+        done
     }
 
     /// Streaming strict decompression: reads a SPERR stream from `reader`

@@ -64,22 +64,41 @@ const FLAG_LAST: u8 = 0b10;
 /// most are found so before any parse (DESIGN.md §5, sperr-lossless).
 pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut packed = Vec::new();
-    compress_with(data, &Serial, &mut packed);
+    compress_with(data, &Serial, &mut Encoders::default(), &mut packed);
     packed
+}
+
+/// The parse tables of [`compress_with`], one set per worker (≈ 1.9 MiB
+/// each), kept by a caller that compresses repeatedly so that it
+/// allocates them once. Every block resets what it reads, so the bytes do
+/// not depend on what the tables saw before. The default holds none.
+#[derive(Default)]
+pub struct Encoders(Vec<lz77::BlockEncoder>);
+
+impl Encoders {
+    /// Bytes the tables hold.
+    pub fn bytes(&self) -> usize {
+        self.0.iter().map(lz77::BlockEncoder::bytes).sum()
+    }
 }
 
 /// [`compress`] with the per-block encode run as jobs on `exec`, and the
 /// stream appended to `out` (after whatever framing the caller already
 /// put there) — the same bytes, whatever the executor does with them:
 /// blocks are encoded independently of each other and laid down in order.
-/// Each of `exec`'s workers owns one set of parse tables.
-pub fn compress_with(data: &[u8], exec: &dyn Exec, out: &mut Vec<u8>) {
+/// Each of `exec`'s workers codes with one set of `encoders`' tables,
+/// made here when `encoders` has too few.
+pub fn compress_with(data: &[u8], exec: &dyn Exec, encoders: &mut Encoders, out: &mut Vec<u8>) {
     let _span = sperr_telemetry::span!("lossless.compress", data.len());
     sperr_telemetry::counter!("lossless.bytes_in", data.len());
     // Empty input is one empty (stored, last) block.
     let n_blocks = data.len().div_ceil(BLOCK_SIZE).max(1);
-    // One encoder per worker that can be busy at once.
-    let encoders = Slots::new(exec.width().clamp(1, n_blocks), lz77::BlockEncoder::new);
+    // One encoder per worker that can be busy at once; the rest wait.
+    let busy = exec.width().clamp(1, n_blocks);
+    let held = &mut encoders.0;
+    held.extend((held.len()..busy).map(|_| lz77::BlockEncoder::new()));
+    let idle = held.split_off(busy);
+    let encoders: Slots<lz77::BlockEncoder> = held.drain(..).collect();
     // Every block is encoded into its own fixed-size slot of the output
     // buffer, then the slots are closed up in place: no per-block
     // buffers, no second copy of the stream.
@@ -102,7 +121,9 @@ pub fn compress_with(data: &[u8], exec: &dyn Exec, out: &mut Vec<u8>) {
         let mut slot = slots.lock(i);
         slot.1 = encoder.encode(block, i + 1 == n_blocks, slot.0);
     });
-    let unparsed: usize = encoders.into_values().map(|e| e.stored_unparsed).sum();
+    held.extend(encoders.into_values());
+    let unparsed: usize = held.iter_mut().map(|e| std::mem::take(&mut e.stored_unparsed)).sum();
+    held.extend(idle);
     sperr_telemetry::counter!("lossless.blocks_stored_unparsed", unparsed);
     let lens: Vec<usize> = slots.into_values().map(|slot| slot.1).collect();
     let mut end = body_start;

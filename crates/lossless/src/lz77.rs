@@ -221,7 +221,7 @@ pub(crate) struct BlockEncoder {
     /// The store probe's samples: `hash << 32 | end + 1`, `end` the last
     /// position of the first window the word was least of (0: none).
     probe: Vec<u64>,
-    /// Blocks stored without a parse since this encoder was made.
+    /// Blocks stored without a parse since the count was last taken.
     pub(crate) stored_unparsed: usize,
 }
 
@@ -239,6 +239,13 @@ impl BlockEncoder {
             probe: vec![0; 1 << PROBE_BITS],
             stored_unparsed: 0,
         }
+    }
+
+    /// Bytes the tables and the match list hold.
+    pub(crate) fn bytes(&self) -> usize {
+        4 * (self.head.capacity() + self.prev.capacity() + self.seen.capacity())
+            + 8 * self.probe.capacity()
+            + std::mem::size_of::<Match>() * self.matches.capacity()
     }
 
     /// Whether a content-defined sample of `block`'s 4-byte words holds

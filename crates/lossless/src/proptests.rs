@@ -9,8 +9,8 @@ use crate::inflate::inflate_block;
 use crate::lz77::{BlockEncoder, MAX_FRAMED_BLOCK};
 use crate::oracle::{self, OracleCode};
 use crate::{
-    compress, compress_with, decompress, BlockDirectory, DecodeError, BLOCK_SIZE, FLAG_CODED,
-    FLAG_LAST,
+    compress, compress_with, decompress, BlockDirectory, DecodeError, Encoders, BLOCK_SIZE,
+    FLAG_CODED, FLAG_LAST,
 };
 use proptest::prelude::*;
 use sperr_bitstream::{BitReader, BitWriter, Error};
@@ -473,9 +473,12 @@ fn compress_with_is_executor_independent() {
     let mut data = corpus(4, 3 * BLOCK_SIZE, 5);
     data.extend(corpus(0, BLOCK_SIZE + 123, 6));
     let serial = compress(&data);
-    let with = |data: &[u8], exec: &dyn Exec| {
+    // One set of tables for every call: each comes to its blocks warm
+    // from the calls before it, which must not show in the bytes.
+    let mut warm = Encoders::default();
+    let mut with = |data: &[u8], exec: &dyn Exec| {
         let mut out = b"framing".to_vec(); // appended to, not overwritten
-        compress_with(data, exec, &mut out);
+        compress_with(data, exec, &mut warm, &mut out);
         assert_eq!(&out[..7], b"framing");
         out.split_off(7)
     };

@@ -32,6 +32,53 @@ pub struct EncodedOutliers {
     pub max_err: f64,
 }
 
+/// The encoder's working memory, kept between encodes: the outliers'
+/// position-sorted columns, the decoder-tracking residuals, the set and
+/// point lists, and a buffer for the next stream. [`encode_with`] works in
+/// it; buffers grow to the most outliers seen and never shrink, and
+/// nothing in them reaches the stream. The default holds nothing.
+#[derive(Default)]
+pub struct EncodeScratch {
+    sorted: Vec<Outlier>,
+    pos: Vec<u32>,
+    mag: Vec<f64>,
+    negative: Vec<bool>,
+    residual: Vec<f64>,
+    recon: Vec<f64>,
+    lis: Vec<Vec<SetR>>,
+    lsp: Vec<u32>,
+    lnsp: Vec<u32>,
+    stream: Vec<u8>,
+}
+
+impl EncodeScratch {
+    /// Bytes the buffers hold (their capacity).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let lis: usize = self.lis.iter().map(|l| l.capacity() * size_of::<SetR>()).sum();
+        self.sorted.capacity() * size_of::<Outlier>()
+            + 4 * (self.pos.capacity() + self.lsp.capacity() + self.lnsp.capacity())
+            + 8 * (self.mag.capacity() + self.residual.capacity() + self.recon.capacity())
+            + self.negative.capacity()
+            + lis
+            + self.stream.capacity()
+    }
+
+    /// Hands back the memory of a stream an encode returned, for the next
+    /// encode to write into; the larger of it and the buffer held stays.
+    pub fn reuse_stream(&mut self, stream: Vec<u8>) {
+        if stream.capacity() > self.stream.capacity() {
+            self.stream = stream;
+        }
+    }
+}
+
+impl std::fmt::Debug for EncodeScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodeScratch").field("bytes", &self.bytes()).finish()
+    }
+}
+
 /// An insignificant set: a half-open position range, the index range of
 /// the outliers it contains in the position-sorted arrays, and their
 /// largest magnitude. Its level is the LIS bucket it sits in, as in the
@@ -224,6 +271,24 @@ fn starting_exponent(t: f64, max_mag: f64) -> u8 {
 /// strictly above `t`, a non-positive tolerance, or an array longer than
 /// `u32::MAX` (SPECK's chunk-domain bound).
 pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers {
+    encode_with(outliers, array_len, t, &mut EncodeScratch::default())
+}
+
+/// [`encode`] in the memory of `scratch`: the same stream, and no
+/// allocation once `scratch` has grown to the most outliers it has seen
+/// and been handed back a stream as large ([`EncodeScratch::reuse_stream`]).
+/// Outliers already in position order, as a scan yields them, are not
+/// copied to be sorted.
+///
+/// # Panics
+///
+/// As [`encode`].
+pub fn encode_with(
+    outliers: &[Outlier],
+    array_len: usize,
+    t: f64,
+    scratch: &mut EncodeScratch,
+) -> EncodedOutliers {
     let _span = sperr_telemetry::span!("outlier.encode", outliers.len());
     assert!(t > 0.0 && t.is_finite(), "tolerance must be positive and finite");
     assert!(array_len <= u32::MAX as usize, "domain too large for u32 positions");
@@ -238,11 +303,19 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
     }
 
     // Sort by position; validate.
-    let mut sorted: Vec<Outlier> = outliers.to_vec();
-    sorted.sort_by_key(|o| o.pos);
-    let mut pos = Vec::with_capacity(sorted.len());
-    let mut mag = Vec::with_capacity(sorted.len());
-    let mut negative = Vec::with_capacity(sorted.len());
+    let EncodeScratch { sorted, pos, mag, negative, residual, recon, lis, lsp, lnsp, stream } =
+        scratch;
+    let sorted: &[Outlier] = if outliers.is_sorted_by_key(|o| o.pos) {
+        outliers
+    } else {
+        sorted.clear();
+        sorted.extend_from_slice(outliers);
+        sorted.sort_by_key(|o| o.pos);
+        sorted
+    };
+    pos.clear();
+    mag.clear();
+    negative.clear();
     for (i, o) in sorted.iter().enumerate() {
         assert!(o.pos < array_len, "outlier position {} out of range {}", o.pos, array_len);
         if i > 0 {
@@ -262,25 +335,30 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
     let max_mag = mag.iter().copied().fold(0.0, f64::max);
     let max_n = starting_exponent(t, max_mag);
 
+    residual.clear();
+    residual.extend_from_slice(mag);
+    recon.clear();
+    recon.resize(mag.len(), 0.0);
+    // Levels an earlier encode left stay, empty: a pass over an empty
+    // bucket emits nothing.
+    lis.iter_mut().for_each(Vec::clear);
+    lis.resize_with(lis.len().max(1), Vec::new);
+    lis[0].push(SetR { start: 0, len: array_len as u32, olo: 0, ohi: pos.len() as u32, max_mag });
+    lsp.clear();
+    lnsp.clear();
     let mut enc = Encoder {
-        pos: &pos,
-        mag: &mag,
-        negative: &negative,
-        residual: mag.clone(),
-        recon: vec![0.0; mag.len()],
-        lis: vec![vec![SetR {
-            start: 0,
-            len: array_len as u32,
-            olo: 0,
-            ohi: pos.len() as u32,
-            max_mag,
-        }]],
-        lsp: Vec::new(),
-        lnsp: Vec::new(),
+        pos,
+        mag,
+        negative,
+        residual: std::mem::take(residual),
+        recon: std::mem::take(recon),
+        lis: std::mem::take(lis),
+        lsp: std::mem::take(lsp),
+        lnsp: std::mem::take(lnsp),
         // Size hint: each outlier costs roughly its significance-search
         // path plus sign and refinement bits — a few dozen bits in
         // practice; the writer grows if a pathological set exceeds this.
-        out: BitWriter::with_capacity_bits(64 + pos.len() * 48),
+        out: BitWriter::reusing(std::mem::take(stream), 64 + pos.len() * 48),
     };
 
     for n in (0..=max_n as i64).rev() {
@@ -293,8 +371,10 @@ pub fn encode(outliers: &[Outlier], array_len: usize, t: f64) -> EncodedOutliers
     // found, and `recon` is what the decoder returns for it.
     let max_err = mag.iter().zip(&enc.recon).fold(0.0f64, |m, (&mag, &r)| m.max((mag - r).abs()));
     let bits_used = enc.out.len_bits();
+    let Encoder { residual: r, recon: c, lis: l, lsp: p, lnsp: n, out, .. } = enc;
+    (*residual, *recon, *lis, *lsp, *lnsp) = (r, c, l, p, n);
     EncodedOutliers {
-        stream: enc.out.into_bytes(),
+        stream: out.into_bytes(),
         max_n,
         bits_used,
         num_outliers: outliers.len(),

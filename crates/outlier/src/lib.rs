@@ -47,7 +47,7 @@ pub mod alternatives;
 mod coder;
 mod decoder;
 
-pub use coder::{encode, EncodedOutliers, Outlier};
+pub use coder::{encode, encode_with, EncodeScratch, EncodedOutliers, Outlier};
 pub use decoder::{decode, DecodeError};
 
 /// Version of the outlier bitstream layout produced by [`encode`]. Bump
@@ -88,6 +88,39 @@ mod tests {
         assert!(enc.stream.is_empty());
         let dec = decode(&enc.stream, 100, 0.5, enc.max_n).unwrap();
         assert!(dec.is_empty());
+    }
+
+    #[test]
+    fn a_reused_scratch_gives_the_fresh_encode() {
+        // One scratch through every encode, most outliers first, sorted
+        // and shuffled input: what an earlier encode left must not show.
+        let mut scratch = EncodeScratch::default();
+        for (count, n, shuffled) in [
+            (900usize, 5000usize, false),
+            (40, 300, true),
+            (0, 10, false),
+            (7, 64, true),
+            (900, 4000, true),
+        ] {
+            let mut outliers: Vec<Outlier> = (0..count)
+                .map(|i| Outlier {
+                    pos: i * (n / count.max(1)),
+                    corr: ((i * 37 % 11) as f64 + 1.5) * if i % 3 == 0 { -1.0 } else { 1.0 },
+                })
+                .collect();
+            if shuffled {
+                outliers.reverse();
+            }
+            let fresh = encode(&outliers, n, 1.0);
+            let warm = encode_with(&outliers, n, 1.0, &mut scratch);
+            assert_eq!(warm.stream, fresh.stream, "{count} outliers");
+            assert_eq!(
+                (warm.max_n, warm.bits_used, warm.max_err),
+                (fresh.max_n, fresh.bits_used, fresh.max_err)
+            );
+            scratch.reuse_stream(warm.stream);
+        }
+        assert!(scratch.bytes() > 900 * 8, "the scratch kept nothing");
     }
 
     #[test]

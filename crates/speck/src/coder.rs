@@ -26,6 +26,87 @@ pub enum Termination {
     BitBudget(usize),
 }
 
+/// SPECK's chunk-sized working memory, kept between encodes and decodes:
+/// the cached significance bytes and magnitudes of the encoder's phase 1,
+/// the pixels found and the insignificant-cell buckets of either coder's
+/// sorting passes, and a buffer for the next stream. [`quantize`] takes
+/// one, [`Quantized::encode`] gives it back in [`EncodedSpeck::scratch`];
+/// [`crate::sorting_pass`] takes one, [`crate::Sorted::into_scratch`]
+/// gives it back. Buffers grow to the largest domain seen, so a caller
+/// that threads one scratch through its calls allocates once. Nothing in
+/// it reaches a stream or a coefficient: every byte a coder reads, it
+/// wrote first (the levels and magnitudes are overwritten, not cleared).
+/// The default holds nothing.
+#[derive(Clone, Default)]
+pub struct Scratch {
+    levels: Vec<u8>,
+    mags: Vec<u32>,
+    found: Vec<u32>,
+    buckets: Vec<Bucket>,
+    stream: Vec<u8>,
+}
+
+impl Scratch {
+    /// Bytes the buffers hold (their capacity).
+    pub fn bytes(&self) -> usize {
+        let buckets = self.buckets.iter().map(|b| b.cells.capacity() * 4 + b.mb.capacity());
+        self.levels.capacity()
+            + 4 * (self.mags.capacity() + self.found.capacity())
+            + buckets.sum::<usize>()
+            + self.stream.capacity()
+    }
+
+    /// The pixel list and the bucket cells of `levels` partition levels,
+    /// emptied, for a decoder's sorting pass.
+    pub(crate) fn lend_lists(&mut self, levels: usize) -> (Vec<u32>, Vec<Vec<u32>>) {
+        let mut pixels = std::mem::take(&mut self.found);
+        pixels.clear();
+        let mut held = self.buckets.iter_mut().map(|b| std::mem::take(&mut b.cells));
+        let buckets = (0..levels)
+            .map(|_| {
+                let mut cells = held.next().unwrap_or_default();
+                cells.clear();
+                cells
+            })
+            .collect();
+        (pixels, buckets)
+    }
+
+    /// Takes back the pixel list [`Scratch::lend_lists`] lent.
+    pub(crate) fn return_pixels(&mut self, pixels: Vec<u32>) {
+        if pixels.capacity() > self.found.capacity() {
+            self.found = pixels;
+        }
+    }
+
+    /// Takes back the buckets [`Scratch::lend_lists`] lent. A bucket the
+    /// decoder grew keeps its capacity: its trim ([`Bucket::peak`]) rises
+    /// to it.
+    pub(crate) fn return_buckets(&mut self, buckets: Vec<Vec<u32>>) {
+        self.buckets.resize_with(self.buckets.len().max(buckets.len()), Bucket::default);
+        for (b, cells) in self.buckets.iter_mut().zip(buckets) {
+            b.peak = b.peak.max(cells.capacity());
+            b.cells = cells;
+        }
+    }
+
+    /// Hands back the memory of a stream an encode returned, for the next
+    /// encode to write into; the larger of it and the buffer held stays,
+    /// trimmed to the stream's length (a stream grows by doubling).
+    pub fn reuse_stream(&mut self, mut stream: Vec<u8>) {
+        if stream.len() > self.stream.capacity() {
+            stream.shrink_to_fit();
+            self.stream = stream;
+        }
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scratch").field("bytes", &self.bytes()).finish()
+    }
+}
+
 /// Result of [`encode`]. The default is what an all-dead-zone input
 /// encodes to: no planes, an empty stream.
 #[derive(Debug, Clone, Default)]
@@ -50,6 +131,9 @@ pub struct EncodedSpeck {
     /// Guaranteed-zero significance runs emitted as bulk writes (the
     /// word-granular fast path; zero on the reference path).
     pub zero_runs: usize,
+    /// The working memory the encode ran in, for the next one
+    /// ([`quantize`]); empty from [`encode`] and the reference path.
+    pub scratch: Scratch,
 }
 
 /// Quantizes every coefficient: magnitudes and sign flags. Shared by the
@@ -135,9 +219,9 @@ struct BitSink<const CHECKED: bool> {
 }
 
 impl<const CHECKED: bool> BitSink<CHECKED> {
-    fn new(budget: usize, capacity_bits: usize) -> Self {
+    fn new(budget: usize, capacity_bits: usize, memory: Vec<u8>) -> Self {
         BitSink {
-            out: BitWriter::with_capacity_bits(capacity_bits),
+            out: BitWriter::reusing(memory, capacity_bits),
             budget,
             pend: 0,
             pend_signs: 0,
@@ -244,14 +328,18 @@ struct Levels {
 }
 
 impl Levels {
-    fn new(geom: &impl Geometry) -> Self {
+    /// The levels of `geom` in the memory of `bytes`. What it held stays
+    /// until the gather and [`Levels::coarsen`] overwrite it: between them
+    /// they write every byte.
+    fn new(geom: &impl Geometry, mut bytes: Vec<u8>) -> Self {
         let mut at = vec![0..0; geom.depth() + 1];
         let mut end = 0usize;
         for (level, span) in at.iter_mut().enumerate().rev() {
             *span = end..end + geom.cells(level);
             end = span.end;
         }
-        Levels { bytes: vec![0u8; end], at }
+        bytes.resize(end, 0);
+        Levels { bytes, at }
     }
 
     #[inline]
@@ -366,9 +454,13 @@ fn extend_found(found: &mut Vec<u32>, hits: &[u32]) {
 /// parallel arrays of cell number and cached byte. The sorting pass reads
 /// only `mb` until a cell turns significant, so the insignificance scan
 /// runs over a dense byte array — one cache line answers 64 cells.
+#[derive(Clone, Default)]
 struct Bucket {
     cells: Vec<u32>,
     mb: Vec<u8>,
+    /// The most cells the bucket has held, over every encode of the
+    /// scratch it lives in: what its capacity is trimmed to.
+    peak: usize,
 }
 
 /// One plane's refinement pass as it sits in the stream: bit
@@ -412,7 +504,10 @@ impl<G: Geometry, const CHECKED: bool> Sorter<'_, G, CHECKED> {
         debug_assert!(n < 63);
         let t = (2 * n + 1) as u8;
         for level in (0..self.buckets.len()).rev() {
+            // Cells join a bucket only after its scan, so it is fullest
+            // when the next one begins.
             let len = self.buckets[level].cells.len();
+            self.buckets[level].peak = self.buckets[level].peak.max(len);
             let (mut read, mut write, mut in_run) =
                 if level == self.geom.depth() { self.pixel_windows(t)? } else { (0, 0, false) };
             while read < len {
@@ -460,7 +555,7 @@ impl<G: Geometry, const CHECKED: bool> Sorter<'_, G, CHECKED> {
     /// entries kept, and whether the last entry read was insignificant.
     fn pixel_windows(&mut self, t: u8) -> Result<(usize, usize, bool), Stop> {
         let Self { geom, buckets, found, sink, .. } = self;
-        let Bucket { cells, mb } = &mut buckets[geom.depth()];
+        let Bucket { cells, mb, .. } = &mut buckets[geom.depth()];
         let len = cells.len();
         let (mut read, mut write, mut in_run) = (0usize, 0usize, false);
         while sink.room_for(64) == 64 {
@@ -602,23 +697,26 @@ fn fill_refinement(
 /// The encoder's first phase on `geom`: quantize into layout order —
 /// with the magnitudes too when phase 2 will want all of them and 32 bits
 /// hold them — and cache every cell's significance byte, both in
-/// contiguous ranges on `exec`. Returns the levels, the magnitudes (empty
-/// when phase 2 re-quantizes from the coefficients) and the plane count.
+/// contiguous ranges on `exec`, in the memory of `levels` and `mags`.
+/// Returns the levels, the magnitudes (empty when phase 2 re-quantizes
+/// from the coefficients) and the plane count.
 fn gather_on<T: Float, G: Geometry + Sync>(
     geom: &G,
     coeffs: &[T],
     inv_q: T,
     term: Termination,
     exec: &dyn Exec,
+    (levels, mut mags): (Vec<u8>, Vec<u32>),
 ) -> (Levels, Vec<u32>, u8) {
     let k = geom.depth();
-    let mut levels = Levels::new(geom);
+    let mut levels = Levels::new(geom, levels);
     // Quality mode finds every coefficient outside the dead zone, so all
     // their magnitudes are needed and are quantized once, with `meta`. A
     // budget may stop long before that: those magnitudes are quantized
-    // for the refined pixels only, at the end.
+    // for the refined pixels only, at the end. The gather writes every
+    // magnitude, so old ones are not cleared first.
     let quality = term == Termination::Quality;
-    let mut mags = vec![0u32; if quality { coeffs.len() } else { 0 }];
+    mags.resize(if quality { coeffs.len() } else { 0 }, 0);
     gather_quantized(geom, coeffs, inv_q, &mut levels.bytes[..coeffs.len()], &mut mags, exec);
     {
         let _span = sperr_telemetry::span!("speck.encode.levels", k);
@@ -628,28 +726,40 @@ fn gather_on<T: Float, G: Geometry + Sync>(
     sperr_telemetry::counter!("speck.layout.levels", k + 1);
     let num_planes = levels.level(0)[0] >> 1; // the largest magnitude's plane count
     if num_planes > 32 {
-        mags = Vec::new(); // 32 bits were not enough
+        mags.clear(); // 32 bits were not enough
     }
     (levels, mags, num_planes)
 }
 
 /// The encoder's second phase on `geom`: the sorting passes, each plane's
 /// refinement span reserved, then the spans filled — from what phase 1
-/// left, plus the coefficients when it left no magnitudes.
+/// left, plus the coefficients when it left no magnitudes. The found list,
+/// the buckets and the stream live in the memory of `scratch`, and the
+/// encode hands them back in its own.
 fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
     geom: &G,
     phase1: &Quantized<'_, T, D>,
     budget: usize,
+    scratch: Scratch,
 ) -> EncodedSpeck {
     let Quantized { levels, mags, coeffs, inv_q, num_planes, len, .. } = phase1;
     let (num_planes, inv_q) = (*num_planes, *inv_q);
     let k = geom.depth();
+    let Scratch { mut found, mut buckets, stream, .. } = scratch;
+    found.clear();
+    // A deeper domain's buckets wait beside the sorter, memory kept.
+    buckets.resize_with(buckets.len().max(k + 1), Bucket::default);
+    let deeper = buckets.split_off(k + 1);
+    for b in &mut buckets {
+        b.cells.clear();
+        b.mb.clear();
+    }
     let mut sorter = Sorter::<'_, G, CHECKED> {
         geom,
         levels,
-        buckets: (0..=k).map(|_| Bucket { cells: Vec::new(), mb: Vec::new() }).collect(),
-        found: Vec::new(),
-        sink: BitSink::new(budget, len / 2),
+        buckets,
+        found,
+        sink: BitSink::new(budget, len / 2, stream),
         sets_split: 0,
     };
     sorter.buckets[0].cells.push(0);
@@ -670,7 +780,14 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
             break;
         }
     }
-    let Sorter { found, sink, sets_split, .. } = sorter;
+    let Sorter { found, mut buckets, sink, sets_split, .. } = sorter;
+    // Doubling leaves up to twice a bucket's peak reserved; the scratch
+    // keeps only what some encode has used.
+    for b in &mut buckets {
+        b.peak = b.peak.max(b.cells.len());
+        b.cells.shrink_to(b.peak);
+        b.mb.shrink_to(b.peak);
+    }
     let mut enc = EncodedSpeck {
         num_planes,
         bits_used: sink.out.len_bits(),
@@ -680,6 +797,7 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
         sets_split,
         zero_runs: sink.zero_runs,
         stream: sink.out.into_bytes(),
+        scratch: Scratch::default(),
     };
     let narrow = num_planes <= 32;
     if mags.is_empty() {
@@ -692,6 +810,8 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
             mags[pixel as usize] as u64
         });
     }
+    buckets.extend(deeper);
+    enc.scratch = Scratch { found, buckets, ..Scratch::default() };
     enc
 }
 
@@ -718,27 +838,32 @@ pub struct Quantized<'a, T: Float, const D: usize> {
     /// Coefficients in the domain.
     len: usize,
     term: Termination,
+    /// Phase 2's share of the working memory (its levels and magnitudes
+    /// are in use above).
+    scratch: Scratch,
 }
 
 impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
     /// Phase 1 of `coeffs` on `shape` (parameters already checked), its
-    /// pieces run on `exec`.
+    /// pieces run on `exec` in the memory of `scratch`.
     pub(crate) fn new(
         shape: Option<Shape<D>>,
         coeffs: &'a [T],
         q: f64,
         term: Termination,
         exec: &dyn Exec,
+        mut scratch: Scratch,
     ) -> Self {
         let inv_q = T::ONE / T::from_f64(q);
+        let memory = (std::mem::take(&mut scratch.levels), std::mem::take(&mut scratch.mags));
         let (levels, mags, num_planes) = match &shape {
-            None => (Levels { bytes: Vec::new(), at: Vec::new() }, Vec::new(), 0),
-            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, inv_q, term, exec),
-            Some(Shape::Table(tables)) => gather_on(&**tables, coeffs, inv_q, term, exec),
+            None => (Levels { bytes: memory.0, at: Vec::new() }, memory.1, 0),
+            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, inv_q, term, exec, memory),
+            Some(Shape::Table(tables)) => gather_on(&**tables, coeffs, inv_q, term, exec, memory),
         };
         let len = coeffs.len();
         let coeffs = if mags.is_empty() && num_planes > 0 { coeffs } else { &[] };
-        Quantized { shape, levels, mags, coeffs, inv_q, num_planes, len, term }
+        Quantized { shape, levels, mags, coeffs, inv_q, num_planes, len, term, scratch }
     }
 
     /// This phase 1 without its borrow of the coefficients, or `Err(self)`
@@ -748,44 +873,49 @@ impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
         if !self.coeffs.is_empty() {
             return Err(self);
         }
-        let Quantized { shape, levels, mags, inv_q, num_planes, len, term, .. } = self;
-        Ok(Quantized { shape, levels, mags, coeffs: &[], inv_q, num_planes, len, term })
+        let Quantized { shape, levels, mags, inv_q, num_planes, len, term, scratch, .. } = self;
+        Ok(Quantized { shape, levels, mags, coeffs: &[], inv_q, num_planes, len, term, scratch })
     }
 
     /// The encoder's second phase: the sorting passes, with each plane's
-    /// refinement span reserved, then the spans filled.
-    pub fn encode(self) -> EncodedSpeck {
-        let Some(shape) = self.shape.as_ref().filter(|_| self.num_planes > 0) else {
-            return EncodedSpeck::default();
+    /// refinement span reserved, then the spans filled. The result carries
+    /// the whole working memory back in [`EncodedSpeck::scratch`].
+    pub fn encode(mut self) -> EncodedSpeck {
+        let scratch = std::mem::take(&mut self.scratch);
+        let mut enc = match (self.shape.as_ref().filter(|_| self.num_planes > 0), self.term) {
+            (None, _) => EncodedSpeck { scratch, ..EncodedSpeck::default() },
+            (Some(Shape::Dyadic(geom)), Termination::Quality) => {
+                sort_on::<T, _, false, D>(geom, &self, usize::MAX, scratch)
+            }
+            (Some(Shape::Dyadic(geom)), Termination::BitBudget(b)) => {
+                sort_on::<T, _, true, D>(geom, &self, b, scratch)
+            }
+            (Some(Shape::Table(tables)), Termination::Quality) => {
+                sort_on::<T, _, false, D>(&**tables, &self, usize::MAX, scratch)
+            }
+            (Some(Shape::Table(tables)), Termination::BitBudget(b)) => {
+                sort_on::<T, _, true, D>(&**tables, &self, b, scratch)
+            }
         };
-        match (shape, self.term) {
-            (Shape::Dyadic(geom), Termination::Quality) => {
-                sort_on::<T, _, false, D>(geom, &self, usize::MAX)
-            }
-            (Shape::Dyadic(geom), Termination::BitBudget(b)) => {
-                sort_on::<T, _, true, D>(geom, &self, b)
-            }
-            (Shape::Table(tables), Termination::Quality) => {
-                sort_on::<T, _, false, D>(&**tables, &self, usize::MAX)
-            }
-            (Shape::Table(tables), Termination::BitBudget(b)) => {
-                sort_on::<T, _, true, D>(&**tables, &self, b)
-            }
-        }
+        enc.scratch.levels = self.levels.bytes;
+        enc.scratch.mags = self.mags;
+        enc
     }
 }
 
 /// The encoder's first phase: checks the parameters, then quantizes
 /// `coeffs` (shape `dims`, row-major with axis 0 fastest, finest step
 /// `q > 0`) into the partition's layout order, in contiguous ranges run as
-/// jobs on `exec` — the same result on any executor. [`encode`] is this
-/// on [`Serial`], then [`Quantized::encode`].
+/// jobs on `exec` — the same result on any executor — in the memory of
+/// `scratch`. [`encode`] is this on [`Serial`] with a fresh scratch, then
+/// [`Quantized::encode`].
 pub fn quantize<'a, T: Float, const D: usize>(
     coeffs: &'a [T],
     dims: [usize; D],
     q: f64,
     term: Termination,
     exec: &dyn Exec,
+    scratch: Scratch,
 ) -> Quantized<'a, T, D> {
     assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
     let n_total: usize = dims.iter().product();
@@ -800,7 +930,7 @@ pub fn quantize<'a, T: Float, const D: usize>(
             .expect("out of memory building the SPECK layout tables");
         Some(Shape::Table(tables))
     };
-    Quantized::new(shape, coeffs, q, term, exec)
+    Quantized::new(shape, coeffs, q, term, exec, scratch)
 }
 
 /// Encodes `coeffs` (shape `dims`, row-major with axis 0 fastest) with
@@ -811,7 +941,9 @@ pub fn encode<T: Float, const D: usize>(
     q: f64,
     term: Termination,
 ) -> EncodedSpeck {
-    quantize(coeffs, dims, q, term, &Serial).encode()
+    let mut enc = quantize(coeffs, dims, q, term, &Serial, Scratch::default()).encode();
+    enc.scratch = Scratch::default();
+    enc
 }
 
 #[cfg(test)]
@@ -830,8 +962,8 @@ mod tests {
         exec: &dyn Exec,
         what: &str,
     ) {
-        let want = quantize(coeffs, dims, q, term, &Serial);
-        let got = quantize(coeffs, dims, q, term, exec);
+        let want = quantize(coeffs, dims, q, term, &Serial, Scratch::default());
+        let got = quantize(coeffs, dims, q, term, exec, Scratch::default());
         assert_eq!(got.levels.at, want.levels.at, "{what}");
         assert!(got.levels.bytes == want.levels.bytes, "{what}: levels differ");
         assert!(got.mags == want.mags, "{what}: magnitudes differ");
@@ -843,6 +975,50 @@ mod tests {
             (e.num_planes, bits, e.sets_split, e.zero_runs)
         };
         assert_eq!(counters(&got), counters(&want), "{what}");
+    }
+
+    #[test]
+    fn a_scratch_holding_stale_bytes_encodes_like_the_reference() {
+        // One scratch threaded through every encode, largest domain first:
+        // the levels and magnitudes are not cleared between encodes, so
+        // each must overwrite every byte it reads. The streams must be the
+        // reference encoder's on both geometries (16³ and 32³ take the
+        // Morton one, the boxes the tables), at both widths, in both
+        // termination modes, and past 32 planes (no magnitudes kept).
+        fn check<T: Float>(scratch: &mut Scratch) {
+            let rows: [([usize; 3], f64, Termination); 8] = [
+                ([32, 32, 32], 0.05, Termination::Quality),
+                ([16, 16, 16], 0.05, Termination::Quality),
+                ([13, 9, 5], 0.05, Termination::Quality),
+                ([24, 20, 18], 0.05, Termination::BitBudget(9000)),
+                ([16, 16, 16], 1e-9, Termination::Quality),
+                ([13, 9, 5], 0.5, Termination::BitBudget(777)),
+                ([11, 6, 7], 0.25, Termination::Quality),
+                ([32, 32, 32], 0.5, Termination::Quality),
+            ];
+            for (row, (dims, q, term)) in rows.into_iter().enumerate() {
+                let n: usize = dims.iter().product();
+                let coeffs: Vec<T> = (0..n)
+                    .map(|i| {
+                        let v = (i as f64 * 0.37 + row as f64).sin() * 90.0;
+                        T::from_f64(v + ((i * 7919) % 101) as f64 * 0.01)
+                    })
+                    .collect();
+                let used = std::mem::take(scratch);
+                let mut got = quantize(&coeffs, dims, q, term, &Serial, used).encode();
+                let want = crate::reference::encode(&coeffs, dims, q, term);
+                let what = format!("{} bytes, row {row}: {dims:?} q={q} {term:?}", T::BYTES);
+                assert!(got.stream == want.stream, "{what}: streams differ");
+                assert_eq!(got.bits_used, want.bits_used, "{what}");
+                assert_eq!(got.num_planes, want.num_planes, "{what}");
+                *scratch = std::mem::take(&mut got.scratch);
+                scratch.reuse_stream(got.stream);
+            }
+        }
+        let mut scratch = Scratch::default();
+        check::<f64>(&mut scratch);
+        assert!(scratch.bytes() >= 32 * 32 * 32, "the scratch kept nothing");
+        check::<f32>(&mut scratch);
     }
 
     #[test]

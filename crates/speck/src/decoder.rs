@@ -11,6 +11,7 @@
 //! pixels into coefficients, one z-slab of the output at a time
 //! ([`Sorted::assemble`]), so slabs can go to different threads.
 
+use crate::coder::Scratch;
 use crate::layout::{self, Geometry, Layout};
 use crate::lsp_decode::{DeferredLsp, Stop};
 use crate::morton::{self, Dyadic};
@@ -265,7 +266,8 @@ pub fn decode<T: Float, const D: usize>(
     q: f64,
     num_planes: u8,
 ) -> Result<Vec<T>, DecodeError> {
-    sorting_pass(stream, dims, q, num_planes, None).map(|sorted| sorted.assemble_all())
+    let sorted = sorting_pass(stream, dims, q, num_planes, None, Scratch::default());
+    sorted.map(|sorted| sorted.assemble_all())
 }
 
 /// [`decode`] for a read that needs only some coefficients — a region's
@@ -283,7 +285,8 @@ pub fn decode_masked<T: Float, const D: usize>(
     num_planes: u8,
     keep: &[u64],
 ) -> Result<Vec<T>, DecodeError> {
-    sorting_pass(stream, dims, q, num_planes, Some(keep)).map(|sorted| sorted.assemble_all())
+    let sorted = sorting_pass(stream, dims, q, num_planes, Some(keep), Scratch::default());
+    sorted.map(|sorted| sorted.assemble_all())
 }
 
 /// The decoder's first phase: the parameter checks, then the sorting pass
@@ -291,13 +294,15 @@ pub fn decode_masked<T: Float, const D: usize>(
 /// assembles into coefficients a z-slab at a time ([`Sorted::assemble`]),
 /// on as many threads as there are slabs; [`decode`] and [`decode_masked`]
 /// are this with one slab. `keep` is [`decode_masked`]'s row-major bitmap
-/// (`None`: the full read).
+/// (`None`: the full read). The pass runs in the memory of `scratch`,
+/// which [`Sorted::into_scratch`] gives back.
 pub fn sorting_pass<'a, const D: usize>(
     stream: &'a [u8],
     dims: [usize; D],
     q: f64,
     num_planes: u8,
     keep: Option<&[u64]>,
+    scratch: Scratch,
 ) -> Result<Sorted<'a, D>, DecodeError> {
     let (_, coded) = check_params(dims, q, num_planes)?;
     let shape = if !coded {
@@ -309,18 +314,19 @@ pub fn sorting_pass<'a, const D: usize>(
             .map_err(|_| DecodeError::LimitExceeded("no memory for the layout tables"))?;
         Some(Shape::Table(tables))
     };
-    Sorted::new(shape, stream, dims, q, num_planes, keep)
+    Sorted::new(shape, stream, dims, q, num_planes, keep, scratch)
 }
 
-/// The sorting pass proper on `geom`: per plane, the buckets deepest
-/// level (smallest sets) first. Also moves a keep bitmap into layout
-/// order.
+/// The sorting pass proper on `geom`, in the pixel list and buckets of
+/// `scratch`: per plane, the buckets deepest level (smallest sets) first.
+/// Also moves a keep bitmap into layout order.
 fn walk(
     geom: &impl Geometry,
     stream: &[u8],
     n_total: usize,
     num_planes: u8,
     keep: Option<&[u64]>,
+    scratch: &mut Scratch,
 ) -> Result<(DeferredLsp, Option<Vec<u64>>), DecodeError> {
     let in_layout = match keep {
         None => None,
@@ -336,14 +342,15 @@ fn walk(
     };
     let k = geom.depth();
     let mut input = BitReader::new(stream);
-    let mut lsp = DeferredLsp::for_stream(n_total, stream.len())?;
-    let mut buckets = vec![Vec::new(); k + 1];
+    let (pixels, mut buckets) = scratch.lend_lists(k + 1);
+    let mut lsp = DeferredLsp::for_stream(pixels, n_total, stream.len())?;
     if let Some(root) = buckets.first_mut() {
         root.push(0u32);
     }
     lsp.decode_planes(&mut input, num_planes, |input, lsp| {
         (0..=k).rev().try_for_each(|level| scan_bucket(input, geom, &mut buckets, lsp, level))
     });
+    scratch.return_buckets(buckets);
     Ok((lsp, in_layout))
 }
 
@@ -376,11 +383,13 @@ pub struct Sorted<'a, const D: usize> {
     /// [`decode_masked`]'s bitmap, re-indexed into layout order so the
     /// assembly tests a pixel without locating it.
     keep: Option<Vec<u64>>,
+    /// The memory the pass ran in, but for the pixel list (the LSP's).
+    scratch: Scratch,
 }
 
 impl<'a, const D: usize> Sorted<'a, D> {
     /// Runs the sorting pass of `stream` on `shape` (parameters already
-    /// checked).
+    /// checked) in the memory of `scratch`.
     pub(crate) fn new(
         shape: Option<Shape<D>>,
         stream: &'a [u8],
@@ -388,14 +397,25 @@ impl<'a, const D: usize> Sorted<'a, D> {
         q: f64,
         num_planes: u8,
         keep: Option<&[u64]>,
+        mut scratch: Scratch,
     ) -> Result<Self, DecodeError> {
         let n_total = dims.iter().product();
+        let memory = &mut scratch;
         let (lsp, keep) = match &shape {
             None => (DeferredLsp::default(), None),
-            Some(Shape::Dyadic(geom)) => walk(geom, stream, n_total, num_planes, keep)?,
-            Some(Shape::Table(tables)) => walk(&**tables, stream, n_total, num_planes, keep)?,
+            Some(Shape::Dyadic(geom)) => walk(geom, stream, n_total, num_planes, keep, memory)?,
+            Some(Shape::Table(tables)) => {
+                walk(&**tables, stream, n_total, num_planes, keep, memory)?
+            }
         };
-        Ok(Sorted { stream, dims, q, num_planes, n_total, shape, lsp, keep })
+        Ok(Sorted { stream, dims, q, num_planes, n_total, shape, lsp, keep, scratch })
+    }
+
+    /// The memory the pass ran in, once the assembly is done with it.
+    pub fn into_scratch(self) -> Scratch {
+        let mut scratch = self.scratch;
+        scratch.return_pixels(self.lsp.into_pixels());
+        scratch
     }
 
     /// Coefficients in the domain (the output's length).

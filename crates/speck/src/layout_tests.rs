@@ -193,8 +193,12 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
     for term in [Termination::Quality, Termination::BitBudget(full.bits_used * 2 / 3)] {
         let want = reference::encode(&field, dims, q, term);
         let table = Some(Shape::<D>::Table(tables.clone()));
-        let tabled = Quantized::new(table, &field, q, term, &sperr_exec::Serial);
-        let tabled = tabled.encode();
+        let tabled =
+            Quantized::new(table, &field, q, term, &sperr_exec::Serial, Default::default());
+        let mut tabled = tabled.encode();
+        // The decodes below run in the encode's memory, longest prefix
+        // first: whatever an earlier pass left must not show.
+        let mut scratch = std::mem::take(&mut tabled.scratch);
         for got in [encode(&field, dims, q, term), tabled] {
             assert_eq!(got.stream, want.stream, "{dims:?} {term:?}");
             assert_eq!(
@@ -203,14 +207,16 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
                 "{dims:?} {term:?}"
             );
         }
-        for len in 0..=want.stream.len() {
+        for len in (0..=want.stream.len()).rev() {
             let prefix = &want.stream[..len];
             let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             let oracle = bits(reference::decode(prefix, dims, q, want.num_planes).unwrap());
             assert_eq!(bits(decode(prefix, dims, q, want.num_planes).unwrap()), oracle);
             let shape = Some(Shape::Table(tables.clone()));
-            let tabled = Sorted::new(shape, prefix, dims, q, want.num_planes, None).unwrap();
-            let tabled = tabled.assemble_all::<f64>();
+            let planes = want.num_planes;
+            let sorted = Sorted::new(shape, prefix, dims, q, planes, None, scratch).unwrap();
+            let tabled = sorted.assemble_all::<f64>();
+            scratch = sorted.into_scratch();
             assert_eq!(bits(tabled), oracle, "{dims:?} {term:?} prefix {len}");
         }
     }

@@ -55,8 +55,8 @@ pub mod reference;
 mod set;
 
 pub use coder::{
-    encode, mid_riser, quantize, reconstruct_quantized, reconstruct_quantized_into, EncodedSpeck,
-    Quantized, Termination,
+    encode, mid_riser, quantize, reconstruct_quantized, reconstruct_quantized_into, Scratch,
+    EncodedSpeck, Quantized, Termination,
 };
 pub use decoder::{decode, decode_masked, sorting_pass, DecodeError, Sorted, MAX_DECODE_ELEMENTS};
 
@@ -151,7 +151,8 @@ mod tests {
             ];
             for (q, term, releases) in rows {
                 let want = encode(&coeffs, dims, q, term);
-                let (got, released) = match quantize(&coeffs, dims, q, term, &sperr_exec::Serial).release() {
+                let phase1 = quantize(&coeffs, dims, q, term, &sperr_exec::Serial, Scratch::default());
+                let (got, released) = match phase1.release() {
                     Ok(phase1) => (phase1.encode(), true),
                     Err(phase1) => (phase1.encode(), false),
                 };
@@ -498,7 +499,9 @@ mod tests {
                 let stream = &enc.stream[..cut];
                 let want = decode::<f64, 3>(stream, dims, 0.05, enc.num_planes).unwrap();
                 for mask in [None, Some(&keep[..])] {
-                    let sorted = sorting_pass(stream, dims, 0.05, enc.num_planes, mask).unwrap();
+                    let sorted =
+                        sorting_pass(stream, dims, 0.05, enc.num_planes, mask, Scratch::default())
+                            .unwrap();
                     let slabs = sorted.slabs();
                     assert_eq!(slabs.len(), if dims[2] >= 2 { 2 } else { 1 }, "{dims:?}");
                     let mut got = vec![0.0f64; n];

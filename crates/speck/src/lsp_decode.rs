@@ -78,20 +78,31 @@ fn window(stream: &[u8], pos: usize) -> u64 {
 }
 
 impl DeferredLsp {
-    /// An empty LSP with room reserved, up front and exactly, for every
-    /// pixel a stream of `stream_bytes` can find in a domain of `n_total`:
-    /// each discovery costs at least its significance bit and its sign
-    /// bit, so there are at most `min(n_total, 4 · stream_bytes)`. The
-    /// reservation is proportional to the input whatever the header
-    /// claims, and the LSP never regrows.
-    pub(crate) fn for_stream(n_total: usize, stream_bytes: usize) -> Result<Self, DecodeError> {
+    /// An empty LSP in the memory of `pixels` (its contents dropped), with
+    /// room reserved, up front and exactly, for every pixel a stream of
+    /// `stream_bytes` can find in a domain of `n_total`: each discovery
+    /// costs at least its significance bit and its sign bit, so there are
+    /// at most `min(n_total, 4 · stream_bytes)`. The reservation is
+    /// proportional to the input whatever the header claims, and the LSP
+    /// never regrows.
+    pub(crate) fn for_stream(
+        mut pixels: Vec<u32>,
+        n_total: usize,
+        stream_bytes: usize,
+    ) -> Result<Self, DecodeError> {
         let room = n_total.min(stream_bytes.saturating_mul(4));
-        let mut lsp = DeferredLsp::default();
+        pixels.clear();
+        let mut lsp = DeferredLsp { pixels, ..DeferredLsp::default() };
         lsp.pixels
             .try_reserve_exact(room)
             .and_then(|()| lsp.signs.try_reserve_exact(room.div_ceil(64)))
             .map_err(|_| DecodeError::LimitExceeded("no memory for the significant-pixel list"))?;
         Ok(lsp)
+    }
+
+    /// The pixel list's memory, for the next sorting pass.
+    pub(crate) fn into_pixels(self) -> Vec<u32> {
+        self.pixels
     }
 
     /// Records a newly significant pixel.

@@ -147,6 +147,7 @@ pub fn encode<T: Float, const D: usize>(
             refinement_bits: 0,
             sets_split: 0,
             zero_runs: 0,
+            scratch: Default::default(),
         };
     }
     let num_planes = (64 - max_k.leading_zeros()) as u8;
@@ -191,6 +192,7 @@ pub fn encode<T: Float, const D: usize>(
         stream: enc.out.into_bytes(),
         num_planes,
         bits_used,
+        scratch: Default::default(),
     }
 }
 

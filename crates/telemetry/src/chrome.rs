@@ -72,7 +72,7 @@ fn push_event(out: &mut String, first: &mut bool, write: impl FnOnce(&mut String
 
 /// Nanoseconds → microseconds with sub-µs precision preserved.
 fn micros(ns: u64) -> String {
-    if ns % 1000 == 0 {
+    if ns.is_multiple_of(1000) {
         format!("{}", ns / 1000)
     } else {
         format!("{}.{:03}", ns / 1000, ns % 1000)

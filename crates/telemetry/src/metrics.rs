@@ -14,7 +14,7 @@
 //! `v / 16`, so any quantile read off the bucket upper edge exceeds the
 //! true sample value by at most **6.25% relative error** (plus ±1
 //! absolute in the exact range). That bound is what the quantile
-//! proptests in `tests/telemetry.rs` pin.
+//! proptests in `tests/metrics.rs` pin.
 //!
 //! 16 exact buckets + 60 octaves × 16 sub-buckets = 976 buckets ≈ 7.8 KiB
 //! of counts per histogram — small enough to keep one histogram per
@@ -247,7 +247,7 @@ impl MetricsSnapshot {
             for (q, v) in e.quantiles() {
                 out.push_str(&format!(", \"p{}\": {v}", (q * 1000.0) as u32));
             }
-            out.push_str("}");
+            out.push('}');
         }
         out.push_str("\n  }\n}\n");
         out

@@ -104,7 +104,7 @@ impl Report {
     /// Per-label CPU (summed) and wall (interval union) time, sorted by
     /// label.
     pub fn span_summary(&self) -> Vec<LabelSummary> {
-        let mut by_label: BTreeMap<&'static str, (usize, u64, Vec<(u64, u64)>)> = BTreeMap::new();
+        let mut by_label: BTreeMap<&'static str, LabelSpans> = BTreeMap::new();
         for track in &self.tracks {
             for s in &track.spans {
                 let entry = by_label.entry(s.label).or_default();
@@ -148,8 +148,12 @@ impl Report {
     }
 }
 
+/// One label's spans while [`Report::span_summary`] folds them: how many,
+/// their summed duration, and their `[start, end)` intervals.
+type LabelSpans = (usize, u64, Vec<(u64, u64)>);
+
 /// Total length covered by a set of possibly-overlapping intervals.
-fn interval_union_ns(intervals: &mut Vec<(u64, u64)>) -> u64 {
+fn interval_union_ns(intervals: &mut [(u64, u64)]) -> u64 {
     intervals.sort_unstable();
     let mut total = 0u64;
     let mut current: Option<(u64, u64)> = None;

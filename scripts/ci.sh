@@ -227,6 +227,11 @@ echo "==> telemetry on: the recorder's own tests"
 # unit tests compile only with recording compiled in.
 cargo test --quiet -p sperr-telemetry --features enabled
 
+echo "==> telemetry on: the recorder lints clean"
+# Clippy over the crate with recording compiled in, its tests included;
+# any warning fails the lane.
+cargo clippy --quiet -p sperr-telemetry --all-targets --features enabled -- -D warnings
+
 echo "==> telemetry on: the whole CLI suite"
 # Includes the end-to-end acceptance: `sperr compress --stats --trace` on
 # a multi-chunk volume writes trace JSON that passes the exporter's own

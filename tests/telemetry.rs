@@ -187,6 +187,35 @@ fn metrics_snapshot_covers_ops_stages_and_memory() {
 }
 
 #[test]
+fn the_kept_working_set_is_recorded_once_per_call() {
+    // A `Sperr` keeps one working set between calls; every call that
+    // borrows it records what it holds once, in its width's memory
+    // histogram, however many workers the call ran: two compresses and a
+    // read at two threads on 8 chunks are three samples. The warm
+    // compress holds what the cold one grew, and the read decodes in it.
+    let _guard = session_lock();
+    let dims = [32usize, 32, 32];
+    let field = sperr_datagen::SyntheticField::MirandaDensity.generate(dims, 17);
+    let sperr = Sperr::new(SperrConfig {
+        chunk_dims: [16, 16, 16],
+        num_threads: 2,
+        ..SperrConfig::default()
+    });
+    let bound = Bound::Pwe(field.range() * 1e-4);
+    sperr_telemetry::start();
+    let cold = sperr.compress(&field, bound).unwrap();
+    let warm = sperr.compress(&field, bound).unwrap();
+    sperr.decompress(&warm).unwrap();
+    let snap = sperr_telemetry::stop().metrics;
+    assert_eq!(cold, warm);
+    use sperr_core::metric_labels as m;
+    let memory = &snap.get(m::MEM_ARENA_F64).expect("no working-set footprint").hist;
+    assert_eq!(memory.count, 3, "one footprint sample per call");
+    assert!(memory.min > 0, "a call recorded an empty working set");
+    assert!(snap.get(m::MEM_ARENA_F32).is_none(), "an f64 call recorded at f32");
+}
+
+#[test]
 fn lossless_spans_and_counters_fire_once_per_call_not_per_block() {
     // The lossless pass encodes block by block on the pool and reads
     // inflate block by block, but the dashboards built on these labels
