@@ -28,16 +28,17 @@ impl BitWriter {
         }
     }
 
-    /// A writer in the memory of `bytes`, whose contents are dropped: a
-    /// caller that encodes repeatedly hands back the buffer
-    /// [`BitWriter::into_bytes`] gave it and allocates nothing once the
-    /// buffer has grown to its largest stream. Memory that holds nothing
-    /// yet is [`BitWriter::with_capacity_bits`]`(bits)`.
+    /// A writer in the memory of `bytes`, whose contents are dropped, with
+    /// room for `bits` bits: a caller that encodes repeatedly hands back
+    /// the buffer [`BitWriter::into_bytes`] gave it and allocates nothing
+    /// once the buffer has grown to its largest stream. Memory that holds
+    /// nothing yet is [`BitWriter::with_capacity_bits`]`(bits)`.
     pub fn reusing(mut bytes: Vec<u8>, bits: usize) -> Self {
         if bytes.capacity() == 0 {
             return Self::with_capacity_bits(bits);
         }
         bytes.clear();
+        bytes.reserve(bits / 8 + 8);
         Self { bytes, acc: 0, acc_len: 0 }
     }
 

@@ -856,7 +856,13 @@ fn cmd_info(args: &Args) -> Result<(), CliError> {
             );
         }
     }
+    let blocks = info.chunk_blocks.iter().sum::<usize>();
+    let split = info.chunk_blocks.iter().filter(|&&k| k > 1).count();
+    println!("code blocks: {blocks} ({split} of {} chunks split)", info.n_chunks);
     if args.flag("verbose") {
+        for (chunk, k) in info.chunk_blocks.iter().enumerate() {
+            println!("  chunk {chunk:>5}: {k} code block{}", if *k == 1 { "" } else { "s" });
+        }
         // A timed full decode, to report where decompression time goes.
         let t0 = std::time::Instant::now();
         let ReadOutput { field, stats, .. } =

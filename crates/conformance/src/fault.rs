@@ -279,6 +279,7 @@ pub fn run_fault_campaign(cases: usize) -> Vec<CheckFailure> {
     push(stage_panics_cancel_cleanly(&raw, dims, &reference));
     push(budget_stress_bounded_and_identical(&mut rng, cases));
     push(resilient_stream_salvages_corruption(&field));
+    push(block_table_faults_are_typed());
     // Corruption inside the lossless wrapper, as region reads meet it:
     // contained per SLZ1 block and per chunk, never a whole-read failure
     // unless the head is hit.
@@ -658,6 +659,77 @@ fn budget_stress_bounded_and_identical(rng: &mut StdRng, cases: usize) -> CheckR
                 "fault-budget",
                 format!("decode budget {budget} threads {threads}: output diverged"),
             );
+        }
+    }
+    Ok(())
+}
+
+/// A damaged SPECK block table is a typed error on every read, never a
+/// panic: a split flag set on a one-block payload, a table of the wrong
+/// depth, block lengths that do not add up, and a table cut short (the
+/// chunk's SPECK length shrunk, its outlier length grown to match). The
+/// streams are checksum-free (container v1), so the damage reaches the
+/// SPECK decoder. Strict reads fail, a resilient read zero-fills the one
+/// chunk and names it.
+fn block_table_faults_are_typed() -> CheckResult {
+    const CHECK: &str = "fault-block-table";
+    let setup = |e: &dyn std::fmt::Display| CheckFailure { check: CHECK, detail: format!("{e}") };
+    let config = SperrConfig { lossless: false, num_threads: 2, ..SperrConfig::default() };
+    let sperr = Sperr::new(config);
+    let v1_of = |field: &Field| {
+        let stream = sperr.compress(field, Bound::Pwe(field.tolerance_for_idx(10)));
+        stream.and_then(|s| sperr.downgrade_to_v1(&s)).map_err(|e| setup(&e))
+    };
+    let split = v1_of(&crate::golden::split_fixture_field())?;
+    let small = v1_of(&campaign_field())?;
+    let blocks = sperr.inspect(&split).map_err(|e| setup(&e))?.chunk_blocks;
+    if blocks != [8] {
+        return fail(CHECK, format!("the split stream has {blocks:?} code blocks, want [8]"));
+    }
+    // Chunk 0's table entry behind the framing byte and the v1 header:
+    // q (8 bytes), planes, max_n, outlier count (4), SPECK and outlier
+    // lengths (4 each).
+    let (planes_at, lens_at) = (1 + 44 + 8, 1 + 44 + 14);
+    let payload = 1 + sperr.inspect(&split).map_err(|e| setup(&e))?.payload_offset;
+    let mut flagged = small.clone();
+    flagged[planes_at] |= sperr_speck::SPLIT_FLAG;
+    let mut deeper = split.clone();
+    deeper[payload] += 1;
+    let mut longer = split.clone();
+    longer[payload + 2] ^= 0x01;
+    let mut cut = split.clone();
+    let len = |b: &[u8], at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+    let (speck, outliers) = (len(&cut, lens_at), len(&cut, lens_at + 4));
+    cut[lens_at..lens_at + 4].copy_from_slice(&5u32.to_le_bytes());
+    cut[lens_at + 4..lens_at + 8].copy_from_slice(&(outliers + speck - 5).to_le_bytes());
+    let cases = [
+        ("a split flag on a one-block payload", flagged),
+        ("a block table of the wrong depth", deeper),
+        ("block lengths that do not add up", longer),
+        ("a block table cut short", cut),
+    ];
+    for (what, bad) in cases {
+        let reads = catch_unwind(AssertUnwindSafe(|| {
+            let region = ReadRequest::Region { lo: [0; 3], hi: [5; 3] };
+            let strict = [
+                sperr.read::<f64>(&bad, ReadRequest::Full, OnDamage::Fail).err(),
+                sperr.read::<f64>(&bad, region, OnDamage::Fail).err(),
+                sperr.read::<f64>(&bad, ReadRequest::Bpp(1.0), OnDamage::Fail).err(),
+                sperr.transcode_to_bpp(&bad, 1.0).err(),
+            ];
+            let streamed = sperr.decompress_stream(&bad[..], Vec::new(), None).err();
+            let resilient = sperr.read::<f64>(&bad, ReadRequest::Full, OnDamage::ZeroFill);
+            (strict, streamed, resilient.map(|r| r.report.failed_chunks()))
+        }));
+        let Ok((strict, streamed, resilient)) = reads else {
+            return fail(CHECK, format!("{what}: a read panicked"));
+        };
+        if strict.iter().any(Option::is_none) || streamed.is_none() {
+            let reads = format!("{strict:?}, {streamed:?}");
+            return fail(CHECK, format!("{what}: a strict read succeeded ({reads})"));
+        }
+        if !matches!(resilient.as_deref(), Ok([0])) {
+            return fail(CHECK, format!("{what}: resilient read gave {resilient:?}, want chunk 0"));
         }
     }
     Ok(())

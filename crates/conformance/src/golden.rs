@@ -43,7 +43,13 @@ use std::path::{Path, PathBuf};
 /// encoded through `compress_f32` (precision tag 2, current indexed
 /// container). The 64 matrix streams and both fixtures are unchanged
 /// byte-for-byte from v2.
-pub const GOLDEN_VERSION: u32 = 3;
+///
+/// v4: the set gained the code-block fixtures: `fixture-split.bin`, one
+/// chunk of the smallest shape the split rule cuts into code blocks
+/// (speck format 2), and `fixture-one-block.bin`, the same field's one
+/// stream as the encoder wrote it before code blocks existed, which is
+/// never regenerated. Every other stream is unchanged byte-for-byte.
+pub const GOLDEN_VERSION: u32 = 4;
 
 /// Container version the 64 matrix goldens are written in. Pinned at 2
 /// even though compression writes v3: the committed bytes predate the
@@ -64,6 +70,39 @@ pub const V1_FIXTURE_NAME: &str = "fixture-v1.bin";
 /// corpus case re-encoded with the chunk index on. Pins the v3 byte
 /// layout (including the index block) the same way the matrix pins v2.
 pub const V3_FIXTURE_NAME: &str = "fixture-v3.bin";
+
+/// File name of the committed code-block fixture: one chunk of
+/// [`split_fixture_field`], the smallest shape the split rule cuts into
+/// code blocks, at a coarse bound, as today's encoder writes it.
+pub const SPLIT_FIXTURE_NAME: &str = "fixture-split.bin";
+
+/// File name of the same field's one-block stream, written by the encoder
+/// before code blocks existed (speck format 1, container v3). `regen`
+/// leaves it as it is: it pins that older streams still decode, to the
+/// very samples the split one gives.
+pub const ONE_BLOCK_FIXTURE_NAME: &str = "fixture-one-block.bin";
+
+/// The field of the code-block fixtures: 41×40×40 = 65 600 samples, just
+/// past [`sperr_speck::BLOCK_COEFFICIENTS`], so one chunk splits into 8
+/// code blocks. Miranda pressure, seed 42 (`sperr gen`'s default).
+pub fn split_fixture_field() -> sperr_compress_api::Field {
+    sperr_datagen::SyntheticField::MirandaPressure.generate([41, 40, 40], 42)
+}
+
+/// The split fixture as today's encoder writes it: the default
+/// configuration (one chunk), PWE at idx 6.
+pub fn split_fixture() -> Vec<u8> {
+    let field = split_fixture_field();
+    let bound = Bound::Pwe(field.tolerance_for_idx(6));
+    Sperr::new(SperrConfig { num_threads: 1, ..SperrConfig::default() })
+        .compress(&field, bound)
+        .expect("the split fixture encodes")
+}
+
+/// The committed one-block fixture's bytes.
+pub fn one_block_fixture(dir: &Path) -> std::io::Result<Vec<u8>> {
+    std::fs::read(dir.join(ONE_BLOCK_FIXTURE_NAME))
+}
 
 /// The committed golden directory (source-relative, so tests and the
 /// regen binary agree regardless of working directory).
@@ -151,6 +190,10 @@ pub struct Manifest {
     /// `(len, crc32, index_crc32)` of the committed v3 fixture, where
     /// `index_crc32` digests the serialized chunk-index entries.
     pub v3_fixture: (usize, u32, u32),
+    /// `(len, crc32)` of the committed code-block fixture.
+    pub split_fixture: (usize, u32),
+    /// `(len, crc32)` of the committed one-block twin of it.
+    pub one_block_fixture: (usize, u32),
 }
 
 fn digest_values(values: &[f64]) -> u32 {
@@ -333,6 +376,7 @@ pub fn render_manifest(
     v1_fixture: &[u8],
     v3_fixture: &[u8],
     v3_index_crc: u32,
+    (split, one_block): (&[u8], &[u8]),
 ) -> String {
     let mut s = String::new();
     s.push_str("# SPERR conformance golden manifest. Regenerate with\n");
@@ -349,6 +393,18 @@ pub fn render_manifest(
         v3_fixture.len(),
         crc32(v3_fixture),
         v3_index_crc,
+    ));
+    s.push_str(&format!(
+        "split_fixture {} {} {:08x}\n",
+        SPLIT_FIXTURE_NAME,
+        split.len(),
+        crc32(split)
+    ));
+    s.push_str(&format!(
+        "one_block_fixture {} {} {:08x}\n",
+        ONE_BLOCK_FIXTURE_NAME,
+        one_block.len(),
+        crc32(one_block)
     ));
     for (e, _) in entries {
         s.push_str(&format!(
@@ -385,6 +441,8 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, String> {
     let mut outlier_format = None;
     let mut v1_fixture = None;
     let mut v3_fixture = None;
+    let mut split_fixture = None;
+    let mut one_block_fixture = None;
     let mut entries = Vec::new();
     let mut f32_entries = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -412,14 +470,19 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, String> {
                 outlier_format =
                     Some(rest[0].parse().map_err(|_| bad("unparseable outlier_format"))?)
             }
-            "v1_fixture" => {
-                if rest.len() != 3 || rest[0] != V1_FIXTURE_NAME {
-                    return Err(bad("malformed v1_fixture line"));
+            "v1_fixture" | "split_fixture" | "one_block_fixture" => {
+                let (name, slot) = match key {
+                    "v1_fixture" => (V1_FIXTURE_NAME, &mut v1_fixture),
+                    "split_fixture" => (SPLIT_FIXTURE_NAME, &mut split_fixture),
+                    _ => (ONE_BLOCK_FIXTURE_NAME, &mut one_block_fixture),
+                };
+                if rest.len() != 3 || rest[0] != name {
+                    return Err(bad("malformed fixture line"));
                 }
                 let len = rest[1].parse().map_err(|_| bad("unparseable fixture length"))?;
                 let crc = u32::from_str_radix(rest[2], 16)
                     .map_err(|_| bad("unparseable fixture crc"))?;
-                v1_fixture = Some((len, crc));
+                *slot = Some((len, crc));
             }
             "v3_fixture" => {
                 if rest.len() != 4 || rest[0] != V3_FIXTURE_NAME {
@@ -496,23 +559,29 @@ pub fn parse_manifest(text: &str) -> Result<Manifest, String> {
         outlier_format: outlier_format.ok_or("manifest missing outlier_format")?,
         v1_fixture: v1_fixture.ok_or("manifest missing v1_fixture")?,
         v3_fixture: v3_fixture.ok_or("manifest missing v3_fixture")?,
+        split_fixture: split_fixture.ok_or("manifest missing split_fixture")?,
+        one_block_fixture: one_block_fixture.ok_or("manifest missing one_block_fixture")?,
         entries,
         f32_entries,
     })
 }
 
-/// Regenerates the golden directory on disk: every stream file, the v1
-/// and v3 fixtures, and the manifest. Stale `.bin` files from a previous
-/// matrix are removed. Returns the number of streams written.
+/// Regenerates the golden directory on disk: every stream file, the v1,
+/// v3 and code-block fixtures, and the manifest. Stale `.bin` files from
+/// a previous matrix are removed; the one-block fixture, which today's
+/// encoder cannot write, is kept and its digest carried over.
 pub fn regenerate(dir: &Path) -> std::io::Result<usize> {
     let (entries, v1, v3) = generate();
     let f32_entries = generate_f32();
     let v3_index_crc = index_crc(&v3)
         .map_err(|e| std::io::Error::other(format!("generated v3 fixture is unusable: {e}")))?;
+    let split = split_fixture();
+    let one_block = one_block_fixture(dir)?;
     std::fs::create_dir_all(dir)?;
     for old in std::fs::read_dir(dir)? {
         let path = old?.path();
-        if path.extension().is_some_and(|e| e == "bin") {
+        let kept = path.file_name().is_some_and(|n| n == ONE_BLOCK_FIXTURE_NAME);
+        if path.extension().is_some_and(|e| e == "bin") && !kept {
             std::fs::remove_file(path)?;
         }
     }
@@ -524,9 +593,10 @@ pub fn regenerate(dir: &Path) -> std::io::Result<usize> {
     }
     std::fs::write(dir.join(V1_FIXTURE_NAME), &v1)?;
     std::fs::write(dir.join(V3_FIXTURE_NAME), &v3)?;
+    std::fs::write(dir.join(SPLIT_FIXTURE_NAME), &split)?;
     std::fs::write(
         dir.join(MANIFEST_NAME),
-        render_manifest(&entries, &f32_entries, &v1, &v3, v3_index_crc),
+        render_manifest(&entries, &f32_entries, &v1, &v3, v3_index_crc, (&split, &one_block)),
     )?;
     Ok(entries.len() + f32_entries.len())
 }
@@ -696,8 +766,64 @@ pub fn check(dir: &Path) -> Vec<CheckFailure> {
     // v2 twin's decode bit-for-bit, and downgrading it back to v2 must
     // reproduce the twin's exact bytes.
     check_v3_fixture(dir, &manifest, &inputs, &mut failures, &fail);
+    check_split_fixtures(dir, &manifest, &mut failures, &fail);
 
     failures
+}
+
+/// The code-block fixtures: both match their manifest digests, today's
+/// encoder reproduces the split one and splits its chunk into 8 blocks,
+/// the one-block stream is one block, and both decode to bit-identical
+/// samples.
+fn check_split_fixtures(
+    dir: &Path,
+    manifest: &Manifest,
+    failures: &mut Vec<CheckFailure>,
+    fail: &dyn Fn(String) -> CheckFailure,
+) {
+    let read = |name: &str, (len, crc): (usize, u32)| match std::fs::read(dir.join(name)) {
+        Ok(b) if b.len() == len && crc32(&b) == crc => Ok(b),
+        Ok(_) => Err(format!("{name} does not match its manifest digest")),
+        Err(e) => Err(format!("cannot read {name}: {e}")),
+    };
+    let (split, one_block) = match (
+        read(SPLIT_FIXTURE_NAME, manifest.split_fixture),
+        read(ONE_BLOCK_FIXTURE_NAME, manifest.one_block_fixture),
+    ) {
+        (Ok(split), Ok(one_block)) => (split, one_block),
+        (Err(e), _) | (_, Err(e)) => return failures.push(fail(e)),
+    };
+    if split_fixture() != split {
+        let drift = format!("{SPLIT_FIXTURE_NAME}: re-encoded stream differs — encoder drift");
+        failures.push(fail(drift));
+    }
+    let sperr = Sperr::new(SperrConfig::default());
+    let fixtures = [(SPLIT_FIXTURE_NAME, &split, 8), (ONE_BLOCK_FIXTURE_NAME, &one_block, 1)];
+    for (name, stream, want) in fixtures {
+        match sperr.inspect(stream) {
+            Ok(info) if info.chunk_blocks == [want] => {}
+            Ok(info) => failures.push(fail(format!(
+                "{name}: {:?} code blocks, want [{want}]",
+                info.chunk_blocks
+            ))),
+            Err(e) => failures.push(fail(format!("{name} does not inspect: {e}"))),
+        }
+    }
+    match (sperr.decompress(&split), sperr.decompress(&one_block)) {
+        (Ok(a), Ok(b)) => {
+            let same = a.data.len() == b.data.len()
+                && a.data.iter().zip(&b.data).all(|(x, y)| x.to_bits() == y.to_bits());
+            if !same {
+                failures.push(fail(format!(
+                    "{SPLIT_FIXTURE_NAME} and {ONE_BLOCK_FIXTURE_NAME} decode to different samples"
+                )));
+            }
+        }
+        (Err(e), _) => failures.push(fail(format!("{SPLIT_FIXTURE_NAME} does not decode: {e}"))),
+        (_, Err(e)) => {
+            failures.push(fail(format!("{ONE_BLOCK_FIXTURE_NAME} does not decode: {e}")))
+        }
+    }
 }
 
 fn check_f32_entries(
@@ -926,12 +1052,16 @@ mod tests {
         )];
         let v1 = vec![1u8, 2, 3];
         let v3 = vec![4u8, 5, 6, 7];
-        let text = render_manifest(&entries, &f32_entries, &v1, &v3, 0xabcd_1234);
+        let (split, one_block) = (vec![8u8; 5], vec![9u8; 6]);
+        let fixtures = (&split[..], &one_block[..]);
+        let text = render_manifest(&entries, &f32_entries, &v1, &v3, 0xabcd_1234, fixtures);
         let m = parse_manifest(&text).unwrap();
         assert_eq!(m.golden_version, GOLDEN_VERSION);
         assert_eq!(m.container_version, GOLDEN_CONTAINER_VERSION);
         assert_eq!(m.v1_fixture, (3, crc32(&v1)));
         assert_eq!(m.v3_fixture, (4, crc32(&v3), 0xabcd_1234));
+        assert_eq!(m.split_fixture, (5, crc32(&split)));
+        assert_eq!(m.one_block_fixture, (6, crc32(&one_block)));
         assert_eq!(m.entries.len(), 1);
         let e = &m.entries[0];
         assert_eq!(e.case_id, "press-3d16-sperr-pwe");

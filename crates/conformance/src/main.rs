@@ -73,7 +73,7 @@ fn regen() -> i32 {
     match golden::regenerate(&dir) {
         Ok(n) => {
             println!(
-                "wrote {n} golden streams + v1/v3 fixtures + manifest to {} \
+                "wrote {n} golden streams + v1/v3/code-block fixtures + manifest to {} \
                  (GOLDEN_VERSION {})",
                 dir.display(),
                 golden::GOLDEN_VERSION

@@ -26,7 +26,10 @@ fn manifest_matches_generated_set_exactly() {
     let v3_index_crc = golden::index_crc(&v3).expect("generated v3 fixture carries an index");
     let want = std::fs::read_to_string(golden::golden_dir().join(golden::MANIFEST_NAME))
         .expect("committed manifest readable");
-    let got = golden::render_manifest(&entries, &f32_entries, &v1, &v3, v3_index_crc);
+    let split = golden::split_fixture();
+    let one_block = golden::one_block_fixture(&golden::golden_dir()).expect("committed fixture");
+    let fixtures = (&split[..], &one_block[..]);
+    let got = golden::render_manifest(&entries, &f32_entries, &v1, &v3, v3_index_crc, fixtures);
     assert_eq!(
         got, want,
         "freshly generated manifest differs from committed MANIFEST.txt — \

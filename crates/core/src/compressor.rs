@@ -448,6 +448,11 @@ impl Sperr {
                 .iter()
                 .map(|e| e.speck_len + e.outlier_len)
                 .collect(),
+            chunk_blocks: chunk_grid(parsed.header.dims, parsed.header.chunk_dims)
+                .iter()
+                .zip(&parsed.entries)
+                .map(|(spec, e)| sperr_speck::block_count(spec.dims, e.num_planes))
+                .collect(),
             chunk_index: parsed.index,
         })
     }
@@ -554,8 +559,10 @@ impl Sperr {
 }
 
 /// `chunk` of `opened` as the container stores it, re-packaged for the
-/// container writer with its SPECK stream cut at `speck_budget` bytes and,
-/// unless `outliers`, its corrections dropped. `max_err` is NaN: a cut
+/// container writer with its SPECK stream cut to at most `speck_budget`
+/// bytes ([`sperr_speck::Blocks::cut`]: a prefix of a stream of one block,
+/// every code block at one plane of a split one) and, unless `outliers`,
+/// its corrections dropped. `max_err` is NaN: a cut
 /// voids the recorded bound, and re-framing does not carry it.
 fn stored_chunk(
     opened: &Opened<'_>,
@@ -565,7 +572,8 @@ fn stored_chunk(
 ) -> Result<ChunkEncoding, CompressError> {
     let e = &opened.entries[chunk];
     let (speck, outlier) = opened.payload(chunk)?.split_at(e.speck_len);
-    let speck = &speck[..e.speck_len.min(speck_budget)];
+    let dims = opened.grid[chunk].dims;
+    let speck = sperr_speck::blocks(speck, dims, e.q, e.num_planes)?.cut(speck_budget);
     let outlier = if outliers { outlier } else { &[] };
     Ok(ChunkEncoding {
         speck_stream: speck.to_vec(),
@@ -641,6 +649,9 @@ pub struct StreamInfo {
     pub payload_offset: usize,
     /// Per-chunk payload sizes (SPECK + outlier bytes), in chunk order.
     pub chunk_payload_sizes: Vec<usize>,
+    /// Per-chunk count of SPECK code blocks ([`sperr_speck::block_count`]:
+    /// 1 for a chunk coded as one stream), in chunk order.
+    pub chunk_blocks: Vec<usize>,
     /// The v3 chunk index (offset, length, grid coordinates, max error
     /// per chunk), validated against the chunk table; `None` for v1/v2.
     pub chunk_index: Option<Vec<ChunkIndexEntry>>,

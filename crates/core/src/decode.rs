@@ -54,9 +54,12 @@ use std::time::Instant;
 /// One chunk's decode, as the container's chunk table and the read at
 /// hand describe it.
 pub(crate) struct ChunkJob<'a> {
-    /// The SPECK stream, or the prefix of it a preview keeps (truncation
-    /// is the embedded-coding contract, not corruption).
+    /// The SPECK stream.
     pub speck: &'a [u8],
+    /// Bytes of the SPECK stream a preview keeps ([`sperr_speck::Blocks::cut`];
+    /// truncation is the embedded-coding contract, not corruption), or
+    /// `usize::MAX` for all of it.
+    pub budget: usize,
     /// The outlier stream; empty when there are no corrections or the read
     /// does not apply them (previews, coarse levels).
     pub outliers: &'a [u8],
@@ -64,7 +67,7 @@ pub(crate) struct ChunkJob<'a> {
     pub dims: [usize; 3],
     /// SPECK's finest quantization step.
     pub q: f64,
-    /// SPECK bitplane count.
+    /// SPECK's planes byte (bitplane count, and the code-block flag).
     pub num_planes: u8,
     /// Outlier coder starting exponent.
     pub max_n: u8,
@@ -92,22 +95,25 @@ pub(crate) struct ChunkJob<'a> {
 ///
 /// The read decodes what it returns and no more: the [`Support`] of the
 /// kept box — `keep`, or at `level > 0` the coarse corner — names the
-/// coefficients SPECK assembles and the lines each inverse step lifts.
-/// Inside that box the result is bit-identical to the same samples of a
-/// full decode (the support is exact, corrections are point-local, Eq. 1);
+/// coefficients SPECK assembles, the code blocks it decodes (those that
+/// one of its boxes meets) and the lines each inverse step lifts. Inside
+/// that box the result is bit-identical to the same samples of a full
+/// decode (the support is exact, corrections are point-local, Eq. 1);
 /// outside it the buffer holds whatever the restricted inverse left, and
 /// corrections are skipped. A box whose support is the whole chunk takes
 /// the full read. At `level > 0` the returned buffer still has the chunk's
 /// full extent, with the coarse approximation, re-scaled to physical
 /// units, in its `[0, coarse_dims)` corner.
 ///
-/// When the pool [fans out](WorkerPool::fans_out) — a chunk whose batch
-/// leaves workers idle — the chunk uses them: the outlier list decodes on
-/// a second worker while SPECK's sorting pass runs, and SPECK assembles
-/// its z-slabs ([`sperr_speck::Sorted::slabs`]) on the pool, each into its
-/// own slice of the output. Either way the bits are those of a serial
-/// decode, and a failure is reported in the serial order: SPECK's error,
-/// then the outlier list's, then a correction out of range.
+/// SPECK runs as one pool batch: job 0 decodes the outlier list, and
+/// every other job one code block — its sorting pass in the block's own
+/// SPECK scratch, its assembly into the worker's block buffer, then its
+/// rows into the chunk (a chunk of one block assembles in place). The
+/// batch spreads over the pool when it [fans out](WorkerPool::fans_out)
+/// and runs on this worker otherwise; either way the bits are those of a
+/// serial decode, and a failure is reported in the serial order: the
+/// lowest block's SPECK error, then the outlier list's, then a correction
+/// out of range.
 pub(crate) fn decode_chunk<T: Float>(
     job: &ChunkJob<'_>,
     pool: &WorkerPool,
@@ -118,44 +124,16 @@ pub(crate) fn decode_chunk<T: Float>(
     let keep = if job.level > 0 { None } else { job.keep };
     let support = Support::new(dims, levels, job.level, keep);
     crate::faultpoint::stage(stage_labels::SPECK_DECODE);
-    let scratch = std::mem::take(&mut arena.speck);
-    let ((sorted, sort_time), (corrections, list_time)) = pool.join(
-        || phase(stage_labels::SPECK_DECODE, || sorting_pass(job, &support, scratch)),
-        || phase(stage_labels::OUTLIER_APPLY, || outlier_list(job)),
-    );
-    let sorted = sorted?;
-    let corrections = corrections?;
-    // The chunk decodes into the arena's coefficient buffer, which leaves
-    // with the result; the read hands it back once the sink is done. New
-    // memory comes zeroed from the allocator, untouched where a region's
-    // support does not reach.
-    let mut coeffs = std::mem::take(&mut arena.coeffs);
-    coeffs.clear();
-    if coeffs.capacity() == 0 {
-        coeffs = vec![T::ZERO; sorted.len()];
-    } else {
-        coeffs.resize(sorted.len(), T::ZERO);
-    }
-    let ((), assembly_time) = phase(stage_labels::SPECK_DECODE, || {
-        let whole = std::iter::once(0..sorted.len());
-        let slabs = if pool.fans_out() { sorted.slabs() } else { whole.collect() };
-        let mut rest = coeffs.as_mut_slice();
-        let mut parts = Vec::with_capacity(slabs.len());
-        for slab in slabs {
-            let Some((part, tail)) = rest.split_at_mut_checked(slab.len()) else {
-                break;
-            };
-            parts.push((slab, part));
-            rest = tail;
-        }
-        let n_parts = parts.len();
-        let parts: Slots<(Range<usize>, &mut [T])> = parts.into_iter().collect();
-        pool.run(n_parts, &|s, _| {
-            let (slab, out) = &mut *parts.lock(s);
-            sorted.assemble(slab.clone(), out);
-        });
+    let (decoded, speck_time) = phase(stage_labels::SPECK_DECODE, || {
+        let blocks = sperr_speck::blocks(job.speck, dims, job.q, job.num_planes)?;
+        let cut = if job.budget < job.speck.len() { Some(blocks.cut(job.budget)) } else { None };
+        let blocks = match &cut {
+            Some(cut) => sperr_speck::blocks(cut, dims, job.q, job.num_planes)?,
+            None => blocks,
+        };
+        decode_blocks(job, &blocks, &support, pool, arena)
     });
-    arena.speck = sorted.into_scratch();
+    let (mut coeffs, corrections, list_time) = decoded?;
 
     crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
     let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
@@ -182,7 +160,7 @@ pub(crate) fn decode_chunk<T: Float>(
 
     let times = StageTimes {
         wavelet: wavelet_time,
-        speck: sort_time + assembly_time,
+        speck: speck_time.saturating_sub(list_time),
         outlier_coding: list_time + apply_time,
         ..StageTimes::default()
     };
@@ -191,13 +169,22 @@ pub(crate) fn decode_chunk<T: Float>(
     Ok((coeffs, times))
 }
 
-/// SPECK's sorting pass over the chunk's stream, masked to `support`
-/// unless that is the whole chunk, in the memory of `scratch`.
-fn sorting_pass<'a>(
-    job: &ChunkJob<'a>,
+/// What [`decode_blocks`] leaves: the chunk's coefficients, its outlier
+/// corrections and the wall time of their decode.
+type DecodedBlocks<T> = (Vec<T>, Vec<sperr_outlier::Outlier>, std::time::Duration);
+
+/// The SPECK side of [`decode_chunk`]: the code blocks of `blocks` that
+/// `support` needs, each decoded into `arena`'s coefficient buffer (of the
+/// chunk's extent, zeroed), beside the outlier list's decode, as one batch
+/// on `pool`.
+fn decode_blocks<T: Float>(
+    job: &ChunkJob<'_>,
+    blocks: &sperr_speck::Blocks<'_, 3>,
     support: &Support,
-    scratch: sperr_speck::Scratch,
-) -> Result<sperr_speck::Sorted<'a, 3>, CompressError> {
+    pool: &WorkerPool,
+    arena: &mut ScratchArena<T>,
+) -> Result<DecodedBlocks<T>, CompressError> {
+    let dims = job.dims;
     let keep = if support.is_everything() {
         None
     } else {
@@ -205,8 +192,102 @@ fn sorting_pass<'a>(
             sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
         })?)
     };
-    let (speck, dims, q, planes) = (job.speck, job.dims, job.q, job.num_planes);
-    Ok(sperr_speck::sorting_pass(speck, dims, q, planes, keep.as_deref(), scratch)?)
+    let needed: Vec<usize> = (0..blocks.len())
+        .filter(|&b| {
+            let meets = |block: sperr_speck::Block<3>| {
+                support.boxes().iter().any(|&(lo, hi)| block.meets(lo, hi))
+            };
+            keep.is_none() || blocks.block(b).is_some_and(meets)
+        })
+        .collect();
+    sperr_telemetry::counter!("speck.blocks", needed.len());
+    sperr_telemetry::counter!("speck.blocks_skipped", blocks.len() - needed.len());
+
+    // The chunk decodes into the arena's coefficient buffer, which leaves
+    // with the result; the read hands it back once the sink is done. New
+    // memory comes zeroed from the allocator, untouched where a region's
+    // support does not reach.
+    let mut coeffs = std::mem::take(&mut arena.coeffs);
+    coeffs.clear();
+    let n = dims.iter().product();
+    if coeffs.capacity() == 0 {
+        coeffs = vec![T::ZERO; n];
+    } else {
+        coeffs.resize(n, T::ZERO);
+    }
+    // Blocks of different layers (their extents along z) write disjoint
+    // z-slabs of the chunk; a slab's lock is held while a block copies its
+    // rows in.
+    let (layers, layer_of) = blocks.layers();
+    let mut slabs = Vec::with_capacity(layers.len());
+    let mut rest = coeffs.as_mut_slice();
+    for layer in &layers {
+        let Some((slab, tail)) = rest.split_at_mut_checked(layer.len()) else {
+            break;
+        };
+        slabs.push(slab);
+        rest = tail;
+    }
+    let slabs: Slots<&mut [T]> = slabs.into_iter().collect();
+    // Each block decodes in its own SPECK scratch; a chunk of one block in
+    // the arena's.
+    let split = blocks.is_split();
+    let scratch = if split {
+        arena.speck.block_slots(blocks.len())
+    } else {
+        std::iter::once(std::mem::take(&mut arena.speck)).collect()
+    };
+    let width = sperr_exec::Exec::width(pool);
+    arena.blocks.resize_with(width.max(arena.blocks.len()), Vec::new);
+    let dense: Slots<&mut Vec<T>> = arena.blocks.iter_mut().collect();
+    let results = Slots::new(needed.len(), || None);
+    let list = Slots::new(1, || None);
+    pool.run(needed.len() + 1, &|j, worker| {
+        let Some(&b) = j.checked_sub(1).and_then(|i| needed.get(i)) else {
+            *list.lock(0) = Some(phase(stage_labels::OUTLIER_APPLY, || outlier_list(job)));
+            return;
+        };
+        let decoded = (|| {
+            let block = blocks.block(b).ok_or(sperr_speck::DecodeError::Corrupt("no such block"))?;
+            let block_keep = match &keep {
+                Some(keep) => match block.keep_bitmap(dims, keep) {
+                    Some(kept) => Some(kept),
+                    None => return Ok(()),
+                },
+                None => None,
+            };
+            let lent = std::mem::take(&mut *scratch.lock(b));
+            let sorted = blocks.sorting_pass(b, job.q, block_keep.as_deref(), lent)?;
+            let layer = layer_of.get(b).copied().unwrap_or(0);
+            if split {
+                let mut dense = dense.lock(worker);
+                dense.clear();
+                dense.resize(block.len(), T::ZERO);
+                sorted.assemble(dense.as_mut_slice());
+                let first = layers.get(layer).map_or(0, |l| l.start);
+                block.place(dims, &dense, &mut slabs.lock(layer), first);
+            } else {
+                sorted.assemble(&mut slabs.lock(layer));
+            }
+            *scratch.lock(b) = sorted.into_scratch();
+            Ok::<(), sperr_speck::DecodeError>(())
+        })();
+        if let Some(slot) = j.checked_sub(1) {
+            *results.lock(slot) = Some(decoded);
+        }
+    });
+    drop((slabs, dense));
+    if split {
+        arena.speck.return_blocks(scratch);
+    } else {
+        arena.speck = scratch.into_values().next().unwrap_or_default();
+    }
+    for result in results.into_values() {
+        result.unwrap_or(Ok(()))?;
+    }
+    let (corrections, list_time) =
+        list.into_values().next().flatten().unwrap_or_else(|| (Ok(Vec::new()), Default::default()));
+    Ok((coeffs, corrections?, list_time))
 }
 
 /// The chunk's outlier corrections, decoded (none when the read does not
@@ -649,7 +730,8 @@ impl Opened<'_> {
         let e = &self.entries[task.chunk];
         let (speck, outliers) = payload.split_at(e.speck_len);
         let job = ChunkJob {
-            speck: &speck[..e.speck_len.min(task.budget)],
+            speck,
+            budget: task.budget,
             outliers: if task.outliers { outliers } else { &[] },
             dims: self.grid[task.chunk].dims,
             q: e.q,

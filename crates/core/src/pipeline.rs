@@ -28,7 +28,8 @@ use crate::chunk::ChunkSpec;
 use crate::faultpoint::Caught;
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
-use sperr_exec::{Slots, WorkerPool};
+use sperr_exec::{lock_ignore_poison, Slots, WorkerPool};
+use std::sync::Mutex;
 use sperr_outlier::Outlier;
 use sperr_simd::Float;
 use sperr_speck::Termination;
@@ -47,9 +48,10 @@ const L1_BLOCK: usize = 1024;
 /// Reusable per-worker scratch — one chunk's working set: the coefficient
 /// buffer, the wavelet transform's panel/line scratch, SPECK's
 /// ([`sperr_speck::Scratch`]: its phase-1 levels and magnitudes,
-/// its found list and buckets, and a buffer for the next SPECK stream),
-/// and the outlier locate's lists and coder's scratch
-/// ([`sperr_outlier::EncodeScratch`]).
+/// its found list and buckets, a buffer for the next SPECK stream, and
+/// the same per code block), the outlier locate's lists and coder's
+/// scratch ([`sperr_outlier::EncodeScratch`]), and the decode's code-block
+/// buffers.
 /// Buffers grow to the largest chunk seen and are never shrunk; a driver
 /// keeps one arena per worker slot so that a multi-gigabyte run allocates
 /// a bounded, chunk-count-independent amount, and a [`crate::Sperr`]
@@ -61,6 +63,9 @@ pub struct ScratchArena<T: Float = f64> {
     pub(crate) wavelet: TransformScratch<T>,
     pub(crate) speck: sperr_speck::Scratch,
     pub(crate) outliers: OutlierScratch,
+    /// Per worker slot of the pool a chunk decodes on, the buffer one of
+    /// its code blocks assembles into before its rows go to the chunk.
+    pub(crate) blocks: Vec<Vec<T>>,
 }
 
 /// The outlier locate's and coder's share of an arena.
@@ -87,6 +92,7 @@ impl<T: Float> Default for ScratchArena<T> {
             wavelet: TransformScratch::new(),
             speck: sperr_speck::Scratch::default(),
             outliers: OutlierScratch::default(),
+            blocks: Vec::new(),
         }
     }
 }
@@ -101,7 +107,8 @@ impl<T: Float> ScratchArena<T> {
     /// and the outlier coder's scratch included. Buffers never shrink, so after a run this *is*
     /// the arena's high-water mark.
     pub fn bytes(&self) -> usize {
-        self.coeffs.capacity() * std::mem::size_of::<T>()
+        let blocks = self.blocks.iter().map(Vec::capacity).sum::<usize>();
+        (self.coeffs.capacity() + blocks) * std::mem::size_of::<T>()
             + self.wavelet.bytes()
             + self.speck.bytes()
             + self.outliers.bytes()
@@ -392,15 +399,15 @@ fn scan_outliers<T: Float>(
 /// panels and elementwise sweeps run on `pool`, bit-identically for any
 /// thread count. A dense chunk is the volume whose extent is the chunk's.
 ///
-/// SPECK runs in its two phases ([`sperr_speck::quantize`], its pieces on
-/// `pool`, then [`sperr_speck::Quantized::encode`]). When the second needs
-/// nothing of the coefficients — every magnitude fits 32 bits, no bit
-/// budget — the mode's work on them (the locate and the outlier encode,
-/// or the RMSE error sum) runs beside it through [`WorkerPool::join`]: on
-/// a second worker when the pool [fans out](WorkerPool::fans_out), after
-/// it on this one otherwise. Otherwise it runs after the sorting passes.
-/// Either way the bytes, the refusal and a panic's stage are those of the
-/// serial order.
+/// SPECK runs in its two phases ([`sperr_speck::quantize`], its pieces or
+/// its code blocks on `pool`, then each block's sorting passes, one pool
+/// job a block, joined in block order by [`sperr_speck::Quantized::join`]).
+/// When the second needs nothing of the coefficients — every magnitude
+/// fits 32 bits, no bit budget — the mode's work on them (the locate and
+/// the outlier encode, or the RMSE error sum) is job 0 of the blocks'
+/// batch; otherwise it runs after the sorting passes. Either way the
+/// bytes, the refusal and a panic's stage are those of the serial order,
+/// at any thread count.
 ///
 /// Refuses the chunk's first sample that is not finite, a chunk whose
 /// transform or reconstruction overflows, and a bound whose quantization
@@ -424,7 +431,7 @@ pub fn compress_chunk<T: Float>(
     let chunk = Rows { volume, volume_dims, spec };
     let dims = spec.dims;
     let levels = levels_for_dims(dims);
-    let ScratchArena { coeffs, wavelet, speck, outliers } = arena;
+    let ScratchArena { coeffs, wavelet, speck, outliers, .. } = arena;
 
     // Stage 1: forward wavelet transform of the chunk's samples. The
     // largest coefficient magnitude is the size-bounded mode's scale and
@@ -471,9 +478,6 @@ pub fn compress_chunk<T: Float>(
         let scratch = std::mem::take(speck);
         sperr_speck::quantize(coeffs.as_slice(), dims, q, termination, pool, scratch)
     });
-    let sort = |quantized: sperr_speck::Quantized<'_, T, 3>| {
-        phase(stage_labels::SPECK_ENCODE, || quantized.encode())
-    };
     // What the mode does with the coefficients besides SPECK: the outlier
     // locate (PWE) reconstructs and inverse-transforms them in place and
     // compares the result with the chunk's rows of the volume, and the
@@ -512,23 +516,19 @@ pub fn compress_chunk<T: Float>(
     };
     let ((mut enc, sort_time), beside) = match quantized.release() {
         // The second phase reads only what the first left, so the mode's
-        // work on the coefficients runs beside it: on the other worker
-        // when the pool fans out, after it otherwise. A panic on either
-        // side is raised here, in that order, with its own stage (the
-        // locate's or the outlier encode's on the second side).
+        // work on the coefficients is job 0 of the blocks' batch: it starts
+        // first, and the blocks' sorting passes fill the other workers
+        // while it runs (all of them after it, on a pool that does not fan
+        // out). A panic on either side is raised here, the blocks' first,
+        // with its own stage (the locate's or the outlier encode's for
+        // job 0).
         Ok(quantized) => {
-            let (enc, beside) = pool.join(
-                || crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || sort(quantized)),
-                || {
-                    crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || {
-                        beside(coeffs, wavelet, outliers)
-                    })
-                },
-            );
-            (enc.unwrap_or_else(Caught::resume), beside.unwrap_or_else(Caught::resume))
+            let side = || beside(coeffs, wavelet, outliers);
+            let (enc, side) = sort_blocks(quantized, pool, Some(side));
+            (enc, side.unwrap_or(Ok(Beside::Nothing)))
         }
         Err(quantized) => {
-            let enc = sort(quantized);
+            let (enc, _) = sort_blocks(quantized, pool, None::<fn()>);
             (enc, beside(coeffs, wavelet, outliers))
         }
     };
@@ -604,6 +604,50 @@ enum Beside {
     Nothing,
 }
 
+/// The second phase of `quantized`: one job a code block on `pool`, each
+/// block's sorting passes in its own scratch, with `side` as job 0 when
+/// given (so it starts first), then the blocks joined in block order.
+/// Returns the encode with the wall time of the blocks' side of the batch,
+/// and what `side` returned. A panic in any job is raised after the batch:
+/// the lowest block's first, then `side`'s, each with the stage its thread
+/// was in.
+fn sort_blocks<T: Float, R: Send>(
+    quantized: sperr_speck::Quantized<'_, T, 3>,
+    pool: &WorkerPool,
+    side: Option<impl FnOnce() -> R + Send>,
+) -> ((sperr_speck::EncodedSpeck, Duration), Option<R>) {
+    let k = quantized.blocks();
+    let first = usize::from(side.is_some());
+    let side = Mutex::new(side);
+    let side_out = Mutex::new(None);
+    let encoded = Slots::new(k, || None);
+    let start = Instant::now();
+    let speck_end = Mutex::new(start);
+    pool.run(first + k, &|j, _| {
+        if j < first {
+            let side = lock_ignore_poison(&side).take();
+            let done = side.map(|side| crate::faultpoint::carry(stage_labels::SPECK_ENCODE, side));
+            *lock_ignore_poison(&side_out) = done;
+            return;
+        }
+        let b = j - first;
+        let enc = crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || {
+            let _span = sperr_telemetry::span!(stage_labels::SPECK_ENCODE);
+            quantized.encode_block(b)
+        });
+        *encoded.lock(b) = Some(enc);
+        let mut end = lock_ignore_poison(&speck_end);
+        *end = (*end).max(Instant::now());
+    });
+    let encoded: Vec<_> = encoded
+        .into_values()
+        .map(|enc| enc.expect("every block's job ran").unwrap_or_else(Caught::resume))
+        .collect();
+    let side = lock_ignore_poison(&side_out).take().map(|r| r.unwrap_or_else(Caught::resume));
+    let sort_time = lock_ignore_poison(&speck_end).duration_since(start);
+    ((quantized.join(encoded), sort_time), side)
+}
+
 /// Runs `f` under `label`'s span and returns its wall time. A stage that
 /// runs in two phases, possibly on two workers, records its histogram
 /// sample once, from the sum, where [`timed`] would record one per phase.
@@ -645,6 +689,7 @@ mod tests {
     fn job<'a>(enc: &'a ChunkEncoding, dims: [usize; 3], t: f64) -> ChunkJob<'a> {
         ChunkJob {
             speck: &enc.speck_stream,
+            budget: usize::MAX,
             outliers: &enc.outlier_stream,
             dims,
             q: enc.q,
@@ -888,49 +933,103 @@ mod tests {
     #[test]
     fn keep_box_matches_full_decode_inside_it() {
         // Outliers outside the kept box are skipped; inside it the decode
-        // must be bit-identical to the full chunk decode.
-        let dims = [16usize, 12, 10];
-        let data = test_data(dims);
-        let t = 0.001;
-        let enc = compress(&data, dims, pwe(t, 3.0));
-        assert!(enc.num_outliers > 0, "test needs outliers to be meaningful");
-        let full = decode(&job(&enc, dims, t));
-        let (lo, hi) = ([3usize, 0, 2], [9usize, 12, 7]);
-        let region = decode(&ChunkJob { keep: Some((lo, hi)), ..job(&enc, dims, t) });
-        for z in lo[2]..hi[2] {
-            for y in lo[1]..hi[1] {
-                for x in lo[0]..hi[0] {
-                    let pos = x + dims[0] * (y + dims[1] * z);
-                    assert_eq!(full[pos].to_bits(), region[pos].to_bits(), "at {x},{y},{z}");
+        // must be bit-identical to the full chunk decode. On the split
+        // chunks (the boxes' tables and Morton cubes, 8 code blocks) the
+        // region read decodes only the blocks its support meets.
+        let cases: [([usize; 3], [usize; 3], [usize; 3]); 3] = [
+            ([16, 12, 10], [3, 0, 2], [9, 12, 7]),
+            ([72, 66, 50], [40, 3, 30], [47, 20, 41]),
+            ([64, 64, 64], [5, 40, 33], [12, 47, 40]),
+        ];
+        for (dims, lo, hi) in cases {
+            let data = test_data(dims);
+            let t = 0.001;
+            let enc = compress(&data, dims, pwe(t, 3.0));
+            assert!(enc.num_outliers > 0, "test needs outliers to be meaningful");
+            let full = decode(&job(&enc, dims, t));
+            let region = decode(&ChunkJob { keep: Some((lo, hi)), ..job(&enc, dims, t) });
+            for z in lo[2]..hi[2] {
+                for y in lo[1]..hi[1] {
+                    for x in lo[0]..hi[0] {
+                        let pos = x + dims[0] * (y + dims[1] * z);
+                        let what = format!("{dims:?} at {x},{y},{z}");
+                        assert_eq!(full[pos].to_bits(), region[pos].to_bits(), "{what}");
+                    }
                 }
             }
+            assert_ne!(full, region, "{dims:?}: no correction fell outside the box");
         }
-        assert_ne!(full, region, "no correction fell outside the box");
     }
 
     #[test]
     fn coarse_level_is_the_rescaled_partial_inverse() {
         // Level l leaves the finest l transform levels undone and divides
-        // the approximation corner by the kernel's DC gain, nothing else.
-        let dims = [24usize, 16, 12];
-        let data = test_data(dims);
-        let enc = compress(&data, dims, pwe(0.01, 1.5));
-        let levels = levels_for_dims(dims);
-        for level in 1..=2 {
-            let coarse = decode(&ChunkJob { outliers: &[], level, ..job(&enc, dims, 0.01) });
-            let mut want: Vec<f64> =
-                sperr_speck::decode(&enc.speck_stream, dims, enc.q, enc.num_planes).unwrap();
-            sperr_wavelet::inverse_3d_partial(&mut want, dims, levels, level, Kernel::Cdf97);
-            let cdims = coarse_dims(dims, levels, level);
-            let scale = 1.0 / coarse_scale(dims, levels, level);
-            for z in 0..cdims[2] {
-                for y in 0..cdims[1] {
-                    for x in 0..cdims[0] {
-                        let pos = x + dims[0] * (y + dims[1] * z);
-                        assert_eq!(coarse[pos].to_bits(), (want[pos] * scale).to_bits());
+        // the approximation corner by the kernel's DC gain, nothing else —
+        // on one stream and on a split chunk, whose level read decodes only
+        // the code blocks the corner's support meets.
+        for dims in [[24usize, 16, 12], [72, 66, 50]] {
+            let data = test_data(dims);
+            let enc = compress(&data, dims, pwe(0.01, 1.5));
+            let levels = levels_for_dims(dims);
+            for level in 1..=2 {
+                let coarse = decode(&ChunkJob { outliers: &[], level, ..job(&enc, dims, 0.01) });
+                let mut want: Vec<f64> =
+                    sperr_speck::decode(&enc.speck_stream, dims, enc.q, enc.num_planes).unwrap();
+                sperr_wavelet::inverse_3d_partial(&mut want, dims, levels, level, Kernel::Cdf97);
+                let cdims = coarse_dims(dims, levels, level);
+                let scale = 1.0 / coarse_scale(dims, levels, level);
+                for z in 0..cdims[2] {
+                    for y in 0..cdims[1] {
+                        for x in 0..cdims[0] {
+                            let pos = x + dims[0] * (y + dims[1] * z);
+                            assert_eq!(coarse[pos].to_bits(), (want[pos] * scale).to_bits());
+                        }
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn one_chunk_blocks_decode_like_one_stream_at_every_thread_count() {
+        // A split chunk's code blocks decode to exactly the samples one
+        // stream over the same coefficients gives, with the same
+        // corrections, on 1, 2 and 4 threads, at both widths, on Morton
+        // cubes (8 and 64 blocks) and on a box the tables serve. The split
+        // encode's bytes do not depend on the thread count either.
+        fn check<T: Float>(dims: [usize; 3]) {
+            let data: Vec<T> = test_data(dims).iter().map(|&v| T::from_f64(v)).collect();
+            let t = 0.004;
+            let enc = compress(&data, dims, pwe(t, 1.5));
+            assert!(enc.num_planes & sperr_speck::SPLIT_FLAG != 0, "{dims:?} did not split");
+            let mut coeffs = data.clone();
+            sperr_wavelet::forward_3d(&mut coeffs, dims, levels_for_dims(dims), Kernel::Cdf97);
+            let budget = sperr_speck::Termination::BitBudget(usize::MAX);
+            let one = sperr_speck::encode(&coeffs, dims, enc.q, budget);
+            let one_job =
+                ChunkJob { speck: &one.stream, num_planes: one.num_planes, ..job(&enc, dims, t) };
+            let bits = |v: &[T]| v.iter().map(|x| x.to_f64().to_bits()).collect::<Vec<_>>();
+            let serial =
+                decode_chunk::<T>(&one_job, &WorkerPool::inline(), &mut ScratchArena::new());
+            let want = bits(&serial.unwrap().0);
+            let mut arena = ScratchArena::<T>::new();
+            for threads in [1, 2, 4] {
+                WorkerPool::scoped(threads, |pool| {
+                    let what = format!("{} B {dims:?} t{threads}", T::BYTES);
+                    let split = decode_chunk(&job(&enc, dims, t), pool, &mut arena).unwrap().0;
+                    assert!(bits(&split) == want, "{what}: split decode differs");
+                    let single = decode_chunk(&one_job, pool, &mut arena).unwrap().0;
+                    assert!(bits(&single) == want, "{what}: one-stream decode differs");
+                    let (k, mode, mut fresh) = (Kernel::Cdf97, pwe(t, 1.5), ScratchArena::new());
+                    let again =
+                        compress_chunk(&data, dims, &whole(dims), mode, k, pool, &mut fresh);
+                    assert!(again.unwrap().speck_stream == enc.speck_stream, "{what}: bytes");
+                });
+            }
+        }
+        for dims in [[64usize, 64, 64], [128, 128, 128], [72, 66, 50]] {
+            check::<f64>(dims);
+            check::<f32>(dims);
         }
     }
 

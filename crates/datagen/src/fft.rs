@@ -46,7 +46,7 @@ pub fn fft(buf: &mut [Complex], inverse: bool) {
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
     for i in 0..n {
-        let j = (i.reverse_bits() >> (usize::BITS - bits)) as usize;
+        let j = i.reverse_bits() >> (usize::BITS - bits);
         if j > i {
             buf.swap(i, j);
         }

@@ -437,6 +437,11 @@ impl<T> Slots<T> {
         self.slots.len()
     }
 
+    /// Whether there is no value.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
     /// The value at `index`, for the duration of one job.
     pub fn lock(&self, index: usize) -> MutexGuard<'_, T> {
         lock_ignore_poison(&self.slots[index])

@@ -8,7 +8,6 @@
 
 use crate::huffman::CanonicalCode;
 use crate::{BLOCK_SIZE, FLAG_CODED, FLAG_LAST};
-use sperr_bitstream::BitWriter;
 
 pub(crate) const MIN_MATCH: usize = 4;
 pub(crate) const MAX_MATCH: usize = 259;
@@ -474,18 +473,22 @@ impl BlockEncoder {
             return store(block, last, out);
         }
 
-        let mut w = BitWriter::with_capacity_bits(payload_bits);
+        // The bits go straight into the frame: `out` holds the block stored
+        // (5 + its length bytes), more than the 9 + `payload_len` this
+        // frame takes.
+        let mut w = SliceBits { out: &mut out[9..9 + payload_len], at: 0, acc: 0, len: 0 };
         for &l in lit_code.lengths().iter().chain(dist_code.lengths()) {
-            w.put_bits(u64::from(l), 4);
+            w.put(u64::from(l), 4);
         }
         let mut at = 0usize;
         for m in &self.matches {
             let (pos, len) = (m.pos as usize, u32::from(m.len));
             for &b in &block[at..pos] {
-                lit_code.encode_symbol(u32::from(b), &mut w);
+                let (code, n) = lit_code.code(u32::from(b));
+                w.put(code, n);
             }
             at = pos + len as usize;
-            // One `put_bits` per match: length code, length extra bits,
+            // One `put` per match: length code, length extra bits,
             // distance code, distance extra bits — at most 15+5+15+13.
             let lb = usize::from(LENGTH_BUCKET_OF[len as usize]);
             let db = dist_bucket_of(m.dist);
@@ -499,19 +502,59 @@ impl BlockEncoder {
             n += dlen;
             bits |= u64::from(m.dist - dbase) << n;
             n += u32::from(dextra);
-            w.put_bits(bits, n);
+            w.put(bits, n);
         }
         for &b in &block[at..] {
-            lit_code.encode_symbol(u32::from(b), &mut w);
+            let (code, n) = lit_code.code(u32::from(b));
+            w.put(code, n);
         }
-        lit_code.encode_symbol(EOB, &mut w);
-        let payload = w.into_bytes();
-        debug_assert_eq!(payload.len(), payload_len);
+        let (code, n) = lit_code.code(EOB);
+        w.put(code, n);
+        let written = w.finish();
+        debug_assert_eq!(written, payload_len);
         out[0] = if last { FLAG_LAST | FLAG_CODED } else { FLAG_CODED };
         out[1..5].copy_from_slice(&(block.len() as u32).to_le_bytes());
         out[5..9].copy_from_slice(&(payload_len as u32).to_le_bytes());
-        out[9..9 + payload_len].copy_from_slice(&payload);
         9 + payload_len
+    }
+}
+
+/// A coded block's bits, packed LSB first (as [`sperr_bitstream::BitWriter`]
+/// packs them) into the slice of its frame that holds exactly them: 64
+/// bits gather in a register, which goes out eight bytes at a time.
+struct SliceBits<'a> {
+    out: &'a mut [u8],
+    /// Bytes written.
+    at: usize,
+    acc: u64,
+    /// Bits in `acc` (0..64).
+    len: u32,
+}
+
+impl SliceBits<'_> {
+    /// Appends the `n <= 64` low bits of `value`; no bit above them may be
+    /// set.
+    #[inline]
+    fn put(&mut self, value: u64, n: u32) {
+        debug_assert!(n == 64 || value >> n == 0);
+        self.acc |= value.checked_shl(self.len).unwrap_or(0);
+        if self.len + n < 64 {
+            self.len += n;
+            return;
+        }
+        self.out[self.at..self.at + 8].copy_from_slice(&self.acc.to_le_bytes());
+        self.at += 8;
+        let used = 64 - self.len;
+        self.acc = value.checked_shr(used).unwrap_or(0);
+        self.len = n - used;
+    }
+
+    /// Writes the bits still in the register, the last byte zero-padded,
+    /// and returns the bytes written in all.
+    fn finish(self) -> usize {
+        let tail = self.len.div_ceil(8) as usize;
+        self.out[self.at..self.at + tail].copy_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.at + tail
     }
 }
 

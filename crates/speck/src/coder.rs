@@ -7,6 +7,7 @@
 //! differential oracle; both must produce byte-identical streams (see
 //! DESIGN.md §10 for the invariants that make this stream-neutral).
 
+use crate::blocks::{Block, BLOCK_COEFFICIENTS, SPLIT_FLAG};
 use crate::decoder::Shape;
 use crate::layout::Geometry;
 use crate::lsp_decode::low_mask;
@@ -31,12 +32,14 @@ pub enum Termination {
 /// the pixels found and the insignificant-cell buckets of either coder's
 /// sorting passes, and a buffer for the next stream. [`quantize`] takes
 /// one, [`Quantized::encode`] gives it back in [`EncodedSpeck::scratch`];
-/// [`crate::sorting_pass`] takes one, [`crate::Sorted::into_scratch`]
-/// gives it back. Buffers grow to the largest domain seen, so a caller
-/// that threads one scratch through its calls allocates once. Nothing in
-/// it reaches a stream or a coefficient: every byte a coder reads, it
-/// wrote first (the levels and magnitudes are overwritten, not cleared).
-/// The default holds nothing.
+/// [`crate::Blocks::sorting_pass`] takes one, [`crate::Sorted::into_scratch`]
+/// gives it back. A split domain's code blocks ([`crate::blocks`]) each
+/// run in a scratch of their own, kept in this one by block, and the
+/// joined stream is written into this one's stream buffer. Buffers grow
+/// to the largest domain seen, so a caller that threads one scratch
+/// through its calls allocates once. Nothing in it reaches a stream or a
+/// coefficient: every byte a coder reads, it wrote first (the levels and
+/// magnitudes are overwritten, not cleared). The default holds nothing.
 #[derive(Clone, Default)]
 pub struct Scratch {
     levels: Vec<u8>,
@@ -44,16 +47,41 @@ pub struct Scratch {
     found: Vec<u32>,
     buckets: Vec<Bucket>,
     stream: Vec<u8>,
+    /// The code blocks' own scratch, by block.
+    blocks: Vec<Scratch>,
 }
 
 impl Scratch {
-    /// Bytes the buffers hold (their capacity).
+    /// Bytes the buffers hold (their capacity), the blocks' included.
     pub fn bytes(&self) -> usize {
         let buckets = self.buckets.iter().map(|b| b.cells.capacity() * 4 + b.mb.capacity());
         self.levels.capacity()
             + 4 * (self.mags.capacity() + self.found.capacity())
             + buckets.sum::<usize>()
             + self.stream.capacity()
+            + self.blocks.iter().map(Scratch::bytes).sum::<usize>()
+    }
+
+    /// The scratch of each of `k` code blocks, as [`Slots`] for a batch
+    /// whose job `b` runs block `b`.
+    pub fn block_slots(&mut self, k: usize) -> Slots<Scratch> {
+        self.blocks.resize_with(k.max(self.blocks.len()), Scratch::default);
+        self.blocks.iter_mut().take(k).map(std::mem::take).collect()
+    }
+
+    /// The stream buffer, emptied, for a code block's bytes to be gathered
+    /// into.
+    pub(crate) fn take_stream(&mut self) -> Vec<u8> {
+        let mut stream = std::mem::take(&mut self.stream);
+        stream.clear();
+        stream
+    }
+
+    /// Takes back the block scratches [`Scratch::block_slots`] lent.
+    pub fn return_blocks(&mut self, slots: Slots<Scratch>) {
+        for (kept, lent) in self.blocks.iter_mut().zip(slots.into_values()) {
+            *kept = lent;
+        }
     }
 
     /// The pixel list and the bucket cells of `levels` partition levels,
@@ -91,11 +119,13 @@ impl Scratch {
     }
 
     /// Hands back the memory of a stream an encode returned, for the next
-    /// encode to write into; the larger of it and the buffer held stays,
-    /// trimmed to the stream's length (a stream grows by doubling).
-    pub fn reuse_stream(&mut self, mut stream: Vec<u8>) {
-        if stream.len() > self.stream.capacity() {
-            stream.shrink_to_fit();
+    /// encode to write into (or a code block to be gathered into); the
+    /// larger of it and the buffer held stays. A stream is reserved from
+    /// its phase 1 and does not grow by doubling, so the buffer is kept as
+    /// it is: trimming it would make the next encode of the same data
+    /// reallocate.
+    pub fn reuse_stream(&mut self, stream: Vec<u8>) {
+        if stream.capacity() > self.stream.capacity() {
             self.stream = stream;
         }
     }
@@ -117,8 +147,15 @@ pub struct EncodedSpeck {
     /// `num_planes - 1`. Required for decoding. Zero means "all
     /// coefficients were inside the dead zone".
     pub num_planes: u8,
-    /// Exact number of bits produced (before byte padding).
+    /// Exact number of bits produced (before byte padding). For a split
+    /// stream: the block table's bits plus every block's own count (each
+    /// block is padded to a whole byte).
     pub bits_used: usize,
+    /// The stream's length in bits at the end of each coded plane, top
+    /// plane first (a plane ends with its refinement pass): what a split
+    /// stream's block table records of each block. Empty for a split
+    /// stream itself.
+    pub plane_ends: Vec<usize>,
     /// Bits spent on set-significance tests (§IV-B bit type 1).
     pub significance_bits: usize,
     /// Bits spent on coefficient signs (bit type 2).
@@ -375,7 +412,8 @@ impl Levels {
 const PIECE: usize = 64 * 64;
 
 /// Quantizes the coefficients into layout order, fused with the gather:
-/// position `pos` of level `k` receives `meta = planes_of(k) << 1 | sign`
+/// the coefficient of row-major index `i` of the geometry's domain is
+/// `coeffs[at(i)]`, and position `pos` of level `k` receives `meta = planes_of(k) << 1 | sign`
 /// (`planes_of(k) <= 63` since magnitudes saturate at `2^62`) and, when
 /// `mags` is not empty, the low 32 bits of the magnitude `k` itself.
 /// Sequential writes, gathered reads, 64 pixels at a time; each
@@ -390,21 +428,22 @@ fn gather_quantized<T: Float>(
     meta: &mut [u8],
     mags: &mut [u32],
     exec: &dyn Exec,
+    at: &(impl Fn(u32) -> usize + Sync),
 ) {
-    let _span = sperr_telemetry::span!("speck.encode.gather", coeffs.len());
+    let _span = sperr_telemetry::span!("speck.encode.gather", meta.len());
     let mut mags = mags.chunks_mut(PIECE);
     let pieces: Slots<(&mut [u8], &mut [u32])> =
         meta.chunks_mut(PIECE).map(|meta| (meta, mags.next().unwrap_or_default())).collect();
     exec.run(pieces.len(), &|p, _| {
         let (meta, mags) = &mut *pieces.lock(p);
-        let mut at = [0u32; 64];
+        let mut rows = [0u32; 64];
         let mut mags = mags.chunks_mut(64);
         for (block, meta) in (p * PIECE / 64..).zip(meta.chunks_mut(64)) {
-            let at = &mut at[..meta.len()];
-            geom.row_major_run(block as u32 * 64, at);
+            let rows = &mut rows[..meta.len()];
+            geom.row_major_run(block as u32 * 64, rows);
             let mags = mags.next().unwrap_or_default();
-            for (lane, (m, &i)) in meta.iter_mut().zip(at.iter()).enumerate() {
-                let c = coeffs[i as usize];
+            for (lane, (m, &i)) in meta.iter_mut().zip(rows.iter()).enumerate() {
+                let c = coeffs[at(i)];
                 let k = sperr_simd::quantize_magnitude(c, inv_q);
                 *m = ((64 - k.leading_zeros()) as u8) << 1 | (c < T::ZERO) as u8;
                 if let Some(mag) = mags.get_mut(lane) {
@@ -697,17 +736,22 @@ fn fill_refinement(
 /// The encoder's first phase on `geom`: quantize into layout order —
 /// with the magnitudes too when phase 2 will want all of them and 32 bits
 /// hold them — and cache every cell's significance byte, both in
-/// contiguous ranges on `exec`, in the memory of `levels` and `mags`.
-/// Returns the levels, the magnitudes (empty when phase 2 re-quantizes
-/// from the coefficients) and the plane count.
-fn gather_on<T: Float, G: Geometry + Sync>(
+/// contiguous ranges on `exec`, in the memory of `levels` and `mags`. The
+/// coefficients lie in `coeffs` where `window` says (all of them in order
+/// when it is `None`). Returns the levels, the magnitudes (empty when
+/// phase 2 re-quantizes from the coefficients), the plane count and the
+/// stream bits to reserve: the sign and refinement bits a full encode
+/// writes (every coefficient's plane count), half again for the
+/// significance tests.
+fn gather_on<T: Float, G: Geometry + Sync, const D: usize>(
     geom: &G,
     coeffs: &[T],
+    window: Option<&Window<D>>,
     inv_q: T,
     term: Termination,
     exec: &dyn Exec,
     (levels, mut mags): (Vec<u8>, Vec<u32>),
-) -> (Levels, Vec<u32>, u8) {
+) -> (Levels, Vec<u32>, u8, usize) {
     let k = geom.depth();
     let mut levels = Levels::new(geom, levels);
     // Quality mode finds every coefficient outside the dead zone, so all
@@ -715,20 +759,26 @@ fn gather_on<T: Float, G: Geometry + Sync>(
     // budget may stop long before that: those magnitudes are quantized
     // for the refined pixels only, at the end. The gather writes every
     // magnitude, so old ones are not cleared first.
+    let len = geom.cells(k);
     let quality = term == Termination::Quality;
-    mags.resize(if quality { coeffs.len() } else { 0 }, 0);
-    gather_quantized(geom, coeffs, inv_q, &mut levels.bytes[..coeffs.len()], &mut mags, exec);
+    mags.resize(if quality { len } else { 0 }, 0);
+    let meta = &mut levels.bytes[..len];
+    match window {
+        None => gather_quantized(geom, coeffs, inv_q, meta, &mut mags, exec, &|i| i as usize),
+        Some(w) => gather_quantized(geom, coeffs, inv_q, meta, &mut mags, exec, &|i| w.at(i)),
+    }
     {
         let _span = sperr_telemetry::span!("speck.encode.levels", k);
         levels.coarsen(geom, exec);
     }
-    sperr_telemetry::counter!("speck.layout.cells", coeffs.len());
+    sperr_telemetry::counter!("speck.layout.cells", len);
     sperr_telemetry::counter!("speck.layout.levels", k + 1);
     let num_planes = levels.level(0)[0] >> 1; // the largest magnitude's plane count
     if num_planes > 32 {
         mags.clear(); // 32 bits were not enough
     }
-    (levels, mags, num_planes)
+    let coded = levels.level(k).iter().map(|&m| usize::from(m >> 1)).sum::<usize>();
+    (levels, mags, num_planes, coded + coded / 2 + 64)
 }
 
 /// The encoder's second phase on `geom`: the sorting passes, each plane's
@@ -738,11 +788,11 @@ fn gather_on<T: Float, G: Geometry + Sync>(
 /// encode hands them back in its own.
 fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
     geom: &G,
-    phase1: &Quantized<'_, T, D>,
+    phase1: &Phase1<'_, T, D>,
     budget: usize,
     scratch: Scratch,
 ) -> EncodedSpeck {
-    let Quantized { levels, mags, coeffs, inv_q, num_planes, len, .. } = phase1;
+    let Phase1 { levels, mags, coeffs, window, inv_q, num_planes, .. } = phase1;
     let (num_planes, inv_q) = (*num_planes, *inv_q);
     let k = geom.depth();
     let Scratch { mut found, mut buckets, stream, .. } = scratch;
@@ -759,12 +809,13 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
         levels,
         buckets,
         found,
-        sink: BitSink::new(budget, len / 2, stream),
+        sink: BitSink::new(budget, phase1.bits.min(budget), stream),
         sets_split: 0,
     };
     sorter.buckets[0].cells.push(0);
     sorter.buckets[0].mb.push(levels.level(0)[0]);
     let mut spans = Vec::with_capacity(num_planes as usize);
+    let mut plane_ends = Vec::with_capacity(num_planes as usize);
     for n in (0..num_planes as u32).rev() {
         let _plane = sperr_telemetry::span!("speck.encode.plane", n);
         // Pixels found on this plane join the refinement from the next
@@ -776,6 +827,7 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
         let start_bit = sorter.sink.out.len_bits();
         let present = sorter.sink.reserve_refinement(older);
         spans.push(RefinementSpan { plane: n, start_bit, present });
+        plane_ends.push(sorter.sink.out.len_bits());
         if present < older {
             break;
         }
@@ -797,12 +849,14 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
         sets_split,
         zero_runs: sink.zero_runs,
         stream: sink.out.into_bytes(),
+        plane_ends,
         scratch: Scratch::default(),
     };
     let narrow = num_planes <= 32;
     if mags.is_empty() {
         fill_refinement(&mut enc.stream, &spans, &found, narrow, |pixel| {
-            let c = geom.to_row_major(pixel).map_or(T::ZERO, |i| coeffs[i as usize]);
+            let at = |i: u32| window.as_ref().map_or(i as usize, |w| w.at(i));
+            let c = geom.to_row_major(pixel).map_or(T::ZERO, |i| coeffs[at(i)]);
             sperr_simd::quantize_magnitude(c, inv_q)
         });
     } else {
@@ -815,15 +869,54 @@ fn sort_on<T: Float, G: Geometry, const CHECKED: bool, const D: usize>(
     enc
 }
 
-/// An encode after its first phase ([`quantize`]): every coefficient
-/// quantized into the partition's layout order and every cell's
-/// significance byte cached. [`Quantized::encode`] is the second phase —
-/// the sorting passes and the refinement — and reads only what this
-/// holds, plus the coefficients when it holds no magnitudes: under a bit
-/// budget, or when a magnitude needs more than 32 bits. Otherwise
-/// [`Quantized::release`] gives the borrow of the coefficients back, so
-/// the caller may overwrite them while phase 2 runs.
-pub struct Quantized<'a, T: Float, const D: usize> {
+/// Where a code block's coefficients lie in its domain's row-major array
+/// ([`Window::at`]). Block indices stay below `2^16`
+/// ([`crate::blocks::BLOCK_COEFFICIENTS`]), so each division by an extent
+/// is a multiply by `⌊2^32 / extent⌋ + 1` and a shift, exact for every
+/// quotient below `2^32 / extent`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Window<const D: usize> {
+    /// Domain index of the block's first coefficient.
+    start: usize,
+    /// Per axis: the block's extent, its reciprocal and the domain's
+    /// stride.
+    axes: [(u64, u64, usize); D],
+}
+
+impl<const D: usize> Window<D> {
+    fn new(block: &Block<D>, domain: [usize; D]) -> Self {
+        assert!(block.len() <= BLOCK_COEFFICIENTS, "{block:?} is larger than a code block");
+        let mut stride = 1usize;
+        let (mut start, mut axes) = (0, [(0, 0, 0); D]);
+        for d in 0..D {
+            let extent = block.dims[d].max(1) as u64;
+            axes[d] = (extent, (1u64 << 32) / extent + 1, stride);
+            start += block.origin[d] * stride;
+            stride *= domain[d];
+        }
+        Window { start, axes }
+    }
+
+    /// The domain index of the block's row-major index `r`.
+    #[inline]
+    fn at(&self, r: u32) -> usize {
+        let (mut rest, mut at) = (u64::from(r), self.start);
+        for (d, &(extent, reciprocal, stride)) in self.axes.iter().enumerate() {
+            let quotient = if d + 1 == D { 0 } else { (rest * reciprocal) >> 32 };
+            at += (rest - quotient * extent) as usize * stride;
+            rest = quotient;
+        }
+        at
+    }
+}
+
+/// One block's encode after its first phase: every coefficient quantized
+/// into the partition's layout order and every cell's significance byte
+/// cached. [`Phase1::encode`] is the second phase — the sorting passes
+/// and the refinement — and reads only what this holds, plus the
+/// coefficients when it holds no magnitudes: under a bit budget, or when
+/// a magnitude needs more than 32 bits.
+pub(crate) struct Phase1<'a, T: Float, const D: usize> {
     /// `None` for an empty domain.
     shape: Option<Shape<D>>,
     levels: Levels,
@@ -833,22 +926,27 @@ pub struct Quantized<'a, T: Float, const D: usize> {
     /// The coefficients while phase 2 re-quantizes from them (`mags` is
     /// empty and there are planes to code); an empty slice otherwise.
     coeffs: &'a [T],
+    /// Where in `coeffs` a code block of a larger domain lies (`None`: the
+    /// whole of them, in order).
+    window: Option<Window<D>>,
     inv_q: T,
     num_planes: u8,
-    /// Coefficients in the domain.
-    len: usize,
+    /// Stream bits to reserve ([`gather_on`]).
+    bits: usize,
     term: Termination,
     /// Phase 2's share of the working memory (its levels and magnitudes
     /// are in use above).
     scratch: Scratch,
 }
 
-impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
-    /// Phase 1 of `coeffs` on `shape` (parameters already checked), its
-    /// pieces run on `exec` in the memory of `scratch`.
+impl<'a, T: Float, const D: usize> Phase1<'a, T, D> {
+    /// Phase 1 of the coefficients on `shape` (`None`: none) that
+    /// `coeffs` holds where `window` says (parameters already checked),
+    /// its pieces run on `exec` in the memory of `scratch`.
     pub(crate) fn new(
         shape: Option<Shape<D>>,
         coeffs: &'a [T],
+        window: Option<Window<D>>,
         q: f64,
         term: Termination,
         exec: &dyn Exec,
@@ -856,31 +954,35 @@ impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
     ) -> Self {
         let inv_q = T::ONE / T::from_f64(q);
         let memory = (std::mem::take(&mut scratch.levels), std::mem::take(&mut scratch.mags));
-        let (levels, mags, num_planes) = match &shape {
-            None => (Levels { bytes: memory.0, at: Vec::new() }, memory.1, 0),
-            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, inv_q, term, exec, memory),
-            Some(Shape::Table(tables)) => gather_on(&**tables, coeffs, inv_q, term, exec, memory),
+        let w = window.as_ref();
+        let (levels, mags, num_planes, bits) = match &shape {
+            None => (Levels { bytes: memory.0, at: Vec::new() }, memory.1, 0, 0),
+            Some(Shape::Dyadic(geom)) => gather_on(geom, coeffs, w, inv_q, term, exec, memory),
+            Some(Shape::Table(tables)) => {
+                gather_on(&**tables, coeffs, w, inv_q, term, exec, memory)
+            }
         };
-        let len = coeffs.len();
         let coeffs = if mags.is_empty() && num_planes > 0 { coeffs } else { &[] };
-        Quantized { shape, levels, mags, coeffs, inv_q, num_planes, len, term, scratch }
+        Phase1 { shape, levels, mags, coeffs, window, inv_q, num_planes, bits, term, scratch }
     }
 
     /// This phase 1 without its borrow of the coefficients, or `Err(self)`
     /// when phase 2 still reads them.
     #[allow(clippy::result_large_err)] // the error is `self`, moved back once
-    pub fn release(self) -> Result<Quantized<'static, T, D>, Self> {
+    fn release(self) -> Result<Phase1<'static, T, D>, Self> {
         if !self.coeffs.is_empty() {
             return Err(self);
         }
-        let Quantized { shape, levels, mags, inv_q, num_planes, len, term, scratch, .. } = self;
-        Ok(Quantized { shape, levels, mags, coeffs: &[], inv_q, num_planes, len, term, scratch })
+        let Phase1 { shape, levels, mags, window, inv_q, num_planes, bits, term, scratch, .. } =
+            self;
+        let coeffs = &[];
+        Ok(Phase1 { shape, levels, mags, coeffs, window, inv_q, num_planes, bits, term, scratch })
     }
 
     /// The encoder's second phase: the sorting passes, with each plane's
     /// refinement span reserved, then the spans filled. The result carries
     /// the whole working memory back in [`EncodedSpeck::scratch`].
-    pub fn encode(mut self) -> EncodedSpeck {
+    fn encode(mut self) -> EncodedSpeck {
         let scratch = std::mem::take(&mut self.scratch);
         let mut enc = match (self.shape.as_ref().filter(|_| self.num_planes > 0), self.term) {
             (None, _) => EncodedSpeck { scratch, ..EncodedSpeck::default() },
@@ -903,25 +1005,32 @@ impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
     }
 }
 
-/// The encoder's first phase: checks the parameters, then quantizes
-/// `coeffs` (shape `dims`, row-major with axis 0 fastest, finest step
-/// `q > 0`) into the partition's layout order, in contiguous ranges run as
-/// jobs on `exec` — the same result on any executor — in the memory of
-/// `scratch`. [`encode`] is this on [`Serial`] with a fresh scratch, then
-/// [`Quantized::encode`].
-pub fn quantize<'a, T: Float, const D: usize>(
-    coeffs: &'a [T],
-    dims: [usize; D],
-    q: f64,
-    term: Termination,
-    exec: &dyn Exec,
+/// An encode after its first phase ([`quantize`]): each code block's
+/// coefficients quantized into its partition's layout order and every
+/// cell's significance byte cached — one block, or the blocks of a split
+/// domain ([`crate::blocks`]). The second phase runs block by block
+/// ([`Quantized::encode_block`], on any thread, in any order) and
+/// [`Quantized::join`] puts the blocks' streams together in split order,
+/// so the bytes do not depend on how the blocks were run;
+/// [`Quantized::encode`] is both, serially. Each block's phase 2 reads
+/// only what its phase 1 holds, plus the coefficients when it holds no
+/// magnitudes: under a bit budget, or when a magnitude needs more than 32
+/// bits. Otherwise [`Quantized::release`] gives the borrow of the
+/// coefficients back, so the caller may overwrite them while phase 2 runs.
+pub struct Quantized<'a, T: Float, const D: usize> {
+    /// The split depth (0: one block).
+    depth: u8,
+    /// Each block's phase 1, taken by its phase 2.
+    blocks: Slots<Option<Phase1<'a, T, D>>>,
+    /// The working memory phase 1 left unused: on a split domain, all of
+    /// its own buffers (its stream buffer takes the joined stream).
     scratch: Scratch,
-) -> Quantized<'a, T, D> {
-    assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
-    let n_total: usize = dims.iter().product();
-    assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
-    assert!(n_total as u64 <= u32::MAX as u64, "domain too large for u32 indices");
-    let shape = if n_total == 0 {
+}
+
+/// The geometry of a `dims` domain: the Morton one on a same-power-of-two
+/// cube, the tables on every other shape, none on an empty domain.
+fn shape_of<const D: usize>(dims: [usize; D]) -> Option<Shape<D>> {
+    if dims.iter().product::<usize>() == 0 {
         None
     } else if crate::morton::applicable(dims) {
         Some(Shape::Dyadic(Dyadic::new(dims)))
@@ -929,8 +1038,134 @@ pub fn quantize<'a, T: Float, const D: usize>(
         let tables = crate::layout::shared(crate::layout::pad(dims))
             .expect("out of memory building the SPECK layout tables");
         Some(Shape::Table(tables))
-    };
-    Quantized::new(shape, coeffs, q, term, exec, scratch)
+    }
+}
+
+impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
+    /// The encode of one block, `phase1`, whose second phase runs in the
+    /// rest of `scratch`: its block scratches, kept for a split domain.
+    pub(crate) fn one(phase1: Phase1<'a, T, D>, scratch: Scratch) -> Self {
+        Quantized { depth: 0, blocks: std::iter::once(Some(phase1)).collect(), scratch }
+    }
+
+    /// Number of code blocks.
+    pub fn blocks(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// This phase 1 without its borrow of the coefficients, or `Err(self)`
+    /// when some block's phase 2 still reads them.
+    #[allow(clippy::result_large_err)] // the error is `self`, moved back once
+    pub fn release(self) -> Result<Quantized<'static, T, D>, Self> {
+        let Quantized { depth, blocks, scratch } = self;
+        let blocks: Vec<_> = blocks.into_values().collect();
+        if blocks.iter().flatten().any(|b| !b.coeffs.is_empty()) {
+            return Err(Quantized { depth, blocks: blocks.into_iter().collect(), scratch });
+        }
+        let released = blocks.into_iter().map(|b| b.and_then(|b| b.release().ok()));
+        Ok(Quantized { depth, blocks: released.collect(), scratch })
+    }
+
+    /// Phase 2 of block `b`: its sorting passes, with each plane's
+    /// refinement span reserved, then the spans filled, in the block's own
+    /// scratch. The result carries that memory back in
+    /// [`EncodedSpeck::scratch`].
+    ///
+    /// # Panics
+    ///
+    /// When block `b` does not exist or was encoded already.
+    pub fn encode_block(&self, b: usize) -> EncodedSpeck {
+        let phase1 = self.blocks.lock(b).take();
+        phase1.expect("each code block is encoded once").encode()
+    }
+
+    /// The encode: the blocks' phase 2 results (block `b` at `encoded[b]`)
+    /// as one stream — a split domain's behind its block table, with
+    /// [`crate::blocks::SPLIT_FLAG`] in the planes byte and the counters
+    /// summed — carrying the whole working memory back in
+    /// [`EncodedSpeck::scratch`]. A split domain with nothing outside the
+    /// dead zone encodes as one block does: no planes, an empty stream.
+    pub fn join(self, mut encoded: Vec<EncodedSpeck>) -> EncodedSpeck {
+        let Quantized { depth, mut scratch, .. } = self;
+        if depth == 0 {
+            let mut enc = encoded.pop().unwrap_or_default();
+            enc.scratch.blocks = scratch.blocks;
+            return enc;
+        }
+        let planes = encoded.iter().map(|e| e.num_planes).max().unwrap_or(0);
+        let mut stream = std::mem::take(&mut scratch.stream);
+        let table = if planes > 0 { crate::blocks::join(depth, &encoded, &mut stream) } else { 0 };
+        if planes == 0 {
+            stream.clear();
+        }
+        let mut enc = EncodedSpeck {
+            num_planes: if planes > 0 { planes | SPLIT_FLAG } else { 0 },
+            bits_used: 8 * table,
+            stream,
+            ..EncodedSpeck::default()
+        };
+        for (b, e) in encoded.into_iter().enumerate() {
+            enc.bits_used += e.bits_used;
+            enc.significance_bits += e.significance_bits;
+            enc.sign_bits += e.sign_bits;
+            enc.refinement_bits += e.refinement_bits;
+            enc.sets_split += e.sets_split;
+            enc.zero_runs += e.zero_runs;
+            let mut block = e.scratch;
+            block.reuse_stream(e.stream);
+            if let Some(kept) = scratch.blocks.get_mut(b) {
+                *kept = block;
+            }
+        }
+        enc.scratch = scratch;
+        enc
+    }
+
+    /// Both phases' second half serially: every block's phase 2, then the
+    /// join.
+    pub fn encode(self) -> EncodedSpeck {
+        let encoded = (0..self.blocks()).map(|b| self.encode_block(b)).collect();
+        self.join(encoded)
+    }
+}
+
+/// The encoder's first phase: checks the parameters, then quantizes
+/// `coeffs` (shape `dims`, row-major with axis 0 fastest, finest step
+/// `q > 0`) into the partition's layout order, in the memory of
+/// `scratch`, on `exec` — the same result on any executor. A domain the
+/// split rule cuts into code blocks ([`crate::blocks::split_depth`]) runs
+/// one job per block, each in the block's own scratch; one block runs its
+/// contiguous ranges as jobs. [`encode`] is this on [`Serial`] with a
+/// fresh scratch, then [`Quantized::encode`].
+pub fn quantize<'a, T: Float, const D: usize>(
+    coeffs: &'a [T],
+    dims: [usize; D],
+    q: f64,
+    term: Termination,
+    exec: &dyn Exec,
+    mut scratch: Scratch,
+) -> Quantized<'a, T, D> {
+    assert!(q > 0.0 && q.is_finite(), "quantization step must be positive");
+    let n_total: usize = dims.iter().product();
+    assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
+    assert!(n_total as u64 <= u32::MAX as u64, "domain too large for u32 indices");
+    let depth = crate::blocks::split_depth(dims, term);
+    let split = crate::blocks::split(dims, depth);
+    sperr_telemetry::counter!("speck.blocks", split.len());
+    if depth == 0 {
+        let blocks = std::mem::take(&mut scratch.blocks);
+        let phase1 = Phase1::new(shape_of(dims), coeffs, None, q, term, exec, scratch);
+        return Quantized::one(phase1, Scratch { blocks, ..Scratch::default() });
+    }
+    let memory = scratch.block_slots(split.len());
+    let blocks = Slots::new(split.len(), || None);
+    exec.run(split.len(), &|b, _| {
+        let block = &split[b];
+        let (shape, window) = (shape_of(block.dims), Some(Window::new(block, dims)));
+        let memory = std::mem::take(&mut *memory.lock(b));
+        *blocks.lock(b) = Some(Phase1::new(shape, coeffs, window, q, term, &Serial, memory));
+    });
+    Quantized { depth, blocks, scratch }
 }
 
 /// Encodes `coeffs` (shape `dims`, row-major with axis 0 fastest) with
@@ -953,7 +1188,8 @@ mod tests {
     use sperr_exec::WorkerPool;
 
     /// Phase 1 on `exec` against phase 1 on [`Serial`]: the same levels,
-    /// magnitudes and plane count, then the same stream and counters.
+    /// magnitudes and plane count in every block, then the same stream and
+    /// counters.
     fn same_as_serial<T: Float, const D: usize>(
         coeffs: &[T],
         dims: [usize; D],
@@ -964,10 +1200,15 @@ mod tests {
     ) {
         let want = quantize(coeffs, dims, q, term, &Serial, Scratch::default());
         let got = quantize(coeffs, dims, q, term, exec, Scratch::default());
-        assert_eq!(got.levels.at, want.levels.at, "{what}");
-        assert!(got.levels.bytes == want.levels.bytes, "{what}: levels differ");
-        assert!(got.mags == want.mags, "{what}: magnitudes differ");
-        assert_eq!(got.num_planes, want.num_planes, "{what}");
+        assert_eq!(got.blocks(), want.blocks(), "{what}");
+        for b in 0..got.blocks() {
+            let (got, want) = (got.blocks.lock(b), want.blocks.lock(b));
+            let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
+            assert_eq!(got.levels.at, want.levels.at, "{what}");
+            assert!(got.levels.bytes == want.levels.bytes, "{what}: levels differ");
+            assert!(got.mags == want.mags, "{what}: magnitudes differ");
+            assert_eq!(got.num_planes, want.num_planes, "{what}");
+        }
         let (got, want) = (got.encode(), want.encode());
         assert!(got.stream == want.stream, "{what}: streams differ");
         let counters = |e: &EncodedSpeck| {
@@ -975,6 +1216,29 @@ mod tests {
             (e.num_planes, bits, e.sets_split, e.zero_runs)
         };
         assert_eq!(counters(&got), counters(&want), "{what}");
+    }
+
+    #[test]
+    fn a_window_maps_every_block_index_into_its_domain() {
+        // The reciprocal-multiply division of `Window::at` against plain
+        // division, on every index of blocks of the largest size and of
+        // odd extents, at several offsets in several domains.
+        let cases: [([usize; 3], Block<3>); 4] = [
+            ([64, 64, 64], Block { origin: [32, 0, 32], dims: [32, 32, 32] }),
+            ([72, 66, 50], Block { origin: [36, 33, 25], dims: [36, 33, 25] }),
+            ([200, 3, 300], Block { origin: [100, 1, 150], dims: [100, 2, 150] }),
+            ([1 << 17, 1, 1], Block { origin: [1 << 16, 0, 0], dims: [1 << 16, 1, 1] }),
+        ];
+        for (domain, block) in cases {
+            let w = Window::new(&block, domain);
+            for r in 0..block.len() {
+                let [bx, by, _] = block.dims;
+                let (x, y, z) = (r % bx, r / bx % by, r / (bx * by));
+                let [ox, oy, oz] = block.origin;
+                let want = ox + x + domain[0] * (oy + y + domain[1] * (oz + z));
+                assert_eq!(w.at(r as u32), want, "{domain:?} {block:?} r={r}");
+            }
+        }
     }
 
     #[test]

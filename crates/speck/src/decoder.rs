@@ -7,7 +7,7 @@
 //! The decoder runs in two phases (DESIGN.md §13). The sorting pass — a
 //! walk over the cells of the shape's [`Geometry`] — fills the back half
 //! ([`DeferredLsp`]), which skips refinement bits while walking the
-//! stream ([`sorting_pass`]). The assembly then turns the significant
+//! stream ([`crate::Blocks::sorting_pass`]). The assembly then turns the significant
 //! pixels into coefficients, one z-slab of the output at a time
 //! ([`Sorted::assemble`]), so slabs can go to different threads.
 
@@ -17,8 +17,8 @@ use crate::lsp_decode::{DeferredLsp, Stop};
 use crate::morton::{self, Dyadic};
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
+use std::borrow::Cow;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Hard ceiling on the number of coefficients a decoder will allocate
@@ -81,10 +81,11 @@ impl From<DecodeError> for sperr_compress_api::CompressError {
 /// significance bit was 1 goes to [`significant`]; the cells that creates
 /// land in *deeper* buckets (smaller sets, which this pass has already
 /// finished), so the bucket is taken out of `buckets` while it is
-/// scanned. When the stream runs out it stays out, the cell in hand
-/// dropped with it: nothing reads the LIS again. The pixel bucket (level
-/// `k`) goes a window at a time ([`pixel_windows`]) while the stream has
-/// 64 bits left; this loop finishes it and runs every other bucket.
+/// scanned, and put back however the scan ends: when the stream runs out,
+/// with whatever it holds (nothing reads the LIS again, but the next pass
+/// in this scratch keeps its memory). The pixel bucket (level `k`) goes a
+/// window at a time ([`pixel_windows`]) while the stream has 64 bits
+/// left; this loop finishes it and runs every other bucket.
 fn scan_bucket(
     input: &mut BitReader<'_>,
     geom: &impl Geometry,
@@ -93,9 +94,25 @@ fn scan_bucket(
     level: usize,
 ) -> Result<(), Stop> {
     let mut bucket = buckets.get_mut(level).map(std::mem::take).unwrap_or_default();
+    let scanned = scan(input, geom, buckets, lsp, level, &mut bucket);
+    if let Some(slot) = buckets.get_mut(level) {
+        *slot = bucket;
+    }
+    scanned
+}
+
+/// [`scan_bucket`] of `bucket`, taken out of `buckets`.
+fn scan(
+    input: &mut BitReader<'_>,
+    geom: &impl Geometry,
+    buckets: &mut [Vec<u32>],
+    lsp: &mut DeferredLsp,
+    level: usize,
+    bucket: &mut Vec<u32>,
+) -> Result<(), Stop> {
     let len = bucket.len();
     let (mut read, mut write) =
-        if level == geom.depth() { pixel_windows(input, &mut bucket, lsp)? } else { (0, 0) };
+        if level == geom.depth() { pixel_windows(input, bucket, lsp)? } else { (0, 0) };
     while read < len {
         let run = input.count_zero_run(len - read);
         if write != read {
@@ -112,9 +129,6 @@ fn scan_bucket(
         }
     }
     bucket.truncate(write);
-    if let Some(slot) = buckets.get_mut(level) {
-        *slot = bucket;
-    }
     Ok(())
 }
 
@@ -222,7 +236,7 @@ pub(crate) fn check_params<const D: usize>(
     q: f64,
     num_planes: u8,
 ) -> Result<(usize, bool), DecodeError> {
-    if !(q > 0.0) || !q.is_finite() {
+    if !(q.is_finite() && q > 0.0) {
         return Err(DecodeError::Corrupt("quantization step must be positive and finite"));
     }
     let n_total = dims
@@ -249,35 +263,37 @@ pub(crate) fn check_params<const D: usize>(
 }
 
 /// Decodes a SPECK stream produced by [`crate::encode`] with the same
-/// `dims`, `q` and `num_planes`. A truncated stream (embedded prefix, or a
-/// bit-budget encode) decodes to a coarser but valid reconstruction;
-/// decoding never fails on short input. Invalid parameters — a
-/// non-positive or non-finite `q`, more than 64 bitplanes, or dims whose
-/// product exceeds [`MAX_DECODE_ELEMENTS`] — return a typed error instead
-/// of panicking, so header fields from untrusted containers can be passed
-/// through unchecked. The shape's layout tables are fetched (or built)
-/// only once those checks have passed.
+/// `dims`, `q` and `num_planes`. A truncated stream of one block
+/// (embedded prefix, or a bit-budget encode) decodes to a coarser but
+/// valid reconstruction; decoding never fails on its short input. A
+/// split stream ([`crate::blocks`]) decodes block by block, and a block
+/// table that is cut short or does not match the stream is a typed
+/// error. Invalid parameters — a non-positive or non-finite `q`, more
+/// than 64 bitplanes, or dims whose product exceeds
+/// [`MAX_DECODE_ELEMENTS`] — return a typed error instead of panicking,
+/// so header fields from untrusted containers can be passed through
+/// unchecked. The shape's layout tables are fetched (or built) only once
+/// those checks have passed.
 ///
-/// This is [`sorting_pass`], then [`Sorted::assemble`] of the whole
-/// domain as one slab.
+/// Per block this is [`sorting_pass`], then [`Sorted::assemble`].
 pub fn decode<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
     q: f64,
     num_planes: u8,
 ) -> Result<Vec<T>, DecodeError> {
-    let sorted = sorting_pass(stream, dims, q, num_planes, None, Scratch::default());
-    sorted.map(|sorted| sorted.assemble_all())
+    decode_blocks(stream, dims, q, num_planes, None)
 }
 
 /// [`decode`] for a read that needs only some coefficients — a region's
 /// or a coarse level's synthesis support. `keep` is a row-major bitmap:
 /// bit `i % 64` of word `i / 64` asks for coefficient `i` (a short bitmap
-/// asks for nothing past its end). The sorting pass walks the whole stream
-/// as [`decode`] does; only the assembly is restricted, to the 64-entry
-/// blocks of the significant-pixel list that hold a kept coefficient. Every
-/// kept coefficient comes back exactly as [`decode`] returns it; every
-/// other one is 0 or that same value.
+/// asks for nothing past its end). A code block holding no kept
+/// coefficient is not decoded; in the others the sorting pass walks the
+/// whole block as [`decode`] does, and only the assembly is restricted,
+/// to the 64-entry blocks of the significant-pixel list that hold a kept
+/// coefficient. Every kept coefficient comes back exactly as [`decode`]
+/// returns it; every other one is 0 or that same value.
 pub fn decode_masked<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
@@ -285,19 +301,55 @@ pub fn decode_masked<T: Float, const D: usize>(
     num_planes: u8,
     keep: &[u64],
 ) -> Result<Vec<T>, DecodeError> {
-    let sorted = sorting_pass(stream, dims, q, num_planes, Some(keep), Scratch::default());
-    sorted.map(|sorted| sorted.assemble_all())
+    decode_blocks(stream, dims, q, num_planes, Some(keep))
 }
 
-/// The decoder's first phase: the parameter checks, then the sorting pass
-/// over the whole stream on the shape's geometry. What it returns
-/// assembles into coefficients a z-slab at a time ([`Sorted::assemble`]),
-/// on as many threads as there are slabs; [`decode`] and [`decode_masked`]
-/// are this with one slab. `keep` is [`decode_masked`]'s row-major bitmap
-/// (`None`: the full read). The pass runs in the memory of `scratch`,
-/// which [`Sorted::into_scratch`] gives back.
-pub fn sorting_pass<'a, const D: usize>(
-    stream: &'a [u8],
+/// [`decode`] and [`decode_masked`]: every block (that `keep` touches)
+/// decoded into a buffer of its own and placed into the domain.
+fn decode_blocks<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+    keep: Option<&[u64]>,
+) -> Result<Vec<T>, DecodeError> {
+    let blocks = crate::blocks::blocks(stream, dims, q, num_planes)?;
+    if !blocks.is_split() {
+        let sorted = blocks.sorting_pass(0, q, keep, Scratch::default())?;
+        let mut out = vec![T::ZERO; sorted.len()];
+        sorted.assemble(&mut out);
+        return Ok(out);
+    }
+    let mut out = vec![T::ZERO; dims.iter().product()];
+    let (mut dense, mut scratch) = (Vec::new(), Scratch::default());
+    for (b, block) in blocks.iter().enumerate() {
+        let block_keep = match keep {
+            None => None,
+            Some(keep) => match block.keep_bitmap(dims, keep) {
+                None => continue,
+                kept => kept,
+            },
+        };
+        let sorted = blocks.sorting_pass(b, q, block_keep.as_deref(), scratch)?;
+        dense.clear();
+        dense.resize(block.len(), T::ZERO);
+        sorted.assemble(&mut dense);
+        scratch = sorted.into_scratch();
+        block.place(dims, &dense, &mut out, 0);
+    }
+    Ok(out)
+}
+
+/// The decoder's first phase on one block's stream — a stream of one
+/// block, or one of a split stream's ([`crate::Blocks::sorting_pass`]),
+/// borrowed or gathered: the parameter checks, then the sorting pass over
+/// the whole stream on the shape's geometry. What it returns assembles
+/// into coefficients ([`Sorted::assemble`]). `keep` is [`decode_masked`]'s
+/// row-major bitmap (`None`: the full read). The pass runs in the memory
+/// of `scratch`, which [`Sorted::into_scratch`] gives back, a gathered
+/// stream's memory with it.
+pub(crate) fn sorting_pass<'a, const D: usize>(
+    stream: Cow<'a, [u8]>,
     dims: [usize; D],
     q: f64,
     num_planes: u8,
@@ -363,17 +415,8 @@ pub(crate) enum Shape<const D: usize> {
 /// A SPECK stream after its sorting pass: every significant pixel found,
 /// with its sign and where its refinement bits sit in the stream; no
 /// coefficient assembled yet (DESIGN.md §13).
-///
-/// The assembly splits into *z-slabs* — contiguous ranges of z-planes of
-/// the row-major output ([`Sorted::slabs`]) — that write disjoint slices
-/// and can run on different threads. The root split of a 3D domain lists
-/// its children with axis 0 fastest on both geometries, so its z-low
-/// half is a prefix of the pixel level: the layout positions of a slab
-/// are the very range of row-major indices it covers, and whether a pixel
-/// lies in a slab is two compares on its position.
 pub struct Sorted<'a, const D: usize> {
-    stream: &'a [u8],
-    dims: [usize; D],
+    stream: Cow<'a, [u8]>,
     q: f64,
     num_planes: u8,
     n_total: usize,
@@ -392,7 +435,7 @@ impl<'a, const D: usize> Sorted<'a, D> {
     /// checked) in the memory of `scratch`.
     pub(crate) fn new(
         shape: Option<Shape<D>>,
-        stream: &'a [u8],
+        stream: Cow<'a, [u8]>,
         dims: [usize; D],
         q: f64,
         num_planes: u8,
@@ -403,18 +446,21 @@ impl<'a, const D: usize> Sorted<'a, D> {
         let memory = &mut scratch;
         let (lsp, keep) = match &shape {
             None => (DeferredLsp::default(), None),
-            Some(Shape::Dyadic(geom)) => walk(geom, stream, n_total, num_planes, keep, memory)?,
+            Some(Shape::Dyadic(geom)) => walk(geom, &stream, n_total, num_planes, keep, memory)?,
             Some(Shape::Table(tables)) => {
-                walk(&**tables, stream, n_total, num_planes, keep, memory)?
+                walk(&**tables, &stream, n_total, num_planes, keep, memory)?
             }
         };
-        Ok(Sorted { stream, dims, q, num_planes, n_total, shape, lsp, keep, scratch })
+        Ok(Sorted { stream, q, num_planes, n_total, shape, lsp, keep, scratch })
     }
 
     /// The memory the pass ran in, once the assembly is done with it.
     pub fn into_scratch(self) -> Scratch {
         let mut scratch = self.scratch;
         scratch.return_pixels(self.lsp.into_pixels());
+        if let Cow::Owned(gathered) = self.stream {
+            scratch.reuse_stream(gathered);
+        }
         scratch
     }
 
@@ -428,52 +474,24 @@ impl<'a, const D: usize> Sorted<'a, D> {
         self.n_total == 0
     }
 
-    /// The z-slabs the assembly can run as, as row-major ranges that tile
-    /// `0..len()`: the z-low and z-high halves of the root split on a 3D
-    /// domain with at least two z-planes, else the whole domain. The
-    /// whole domain is always a valid slab too.
-    pub fn slabs(&self) -> Vec<Range<usize>> {
-        match self.dims.as_slice() {
-            &[nx, ny, nz] if nz >= 2 => {
-                let half = nx * ny * (nz - nz / 2);
-                vec![0..half, half..self.n_total]
-            }
-            _ => std::iter::once(0..self.n_total).collect(),
-        }
-    }
-
-    /// The decoder's second phase for one slab: writes every coefficient
-    /// the sorting pass found in row-major range `slab` — one of
-    /// [`Sorted::slabs`], or the whole domain — into `out`, which holds
-    /// that range (`out[i]` is coefficient `slab.start + i`) and starts
+    /// The decoder's second phase: writes every coefficient the sorting
+    /// pass found into `out`, the domain in row-major order, which starts
     /// zeroed; an undiscovered coefficient stays 0. On a masked stream the
     /// coefficients outside the keep bitmap are 0 or their full-read value.
-    /// Slabs are independent: assembling each into its own part of one
-    /// zeroed buffer, in any order or at once, gives [`decode`]'s bits.
-    pub fn assemble<T: Float>(&self, slab: Range<usize>, out: &mut [T]) {
+    pub fn assemble<T: Float>(&self, out: &mut [T]) {
         match &self.shape {
             None => {}
-            Some(Shape::Dyadic(geom)) => self.assemble_on(geom, slab, out),
-            Some(Shape::Table(tables)) => self.assemble_on(&**tables, slab, out),
+            Some(Shape::Dyadic(geom)) => self.assemble_on(geom, out),
+            Some(Shape::Table(tables)) => self.assemble_on(&**tables, out),
         }
     }
 
     /// [`Sorted::assemble`] on the geometry the pass walked.
-    fn assemble_on<T: Float>(&self, geom: &impl Geometry, slab: Range<usize>, out: &mut [T]) {
-        let whole = slab.start == 0 && slab.end >= self.n_total;
-        let (stream, q, planes) = (self.stream, self.q, self.num_planes);
+    fn assemble_on<T: Float>(&self, geom: &impl Geometry, out: &mut [T]) {
+        let (stream, q, planes) = (&*self.stream, self.q, self.num_planes);
         match self.keep.as_deref() {
-            None => self.lsp.assemble::<T, false>(stream, q, planes, geom, &[], slab, whole, out),
-            Some(keep) => {
-                self.lsp.assemble::<T, true>(stream, q, planes, geom, keep, slab, whole, out)
-            }
+            None => self.lsp.assemble::<T, false>(stream, q, planes, geom, &[], out),
+            Some(keep) => self.lsp.assemble::<T, true>(stream, q, planes, geom, keep, out),
         }
-    }
-
-    /// The whole domain as one slab, into a new zeroed buffer.
-    pub(crate) fn assemble_all<T: Float>(&self) -> Vec<T> {
-        let mut out = vec![T::ZERO; self.n_total];
-        self.assemble(0..self.n_total, &mut out);
-        out
     }
 }

@@ -4,7 +4,7 @@
 //! the reference coders, and the shared table cache. (They live outside
 //! `layout.rs` because that file is scanned by `tests/panic_audit.rs`.)
 
-use crate::coder::Quantized;
+use crate::coder::{Phase1, Quantized};
 use crate::decoder::{Shape, Sorted};
 use crate::layout::{self, Geometry, Layout, MAX_CACHED_BYTES, MAX_CACHED_SHAPES};
 use crate::morton::{applicable, Dyadic};
@@ -193,9 +193,9 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
     for term in [Termination::Quality, Termination::BitBudget(full.bits_used * 2 / 3)] {
         let want = reference::encode(&field, dims, q, term);
         let table = Some(Shape::<D>::Table(tables.clone()));
-        let tabled =
-            Quantized::new(table, &field, q, term, &sperr_exec::Serial, Default::default());
-        let mut tabled = tabled.encode();
+        let phase1 =
+            Phase1::new(table, &field, None, q, term, &sperr_exec::Serial, Default::default());
+        let mut tabled = Quantized::one(phase1, Default::default()).encode();
         // The decodes below run in the encode's memory, longest prefix
         // first: whatever an earlier pass left must not show.
         let mut scratch = std::mem::take(&mut tabled.scratch);
@@ -214,8 +214,10 @@ fn cube_on_both_geometries<const D: usize>(side: usize, seed: u64, mag_bits: u32
             assert_eq!(bits(decode(prefix, dims, q, want.num_planes).unwrap()), oracle);
             let shape = Some(Shape::Table(tables.clone()));
             let planes = want.num_planes;
+            let prefix = std::borrow::Cow::Borrowed(prefix);
             let sorted = Sorted::new(shape, prefix, dims, q, planes, None, scratch).unwrap();
-            let tabled = sorted.assemble_all::<f64>();
+            let mut tabled = vec![0.0f64; field.len()];
+            sorted.assemble(&mut tabled);
             scratch = sorted.into_scratch();
             assert_eq!(bits(tabled), oracle, "{dims:?} {term:?} prefix {len}");
         }

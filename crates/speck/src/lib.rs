@@ -19,6 +19,12 @@
 //!   prefix of the bitstream decodes to a valid (coarser) reconstruction,
 //!   which is what enables SPERR's fixed-size compression mode.
 //!
+//! * **Code blocks** ([`blocks`]): a quality-mode domain of more than
+//!   [`BLOCK_COEFFICIENTS`] coefficients is coded as independent streams
+//!   over the sets of its partition's first splits, behind a block table,
+//!   so both directions run on every core and a read of part of the
+//!   domain decodes only the blocks that hold it.
+//!
 //! The implementation is generic over dimensionality `D ∈ {1, 2, 3}`.
 //! The partition is geometry, not data, so it is numbered once per shape
 //! (the `layout` module): coefficients are laid out in the order splitting
@@ -43,6 +49,9 @@
 //! }
 //! ```
 
+pub mod blocks;
+#[cfg(test)]
+mod blocks_tests;
 mod coder;
 mod decoder;
 mod layout;
@@ -58,14 +67,20 @@ pub use coder::{
     encode, mid_riser, quantize, reconstruct_quantized, reconstruct_quantized_into, Scratch,
     EncodedSpeck, Quantized, Termination,
 };
-pub use decoder::{decode, decode_masked, sorting_pass, DecodeError, Sorted, MAX_DECODE_ELEMENTS};
+pub use blocks::{block_count, blocks, Block, Blocks, BLOCK_COEFFICIENTS, SPLIT_FLAG};
+pub use decoder::{decode, decode_masked, DecodeError, Sorted, MAX_DECODE_ELEMENTS};
 
 /// Version of the SPECK bitstream layout produced by [`encode`]. Bump this
 /// whenever an intentional change alters the emitted bits for the same
 /// input — the `sperr-conformance` golden-stream manifest records it, so a
 /// silent format drift fails conformance while a deliberate one leaves a
 /// paper trail (new constant here, regenerated goldens there).
-pub const BITSTREAM_FORMAT: u32 = 1;
+///
+/// 2: a quality-mode domain of more than [`BLOCK_COEFFICIENTS`]
+/// coefficients is coded as code blocks behind a block table
+/// ([`blocks`]); every other stream is format 1's, byte for byte, and
+/// format 1 streams decode as they did.
+pub const BITSTREAM_FORMAT: u32 = 2;
 
 #[cfg(test)]
 mod tests {
@@ -479,46 +494,5 @@ mod tests {
         let via_decode: Vec<f64> = decode(&enc.stream, dims, q, enc.num_planes).unwrap();
         let via_fast = reconstruct_quantized(&coeffs, q);
         assert_eq!(via_decode, via_fast);
-    }
-
-    #[test]
-    fn slabs_assemble_to_the_one_slab_decode() {
-        // Each slab into its own part of one zeroed buffer, in reverse
-        // order, gives the bits of `decode` — on both geometries, with and
-        // without a z split, for whole and cut streams. A masked read keeps
-        // its contract: kept coefficients exact, every other one 0 or exact.
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for dims in [[16usize, 16, 16], [12, 10, 9], [8, 8, 1], [5, 7, 2], [1, 1, 3]] {
-            let n: usize = dims.iter().product();
-            let coeffs: Vec<f64> =
-                (0..n).map(|i| (i as f64 * 0.37).sin() * 90.0 + (i % 5) as f64).collect();
-            let enc = encode(&coeffs, dims, 0.05, Termination::Quality);
-            let keep: Vec<u64> =
-                (0..n.div_ceil(64)).map(|w| 0x0f0f_00ff_f000_1234 >> (w % 7)).collect();
-            for cut in [enc.stream.len(), enc.stream.len() / 3] {
-                let stream = &enc.stream[..cut];
-                let want = decode::<f64, 3>(stream, dims, 0.05, enc.num_planes).unwrap();
-                for mask in [None, Some(&keep[..])] {
-                    let sorted =
-                        sorting_pass(stream, dims, 0.05, enc.num_planes, mask, Scratch::default())
-                            .unwrap();
-                    let slabs = sorted.slabs();
-                    assert_eq!(slabs.len(), if dims[2] >= 2 { 2 } else { 1 }, "{dims:?}");
-                    let mut got = vec![0.0f64; n];
-                    for slab in slabs.into_iter().rev() {
-                        sorted.assemble(slab.clone(), &mut got[slab]);
-                    }
-                    let Some(keep) = mask else {
-                        assert_eq!(bits(&got), bits(&want), "{dims:?} cut {cut}");
-                        continue;
-                    };
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        let kept = keep[i / 64] >> (i % 64) & 1 == 1;
-                        let ok = g.to_bits() == w.to_bits() || (!kept && *g == 0.0);
-                        assert!(ok, "{dims:?} cut {cut}: masked coefficient {i}");
-                    }
-                }
-            }
-        }
     }
 }

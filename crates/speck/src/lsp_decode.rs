@@ -6,14 +6,12 @@
 //! remembering where they were. Magnitudes are assembled once, after the
 //! last plane, 64 entries at a time: one 64-bit stream window per plane,
 //! a bit-matrix transpose, 64 signed values, then one write per
-//! coefficient into the output — a z-slab of it per call, so the slabs of
-//! one chunk can be assembled on different threads.
+//! coefficient into the output.
 
 use crate::decoder::DecodeError;
 use crate::layout::{bit, Geometry};
 use sperr_bitstream::BitReader;
 use sperr_simd::Float;
-use std::ops::Range;
 
 /// Signals that the stream ran out mid-pass; unwinds the pass cleanly (a
 /// truncated embedded stream is a *valid* coarser encoding, not an error).
@@ -190,26 +188,19 @@ impl DeferredLsp {
         runs
     }
 
-    /// Mid-riser reconstruction of the coefficients in row-major range
-    /// `slab` into `out` (`out[i]` is coefficient `slab.start + i`): a
-    /// coefficient whose bits below plane `unc` are unknown lies in
-    /// `[val·q, (val + 2^unc)·q)` and is placed at the interval centre;
-    /// undiscovered coefficients are not written. Per 64 entries, row `p`
-    /// of a bit matrix is plane `p`'s refinement window (masked to the bits
-    /// present) plus the discovery bit of entries found on plane `p`; its
-    /// transpose is the 64 magnitudes, which become 64 signed values (the
-    /// sign applied by a multiply, no branch) before any is scattered
-    /// through [`Geometry::to_row_major`].
+    /// Mid-riser reconstruction of the coefficients into `out`, the domain
+    /// in row-major order: a coefficient whose bits below plane `unc` are
+    /// unknown lies in `[val·q, (val + 2^unc)·q)` and is placed at the
+    /// interval centre; undiscovered coefficients are not written. Per 64
+    /// entries, row `p` of a bit matrix is plane `p`'s refinement window
+    /// (masked to the bits present) plus the discovery bit of entries found
+    /// on plane `p`; its transpose is the 64 magnitudes, which become 64
+    /// signed values (the sign applied by a multiply, no branch) before any
+    /// is scattered through [`Geometry::to_row_major`].
     ///
-    /// `slab` must be a range whose layout positions are its own row-major
-    /// indices (the whole domain, or a z-half of it; see
-    /// [`crate::Sorted::slabs`]), so a pixel is in it when its position is:
-    /// two compares, no lookup. A block of 64 entries with no pixel in the
-    /// slab — or, when `MASKED`, none set in `keep` (bitmap by layout
-    /// position) — is skipped whole: no window loads, no transpose, no
-    /// writes. For `whole` (the slab is the domain) of an unmasked read the
-    /// test is not made.
-    #[allow(clippy::too_many_arguments)]
+    /// When `MASKED`, a block of 64 entries with none set in `keep` (bitmap
+    /// by layout position) is skipped whole: no window loads, no
+    /// transpose, no writes.
     pub(crate) fn assemble<T: Float, const MASKED: bool>(
         &self,
         stream: &[u8],
@@ -217,23 +208,17 @@ impl DeferredLsp {
         num_planes: u8,
         geom: &impl Geometry,
         keep: &[u64],
-        slab: Range<usize>,
-        whole: bool,
         out: &mut [T],
     ) {
         let _span = sperr_telemetry::span!("speck.decode.reconstruct", self.pixels.len());
         let qt = T::from_f64(q);
         let narrow = num_planes <= 32;
         let sign = [T::ONE, -T::ONE];
-        let (lo, width) = (slab.start, slab.len());
-        let inside = |pixel: u32| (pixel as usize).wrapping_sub(lo) < width;
         let runs = self.runs();
         let mut run_at = 0usize;
         for (block, pixels) in self.pixels.chunks(64).enumerate() {
             let first = block * 64;
-            if (MASKED || !whole)
-                && !pixels.iter().any(|&p| inside(p) && (!MASKED || bit(keep, p as usize)))
-            {
+            if MASKED && !pixels.iter().any(|&p| bit(keep, p as usize)) {
                 // Step past the runs that end in this block, as the loop
                 // below would have.
                 while runs.get(run_at).is_some_and(|run| run.end <= first + pixels.len()) {
@@ -273,11 +258,8 @@ impl DeferredLsp {
                 *value = mag * sign[(signs >> lane & 1) as usize];
             }
             for (&pixel, &value) in pixels.iter().zip(&values) {
-                if !inside(pixel) {
-                    continue;
-                }
-                let at = geom.to_row_major(pixel).map(|at| (at as usize).wrapping_sub(lo));
-                if let Some(slot) = at.and_then(|at| out.get_mut(at)) {
+                let at = geom.to_row_major(pixel);
+                if let Some(slot) = at.and_then(|at| out.get_mut(at as usize)) {
                     *slot = value;
                 }
             }

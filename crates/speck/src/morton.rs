@@ -58,8 +58,8 @@ impl MortonLayout {
         let gb = b * D as u32;
         let mut stride = [0u32; 8];
         let mut s = 1u32;
-        for d in 0..D {
-            stride[d] = s;
+        for slot in stride.iter_mut().take(D) {
+            *slot = s;
             s = s.wrapping_mul(side as u32);
         }
         let lut: Vec<u32> = (0u32..1 << gb)

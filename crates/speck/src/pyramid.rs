@@ -217,9 +217,9 @@ impl<'a, const D: usize> MaxPyramid<'a, D> {
         loop {
             let mut idx = 0usize;
             let mut stride = 1usize;
-            for d in 0..D {
-                idx += coord[d] * stride;
-                stride *= self.base_dims[d];
+            for (&c, &extent) in coord.iter().zip(&self.base_dims) {
+                idx += c * stride;
+                stride *= extent;
             }
             m = self.base[idx..idx + row].iter().copied().fold(m, u64::max);
             let mut d = 1;
@@ -293,7 +293,7 @@ mod tests {
     ) -> u64 {
         let mut m = 0u64;
         let total: usize = dims.iter().product();
-        'cell: for i in 0..total {
+        'cell: for (i, &value) in values.iter().enumerate().take(total) {
             let mut rest = i;
             for d in 0..D {
                 let x = rest % dims[d];
@@ -302,7 +302,7 @@ mod tests {
                     continue 'cell;
                 }
             }
-            m = m.max(values[i]);
+            m = m.max(value);
         }
         m
     }
@@ -376,9 +376,9 @@ mod tests {
         for l in [1u32, 2, 4, 8] {
             for x0 in (0..16).step_by(l as usize) {
                 for y0 in (0..16).step_by(l as usize) {
-                    for z0 in (0..8.min(16)).step_by(l as usize) {
+                    for z0 in (0..8).step_by(l as usize) {
                         if z0 + l <= 8 {
-                            let lo = [x0 as u32, y0 as u32, z0 as u32];
+                            let lo = [x0 as u32, y0 as u32, z0];
                             let len = [l, l, l];
                             assert_eq!(
                                 p.region_max(lo, len),

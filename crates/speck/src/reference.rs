@@ -122,7 +122,9 @@ impl<'a, const D: usize> Encoder<'a, D> {
 }
 
 /// Encodes `coeffs` exactly like [`crate::encode`], through the
-/// pre-overhaul bit-at-a-time path. Differential-oracle use only.
+/// pre-overhaul bit-at-a-time path: a domain the split rule cuts into
+/// code blocks is each block's coefficients, coded on their own, behind
+/// the same block table. Differential-oracle use only.
 pub fn encode<T: Float, const D: usize>(
     coeffs: &[T],
     dims: [usize; D],
@@ -133,22 +135,44 @@ pub fn encode<T: Float, const D: usize>(
     let n_total: usize = dims.iter().product();
     assert_eq!(coeffs.len(), n_total, "coeffs/dims mismatch");
     assert!(n_total as u64 <= u32::MAX as u64, "domain too large for u32 indices");
+    let depth = crate::blocks::split_depth(dims, term);
+    if depth == 0 {
+        return encode_one(coeffs, dims, q, term);
+    }
+    let split = crate::blocks::split(dims, depth);
+    let encoded: Vec<EncodedSpeck> =
+        split.iter().map(|b| encode_one(&b.gather(dims, coeffs), b.dims, q, term)).collect();
+    let planes = encoded.iter().map(|e| e.num_planes).max().unwrap_or(0);
+    if planes == 0 {
+        return EncodedSpeck::default();
+    }
+    let mut stream = Vec::new();
+    let table = crate::blocks::join(depth, &encoded, &mut stream);
+    EncodedSpeck {
+        num_planes: planes | crate::blocks::SPLIT_FLAG,
+        bits_used: 8 * table + encoded.iter().map(|e| e.bits_used).sum::<usize>(),
+        significance_bits: encoded.iter().map(|e| e.significance_bits).sum(),
+        sign_bits: encoded.iter().map(|e| e.sign_bits).sum(),
+        refinement_bits: encoded.iter().map(|e| e.refinement_bits).sum(),
+        stream,
+        ..EncodedSpeck::default()
+    }
+}
+
+/// [`encode`] of one block.
+fn encode_one<T: Float, const D: usize>(
+    coeffs: &[T],
+    dims: [usize; D],
+    q: f64,
+    term: Termination,
+) -> EncodedSpeck {
+    let n_total: usize = dims.iter().product();
 
     let (k, negative) = quantize_all(coeffs, q);
     let pyramid = MaxPyramid::build(&k, dims);
     let max_k = pyramid.global_max();
     if max_k == 0 {
-        return EncodedSpeck {
-            stream: Vec::new(),
-            num_planes: 0,
-            bits_used: 0,
-            significance_bits: 0,
-            sign_bits: 0,
-            refinement_bits: 0,
-            sets_split: 0,
-            zero_runs: 0,
-            scratch: Default::default(),
-        };
+        return EncodedSpeck::default();
     }
     let num_planes = (64 - max_k.leading_zeros()) as u8;
 
@@ -171,6 +195,7 @@ pub fn encode<T: Float, const D: usize>(
         refinement_bits: 0,
     };
 
+    let mut plane_ends = Vec::with_capacity(num_planes as usize);
     'planes: for n in (0..num_planes as u32).rev() {
         if enc.sorting_pass(n).is_err() {
             break 'planes;
@@ -178,6 +203,7 @@ pub fn encode<T: Float, const D: usize>(
         if enc.refinement_pass(n).is_err() {
             break 'planes;
         }
+        plane_ends.push(enc.out.len_bits());
     }
 
     let bits_used = enc.out.len_bits();
@@ -192,6 +218,7 @@ pub fn encode<T: Float, const D: usize>(
         stream: enc.out.into_bytes(),
         num_planes,
         bits_used,
+        plane_ends,
         scratch: Default::default(),
     }
 }
@@ -262,9 +289,30 @@ impl<const D: usize> Decoder<'_, D> {
 }
 
 /// Decodes exactly like [`crate::decode`] — same parameter checks, same
-/// treatment of a stream that ends anywhere, same mid-riser arithmetic —
-/// through the bit-at-a-time cuboid walk. Differential-oracle use only.
+/// block table, same treatment of a stream that ends anywhere, same
+/// mid-riser arithmetic — through the bit-at-a-time cuboid walk.
+/// Differential-oracle use only.
 pub fn decode<T: Float, const D: usize>(
+    stream: &[u8],
+    dims: [usize; D],
+    q: f64,
+    num_planes: u8,
+) -> Result<Vec<T>, DecodeError> {
+    let blocks = crate::blocks::blocks(stream, dims, q, num_planes)?;
+    if !blocks.is_split() {
+        return decode_one(stream, dims, q, num_planes & !crate::blocks::SPLIT_FLAG);
+    }
+    let mut out = vec![T::ZERO; dims.iter().product()];
+    for (b, block) in blocks.iter().enumerate() {
+        let (block_stream, planes) = blocks.coded(b);
+        let dense = decode_one(&block_stream, block.dims, q, planes)?;
+        block.place(dims, &dense, &mut out, 0);
+    }
+    Ok(out)
+}
+
+/// [`decode`] of one block.
+fn decode_one<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
     q: f64,

@@ -46,9 +46,9 @@ impl<const D: usize> SetS<D> {
         debug_assert!(self.is_pixel());
         let mut idx = 0usize;
         let mut stride = 1usize;
-        for d in 0..D {
-            idx += self.origin[d] as usize * stride;
-            stride *= dims[d];
+        for (&origin, &extent) in self.origin.iter().zip(&dims) {
+            idx += origin as usize * stride;
+            stride *= extent;
         }
         idx
     }
@@ -61,11 +61,10 @@ impl<const D: usize> SetS<D> {
     pub fn split(&self, mut f: impl FnMut(SetS<D>)) {
         // Per axis: (offset, length) of the two parts.
         let mut parts: [[(u32, u32); 2]; D] = [[(0, 0); 2]; D];
-        for d in 0..D {
-            let second = self.len[d] / 2;
-            let first = self.len[d] - second;
-            parts[d][0] = (0, first);
-            parts[d][1] = (first, second);
+        for (part, &len) in parts.iter_mut().zip(&self.len) {
+            let second = len / 2;
+            let first = len - second;
+            *part = [(0, first), (first, second)];
         }
         let child_level = self.part_level + 1;
         // Iterate the cartesian product of part choices.
@@ -144,7 +143,7 @@ mod tests {
     fn pixel_index_row_major() {
         let s = SetS::<3> { origin: [2, 1, 3], len: [1, 1, 1], part_level: 9, msb_plus1: 0 };
         assert!(s.is_pixel());
-        assert_eq!(s.pixel_index([4, 5, 6]), 2 + 1 * 4 + 3 * 20);
+        assert_eq!(s.pixel_index([4, 5, 6]), 2 + 4 + 3 * 20);
     }
 
     #[test]

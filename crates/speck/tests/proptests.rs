@@ -514,7 +514,7 @@ proptest! {
             let dims: [usize; D] = shape(class, seeds);
             let n: usize = dims.iter().product();
             let field = seeded_field(n, seed, 20, n.min(300));
-            let keep = keep_bitmap(n, kind, seed, seed % 7 == 0);
+            let keep = keep_bitmap(n, kind, seed, seed.is_multiple_of(7));
             if wide {
                 masked_decodes_like_decode::<f64, D>(&field, dims, 0.37, &keep)
             } else {
@@ -665,7 +665,7 @@ proptest! {
         let full = encode(&coeffs, dims, q, Termination::Quality);
         let budget_bits = ((full.bits_used as f64) * frac) as usize;
         let cut = encode(&coeffs, dims, q, Termination::BitBudget(budget_bits));
-        prop_assert!(cut.bits_used <= budget_bits.max(0));
+        prop_assert!(cut.bits_used <= budget_bits);
         let full_bits = &full.stream;
         let cut_bytes = cut.bits_used / 8;
         prop_assert_eq!(&cut.stream[..cut_bytes], &full_bits[..cut_bytes]);

@@ -161,11 +161,12 @@ impl Drop for OpTimer {
 /// telemetry span and the stage histogram all come from one call site.
 #[inline]
 pub fn timed<R>(label: &'static str, f: impl FnOnce() -> R) -> (R, std::time::Duration) {
-    let guard = SpanGuard::new(label);
-    let t0 = std::time::Instant::now();
-    let r = f();
-    let elapsed = t0.elapsed();
-    drop(guard);
+    let (r, elapsed) = {
+        let _span = SpanGuard::new(label);
+        let t0 = std::time::Instant::now();
+        let r = f();
+        (r, t0.elapsed())
+    };
     record_ns(label, elapsed.as_nanos() as u64);
     (r, elapsed)
 }

@@ -227,10 +227,12 @@ echo "==> telemetry on: the recorder's own tests"
 # unit tests compile only with recording compiled in.
 cargo test --quiet -p sperr-telemetry --features enabled
 
-echo "==> telemetry on: the recorder lints clean"
-# Clippy over the crate with recording compiled in, its tests included;
-# any warning fails the lane.
-cargo clippy --quiet -p sperr-telemetry --all-targets --features enabled -- -D warnings
+echo "==> telemetry on: the recorder and the SPECK coder lint clean"
+# Clippy over the recorder (with recording compiled in) and sperr-speck,
+# their tests included, and the workspace crates they build on; any
+# warning fails the lane.
+cargo clippy --quiet -p sperr-telemetry -p sperr-speck --all-targets \
+    --features sperr-telemetry/enabled -- -D warnings
 
 echo "==> telemetry on: the whole CLI suite"
 # Includes the end-to-end acceptance: `sperr compress --stats --trace` on

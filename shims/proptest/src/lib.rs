@@ -46,7 +46,7 @@ impl TestRng {
     /// multiply-shift; bias is negligible at these spans).
     #[inline]
     pub fn below(&mut self, span: u128) -> u128 {
-        debug_assert!(span >= 1 && span <= 1u128 << 64);
+        debug_assert!((1..=1u128 << 64).contains(&span));
         (self.next_u64() as u128 * span) >> 64
     }
 

@@ -18,6 +18,9 @@ const AUDITED_FILES: &[&str] = &[
     "crates/bitstream/src/byteio.rs",
     "crates/speck/src/decoder.rs",
     "crates/speck/src/lsp_decode.rs",
+    // The code-block table a split SPECK stream opens with: parse, cut,
+    // and the gathering of a block's bytes.
+    "crates/speck/src/blocks.rs",
     // The partition-order layout both SPECK coder bodies walk: table
     // build, lookups, and the shared table cache.
     "crates/speck/src/layout.rs",

@@ -92,15 +92,18 @@ fn recording_does_a_bounded_number_of_operations_per_chunk() {
     // Recording costs a fixed amount per event, so its overhead is pinned
     // by counting events instead of timing them on a shared host. Per
     // chunk, a PWE compress records one span per stage and coder phase,
-    // one per bitplane, one per wavelet axis pass (the forward transform
-    // and the outlier locate's inverse), one event per counter and one
-    // histogram sample per stage, size and memory gauge — exactly, and
-    // none per sample: 8× the samples adds two planes and six passes.
+    // one per wavelet axis pass (the forward transform and the outlier
+    // locate's inverse), one event per counter and one histogram sample
+    // per stage, size and memory gauge; per SPECK code block, the spans
+    // of its two phases and its layout counters, and one span per
+    // bitplane — exactly, and none per sample: 8× the samples is 8 code
+    // blocks, each with its own planes, and six more passes.
     let _guard = session_lock();
-    const STAGE_AND_PHASE_SPANS: usize = 11;
-    const COUNTERS: usize = 9;
+    const STAGE_AND_PHASE_SPANS: usize = 7;
+    const COUNTERS: usize = 8;
+    const PER_BLOCK: usize = 6;
     const HISTOGRAM_SAMPLES: u64 = 9;
-    for edge in [32usize, 64] {
+    for (edge, blocks) in [(32usize, 1), (64, 8)] {
         let dims = [edge; 3];
         let field = sperr_datagen::SyntheticField::MirandaDensity.generate(dims, 20230512);
         let sperr = Sperr::new(SperrConfig {
@@ -110,22 +113,55 @@ fn recording_does_a_bounded_number_of_operations_per_chunk() {
             ..SperrConfig::default()
         });
         sperr_telemetry::start();
-        sperr.compress(&field, Bound::Pwe(field.range() * 1e-4)).unwrap();
+        let stream = sperr.compress(&field, Bound::Pwe(field.range() * 1e-4)).unwrap();
         let report = sperr_telemetry::stop();
+        assert_eq!(sperr.inspect(&stream).unwrap().chunk_blocks, [blocks]);
         let spans = |label: &str| {
             report.tracks.iter().flat_map(|t| &t.spans).filter(|s| s.label == label).count()
         };
         let planes = spans("speck.encode.plane");
         let passes = 2 * sperr_wavelet::levels_for_dims(dims).iter().sum::<usize>();
-        assert!((1..=64).contains(&planes), "{edge}³: {planes} planes");
+        assert!((blocks..=64 * blocks).contains(&planes), "{edge}³: {planes} planes");
         assert_eq!(
             report.event_count(),
-            STAGE_AND_PHASE_SPANS + COUNTERS + planes + passes,
+            STAGE_AND_PHASE_SPANS + COUNTERS + PER_BLOCK * blocks + planes + passes,
             "{edge}³: events recorded beyond the per-chunk operations"
         );
         let samples: u64 = report.metrics.entries.iter().map(|e| e.hist.count).sum();
         assert_eq!(samples, HISTOGRAM_SAMPLES, "{edge}³: histogram samples");
     }
+}
+
+#[test]
+fn a_region_read_counts_the_code_blocks_it_skips() {
+    // `speck.blocks` counts the code blocks a call codes or decodes and
+    // `speck.blocks_skipped` those a region or level read leaves alone: a
+    // 64³ chunk codes 8, a full read decodes 8, and a small box in one
+    // corner decodes some and skips the rest.
+    let _guard = session_lock();
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate([64; 3], 5);
+    let sperr = Sperr::new(SperrConfig { num_threads: 2, ..SperrConfig::default() });
+    let counted = |report: &sperr_telemetry::Report, label: &str| -> u64 {
+        let events = report.tracks.iter().flat_map(|t| &t.counters);
+        events.filter(|c| c.label == label).map(|c| c.value).sum()
+    };
+    sperr_telemetry::start();
+    let stream = sperr.compress(&field, Bound::Pwe(field.tolerance_for_idx(12))).unwrap();
+    let report = sperr_telemetry::stop();
+    assert_eq!(counted(&report, "speck.blocks"), 8);
+    sperr_telemetry::start();
+    sperr.decompress(&stream).unwrap();
+    let report = sperr_telemetry::stop();
+    let blocks = |report| {
+        (counted(report, "speck.blocks"), counted(report, "speck.blocks_skipped"))
+    };
+    assert_eq!(blocks(&report), (8, 0));
+    sperr_telemetry::start();
+    sperr.decode_region(&stream, [40, 41, 42], [46, 47, 48]).unwrap();
+    let report = sperr_telemetry::stop();
+    let (decoded, skipped) = blocks(&report);
+    assert_eq!(decoded + skipped, 8);
+    assert!(decoded >= 1 && skipped >= 1, "decoded {decoded}, skipped {skipped}");
 }
 
 #[test]

@@ -72,6 +72,12 @@ fn allocated<R>(f: impl FnOnce() -> R) -> (R, u64) {
 
 const MIB: u64 = 1 << 20;
 
+/// What a warm compress may allocate beyond the stream it returns: 1 MiB
+/// (ROADMAP item 3's bar) less the 128 KiB the lossless pass stopped
+/// allocating when its coded blocks began to be written straight into
+/// their frames.
+const BEYOND_STREAM: u64 = MIB - 128 * 1024;
+
 /// `default_f64`'s field and bound at 64³: one chunk under the default
 /// configuration, PWE with outliers to correct.
 fn pressure(edge: usize) -> Field {
@@ -86,9 +92,9 @@ fn one_thread() -> Sperr {
 
 #[test]
 fn a_second_compress_allocates_little_beyond_its_stream() {
-    // ROADMAP item 3's bar: at one thread, the second of two identical
-    // compresses on one `Sperr` allocates at most 1 MiB beyond the
-    // capacity of the stream it returns. The first, cold, allocates the
+    // ROADMAP item 3's bar, tightened: at one thread, the second of two
+    // identical compresses on one `Sperr` allocates at most
+    // `BEYOND_STREAM` beyond the capacity of the stream it returns. The first, cold, allocates the
     // whole working set; the bar is far below it, so a cache that kept
     // nothing would fail here.
     let field = pressure(64);
@@ -98,7 +104,7 @@ fn a_second_compress_allocates_little_beyond_its_stream() {
     assert_eq!(first, second, "a warm compress changed the bytes");
     let stream = second.capacity() as u64;
     assert!(
-        warm <= stream + MIB,
+        warm <= stream + BEYOND_STREAM,
         "the warm compress allocated {warm} B: {} B beyond its {stream} B stream",
         warm - stream.min(warm)
     );
@@ -117,7 +123,7 @@ fn a_clone_starts_cold() {
     let (again, kept) = allocated(|| warm.compress(&field, PWE).unwrap());
     assert_eq!((&from_clone, &again), (&stream, &stream));
     assert!(cold > stream.capacity() as u64 + 8 * MIB, "the clone shared memory: {cold} B");
-    assert!(kept <= again.capacity() as u64 + MIB, "the original went cold: {kept} B");
+    assert!(kept <= again.capacity() as u64 + BEYOND_STREAM, "the original went cold: {kept} B");
 }
 
 /// A smooth field at any width, of any extent.
