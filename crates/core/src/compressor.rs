@@ -41,7 +41,7 @@ pub(crate) fn validate_bound(bound: Bound) -> Result<(Mode, f64), CompressError>
         // near-orthogonality of the transform.
         Bound::Psnr(p) => (Mode::Rmse, p, "PSNR target"),
     };
-    if !(value > 0.0) || !value.is_finite() {
+    if !(value.is_finite() && value > 0.0) {
         return Err(CompressError::Invalid(format!("invalid {what} {value}")));
     }
     Ok((mode, value))

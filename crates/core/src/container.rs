@@ -299,7 +299,7 @@ fn read_fixed_header(r: &mut ByteReader<'_>) -> Result<(u8, Header), CompressErr
         p => return Err(CompressError::Corrupt(format!("unknown precision {p}"))),
     };
     let dims = [r.get_u32()? as usize, r.get_u32()? as usize, r.get_u32()? as usize];
-    if dims.iter().any(|&d| d == 0) {
+    if dims.contains(&0) {
         return Err(CompressError::Corrupt("zero dimension".into()));
     }
     let n_total = dims.iter().fold(1u64, |acc, &d| acc.saturating_mul(d as u64));
@@ -310,7 +310,7 @@ fn read_fixed_header(r: &mut ByteReader<'_>) -> Result<(u8, Header), CompressErr
     }
     let bound_value = r.get_f64()?;
     let chunk_dims = [r.get_u32()? as usize, r.get_u32()? as usize, r.get_u32()? as usize];
-    if chunk_dims.iter().any(|&d| d == 0) {
+    if chunk_dims.contains(&0) {
         return Err(CompressError::Corrupt("zero chunk dimension".into()));
     }
     let n_chunks = r.get_u32()? as usize;
@@ -381,7 +381,7 @@ pub(crate) fn read_container_head(
         let num_outliers = r.get_u32()?;
         let speck_len = r.get_u32()? as usize;
         let outlier_len = r.get_u32()? as usize;
-        if !(q > 0.0) || !q.is_finite() {
+        if !(q.is_finite() && q > 0.0) {
             return Err(CompressError::Corrupt("invalid quantization step".into()));
         }
         entries.push(ChunkEntry { q, num_planes, max_n, num_outliers, speck_len, outlier_len });

@@ -41,7 +41,7 @@ use crate::pipeline::{phase, ScratchArena};
 use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use crate::warm::Warm;
 use sperr_compress_api::{Bound, CompressError, FieldOf};
-use sperr_exec::{Slots, WorkerPool};
+use sperr_exec::WorkerPool;
 use sperr_simd::Float;
 use sperr_telemetry::timed;
 use sperr_wavelet::{
@@ -105,12 +105,11 @@ pub(crate) struct ChunkJob<'a> {
 /// full extent, with the coarse approximation, re-scaled to physical
 /// units, in its `[0, coarse_dims)` corner.
 ///
-/// SPECK runs as one pool batch: job 0 decodes the outlier list, and
-/// every other job one code block — its sorting pass in the block's own
-/// SPECK scratch, its assembly into the worker's block buffer, then its
-/// rows into the chunk (a chunk of one block assembles in place). The
-/// batch spreads over the pool when it [fans out](WorkerPool::fans_out)
-/// and runs on this worker otherwise; either way the bits are those of a
+/// SPECK runs as one pool batch ([`sperr_speck::Blocks::decode_into`]):
+/// job 0 decodes the outlier list, and every other job one code block,
+/// into the arena's coefficient buffer and SPECK scratch. The batch
+/// spreads over the pool when it [fans out](WorkerPool::fans_out) and
+/// runs on this worker otherwise; either way the bits are those of a
 /// serial decode, and a failure is reported in the serial order: the
 /// lowest block's SPECK error, then the outlier list's, then a correction
 /// out of range.
@@ -131,7 +130,37 @@ pub(crate) fn decode_chunk<T: Float>(
             Some(cut) => sperr_speck::blocks(cut, dims, job.q, job.num_planes)?,
             None => blocks,
         };
-        decode_blocks(job, &blocks, &support, pool, arena)
+        let keep = match support.is_everything() {
+            true => None,
+            false => Some(support.keep_bitmap().map_err(|_| {
+                sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
+            })?),
+        };
+        // The chunk decodes into the arena's coefficient buffer, which
+        // leaves with the result; the read hands it back once the sink is
+        // done. New memory comes zeroed from the allocator, untouched where
+        // a region's support does not reach.
+        let mut coeffs = std::mem::take(&mut arena.coeffs);
+        coeffs.clear();
+        let n = dims.iter().product();
+        if coeffs.capacity() == 0 {
+            coeffs = vec![T::ZERO; n];
+        } else {
+            coeffs.resize(n, T::ZERO);
+        }
+        let list = || {
+            faultpoint::carry(stage_labels::SPECK_DECODE, || {
+                phase(stage_labels::OUTLIER_APPLY, || outlier_list(job))
+            })
+        };
+        // A panic out of a code block is raised as SPECK's, then job 0's.
+        let listed = faultpoint::within(stage_labels::SPECK_DECODE, || {
+            blocks.decode_into(&mut coeffs, keep.as_deref(), &mut arena.speck, pool, Some(list))
+        })?;
+        let (corrections, list_time) = listed
+            .map(|listed| listed.unwrap_or_else(Caught::resume))
+            .unwrap_or_else(|| (Ok(Vec::new()), Default::default()));
+        Ok::<_, CompressError>((coeffs, corrections?, list_time))
     });
     let (mut coeffs, corrections, list_time) = decoded?;
 
@@ -169,134 +198,15 @@ pub(crate) fn decode_chunk<T: Float>(
     Ok((coeffs, times))
 }
 
-/// What [`decode_blocks`] leaves: the chunk's coefficients, its outlier
-/// corrections and the wall time of their decode.
-type DecodedBlocks<T> = (Vec<T>, Vec<sperr_outlier::Outlier>, std::time::Duration);
-
-/// The SPECK side of [`decode_chunk`]: the code blocks of `blocks` that
-/// `support` needs, each decoded into `arena`'s coefficient buffer (of the
-/// chunk's extent, zeroed), beside the outlier list's decode, as one batch
-/// on `pool`.
-fn decode_blocks<T: Float>(
-    job: &ChunkJob<'_>,
-    blocks: &sperr_speck::Blocks<'_, 3>,
-    support: &Support,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<DecodedBlocks<T>, CompressError> {
-    let dims = job.dims;
-    let keep = if support.is_everything() {
-        None
-    } else {
-        Some(support.keep_bitmap().map_err(|_| {
-            sperr_speck::DecodeError::LimitExceeded("no memory for the region's keep bitmap")
-        })?)
-    };
-    let needed: Vec<usize> = (0..blocks.len())
-        .filter(|&b| {
-            let meets = |block: sperr_speck::Block<3>| {
-                support.boxes().iter().any(|&(lo, hi)| block.meets(lo, hi))
-            };
-            keep.is_none() || blocks.block(b).is_some_and(meets)
-        })
-        .collect();
-    sperr_telemetry::counter!("speck.blocks", needed.len());
-    sperr_telemetry::counter!("speck.blocks_skipped", blocks.len() - needed.len());
-
-    // The chunk decodes into the arena's coefficient buffer, which leaves
-    // with the result; the read hands it back once the sink is done. New
-    // memory comes zeroed from the allocator, untouched where a region's
-    // support does not reach.
-    let mut coeffs = std::mem::take(&mut arena.coeffs);
-    coeffs.clear();
-    let n = dims.iter().product();
-    if coeffs.capacity() == 0 {
-        coeffs = vec![T::ZERO; n];
-    } else {
-        coeffs.resize(n, T::ZERO);
-    }
-    // Blocks of different layers (their extents along z) write disjoint
-    // z-slabs of the chunk; a slab's lock is held while a block copies its
-    // rows in.
-    let (layers, layer_of) = blocks.layers();
-    let mut slabs = Vec::with_capacity(layers.len());
-    let mut rest = coeffs.as_mut_slice();
-    for layer in &layers {
-        let Some((slab, tail)) = rest.split_at_mut_checked(layer.len()) else {
-            break;
-        };
-        slabs.push(slab);
-        rest = tail;
-    }
-    let slabs: Slots<&mut [T]> = slabs.into_iter().collect();
-    // Each block decodes in its own SPECK scratch; a chunk of one block in
-    // the arena's.
-    let split = blocks.is_split();
-    let scratch = if split {
-        arena.speck.block_slots(blocks.len())
-    } else {
-        std::iter::once(std::mem::take(&mut arena.speck)).collect()
-    };
-    let width = sperr_exec::Exec::width(pool);
-    arena.blocks.resize_with(width.max(arena.blocks.len()), Vec::new);
-    let dense: Slots<&mut Vec<T>> = arena.blocks.iter_mut().collect();
-    let results = Slots::new(needed.len(), || None);
-    let list = Slots::new(1, || None);
-    pool.run(needed.len() + 1, &|j, worker| {
-        let Some(&b) = j.checked_sub(1).and_then(|i| needed.get(i)) else {
-            *list.lock(0) = Some(phase(stage_labels::OUTLIER_APPLY, || outlier_list(job)));
-            return;
-        };
-        let decoded = (|| {
-            let block = blocks.block(b).ok_or(sperr_speck::DecodeError::Corrupt("no such block"))?;
-            let block_keep = match &keep {
-                Some(keep) => match block.keep_bitmap(dims, keep) {
-                    Some(kept) => Some(kept),
-                    None => return Ok(()),
-                },
-                None => None,
-            };
-            let lent = std::mem::take(&mut *scratch.lock(b));
-            let sorted = blocks.sorting_pass(b, job.q, block_keep.as_deref(), lent)?;
-            let layer = layer_of.get(b).copied().unwrap_or(0);
-            if split {
-                let mut dense = dense.lock(worker);
-                dense.clear();
-                dense.resize(block.len(), T::ZERO);
-                sorted.assemble(dense.as_mut_slice());
-                let first = layers.get(layer).map_or(0, |l| l.start);
-                block.place(dims, &dense, &mut slabs.lock(layer), first);
-            } else {
-                sorted.assemble(&mut slabs.lock(layer));
-            }
-            *scratch.lock(b) = sorted.into_scratch();
-            Ok::<(), sperr_speck::DecodeError>(())
-        })();
-        if let Some(slot) = j.checked_sub(1) {
-            *results.lock(slot) = Some(decoded);
-        }
-    });
-    drop((slabs, dense));
-    if split {
-        arena.speck.return_blocks(scratch);
-    } else {
-        arena.speck = scratch.into_values().next().unwrap_or_default();
-    }
-    for result in results.into_values() {
-        result.unwrap_or(Ok(()))?;
-    }
-    let (corrections, list_time) =
-        list.into_values().next().flatten().unwrap_or_else(|| (Ok(Vec::new()), Default::default()));
-    Ok((coeffs, corrections?, list_time))
-}
-
 /// The chunk's outlier corrections, decoded (none when the read does not
 /// apply them).
 fn outlier_list(job: &ChunkJob<'_>) -> Result<Vec<sperr_outlier::Outlier>, CompressError> {
     if job.outliers.is_empty() {
         return Ok(Vec::new());
     }
-    if !(job.tolerance > 0.0) {
+    // NaN is missing too; an infinite tolerance is the outlier decoder's
+    // to refuse.
+    if job.tolerance.is_nan() || job.tolerance <= 0.0 {
         return Err(CompressError::Corrupt("outlier stream present but tolerance missing".into()));
     }
     let n = job.dims.iter().product();

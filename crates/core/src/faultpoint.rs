@@ -126,6 +126,13 @@ pub(crate) fn carry<R>(label: &'static str, f: impl FnOnce() -> R) -> Result<R, 
     catch(f)
 }
 
+/// Runs `f` — a batch whose jobs do not mark their stage, such as SPECK's
+/// code blocks — and raises a panic out of it as one of the stage `label`,
+/// whichever stage this thread was in last.
+pub(crate) fn within<R>(label: &'static str, f: impl FnOnce() -> R) -> R {
+    catch(f).unwrap_or_else(|caught| Caught { stage: label, ..caught }.resume())
+}
+
 /// Runs `f` and catches its panic with the stage this thread was in.
 pub(crate) fn catch<R>(f: impl FnOnce() -> R) -> Result<R, Caught> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| Caught { stage: last_stage(), payload })

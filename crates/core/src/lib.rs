@@ -274,6 +274,50 @@ mod tests {
     }
 
     #[test]
+    fn nan_is_refused_wherever_a_positive_value_is_checked() {
+        // Each guard is written so that NaN fails it: a bound, a chunk's
+        // quantization step read from a container, and the tolerance the
+        // outlier decoder is handed.
+        let sperr = Sperr::new(SperrConfig::default());
+        let field = wavy_field([8, 8, 8]);
+        for bound in [Bound::Pwe(f64::NAN), Bound::Psnr(f64::NAN)] {
+            let err = compressor::validate_bound(bound).err();
+            assert!(matches!(err, Some(CompressError::Invalid(_))), "{bound:?}: {err:?}");
+            let err = sperr.compress(&field, bound).unwrap_err();
+            assert!(matches!(err, CompressError::Invalid(_)), "{bound:?}: {err:?}");
+        }
+        // A container whose one chunk has `q` NaN, with every checksum right.
+        let header = container::Header {
+            mode: container::Mode::Pwe,
+            kernel: sperr_wavelet::Kernel::Cdf97,
+            precision: sperr_compress_api::Precision::Double,
+            native_f32: false,
+            dims: [8, 8, 8],
+            chunk_dims: [8, 8, 8],
+            bound_value: 0.25,
+            n_chunks: 1,
+        };
+        let chunk = pipeline::ChunkEncoding {
+            speck_stream: vec![1, 2, 3],
+            outlier_stream: Vec::new(),
+            q: f64::NAN,
+            num_planes: 7,
+            max_n: 0,
+            num_outliers: 0,
+            speck_bits: 24,
+            outlier_bits: 0,
+            times: stats::StageTimes::default(),
+            coeff_sq_error: 0.0,
+            max_err: 0.125,
+        };
+        let bytes = container::write_container(&header, &[chunk], container::VERSION);
+        let err = container::read_container(&bytes).err();
+        assert!(matches!(err, Some(CompressError::Corrupt(_))), "chunk q NaN: {err:?}");
+        let err = sperr_outlier::decode(&[0xff; 4], 512, f64::NAN, 3).unwrap_err();
+        assert!(matches!(err, sperr_outlier::DecodeError::Corrupt(_)), "tolerance NaN: {err:?}");
+    }
+
+    #[test]
     fn q_factor_controls_outlier_balance() {
         // §IV-D: larger q -> coarser SPECK -> more outliers.
         let field = wavy_field([32, 32, 32]);

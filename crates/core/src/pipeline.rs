@@ -25,11 +25,10 @@ use std::ops::Range;
 use std::time::{Duration, Instant};
 
 use crate::chunk::ChunkSpec;
-use crate::faultpoint::Caught;
+use crate::faultpoint::{carry, within, Caught};
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
-use sperr_exec::{lock_ignore_poison, Slots, WorkerPool};
-use std::sync::Mutex;
+use sperr_exec::{Slots, WorkerPool};
 use sperr_outlier::Outlier;
 use sperr_simd::Float;
 use sperr_speck::Termination;
@@ -48,10 +47,10 @@ const L1_BLOCK: usize = 1024;
 /// Reusable per-worker scratch — one chunk's working set: the coefficient
 /// buffer, the wavelet transform's panel/line scratch, SPECK's
 /// ([`sperr_speck::Scratch`]: its phase-1 levels and magnitudes,
-/// its found list and buckets, a buffer for the next SPECK stream, and
-/// the same per code block), the outlier locate's lists and coder's
-/// scratch ([`sperr_outlier::EncodeScratch`]), and the decode's code-block
-/// buffers.
+/// its found list and buckets, a buffer for the next SPECK stream, the
+/// same per code block, and a split decode's block buffers), and the
+/// outlier locate's lists and coder's scratch
+/// ([`sperr_outlier::EncodeScratch`]).
 /// Buffers grow to the largest chunk seen and are never shrunk; a driver
 /// keeps one arena per worker slot so that a multi-gigabyte run allocates
 /// a bounded, chunk-count-independent amount, and a [`crate::Sperr`]
@@ -63,9 +62,6 @@ pub struct ScratchArena<T: Float = f64> {
     pub(crate) wavelet: TransformScratch<T>,
     pub(crate) speck: sperr_speck::Scratch,
     pub(crate) outliers: OutlierScratch,
-    /// Per worker slot of the pool a chunk decodes on, the buffer one of
-    /// its code blocks assembles into before its rows go to the chunk.
-    pub(crate) blocks: Vec<Vec<T>>,
 }
 
 /// The outlier locate's and coder's share of an arena.
@@ -92,7 +88,6 @@ impl<T: Float> Default for ScratchArena<T> {
             wavelet: TransformScratch::new(),
             speck: sperr_speck::Scratch::default(),
             outliers: OutlierScratch::default(),
-            blocks: Vec::new(),
         }
     }
 }
@@ -107,8 +102,7 @@ impl<T: Float> ScratchArena<T> {
     /// and the outlier coder's scratch included. Buffers never shrink, so after a run this *is*
     /// the arena's high-water mark.
     pub fn bytes(&self) -> usize {
-        let blocks = self.blocks.iter().map(Vec::capacity).sum::<usize>();
-        (self.coeffs.capacity() + blocks) * std::mem::size_of::<T>()
+        self.coeffs.capacity() * std::mem::size_of::<T>()
             + self.wavelet.bytes()
             + self.speck.bytes()
             + self.outliers.bytes()
@@ -399,15 +393,13 @@ fn scan_outliers<T: Float>(
 /// panels and elementwise sweeps run on `pool`, bit-identically for any
 /// thread count. A dense chunk is the volume whose extent is the chunk's.
 ///
-/// SPECK runs in its two phases ([`sperr_speck::quantize`], its pieces or
-/// its code blocks on `pool`, then each block's sorting passes, one pool
-/// job a block, joined in block order by [`sperr_speck::Quantized::join`]).
-/// When the second needs nothing of the coefficients — every magnitude
-/// fits 32 bits, no bit budget — the mode's work on them (the locate and
-/// the outlier encode, or the RMSE error sum) is job 0 of the blocks'
-/// batch; otherwise it runs after the sorting passes. Either way the
-/// bytes, the refusal and a panic's stage are those of the serial order,
-/// at any thread count.
+/// SPECK runs in its two phases on `pool` ([`sperr_speck::quantize`], then
+/// [`sperr_speck::Quantized::encode_on`]: one job a code block). When the
+/// second needs nothing of the coefficients — every magnitude fits 32
+/// bits, no bit budget — the mode's work on them (the locate and the
+/// outlier encode, or the RMSE error sum) is job 0 of the blocks' batch;
+/// otherwise it runs after it. Either way the bytes, the refusal and a
+/// panic's stage are those of the serial order, at any thread count.
 ///
 /// Refuses the chunk's first sample that is not finite, a chunk whose
 /// transform or reconstruction overflows, and a bound whose quantization
@@ -431,7 +423,7 @@ pub fn compress_chunk<T: Float>(
     let chunk = Rows { volume, volume_dims, spec };
     let dims = spec.dims;
     let levels = levels_for_dims(dims);
-    let ScratchArena { coeffs, wavelet, speck, outliers, .. } = arena;
+    let ScratchArena { coeffs, wavelet, speck, outliers } = arena;
 
     // Stage 1: forward wavelet transform of the chunk's samples. The
     // largest coefficient magnitude is the size-bounded mode's scale and
@@ -514,22 +506,25 @@ pub fn compress_chunk<T: Float>(
         ChunkMode::Rmse { .. } => Ok(Beside::SqError(quantization_sq_error(coeffs, q, pool))),
         ChunkMode::Bpp { .. } => Ok(Beside::Nothing),
     };
-    let ((mut enc, sort_time), beside) = match quantized.release() {
+    // A panic is raised here, a code block's first, as SPECK's.
+    let (mut enc, sort_time, beside) = match quantized.release() {
         // The second phase reads only what the first left, so the mode's
         // work on the coefficients is job 0 of the blocks' batch: it starts
         // first, and the blocks' sorting passes fill the other workers
         // while it runs (all of them after it, on a pool that does not fan
-        // out). A panic on either side is raised here, the blocks' first,
-        // with its own stage (the locate's or the outlier encode's for
-        // job 0).
+        // out). Its panic keeps its own stage, the locate's or the outlier
+        // encode's.
         Ok(quantized) => {
-            let side = || beside(coeffs, wavelet, outliers);
-            let (enc, side) = sort_blocks(quantized, pool, Some(side));
-            (enc, side.unwrap_or(Ok(Beside::Nothing)))
+            let side = || carry(stage_labels::SPECK_ENCODE, || beside(coeffs, wavelet, outliers));
+            let (enc, time, side) =
+                within(stage_labels::SPECK_ENCODE, || quantized.encode_on(pool, Some(side)));
+            let side = side.map(|side| side.unwrap_or_else(Caught::resume));
+            (enc, time, side.unwrap_or(Ok(Beside::Nothing)))
         }
         Err(quantized) => {
-            let (enc, _) = sort_blocks(quantized, pool, None::<fn()>);
-            (enc, beside(coeffs, wavelet, outliers))
+            let (enc, time, _) =
+                within(stage_labels::SPECK_ENCODE, || quantized.encode_on(pool, None::<fn()>));
+            (enc, time, beside(coeffs, wavelet, outliers))
         }
     };
     *speck = std::mem::take(&mut enc.scratch);
@@ -602,50 +597,6 @@ enum Beside {
     SqError(f64),
     /// BPP: nothing.
     Nothing,
-}
-
-/// The second phase of `quantized`: one job a code block on `pool`, each
-/// block's sorting passes in its own scratch, with `side` as job 0 when
-/// given (so it starts first), then the blocks joined in block order.
-/// Returns the encode with the wall time of the blocks' side of the batch,
-/// and what `side` returned. A panic in any job is raised after the batch:
-/// the lowest block's first, then `side`'s, each with the stage its thread
-/// was in.
-fn sort_blocks<T: Float, R: Send>(
-    quantized: sperr_speck::Quantized<'_, T, 3>,
-    pool: &WorkerPool,
-    side: Option<impl FnOnce() -> R + Send>,
-) -> ((sperr_speck::EncodedSpeck, Duration), Option<R>) {
-    let k = quantized.blocks();
-    let first = usize::from(side.is_some());
-    let side = Mutex::new(side);
-    let side_out = Mutex::new(None);
-    let encoded = Slots::new(k, || None);
-    let start = Instant::now();
-    let speck_end = Mutex::new(start);
-    pool.run(first + k, &|j, _| {
-        if j < first {
-            let side = lock_ignore_poison(&side).take();
-            let done = side.map(|side| crate::faultpoint::carry(stage_labels::SPECK_ENCODE, side));
-            *lock_ignore_poison(&side_out) = done;
-            return;
-        }
-        let b = j - first;
-        let enc = crate::faultpoint::carry(stage_labels::SPECK_ENCODE, || {
-            let _span = sperr_telemetry::span!(stage_labels::SPECK_ENCODE);
-            quantized.encode_block(b)
-        });
-        *encoded.lock(b) = Some(enc);
-        let mut end = lock_ignore_poison(&speck_end);
-        *end = (*end).max(Instant::now());
-    });
-    let encoded: Vec<_> = encoded
-        .into_values()
-        .map(|enc| enc.expect("every block's job ran").unwrap_or_else(Caught::resume))
-        .collect();
-    let side = lock_ignore_poison(&side_out).take().map(|r| r.unwrap_or_else(Caught::resume));
-    let sort_time = lock_ignore_poison(&speck_end).duration_since(start);
-    ((quantized.join(encoded), sort_time), side)
 }
 
 /// Runs `f` under `label`'s span and returns its wall time. A stage that

@@ -137,10 +137,10 @@ pub struct StageTimes {
     /// 4) encoding located outliers.
     pub outlier_coding: Duration,
     /// 5) container serialization (write on compress, parse + CRC verify
-    /// on decompress). Run-level, not per-chunk.
+    ///    on decompress). Run-level, not per-chunk.
     pub container: Duration,
     /// 6) lossless back end over the whole container (ZSTD stand-in).
-    /// Run-level; zero when the lossless pass is disabled.
+    ///    Run-level; zero when the lossless pass is disabled.
     pub lossless: Duration,
 }
 

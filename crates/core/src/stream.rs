@@ -432,7 +432,7 @@ impl Sperr {
     ) -> Result<StreamReport, SperrError> {
         let rejected =
             |source| SperrError::Codec { stage: STAGE_INGEST, chunk: None, source };
-        if dims.iter().any(|&d| d == 0) {
+        if dims.contains(&0) {
             return Err(rejected(CompressError::Invalid("empty field".into())));
         }
         if let Bound::Psnr(_) = bound {

@@ -299,10 +299,7 @@ mod tests {
                     continue;
                 }
                 let prefix = codes[j] >> (lens[j] - lens[i]);
-                assert!(
-                    !(prefix == codes[i]),
-                    "code {i} is a prefix of code {j}"
-                );
+                assert!(prefix != codes[i], "code {i} is a prefix of code {j}");
             }
         }
     }

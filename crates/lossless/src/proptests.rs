@@ -73,14 +73,14 @@ fn corpus(kind: usize, len: usize, seed: u64) -> Vec<u8> {
         3 => {
             while data.len() < len {
                 let (byte, run) = (rng.next() as u8, 1 + rng.below(2000));
-                data.extend(std::iter::repeat(byte).take(run.min(len - data.len())));
+                data.extend(std::iter::repeat_n(byte, run.min(len - data.len())));
             }
         }
         4 => {
             while data.len() < len {
                 data.extend_from_slice(&[0u8; 20]);
                 data.extend((0..1 + rng.below(3000)).map(|_| rng.next() as u8));
-                data.extend(std::iter::repeat(0).take(rng.below(60)));
+                data.extend(std::iter::repeat_n(0, rng.below(60)));
             }
             data.truncate(len);
         }
@@ -234,7 +234,8 @@ proptest! {
         let mut rng = Rng::new(seed);
         let mut data = Vec::new();
         for b in 0..n_blocks {
-            data.extend(corpus(if (b + seed as usize) % 2 == 0 { 0 } else { 2 }, BLOCK_SIZE, seed + b as u64));
+            let kind = if (b + seed as usize).is_multiple_of(2) { 0 } else { 2 };
+            data.extend(corpus(kind, BLOCK_SIZE, seed + b as u64));
         }
         data.extend(corpus(4, tail, seed));
         let packed = compress(&data);

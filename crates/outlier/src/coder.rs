@@ -138,15 +138,15 @@ impl<'a> Encoder<'a> {
             let mut run = 0usize; // pending guaranteed-zero significance bits
             for read in 0..len {
                 let set = self.lis[lvl][read];
-                if !(set.max_mag > thrd) {
+                if set.max_mag > thrd {
+                    self.out.put_zeros(std::mem::take(&mut run));
+                    self.out.put_bit(true);
+                    self.significant(set, lvl, thrd);
+                } else {
                     run += 1;
                     self.lis[lvl][write] = set;
                     write += 1;
-                    continue;
                 }
-                self.out.put_zeros(std::mem::take(&mut run));
-                self.out.put_bit(true);
-                self.significant(set, lvl, thrd);
             }
             self.out.put_zeros(run);
             self.lis[lvl].truncate(write);

@@ -253,7 +253,7 @@ pub fn decode(
     max_n: u8,
 ) -> Result<Vec<Outlier>, DecodeError> {
     let _span = sperr_telemetry::span!("outlier.decode");
-    if !(t > 0.0) || !t.is_finite() {
+    if !(t.is_finite() && t > 0.0) {
         return Err(DecodeError::Corrupt("tolerance must be positive and finite"));
     }
     if stream.is_empty() {

@@ -36,11 +36,17 @@
 //! every stream was before blocks existed; an empty split stream (every
 //! block cut to nothing) decodes to zeros.
 //!
-//! This file parses untrusted tables and is audited for panic-freedom
-//! with the decoder (`tests/panic_audit.rs`).
+//! Both directions run their blocks here, as one batch on an executor
+//! ([`crate::Quantized::encode_on`], [`Blocks::decode_into`]), with a
+//! caller's job beside them ([`batch`]).
+//!
+//! This file parses untrusted tables, decodes untrusted blocks and is
+//! audited for panic-freedom with the decoder (`tests/panic_audit.rs`).
 
 use crate::coder::{EncodedSpeck, Scratch, Termination};
 use crate::decoder::{check_params, sorting_pass, DecodeError, Sorted};
+use sperr_exec::{Exec, Slots};
+use sperr_simd::Float;
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -55,27 +61,17 @@ pub const SPLIT_FLAG: u8 = 0x80;
 /// One code block: the sub-array of extent `dims` at `origin` of its
 /// domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Block<const D: usize> {
+pub(crate) struct Block<const D: usize> {
     /// Lowest corner in the domain.
-    pub origin: [usize; D],
+    pub(crate) origin: [usize; D],
     /// Extent.
-    pub dims: [usize; D],
+    pub(crate) dims: [usize; D],
 }
 
 impl<const D: usize> Block<D> {
     /// Coefficients in the block.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Whether the block holds no coefficient.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the block meets the half-open box `[lo, hi)`.
-    pub fn meets(&self, lo: [usize; D], hi: [usize; D]) -> bool {
-        (0..D).all(|d| self.origin[d] < hi[d] && lo[d] < self.origin[d] + self.dims[d])
     }
 
     /// The parts of the block's first split, in split order: every axis
@@ -100,29 +96,48 @@ impl<const D: usize> Block<D> {
     }
 
     /// The domain's row-major index of the first coefficient of each of
-    /// the block's rows (along axis 0), in the block's row-major order.
+    /// the block's rows (along axis 0), in the block's row-major order:
+    /// an odometer over axes 1.., each row's start the last one's plus
+    /// the stride of the axis that advanced.
     fn rows(&self, domain: [usize; D]) -> impl Iterator<Item = usize> + '_ {
         let rows = self.dims.iter().skip(1).product::<usize>();
-        (0..rows).map(move |row| {
-            let (mut rest, mut at, mut stride) = (row, self.origin[0], 1usize);
+        let (mut stride, mut step) = ([0usize; D], 1);
+        let mut at = self.origin.first().copied().unwrap_or(0);
+        for d in 1..D {
+            step *= domain[d - 1];
+            stride[d] = step;
+            at += self.origin[d] * step;
+        }
+        let mut pos = [0usize; D];
+        (0..rows).map(move |_| {
+            let row = at;
             for d in 1..D {
-                stride *= domain[d - 1];
-                let extent = self.dims[d].max(1);
-                at += (self.origin[d] + rest % extent) * stride;
-                rest /= extent;
+                pos[d] += 1;
+                at += stride[d];
+                if pos[d] < self.dims[d] {
+                    break;
+                }
+                at -= stride[d] * pos[d];
+                pos[d] = 0;
             }
-            at
+            row
         })
     }
 
-    /// The block's part of `keep`, a row-major bitmap of the domain
-    /// (bit `i % 64` of word `i / 64`: coefficient `i`; bits past its end
-    /// are clear), as a row-major bitmap of the block, a word at a time;
-    /// `None` when it keeps none of the block.
-    pub fn keep_bitmap(&self, domain: [usize; D], keep: &[u64]) -> Option<Vec<u64>> {
+    /// Whether `keep`, a row-major bitmap of the domain (bit `i % 64` of
+    /// word `i / 64`: coefficient `i`), keeps any of the block.
+    fn meets(&self, domain: [usize; D], keep: &[u64]) -> bool {
+        let row_len = self.dims.first().copied().unwrap_or(0);
+        let row = |first: usize| (0..row_len).step_by(64).map(move |x| (first + x, row_len - x));
+        self.rows(domain).flat_map(row).any(|(at, left)| bits_at(keep, at, left.min(64)) != 0)
+    }
+
+    /// The block's part of `keep` (as [`Block::meets`] takes it; bits
+    /// past its end are clear), as a row-major bitmap of the block, a
+    /// word at a time.
+    fn keep_bitmap(&self, domain: [usize; D], keep: &[u64]) -> Vec<u64> {
         let row_len = self.dims.first().copied().unwrap_or(0);
         let mut out = vec![0u64; self.len().div_ceil(64)];
-        let mut any = 0u64;
         for (row, first) in self.rows(domain).enumerate() {
             for x in (0..row_len).step_by(64) {
                 let take = (row_len - x).min(64);
@@ -136,16 +151,21 @@ impl<const D: usize> Block<D> {
                         *w |= word >> (64 - to % 64);
                     }
                 }
-                any |= word;
             }
         }
-        (any != 0).then_some(out)
+        out
     }
 
     /// Copies `dense` — the block's coefficients, row-major — into `out`,
     /// which holds the domain's row-major coefficients from index `first`
     /// on. Rows that fall outside `out` are skipped.
-    pub fn place<T: Copy>(&self, domain: [usize; D], dense: &[T], out: &mut [T], first: usize) {
+    pub(crate) fn place<T: Copy>(
+        &self,
+        domain: [usize; D],
+        dense: &[T],
+        out: &mut [T],
+        first: usize,
+    ) {
         let row_len = self.dims.first().copied().unwrap_or(0);
         for (src, start) in dense.chunks_exact(row_len.max(1)).zip(self.rows(domain)) {
             let dst = start.checked_sub(first).and_then(|at| out.get_mut(at..at + src.len()));
@@ -415,6 +435,7 @@ impl Table {
 pub struct Blocks<'a, const D: usize> {
     dims: [usize; D],
     stream: &'a [u8],
+    q: f64,
     num_planes: u8,
     blocks: Vec<Block<D>>,
     /// Per block: plane count and its plane segments in the stream.
@@ -440,6 +461,7 @@ pub fn blocks<const D: usize>(
     let mut blocks = Blocks {
         dims,
         stream,
+        q,
         num_planes,
         blocks: vec![whole],
         coded: vec![(planes, std::iter::once(0..stream.len()).collect())],
@@ -470,22 +492,12 @@ impl<'a, const D: usize> Blocks<'a, D> {
     }
 
     /// Whether the stream is split into code blocks.
-    pub fn is_split(&self) -> bool {
+    pub(crate) fn is_split(&self) -> bool {
         self.table.is_some()
     }
 
-    /// Bytes of the block table (0 for a stream of one block).
-    pub fn table_bytes(&self) -> usize {
-        self.table.as_ref().map_or(0, |t| t.len)
-    }
-
-    /// Block `b`'s part of the domain.
-    pub fn block(&self, b: usize) -> Option<Block<D>> {
-        self.blocks.get(b).copied()
-    }
-
     /// Every block, in split order.
-    pub fn iter(&self) -> impl Iterator<Item = Block<D>> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = Block<D>> + '_ {
         self.blocks.iter().copied()
     }
 
@@ -493,7 +505,7 @@ impl<'a, const D: usize> Blocks<'a, D> {
     /// the last axis cut it into (ascending, tiling the domain), and for
     /// each block the index of the one that holds it: blocks of different
     /// ranges write disjoint parts of a row-major output.
-    pub fn layers(&self) -> (Vec<Range<usize>>, Vec<usize>) {
+    fn layers(&self) -> (Vec<Range<usize>>, Vec<usize>) {
         let last = D.saturating_sub(1);
         let plane = self.dims.iter().take(last).product::<usize>();
         let span = |b: &Block<D>| (b.origin.get(last).copied(), b.dims.get(last).copied());
@@ -514,7 +526,7 @@ impl<'a, const D: usize> Blocks<'a, D> {
     /// Block `b`'s stream — borrowed when it lies in one piece, gathered
     /// from its plane segments otherwise — and plane count; empty and 0
     /// past the last block.
-    pub fn coded(&self, b: usize) -> (Cow<'a, [u8]>, u8) {
+    pub(crate) fn coded(&self, b: usize) -> (Cow<'a, [u8]>, u8) {
         let Some((planes, segments)) = self.coded.get(b) else { return (Cow::Borrowed(&[]), 0) };
         (self.gather(segments, Vec::new()), *planes)
     }
@@ -540,10 +552,9 @@ impl<'a, const D: usize> Blocks<'a, D> {
     /// stream, extent and plane count), restricted to `keep`, a row-major
     /// bitmap of the block, when given; in the memory of `scratch`, whose
     /// stream buffer takes the block's bytes when they are gathered.
-    pub fn sorting_pass(
+    fn sorting_pass(
         &self,
         b: usize,
-        q: f64,
         keep: Option<&[u64]>,
         mut scratch: Scratch,
     ) -> Result<Sorted<'a, D>, DecodeError> {
@@ -552,7 +563,86 @@ impl<'a, const D: usize> Blocks<'a, D> {
             return Err(DecodeError::Corrupt("no such code block"));
         };
         let stream = self.gather(segments, scratch.take_stream());
-        sorting_pass(stream, block.dims, q, *planes, keep, scratch)
+        sorting_pass(stream, block.dims, self.q, *planes, keep, scratch)
+    }
+
+    /// Decodes the blocks a read needs into `out`, the domain's
+    /// coefficients in row-major order, which starts zeroed: with no
+    /// `keep`, every block; with one — a row-major bitmap, as
+    /// [`crate::decode_masked`] takes — the blocks holding a coefficient it
+    /// keeps, each restricted to its part of it. One batch on `exec`:
+    /// `first`, when given, is job 0, so it starts first, and each needed
+    /// block is a job, in split order. A block's sorting pass runs in its
+    /// own scratch, kept in `scratch`; a split stream's block assembles
+    /// into the worker's buffer there, then its rows go to `out`, and a
+    /// stream of one block assembles in place. The coefficients do not
+    /// depend on the executor. Returns what `first` returned, or the
+    /// lowest block's error.
+    pub fn decode_into<T: Float, R: Send>(
+        &self,
+        out: &mut [T],
+        keep: Option<&[u64]>,
+        scratch: &mut Scratch,
+        exec: &dyn Exec,
+        first: Option<impl FnOnce() -> R + Send>,
+    ) -> Result<Option<R>, DecodeError> {
+        if out.len() != self.dims.iter().product::<usize>() {
+            return Err(DecodeError::Corrupt("the output does not hold the domain"));
+        }
+        let needed: Vec<usize> = (self.blocks.iter().enumerate())
+            .filter(|(_, block)| keep.is_none_or(|keep| block.meets(self.dims, keep)))
+            .map(|(b, _)| b)
+            .collect();
+        sperr_telemetry::counter!("speck.blocks", needed.len());
+        sperr_telemetry::counter!("speck.blocks_skipped", self.blocks.len() - needed.len());
+        // Blocks of different layers write disjoint slabs of `out`; a
+        // slab's lock is held while a block copies its rows in.
+        let (layers, layer_of) = self.layers();
+        let mut slabs = Vec::with_capacity(layers.len());
+        let mut rest = out;
+        for layer in &layers {
+            let Some((slab, tail)) = rest.split_at_mut_checked(layer.len()) else { break };
+            slabs.push(slab);
+            rest = tail;
+        }
+        let slabs: Slots<&mut [T]> = slabs.into_iter().collect();
+        let split = self.is_split();
+        let lent: Slots<Scratch> = match split {
+            true => scratch.block_slots(self.blocks.len()),
+            false => std::iter::once(std::mem::take(scratch)).collect(),
+        };
+        let dense = if split { scratch.dense(exec.width()) } else { std::iter::empty().collect() };
+        let results = Slots::new(needed.len(), || Ok::<(), DecodeError>(()));
+        let first = batch(exec, needed.len(), first, &|i, worker| {
+            let Some(&b) = needed.get(i) else { return };
+            let Some(block) = self.blocks.get(b) else { return };
+            let layer = layer_of.get(b).copied().unwrap_or(0);
+            *results.lock(i) = (|| {
+                let kept = keep.map(|keep| block.keep_bitmap(self.dims, keep));
+                let lent_scratch = std::mem::take(&mut *lent.lock(b));
+                let sorted = self.sorting_pass(b, kept.as_deref(), lent_scratch)?;
+                if split {
+                    let (mut held, mut own) = (dense.lock(worker), Vec::new());
+                    let dense = held.of::<T>().unwrap_or(&mut own);
+                    dense.clear();
+                    dense.resize(block.len(), T::ZERO);
+                    sorted.assemble(dense);
+                    let start = layers.get(layer).map_or(0, |l| l.start);
+                    block.place(self.dims, dense, &mut slabs.lock(layer), start);
+                } else {
+                    sorted.assemble(&mut slabs.lock(layer));
+                }
+                *lent.lock(b) = sorted.into_scratch();
+                Ok(())
+            })();
+        });
+        drop((slabs, dense));
+        match split {
+            true => scratch.return_blocks(lent),
+            false => *scratch = lent.into_values().next().unwrap_or_default(),
+        }
+        results.into_values().collect::<Result<(), _>>()?;
+        Ok(first)
     }
 
     /// The stream cut to at most `budget` bytes, for a preview. A stream
@@ -633,4 +723,27 @@ impl<'a, const D: usize> Blocks<'a, D> {
         });
         Cow::Owned(out)
     }
+}
+
+/// Runs `n` jobs on `exec` — `job(i, worker)` for each `i` — after
+/// `first`, when given, as job 0, so it starts first: the batch of either
+/// direction's code blocks with a caller's job beside them. Returns what
+/// `first` returned.
+pub(crate) fn batch<R: Send>(
+    exec: &dyn Exec,
+    n: usize,
+    first: Option<impl FnOnce() -> R + Send>,
+    job: &(dyn Fn(usize, usize) + Sync),
+) -> Option<R> {
+    let skip = usize::from(first.is_some());
+    let first: Slots<_> = std::iter::once(first).collect();
+    let done = Slots::new(1, || None);
+    exec.run(skip + n, &|j, worker| match j.checked_sub(skip) {
+        Some(i) => job(i, worker),
+        None => {
+            let first = first.lock(0).take();
+            *done.lock(0) = first.map(|f| f());
+        }
+    });
+    done.into_values().next().flatten()
 }

@@ -3,7 +3,11 @@
 
 use crate::blocks::{blocks, split, split_depth, Block, BLOCK_COEFFICIENTS, SPLIT_FLAG};
 use crate::{decode, decode_masked, encode, reconstruct_quantized, reference, Termination};
+use crate::{quantize, EncodedSpeck, Scratch};
+use sperr_exec::stress::{ReverseOrder, StripedWorkers};
+use sperr_exec::{Exec, Serial, WorkerPool};
 use sperr_simd::Float;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A smooth field with detail at every scale, in wavelet-like decay.
 fn field<T: Float>(dims: [usize; 3]) -> Vec<T> {
@@ -21,6 +25,12 @@ fn field<T: Float>(dims: [usize; 3]) -> Vec<T> {
 
 fn bits<T: Float>(v: &[T]) -> Vec<u64> {
     v.iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// Bytes of a split stream's block table: what its blocks leave.
+fn table_bytes(stream: &[u8], dims: [usize; 3], q: f64, planes: u8) -> usize {
+    let parsed = blocks(stream, dims, q, planes).unwrap();
+    stream.len() - (0..parsed.len()).map(|b| parsed.coded(b).0.len()).sum::<usize>()
 }
 
 #[test]
@@ -88,7 +98,7 @@ fn split_streams_decode_to_the_one_stream_coefficients() {
         assert_eq!(bits(&oracle), bits(&want), "{dims:?}");
 
         // The table costs little: a few bytes per block.
-        let table = blocks(&split.stream, dims, q, split.num_planes).unwrap().table_bytes();
+        let table = table_bytes(&split.stream, dims, q, split.num_planes);
         assert!(split.stream.len() <= one.stream.len() + table + 8 * 8, "{dims:?}");
     }
     check::<f64>([64, 64, 64]);
@@ -130,13 +140,95 @@ fn a_masked_decode_skips_the_blocks_it_does_not_keep() {
 }
 
 #[test]
+fn blocks_run_the_same_on_every_executor() {
+    // Both block batches on every executor against `Serial`: the encode's
+    // sorting passes give the same stream and counters, and a read — of
+    // everything, of a corner box, of nothing — the same coefficients,
+    // bit for bit, the full read one stream's. Job 0 runs exactly once
+    // beside the blocks and its value comes back. Two split domains (the
+    // Morton geometry and the tables) and one of one block, at both
+    // widths.
+    fn check<T: Float>(exec: &dyn Exec, name: &str) {
+        for dims in [[64usize, 64, 64], [72, 66, 50], [40, 40, 40]] {
+            let what = format!("{name}, {} B, {dims:?}", T::BYTES);
+            let (coeffs, q, n): (Vec<T>, _, usize) = (field(dims), 0.01, dims.iter().product());
+            let counters = |e: &EncodedSpeck| {
+                let bits = [e.bits_used, e.significance_bits, e.sign_bits, e.refinement_bits];
+                (e.num_planes, bits, e.sets_split, e.zero_runs)
+            };
+            let want = encode(&coeffs, dims, q, Termination::Quality);
+            // Job 0 counts its runs and returns `value`; `ran` reads the
+            // count back and clears it.
+            let runs = AtomicUsize::new(0);
+            let job0 = |value: u32| {
+                let runs = &runs;
+                move || {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    value
+                }
+            };
+            let ran = || runs.swap(0, Ordering::SeqCst);
+            let phase1 = quantize(&coeffs, dims, q, Termination::Quality, exec, Scratch::default());
+            let (got, _, first) = phase1.encode_on(exec, Some(job0(7)));
+            assert_eq!((first, ran()), (Some(7), 1), "{what}: encode's job 0");
+            assert!(got.stream == want.stream, "{what}: streams differ");
+            assert_eq!(counters(&got), counters(&want), "{what}");
+
+            let mut corner = vec![0u64; n.div_ceil(64)];
+            for z in 0..dims[2] / 4 {
+                for y in 0..dims[1] / 4 {
+                    for x in 0..dims[0] / 2 + 4 {
+                        let i = x + dims[0] * (y + dims[1] * z);
+                        corner[i / 64] |= 1 << (i % 64);
+                    }
+                }
+            }
+            let nothing = vec![0u64; n.div_ceil(64)];
+            let full = bits(&reconstruct_quantized(&coeffs, q));
+            let parsed = blocks(&got.stream, dims, q, got.num_planes).unwrap();
+            for (keep, read) in
+                [(None, "full"), (Some(&corner), "corner"), (Some(&nothing), "none")]
+            {
+                let want: Vec<T> = match keep {
+                    None => decode(&got.stream, dims, q, got.num_planes).unwrap(),
+                    Some(keep) => decode_masked(&got.stream, dims, q, got.num_planes, keep).unwrap(),
+                };
+                let mut out = vec![T::ZERO; n];
+                let mut scratch = Scratch::default();
+                let keep = keep.map(Vec::as_slice);
+                let first = parsed.decode_into(&mut out, keep, &mut scratch, exec, Some(job0(11)));
+                assert_eq!((first, ran()), (Ok(Some(11)), 1), "{what}, {read} read: job 0");
+                assert!(bits(&out) == bits(&want), "{what}, {read} read differs");
+                let kept = |i: usize| keep.is_none_or(|k| k[i / 64] >> (i % 64) & 1 == 1);
+                let (out, wrong) = (bits(&out), (0..n).filter(|&i| kept(i)));
+                assert_eq!(wrong.filter(|&i| out[i] != full[i]).count(), 0, "{what}, {read}");
+            }
+        }
+    }
+    for (exec, name) in [
+        (&Serial as &dyn Exec, "Serial"),
+        (&ReverseOrder, "ReverseOrder"),
+        (&StripedWorkers(3), "StripedWorkers(3)"),
+    ] {
+        check::<f64>(exec, name);
+        check::<f32>(exec, name);
+    }
+    for threads in [1usize, 2, 4] {
+        WorkerPool::scoped(threads, |pool| {
+            check::<f64>(pool, &format!("{threads}-thread pool"));
+            check::<f32>(pool, &format!("{threads}-thread pool"));
+        });
+    }
+}
+
+#[test]
 fn a_bad_block_table_is_a_typed_error() {
     let dims = [64usize, 64, 64];
     let coeffs: Vec<f64> = field(dims);
     let q = 0.05;
     let enc = encode(&coeffs, dims, q, Termination::Quality);
     let planes = enc.num_planes;
-    let table = blocks(&enc.stream, dims, q, planes).unwrap().table_bytes();
+    let table = table_bytes(&enc.stream, dims, q, planes);
     let fails = |stream: &[u8], dims: [usize; 3], planes: u8| {
         let fast = decode::<f64, 3>(stream, dims, q, planes);
         let slow = reference::decode::<f64, 3>(stream, dims, q, planes);

@@ -15,6 +15,8 @@ use crate::morton::Dyadic;
 use sperr_bitstream::BitWriter;
 use sperr_exec::{Exec, Serial, Slots};
 use sperr_simd::Float;
+use std::any::Any;
+use std::time::{Duration, Instant};
 
 /// When the encoder stops producing bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,13 +33,13 @@ pub enum Termination {
 /// the cached significance bytes and magnitudes of the encoder's phase 1,
 /// the pixels found and the insignificant-cell buckets of either coder's
 /// sorting passes, and a buffer for the next stream. [`quantize`] takes
-/// one, [`Quantized::encode`] gives it back in [`EncodedSpeck::scratch`];
-/// [`crate::Blocks::sorting_pass`] takes one, [`crate::Sorted::into_scratch`]
-/// gives it back. A split domain's code blocks ([`crate::blocks`]) each
-/// run in a scratch of their own, kept in this one by block, and the
-/// joined stream is written into this one's stream buffer. Buffers grow
-/// to the largest domain seen, so a caller that threads one scratch
-/// through its calls allocates once. Nothing in it reaches a stream or a
+/// one, [`Quantized::encode_on`] gives it back in [`EncodedSpeck::scratch`];
+/// [`crate::Blocks::decode_into`] borrows one. A split domain's code
+/// blocks ([`crate::blocks`]) each run in a scratch of their own, kept in
+/// this one by block, the joined stream is written into this one's stream
+/// buffer, and a split decode's blocks assemble in a buffer per worker
+/// kept here too. Buffers grow to the largest domain seen, so a caller
+/// that threads one scratch through its calls allocates once. Nothing in it reaches a stream or a
 /// coefficient: every byte a coder reads, it wrote first (the levels and
 /// magnitudes are overwritten, not cleared). The default holds nothing.
 #[derive(Clone, Default)]
@@ -49,24 +51,53 @@ pub struct Scratch {
     stream: Vec<u8>,
     /// The code blocks' own scratch, by block.
     blocks: Vec<Scratch>,
+    /// Per worker of a split decode, the buffer a code block assembles
+    /// into before its rows go to the domain.
+    dense: Vec<Dense>,
+}
+
+/// A code block's assembly buffer, at either sample width.
+#[derive(Clone, Default)]
+pub(crate) struct Dense {
+    wide: Vec<f64>,
+    narrow: Vec<f32>,
+}
+
+impl Dense {
+    /// The buffer of `T`'s width (`None` for a width it has none of).
+    pub(crate) fn of<T: Float>(&mut self) -> Option<&mut Vec<T>> {
+        let wide: &mut dyn Any = &mut self.wide;
+        match wide.downcast_mut() {
+            Some(wide) => Some(wide),
+            None => (&mut self.narrow as &mut dyn Any).downcast_mut(),
+        }
+    }
 }
 
 impl Scratch {
     /// Bytes the buffers hold (their capacity), the blocks' included.
     pub fn bytes(&self) -> usize {
         let buckets = self.buckets.iter().map(|b| b.cells.capacity() * 4 + b.mb.capacity());
+        let dense = self.dense.iter().map(|d| 8 * d.wide.capacity() + 4 * d.narrow.capacity());
         self.levels.capacity()
             + 4 * (self.mags.capacity() + self.found.capacity())
             + buckets.sum::<usize>()
             + self.stream.capacity()
             + self.blocks.iter().map(Scratch::bytes).sum::<usize>()
+            + dense.sum::<usize>()
     }
 
     /// The scratch of each of `k` code blocks, as [`Slots`] for a batch
     /// whose job `b` runs block `b`.
-    pub fn block_slots(&mut self, k: usize) -> Slots<Scratch> {
+    pub(crate) fn block_slots(&mut self, k: usize) -> Slots<Scratch> {
         self.blocks.resize_with(k.max(self.blocks.len()), Scratch::default);
         self.blocks.iter_mut().take(k).map(std::mem::take).collect()
+    }
+
+    /// The assembly buffers of `width` workers, as [`Slots`] by worker.
+    pub(crate) fn dense(&mut self, width: usize) -> Slots<&mut Dense> {
+        self.dense.resize_with(width.max(self.dense.len()), Dense::default);
+        self.dense.iter_mut().collect()
     }
 
     /// The stream buffer, emptied, for a code block's bytes to be gathered
@@ -78,7 +109,7 @@ impl Scratch {
     }
 
     /// Takes back the block scratches [`Scratch::block_slots`] lent.
-    pub fn return_blocks(&mut self, slots: Slots<Scratch>) {
+    pub(crate) fn return_blocks(&mut self, slots: Slots<Scratch>) {
         for (kept, lent) in self.blocks.iter_mut().zip(slots.into_values()) {
             *kept = lent;
         }
@@ -1008,12 +1039,10 @@ impl<'a, T: Float, const D: usize> Phase1<'a, T, D> {
 /// An encode after its first phase ([`quantize`]): each code block's
 /// coefficients quantized into its partition's layout order and every
 /// cell's significance byte cached — one block, or the blocks of a split
-/// domain ([`crate::blocks`]). The second phase runs block by block
-/// ([`Quantized::encode_block`], on any thread, in any order) and
-/// [`Quantized::join`] puts the blocks' streams together in split order,
-/// so the bytes do not depend on how the blocks were run;
-/// [`Quantized::encode`] is both, serially. Each block's phase 2 reads
-/// only what its phase 1 holds, plus the coefficients when it holds no
+/// domain ([`crate::blocks`]). The second phase ([`Quantized::encode_on`])
+/// runs the blocks as one batch and puts their streams together in split
+/// order, so the bytes do not depend on how the blocks were run. Each
+/// block's phase 2 reads only what its phase 1 holds, plus the coefficients when it holds no
 /// magnitudes: under a bit budget, or when a magnitude needs more than 32
 /// bits. Otherwise [`Quantized::release`] gives the borrow of the
 /// coefficients back, so the caller may overwrite them while phase 2 runs.
@@ -1043,14 +1072,10 @@ fn shape_of<const D: usize>(dims: [usize; D]) -> Option<Shape<D>> {
 
 impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
     /// The encode of one block, `phase1`, whose second phase runs in the
-    /// rest of `scratch`: its block scratches, kept for a split domain.
+    /// rest of `scratch`: its block scratches and assembly buffers, kept
+    /// for a split domain.
     pub(crate) fn one(phase1: Phase1<'a, T, D>, scratch: Scratch) -> Self {
         Quantized { depth: 0, blocks: std::iter::once(Some(phase1)).collect(), scratch }
-    }
-
-    /// Number of code blocks.
-    pub fn blocks(&self) -> usize {
-        self.blocks.len()
     }
 
     /// This phase 1 without its borrow of the coefficients, or `Err(self)`
@@ -1066,30 +1091,45 @@ impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
         Ok(Quantized { depth, blocks: released.collect(), scratch })
     }
 
-    /// Phase 2 of block `b`: its sorting passes, with each plane's
-    /// refinement span reserved, then the spans filled, in the block's own
-    /// scratch. The result carries that memory back in
-    /// [`EncodedSpeck::scratch`].
-    ///
-    /// # Panics
-    ///
-    /// When block `b` does not exist or was encoded already.
-    pub fn encode_block(&self, b: usize) -> EncodedSpeck {
-        let phase1 = self.blocks.lock(b).take();
-        phase1.expect("each code block is encoded once").encode()
+    /// The second phase as one batch on `exec`: `first`, when given, is
+    /// job 0, so it starts first, and each code block is a job — its
+    /// sorting passes, with each plane's refinement span reserved, then
+    /// the spans filled, in the block's own scratch — under a
+    /// `stage.speck.encode` span. Then the blocks' streams, joined in
+    /// block order: a split domain's behind its block table, with
+    /// [`crate::blocks::SPLIT_FLAG`] in the planes byte and the counters
+    /// summed, and one with nothing outside the dead zone as one block
+    /// encodes, no planes and an empty stream. The encode carries the
+    /// whole working memory back in [`EncodedSpeck::scratch`]. Returns it,
+    /// the wall time from the batch's start to the end of its last block,
+    /// and what `first` returned.
+    pub fn encode_on<R: Send>(
+        self,
+        exec: &dyn Exec,
+        first: Option<impl FnOnce() -> R + Send>,
+    ) -> (EncodedSpeck, Duration, Option<R>) {
+        let encoded = Slots::new(self.blocks.len(), EncodedSpeck::default);
+        let start = Instant::now();
+        let end = Slots::new(1, || start);
+        let first = crate::blocks::batch(exec, self.blocks.len(), first, &|b, _| {
+            let _span = sperr_telemetry::span!("stage.speck.encode");
+            if let Some(phase1) = self.blocks.lock(b).take() {
+                *encoded.lock(b) = phase1.encode();
+            }
+            let mut end = end.lock(0);
+            *end = (*end).max(Instant::now());
+        });
+        let end = end.into_values().next().unwrap_or(start);
+        (self.join(encoded.into_values().collect()), end.duration_since(start), first)
     }
 
-    /// The encode: the blocks' phase 2 results (block `b` at `encoded[b]`)
-    /// as one stream — a split domain's behind its block table, with
-    /// [`crate::blocks::SPLIT_FLAG`] in the planes byte and the counters
-    /// summed — carrying the whole working memory back in
-    /// [`EncodedSpeck::scratch`]. A split domain with nothing outside the
-    /// dead zone encodes as one block does: no planes, an empty stream.
-    pub fn join(self, mut encoded: Vec<EncodedSpeck>) -> EncodedSpeck {
+    /// The blocks' phase 2 results (block `b` at `encoded[b]`) as one
+    /// stream ([`Quantized::encode_on`]).
+    fn join(self, mut encoded: Vec<EncodedSpeck>) -> EncodedSpeck {
         let Quantized { depth, mut scratch, .. } = self;
         if depth == 0 {
             let mut enc = encoded.pop().unwrap_or_default();
-            enc.scratch.blocks = scratch.blocks;
+            (enc.scratch.blocks, enc.scratch.dense) = (scratch.blocks, scratch.dense);
             return enc;
         }
         let planes = encoded.iter().map(|e| e.num_planes).max().unwrap_or(0);
@@ -1121,11 +1161,9 @@ impl<'a, T: Float, const D: usize> Quantized<'a, T, D> {
         enc
     }
 
-    /// Both phases' second half serially: every block's phase 2, then the
-    /// join.
+    /// [`Quantized::encode_on`] on [`Serial`], with no job beside.
     pub fn encode(self) -> EncodedSpeck {
-        let encoded = (0..self.blocks()).map(|b| self.encode_block(b)).collect();
-        self.join(encoded)
+        self.encode_on(&Serial, None::<fn()>).0
     }
 }
 
@@ -1154,8 +1192,9 @@ pub fn quantize<'a, T: Float, const D: usize>(
     sperr_telemetry::counter!("speck.blocks", split.len());
     if depth == 0 {
         let blocks = std::mem::take(&mut scratch.blocks);
+        let dense = std::mem::take(&mut scratch.dense);
         let phase1 = Phase1::new(shape_of(dims), coeffs, None, q, term, exec, scratch);
-        return Quantized::one(phase1, Scratch { blocks, ..Scratch::default() });
+        return Quantized::one(phase1, Scratch { blocks, dense, ..Scratch::default() });
     }
     let memory = scratch.block_slots(split.len());
     let blocks = Slots::new(split.len(), || None);
@@ -1200,8 +1239,8 @@ mod tests {
     ) {
         let want = quantize(coeffs, dims, q, term, &Serial, Scratch::default());
         let got = quantize(coeffs, dims, q, term, exec, Scratch::default());
-        assert_eq!(got.blocks(), want.blocks(), "{what}");
-        for b in 0..got.blocks() {
+        assert_eq!(got.blocks.len(), want.blocks.len(), "{what}");
+        for b in 0..got.blocks.len() {
             let (got, want) = (got.blocks.lock(b), want.blocks.lock(b));
             let (got, want) = (got.as_ref().unwrap(), want.as_ref().unwrap());
             assert_eq!(got.levels.at, want.levels.at, "{what}");

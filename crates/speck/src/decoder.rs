@@ -7,15 +7,16 @@
 //! The decoder runs in two phases (DESIGN.md §13). The sorting pass — a
 //! walk over the cells of the shape's [`Geometry`] — fills the back half
 //! ([`DeferredLsp`]), which skips refinement bits while walking the
-//! stream ([`crate::Blocks::sorting_pass`]). The assembly then turns the significant
-//! pixels into coefficients, one z-slab of the output at a time
-//! ([`Sorted::assemble`]), so slabs can go to different threads.
+//! stream ([`sorting_pass`]). The assembly then turns the significant
+//! pixels into coefficients ([`Sorted::assemble`]). Each code block runs
+//! both ([`crate::Blocks::decode_into`]).
 
 use crate::coder::Scratch;
 use crate::layout::{self, Geometry, Layout};
 use crate::lsp_decode::{DeferredLsp, Stop};
 use crate::morton::{self, Dyadic};
 use sperr_bitstream::BitReader;
+use sperr_exec::Serial;
 use sperr_simd::Float;
 use std::borrow::Cow;
 use std::fmt;
@@ -275,14 +276,14 @@ pub(crate) fn check_params<const D: usize>(
 /// unchecked. The shape's layout tables are fetched (or built) only once
 /// those checks have passed.
 ///
-/// Per block this is [`sorting_pass`], then [`Sorted::assemble`].
+/// This is [`crate::Blocks::decode_into`] on [`Serial`].
 pub fn decode<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
     q: f64,
     num_planes: u8,
 ) -> Result<Vec<T>, DecodeError> {
-    decode_blocks(stream, dims, q, num_planes, None)
+    decode_serially(stream, dims, q, num_planes, None)
 }
 
 /// [`decode`] for a read that needs only some coefficients — a region's
@@ -301,12 +302,12 @@ pub fn decode_masked<T: Float, const D: usize>(
     num_planes: u8,
     keep: &[u64],
 ) -> Result<Vec<T>, DecodeError> {
-    decode_blocks(stream, dims, q, num_planes, Some(keep))
+    decode_serially(stream, dims, q, num_planes, Some(keep))
 }
 
-/// [`decode`] and [`decode_masked`]: every block (that `keep` touches)
-/// decoded into a buffer of its own and placed into the domain.
-fn decode_blocks<T: Float, const D: usize>(
+/// [`decode`] and [`decode_masked`]: the blocks `keep` needs, on
+/// [`Serial`], into a fresh buffer.
+fn decode_serially<T: Float, const D: usize>(
     stream: &[u8],
     dims: [usize; D],
     q: f64,
@@ -314,40 +315,19 @@ fn decode_blocks<T: Float, const D: usize>(
     keep: Option<&[u64]>,
 ) -> Result<Vec<T>, DecodeError> {
     let blocks = crate::blocks::blocks(stream, dims, q, num_planes)?;
-    if !blocks.is_split() {
-        let sorted = blocks.sorting_pass(0, q, keep, Scratch::default())?;
-        let mut out = vec![T::ZERO; sorted.len()];
-        sorted.assemble(&mut out);
-        return Ok(out);
-    }
     let mut out = vec![T::ZERO; dims.iter().product()];
-    let (mut dense, mut scratch) = (Vec::new(), Scratch::default());
-    for (b, block) in blocks.iter().enumerate() {
-        let block_keep = match keep {
-            None => None,
-            Some(keep) => match block.keep_bitmap(dims, keep) {
-                None => continue,
-                kept => kept,
-            },
-        };
-        let sorted = blocks.sorting_pass(b, q, block_keep.as_deref(), scratch)?;
-        dense.clear();
-        dense.resize(block.len(), T::ZERO);
-        sorted.assemble(&mut dense);
-        scratch = sorted.into_scratch();
-        block.place(dims, &dense, &mut out, 0);
-    }
+    blocks.decode_into(&mut out, keep, &mut Scratch::default(), &Serial, None::<fn()>)?;
     Ok(out)
 }
 
 /// The decoder's first phase on one block's stream — a stream of one
-/// block, or one of a split stream's ([`crate::Blocks::sorting_pass`]),
-/// borrowed or gathered: the parameter checks, then the sorting pass over
-/// the whole stream on the shape's geometry. What it returns assembles
-/// into coefficients ([`Sorted::assemble`]). `keep` is [`decode_masked`]'s
-/// row-major bitmap (`None`: the full read). The pass runs in the memory
-/// of `scratch`, which [`Sorted::into_scratch`] gives back, a gathered
-/// stream's memory with it.
+/// block, or one of a split stream's, borrowed or gathered: the parameter
+/// checks, then the sorting pass over the whole stream on the shape's
+/// geometry. What it returns assembles into coefficients
+/// ([`Sorted::assemble`]). `keep` is [`decode_masked`]'s row-major bitmap
+/// (`None`: the full read). The pass runs in the memory of `scratch`,
+/// which [`Sorted::into_scratch`] gives back, a gathered stream's memory
+/// with it.
 pub(crate) fn sorting_pass<'a, const D: usize>(
     stream: Cow<'a, [u8]>,
     dims: [usize; D],
@@ -415,11 +395,10 @@ pub(crate) enum Shape<const D: usize> {
 /// A SPECK stream after its sorting pass: every significant pixel found,
 /// with its sign and where its refinement bits sit in the stream; no
 /// coefficient assembled yet (DESIGN.md §13).
-pub struct Sorted<'a, const D: usize> {
+pub(crate) struct Sorted<'a, const D: usize> {
     stream: Cow<'a, [u8]>,
     q: f64,
     num_planes: u8,
-    n_total: usize,
     /// `None` for a stream with no planes: there is nothing to assemble.
     shape: Option<Shape<D>>,
     lsp: DeferredLsp,
@@ -451,11 +430,11 @@ impl<'a, const D: usize> Sorted<'a, D> {
                 walk(&**tables, &stream, n_total, num_planes, keep, memory)?
             }
         };
-        Ok(Sorted { stream, q, num_planes, n_total, shape, lsp, keep, scratch })
+        Ok(Sorted { stream, q, num_planes, shape, lsp, keep, scratch })
     }
 
     /// The memory the pass ran in, once the assembly is done with it.
-    pub fn into_scratch(self) -> Scratch {
+    pub(crate) fn into_scratch(self) -> Scratch {
         let mut scratch = self.scratch;
         scratch.return_pixels(self.lsp.into_pixels());
         if let Cow::Owned(gathered) = self.stream {
@@ -464,21 +443,11 @@ impl<'a, const D: usize> Sorted<'a, D> {
         scratch
     }
 
-    /// Coefficients in the domain (the output's length).
-    pub fn len(&self) -> usize {
-        self.n_total
-    }
-
-    /// Whether the domain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.n_total == 0
-    }
-
     /// The decoder's second phase: writes every coefficient the sorting
     /// pass found into `out`, the domain in row-major order, which starts
     /// zeroed; an undiscovered coefficient stays 0. On a masked stream the
     /// coefficients outside the keep bitmap are 0 or their full-read value.
-    pub fn assemble<T: Float>(&self, out: &mut [T]) {
+    pub(crate) fn assemble<T: Float>(&self, out: &mut [T]) {
         match &self.shape {
             None => {}
             Some(Shape::Dyadic(geom)) => self.assemble_on(geom, out),

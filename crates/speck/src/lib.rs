@@ -67,8 +67,8 @@ pub use coder::{
     encode, mid_riser, quantize, reconstruct_quantized, reconstruct_quantized_into, Scratch,
     EncodedSpeck, Quantized, Termination,
 };
-pub use blocks::{block_count, blocks, Block, Blocks, BLOCK_COEFFICIENTS, SPLIT_FLAG};
-pub use decoder::{decode, decode_masked, DecodeError, Sorted, MAX_DECODE_ELEMENTS};
+pub use blocks::{block_count, blocks, Blocks, BLOCK_COEFFICIENTS, SPLIT_FLAG};
+pub use decoder::{decode, decode_masked, DecodeError, MAX_DECODE_ELEMENTS};
 
 /// Version of the SPECK bitstream layout produced by [`encode`]. Bump this
 /// whenever an intentional change alters the emitted bits for the same

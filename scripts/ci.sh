@@ -227,11 +227,12 @@ echo "==> telemetry on: the recorder's own tests"
 # unit tests compile only with recording compiled in.
 cargo test --quiet -p sperr-telemetry --features enabled
 
-echo "==> telemetry on: the recorder and the SPECK coder lint clean"
-# Clippy over the recorder (with recording compiled in) and sperr-speck,
-# their tests included, and the workspace crates they build on; any
-# warning fails the lane.
-cargo clippy --quiet -p sperr-telemetry -p sperr-speck --all-targets \
+echo "==> telemetry on: the recorder and the codec crates lint clean"
+# Clippy over the recorder (with recording compiled in), sperr-speck,
+# sperr-core, sperr-lossless and sperr-outlier, their tests included, and
+# the workspace crates they build on; any warning fails the lane.
+cargo clippy --quiet -p sperr-telemetry -p sperr-speck -p sperr-core \
+    -p sperr-lossless -p sperr-outlier --all-targets \
     --features sperr-telemetry/enabled -- -D warnings
 
 echo "==> telemetry on: the whole CLI suite"
@@ -267,7 +268,7 @@ target/release/sperr metrics --input /tmp/ci_metrics_out.sperr \
 rm -f /tmp/ci_metrics_input.f64 /tmp/ci_metrics_out.sperr \
     /tmp/ci_metrics.prom /tmp/ci_metrics.json /tmp/ci_metrics_rt.f64
 
-echo "==> ThreadSanitizer: pool, streaming, SLZ1 inflate, region-read, SPECK phase-1 and one-chunk tests"
+echo "==> ThreadSanitizer: pool, streaming, SLZ1 inflate, region-read, SPECK phase-1, code-block and one-chunk tests"
 # The worker pool (sperr-exec) is the one place in the workspace that
 # synchronises threads by hand (the published batch slot, its condvars,
 # the lifetime-erased job pointer); streaming is its heaviest user, running
@@ -276,9 +277,10 @@ echo "==> ThreadSanitizer: pool, streaming, SLZ1 inflate, region-read, SPECK pha
 # on it (region reads included); a one-chunk read splits its outlier
 # decode and SPECK assembly over it, and a one-chunk compress gathers
 # SPECK's first phase on it and runs its outlier locate and encode beside
-# SPECK's sorting passes. So run the pool, executor-contract, streaming,
-# SLZ1 inflate, region-read, SPECK phase-1 and one-chunk read and compress
-# tests under TSan. Needs nightly with the rust-src component
+# SPECK's sorting passes; sperr-speck runs both directions' code blocks
+# as one batch. So run the pool, executor-contract, streaming, SLZ1
+# inflate, region-read, SPECK phase-1, code-block and one-chunk read and
+# compress tests under TSan. Needs nightly with the rust-src component
 # (-Zbuild-std rebuilds std with the sanitizer); CI must never install
 # toolchain pieces, so skip gracefully —
 # loudly — when absent.
@@ -292,6 +294,7 @@ if command -v rustup >/dev/null 2>&1 \
         cargo +nightly test -Zbuild-std --target "${TSAN_TARGET}" \
         -p sperr-exec -p sperr-core -p sperr-speck -p sperr-lossless --quiet -- pool:: contract \
         stream:: one_chunk phase_one_is_the_same_on_every_executor \
+        blocks_run_the_same_on_every_executor \
         inflate_ranges_is_executor_independent decompress_with_is_executor_independent region \
         every_surface_agrees
 else
